@@ -11,7 +11,7 @@ needed per level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -327,6 +327,9 @@ def transform_laws(kind: str, coeffs, xi, verify_order: Optional[int] = None) ->
     def oddpattern(m):
         return tuple(xi if i % 2 == 0 else 0 for i in range(m))
 
+    def shift_e(j):  # the J->J law
+        return CFrac("J", e=tuple(ei + xi for ei in j.e), f=j.f)
+
     if kind == "S->T":
         c = tuple(coeffs)
         out = CFrac("T", c=c, d=oddpattern(len(c)))
@@ -338,39 +341,15 @@ def transform_laws(kind: str, coeffs, xi, verify_order: Optional[int] = None) ->
                                       for i, di in enumerate(d)))
         src = CFrac("T", c=c, d=d)
     elif kind == "J->J":
-        e, f = (tuple(coeffs[0]), tuple(coeffs[1]))
-        out = CFrac("J", e=tuple(ei + xi for ei in e), f=f)
-        src = CFrac("J", e=e, f=f)
+        src = CFrac("J", e=tuple(coeffs[0]), f=tuple(coeffs[1]))
+        out = shift_e(src)
     elif kind == "S->J":
-        c = tuple(coeffs)
-        e = [c[0] + xi]
-        f = []
-        n = 1
-        while 2 * n < len(c):
-            f.append(c[2 * n - 2] * c[2 * n - 1])
-            e.append(c[2 * n - 1] + c[2 * n] + xi)
-            n += 1
-        if 2 * n - 1 < len(c):
-            f.append(c[2 * n - 2] * c[2 * n - 1])
-        out = CFrac("J", e=tuple(e), f=tuple(f))
-        src = CFrac("S", c=c)
+        # S->J and T->J: the J->J law applied to the even contraction
+        src = CFrac("S", c=tuple(coeffs))
+        out = shift_e(contract(src))
     elif kind == "T->J":
-        c, d = (tuple(coeffs[0]), tuple(coeffs[1]))
-        _check_odd(d)
-        e = [c[0] + d[0] + xi]
-        f = []
-        n = 1
-        while 2 * n < len(c):
-            f.append(c[2 * n - 2] * c[2 * n - 1])
-            en = c[2 * n - 1] + c[2 * n] + xi
-            if 2 * n + 1 <= len(d):
-                en = en + d[2 * n]
-            e.append(en)
-            n += 1
-        if 2 * n - 1 < len(c):
-            f.append(c[2 * n - 2] * c[2 * n - 1])
-        out = CFrac("J", e=tuple(e), f=tuple(f))
-        src = CFrac("T", c=c, d=d)
+        src = CFrac("T", c=tuple(coeffs[0]), d=tuple(coeffs[1]))
+        out = shift_e(contract(src))
     else:
         raise ValueError("unknown transform kind %r" % kind)
 

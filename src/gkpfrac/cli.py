@@ -20,8 +20,7 @@ from .exactalg import (
     variables,
 )
 from .gkpcore import (
-    GKPParams, PARAM_NAMES, gkp_triangle, gkpz_triangle, ogf_trunc,
-    row_polys,
+    GKPParams, PARAM_NAMES, gkp_triangle, ogf_trunc, row_polys, triangle,
 )
 from . import cfrac as cf
 from . import combinat
@@ -196,14 +195,14 @@ def _tokenize(text):
 def cmd_triangle(args):
     mu = _parse_mu(args.mu)
     N = _depth(args.depth)
-    t = gkpz_triangle(mu, N) if len(mu) == 8 else gkp_triangle(mu, N)
+    t = triangle(mu, N)
     return True, {"triangle": t.to_json()}
 
 
 def cmd_polys(args):
     mu = _parse_mu(args.mu)
     N = _depth(args.depth)
-    t = gkpz_triangle(mu, N) if len(mu) == 8 else gkp_triangle(mu, N)
+    t = triangle(mu, N)
     ps = row_polys(t)
     return True, {"row_polys": [felem_to_json(p) for p in ps]}
 
@@ -211,7 +210,7 @@ def cmd_polys(args):
 def cmd_sfrac(args):
     mu = _parse_mu(args.mu)
     N = _depth(args.depth)
-    t = gkpz_triangle(mu, N) if len(mu) == 8 else gkp_triangle(mu, N)
+    t = triangle(mu, N)
     out = cf.extract_sfrac(ogf_trunc(t), N)
     return True, {"cfrac": out.to_json()}
 
@@ -219,7 +218,7 @@ def cmd_sfrac(args):
 def cmd_jfrac(args):
     mu = _parse_mu(args.mu)
     N = _depth(2 * args.levels)
-    t = gkpz_triangle(mu, N) if len(mu) == 8 else gkp_triangle(mu, N)
+    t = triangle(mu, N)
     out = cf.extract_jfrac(ogf_trunc(t), args.levels)
     return True, {"cfrac": out.to_json()}
 

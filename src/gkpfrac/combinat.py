@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from .exactalg import (
     MPoly, TruncSeries, as_field, exp_series, felem_eq, generalized_binomial_series,
@@ -174,13 +174,6 @@ def binom(n, k) -> int:
 # explicit formulas
 # ---------------------------------------------------------------------------
 
-def _prod(it, start=1):
-    acc = start
-    for f in it:
-        acc = acc * f
-    return acc
-
-
 def master_poly_vy_formula(n: int) -> MPoly:
     """Stirling-subset expansion of the v=y specialization:
     sum_r {n r} (y-u)^(n-r) prod_{k=0}^{r-1}(w+ku)."""
@@ -190,7 +183,7 @@ def master_poly_vy_formula(n: int) -> MPoly:
         c = stirling_subset(n, r)
         if c == 0:
             continue
-        acc = acc + c * (y - u) ** (n - r) * _prod(w + k * u for k in range(r))
+        acc = acc + c * (y - u) ** (n - r) * prod(w + k * u for k in range(r))
     return acc
 
 
@@ -262,7 +255,7 @@ def explicit_formula_checks(n_max: int) -> dict:
         for r in range(n + 1):
             c = stirling_subset(n, r)
             if c:
-                rhs = rhs + c * (y - 1) ** (n - r) * _prod(w + k for k in range(r))
+                rhs = rhs + c * (y - 1) ** (n - r) * prod(w + k for k in range(r))
         if not felem_eq(as_field(lhs), rhs):
             ok = False
     report["u1_specialization"] = ok

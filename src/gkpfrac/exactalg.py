@@ -778,6 +778,22 @@ def felem_eq(a, b) -> bool:
     return felem_is_zero(a - b)
 
 
+def first_mismatch(cases):
+    """The first ``(key, got, want)`` of ``cases`` whose two sides differ,
+    or None.  ``cases`` is consumed lazily: nothing after the first
+    mismatch is computed."""
+    for case in cases:
+        if not felem_eq(as_field(case[1]), as_field(case[2])):
+            return case
+    return None
+
+
+def mismatch_report(bad) -> dict:
+    """The verdict of a ``first_mismatch`` result, with the mismatching key
+    as the witness."""
+    return {"ok": bad is None, "first_mismatch": None if bad is None else bad[0]}
+
+
 # ---------------------------------------------------------------------------
 # polynomial division in a designated variable
 # ---------------------------------------------------------------------------
@@ -943,22 +959,10 @@ class TruncSeries:
         c0 = self.coeffs[0]
         if felem_is_zero(c0):
             raise NonInvertibleSeries("zero constant term")
-        n = self.order
-        if felem_eq(c0, 1):
-            out = [1]
-            for k in range(1, n + 1):
-                acc = None
-                for j in range(1, k + 1):
-                    a = self.coeffs[j]
-                    if felem_is_zero(a):
-                        continue
-                    term = a * out[k - j]
-                    acc = term if acc is None else acc + term
-                out.append(0 if acc is None else -acc)
-            return TruncSeries(n, out)
-        inv0 = felem_inv(c0)
-        out = [inv0]
-        for k in range(1, n + 1):
+        # a unit constant term needs no scaling; eval_sr/eval_tr hit it always
+        inv0 = None if felem_eq(c0, 1) else felem_inv(c0)
+        out = [1 if inv0 is None else inv0]
+        for k in range(1, self.order + 1):
             acc = None
             for j in range(1, k + 1):
                 a = self.coeffs[j]
@@ -966,8 +970,11 @@ class TruncSeries:
                     continue
                 term = a * out[k - j]
                 acc = term if acc is None else acc + term
-            out.append(0 if acc is None else -(inv0 * acc))
-        return TruncSeries(n, out)
+            if acc is None:
+                out.append(0)
+            else:
+                out.append(-acc if inv0 is None else -(inv0 * acc))
+        return TruncSeries(self.order, out)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -1059,11 +1066,6 @@ class TruncSeries:
     def __repr__(self):
         return "TruncSeries(order=%d, %s)" % (
             self.order, ", ".join("[t^%d] %r" % (i, c) for i, c in enumerate(self.coeffs)))
-
-
-def series_reciprocal(s: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse through the truncation order."""
-    return s.reciprocal()
 
 
 def generalized_binomial_series(base: TruncSeries, exponent) -> TruncSeries:

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
 from typing import Callable, Optional
 
 from .exactalg import (
-    MPoly, RatFunc, TruncSeries, as_field, exp_series, felem_eq, felem_inv,
-    felem_is_zero, generalized_binomial_series, variables,
+    MPoly, RatFunc, TruncSeries, as_field, exp_series, felem_inv,
+    felem_is_zero, first_mismatch, generalized_binomial_series, mismatch_report,
+    variables,
 )
 from .gkpcore import (
-    GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle,
-    gkpz_triangle, ogf_trunc, row_polys,
+    GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle, ogf_trunc,
+    row_polys, triangle,
 )
 from .cfrac import (
     CFrac, contract, eval_tr, extract_jfrac, extract_sfrac,
@@ -161,19 +163,10 @@ def _make_catalog():
         d = vals["gamma"] if i % 2 else 0
         return c, d
 
-    def f7a_J(vals, n):
-        x = _xvar(vals)
-        e = (vals["gamma"] + (vals["betap"] + vals["gammap"]) * x) \
-            + n * (vals["beta"] + 2 * vals["betap"] * x)
-        f = n * (vals["gammap"] + n * vals["betap"]) * x \
-            * (vals["beta"] + vals["betap"] * x)
-        return e, f
-
     add(FamilySpec(
         "F7a", ("beta", "gamma", "betap", "gammap"), "T", "proven",
         lambda v: GKPParams(0, v["beta"], v["gamma"], 0, v["betap"], v["gammap"]),
         f7a_T))
-    cat["F7a"].__dict__ if False else None
 
     def f7b_T(vals, i):
         x = _xvar(vals)
@@ -431,13 +424,6 @@ def _f7b_J_entry(vals, n):
     return e, f
 
 
-def _triangle_for(spec, vals, N):
-    mu = spec.template(vals)
-    if isinstance(mu, GKPZParams):
-        return gkpz_triangle(mu, N)
-    return gkp_triangle(mu, N)
-
-
 def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None) -> dict:
     """Generate, extract/evaluate, compare; symbolic in all free parameters.
 
@@ -447,12 +433,11 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
     spec = get_family(id)
     vals = _resolve_params(spec, params)
     kind = kind or ("S" if spec.status == "terminating" else spec.kind)
-    t = _triangle_for(spec, vals, N)
-    ogf = ogf_trunc(t)
-    status = "verified" if spec.status != "conjectured" else "consistent"
+    ogf = ogf_trunc(triangle(spec.template(vals), N))
     report = {"id": id, "kind": kind, "status": spec.status,
               "verified_to": N, "first_mismatch": None}
 
+    tail = None  # checked only once every coefficient agrees
     if spec.status == "terminating":
         got = extract_sfrac(ogf, N)
         want = predicted_cfrac(id, params)
@@ -460,53 +445,32 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
             report["first_mismatch"] = {"level": got.terminated_at,
                                         "expected": "termination at %s" % want.terminated_at}
             return report
-        for i, (g, w) in enumerate(zip(got.c, want.c), start=1):
-            if not felem_eq(as_field(g), as_field(w)):
-                report["first_mismatch"] = {"level": i, "expected": repr(w),
-                                            "got": repr(g)}
-                return report
-        return report
-
-    if kind == "S":
+        cases = zip(count(1), got.c, want.c)
+    elif kind == "S":
         got = extract_sfrac(ogf, N)
         want = predicted_cfrac(id, params, N, kind="S")
-        for i, (g, w) in enumerate(zip(got.c, want.c), start=1):
-            if not felem_eq(as_field(g), as_field(w)):
-                report["first_mismatch"] = {"level": i, "expected": repr(w),
-                                            "got": repr(g)}
-                return report
+        cases = zip(count(1), got.c, want.c)
         if got.terminated_at is not None:
-            report["first_mismatch"] = {"level": got.terminated_at,
-                                        "expected": "nonterminating"}
-        return report
-
-    if kind == "J":
+            tail = {"level": got.terminated_at, "expected": "nonterminating"}
+    elif kind == "J":
         m = N // 2
         got = extract_jfrac(ogf, m)
         want = predicted_cfrac(id, params, m, kind="J")
-        for n, (g, w) in enumerate(zip(got.e, want.e)):
-            if not felem_eq(as_field(g), as_field(w)):
-                report["first_mismatch"] = {"level": ("e", n), "expected": repr(w),
-                                            "got": repr(g)}
-                return report
-        for n, (g, w) in enumerate(zip(got.f, want.f), start=1):
-            if not felem_eq(as_field(g), as_field(w)):
-                report["first_mismatch"] = {"level": ("f", n), "expected": repr(w),
-                                            "got": repr(g)}
-                return report
-        return report
-
-    if kind == "T":
+        cases = chain(((("e", n), g, w) for n, g, w in zip(count(), got.e, want.e)),
+                      ((("f", n), g, w) for n, g, w in zip(count(1), got.f, want.f)))
+    elif kind == "T":
         want = predicted_cfrac(id, params, N, kind="T")
-        series = eval_tr(list(want.c), list(want.d), N)
-        for n in range(N + 1):
-            if not felem_eq(as_field(series.coeffs[n]), as_field(ogf.coeffs[n])):
-                report["first_mismatch"] = {"level": n,
-                                            "expected": repr(ogf.coeffs[n]),
-                                            "got": repr(series.coeffs[n])}
-                return report
-        return report
-    raise ValueError(kind)
+        cases = zip(range(N + 1), eval_tr(list(want.c), list(want.d), N).coeffs,
+                    ogf.coeffs)
+    else:
+        raise ValueError(kind)
+    bad = first_mismatch(cases)
+    if bad is None:
+        report["first_mismatch"] = tail
+    else:
+        level, g, w = bad
+        report["first_mismatch"] = {"level": level, "expected": repr(w), "got": repr(g)}
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -517,36 +481,30 @@ def verify_binomial_relations(pair: str, N: int = 8) -> dict:
     """The three documented matrix/binomial relations between families:
     7a = gamma-transform of 3a, 7b = (gammap*x)-transform of 3b, and
     T(family 6) = T(family 2a) * binomial matrix."""
-    report = {"pair": pair, "ok": True, "first_mismatch": None}
     if pair == "7a/3a":
         names = ("beta", "gamma", "betap", "gammap")
         b, g, bp, gp = variables(names, extra=("x",))
         p7 = row_polys(gkp_triangle(family_params("F7a", (b, g, bp, gp)), N))
         p3 = row_polys(gkp_triangle(family_params("F3a", (b, bp, gp)), N))
-        xi = g
+        cases = _row_transform_cases(p7, p3, g, N)
     elif pair == "7b/3b":
         names = ("alpha", "gamma", "alphap", "gammap")
         a, g, ap, gp = variables(names, extra=("x",))
         p7 = row_polys(gkp_triangle(family_params("F7b", (a, g, ap, gp)), N))
         p3 = row_polys(gkp_triangle(family_params("F3b", (a, g, ap)), N))
-        xi = gp * MPoly.variable("x", gp.vars)
+        cases = _row_transform_cases(p7, p3, gp * MPoly.variable("x", gp.vars), N)
     elif pair == "6/2a":
         ap, bp, gp, kp, al = variables("alphap betap gammap kappa alpha", extra=("x",))
         t6 = gkp_triangle(family_params("F6", (ap, bp, gp, kp)), N)
         t2a = gkp_triangle(family_params("F2a", (al, ap, bp, gp)), N)
-        for n in range(N + 1):
-            for k in range(n + 1):
-                want = 0
-                for j in range(k, n + 1):
-                    want = want + t2a.entry(n, j) * binom(j, k) * kp ** (j - k)
-                if not felem_eq(as_field(t6.entry(n, k)), as_field(want)):
-                    report["ok"] = False
-                    report["first_mismatch"] = {"n": n, "k": k}
-                    return report
-        return report
+        cases = _product_cases(t6, t2a, kp, N)
     else:
         raise ValueError("pair must be 7a/3a, 7b/3b or 6/2a")
+    return {"pair": pair, **mismatch_report(first_mismatch(cases))}
 
+
+def _row_transform_cases(p7, p3, xi, N):
+    """P7_n against sum_k C(n,k) xi^(n-k) P3_k."""
     for n in range(N + 1):
         want = 0
         for k in range(n + 1):
@@ -554,21 +512,22 @@ def verify_binomial_relations(pair: str, N: int = 8) -> dict:
             if n - k:
                 term = term * xi ** (n - k)
             want = want + term
-        if not felem_eq(as_field(p7[n]), as_field(want)):
-            report["ok"] = False
-            report["first_mismatch"] = {"n": n}
-            return report
-    return report
+        yield {"n": n}, p7[n], want
+
+
+def _product_cases(t6, t2a, kp, N):
+    """T6(n,k) against sum_j T2a(n,j) C(j,k) kp^(j-k)."""
+    for n in range(N + 1):
+        for k in range(n + 1):
+            want = 0
+            for j in range(k, n + 1):
+                want = want + t2a.entry(n, j) * binom(j, k) * kp ** (j - k)
+            yield {"n": n, "k": k}, t6.entry(n, k), want
 
 
 # ---------------------------------------------------------------------------
 # closed-form exponential generating functions at numeric parameters
 # ---------------------------------------------------------------------------
-
-def _rat(v):
-    f = Fraction(v)
-    return f
-
 
 def _pow_ratfunc_exponent(base: TruncSeries, expo) -> TruncSeries:
     """base**expo where expo may be a RatFunc in x; uses exp(expo*log)."""
@@ -583,7 +542,7 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
     denominator in the exponent vanishes."""
     x = MPoly.variable("x", ("x",))
     one = MPoly.one(("x",))
-    v = {k: _rat(val) for k, val in vals.items()}
+    v = {k: Fraction(val) for k, val in vals.items()}
 
     def rf(num, den):
         if felem_is_zero(as_field(den)):
@@ -692,19 +651,11 @@ def verify_egf_closed_forms(id: str, numeric_params, N: int = 8) -> dict:
     """Expand the cited closed-form egf and compare with the triangle egf."""
     spec = get_family(id)
     vals = _resolve_params(spec, numeric_params)
-    t = _triangle_for(spec, {k: Fraction(v) for k, v in vals.items()}, N)
-    want = egf_trunc(t)
+    mu = spec.template({k: Fraction(v) for k, v in vals.items()})
+    want = egf_trunc(triangle(mu, N))
     got = egf_closed_form(id, vals, N)
-    report = {"id": id, "ok": True, "first_mismatch": None}
-    if id == "GKPZ":
-        alt = egf_closed_form("GKPZ-ALT", vals, N)
-        if got != alt:
-            report["ok"] = False
-            report["first_mismatch"] = "parametrizations disagree"
-            return report
-    for n in range(N + 1):
-        if not felem_eq(as_field(got.coeffs[n]), as_field(want.coeffs[n])):
-            report["ok"] = False
-            report["first_mismatch"] = {"order": n}
-            return report
-    return report
+    if id == "GKPZ" and got != egf_closed_form("GKPZ-ALT", vals, N):
+        return {"id": id, "ok": False, "first_mismatch": "parametrizations disagree"}
+    bad = first_mismatch(({"order": n}, got.coeffs[n], want.coeffs[n])
+                         for n in range(N + 1))
+    return {"id": id, **mismatch_report(bad)}

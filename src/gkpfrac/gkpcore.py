@@ -6,13 +6,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Sequence
 
 from .exactalg import (
     Fraction, MPoly, RatFunc, TruncSeries, as_field, felem_eq, felem_is_zero,
-    felem_to_json, variables,
+    felem_to_json, first_mismatch, mismatch_report, variables,
 )
+from .combinat import binom, stirling_cycle, stirling_subset
 
 PARAM_NAMES = ("alpha", "beta", "gamma", "alphap", "betap", "gammap")
 
@@ -67,6 +68,9 @@ class GKPZParams:
         return (self.alpha, self.beta, self.gamma, self.alphap, self.betap,
                 self.gammap, self.sigma, self.tau)
 
+    def __iter__(self):
+        return iter(self.as_tuple())
+
     def gkp_part(self) -> GKPParams:
         return GKPParams(*self.as_tuple()[:6])
 
@@ -114,69 +118,57 @@ class RowPolys(list):
     """P_0..P_N with P_n(x) = sum_k T(n,k) x^k."""
 
 
-def gkp_triangle(mu, N: int) -> Triangle:
-    """Unroll T(n,k) = (an+bk+g)T(n-1,k) + (a'n+b'k+g')T(n-1,k-1)."""
-    a, b, g, ap, bp, gp = GKPParams.of(mu)
+TWO_TERM = ((1, 0), (1, 1))
+FOUR_TERM = ((1, 0), (1, 1), (1, 2), (1, -1))
+
+
+def _unroll(N: int, offsets, rule: Callable) -> Triangle:
+    """Rows 0..N of T(0,0) = 1, T(n,k) = sum_i w_i T(n - dn_i, k - dk_i)
+    for n >= 1, where ``offsets`` lists the (dn_i, dk_i) and ``rule(n, k)``
+    returns the weights w_i in the same order.
+
+    A neighbour outside the triangle is skipped rather than multiplied by
+    zero, and each sum starts from its first term, so rational-function
+    entries are never reduced for a zero summand."""
     rows = [[1]]
     for n in range(1, N + 1):
-        prev = rows[-1]
         row = []
         for k in range(n + 1):
-            acc = 0
-            if k <= n - 1:
-                acc = (a * n + b * k + g) * prev[k]
-            if k >= 1:
-                term = (ap * n + bp * k + gp) * prev[k - 1]
-                acc = term if isinstance(acc, int) and acc == 0 else acc + term
-            row.append(acc)
+            acc = None
+            for (dn, dk), w in zip(offsets, rule(n, k)):
+                m, j = n - dn, k - dk
+                if 0 <= j <= m:
+                    term = w * rows[m][j]
+                    acc = term if acc is None else acc + term
+            row.append(0 if acc is None else acc)
         rows.append(row)
     return Triangle(rows)
+
+
+def gkp_triangle(mu, N: int) -> Triangle:
+    """Unroll T(n,k) = (an+bk+g)T(n-1,k) + (a'n+b'k+g')T(n-1,k-1)."""
+    return _unroll(N, TWO_TERM, gkp_rule(mu))
 
 
 def gkpz_triangle(mu8, N: int) -> Triangle:
     """Four-term extension: extra sigma*(n-k+1)*T(n-1,k-2) and
     tau*(k+1)*T(n-1,k+1) terms; stays lower-triangular."""
-    if isinstance(mu8, GKPZParams):
-        a, b, g, ap, bp, gp, sg, tu = mu8.as_tuple()
-    else:
-        a, b, g, ap, bp, gp, sg, tu = tuple(mu8)
-    rows = [[1]]
-    for n in range(1, N + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            acc = 0
-            if k <= n - 1:
-                acc = acc + (a * n + b * k + g) * prev[k]
-            if 1 <= k:
-                acc = acc + (ap * n + bp * k + gp) * prev[k - 1]
-            if 2 <= k:
-                acc = acc + sg * (n - k + 1) * prev[k - 2]
-            if k + 1 <= n - 1:
-                acc = acc + tu * (k + 1) * prev[k + 1]
-            row.append(acc)
-        rows.append(row)
-    return Triangle(rows)
+    a, b, g, ap, bp, gp, sg, tu = tuple(mu8)
+    return _unroll(N, FOUR_TERM, lambda n, k: (
+        a * n + b * k + g, ap * n + bp * k + gp, sg * (n - k + 1), tu * (k + 1)))
 
 
 def binomial_like_triangle(coeff_rule: Callable, N: int) -> Triangle:
     """T(n,k) = a_{n,k} T(n-1,k) + a'_{n,k} T(n-1,k-1), T(0,k) = delta_k0.
 
     ``coeff_rule(n, k)`` returns the pair (a_{n,k}, a'_{n,k})."""
-    rows = [[1]]
-    for n in range(1, N + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            a_nk, ap_nk = coeff_rule(n, k)
-            acc = 0
-            if k <= n - 1:
-                acc = acc + a_nk * prev[k]
-            if k >= 1:
-                acc = acc + ap_nk * prev[k - 1]
-            row.append(acc)
-        rows.append(row)
-    return Triangle(rows)
+    return _unroll(N, TWO_TERM, coeff_rule)
+
+
+def triangle(mu, N: int) -> Triangle:
+    """The four-term triangle of eight parameters, else the GKP triangle."""
+    mu = tuple(mu)
+    return gkpz_triangle(mu, N) if len(mu) == 8 else gkp_triangle(mu, N)
 
 
 def gkp_rule(mu) -> Callable:
@@ -253,22 +245,6 @@ def residual_checks(mu, N: int):
 # closed-form entry checks
 # ---------------------------------------------------------------------------
 
-def _prod(factors, start=1):
-    acc = start
-    for f in factors:
-        acc = acc * f
-    return acc
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def closed_form_check(family_id: str, params, N: int) -> dict:
     """Compare gkp_triangle output against a catalogued closed form.
 
@@ -279,13 +255,9 @@ def closed_form_check(family_id: str, params, N: int) -> dict:
         raise UnknownFamily(family_id)
     mu, entry = CLOSED_FORMS[family_id](params)
     t = gkp_triangle(mu, N)
-    for n in range(N + 1):
-        for k in range(n + 1):
-            want = entry(n, k)
-            if not felem_eq(as_field(t.entry(n, k)), as_field(want)):
-                return {"id": family_id, "ok": False,
-                        "first_mismatch": {"n": n, "k": k}}
-    return {"id": family_id, "ok": True, "first_mismatch": None}
+    bad = first_mismatch(({"n": n, "k": k}, t.entry(n, k), entry(n, k))
+                         for n in range(N + 1) for k in range(n + 1))
+    return {"id": family_id, **mismatch_report(bad)}
 
 
 def make_closed_forms():
@@ -298,7 +270,7 @@ def make_closed_forms():
         def entry(n, k):
             if k != n:
                 return 0
-            return _prod(gp + j * (ap + bp) for j in range(1, n + 1))
+            return prod(gp + j * (ap + bp) for j in range(1, n + 1))
 
         return mu, entry
 
@@ -309,12 +281,11 @@ def make_closed_forms():
         def entry(n, k):
             if k != 0:
                 return 0
-            return _prod(gamma + j * alpha for j in range(1, n + 1))
+            return prod(gamma + j * alpha for j in range(1, n + 1))
 
         return mu, entry
 
     def f5(params):
-        from .combinat import stirling_cycle
         a, g, ap, gp = params
         mu = GKPParams(a, 0, g, ap, 0, gp)
 
@@ -322,7 +293,7 @@ def make_closed_forms():
             acc = 0
             for t in range(n + 1):
                 for s in range(t + 1):
-                    c = stirling_cycle(n, t) * _binom(t, s) * _binom(n - t, k - s)
+                    c = stirling_cycle(n, t) * binom(t, s) * binom(n - t, k - s)
                     if c == 0:
                         continue
                     acc = acc + c * (a + g) ** (t - s) * (ap + gp) ** s \
@@ -336,8 +307,8 @@ def make_closed_forms():
         mu = GKPParams(kappa * (ap + bp), kappa * bp, kappa * gp, ap, bp, gp)
 
         def entry(n, k):
-            return kappa ** (n - k) * _binom(n, k) \
-                * _prod(gp + j * (ap + bp) for j in range(1, n + 1))
+            return kappa ** (n - k) * binom(n, k) \
+                * prod(gp + j * (ap + bp) for j in range(1, n + 1))
 
         return mu, entry
 
@@ -346,7 +317,7 @@ def make_closed_forms():
         mu = GKPParams(0, 1, s, 1, -1, -s)
 
         def entry(n, k):
-            return (-1) ** k * s ** n * _binom(n, k)
+            return (-1) ** k * s ** n * binom(n, k)
 
         return mu, entry
 
@@ -357,7 +328,7 @@ def make_closed_forms():
         def entry(n, k):
             if k != 0:
                 return 0
-            return _prod(n * nu - rho - j * nu for j in range(n))
+            return prod(n * nu - rho - j * nu for j in range(n))
 
         return mu, entry
 
@@ -368,7 +339,7 @@ def make_closed_forms():
         def entry(n, k):
             if k != 0:
                 return 0
-            return _prod(j * nu - rho for j in range(1, n + 1))
+            return prod(j * nu - rho for j in range(1, n + 1))
 
         return mu, entry
 
@@ -377,7 +348,7 @@ def make_closed_forms():
         mu = GKPParams(0, 0, g, 0, bp, gp)
 
         def entry(n, k):
-            return _binom(n, k) * g ** (n - k) * _prod(gp + j * bp for j in range(1, k + 1))
+            return binom(n, k) * g ** (n - k) * prod(gp + j * bp for j in range(1, k + 1))
 
         return mu, entry
 
@@ -386,12 +357,11 @@ def make_closed_forms():
         mu = GKPParams(a, -a, g, 0, 0, gp)
 
         def entry(n, k):
-            return _binom(n, k) * gp ** k * _prod(g + j * a for j in range(1, n - k + 1))
+            return binom(n, k) * gp ** k * prod(g + j * a for j in range(1, n - k + 1))
 
         return mu, entry
 
     def ordered_subset_shift(params):
-        from .combinat import stirling_subset
         mu = GKPParams(0, 1, 1, 0, 1, 0)
 
         def entry(n, k):
@@ -400,7 +370,6 @@ def make_closed_forms():
         return mu, entry
 
     def stirling_cycle_numbers(params):
-        from .combinat import stirling_cycle
         mu = GKPParams(1, 0, -1, 0, 0, 1)
 
         def entry(n, k):

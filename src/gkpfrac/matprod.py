@@ -8,14 +8,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import chain
+from math import factorial, prod
+from typing import Callable
 
 from .exactalg import (
-    MPoly, RatFunc, as_field, felem_eq, felem_inv, felem_is_zero, variables,
+    MPoly, RatFunc, as_field, as_mpoly, felem_eq, felem_inv, felem_is_zero,
+    first_mismatch, mismatch_report, mpoly_gcd, variables,
 )
 from .gkpcore import (
-    GKPParams, Triangle, binomial_like_triangle, gkp_triangle,
-    gkpz_triangle, row_polys,
+    FOUR_TERM, GKPParams, Triangle, _unroll, binomial_like_triangle,
+    gkp_triangle, gkpz_triangle, row_polys,
 )
 from .combinat import binom
 from .symmetry import apply_map, Z as Z_WORD
@@ -59,17 +62,13 @@ def binomial_matrix(xi, N: int) -> Triangle:
 
 def _check_recurrence(C: Triangle, rec: Callable, N: int):
     """rec(n, k, entry) must reproduce C(n,k) for 1 <= n <= N."""
-    for n in range(1, N + 1):
-        for k in range(n + 1):
-            want = rec(n, k, C.entry)
-            if not felem_eq(as_field(C.entry(n, k)), as_field(want)):
-                return {"ok": False, "first_mismatch": {"n": n, "k": k}}
-    return {"ok": True, "first_mismatch": None}
+    return mismatch_report(first_mismatch(
+        ({"n": n, "k": k}, C.entry(n, k), rec(n, k, C.entry))
+        for n in range(1, N + 1) for k in range(n + 1)))
 
 
-def _seq_vars(prefix, lo, hi, extra=()):
-    names = ["%s%d" % (prefix, i) for i in range(lo, hi + 1)]
-    return names
+def _seq_vars(prefix, lo, hi):
+    return ["%s%d" % (prefix, i) for i in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)
@@ -141,21 +140,22 @@ def _case_A4(N):
             acc = acc + x * y
         return acc
 
-    for n in range(1, N + 1):
-        for k in range(n + 1):
-            rhs = 0
-            for j in range(n):
-                t1 = A.entry(n - 1, j) * B.entry(j, k) \
-                    * ((a * n + b * j + g)
-                       + (ap * n + bp * (j + 1) + gp)
-                       * (ha * (j + 1) + hb * k + hg))
-                t2 = A.entry(n - 1, j) * B.entry(j, k - 1) \
-                    * (ap * n + bp * (j + 1) + gp) \
-                    * (hap * (j + 1) + hbp * k + hgp) if k >= 1 else 0
-                rhs = rhs + t1 + t2
-            if not felem_eq(as_field(S(n, k)), as_field(rhs)):
-                return {"ok": False, "first_mismatch": {"n": n, "k": k}}
-    return {"ok": True, "first_mismatch": None}
+    def rhs(n, k):
+        acc = 0
+        for j in range(n):
+            t1 = A.entry(n - 1, j) * B.entry(j, k) \
+                * ((a * n + b * j + g)
+                   + (ap * n + bp * (j + 1) + gp)
+                   * (ha * (j + 1) + hb * k + hg))
+            t2 = A.entry(n - 1, j) * B.entry(j, k - 1) \
+                * (ap * n + bp * (j + 1) + gp) \
+                * (hap * (j + 1) + hbp * k + hgp) if k >= 1 else 0
+            acc = acc + t1 + t2
+        return acc
+
+    return mismatch_report(first_mismatch(
+        ({"n": n, "k": k}, S(n, k), rhs(n, k))
+        for n in range(1, N + 1) for k in range(n + 1)))
 
 
 def _case_A5(N):
@@ -204,8 +204,8 @@ def _case_A6_remark(N):
     xi, hb, hg, hbp, hgp = variables("xi hb hg hbp hgp")
     B = gkp_triangle((0, hb, hg, 0, hbp, hgp), N)
     C = triangle_product(binomial_matrix(xi, N), B)
-    want = gkp_triangle((0, hb, hg + xi, 0, hbp, hgp), N)
-    return {"ok": C == want, "first_mismatch": None if C == want else True}
+    ok = C == gkp_triangle((0, hb, hg + xi, 0, hbp, hgp), N)
+    return {"ok": ok, "first_mismatch": None if ok else True}
 
 
 def _case_A7(N):
@@ -294,14 +294,9 @@ def _case_A12(N):
     xi = gens["xi"]
     f = lambda p, k: gens["%s%d" % (p, k)]
 
-    def b_rule(n, k, e):
-        acc = (f("hA", k) * n + f("hG", k)) * e(n - 1, k) \
-            + (f("hAd", k) * n + f("hGd", k)) * e(n - 1, k - 1) \
-            + (n - 1) * f("hD", k) * e(n - 2, k) \
-            + (n - 1) * f("hDd", k) * e(n - 2, k - 1)
-        return acc
-
-    B = _three_term_triangle(b_rule, N)
+    B = _unroll(N, ((1, 0), (1, 1), (2, 0), (2, 1)), lambda n, k: (
+        f("hA", k) * n + f("hG", k), f("hAd", k) * n + f("hGd", k),
+        (n - 1) * f("hD", k), (n - 1) * f("hDd", k)))
     C = triangle_product(binomial_matrix(xi, N), B)
 
     def rec(n, k, e):
@@ -311,21 +306,6 @@ def _case_A12(N):
             + (n - 1) * (f("hDd", k) - xi * f("hAd", k)) * e(n - 2, k - 1)
 
     return _check_recurrence(C, rec, N)
-
-
-def _three_term_triangle(rule, N):
-    """T(n,k) defined by an arbitrary rule over earlier rows."""
-    rows = [[1]]
-
-    def entry(n, k):
-        if k < 0 or n < 0 or k > n:
-            return 0
-        return rows[n][k]
-
-    for n in range(1, N + 1):
-        rows.append([rule(n, k, entry) for k in range(n + 1)])
-        rows[n] = [rule(n, k, entry) for k in range(n + 1)]
-    return Triangle(rows)
 
 
 def _case_A13(N):
@@ -444,13 +424,9 @@ def _case_A16(N):
     xi = gens["xi"]
     f = lambda p, n: gens["%s%d" % (p, n)]
 
-    def a_rule(n, k, e):
-        return (f("be", n) * k + f("gaN", n)) * e(n - 1, k) \
-            + (f("bed", n) * k + f("gad", n)) * e(n - 1, k - 1) \
-            + f("sg", n) * (n - k + 1) * e(n - 1, k - 2) \
-            + f("tu", n) * (k + 1) * e(n - 1, k + 1)
-
-    A = _three_term_triangle(a_rule, N)
+    A = _unroll(N, FOUR_TERM, lambda n, k: (
+        f("be", n) * k + f("gaN", n), f("bed", n) * k + f("gad", n),
+        f("sg", n) * (n - k + 1), f("tu", n) * (k + 1)))
     C = triangle_product(A, binomial_matrix(xi, N))
 
     def rec(n, k, e):
@@ -554,53 +530,38 @@ def nearly_binomial_identities(part: str, r_max: int = 2, N: int = 6) -> dict:
     """part "a": (n-k)^(r) T(n,k) = gamma^r n^(r) T(n-r,k) for the purely
     column-weighted family; part "b": k^(r) T(n,k) = gamma'^r n^(r)
     T(n-r,k-r) for its dual."""
-    report = {"part": part, "ok": True, "first_mismatch": None}
     if part == "a":
         g, bp, gp = variables("g bp gp")
         T = gkp_triangle((0, 0, g, 0, bp, gp), N)
-        for r in range(r_max + 1):
-            for n in range(N + 1):
-                for k in range(n + 1):
-                    lhs = falling(n - k, r) * T.entry(n, k)
-                    rhs = g ** r * falling(n, r) * T.entry(n - r, k)
-                    if not felem_eq(as_field(lhs), as_field(rhs)):
-                        report["ok"] = False
-                        report["first_mismatch"] = {"r": r, "n": n, "k": k}
-                        return report
-        # closed form: binom * gamma^(n-k) * rising products
-        for n in range(N + 1):
-            for k in range(n + 1):
-                want = binom(n, k) * g ** (n - k)
-                for j in range(1, k + 1):
-                    want = want * (gp + j * bp)
-                if not felem_eq(as_field(T.entry(n, k)), as_field(want)):
-                    report["ok"] = False
-                    report["first_mismatch"] = {"closed_form": (n, k)}
-                    return report
-        return report
-    if part == "b":
+
+        def falling_pair(r, n, k):
+            return (falling(n - k, r) * T.entry(n, k),
+                    g ** r * falling(n, r) * T.entry(n - r, k))
+
+        def closed_form(n, k):
+            # binom * gamma^(n-k) * rising products
+            return prod((gp + j * bp for j in range(1, k + 1)),
+                        start=binom(n, k) * g ** (n - k))
+    elif part == "b":
         a, g, gp = variables("a g gp")
         T = gkp_triangle((a, -a, g, 0, 0, gp), N)
-        for r in range(r_max + 1):
-            for n in range(N + 1):
-                for k in range(n + 1):
-                    lhs = falling(k, r) * T.entry(n, k)
-                    rhs = gp ** r * falling(n, r) * T.entry(n - r, k - r)
-                    if not felem_eq(as_field(lhs), as_field(rhs)):
-                        report["ok"] = False
-                        report["first_mismatch"] = {"r": r, "n": n, "k": k}
-                        return report
-        for n in range(N + 1):
-            for k in range(n + 1):
-                want = binom(n, k) * gp ** k
-                for j in range(1, n - k + 1):
-                    want = want * (g + j * a)
-                if not felem_eq(as_field(T.entry(n, k)), as_field(want)):
-                    report["ok"] = False
-                    report["first_mismatch"] = {"closed_form": (n, k)}
-                    return report
-        return report
-    raise ValueError("part must be 'a' or 'b'")
+
+        def falling_pair(r, n, k):
+            return (falling(k, r) * T.entry(n, k),
+                    gp ** r * falling(n, r) * T.entry(n - r, k - r))
+
+        def closed_form(n, k):
+            return prod((g + j * a for j in range(1, n - k + 1)),
+                        start=binom(n, k) * gp ** k)
+    else:
+        raise ValueError("part must be 'a' or 'b'")
+    cells = [(n, k) for n in range(N + 1) for k in range(n + 1)]
+    bad = first_mismatch(chain(
+        (({"r": r, "n": n, "k": k}, *falling_pair(r, n, k))
+         for r in range(r_max + 1) for n, k in cells),
+        (({"closed_form": (n, k)}, T.entry(n, k), closed_form(n, k))
+         for n, k in cells)))
+    return {"part": part, **mismatch_report(bad)}
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +597,6 @@ def inverse_pair_check(A: Triangle, B: Triangle, alpha) -> dict:
             acc = acc + c * x ** (n - k)
         return acc
 
-    results = {}
     ok_a = ok_b = ok_c = ok_d = ok_e = ok_f = ok_g = ok_h = True
     for n in range(N + 1):
         An = rowpoly(A, n)
@@ -725,25 +685,18 @@ def binomial_inverse_identity(k_max: int = 8) -> dict:
         acc = MPoly.one(p.vars)
         for i in range(r):
             acc = acc * (top - i)
-        return acc * Fraction(1, _fact(r))
+        return acc * Fraction(1, factorial(r))
 
-    for k in range(k_max + 1):
-        for l in range(k_max + 1):
-            acc = 0
-            for j in range(l, k + 1):
-                acc = acc + al ** (k - j) * C(p - j, k - j) \
-                    * (-1 * al) ** (j - l) * C(p - l, j - l)
-            want = 1 if k == l else 0
-            if not felem_eq(as_field(acc), as_field(want)):
-                return {"ok": False, "first_mismatch": {"k": k, "l": l}}
-    return {"ok": True, "first_mismatch": None}
+    def convolution(k, l):
+        acc = 0
+        for j in range(l, k + 1):
+            acc = acc + al ** (k - j) * C(p - j, k - j) \
+                * (-1 * al) ** (j - l) * C(p - l, j - l)
+        return acc
 
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return mismatch_report(first_mismatch(
+        ({"k": k, "l": l}, convolution(k, l), 1 if k == l else 0)
+        for k in range(k_max + 1) for l in range(k_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -751,65 +704,16 @@ def _fact(n):
 # ---------------------------------------------------------------------------
 
 def xshift_symbolic_check(n_max: int = 3) -> dict:
-    """xi = 0 (identity) and xi = -beta/beta' (the shift involution) satisfy
-    P_n(x; mu') = P_n(x + xi; mu) symbolically for n <= n_max."""
+    """The shift involution xi = -beta/beta' satisfies
+    P_n(x; mu') = P_n(x + xi; mu) symbolically for n <= n_max (xi = 0, the
+    identity, satisfies it trivially)."""
     mu = GKPParams.symbolic()
     ps = row_polys(gkp_triangle(mu, n_max))
-    vars = ps[1].vars
-    x = MPoly.variable("x", vars)
-    # identity
-    for n in range(n_max + 1):
-        if not felem_eq(as_field(ps[n]), as_field(ps[n])):
-            return {"ok": False}
-    # the shift involution
-    zmu = apply_map(Z_WORD, mu)
-    zps = row_polys(gkp_triangle(zmu, n_max))
-    b, bp = mu.beta, mu.betap
-    xi = -1 * b * felem_inv(bp)
-    for n in range(n_max + 1):
-        shifted = _shift_x(ps[n], xi, x)
-        if not felem_eq(as_field(zps[n]), as_field(shifted)):
-            return {"ok": False, "first_mismatch": n}
-    return {"ok": True, "first_mismatch": None}
-
-
-def _poly1_gcd(f: Sequence, g: Sequence):
-    """gcd of univariate rational-coefficient polynomials as coefficient
-    lists (low to high)."""
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    f, g = trim(f), trim(g)
-    while g:
-        f, g = g, trim(_poly1_mod(f, g))
-    if not f:
-        return []
-    lead = f[-1]
-    return [c / lead for c in f]
-
-
-def _poly1_mod(f, g):
-    f = list(f)
-    dg = len(g) - 1
-    while len(f) - 1 >= dg and f:
-        q = f[-1] / g[-1]
-        shift = len(f) - 1 - dg
-        for i, c in enumerate(g):
-            f[shift + i] -= q * c
-        f.pop()
-    return f
-
-
-def _poly1_eval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + Fraction(c)
-    return acc
+    x = MPoly.variable("x", ps[1].vars)
+    zps = row_polys(gkp_triangle(apply_map(Z_WORD, mu), n_max))
+    xi = -1 * mu.beta * felem_inv(mu.betap)
+    bad = first_mismatch((n, _shift_x(ps[n], xi, x), zps[n]) for n in range(n_max + 1))
+    return mismatch_report(bad)
 
 
 def xshift_smalln_check(n_max: int = 3, samples: int = 20, seed: int = 0) -> dict:
@@ -840,146 +744,72 @@ def xshift_smalln_check(n_max: int = 3, samples: int = 20, seed: int = 0) -> dic
 
 def _xshift_solution_count(mu):
     """Number of xi values for which the full n <= 3 system is solvable."""
-    t = gkp_triangle(mu, 3)
-    ps = row_polys(t)
-    x = MPoly.variable("x", ps[1].vars)
-    xi = MPoly.variable("xi", ("xi",))
-
-    # v[n][k] = [x^k] P_n(x + xi; mu): univariate polynomials in xi,
-    # represented as coefficient lists
-    v = {}
-    for n in range(4):
-        coeffs = ps[n].coeffs_in("x") if isinstance(ps[n], MPoly) else {0: ps[n]}
+    vars = ("x", "xi")
+    x, xi = variables(vars)
+    # p[n, k] = [x^k] P_n(x + xi; mu), a polynomial in xi
+    p = {}
+    for n, pn in enumerate(row_polys(gkp_triangle(mu, 3))):
+        coeffs = as_mpoly(_shift_x(pn, xi, x), vars).coeffs_in("x")
         for k in range(n + 1):
-            acc = [Fraction(0)] * 4
-            for m, cm in coeffs.items():
-                cval = Fraction(cm.constant_value()) if isinstance(cm, MPoly) else Fraction(cm)
-                if m < k:
-                    continue
-                # coefficient of x^k in (x+xi)^m
-                from .combinat import binom as _b
-                c = _b(m, k)
-                # contributes cval * C(m,k) xi^(m-k)
-                acc[m - k] += cval * c
-            v[(n, k)] = acc
-
-    def vv(n, k):
-        return v.get((n, k), [Fraction(0)])
+            p[n, k] = coeffs.get(k, MPoly.zero(vars))
 
     # reconstruct mu' pieces as rational functions of xi where possible and
     # collect the polynomial consistency constraints
-    p10 = vv(1, 0)      # a + c
-    p11 = vv(1, 1)      # a' + b' + c'  (xi-free)
-    p20 = vv(2, 0)
-    p21 = vv(2, 1)
-    p22 = vv(2, 2)
-    p30 = vv(3, 0)
-    p31 = vv(3, 1)
-    p32 = vv(3, 2)
-    p33 = vv(3, 3)
-
-    def pmul(f, g):
-        out = [Fraction(0)] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-        return out
-
-    def psub(f, g):
-        out = [Fraction(0)] * max(len(f), len(g))
-        for i, a in enumerate(f):
-            out[i] += a
-        for i, b in enumerate(g):
-            out[i] -= b
-        return out
-
-    s11 = p11[0]
-    if s11 == 0 or not any(c != 0 for c in p10):
+    p10, p20, p21, p22 = p[1, 0], p[2, 0], p[2, 1], p[2, 2]
+    s11 = p[1, 1]       # a' + b' + c'  (xi-free)
+    if s11.is_zero() or p10.is_zero():
         return None
     # column 0: p30 * p10 = (2 p20 - p10^2) p20
-    g1 = psub(pmul(p30, p10),
-              pmul(p20, psub(pmul([Fraction(2)], p20), pmul(p10, p10))))
+    g1 = p[3, 0] * p10 - (2 * p20 - p10 * p10) * p20
     # diagonal: s11 * p33 = (2 p22 - s11^2) p22
-    g2 = psub(pmul([s11], p33), pmul(psub(pmul([Fraction(2)], p22),
-                                          [s11 * s11]), p22))
+    g2 = s11 * p[3, 3] - (2 * p22 - s11 * s11) * p22
     # linear system in (b, a') from T'(2,1), T'(3,1), T'(3,2)
     # unknown u1 = b, u2 = a'; coefficients are xi-polynomials over the
     # already-determined rational pieces; clear p10 denominators throughout.
     # a = p20/p10 - p10, c = 2p10 - p20/p10 (times p10: aN = p20 - p10^2,
     # cN = 2 p10^2 - p20 over denominator p10)
-    aN = psub(p20, pmul(p10, p10))
-    cN = psub(pmul([Fraction(2)], pmul(p10, p10)), p20)
+    p10sq = p10 * p10
+    aN = p20 - p10sq
+    cN = 2 * p10sq - p20
     # s = a'+b' -> sN over s11: sN = p22 - s11^2 (den s11), c' = 2 s11 - p22/s11
-    sN = p22[0] - s11 * s11
-    cpN = 2 * s11 * s11 - p22[0]
+    sN = p22 - s11 * s11
+    cpN = 2 * s11 * s11 - p22
     # E1: (2a + u1 + c) s11 + (s11 + u2) p10 = p21
     #   multiply by p10: (2aN + cN + u1 p10) s11 + (s11 + u2) p10^2 = p21 p10
     # E2: (3a + u1 + c) p21 + (2 u2 + s + c') p20 = p31  (times p10 s11)
     # E3: (3a + 2 u1 + c) p22 + (u2 + 2 s + c') p21 = p32 (times p10 s11)
-    p10sq = pmul(p10, p10)
-
-    # Build E1, E2, E3 as (const(xi), coef_u1(xi), coef_u2(xi)) with the
-    # convention const + coef_u1*u1 + coef_u2*u2 = 0
-    E = []
-    # E1 * p10:
-    const1 = pmul([s11], padd(pmul([Fraction(2)], aN), cN))
-    const1 = padd(const1, pmul([s11], p10sq))
-    const1 = psub(const1, pmul(p21, p10))
-    E.append((const1, pmul([s11], p10), p10sq))
-    # E2 * p10 * s11:
-    c2 = pmul(pmul([s11], p21), padd(pmul([Fraction(3)], aN), cN))
-    c2 = padd(c2, pmul(pmul([sN + cpN], p20), p10))
-    c2 = psub(c2, pmul(pmul([s11], p31), p10))
-    E.append((c2, pmul([s11], pmul(p21, p10)),
-              pmul([2 * s11], pmul(p20, p10))))
-    # E3 * p10 * s11:
-    c3 = pmul(pmul([s11], p22), padd(pmul([Fraction(3)], aN), cN))
-    c3 = padd(c3, pmul(pmul([2 * sN + cpN], p21), p10))
-    c3 = psub(c3, pmul(pmul([s11], p32), p10))
-    E.append((c3, pmul([2 * s11], pmul(p22, p10)),
-              pmul([s11], pmul(p21, p10))))
+    # Each is (const, coef_u1, coef_u2) with const + coef_u1*u1 + coef_u2*u2 = 0.
+    c1, a1, b1 = (s11 * (2 * aN + cN) + s11 * p10sq - p21 * p10,
+                  s11 * p10, p10sq)
+    c2, a2, b2 = (s11 * p21 * (3 * aN + cN) + (sN + cpN) * p20 * p10
+                  - s11 * p[3, 1] * p10,
+                  s11 * p21 * p10, 2 * s11 * p20 * p10)
+    c3, a3, b3 = (s11 * p22 * (3 * aN + cN) + (2 * sN + cpN) * p21 * p10
+                  - s11 * p[3, 2] * p10,
+                  2 * s11 * p22 * p10, s11 * p21 * p10)
 
     # solve E1,E2 for (u1, u2) by Cramer over Q(xi); E3 gives constraint g3:
     # det * u1 = D1, det * u2 = D2; plug into E3:
-    (c1c, a1, b1), (c2c, a2, b2), (c3c, a3, b3) = E
-    det = psub(pmul(a1, b2), pmul(a2, b1))
-    D1 = psub(pmul(pmul([Fraction(-1)], c1c), b2), pmul(pmul([Fraction(-1)], c2c), b1))
-    D2 = psub(pmul(a1, pmul([Fraction(-1)], c2c)), pmul(a2, pmul([Fraction(-1)], c1c)))
-    g3 = padd(pmul(c3c, det), padd(pmul(a3, D1), pmul(b3, D2)))
+    det = a1 * b2 - a2 * b1
+    D1 = c2 * b1 - c1 * b2
+    D2 = a2 * c1 - a1 * c2
+    g3 = c3 * det + a3 * D1 + b3 * D2
 
-    g = _poly1_gcd(_poly1_gcd(g1, g2), g3)
-    if not g:
+    g = mpoly_gcd(mpoly_gcd(g1, g2), g3)
+    if g.is_zero():
         return None
+    deg = g.degree_in("xi")
     # squarefree part
-    dg = [i * c for i, c in enumerate(g)][1:]
-    sq = _poly1_gcd(g, dg) if len(g) > 1 else []
-    if sq and len(sq) > 1:
+    if deg and mpoly_gcd(g, g.deriv("xi")).degree_in("xi"):
         return None
-    deg = len(g) - 1
     # verify the two expected roots are among them
-    roots = [Fraction(0)]
-    b_, bp_ = Fraction(mu[1]), Fraction(mu[4])
-    roots.append(-b_ / bp_)
-    distinct = set(roots)
-    for r in distinct:
-        if _poly1_eval(g, r) != 0:
-            return None
-    if deg != len(distinct):
+    roots = {Fraction(0), -Fraction(mu[1]) / Fraction(mu[4])}
+    if any(g.subs({"xi": r}) != 0 for r in roots) or deg != len(roots):
         return None
     # full verification of both solutions
-    for r in distinct:
-        if not _verify_xshift_solution(mu, r):
-            return None
-    return len(distinct)
-
-
-def padd(f, g):
-    out = [Fraction(0)] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] += b
-    return out
+    if not all(_verify_xshift_solution(mu, r) for r in roots):
+        return None
+    return len(roots)
 
 
 def _verify_xshift_solution(mu, xi):

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from .exactalg import (
-    MPoly, RatFunc, as_field, felem_eq, felem_inv, felem_is_zero, variables,
+    MPoly, RatFunc, as_field, felem_eq, felem_inv, felem_is_zero,
+    first_mismatch, mismatch_report,
 )
 from .gkpcore import GKPParams, gkp_triangle, row_polys
 
@@ -483,14 +483,11 @@ def verify_action(g, mu, N: int) -> dict:
     if isinstance(g, ScalingMap):
         t = gkp_triangle(mu, N)
         t2 = gkp_triangle(apply_map(g, mu), N)
-        k, l = g.kappa, g.lam
-        for n in range(N + 1):
-            for kk in range(n + 1):
-                want = k ** (n - kk) * l ** kk * t.entry(n, kk)
-                if not felem_eq(as_field(t2.entry(n, kk)), as_field(want)):
-                    return {"map": "S_{kappa,lambda}", "ok": False,
-                            "first_mismatch": {"n": n, "k": kk}}
-        return {"map": "S_{kappa,lambda}", "ok": True, "first_mismatch": None}
+        kappa, lam = g.kappa, g.lam
+        bad = first_mismatch(
+            ({"n": n, "k": k}, t2.entry(n, k), kappa ** (n - k) * lam ** k * t.entry(n, k))
+            for n in range(N + 1) for k in range(n + 1))
+        return {"map": "S_{kappa,lambda}", **mismatch_report(bad)}
 
     word = parse_word(g) if isinstance(g, str) else g
     if isinstance(word, GroupWord):
@@ -501,10 +498,11 @@ def verify_action(g, mu, N: int) -> dict:
         name = "*".join(letters)
     lhs = row_polys(gkp_triangle(apply_map_letters(letters, mu), N))
     rhs = transformed_polys(letters, mu, row_polys(gkp_triangle(mu, N)))
-    for n, (p, q) in enumerate(zip(lhs, rhs)):
-        if not felem_eq(as_field(p), as_field(q)):
-            return {"map": name, "ok": False, "first_mismatch": {"n": n}}
-    return {"map": name, "ok": True, "first_mismatch": None}
+    return {"map": name, **mismatch_report(_first_row_mismatch(lhs, rhs))}
+
+
+def _first_row_mismatch(lhs, rhs):
+    return first_mismatch(({"n": n}, p, q) for n, (p, q) in enumerate(zip(lhs, rhs)))
 
 
 def verify_action_letter(letter: str, mu, N: int) -> dict:
@@ -515,10 +513,7 @@ def verify_action_letter(letter: str, mu, N: int) -> dict:
 def _verify_R(mu, N):
     lhs = row_polys(gkp_triangle(apply_map(R, mu), N))
     rhs = transformed_polys(["R"], mu, row_polys(gkp_triangle(mu, N)))
-    for n, (p, q) in enumerate(zip(lhs, rhs)):
-        if not felem_eq(as_field(p), as_field(q)):
-            return {"map": "R", "ok": False, "first_mismatch": {"n": n}}
-    return {"map": "R", "ok": True, "first_mismatch": None}
+    return {"map": "R", **mismatch_report(_first_row_mismatch(lhs, rhs))}
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +552,9 @@ def rescale_gkp(case: str, mu, kappa, lam, N: int) -> dict:
 
     t = gkp_triangle(mu, N)
     t2 = gkp_triangle(mu2, N)
-    for n in range(N + 1):
-        for k in range(n + 1):
-            want = weight(n, k) * t.entry(n, k)
-            if not felem_eq(as_field(t2.entry(n, k)), as_field(want)):
-                return {"case": case, "ok": False, "first_mismatch": {"n": n, "k": k}}
-    return {"case": case, "ok": True, "first_mismatch": None}
+    bad = first_mismatch(({"n": n, "k": k}, t2.entry(n, k), weight(n, k) * t.entry(n, k))
+                         for n in range(N + 1) for k in range(n + 1))
+    return {"case": case, **mismatch_report(bad)}
 
 
 def _prod_lin(kappa, lam, m):

@@ -5,8 +5,8 @@ import pytest
 
 from gkpfrac.exactalg import (
     DivisionByZeroPolynomial, MPoly, NonInvertibleSeries, RatFunc, TruncSeries,
-    as_field, divide_exact, felem_eq, generalized_binomial_series, mpoly_gcd,
-    ratfunc, remainder_in_x, series_reciprocal, variables,
+    as_field, divide_exact, felem_eq, first_mismatch, generalized_binomial_series,
+    mismatch_report, mpoly_gcd, ratfunc, remainder_in_x, variables,
 )
 
 
@@ -104,10 +104,10 @@ def test_remainder_zero_divisor():
 
 def test_series_reciprocal_geometric():
     s = TruncSeries(6, [1, -1])
-    assert series_reciprocal(s).coeffs == [1] * 7
+    assert s.reciprocal().coeffs == [1] * 7
     x, = variables("x")
     s = TruncSeries(2, [1, x])
-    assert series_reciprocal(s) == TruncSeries(2, [1, -x, x * x])
+    assert s.reciprocal() == TruncSeries(2, [1, -x, x * x])
 
 
 def test_series_reciprocal_factorials_long_division_oracle():
@@ -125,7 +125,7 @@ def test_series_reciprocal_factorials_long_division_oracle():
         return out
 
     oracle = long_division(fac, 3)
-    got = series_reciprocal(TruncSeries(3, fac))
+    got = TruncSeries(3, fac).reciprocal()
     assert got.coeffs == oracle == [1, -1, -1, -3]
 
 
@@ -135,12 +135,12 @@ def test_series_reciprocal_involution():
         coeffs = [1] + [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                         for _ in range(6)]
         s = TruncSeries(6, coeffs)
-        assert series_reciprocal(series_reciprocal(s)) == s
+        assert s.reciprocal().reciprocal() == s
 
 
 def test_series_reciprocal_zero_constant_term():
     with pytest.raises(NonInvertibleSeries):
-        series_reciprocal(TruncSeries(3, [0, 1]))
+        TruncSeries(3, [0, 1]).reciprocal()
 
 
 def test_generalized_binomial_examples():
@@ -174,3 +174,28 @@ def test_json_roundtrip():
     a, b = variables("a b")
     p = 3 * a * a - Fraction(1, 2) * b + 7
     assert mpoly_from_json(mpoly_to_json(p)) == p
+
+
+def test_first_mismatch_returns_first_bad_key():
+    x, y = variables("x y")
+    cases = [("a", x + y, y + x), ("b", (x + y) ** 2, x * x + 2 * x * y + y * y),
+             ("c", Fraction(1, 2), Fraction(2, 4))]
+    assert first_mismatch(cases) is None
+    assert mismatch_report(first_mismatch(cases)) == {"ok": True, "first_mismatch": None}
+    # a rational function equal to a polynomial is no mismatch
+    assert first_mismatch([("q", ratfunc(x * x - y * y, x - y), x + y)]) is None
+
+    perturbed = list(cases)
+    perturbed[1] = ("b", (x + y) ** 2, x * x + 2 * x * y + y * y + 1)
+    perturbed[2] = ("c", Fraction(1, 2), Fraction(1, 3))
+    assert first_mismatch(perturbed) == perturbed[1]
+    assert mismatch_report(first_mismatch(perturbed)) == {"ok": False, "first_mismatch": "b"}
+
+
+def test_first_mismatch_stops_at_the_mismatch():
+    def cases():
+        yield 0, 1, 1
+        yield 1, 2, 3
+        raise AssertionError("consumed past the first mismatch")
+
+    assert first_mismatch(cases()) == (1, 2, 3)

@@ -4,7 +4,7 @@ import pytest
 
 from gkpfrac.exactalg import MPoly, as_field, felem_eq, felem_is_zero, variables
 from gkpfrac.gkpcore import (
-    GKPParams, UnknownFamily, binomial_like_triangle, closed_form_check,
+    CLOSED_FORMS, GKPParams, UnknownFamily, binomial_like_triangle, closed_form_check,
     egf_trunc, gkp_rule, gkp_triangle, gkpz_triangle, ogf_trunc,
     rescale_weight, rescaled_rule, residual_checks, row_polys, tilde_params,
 )
@@ -145,6 +145,18 @@ def test_closed_forms():
         closed_form_check("nope", (), 3)
 
 
+def test_closed_form_check_reports_first_wrong_entry(monkeypatch):
+    def perturbed(params):
+        mu, entry = CLOSED_FORMS["stirling-cycle"](params)
+        # wrong from (3, 1) on; (4, 2) is wrong too but comes later
+        return mu, lambda n, k: entry(n, k) + (1 if (n, k) in ((3, 1), (4, 2)) else 0)
+
+    monkeypatch.setitem(CLOSED_FORMS, "perturbed", perturbed)
+    rep = closed_form_check("perturbed", (), 6)
+    assert rep == {"id": "perturbed", "ok": False, "first_mismatch": {"n": 3, "k": 1}}
+    assert closed_form_check("perturbed", (), 2)["ok"]
+
+
 def test_duality_consistency():
     from gkpfrac.symmetry import D, apply_map
     mu = GKPParams.symbolic()
@@ -171,29 +183,29 @@ def test_tilde_reparametrization():
 
 def test_row_polynomial_closed_forms():
     # diagonal and column families, and the two self-dual product forms
-    from gkpfrac.gkpcore import _prod
+    from math import prod
     al, ap, bp, gp = variables("al ap bp gp")
     ps = row_polys(gkp_triangle((al, -al, -al, ap, bp, gp), 6))
     x = MPoly.variable("x", ps[1].vars)
     for n in range(7):
-        want = x ** n * _prod(gp + j * (ap + bp) for j in range(1, n + 1))
+        want = x ** n * prod(gp + j * (ap + bp) for j in range(1, n + 1))
         assert felem_eq(as_field(ps[n]), as_field(want))
     a, b, g, bp2 = variables("a b g bp")
     ps = row_polys(gkp_triangle((a, b, g, 0, bp2, -bp2), 6))
     for n in range(7):
-        want = _prod(g + j * a for j in range(1, n + 1))
+        want = prod(g + j * a for j in range(1, n + 1))
         assert felem_eq(as_field(ps[n]), as_field(want))
     a, g, ap, gp = variables("a g ap gp")
     ps = row_polys(gkp_triangle((a, 0, g, ap, 0, gp), 6))
     x = MPoly.variable("x", ps[1].vars)
     for n in range(7):
-        want = _prod((g + gp * x) + k * (a + ap * x) for k in range(1, n + 1))
+        want = prod((g + gp * x) + k * (a + ap * x) for k in range(1, n + 1))
         assert felem_eq(as_field(ps[n]), as_field(want))
     ap, bp, gp, kp = variables("ap bp gp kp")
     ps = row_polys(gkp_triangle((kp * (ap + bp), kp * bp, kp * gp,
                                  ap, bp, gp), 6))
     x = MPoly.variable("x", ps[1].vars)
     for n in range(7):
-        want = (kp + x) ** n * _prod(gp + j * (ap + bp)
-                                     for j in range(1, n + 1))
+        want = (kp + x) ** n * prod(gp + j * (ap + bp)
+                                    for j in range(1, n + 1))
         assert felem_eq(as_field(ps[n]), as_field(want))

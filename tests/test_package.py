@@ -1,0 +1,41 @@
+import types
+
+import gkpfrac
+
+# Every name the package exports.  A change to this set must be deliberate:
+# removing a name breaks callers, so it is recorded here and in CHANGES.md.
+PUBLIC_NAMES = {
+    # exactalg
+    "MPoly", "RatFunc", "TruncSeries", "generalized_binomial_series",
+    "rational", "remainder_in_x", "variables",
+    # gkpcore
+    "GKPParams", "GKPZParams", "Triangle", "binomial_like_triangle",
+    "closed_form_check", "egf_trunc", "gkp_triangle", "gkpz_triangle",
+    "ogf_trunc", "residual_checks", "row_polys",
+    # cfrac
+    "CFrac", "binomial_transform_seq", "contract", "eval_jr", "eval_sr",
+    "eval_tr", "extract_jfrac", "extract_sfrac", "transform_laws",
+    # symmetry
+    "GroupWord", "ScalingMap", "apply_map", "group_table", "parse_word",
+    "rescale_gkp", "verify_action", "verify_relations",
+    # families
+    "family_params", "predicted_cfrac", "verify_binomial_relations",
+    "verify_egf_closed_forms", "verify_family",
+    # search
+    "get_node", "node_coefficient", "run_tree", "split_node",
+    # hankel
+    "coeffwise_nonneg", "hankel_tp", "hypothesis_check", "log_convexity",
+    # combinat
+    "eulerian", "master_poly_bruteforce", "perm_stats", "stirling_cycle",
+    "stirling_subset", "verify_master_sfrac", "x_stirling_transform",
+    # matprod
+    "inverse_pair_check", "nearly_binomial_identities", "triangle_product",
+    "verify_product_case", "xshift_smalln_check",
+}
+
+
+def test_exported_names_are_pinned():
+    exported = {name for name, value in vars(gkpfrac).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_NAMES
