@@ -580,7 +580,7 @@ def main(argv=None) -> int:
         report.update({"ok": False, "error": str(exc), "exit": 2})
         _emit(report, args)
         return 2
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, symmetry.SingularMap) as exc:
         report.update({"ok": False, "error": "%s: %s"
                        % (type(exc).__name__, exc), "exit": 2})
         _emit(report, args)

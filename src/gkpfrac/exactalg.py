@@ -16,7 +16,9 @@ from a float.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
+from operator import add, lt, neg, sub
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -28,6 +30,11 @@ class DivisionByZeroPolynomial(ZeroDivisionError):
 
 class NonInvertibleSeries(ZeroDivisionError):
     pass
+
+
+def _glex(e):
+    """Graded-lex sort key of an exponent tuple: total degree, then lex."""
+    return (sum(e), *e)
 
 
 def _norm_scalar(c):
@@ -126,7 +133,7 @@ class MPoly:
         """(exponents, coeff) maximal in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=lambda t: (sum(t), t))
+        e = max(self.terms, key=_glex)
         return e, self.terms[e]
 
     def in_vars(self, vars: Sequence[str]) -> "MPoly":
@@ -195,7 +202,7 @@ class MPoly:
         get = out.get
         for eb, cb in b.terms.items():
             for ea, ca in a.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 s = get(e, 0) + ca * cb
                 if s:
                     out[e] = s
@@ -358,7 +365,7 @@ class MPoly:
     # -- display --------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: _glex(t[0]), reverse=True)
 
     def __repr__(self):
         if not self.terms:
@@ -404,7 +411,12 @@ def as_mpoly(x, vars=()) -> MPoly:
 # ---------------------------------------------------------------------------
 
 def divide_exact(a: MPoly, b: MPoly):
-    """Return a/b if b divides a exactly over Q[vars], else None."""
+    """Return a/b if b divides a exactly over Q[vars], else None.
+
+    Heap division (Monagan & Pearce, J. Symbolic Comput. 46, 2011): the
+    remainder's terms sit in a max-heap by graded-lex order, so each step
+    pops the leading term instead of scanning the whole remainder.
+    """
     if b.is_zero():
         raise DivisionByZeroPolynomial("division by zero polynomial")
     a, b = a._coerce(b)
@@ -413,22 +425,35 @@ def divide_exact(a: MPoly, b: MPoly):
     if b.is_constant():
         return a / b.constant_value()
     eb, cb = b.leading_term()
+    # most failing divisions fail here, before any heap is built
+    if any(map(lt, a.leading_term()[0], eb)):
+        return None
+    cb = Fraction(cb)
     rem = dict(a.terms)
+    # a key is pushed when it enters rem; one popped after leaving rem is stale
+    heap = [(tuple(map(neg, _glex(e))), e) for e in rem]
+    heapify(heap)
     quo = {}
-    while rem:
-        ea = max(rem, key=lambda t: (sum(t), t))
-        diff = tuple(x - y for x, y in zip(ea, eb))
-        if any(d < 0 for d in diff):
+    while heap:
+        ea = heappop(heap)[1]
+        if ea not in rem:
+            continue
+        if any(map(lt, ea, eb)):
             return None
-        q = _norm_scalar(Fraction(rem[ea]) / Fraction(cb))
+        diff = tuple(map(sub, ea, eb))
+        q = _norm_scalar(Fraction(rem[ea]) / cb)
         quo[diff] = q
         for e2, c2 in b.terms.items():
-            key = tuple(x + y for x, y in zip(diff, e2))
-            s = rem.get(key, 0) - q * c2
-            if s:
-                rem[key] = s
-            elif key in rem:
-                del rem[key]
+            key = tuple(map(add, diff, e2))
+            if key in rem:
+                s = rem[key] - q * c2
+                if s:
+                    rem[key] = s
+                else:
+                    del rem[key]
+            else:
+                rem[key] = -(q * c2)
+                heappush(heap, (tuple(map(neg, _glex(key))), key))
     return MPoly(a.vars, quo)
 
 

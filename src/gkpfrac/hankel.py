@@ -52,7 +52,7 @@ def coeffwise_nonneg(p) -> tuple:
         if not p.is_poly():
             raise TypeError("coefficientwise order applies to polynomials")
         p = p.as_mpoly()
-    for e, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0])):
+    for e, c in reversed(p.sorted_terms()):
         if c < 0:
             return False, {"monomial": dict(zip(p.vars, e)), "coeff": c}
     return True, None

@@ -54,6 +54,13 @@ def test_usage_error_exit2(tmp_path):
     assert code == 2
 
 
+def test_singular_map_is_usage_error(tmp_path):
+    code, data = run_cli(["symmetry", "--map", "Z", "--mu", "1,0,1,0,0,1",
+                          "--depth", "3"], tmp_path)
+    assert code == 2 and data["exit"] == 2 and not data["ok"]
+    assert data["error"].startswith("SingularMap: map Z is singular")
+
+
 def test_unknown_subcommand_exit2():
     assert main(["definitely-not-a-command"]) == 2
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from gkpfrac.exactalg import (
     DivisionByZeroPolynomial, MPoly, NonInvertibleSeries, RatFunc, TruncSeries,
@@ -199,3 +201,76 @@ def test_first_mismatch_stops_at_the_mismatch():
         raise AssertionError("consumed past the first mismatch")
 
     assert first_mismatch(cases()) == (1, 2, 3)
+
+
+# -- exact division against sympy as an independent oracle ---------------
+
+NAMES = ("a", "b", "c", "d")
+
+
+@st.composite
+def mpoly_triples(draw):
+    """Three random MPoly over one shared tuple of 2-4 variables."""
+    vars = NAMES[:draw(st.integers(2, 4))]
+    exps = st.tuples(*[st.integers(0, 3)] * len(vars))
+    coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+    def poly(min_size):
+        return MPoly(vars, {e: int(c) if c.denominator == 1 else c for e, c in
+                            draw(st.dictionaries(exps, coeffs, min_size=min_size,
+                                                 max_size=5)).items()})
+
+    return poly(0), poly(1), poly(0)
+
+
+def sympy_div(num, den):
+    """(quotient terms, remainder is zero) from sympy's division over QQ."""
+    gens = sympy.symbols(num.vars)
+    to_sympy = lambda p: sympy.Poly.from_dict(
+        {e: sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+         for e, c in p.terms.items()} or {(0,) * len(gens): 0}, gens, domain="QQ")
+    q, r = sympy.div(to_sympy(num), to_sympy(den))
+    terms = {e: Fraction(int(c.p), int(c.q)) for e, c in q.as_dict().items() if c}
+    return terms, r.is_zero
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mpoly_triples())
+def test_divide_exact_recovers_factor(polys):
+    a, b, _ = polys
+    assert divide_exact(a * b, b) == a
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mpoly_triples())
+def test_divide_exact_agrees_with_sympy(polys):
+    a, b, r = polys
+    num = a * b + r
+    want, exact = sympy_div(num, b)
+    got = divide_exact(num, b)
+    if exact:
+        assert got is not None and got.terms == want
+    else:
+        assert got is None
+
+
+def test_divide_exact_term_that_cancels_and_reappears():
+    # Dividing by y^2 + y + 2: the first step cancels the y^2 term of the
+    # remainder, the second brings y^2 back, so y^2 is queued twice and the
+    # older entry is stale when it comes up.
+    x, y = variables("x y")
+    b = y ** 2 + y + 2
+    q = 2 * y ** 2 + y - 1
+    assert divide_exact(b * q, b) == q
+    assert divide_exact(b * q * x, b * x) == q
+
+
+def test_divide_exact_fails_after_several_quotient_steps():
+    x, y = variables("x y")
+    b = y ** 2 + y + 2
+    a = b * (2 * y ** 2 + y - 1) + x
+    # the leading terms divide, so the failure comes at the stray x term
+    (ea, _), (eb, _) = a.leading_term(), b.leading_term()
+    assert all(i >= j for i, j in zip(ea, eb))
+    assert divide_exact(a, b) is None
+    assert divide_exact(a - x, b) == 2 * y ** 2 + y - 1
