@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import (
-    MPoly, RatFunc, TruncSeries, as_field, felem_eq, felem_is_zero,
-    felem_to_json, mpoly_gcd, divide_exact,
+    MPoly, RatFunc, TruncSeries, _common_factor, as_field, divide_exact,
+    felem_eq, felem_is_zero, felem_to_json, mpoly_lcm,
 )
 
 
@@ -75,21 +75,16 @@ class SeqTransform:
 
 def _strip_content(A, B):
     """Remove a common polynomial factor of all coefficients of A and B."""
-    g = None
-    for c in A + B:
-        if isinstance(c, (int, Fraction)):
-            if c != 0:
-                return A, B
-            continue
-        if c.is_zero():
-            continue
-        g = c if g is None else mpoly_gcd(g, c)
-        if g.is_constant():
-            return A, B
-    if g is None or g.is_constant():
+    entries = A + B
+    if any(isinstance(c, (int, Fraction)) and c != 0 for c in entries):
         return A, B
-    div = lambda c: 0 if isinstance(c, (int, Fraction)) and c == 0 else divide_exact(c, g)
-    return [div(c) for c in A], [div(c) for c in B]
+    polys = [i for i, c in enumerate(entries) if isinstance(c, MPoly)]
+    g, quos = _common_factor([entries[i] for i in polys])
+    if g.is_constant():
+        return A, B
+    for i, q in zip(polys, quos):
+        entries[i] = q
+    return entries[:len(A)], entries[len(A):]
 
 
 def _as_quot(series: TruncSeries):
@@ -100,10 +95,7 @@ def _as_quot(series: TruncSeries):
     if not dens:
         A = [c.as_mpoly() if isinstance(c, RatFunc) else c for c in coeffs]
         return A, [1] + [0] * series.order
-    L = dens[0]
-    for d in dens[1:]:
-        g = mpoly_gcd(L, d)
-        L = L * divide_exact(d, g)
+    L = mpoly_lcm(dens, dens[0].vars)
     A = []
     for c in coeffs:
         if isinstance(c, RatFunc):

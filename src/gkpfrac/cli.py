@@ -37,6 +37,12 @@ class UsageError(ValueError):
     pass
 
 
+# raised by a check on valid input when the mathematics does not hold: exit 1
+# with the message as the witness, although they subclass ValueError
+CHECK_FAILURES = (search.InconsistentNode, search.BadFactorHint,
+                  cf.NonExtractableSeries)
+
+
 def _depth(value: int) -> int:
     cap = int(os.environ.get("GKP_MAX_DEPTH", "24"))
     if value < 0:
@@ -322,6 +328,8 @@ def cmd_logconvex(args):
 
 
 def cmd_search_node(args):
+    if tuple(tok for tok in args.label.split(",") if tok) not in search.HINT_BOOK:
+        raise UsageError("unknown node label %r" % args.label)
     node = search.get_node(args.label)
     rep = search.node_coefficient(node, args.level)
     data = {
@@ -435,6 +443,8 @@ def validate_report(report: dict) -> bool:
     """Check a JSON report against the shipped schema."""
     if "error" in report:
         return report.get("exit") == 2
+    if "failure" in report:
+        return report.get("exit") == 1 and report.get("ok") is False
     for key, typ in REPORT_SCHEMA["required"].items():
         if key not in report or not isinstance(report[key], typ):
             return False
@@ -580,6 +590,11 @@ def main(argv=None) -> int:
         report.update({"ok": False, "error": str(exc), "exit": 2})
         _emit(report, args)
         return 2
+    except CHECK_FAILURES as exc:
+        report.update({"ok": False, "failure": "%s: %s"
+                       % (type(exc).__name__, exc), "exit": 1})
+        _emit(report, args)
+        return 1
     except (KeyError, ValueError, TypeError, symmetry.SingularMap) as exc:
         report.update({"ok": False, "error": "%s: %s"
                        % (type(exc).__name__, exc), "exit": 2})

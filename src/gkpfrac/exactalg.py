@@ -479,21 +479,44 @@ def _from_main(coeffs, i, vars):
     return MPoly(vars, out)
 
 
-def _gcd_many(polys):
-    g = None
-    for p in polys:
-        g = p if g is None else mpoly_gcd(g, p)
-        if g.is_constant() and not g.is_zero():
-            return MPoly.one(g.vars)
-    return g if g is not None else MPoly.zero(())
+def _common_factor(polys):
+    """Normalized gcd g of a list of MPoly values, and the cofactors p/g.
 
-
-def _primitive(coeffs):
-    """Divide a coefficient list by the gcd of its entries."""
-    g = _gcd_many([c for c in coeffs if not c.is_zero()])
+    Divide-first: g starts as the normalized entry with the fewest terms and
+    every entry is divided by g once.  Only a failed division shrinks g to
+    gcd(g, p); the cofactors already kept are then multiplied by the exact
+    ratio old g / new g.  Once g is constant it is 1 and the entries come
+    back unchanged.
+    """
+    nonzero = [p for p in polys if not p.is_zero()]
+    if not nonzero:
+        return MPoly.zero(polys[0].vars if polys else ()), list(polys)
+    g = _normalize_gcd(min(nonzero, key=lambda p: len(p.terms)))
     if g.is_constant():
-        return coeffs, g
-    return [divide_exact(c, g) for c in coeffs], g
+        return g, list(polys)
+    quos = []
+    for p in polys:
+        q = divide_exact(p, g)
+        if q is None:
+            h = mpoly_gcd(g, p)
+            if h.is_constant():
+                return h, list(polys)
+            ratio = divide_exact(g, h)
+            quos = [x * ratio for x in quos]
+            g = h
+            q = divide_exact(p, g)
+        quos.append(q)
+    return g, quos
+
+
+def mpoly_lcm(polys, vars):
+    """A least common multiple of nonzero MPoly values (1 over ``vars`` for
+    none), built left to right as L * (p / gcd(L, p))."""
+    it = iter(polys)
+    L = next(it, MPoly.one(vars))
+    for p in it:
+        L = L * divide_exact(p, mpoly_gcd(L, p))
+    return L
 
 
 def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
@@ -510,21 +533,23 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
         strip = lambda p: MPoly(p.vars, {tuple(x - y for x, y in zip(e, mg)): c
                                          for e, c in p.terms.items()})
         return _attach_monomial(mpoly_gcd(strip(a), strip(b)), mg)
-    if a.is_constant() or b.is_constant():
-        return MPoly.one(a.vars)
-    # after stripping the common monomial, a monomial is coprime to the rest
+    # after stripping the common monomial, a monomial (or constant) is
+    # coprime to the rest
     if len(a.terms) == 1 or len(b.terms) == 1:
         return MPoly.one(a.vars)
     # cheap structural checks
     if a.terms == b.terms:
         return _normalize_gcd(a)
-    q = divide_exact(a, b)
-    if q is not None:
+    if divide_exact(a, b) is not None:
         return _normalize_gcd(b)
-    q = divide_exact(b, a)
-    if q is not None:
+    if divide_exact(b, a) is not None:
         return _normalize_gcd(a)
-    # main variable: first var occurring in both
+    return _content_prs_gcd(a, b)
+
+
+def _content_prs_gcd(a: MPoly, b: MPoly) -> MPoly:
+    """gcd of a and b, both with two or more terms and no common monomial
+    factor: content gcd times primitive PRS in the first shared variable."""
     main = None
     for i, v in enumerate(a.vars):
         if a.degree_in(v) > 0 and b.degree_in(v) > 0:
@@ -532,10 +557,8 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
             break
     if main is None:
         return MPoly.one(a.vars)
-    fa = _poly_in_main(a, main)
-    fb = _poly_in_main(b, main)
-    fa, ca = _primitive(fa)
-    fb, cb = _primitive(fb)
+    ca, fa = _common_factor(_poly_in_main(a, main))
+    cb, fb = _common_factor(_poly_in_main(b, main))
     cont = mpoly_gcd(ca, cb)
     prim = _prs_gcd(fa, fb, main, a.vars)
     return _normalize_gcd(cont * prim)
@@ -567,9 +590,8 @@ def _prs_gcd(F, G, main, vars):
         while R and R[-1].is_zero():
             R.pop()
         if not R:
-            Gp, _ = _primitive(G)
-            return _from_main(Gp, main, vars)
-        R, _ = _primitive(R)
+            return _from_main(_common_factor(G)[1], main, vars)
+        R = _common_factor(R)[1]
         F, G = G, R
 
 
@@ -732,10 +754,11 @@ def _reduce_fraction(num: MPoly, den: MPoly):
             num, den = q, MPoly.one(den.vars)
         else:
             q = divide_exact(den, num)
-            if q is not None and q.is_constant():
-                num, den = MPoly.constant(Fraction(1), num.vars), q
-            else:
-                g = mpoly_gcd(num, den)
+            if q is not None:
+                num, den = MPoly.one(num.vars), q
+            elif len(num.terms) > 1 and len(den.terms) > 1:
+                # both trial divisions failed: go straight to the PRS
+                g = _content_prs_gcd(num, den)
                 if not g.is_constant():
                     num = divide_exact(num, g)
                     den = divide_exact(den, g)

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .exactalg import (
     MPoly, RatFunc, as_field, divide_exact, felem_eq, felem_inv,
-    felem_is_zero, mpoly_gcd, remainder_in_x, variables,
+    felem_is_zero, mpoly_lcm, remainder_in_x, variables,
 )
 from .gkpcore import GKPParams, gkp_triangle, ogf_trunc
 from .cfrac import extract_sfrac
@@ -180,19 +180,11 @@ def node_cs(node: SearchNode, depth: int):
     The substitution is cleared to polynomial parameters first; since every
     coefficient is homogeneous of degree one in mu, the clearing factor is
     divided out again at the end."""
-    D = MPoly.one(V.a.vars)
-    for p in BASE:
-        val = as_field(node.subs[p])
-        if isinstance(val, RatFunc) and not val.is_poly():
-            g = mpoly_gcd(D, val.den)
-            D = D * divide_exact(val.den, g)
-    mu_star = []
-    for p in BASE:
-        val = as_field(node.subs[p])
-        if isinstance(val, RatFunc):
-            mu_star.append(val.num * divide_exact(D, val.den))
-        else:
-            mu_star.append(val * D)
+    vals = [as_field(node.subs[p]) for p in BASE]
+    D = mpoly_lcm([v.den for v in vals if isinstance(v, RatFunc) and not v.is_poly()],
+                  V.a.vars)
+    mu_star = [v.num * divide_exact(D, v.den) if isinstance(v, RatFunc) else v * D
+               for v in vals]
     t = gkp_triangle(GKPParams(*mu_star), depth)
     cf = extract_sfrac(ogf_trunc(t), depth)
     if D.is_constant() and D.constant_value() == 1:

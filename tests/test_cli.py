@@ -157,3 +157,24 @@ def test_search_tree_dot(tmp_path):
     assert code == 0
     assert data["dot"].startswith("digraph")
     assert "F2b" in data["dot"] and "s6b" in data["dot"]
+
+
+def test_unknown_search_label_is_usage_error(tmp_path):
+    code, data = run_cli(["search-node", "--label", "0,7"], tmp_path)
+    assert code == 2 and data["exit"] == 2 and not data["ok"]
+    assert "0,7" in data["error"]
+
+
+def test_inconsistent_node_is_check_failure(tmp_path, monkeypatch):
+    from gkpfrac import search
+
+    def broken(node, k=None):
+        raise search.InconsistentNode("%s: documented Q mismatch" % node.name())
+
+    monkeypatch.setattr(search, "node_coefficient", broken)
+    code, data = run_cli(["search-node", "--label", "0"], tmp_path)
+    assert code == 1 and data["exit"] == 1 and not data["ok"]
+    assert data["failure"].startswith("InconsistentNode:")
+    assert "documented Q mismatch" in data["failure"]
+    from gkpfrac.cli import validate_report
+    assert validate_report(data)
