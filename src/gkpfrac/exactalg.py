@@ -12,16 +12,31 @@ search, Hankel minors) runs on the three value types defined here:
 
 Scalars are plain ``int`` or ``fractions.Fraction``; no value is ever built
 from a float.
+
+An ``MPoly`` keys each term by one int that packs its exponent vector
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007): fields of ``FIELD_BITS`` bits hold,
+from the most significant end, the total degree and then the exponent of
+each variable in order, each field topped by a clear guard bit.  Graded-lex
+order is int order, a monomial product is a sum of keys, and divisibility is
+one subtraction that leaves every guard bit set.  Exponents and total
+degrees must stay below ``EXPONENT_LIMIT`` (2^15); a product that would
+reach it raises ``OverflowError`` instead of carrying into the next field.
+``MPoly.terms`` shows the terms keyed by exponent tuples.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd as _int_gcd
-from operator import add, lt, neg, sub
+from operator import or_
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
+_INT_ONLY = frozenset((int,))
 
 
 class DivisionByZeroPolynomial(ZeroDivisionError):
@@ -32,9 +47,70 @@ class NonInvertibleSeries(ZeroDivisionError):
     pass
 
 
-def _glex(e):
-    """Graded-lex sort key of an exponent tuple: total degree, then lex."""
-    return (sum(e), *e)
+# the packed monomial layout described in the module docstring
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD = (1 << FIELD_BITS) - 1
+
+
+def _guards(n):
+    """Every guard bit of an n-variable key."""
+    return ((1 << ((n + 1) * FIELD_BITS)) - 1) // _FIELD << (FIELD_BITS - 1)
+
+
+def _divides(kb, ka, guards):
+    """Monomial kb divides ka: no field of ka - kb borrows its guard bit."""
+    return ((ka | guards) - kb) & guards == guards
+
+
+def _var_shift(n, i):
+    return (n - 1 - i) * FIELD_BITS
+
+
+def _pack(e):
+    if min(e, default=0) < 0:
+        raise ValueError("negative exponent in %r" % (e,))
+    k = sum(e)
+    if k >= EXPONENT_LIMIT:
+        raise OverflowError("total degree of %r reaches %d" % (e, EXPONENT_LIMIT))
+    for x in e:
+        k = (k << FIELD_BITS) | x
+    return k
+
+
+def _unpack(k, n):
+    return tuple((k >> s) & _FIELD for s in range((n - 1) * FIELD_BITS, -1, -FIELD_BITS))
+
+
+def _monomial_gcd(n, *terms):
+    """The key of the componentwise minimum of the monomials of one or more
+    packed term dicts, not all empty."""
+    if any(0 in t for t in terms):
+        return 0
+    low = (1 << (n * FIELD_BITS)) - 1
+    guards = _guards(n) & low
+    it = chain(*terms)
+    m = next(it) & low
+    for k in it:
+        if not m:
+            return 0
+        k &= low
+        # one in the lowest bit of each field where m >= k
+        ge = (((m | guards) - k) & guards) >> (FIELD_BITS - 1)
+        m ^= (m ^ k) & ((ge << FIELD_BITS) - ge)
+    return m | sum(_unpack(m, n)) << (n * FIELD_BITS)
+
+
+def _split_var(terms, n, i):
+    """Map x-power -> packed terms with vars[i]'s exponent (and its share
+    of the degree) taken out."""
+    s = _var_shift(n, i)
+    step = (1 << s) + (1 << (n * FIELD_BITS))
+    out = {}
+    for k, c in terms.items():
+        x = (k >> s) & _FIELD
+        out.setdefault(x, {})[k - x * step] = c
+    return out
 
 
 def _norm_scalar(c):
@@ -65,42 +141,87 @@ def rat_str(c) -> str:
     return "%d/%d" % (f.numerator, f.denominator) if f.denominator != 1 else str(f.numerator)
 
 
+class _ExponentView(Mapping):
+    """Read-only view of packed terms as {exponent tuple: coefficient}."""
+
+    __slots__ = ("_terms", "_n")
+
+    def __init__(self, terms, n):
+        self._terms = terms
+        self._n = n
+
+    def __getitem__(self, e):
+        if len(e) != self._n:
+            raise KeyError(e)
+        try:
+            return self._terms[_pack(e)]
+        except (OverflowError, ValueError):
+            raise KeyError(e) from None
+
+    def __iter__(self):
+        n = self._n
+        return (_unpack(k, n) for k in self._terms)
+
+    def __len__(self):
+        return len(self._terms)
+
+    def values(self):
+        return self._terms.values()
+
+    def items(self):
+        n = self._n
+        return [(_unpack(k, n), c) for k, c in self._terms.items()]
+
+
+def _mpoly(vars, terms):
+    """An MPoly over the tuple ``vars`` that owns the packed ``terms``."""
+    p = object.__new__(MPoly)
+    p.vars = vars
+    p._terms = terms
+    return p
+
+
 class MPoly:
     """Multivariate polynomial with exact rational coefficients.
 
-    ``vars`` is the ordered variable tuple; ``terms`` maps exponent tuples
-    (length == len(vars)) to nonzero int/Fraction coefficients.  Instances
-    are immutable by convention: no method mutates ``terms`` after
-    construction.
+    ``vars`` is the ordered variable tuple.  The constructor takes a map
+    from exponent tuples (length == len(vars)) to nonzero int/Fraction
+    coefficients and stores it with packed monomial keys; ``terms`` reads
+    it back as exponent tuples.  Instances are immutable by convention.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_terms")
 
     def __init__(self, vars: Sequence[str], terms=None):
         self.vars = tuple(vars)
-        self.terms = {} if terms is None else terms
+        n = len(self.vars)
+        packed = {}
+        for e, c in (terms or {}).items():
+            if len(e) != n:
+                raise ValueError("exponent %r does not match %d variables" % (e, n))
+            packed[_pack(e)] = c
+        self._terms = packed
+
+    @property
+    def terms(self):
+        return _ExponentView(self._terms, len(self.vars))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def constant(c, vars=()) -> "MPoly":
         c = _norm_scalar(c)
-        vars = tuple(vars)
-        if c == 0:
-            return MPoly(vars, {})
-        return MPoly(vars, {(0,) * len(vars): c})
+        return _mpoly(tuple(vars), {0: c} if c else {})
 
     @staticmethod
     def variable(name: str, vars: Sequence[str]) -> "MPoly":
         vars = tuple(vars)
-        i = vars.index(name)
-        e = [0] * len(vars)
-        e[i] = 1
-        return MPoly(vars, {tuple(e): 1})
+        n = len(vars)
+        return _mpoly(vars, {1 << (n * FIELD_BITS) | 1 << _var_shift(n, vars.index(name)): 1})
 
     @staticmethod
     def zero(vars=()) -> "MPoly":
-        return MPoly(tuple(vars), {})
+        return _mpoly(tuple(vars), {})
 
     @staticmethod
     def one(vars=()) -> "MPoly":
@@ -109,47 +230,54 @@ class MPoly:
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        t = self._terms
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self):
-        if not self.terms:
+        t = self._terms
+        if not t:
             return 0
-        [(e, c)] = list(self.terms.items()) if len(self.terms) == 1 else [(None, None)]
-        if e is None or any(e):
+        if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return c
+        return t[0]
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self._terms, default=0) >> (len(self.vars) * FIELD_BITS)
 
     def degree_in(self, name: str) -> int:
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        s = _var_shift(len(self.vars), self.vars.index(name))
+        return max(((k >> s) & _FIELD for k in self._terms), default=0)
 
     def leading_term(self):
         """(exponents, coeff) maximal in graded-lex order."""
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_glex)
-        return e, self.terms[e]
+        k = max(self._terms)
+        return _unpack(k, len(self.vars)), self._terms[k]
 
     def in_vars(self, vars: Sequence[str]) -> "MPoly":
         """Re-express over a variable tuple containing all current vars."""
         vars = tuple(vars)
         if vars == self.vars:
             return self
-        pos = [vars.index(v) for v in self.vars]
-        n = len(vars)
+        n, m = len(self.vars), len(vars)
+        if vars[:n] == self.vars:
+            # new variables at the end: every field moves up as one block
+            up = (m - n) * FIELD_BITS
+            return _mpoly(vars, {k << up: c for k, c in self._terms.items()})
+        moves = [(_var_shift(n, i), _var_shift(m, vars.index(v)))
+                 for i, v in enumerate(self.vars)]
+        top, newtop = n * FIELD_BITS, m * FIELD_BITS
         out = {}
-        for e, c in self.terms.items():
-            ne = [0] * n
-            for p, ev in zip(pos, e):
-                ne[p] = ev
-            out[tuple(ne)] = c
-        return MPoly(vars, out)
+        for k, c in self._terms.items():
+            nk = k >> top << newtop
+            for s, d in moves:
+                nk |= ((k >> s) & _FIELD) << d
+            out[nk] = c
+        return _mpoly(vars, out)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -167,19 +295,20 @@ class MPoly:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        out = dict(a.terms)
-        for e, c in b.terms.items():
-            s = out.get(e, 0) + c
+        out = dict(a._terms)
+        get = out.get
+        for k, c in b._terms.items():
+            s = get(k, 0) + c
             if s:
-                out[e] = _norm_scalar(Fraction(s)) if isinstance(s, Fraction) else s
-            elif e in out:
-                del out[e]
-        return MPoly(a.vars, out)
+                out[k] = s if type(s) is int or s.denominator != 1 else s.numerator
+            elif k in out:
+                del out[k]
+        return _mpoly(a.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _mpoly(self.vars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         a, b = self._coerce(other)
@@ -194,24 +323,30 @@ class MPoly:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        if not a.terms or not b.terms:
-            return MPoly(a.vars, {})
-        if len(a.terms) < len(b.terms):
-            a, b = b, a
+        ta, tb = a._terms, b._terms
+        if not ta or not tb:
+            return _mpoly(a.vars, {})
+        if len(ta) < len(tb):
+            ta, tb = tb, ta
+        if (max(ta) + max(tb)) >> (len(a.vars) * FIELD_BITS) >= EXPONENT_LIMIT:
+            raise OverflowError("product degree reaches %d" % EXPONENT_LIMIT)
+        # branch-free accumulation; one pass afterwards drops the zeros and,
+        # only when an input had a Fraction, turns n/1 back into an int
         out = {}
         get = out.get
-        for eb, cb in b.terms.items():
-            for ea, ca in a.terms.items():
-                e = tuple(map(add, ea, eb))
-                s = get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        for e, c in list(out.items()):
-            if isinstance(c, Fraction) and c.denominator == 1:
-                out[e] = int(c)
-        return MPoly(a.vars, out)
+        pairs = list(ta.items())
+        for kb, cb in tb.items():
+            for ka, ca in pairs:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        if _INT_ONLY.issuperset(map(type, ta.values())) and \
+                _INT_ONLY.issuperset(map(type, tb.values())):
+            if 0 in out.values():
+                out = {k: c for k, c in out.items() if c}
+        else:
+            out = {k: c if c.denominator != 1 else c.numerator
+                   for k, c in out.items() if c}
+        return _mpoly(a.vars, out)
 
     __rmul__ = __mul__
 
@@ -232,7 +367,7 @@ class MPoly:
             if other == 0:
                 raise ZeroDivisionError
             inv = Fraction(1, 1) / Fraction(other)
-            return MPoly(self.vars, {e: _norm_scalar(c * inv) for e, c in self.terms.items()})
+            return _mpoly(self.vars, {k: _norm_scalar(c * inv) for k, c in self._terms.items()})
         return ratfunc(self, other)
 
     def __eq__(self, other):
@@ -240,50 +375,37 @@ class MPoly:
             return self.is_constant() and self.constant_value() == other
         if isinstance(other, MPoly):
             a, b = self._coerce(other)
-            return a.terms == b.terms
+            return a._terms == b._terms
         if isinstance(other, RatFunc):
             return other == self
         return NotImplemented
 
     def __hash__(self):
-        # canonical modulo variable embedding: hash only nonzero-support
+        # canonical modulo variable embedding and order: hash only the
+        # nonzero-support of each monomial, as a set
         items = frozenset(
-            (tuple((v, k) for v, k in zip(self.vars, e) if k), Fraction(c))
+            (frozenset((v, k) for v, k in zip(self.vars, e) if k), Fraction(c))
             for e, c in self.terms.items()
         )
         return hash(items)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     # -- calculus / views ----------------------------------------------
 
     def deriv(self, name: str) -> "MPoly":
-        i = self.vars.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                k = ne[i]
-                ne[i] = k - 1
-                key = tuple(ne)
-                s = out.get(key, 0) + c * k
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return MPoly(self.vars, out)
+        n = len(self.vars)
+        s = _var_shift(n, self.vars.index(name))
+        step = (1 << s) + (1 << (n * FIELD_BITS))
+        # distinct monomials keep distinct derivatives: nothing to collect
+        return _mpoly(self.vars, {k - step: c * ((k >> s) & _FIELD)
+                                  for k, c in self._terms.items() if (k >> s) & _FIELD})
 
     def coeffs_in(self, name: str) -> dict:
         """Map x-power -> MPoly coefficient (x-exponent stripped to 0)."""
-        i = self.vars.index(name)
-        buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            ne = list(e)
-            ne[i] = 0
-            buckets.setdefault(k, {})[tuple(ne)] = c
-        return {k: MPoly(self.vars, t) for k, t in sorted(buckets.items())}
+        split = _split_var(self._terms, len(self.vars), self.vars.index(name))
+        return {x: _mpoly(self.vars, t) for x, t in sorted(split.items())}
 
     def subs(self, mapping: dict):
         """Substitute values (scalar / MPoly / RatFunc) for variables.
@@ -291,7 +413,7 @@ class MPoly:
         Variables absent from ``mapping`` stay themselves; the result lives
         in the arithmetic closure of the substituted values.
         """
-        if not self.terms:
+        if not self._terms:
             return MPoly.zero(self.vars)
         vals = []
         for v in self.vars:
@@ -333,42 +455,36 @@ class MPoly:
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer, primitive."""
-        if not self.terms:
+        if not self._terms:
             return Fraction(1)
         num = 0
         den = 1
-        for c in self.terms.values():
+        for c in self._terms.values():
             f = Fraction(c)
             num = _int_gcd(num, f.numerator)
             den = den * f.denominator // _int_gcd(den, f.denominator)
         return Fraction(num, den)
 
     def monomial_content(self):
-        if not self.terms:
-            return (0,) * len(self.vars)
-        it = iter(self.terms)
-        m = list(next(it))
-        for e in it:
-            for i, k in enumerate(e):
-                if k < m[i]:
-                    m[i] = k
-        return tuple(m)
+        n = len(self.vars)
+        return _unpack(_monomial_gcd(n, self._terms) if self._terms else 0, n)
 
     def map_coeffs(self, fn) -> "MPoly":
         out = {}
-        for e, c in self.terms.items():
+        for k, c in self._terms.items():
             nc = _norm_scalar(Fraction(fn(c)))
             if nc:
-                out[e] = nc
-        return MPoly(self.vars, out)
+                out[k] = nc
+        return _mpoly(self.vars, out)
 
     # -- display --------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _glex(t[0]), reverse=True)
+        t, n = self._terms, len(self.vars)
+        return [(_unpack(k, n), t[k]) for k in sorted(t, reverse=True)]
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         bits = []
         for e, c in self.sorted_terms():
@@ -388,6 +504,16 @@ class MPoly:
                 bits.append(rat_str(c))
         s = " + ".join(bits).replace("+ -", "- ")
         return s
+
+
+def least_negative(p: MPoly):
+    """(exponents, coeff) of the graded-lex least term of p with a negative
+    coefficient, or None."""
+    neg = [k for k, c in p._terms.items() if c < 0]
+    if not neg:
+        return None
+    k = min(neg)
+    return _unpack(k, len(p.vars)), p._terms[k]
 
 
 def variables(names, extra=()) -> tuple:
@@ -414,8 +540,8 @@ def divide_exact(a: MPoly, b: MPoly):
     """Return a/b if b divides a exactly over Q[vars], else None.
 
     Heap division (Monagan & Pearce, J. Symbolic Comput. 46, 2011): the
-    remainder's terms sit in a max-heap by graded-lex order, so each step
-    pops the leading term instead of scanning the whole remainder.
+    remainder's keys sit in a max-heap, so each step pops the leading term
+    instead of scanning the whole remainder.
     """
     if b.is_zero():
         raise DivisionByZeroPolynomial("division by zero polynomial")
@@ -424,27 +550,33 @@ def divide_exact(a: MPoly, b: MPoly):
         return MPoly.zero(a.vars)
     if b.is_constant():
         return a / b.constant_value()
-    eb, cb = b.leading_term()
+    tb = b._terms
+    kb = max(tb)
+    guards = _guards(len(a.vars))
     # most failing divisions fail here, before any heap is built
-    if any(map(lt, a.leading_term()[0], eb)):
+    if not _divides(kb, max(a._terms), guards):
         return None
-    cb = Fraction(cb)
-    rem = dict(a.terms)
+    cb = tb[kb]
+    rem = dict(a._terms)
     # a key is pushed when it enters rem; one popped after leaving rem is stale
-    heap = [(tuple(map(neg, _glex(e))), e) for e in rem]
+    heap = [-k for k in rem]
     heapify(heap)
     quo = {}
     while heap:
-        ea = heappop(heap)[1]
-        if ea not in rem:
+        ka = -heappop(heap)
+        if ka not in rem:
             continue
-        if any(map(lt, ea, eb)):
+        if not _divides(kb, ka, guards):
             return None
-        diff = tuple(map(sub, ea, eb))
-        q = _norm_scalar(Fraction(rem[ea]) / cb)
-        quo[diff] = q
-        for e2, c2 in b.terms.items():
-            key = tuple(map(add, diff, e2))
+        d = ka - kb
+        r = rem[ka]
+        if type(r) is int and type(cb) is int and not r % cb:
+            q = r // cb
+        else:
+            q = _norm_scalar(Fraction(r) / cb)
+        quo[d] = q
+        for k2, c2 in tb.items():
+            key = d + k2
             if key in rem:
                 s = rem[key] - q * c2
                 if s:
@@ -453,30 +585,21 @@ def divide_exact(a: MPoly, b: MPoly):
                     del rem[key]
             else:
                 rem[key] = -(q * c2)
-                heappush(heap, (tuple(map(neg, _glex(key))), key))
-    return MPoly(a.vars, quo)
+                heappush(heap, -key)
+    return _mpoly(a.vars, quo)
 
 
 def _poly_in_main(p: MPoly, i: int):
     """View p as univariate in vars[i]: list of MPoly coefficients (low->high)."""
-    d = max((e[i] for e in p.terms), default=0)
-    coeffs = [dict() for _ in range(d + 1)]
-    for e, c in p.terms.items():
-        ne = list(e)
-        k = ne[i]
-        ne[i] = 0
-        coeffs[k][tuple(ne)] = c
-    return [MPoly(p.vars, t) for t in coeffs]
+    split = _split_var(p._terms, len(p.vars), i)
+    return [_mpoly(p.vars, split.get(x, {})) for x in range(max(split, default=0) + 1)]
 
 
 def _from_main(coeffs, i, vars):
-    out = {}
-    for k, p in enumerate(coeffs):
-        for e, c in p.terms.items():
-            ne = list(e)
-            ne[i] = k
-            out[tuple(ne)] = c
-    return MPoly(vars, out)
+    n = len(vars)
+    step = (1 << _var_shift(n, i)) + (1 << (n * FIELD_BITS))
+    return _mpoly(vars, {k + x * step: c for x, p in enumerate(coeffs)
+                         for k, c in p._terms.items()})
 
 
 def _common_factor(polys):
@@ -491,14 +614,15 @@ def _common_factor(polys):
     nonzero = [p for p in polys if not p.is_zero()]
     if not nonzero:
         return MPoly.zero(polys[0].vars if polys else ()), list(polys)
-    g = _normalize_gcd(min(nonzero, key=lambda p: len(p.terms)))
+    g = _normalize_gcd(min(nonzero, key=lambda p: len(p._terms)))
     if g.is_constant():
         return g, list(polys)
     quos = []
     for p in polys:
         q = divide_exact(p, g)
         if q is None:
-            h = mpoly_gcd(g, p)
+            # p/g just failed: the gcd need not try it again
+            h = _gcd_nonzero(*p._coerce(g), a_over_b_failed=True)
             if h.is_constant():
                 return h, list(polys)
             ratio = divide_exact(g, h)
@@ -526,35 +650,44 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
         return _normalize_gcd(b)
     if b.is_zero():
         return _normalize_gcd(a)
-    ma = a.monomial_content()
-    mb = b.monomial_content()
-    mg = tuple(min(x, y) for x, y in zip(ma, mb))
-    if any(mg):
-        strip = lambda p: MPoly(p.vars, {tuple(x - y for x, y in zip(e, mg)): c
-                                         for e, c in p.terms.items()})
-        return _attach_monomial(mpoly_gcd(strip(a), strip(b)), mg)
+    return _gcd_nonzero(a, b)
+
+
+def _strip_monomial(p: MPoly, m) -> MPoly:
+    return _mpoly(p.vars, {k - m: c for k, c in p._terms.items()})
+
+
+def _gcd_nonzero(a: MPoly, b: MPoly, a_over_b_failed=False) -> MPoly:
+    """gcd of nonzero a and b over one variable tuple: the common monomial,
+    times the gcd of what is left after it is stripped."""
+    ta, tb = a._terms, b._terms
+    mg = _monomial_gcd(len(a.vars), ta, tb)
+    if mg:
+        a, b = _strip_monomial(a, mg), _strip_monomial(b, mg)
+        ta, tb = a._terms, b._terms
     # after stripping the common monomial, a monomial (or constant) is
     # coprime to the rest
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return MPoly.one(a.vars)
+    if len(ta) == 1 or len(tb) == 1:
+        g = MPoly.one(a.vars)
     # cheap structural checks
-    if a.terms == b.terms:
-        return _normalize_gcd(a)
-    if divide_exact(a, b) is not None:
-        return _normalize_gcd(b)
-    if divide_exact(b, a) is not None:
-        return _normalize_gcd(a)
-    return _content_prs_gcd(a, b)
+    elif ta == tb:
+        g = _normalize_gcd(a)
+    elif not a_over_b_failed and divide_exact(a, b) is not None:
+        g = _normalize_gcd(b)
+    elif divide_exact(b, a) is not None:
+        g = _normalize_gcd(a)
+    else:
+        g = _content_prs_gcd(a, b)
+    return _mpoly(g.vars, {k + mg: c for k, c in g._terms.items()}) if mg else g
 
 
 def _content_prs_gcd(a: MPoly, b: MPoly) -> MPoly:
     """gcd of a and b, both with two or more terms and no common monomial
     factor: content gcd times primitive PRS in the first shared variable."""
-    main = None
-    for i, v in enumerate(a.vars):
-        if a.degree_in(v) > 0 and b.degree_in(v) > 0:
-            main = i
-            break
+    n = len(a.vars)
+    # a field of the OR of all keys is nonzero iff that variable occurs
+    both = reduce(or_, a._terms) & reduce(or_, b._terms)
+    main = next((i for i in range(n) if both >> _var_shift(n, i) & _FIELD), None)
     if main is None:
         return MPoly.one(a.vars)
     ca, fa = _common_factor(_poly_in_main(a, main))
@@ -564,16 +697,11 @@ def _content_prs_gcd(a: MPoly, b: MPoly) -> MPoly:
     return _normalize_gcd(cont * prim)
 
 
-def _attach_monomial(g: MPoly, m) -> MPoly:
-    return g * MPoly(g.vars, {tuple(m): 1})
-
-
 def _normalize_gcd(p: MPoly) -> MPoly:
     if p.is_zero():
         return p
     c = p.content()
-    _, lead = p.leading_term()
-    if lead < 0:
+    if p._terms[max(p._terms)] < 0:
         c = -c
     return p.map_coeffs(lambda x: Fraction(x) / c)
 
@@ -742,13 +870,9 @@ def _reduce_fraction(num: MPoly, den: MPoly):
     elif num.is_constant():
         pass
     else:
-        mn = num.monomial_content()
-        md = den.monomial_content()
-        mg = tuple(min(x, y) for x, y in zip(mn, md))
-        if any(mg):
-            strip = lambda p: MPoly(p.vars, {tuple(x - y for x, y in zip(e, mg)): c
-                                             for e, c in p.terms.items()})
-            num, den = strip(num), strip(den)
+        mg = _monomial_gcd(len(num.vars), num._terms, den._terms)
+        if mg:
+            num, den = _strip_monomial(num, mg), _strip_monomial(den, mg)
         q = divide_exact(num, den)
         if q is not None:
             num, den = q, MPoly.one(den.vars)
@@ -756,7 +880,7 @@ def _reduce_fraction(num: MPoly, den: MPoly):
             q = divide_exact(den, num)
             if q is not None:
                 num, den = MPoly.one(num.vars), q
-            elif len(num.terms) > 1 and len(den.terms) > 1:
+            elif len(num._terms) > 1 and len(den._terms) > 1:
                 # both trial divisions failed: go straight to the PRS
                 g = _content_prs_gcd(num, den)
                 if not g.is_constant():
@@ -764,8 +888,7 @@ def _reduce_fraction(num: MPoly, den: MPoly):
                     den = divide_exact(den, g)
     # scale: den integer-primitive, positive leading coefficient
     c = den.content()
-    _, lead = den.leading_term()
-    if lead < 0:
+    if den._terms[max(den._terms)] < 0:
         c = -c
     if c != 1:
         den = den.map_coeffs(lambda x: Fraction(x) / c)

@@ -3,18 +3,21 @@ positivity of bounded order, log-convexity, and the two published
 sufficient-condition hypothesis sets.
 
 Determinants over the polynomial ring use fraction-free (Bareiss) elimination
-with cofactor expansion below 4x4.  The big order-2 check runs on a packed
-integer kernel: exponent vectors are packed into machine integers so that
-monomial products become integer additions.
+with cofactor expansion below 4x4.  The big order-2 check multiplies the
+sequence's polynomials with ``MPoly`` products, each distinct product once
+and kept only until its last use.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactalg import MPoly, RatFunc, as_field, divide_exact, felem_is_zero
+from .exactalg import (
+    MPoly, RatFunc, as_field, divide_exact, felem_is_zero, least_negative,
+)
 from .gkpcore import GKPParams, gkp_triangle, row_polys, tilde_params
 
 
@@ -52,10 +55,11 @@ def coeffwise_nonneg(p) -> tuple:
         if not p.is_poly():
             raise TypeError("coefficientwise order applies to polynomials")
         p = p.as_mpoly()
-    for e, c in reversed(p.sorted_terms()):
-        if c < 0:
-            return False, {"monomial": dict(zip(p.vars, e)), "coeff": c}
-    return True, None
+    bad = least_negative(p)
+    if bad is None:
+        return True, None
+    e, c = bad
+    return False, {"monomial": dict(zip(p.vars, e)), "coeff": c}
 
 
 def cofactor_det(rows):
@@ -148,86 +152,6 @@ def hankel_tp(seq: Sequence, m: int, r: int, size_cap: Optional[int] = None) -> 
     return TPReport(order=r, ok=True)
 
 
-# ---------------------------------------------------------------------------
-# packed-integer kernel for big products of integer-coefficient polynomials
-# ---------------------------------------------------------------------------
-
-class _Packed:
-    """Polynomials as {packed exponent int: int coeff} over a fixed frame."""
-
-    def __init__(self, vars, bits):
-        self.vars = tuple(vars)
-        self.bits = bits
-        self.mask = (1 << bits) - 1
-
-    def pack(self, p: MPoly) -> dict:
-        pos = [p.vars.index(v) for v in self.vars]
-        out = {}
-        bits = self.bits
-        for e, c in p.terms.items():
-            if not isinstance(c, int):
-                if isinstance(c, Fraction) and c.denominator == 1:
-                    c = int(c)
-                else:
-                    raise TypeError("packed kernel needs integer coefficients")
-            key = 0
-            for slot, i in enumerate(pos):
-                key |= e[i] << (slot * bits)
-            out[key] = c
-        return out
-
-    def unpack(self, d: dict) -> MPoly:
-        bits, mask = self.bits, self.mask
-        n = len(self.vars)
-        terms = {}
-        for key, c in d.items():
-            if c:
-                e = tuple((key >> (slot * bits)) & mask for slot in range(n))
-                terms[e] = c
-        return MPoly(self.vars, terms)
-
-    @staticmethod
-    def mul(a: dict, b: dict) -> dict:
-        if len(a) < len(b):
-            a, b = b, a
-        out = {}
-        get = out.get
-        ai = list(a.items())
-        for kb, cb in b.items():
-            for ka, ca in ai:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        return out
-
-    @staticmethod
-    def sub_nonneg(a: dict, b: dict):
-        """First negative coefficient of a - b, or None if all >= 0."""
-        keys = set(a) | set(b)
-        worst = None
-        for k in keys:
-            v = a.get(k, 0) - b.get(k, 0)
-            if v < 0:
-                if worst is None or k < worst[0]:
-                    worst = (k, v)
-        return worst
-
-
-def _poly_frame(polys):
-    vars = None
-    for p in polys:
-        if isinstance(p, MPoly):
-            vars = p.vars
-            break
-    if vars is None:
-        raise TypeError("expected polynomial entries")
-    maxdeg = 0
-    for p in polys:
-        if isinstance(p, MPoly):
-            maxdeg = max(maxdeg, p.total_degree())
-    bits = max(4, (2 * maxdeg + 1).bit_length())
-    return _Packed(vars, bits)
-
-
 def _as_mpoly_list(seq):
     out = []
     vars = None
@@ -247,53 +171,36 @@ def log_convexity(seq: Sequence, n_max: int, strong: bool = False) -> dict:
     """Coefficientwise log-convexity P_n P_{n+2} - P_{n+1}^2 >= 0 for
     n <= n_max; with ``strong``, P_m P_{n+2} - P_{m+1} P_{n+1} >= 0 for all
     n >= m >= 0 up to n_max.  Equivalent to Hankel total positivity of order
-    2 in the strong case."""
+    2 in the strong case.  A failure reports the graded-lex least monomial
+    with a negative coefficient."""
     polys = _as_mpoly_list(seq)
     if len(polys) < n_max + 3:
         raise ValueError("need sequence entries through index %d" % (n_max + 2))
-    try:
-        frame = _poly_frame(polys)
-        packed = [frame.pack(p) for p in polys]
-        return _log_convexity_packed(frame, packed, n_max, strong)
-    except TypeError:
-        return _log_convexity_generic(polys, n_max, strong)
-
-
-def _log_convexity_packed(frame, packed, n_max, strong):
-    cache = {}
-
-    def prod(i, j):
-        key = (i, j) if i <= j else (j, i)
-        if key not in cache:
-            cache[key] = _Packed.mul(packed[key[0]], packed[key[1]])
-        return cache[key]
-
     pairs = [(m, n) for m in range(n_max + 1)
              for n in range(m, n_max + 1)] if strong \
         else [(n, n) for n in range(n_max + 1)]
+    # each product P_i P_j is computed once and dropped after its last use
+    uses = Counter(key for m, n in pairs for key in ((m, n + 2), (m + 1, n + 1)))
+    live = {}
+
+    def prod(key):
+        p = live.get(key)
+        if p is None:
+            p = live[key] = polys[key[0]] * polys[key[1]]
+        uses[key] -= 1
+        if not uses[key]:
+            del live[key]
+        return p
+
     for m, n in pairs:
-        bad = _Packed.sub_nonneg(prod(m, n + 2), prod(m + 1, n + 1))
+        diff = prod((m, n + 2)) - prod((m + 1, n + 1))
+        bad = least_negative(diff)
         if bad is not None:
-            key, coeff = bad
-            mono = frame.unpack({key: 1})
+            e, c = bad
             return {"ok": False, "strong": strong,
                     "first_failure": {"m": m, "n": n,
-                                      "monomial": repr(mono),
-                                      "coeff": coeff}}
-    return {"ok": True, "strong": strong, "n_max": n_max,
-            "first_failure": None}
-
-
-def _log_convexity_generic(polys, n_max, strong):
-    pairs = [(m, n) for m in range(n_max + 1)
-             for n in range(m, n_max + 1)] if strong \
-        else [(n, n) for n in range(n_max + 1)]
-    for m, n in pairs:
-        diff = polys[m] * polys[n + 2] - polys[m + 1] * polys[n + 1]
-        ok, wit = coeffwise_nonneg(diff)
-        if not ok:
-            return {"ok": False, "strong": strong,
-                    "first_failure": {"m": m, "n": n, "offending": wit}}
+                                      "monomial": repr(MPoly(diff.vars, {e: 1})),
+                                      "coeff": c}}
     return {"ok": True, "strong": strong, "n_max": n_max,
             "first_failure": None}
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkpfrac.exactalg import MPoly, TruncSeries, as_field, felem_eq, variables
 from gkpfrac.gkpcore import gkp_triangle, ogf_trunc
@@ -226,6 +227,45 @@ def test_extraction_with_rational_function_coefficients():
         assert felem_eq(as_field(got), as_field(want)), i
 
 
+def test_extraction_with_coefficients_over_different_variables():
+    # TruncSeries keeps each coefficient's own variable tuple, so the
+    # content strip must bring them to one tuple before any gcd
+    y1 = MPoly(("y",), {(1,): 1, (0,): 1})
+    x1 = MPoly(("x", "y"), {(1, 0): 1, (0, 0): 1})
+    cf = extract_sfrac(TruncSeries(2, [1, y1, x1]), 1)
+    assert felem_eq(as_field(cf.c[0]), as_field(y1))
+    xy = ("x", "y")
+    mixed = [1, y1, x1 * y1, y1 * y1 * x1 + 1]
+    same = [c.in_vars(xy) if isinstance(c, MPoly) else c for c in mixed]
+    got = extract_sfrac(TruncSeries(4, mixed), 3).c
+    want = extract_sfrac(TruncSeries(4, same), 3).c
+    assert all(felem_eq(as_field(a), as_field(b)) for a, b in zip(got, want))
+
+
 def test_jfrac_inconsistent_tail():
     with pytest.raises(NonExtractableSeries):
         extract_jfrac(TruncSeries(4, [1, 0, 0, 1]), 2)
+
+
+# -- S-fraction round trip as a property -------------------------------------
+
+@st.composite
+def sfrac_coefficients(draw):
+    """1-4 nonzero polynomial coefficients over 2-3 shared variables."""
+    vars = ("p", "q", "r")[:draw(st.integers(2, 3))]
+    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    terms = st.dictionaries(exps, coeffs, min_size=1, max_size=3)
+    return [MPoly(vars, {e: int(c) if c.denominator == 1 else c
+                         for e, c in draw(terms).items()})
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sfrac_coefficients())
+def test_sfrac_roundtrip_property(c):
+    # exact division, gcd and RatFunc reduction all sit on this path
+    m = len(c)
+    back = extract_sfrac(eval_sr(c, m), m)
+    assert back.terminated_at is None and len(back.c) == m
+    assert all(felem_eq(as_field(a), as_field(b)) for a, b in zip(back.c, c))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from gkpfrac.exactalg import MPoly, as_field, felem_eq, variables
 from gkpfrac.gkpcore import gkp_triangle, row_polys
@@ -100,13 +101,49 @@ def test_hypothesis_sets():
         hypothesis_check((1, 0, 0, 0, 0, 0), "nope")
 
 
-def test_packed_kernel_matches_generic_path():
-    from gkpfrac.hankel import (_as_mpoly_list, _log_convexity_generic,
-                                _log_convexity_packed, _poly_frame)
-    ps = _as_mpoly_list(gkp_tilde_polys(7))
-    frame = _poly_frame(ps)
-    packed = [frame.pack(p) for p in ps]
+# -- log-convexity against sympy-expanded differences ----------------------
+
+def sympy_first_failure(ps, n_max, strong):
+    """The first (m, n) whose P_m P_{n+2} - P_{m+1} P_{n+1}, expanded by
+    sympy, has a negative coefficient, with its graded-lex least one."""
+    gens = sympy.symbols(ps[0].vars)
+    P = [sympy.Poly.from_dict({e: sympy.Rational(Fraction(c).numerator,
+                                                 Fraction(c).denominator)
+                               for e, c in p.terms.items()}, gens) for p in ps]
+    pairs = [(m, n) for m in range(n_max + 1) for n in range(m, n_max + 1)] \
+        if strong else [(n, n) for n in range(n_max + 1)]
+    for m, n in pairs:
+        diff = P[m] * P[n + 2] - P[m + 1] * P[n + 1]
+        neg = [(e, c) for e, c in diff.terms(order="grlex") if c < 0]
+        if neg:
+            e, c = neg[-1]
+            return {"m": m, "n": n,
+                    "monomial": repr(MPoly(ps[0].vars, {tuple(e): 1})),
+                    "coeff": Fraction(int(c.p), int(c.q))}
+    return None
+
+
+def test_log_convexity_matches_sympy_on_tilde_polys():
+    ps = gkp_tilde_polys(6)
+    assert sympy_first_failure(ps, 4, True) is None
+    assert log_convexity(ps, 4, strong=True) == {
+        "ok": True, "strong": True, "n_max": 4, "first_failure": None}
+    # a perturbed entry makes some difference fail; the witness is sympy's
+    ta, x = MPoly.variable("ta", ps[0].vars), MPoly.variable("x", ps[0].vars)
+    bent = ps[:3] + [ps[3] + 5 * ta * x ** 2] + ps[4:]
+    want = sympy_first_failure(bent, 4, True)
+    assert want is not None
+    rep = log_convexity(bent, 4, strong=True)
+    assert not rep["ok"] and rep["first_failure"] == want
+
+
+def test_log_convexity_witness_with_fraction_coefficients():
+    x, y = variables("x y")
+    h = Fraction(1, 2)
+    ps = [MPoly.one(("x", "y")), x + h * y, x * x + Fraction(2, 3) * x * y + y * y,
+          x ** 3 + h * y ** 3 + Fraction(1, 5) * x * y, (x + y) ** 4 * h]
     for strong in (False, True):
-        a = _log_convexity_packed(frame, packed, 5, strong)
-        b = _log_convexity_generic(ps, 5, strong)
-        assert a["ok"] == b["ok"] == True
+        want = sympy_first_failure(ps, 2, strong)
+        assert want is not None and Fraction(want["coeff"]).denominator != 1
+        rep = log_convexity(ps, 2, strong=strong)
+        assert not rep["ok"] and rep["first_failure"] == want
