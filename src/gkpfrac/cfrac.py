@@ -1,7 +1,9 @@
 """Continued-fraction machinery for ordinary generating functions:
 
 * extraction of S-type and J-type coefficients from a truncated series,
-* evaluation of S-, T- and J-fractions by bottom-up convergents,
+* evaluation of S-, T- and J-fractions as weighted Dyck, Schroeder and
+  Motzkin path sums (Flajolet, Discrete Math. 32, 1980), tabulated as in
+  the production matrices of Petreolle-Sokal-Zhu (arXiv:1807.03271),
 * even contraction (S or special T -> J),
 * the shifted binomial transform and its coefficient laws.
 
@@ -190,46 +192,69 @@ def extract_jfrac(a: TruncSeries, m: int) -> CFrac:
 
 
 # ---------------------------------------------------------------------------
-# evaluation by bottom-up convergents
+# evaluation by weighted lattice paths
 # ---------------------------------------------------------------------------
 
+def _add_product(acc, a, b):
+    """acc + a*b, skipping the product when a factor is zero."""
+    if felem_is_zero(a) or felem_is_zero(b):
+        return acc
+    return acc + a * b
+
+
+def _path_series(down: Sequence, level: Sequence, step: int, order: int) -> TruncSeries:
+    """Flajolet's path sums ("Combinatorial aspects of continued fractions"),
+    without division.
+
+    M[s][h] is the total weight of the paths from height 0 to height h in s
+    steps: an up step weighs 1, a down step from h+1 to h weighs down[h],
+    and a level step of length ``step`` at height h weighs level[h].
+    [t^n] of the fraction is M[step*n][0].  Heights are capped at
+    min(s, S - s) with S = step*order: no higher path returns to 0 by S."""
+    length = step * order
+    rows = [[1]]
+    for s in range(1, length + 1):
+        prev = rows[s - 1]
+        back = rows[s - step] if s >= step else ()
+        row = []
+        for h in range(min(s, length - s) + 1):
+            acc = prev[h - 1] if h else 0
+            if h + 1 < len(prev):
+                acc = _add_product(acc, down[h], prev[h + 1])
+            if h < len(back):
+                acc = _add_product(acc, level[h], back[h])
+            row.append(acc)
+        rows.append(row)
+    return TruncSeries(order, [rows[step * n][0] for n in range(order + 1)])
+
+
 def eval_sr(c: Sequence, order: int) -> TruncSeries:
-    """Truncated series of the S-fraction with coefficients c_1..c_m."""
+    """Truncated series of the S-fraction with coefficients c_1..c_m:
+    Dyck paths, c_{h+1} on a fall from height h+1."""
     if len(c) < order:
-        raise InsufficientDepth("S-fraction needs %d levels for order %d"
-                                % (order, len(c)))
-    h = TruncSeries.one(order)
-    for ci in reversed(c[:order]):
-        h = (TruncSeries.one(order) - h.shift_up().scale(ci)).reciprocal()
-    return h
+        raise InsufficientDepth("S-fraction to order %d needs %d levels, got %d"
+                                % (order, order, len(c)))
+    return _path_series(c, [0] * order, 2, order)
 
 
 def eval_tr(c: Sequence, d: Sequence, order: int) -> TruncSeries:
-    """Truncated series of the T-fraction with coefficients (c_i, d_i)."""
+    """Truncated series of the T-fraction with coefficients (c_i, d_i):
+    Schroeder paths, d_{h+1} on a level step of length 2 at height h."""
     if len(c) < order or len(d) < order:
-        raise InsufficientDepth("T-fraction needs %d levels for order %d"
-                                % (order, min(len(c), len(d))))
-    h = TruncSeries.one(order)
-    t = TruncSeries.t(order)
-    for ci, di in reversed(list(zip(c[:order], d[:order]))):
-        h = (TruncSeries.one(order) - t.scale(di) - h.shift_up().scale(ci)).reciprocal()
-    return h
+        raise InsufficientDepth("T-fraction to order %d needs %d levels, got %d c"
+                                " and %d d" % (order, order, len(c), len(d)))
+    return _path_series(c, d, 2, order)
 
 
 def eval_jr(e: Sequence, f: Sequence, order: int) -> TruncSeries:
-    """Truncated series of the J-fraction with coefficients (e_i, f_i)."""
+    """Truncated series of the J-fraction with coefficients (e_i, f_i):
+    Motzkin paths, e_h on a level step at height h, f_{h+1} on a fall
+    from height h+1."""
     levels = (order + 1) // 2
     if len(e) < levels or len(f) < order // 2:
-        raise InsufficientDepth("J-fraction needs %d levels for order %d"
-                                % (levels, order))
-    h = TruncSeries.one(order)
-    t = TruncSeries.t(order)
-    for j in range(levels - 1, -1, -1):
-        u = TruncSeries.one(order) - t.scale(e[j])
-        if j < len(f):
-            u = u - h.shift_up(2).scale(f[j])
-        h = u.reciprocal()
-    return h
+        raise InsufficientDepth("J-fraction to order %d needs %d e and %d f levels,"
+                                " got %d and %d" % (order, levels, order // 2, len(e), len(f)))
+    return _path_series(f, e, 1, order)
 
 
 def eval_cfrac(cf: CFrac, order: int) -> TruncSeries:

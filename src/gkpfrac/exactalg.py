@@ -1043,19 +1043,8 @@ class TruncSeries:
         self.coeffs = coeffs[: order + 1]
 
     @staticmethod
-    def from_list(coeffs, order=None) -> "TruncSeries":
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        return TruncSeries(order, coeffs)
-
-    @staticmethod
     def one(order: int) -> "TruncSeries":
         return TruncSeries(order, [1] + [0] * order)
-
-    @staticmethod
-    def t(order: int) -> "TruncSeries":
-        return TruncSeries(order, [0, 1] + [0] * (order - 1))
 
     def __getitem__(self, n: int):
         return self.coeffs[n]
@@ -1119,18 +1108,10 @@ class TruncSeries:
         """Multiply by t^k."""
         return TruncSeries(self.order, [0] * k + self.coeffs[: self.order + 1 - k])
 
-    def shift_down(self, k: int = 1) -> "TruncSeries":
-        """Divide by t^k; the dropped coefficients must vanish."""
-        for i in range(k):
-            if not felem_is_zero(self.coeffs[i]):
-                raise ValueError("series not divisible by t^%d" % k)
-        return TruncSeries(self.order - k, self.coeffs[k:])
-
     def reciprocal(self) -> "TruncSeries":
         c0 = self.coeffs[0]
         if felem_is_zero(c0):
             raise NonInvertibleSeries("zero constant term")
-        # a unit constant term needs no scaling; eval_sr/eval_tr hit it always
         inv0 = None if felem_eq(c0, 1) else felem_inv(c0)
         out = [1 if inv0 is None else inv0]
         for k in range(1, self.order + 1):
@@ -1213,12 +1194,6 @@ class TruncSeries:
                 acc = -term if acc is None else acc - term
             l.append(0 if acc is None else felem_div(acc, k))
         return TruncSeries(n, l)
-
-    def pow_int(self, m: int) -> "TruncSeries":
-        out = TruncSeries.one(self.order)
-        for _ in range(m):
-            out = out * self
-        return out
 
     def pow_field(self, exponent) -> "TruncSeries":
         """self**exponent via exp(exponent*log(self)); needs [t^0] = 1."""

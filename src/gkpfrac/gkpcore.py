@@ -71,9 +71,6 @@ class GKPZParams:
     def __iter__(self):
         return iter(self.as_tuple())
 
-    def gkp_part(self) -> GKPParams:
-        return GKPParams(*self.as_tuple()[:6])
-
 
 class Triangle:
     """Lower-triangular array T(n,k), 0 <= k <= n <= order."""

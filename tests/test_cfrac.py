@@ -196,9 +196,13 @@ def test_transform_commutes_with_contraction():
 
 
 def test_insufficient_depth_eval():
-    with pytest.raises(InsufficientDepth):
+    with pytest.raises(InsufficientDepth, match=r"order 5 needs 5 levels, got 2$"):
         eval_sr([1, 2], 5)
-    with pytest.raises(InsufficientDepth):
+    with pytest.raises(InsufficientDepth,
+                       match=r"order 5 needs 5 levels, got 2 c and 1 d$"):
+        eval_tr([1, 2], [1], 5)
+    with pytest.raises(InsufficientDepth,
+                       match=r"order 5 needs 3 e and 2 f levels, got 1 and 1$"):
         eval_jr([1], [1], 5)
 
 
@@ -269,3 +273,88 @@ def test_sfrac_roundtrip_property(c):
     back = extract_sfrac(eval_sr(c, m), m)
     assert back.terminated_at is None and len(back.c) == m
     assert all(felem_eq(as_field(a), as_field(b)) for a, b in zip(back.c, c))
+
+
+# -- the path evaluator against the bottom-up reciprocal loops ---------------
+
+def _bottom_up_sr(c, order):
+    """Test-only copy of the former evaluators: one reciprocal per level."""
+    h = TruncSeries.one(order)
+    for ci in reversed(c[:order]):
+        h = (TruncSeries.one(order) - h.shift_up().scale(ci)).reciprocal()
+    return h
+
+
+def _bottom_up_tr(c, d, order):
+    h = TruncSeries.one(order)
+    t = TruncSeries(order, [0, 1])
+    for ci, di in reversed(list(zip(c[:order], d[:order]))):
+        h = (TruncSeries.one(order) - t.scale(di) - h.shift_up().scale(ci)).reciprocal()
+    return h
+
+
+def _bottom_up_jr(e, f, order):
+    h = TruncSeries.one(order)
+    t = TruncSeries(order, [0, 1])
+    for j in range((order + 1) // 2 - 1, -1, -1):
+        u = TruncSeries.one(order) - t.scale(e[j])
+        if j < len(f):
+            u = u - h.shift_up(2).scale(f[j])
+        h = u.reciprocal()
+    return h
+
+
+@st.composite
+def cfrac_bundles(draw):
+    """(kind, coefficient lists, order): Fraction coefficients up to order 9
+    or MPoly coefficients over 2-3 variables up to order 5; zeros (int and
+    the zero polynomial) included, lists possibly longer than needed."""
+    fracs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)).map(
+        lambda q: q.numerator if q.denominator == 1 else q)
+    if draw(st.booleans()):
+        coeff, order = fracs, draw(st.integers(0, 9))
+    else:
+        vars = ("p", "q", "r")[:draw(st.integers(2, 3))]
+        exps = st.tuples(*[st.integers(0, 1)] * len(vars))
+        terms = st.dictionaries(exps, fracs.filter(bool), max_size=2)
+        coeff = st.one_of(st.just(0), st.builds(MPoly, st.just(vars), terms))
+        order = draw(st.integers(0, 5))
+
+    def seq(n):
+        return draw(st.lists(coeff, min_size=n, max_size=n + 1))
+
+    kind = draw(st.sampled_from("STJ"))
+    if kind == "S":
+        return kind, (seq(order),), order
+    if kind == "T":
+        return kind, (seq(order), seq(order)), order
+    return kind, (seq((order + 1) // 2), seq(order // 2)), order
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfrac_bundles())
+def test_path_evaluator_matches_bottom_up_loops(bundle):
+    kind, coeffs, order = bundle
+    path = {"S": eval_sr, "T": eval_tr, "J": eval_jr}[kind]
+    oracle = {"S": _bottom_up_sr, "T": _bottom_up_tr, "J": _bottom_up_jr}[kind]
+    got, want = path(*coeffs, order), oracle(*coeffs, order)
+    assert got.order == want.order == order
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from("SJ"), st.integers(1, 9),
+       st.lists(st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)),
+                max_size=5))
+def test_terminated_bundles_match_bottom_up_loops(kind, order, coeffs):
+    # eval_cfrac pads a finite fraction with zero coefficients
+    if kind == "S":
+        cf = CFrac("S", c=tuple(coeffs), terminated_at=len(coeffs) + 1)
+        c = coeffs + [0] * max(order - len(coeffs), 0)
+        want = _bottom_up_sr(c, order)
+    else:
+        e, f = coeffs[::2], coeffs[1::2][:max(len(coeffs[::2]) - 1, 0)]
+        cf = CFrac("J", e=tuple(e), f=tuple(f), terminated_at=len(e))
+        want = _bottom_up_jr(e + [0] * max((order + 1) // 2 - len(e), 0),
+                             f + [0] * max(order // 2 - len(f), 0), order)
+    assert eval_cfrac(cf, order) == want

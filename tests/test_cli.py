@@ -2,7 +2,9 @@ import json
 import os
 
 from gkpfrac.cli import main, parse_poly
-from gkpfrac.exactalg import MPoly, felem_eq, variables
+from gkpfrac.exactalg import (
+    MPoly, felem_eq, mpoly_from_json, rational, variables,
+)
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -84,10 +86,32 @@ def test_determinism(tmp_path):
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
+def _series_matches(data, want):
+    coeffs = data["series"]["coeffs"]
+    assert data["series"]["order"] == len(want) - 1 == len(coeffs) - 1
+    for got, w in zip(coeffs, want):
+        got = rational(got) if isinstance(got, str) else mpoly_from_json(got)
+        assert felem_eq(got, parse_poly(w, ("x",))), (got, w)
+
+
 def test_eval_cfrac_and_parse_poly(tmp_path):
+    # expected series as printed by the bottom-up reciprocal evaluator
     code, data = run_cli(["eval-cfrac", "--kind", "S", "--order", "4",
                           "--c", "x;1;x;2"], tmp_path)
     assert code == 0
+    _series_matches(data, ["1", "x", "x^2+x", "x^3+3*x^2+x",
+                           "x^4+6*x^3+7*x^2+x"])
+    code, data = run_cli(["eval-cfrac", "--kind", "T", "--order", "4",
+                          "--c", "x;1;x;2", "--d", "1;0;x+1;0"], tmp_path)
+    assert code == 0
+    _series_matches(data, ["1", "x+1", "x^2+3*x+1", "x^3+7*x^2+7*x+1",
+                           "x^4+15*x^3+31*x^2+15*x+1"])
+    code, data = run_cli(["eval-cfrac", "--kind", "J", "--order", "5",
+                          "--e", "x;1/2;2*x", "--f", "x;3"], tmp_path)
+    assert code == 0
+    _series_matches(data, ["1", "x", "x^2+x", "x^3+2*x^2+1/2*x",
+                           "x^4+3*x^3+2*x^2+13/4*x",
+                           "x^5+4*x^4+9/2*x^3+27/2*x^2+25/8*x"])
     x, = variables("x")
     p = parse_poly("(x+1)^2 - x^2 - 2*x", ("x",))
     assert felem_eq(p, 1)
