@@ -592,7 +592,12 @@ def divide_exact(a: MPoly, b: MPoly):
 def _poly_in_main(p: MPoly, i: int):
     """View p as univariate in vars[i]: list of MPoly coefficients (low->high)."""
     split = _split_var(p._terms, len(p.vars), i)
-    return [_mpoly(p.vars, split.get(x, {})) for x in range(max(split, default=0) + 1)]
+    top = max(split, default=0)
+    # a valid key has every exponent below EXPONENT_LIMIT; a larger field
+    # comes from a borrow, and a PRS on it would run through 2^16 degrees
+    if top >= EXPONENT_LIMIT:
+        raise ArithmeticError("exponent %d of %s out of range" % (top, p.vars[i]))
+    return [_mpoly(p.vars, split.get(x, {})) for x in range(top + 1)]
 
 
 def _from_main(coeffs, i, vars):
@@ -625,7 +630,12 @@ def _common_factor(polys):
             h = _gcd_nonzero(*p._coerce(g), a_over_b_failed=True)
             if h.is_constant():
                 return h, list(polys)
-            ratio = divide_exact(g, h)
+            # h divides g and p, and g does not divide p: h is a proper
+            # factor of g.  Otherwise the kernels are inconsistent, and
+            # going on need not terminate.
+            ratio = divide_exact(g, h) if h.total_degree() < g.total_degree() else None
+            if ratio is None:
+                raise ArithmeticError("gcd fallback did not shrink %r" % (g,))
             quos = [x * ratio for x in quos]
             g = h
             q = divide_exact(p, g)

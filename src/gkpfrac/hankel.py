@@ -3,9 +3,14 @@ positivity of bounded order, log-convexity, and the two published
 sufficient-condition hypothesis sets.
 
 Determinants over the polynomial ring use fraction-free (Bareiss) elimination
-with cofactor expansion below 4x4.  The big order-2 check multiplies the
-sequence's polynomials with ``MPoly`` products, each distinct product once
-and kept only until its last use.
+with cofactor expansion below 4x4.  The big order-2 check, strong
+log-convexity, runs on a compressed copy of the sequence: exponents that
+are affine functions of the index and of the other exponents are dropped,
+and one more variable is packed into the integer coefficients by Kronecker
+substitution, so that each ``MPoly`` product of two entries multiplies
+whole columns of terms as single big integers.  A difference has a negative
+coefficient iff a packed slot of it is negative, which one test per integer
+shows; only a failing difference is expanded again, for its witness.
 """
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -167,18 +173,103 @@ def _as_mpoly_list(seq):
     return [p if isinstance(p, MPoly) else MPoly.constant(p, vars) for p in out]
 
 
+def _pivot_columns(rows, width):
+    """Pivot columns of the integer rows ``rows`` (each of length
+    ``width``): every other column is a fixed rational combination of the
+    pivot columns to its left on every row.  Fraction-free Gauss-Jordan
+    elimination; a row is reduced only when it breaks one of the current
+    linear relations, which happens at most ``width`` times."""
+    basis = {}  # pivot column -> row that is zero in every other pivot column
+    relations = [[(j, 1)] for j in range(width)]
+    for r in rows:
+        if all(not sum(w * r[c] for c, w in rel) for rel in relations):
+            continue
+        for c, b in basis.items():
+            if r[c]:
+                r = _primitive([b[c] * x - r[c] * y for x, y in zip(r, b)])
+        p = next(j for j, x in enumerate(r) if x)
+        for c, b in basis.items():
+            if b[p]:
+                basis[c] = _primitive([r[p] * x - b[p] * y for x, y in zip(b, r)])
+        basis[p] = r
+        # column j of a row in the span equals sum_c row[c] * b[j] / b[c]
+        d = lcm(*(b[c] for c, b in basis.items()))
+        relations = [[(j, d)] + [(c, -(d // b[c]) * b[j]) for c, b in basis.items() if b[j]]
+                     for j in range(width) if j not in basis]
+    return sorted(basis)
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _kronecker_pack(polys):
+    """The entries of ``polys`` as ``MPoly`` values with packed integer
+    coefficients, and the mask of the top bit of every slot.
+
+    All entries are scaled by the lcm of their coefficient denominators.
+    An exponent that is an affine function of the entry's index and of the
+    other exponents, on every term of every entry, is dropped: both
+    products of a difference have the same index sum, so the dropped
+    exponents of a product term follow from its kept ones.  One kept
+    variable y is packed into the coefficient, c * y^e as c * 2^(W*e)
+    (Kronecker substitution, in the packed layout of Monagan & Pearce,
+    CASC 2007).  A coefficient of a difference of two products is a sum of
+    at most 2*T products of two entry coefficients, T the largest entry
+    size, so W leaves each slot one bit above that bound for the sign."""
+    vars = tuple(dict.fromkeys(v for p in polys for v in p.vars))
+    polys = [p.in_vars(vars) for p in polys]
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    terms = [[(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+             for p in polys]
+    keep = [j - 2 for j in _pivot_columns(
+        ((1, i) + e for i, ts in enumerate(terms) for e, _ in ts), len(vars) + 2)
+        if j >= 2]
+    largest = max(terms, key=len)
+    # the packed variable is the one whose removal leaves the fewest sparse
+    # keys, hence the fewest (and longest) integer products
+    y = min(keep, key=lambda k: len({tuple(e[j] for j in keep if j != k)
+                                     for e, _ in largest}), default=None)
+    rest = [j for j in keep if j != y]
+
+    def slot(e):
+        return e[y] if y is not None else 0
+
+    top = max((abs(c) for ts in terms for _, c in ts), default=0)
+    width = (2 * len(largest) * top * top).bit_length() + 1
+    packed = []
+    for ts in terms:
+        out = {}
+        for e, c in ts:
+            k = tuple(e[j] for j in rest)
+            out[k] = out.get(k, 0) + (c << width * slot(e))
+        packed.append(MPoly([vars[j] for j in rest], out))
+    slots = 2 * max((slot(e) for ts in terms for e, _ in ts), default=0) + 1
+    tops = ((1 << width * slots) - 1) // ((1 << width) - 1) << (width - 1)
+    return packed, tops
+
+
 def log_convexity(seq: Sequence, n_max: int, strong: bool = False) -> dict:
     """Coefficientwise log-convexity P_n P_{n+2} - P_{n+1}^2 >= 0 for
     n <= n_max; with ``strong``, P_m P_{n+2} - P_{m+1} P_{n+1} >= 0 for all
     n >= m >= 0 up to n_max.  Equivalent to Hankel total positivity of order
     2 in the strong case.  A failure reports the graded-lex least monomial
-    with a negative coefficient."""
+    with a negative coefficient.
+
+    The differences are formed on the packed entries of
+    ``_kronecker_pack``.  A difference has a negative coefficient iff one
+    of its packed integers D has a negative slot, i.e. iff D < 0 or D sets
+    the top bit of some slot: the lowest negative slot always does, since
+    every slot below it is nonnegative and borrows nothing.  Only the first
+    failing difference is recomputed unpacked, for its witness."""
     polys = _as_mpoly_list(seq)
     if len(polys) < n_max + 3:
         raise ValueError("need sequence entries through index %d" % (n_max + 2))
     pairs = [(m, n) for m in range(n_max + 1)
              for n in range(m, n_max + 1)] if strong \
         else [(n, n) for n in range(n_max + 1)]
+    packed, tops = _kronecker_pack(polys[:n_max + 3])
     # each product P_i P_j is computed once and dropped after its last use
     uses = Counter(key for m, n in pairs for key in ((m, n + 2), (m + 1, n + 1)))
     live = {}
@@ -186,7 +277,7 @@ def log_convexity(seq: Sequence, n_max: int, strong: bool = False) -> dict:
     def prod(key):
         p = live.get(key)
         if p is None:
-            p = live[key] = polys[key[0]] * polys[key[1]]
+            p = live[key] = packed[key[0]] * packed[key[1]]
         uses[key] -= 1
         if not uses[key]:
             del live[key]
@@ -194,8 +285,13 @@ def log_convexity(seq: Sequence, n_max: int, strong: bool = False) -> dict:
 
     for m, n in pairs:
         diff = prod((m, n + 2)) - prod((m + 1, n + 1))
-        bad = least_negative(diff)
-        if bad is not None:
+        if any(d < 0 or d & tops for d in diff.terms.values()):
+            diff = polys[m] * polys[n + 2] - polys[m + 1] * polys[n + 1]
+            bad = least_negative(diff)
+            if bad is None:
+                raise ArithmeticError(
+                    "packed check flags P_%d P_%d - P_%d P_%d, which has no "
+                    "negative coefficient" % (m, n + 2, m + 1, n + 1))
             e, c = bad
             return {"ok": False, "strong": strong,
                     "first_failure": {"m": m, "n": n,

@@ -202,3 +202,32 @@ def test_inconsistent_node_is_check_failure(tmp_path, monkeypatch):
     assert "documented Q mismatch" in data["failure"]
     from gkpfrac.cli import validate_report
     assert validate_report(data)
+
+
+def test_logconvex_strong_failure_reports(tmp_path):
+    code, data = run_cli(["logconvex", "--mu=-1,0,0,0,0,1", "--nmax", "4",
+                          "--strong"], tmp_path)
+    assert code == 1 and not data["ok"]
+    assert data["logconvex"] == {
+        "ok": False, "strong": True,
+        "first_failure": {"m": 0, "n": 0, "monomial": "x", "coeff": -1}}
+    # a symbolic parameter, and a Fraction witness at a later pair
+    code, data = run_cli(["logconvex", "--mu=sym,1,1,1/2,-1,1/2", "--nmax",
+                          "3", "--strong"], tmp_path)
+    assert code == 1 and not data["ok"]
+    assert data["logconvex"]["first_failure"] == {
+        "m": 1, "n": 1, "monomial": "x^2", "coeff": "-1/4"}
+
+
+def test_hankel_order2_is_strong_log_convexity(tmp_path):
+    code, data = run_cli(["hankel", "--family", "gkp-tilde", "--size", "3",
+                          "--order", "2"], tmp_path)
+    assert code == 0 and data["ok"]
+    assert data["method"] == "strong-log-convexity"
+    assert data["hankel"] == {"ok": True, "strong": True, "n_max": 4,
+                              "first_failure": None}
+    code, data = run_cli(["hankel", "--mu=-1,0,0,0,0,1", "--size", "3",
+                          "--order", "2"], tmp_path)
+    assert code == 1 and data["method"] == "strong-log-convexity"
+    assert data["hankel"]["first_failure"] == {
+        "m": 0, "n": 0, "monomial": "x", "coeff": -1}

@@ -1,13 +1,16 @@
 """The gcd layer of exactalg (mpoly_gcd, RatFunc reduction, the common-factor
 helper behind content stripping) against sympy as an independent oracle,
 plus hand-built cases for each branch of the common-factor helper."""
+import signal
 from fractions import Fraction
 from functools import reduce
 from math import gcd
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from gkpfrac import exactalg
 from gkpfrac.cfrac import _strip_content
 from gkpfrac.exactalg import (
     MPoly, RatFunc, _common_factor, divide_exact, mpoly_gcd, mpoly_lcm,
@@ -141,3 +144,33 @@ def test_mpoly_lcm_is_divisible_by_every_entry():
     assert all(divide_exact(L, d) is not None for d in dens)
     assert L.total_degree() == 4
     assert mpoly_lcm([], x.vars) == 1
+
+
+def test_wrong_divisibility_raises_instead_of_running_on(monkeypatch):
+    # a divisibility test that ignores borrows lets quotients carry exponent
+    # fields of 2^16 - 1; the gcd must stop on them, not run a PRS through
+    # 65535 degrees (without the check, this product runs past the alarm)
+    a, g, gp = variables("alpha gamma gammap")
+    x = MPoly.variable("x", ("alpha", "gamma", "gammap", "x"))
+    monkeypatch.setattr(exactalg, "_divides", lambda kb, ka, guards: ka >= kb)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the gcd kept going")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ArithmeticError, match="out of range"):
+            (g + 2 * a) * (1 + RatFunc(gp, a + g) * x)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_common_factor_gcd_that_does_not_shrink_raises(monkeypatch):
+    # the fallback's gcd must be a proper factor of g, since g failed to
+    # divide p; a gcd that hands g back is an inconsistent kernel
+    a, b = variables("a b")
+    monkeypatch.setattr(exactalg, "_gcd_nonzero", lambda p, g, **kw: g)
+    with pytest.raises(ArithmeticError, match="did not shrink"):
+        _common_factor([a + b, a * a + b])

@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from gkpfrac.exactalg import MPoly, as_field, felem_eq, variables
+from gkpfrac import hankel
+from gkpfrac.exactalg import MPoly, as_field, felem_eq, least_negative, variables
 from gkpfrac.gkpcore import gkp_triangle, row_polys
 from gkpfrac.hankel import (
-    RequiresNumeric, bareiss_det, coeffwise_nonneg, cofactor_det,
+    RequiresNumeric, _as_mpoly_list, bareiss_det, coeffwise_nonneg, cofactor_det,
     gkp_tilde_polys, hankel_tp, hypothesis_check, log_convexity,
 )
 
@@ -147,3 +150,130 @@ def test_log_convexity_witness_with_fraction_coefficients():
         assert want is not None and Fraction(want["coeff"]).denominator != 1
         rep = log_convexity(ps, 2, strong=strong)
         assert not rep["ok"] and rep["first_failure"] == want
+
+
+# -- the Kronecker-packed check against the unpacked product loop -----------
+
+def unpacked_log_convexity(seq, n_max, strong=False):
+    """Test-only copy of the former check: every difference formed from
+    plain MPoly products."""
+    polys = _as_mpoly_list(seq)
+    if len(polys) < n_max + 3:
+        raise ValueError("need sequence entries through index %d" % (n_max + 2))
+    pairs = [(m, n) for m in range(n_max + 1)
+             for n in range(m, n_max + 1)] if strong \
+        else [(n, n) for n in range(n_max + 1)]
+    uses = Counter(key for m, n in pairs for key in ((m, n + 2), (m + 1, n + 1)))
+    live = {}
+
+    def prod(key):
+        p = live.get(key)
+        if p is None:
+            p = live[key] = polys[key[0]] * polys[key[1]]
+        uses[key] -= 1
+        if not uses[key]:
+            del live[key]
+        return p
+
+    for m, n in pairs:
+        diff = prod((m, n + 2)) - prod((m + 1, n + 1))
+        bad = least_negative(diff)
+        if bad is not None:
+            e, c = bad
+            return {"ok": False, "strong": strong,
+                    "first_failure": {"m": m, "n": n,
+                                      "monomial": repr(MPoly(diff.vars, {e: 1})),
+                                      "coeff": c}}
+    return {"ok": True, "strong": strong, "n_max": n_max,
+            "first_failure": None}
+
+
+@st.composite
+def log_convexity_cases(draw):
+    """Sequences over 1-4 variables with signed int or Fraction
+    coefficients, zero and constant entries, and, when ``determined``, a
+    last exponent that is an affine function of the index and the others.
+    A geometric sequence c * A^i passes when the c_i do, so passing
+    sequences with nontrivial products are drawn as well as failing ones."""
+    nvars = draw(st.integers(1, 4))
+    names = ("x", "y", "z", "w")[:nvars]
+    determined = nvars > 1 and draw(st.booleans())
+    free = nvars - 1 if determined else nvars
+    a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    w = draw(st.lists(st.integers(0, 2), min_size=free, max_size=free))
+    if draw(st.booleans()):
+        coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    else:
+        coeffs = st.integers(-9, 9).filter(bool)
+    n_max = draw(st.integers(0, 3))
+
+    def poly(i, const):
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * free),
+                                     coeffs, min_size=1, max_size=4))
+        if determined:
+            terms = {e + (const + b * i + sum(map(int.__mul__, w, e)),): c
+                     for e, c in terms.items()}
+        return MPoly(names, terms)
+
+    if draw(st.booleans()):
+        base = poly(1, 0)
+        scale = st.sampled_from([1, 1, 1, 2, -1, Fraction(1, 2)])
+        seq = [draw(scale) * base ** i for i in range(n_max + 3)]
+    else:
+        seq = [draw(st.sampled_from([
+            lambda i: 0, lambda i: MPoly.zero(names), lambda i: draw(coeffs),
+            lambda i: poly(i, a), lambda i: poly(i, a), lambda i: poly(i, a)]))(i)
+            for i in range(n_max + 3)]
+    return seq, n_max, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log_convexity_cases())
+def test_packed_log_convexity_matches_unpacked(case):
+    seq, n_max, strong = case
+    assert log_convexity(seq, n_max, strong) == \
+        unpacked_log_convexity(seq, n_max, strong)
+
+
+def test_packed_check_sees_negative_slot_in_positive_integer():
+    # y^2 - 1 packs to the positive 2^(2W) - 1; only its lowest slot is negative
+    y, = variables("y")
+    seq = [1, 0, y * y - 1]
+    assert log_convexity(seq, 0) == unpacked_log_convexity(seq, 0)
+    assert log_convexity(seq, 0)["first_failure"]["coeff"] == -1
+
+
+def test_packed_slot_width_holds_the_attained_bound():
+    # with A = C * (1 + y + ... + y^(T-1)): P_0 P_3 - P_1 P_2 = 2 A^2 has
+    # the coefficient 2 T C^2 at y^(T-1), the largest a slot may hold
+    C, T = 3, 3
+    y, = variables("y")
+    A = C * sum((y ** k for k in range(T)), MPoly.zero(("y",)))
+    seq = [-A, A, -A, -A]
+    rep = log_convexity(seq, 1, strong=True)
+    assert rep == unpacked_log_convexity(seq, 1, strong=True)
+    assert rep["first_failure"]["m"] == rep["first_failure"]["n"] == 1
+
+
+def test_packed_compression_keeps_free_variables_apart():
+    # x*y - x: y is free, and dropping it would merge the two terms
+    x, y = variables("x y")
+    seq = [1, 0, x * y - x]
+    assert log_convexity(seq, 0) == unpacked_log_convexity(seq, 0)
+    assert log_convexity(seq, 0)["first_failure"]["monomial"] == "x"
+
+
+def test_packed_compression_drops_determined_exponents():
+    ps = gkp_tilde_polys(4)
+    packed, _ = hankel._kronecker_pack(ps)
+    # tgp and x follow from the index and the other exponents; tg is packed
+    assert packed[4].vars == ("ta", "tb", "tap", "tbp")
+
+
+def test_flagged_difference_without_negative_coefficient_raises(monkeypatch):
+    # a mask with every bit set flags each nonzero packed coefficient, also
+    # on the tilde polynomials, which pass
+    pack = hankel._kronecker_pack
+    monkeypatch.setattr(hankel, "_kronecker_pack", lambda ps: (pack(ps)[0], -1))
+    with pytest.raises(ArithmeticError, match="no negative coefficient"):
+        log_convexity(gkp_tilde_polys(4), 1)
