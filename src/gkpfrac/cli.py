@@ -2,7 +2,9 @@
 capability behind one dispatcher with machine-readable JSON output.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed (the
-report carries the witness), 2 = usage or configuration error.  Parameters
+report carries the witness), 2 = usage or configuration error, 3 = internal
+error (an ``ArithmeticError`` such as a failed cross-check, an overflow or a
+division by zero; the report names it under "internal").  Parameters
 are exact rational strings ("3", "-2/5") or the token "sym"; floats are
 rejected.  The environment variable GKP_MAX_DEPTH caps every depth argument
 (default 24).
@@ -445,6 +447,8 @@ def validate_report(report: dict) -> bool:
         return report.get("exit") == 2
     if "failure" in report:
         return report.get("exit") == 1 and report.get("ok") is False
+    if "internal" in report:
+        return report.get("exit") == 3 and report.get("ok") is False
     for key, typ in REPORT_SCHEMA["required"].items():
         if key not in report or not isinstance(report[key], typ):
             return False
@@ -600,6 +604,11 @@ def main(argv=None) -> int:
                        % (type(exc).__name__, exc), "exit": 2})
         _emit(report, args)
         return 2
+    except ArithmeticError as exc:
+        report.update({"ok": False, "internal": "%s: %s"
+                       % (type(exc).__name__, exc), "exit": 3})
+        _emit(report, args)
+        return 3
     report.update(payload)
     report["ok"] = bool(ok)
     report["exit"] = 0 if ok else 1

@@ -2,8 +2,11 @@
 positivity of bounded order, log-convexity, and the two published
 sufficient-condition hypothesis sets.
 
-Determinants over the polynomial ring use fraction-free (Bareiss) elimination
-with cofactor expansion below 4x4.  The big order-2 check, strong
+Bounded-order total positivity builds every minor of one order from the
+minors of the order below (Laplace expansion along the first row), over
+integer-scaled entries, so that a minor costs a few integer-coefficient
+products; only the first failing minor is recomputed from the original
+entries, with ``bareiss_det``, for its witness.  The big order-2 check, strong
 log-convexity, runs on a compressed copy of the sequence: exponents that
 are affine functions of the index and of the other exponents are dropped,
 and one more variable is packed into the integer coefficients by Kronecker
@@ -139,23 +142,55 @@ SIZE_CAP = 6
 def hankel_tp(seq: Sequence, m: int, r: int, size_cap: Optional[int] = None) -> TPReport:
     """All s x s minors, s <= r, of the m x m Hankel matrix of ``seq``;
     passes iff every minor has nonnegative coefficients.  The witness is the
-    lexicographically first failure by (size, rows, cols)."""
+    lexicographically first failure by (size, rows, cols).
+
+    The minors are formed level by level, by Laplace expansion along the
+    first row: M(R, C) = sum_t (-1)^t H[R_0][C_t] M(R[1:], C - C_t), with
+    the level below kept only until the current level is done.  Every
+    entry is first scaled by the lcm L of all coefficient denominators, so
+    the products have integer coefficients; an s x s minor is then L^s
+    times the true one, with the same signs (the fraction-free idea of
+    Bareiss, Math. Comp. 22, 1968).  Only the first failing minor is
+    recomputed from the original entries, for its witness."""
     cap = SIZE_CAP if size_cap is None else size_cap
     if m > cap:
         raise ValueError("Hankel size %d exceeds the cap %d; pass size_cap "
                          "to raise it" % (m, cap))
-    H = HankelMatrix.from_sequence(list(seq), m)
+    seq = list(seq)
+    H = HankelMatrix.from_sequence(seq, m)
+    polys = _as_mpoly_list(seq[:max(2 * m - 1, 0)])
+    vars = tuple(dict.fromkeys(v for p in polys for v in p.vars))
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    scaled = [p.in_vars(vars) * den for p in polys]
+    below = {((), ()): MPoly.one(vars)}
     for s in range(1, r + 1):
+        level = {}
         for rows in combinations(range(m), s):
+            head, tail = rows[0], rows[1:]
             for cols in combinations(range(m), s):
-                sub = [[H.entries[i][j] for j in cols] for i in rows]
-                minor = bareiss_det(sub)
-                ok, wit = coeffwise_nonneg(minor)
-                if not ok:
-                    return TPReport(order=r, ok=False, witness={
-                        "rows": rows, "cols": cols, "minor": minor,
-                        "offending": wit})
+                minor = MPoly.zero(vars)
+                for t, c in enumerate(cols):
+                    a = scaled[head + c]
+                    if not a:
+                        continue
+                    term = a * below[tail, cols[:t] + cols[t + 1:]]
+                    minor = minor + term if t % 2 == 0 else minor - term
+                if least_negative(minor) is not None:
+                    return _tp_witness(H, r, rows, cols)
+                level[rows, cols] = minor
+        below = level
     return TPReport(order=r, ok=True)
+
+
+def _tp_witness(H, r, rows, cols):
+    minor = bareiss_det([[H.entries[i][j] for j in cols] for i in rows])
+    ok, wit = coeffwise_nonneg(minor)
+    if ok:
+        raise ArithmeticError(
+            "integer check flags the minor with rows %r, cols %r, which has "
+            "no negative coefficient" % (rows, cols))
+    return TPReport(order=r, ok=False, witness={
+        "rows": rows, "cols": cols, "minor": minor, "offending": wit})
 
 
 def _as_mpoly_list(seq):
@@ -164,6 +199,8 @@ def _as_mpoly_list(seq):
     for p in seq:
         p = as_field(p)
         if isinstance(p, RatFunc):
+            if not p.is_poly():
+                raise TypeError("coefficientwise order applies to polynomials")
             p = p.as_mpoly()
         if isinstance(p, MPoly):
             vars = p.vars

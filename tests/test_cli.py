@@ -231,3 +231,50 @@ def test_hankel_order2_is_strong_log_convexity(tmp_path):
     assert code == 1 and data["method"] == "strong-log-convexity"
     assert data["hankel"]["first_failure"] == {
         "m": 0, "n": 0, "monomial": "x", "coeff": -1}
+
+
+def test_hankel_minor_enumeration_reports(tmp_path):
+    code, data = run_cli(["hankel", "--mu=-1,0,0,0,0,1", "--size", "3",
+                          "--order", "3", "--minors"], tmp_path)
+    assert code == 1 and data["exit"] == 1 and not data["ok"]
+    assert data["method"] == "minor-enumeration"
+    assert data["hankel"] == {"ok": False, "order": 3, "witness": {
+        "rows": [0], "cols": [1],
+        "minor": {"terms": [[[1], "1"], [[0], "-1"]], "vars": ["x"]},
+        "offending": {"coeff": -1, "monomial": {"x": 0}}}}
+    code, data = run_cli(["hankel", "--family", "gkp-tilde", "--size", "3",
+                          "--order", "3"], tmp_path)
+    assert code == 0 and data["exit"] == 0 and data["ok"]
+    assert data["method"] == "minor-enumeration"
+    assert data["hankel"] == {"ok": True, "order": 3, "witness": None}
+
+
+def test_arithmetic_errors_are_internal(tmp_path, monkeypatch):
+    from gkpfrac import cli, hankel
+    from gkpfrac.cli import validate_report
+
+    def raiser(exc):
+        def fn(*args, **kwargs):
+            raise exc
+        return fn
+
+    monkeypatch.setattr(hankel, "hankel_tp", raiser(ArithmeticError("cross-check")))
+    monkeypatch.setattr(hankel, "log_convexity", raiser(OverflowError("key limit")))
+    monkeypatch.setattr(cli, "triangle", raiser(ZeroDivisionError("zero pivot")))
+    cases = [
+        (["hankel", "--mu", "0,1,0,0,0,1", "--size", "3", "--order", "3"],
+         "ArithmeticError: cross-check"),
+        (["logconvex", "--mu", "0,1,0,0,0,1", "--nmax", "3"],
+         "OverflowError: key limit"),
+        (["triangle", "--mu", "0,1,0,0,0,1", "--depth", "3"],
+         "ZeroDivisionError: zero pivot"),
+    ]
+    for i, (argv, message) in enumerate(cases):
+        code, data = run_cli(argv, tmp_path, "internal%d.json" % i)
+        assert code == 3 and data["exit"] == 3 and data["ok"] is False, argv
+        assert data["internal"] == message
+        assert validate_report(data)
+    # a singular parameter map stays a usage error
+    monkeypatch.setattr(cli, "triangle", raiser(cli.symmetry.SingularMap("map Z")))
+    code, data = run_cli(cases[2][0], tmp_path, "singular.json")
+    assert code == 2 and data["exit"] == 2 and validate_report(data)

@@ -1,13 +1,16 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from gkpfrac import hankel
-from gkpfrac.exactalg import MPoly, as_field, felem_eq, least_negative, variables
+from gkpfrac.exactalg import (
+    MPoly, RatFunc, as_field, felem_eq, least_negative, variables,
+)
 from gkpfrac.gkpcore import gkp_triangle, row_polys
 from gkpfrac.hankel import (
     RequiresNumeric, _as_mpoly_list, bareiss_det, coeffwise_nonneg, cofactor_det,
@@ -277,3 +280,89 @@ def test_flagged_difference_without_negative_coefficient_raises(monkeypatch):
     monkeypatch.setattr(hankel, "_kronecker_pack", lambda ps: (pack(ps)[0], -1))
     with pytest.raises(ArithmeticError, match="no negative coefficient"):
         log_convexity(gkp_tilde_polys(4), 1)
+
+
+# -- minors built level by level against a determinant per minor ------------
+
+def minorwise_hankel_tp(seq, m, r):
+    """Test-only copy of the former enumeration: every minor computed on
+    its own by ``bareiss_det`` over the original entries."""
+    H = hankel.HankelMatrix.from_sequence(list(seq), m)
+    for s in range(1, r + 1):
+        for rows in combinations(range(m), s):
+            for cols in combinations(range(m), s):
+                minor = bareiss_det([[H.entries[i][j] for j in cols] for i in rows])
+                ok, wit = coeffwise_nonneg(minor)
+                if not ok:
+                    return hankel.TPReport(order=r, ok=False, witness={
+                        "rows": rows, "cols": cols, "minor": minor,
+                        "offending": wit})
+    return hankel.TPReport(order=r, ok=True)
+
+
+def tp_summary(rep):
+    w = rep.witness
+    if w is None:
+        return rep.order, rep.ok, None
+    return rep.order, rep.ok, w["rows"], w["cols"], repr(w["minor"]), w["offending"]
+
+
+@st.composite
+def hankel_tp_cases(draw):
+    """Hankel sizes m <= 5 and orders 1 <= r <= m over signed ints,
+    Fractions, zeros and MPolys in 1-3 variables (over varying variable
+    tuples) with Fraction coefficients.  Moment sequences sum_k w_k l_k^n
+    with positive numeric w_k, l_k pass at every order, and with
+    polynomial l_k usually fail only at order 2 or above; a random
+    perturbation of one entry moves the first failure around."""
+    m = draw(st.integers(1, 5))
+    r = draw(st.integers(1, m))
+    names = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    coeffs = st.builds(Fraction, st.integers(-3, 6).filter(bool), st.integers(1, 3))
+
+    def poly(coeffs):
+        vars = names[:draw(st.integers(1, len(names)))]
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(vars)),
+                                     coeffs, min_size=1, max_size=3))
+        return MPoly(vars, terms)
+
+    n = 2 * m - 1
+    kind = draw(st.sampled_from(["entries", "moments", "polymoments"]))
+    if kind == "entries":
+        seq = [draw(st.sampled_from([
+            lambda: 0, lambda: MPoly.zero(names), lambda: draw(st.integers(-2, 9)),
+            lambda: draw(coeffs), lambda: poly(coeffs), lambda: poly(coeffs)]))()
+            for _ in range(n)]
+    else:
+        positive = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+        node = (lambda: poly(positive)) if kind == "polymoments" \
+            else (lambda: draw(positive))
+        atoms = [(draw(positive), node()) for _ in range(draw(st.integers(1, 3)))]
+        seq = [sum((w * l ** i for w, l in atoms), 0) for i in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        seq[i] = seq[i] + draw(st.sampled_from([-1, Fraction(-1, 2), 1]))
+    return seq, m, r
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hankel_tp_cases())
+def test_leveled_minors_match_minorwise_determinants(case):
+    seq, m, r = case
+    assert tp_summary(hankel_tp(seq, m, r)) == tp_summary(minorwise_hankel_tp(seq, m, r))
+
+
+def test_flagged_minor_without_negative_coefficient_raises(monkeypatch):
+    # negated integer entries make the check flag the first minor, a
+    # positive entry of the factorial sequence
+    as_list = hankel._as_mpoly_list
+    monkeypatch.setattr(hankel, "_as_mpoly_list", lambda seq: [-p for p in as_list(seq)])
+    with pytest.raises(ArithmeticError, match="no negative coefficient"):
+        hankel_tp([1, 1, 2, 6, 24], 3, 3)
+
+
+def test_hankel_tp_rejects_non_polynomial_entries():
+    x, = variables("x")
+    one = MPoly.one(("x",))
+    with pytest.raises(TypeError, match="coefficientwise order applies to polynomials"):
+        hankel_tp([one, RatFunc(one, x + 1), x], 2, 2)
