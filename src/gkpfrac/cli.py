@@ -537,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hankel", parents=[common], help="coefficientwise total positivity")
     p.add_argument("--family", choices=["gkp-tilde"])
     p.add_argument("--mu")
-    p.add_argument("--symbolic", default="x")
     p.add_argument("--size", type=int, default=5)
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--minors", action="store_true",
@@ -562,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matprod", parents=[common], help="product-recurrence cases")
     p.add_argument("--case", required=True)
     p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--symbolic", action="store_true")
     p.set_defaults(fn=cmd_matprod)
 
     p = sub.add_parser("combinat", parents=[common], help="permutation-statistic oracles")

@@ -12,12 +12,12 @@ shift involution (Z) and X = D*Z built from the row-reversal duality D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from .exactalg import (
-    MPoly, RatFunc, as_field, felem_eq, felem_inv, felem_is_zero,
-    first_mismatch, mismatch_report,
+    MPoly, RatFunc, _common_factor, as_field, as_mpoly, divide_exact,
+    felem_eq, felem_inv, felem_is_zero, first_mismatch, mismatch_report,
+    mpoly_lcm,
 )
-from .gkpcore import GKPParams, gkp_triangle, row_polys
+from .gkpcore import GKPParams, gkp_triangle
 
 
 class SingularMap(ZeroDivisionError):
@@ -195,10 +195,19 @@ def apply_map(g, mu) -> GKPParams:
         return GKPParams(k * a, k * b, k * gam, l * ap, l * bp, l * gp)
     if isinstance(g, str):
         g = parse_word(g)
-    out = tuple(GKPParams.of(mu))
-    for letter in reversed(g.letters()):
-        out = _GEN_ACTS[letter](out)
-    return GKPParams(*out)
+    return apply_map_letters(g.letters(), mu)
+
+
+def _orbit(letters, mu):
+    """mu followed by its images under the letters, innermost (last) first."""
+    out = [tuple(GKPParams.of(mu))]
+    for letter in reversed(list(letters)):
+        out.append(_GEN_ACTS[letter](out[-1]))
+    return out
+
+
+def apply_map_letters(letters, mu):
+    return GKPParams(*_orbit(letters, mu)[-1])
 
 
 def map_equal(mu1, mu2) -> bool:
@@ -368,113 +377,113 @@ def _generates_all(gens) -> bool:
 # action on triangles and row polynomials
 # ---------------------------------------------------------------------------
 
-def _xfree_den(p: RatFunc) -> MPoly:
-    if "x" in p.den.vars and p.den.degree_in("x"):
-        raise ValueError("denominator must be x-free")
-    return p.den
+# A word acts on row polynomials by one substitution
+#     P_n(x)  ->  H_n(a x + b, c x + d) / w^n,   H_n(X, Y) = sum_k T(n,k) X^k Y^(n-k),
+# held as the x-free matrix m = (a, b, c, d, w), which is defined up to a
+# common factor.  Substitutions compose by the 2x2 matrix product (GL_2
+# acting on binary forms of degree n), so a word costs one substitution per
+# row, all of it polynomial.
+
+def _cleared(val, vars):
+    """A field element as (numerator, denominator) MPolys over vars."""
+    if isinstance(val, RatFunc):
+        return val.num.in_vars(vars), val.den.in_vars(vars)
+    return as_mpoly(val, vars).in_vars(vars), MPoly.one(vars)
 
 
-def _poly_mobius(p, n, u, v, w):
-    """(1/w^n) * sum_k C_k u^k v^(n-k) for p = sum_k C_k x^k.
-
-    This is the Moebius action P -> (cx+d)^n P((ax+b)/(cx+d)) with the
-    x-free denominator w cleared out of (a, b, c, d); all the heavy work is
-    polynomial, with a single rational division at the end."""
-    if isinstance(p, RatFunc):
-        den = _xfree_den(p)
-        pnum = p.num
-    else:
-        den = None
-        pnum = p
-    coeffs = {0: pnum} if isinstance(pnum, (int, Fraction)) else pnum.coeffs_in("x")
-    upow = [1]
-    vpow = [1]
-
-    def power(cache, base, k):
-        while len(cache) <= k:
-            cache.append(cache[-1] * base)
-        return cache[k]
-
-    acc = 0
-    for k, C in coeffs.items():
-        acc = C * power(upow, u, k) * power(vpow, v, n - k) + acc
-    if den is not None:
-        acc = acc * RatFunc(MPoly.one(den.vars), den)
-    if n and not (isinstance(w, int) and w == 1):
-        acc = acc * RatFunc(MPoly.one(w.vars), w ** n)
-    return acc
-
-
-def _transform_letter(letter, mu, polys):
-    """Row polynomials of (letter . mu) from those of mu, per the cited
-    identities; mu is the parameter tuple the letter acts on."""
-    a, b, g, ap, bp, gp = (as_field(v) for v in tuple(mu))
-    vars = None
-    for p in polys:
-        if isinstance(p, (MPoly, RatFunc)):
-            vars = p.vars
-            break
-    vars = vars if vars and "x" in vars else (vars or ()) + ("x",)
-    x = MPoly.variable("x", vars)
-    one = MPoly.one(vars)
-
-    def cleared(val):
-        """field element -> (numerator MPoly, x-free denominator MPoly)"""
-        val = as_field(val)
-        if isinstance(val, RatFunc):
-            return val.num.in_vars(vars), _xfree_den(val).in_vars(vars)
-        if isinstance(val, (int, Fraction)):
-            return MPoly.constant(val, vars), one
-        return val.in_vars(vars), one
-
+def _letter_matrix(letter, mu, vars):
+    """The substitution of one letter acting on the parameters mu."""
+    one, zero = MPoly.one(vars), MPoly.zero(vars)
     if letter == "S":
-        u, v, w = x, -one, one
-    elif letter == "D":
-        u, v, w = one, x, one
-    elif letter in ("Z", "X"):
-        if felem_is_zero(bp):
-            raise SingularMap(letter)
-        bn, bd = cleared(b)
-        pn, pd = cleared(bp)
-        if letter == "Z":
-            # x - b/b' : u = (b' x - b)~, v = w
-            u = pn * bd * x - bn * pd
-            v = w = pn * bd
-        else:
-            # 1/x - b/b' : u = (b' - b x)~, v = b' x, w = b'
-            u = pn * bd - bn * pd * x
-            v = pn * bd * x
-            w = pn * bd
-    elif letter == "R":
-        if felem_is_zero(b):
-            raise SingularMap(letter)
-        bn, bd = cleared(b)
-        pn, pd = cleared(bp)
-        # b x / (b - b' x), prefactor ((b - b' x)/b)^n
-        u = bn * pd * x
-        v = bn * pd - pn * bd * x
-        w = bn * pd
-    else:
-        raise ValueError(letter)
-    return [_poly_mobius(p, n, u, v, w) for n, p in enumerate(polys)]
+        return one, zero, zero, -one, one
+    if letter == "D":
+        return zero, one, one, zero, one
+    _, b, _, _, bp, _ = mu
+    if felem_is_zero(b if letter == "R" else bp):
+        raise SingularMap(letter)
+    bn, bd = _cleared(b, vars)
+    pn, pd = _cleared(bp, vars)
+    p, q = pn * bd, bn * pd             # b / b' = q / p
+    if letter == "Z":                   # x - b/b'
+        return p, -q, zero, p, p
+    if letter == "X":                   # 1/x - b/b'
+        return -q, p, p, zero, p
+    return q, zero, -p, q, q            # R: b x / (b - b' x)
 
 
-def transformed_polys(word, mu, polys):
-    """Fold a word's letters over row polynomials of mu."""
-    letters = word.letters() if isinstance(word, GroupWord) else list(word)
-    if not letters:
-        return list(polys)
-    head, rest = letters[0], letters[1:]
-    inner_mu = apply_map_letters(rest, mu)
-    inner = transformed_polys(rest, mu, polys)
-    return _transform_letter(head, tuple(inner_mu), inner)
+def _compose(inner, outer):
+    """The substitution of ``outer`` followed by ``inner``, i.e. the matrix
+    product inner * outer, with the common factor of its entries divided out."""
+    a1, b1, c1, d1, w1 = inner
+    a2, b2, c2, d2, w2 = outer
+    return tuple(_common_factor([a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+                                 c1 * a2 + d1 * c2, c1 * b2 + d1 * d2,
+                                 w1 * w2])[1])
 
 
-def apply_map_letters(letters, mu):
-    out = tuple(GKPParams.of(mu))
-    for letter in reversed(list(letters)):
-        out = _GEN_ACTS[letter](out)
-    return GKPParams(*out)
+def _cleared_params(mu, vars):
+    """mu with each triple multiplied by the lcm d of its denominators, and
+    the substitution (d1, 0, 0, d2, d1 d2) that takes the rows of the cleared
+    parameters back to the rows of mu."""
+    out, dens = [], []
+    for triple in (mu[:3], mu[3:]):
+        parts = [_cleared(v, vars) for v in triple]
+        d = mpoly_lcm(dict.fromkeys(den for _, den in parts
+                                    if not den.is_constant()), vars)
+        out += [num * divide_exact(d, den) for num, den in parts]
+        dens.append(d)
+    d1, d2 = dens
+    zero = MPoly.zero(vars)
+    return out, (d1, zero, zero, d2, d1 * d2)
+
+
+def _substituted_rows(mu, m, N, x):
+    """H_n(a x + b, c x + d) for the rows n <= N of the triangle of mu,
+    one row at a time."""
+    a, b, c, d, _ = m
+    u, v = a * x + b, c * x + d
+    upow, vpow = [MPoly.one(x.vars)], [MPoly.one(x.vars)]
+    for _ in range(N):
+        upow.append(upow[-1] * u)
+        vpow.append(vpow[-1] * v)
+    for n, row in enumerate(gkp_triangle(mu, N).rows):
+        acc = MPoly.zero(x.vars)
+        for k, t in enumerate(row):
+            if not felem_is_zero(t):
+                acc = acc + t * (upow[k] * vpow[n - k])
+        yield acc
+
+
+def _verify_substitution(name, letters, orbit, moved, N):
+    """Row n of the triangle of ``moved`` against row n of mu = orbit[0]
+    under the word ``letters``, whose parameters along the way are ``orbit``.
+
+    With moved cleared by (d1, d2) and mu by (e1, e2), both sides are
+    polynomial: row n holds iff w^n H'_n(d1 x, d2) == (d1 d2)^n H_n(u, v),
+    where (u, v, w) composes diag(e1, e2) with the letters' matrices."""
+    vars = tuple(dict.fromkeys(v for p in (*orbit[0], *moved)
+                               if isinstance(p, (MPoly, RatFunc)) for v in p.vars))
+    vars += () if "x" in vars else ("x",)
+    # x is the row variable: the substitution does not reach x inside mu
+    for p in orbit[0]:
+        for part in (p.num, p.den) if isinstance(p, RatFunc) else (p,):
+            if isinstance(part, MPoly) and "x" in part.vars and part.degree_in("x"):
+                raise ValueError("parameters must be x-free")
+    lhs_mu, lhs_m = _cleared_params(tuple(moved), vars)
+    rhs_mu, m = _cleared_params(orbit[0], vars)
+    for letter, inner in zip(reversed(letters), orbit):
+        m = _compose(m, _letter_matrix(letter, inner, vars))
+    x = MPoly.variable("x", vars)
+
+    def rows():
+        lhs_w = rhs_w = MPoly.one(vars)
+        pairs = zip(_substituted_rows(lhs_mu, lhs_m, N, x),
+                    _substituted_rows(rhs_mu, m, N, x))
+        for n, (p, q) in enumerate(pairs):
+            yield {"n": n}, rhs_w * p, lhs_w * q
+            lhs_w, rhs_w = lhs_w * lhs_m[4], rhs_w * m[4]
+
+    return {"map": name, **mismatch_report(first_mismatch(rows()))}
 
 
 def verify_action(g, mu, N: int) -> dict:
@@ -496,24 +505,18 @@ def verify_action(g, mu, N: int) -> dict:
     else:
         letters = list(word)
         name = "*".join(letters)
-    lhs = row_polys(gkp_triangle(apply_map_letters(letters, mu), N))
-    rhs = transformed_polys(letters, mu, row_polys(gkp_triangle(mu, N)))
-    return {"map": name, **mismatch_report(_first_row_mismatch(lhs, rhs))}
-
-
-def _first_row_mismatch(lhs, rhs):
-    return first_mismatch(({"n": n}, p, q) for n, (p, q) in enumerate(zip(lhs, rhs)))
+    # the parameters come first: a singular map raises before any row work
+    orbit = _orbit(letters, mu)
+    return _verify_substitution(name, letters, orbit, orbit[-1], N)
 
 
 def verify_action_letter(letter: str, mu, N: int) -> dict:
-    """Single-generator version, used for the cited identities directly."""
-    return verify_action([letter], mu, N) if letter != "R" else _verify_R(mu, N)
-
-
-def _verify_R(mu, N):
-    lhs = row_polys(gkp_triangle(apply_map(R, mu), N))
-    rhs = transformed_polys(["R"], mu, row_polys(gkp_triangle(mu, N)))
-    return {"map": "R", **mismatch_report(_first_row_mismatch(lhs, rhs))}
+    """Single-generator version, used for the cited identities directly;
+    for R the left side comes from the group word R."""
+    if letter != "R":
+        return verify_action([letter], mu, N)
+    moved = apply_map(R, mu)
+    return _verify_substitution("R", ["R"], _orbit(["R"], mu), moved, N)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,14 @@ def test_usage_error_exit2(tmp_path):
     assert code == 2
 
 
+def test_symbolic_option_removed_from_hankel_and_matprod(tmp_path):
+    out = str(tmp_path / "x.json")
+    assert main(["hankel", "--family", "gkp-tilde", "--symbolic", "x",
+                 "--size", "2", "--out", out]) == 2
+    assert main(["matprod", "--case", "A.15", "--depth", "3", "--symbolic",
+                 "--out", out]) == 2
+
+
 def test_singular_map_is_usage_error(tmp_path):
     code, data = run_cli(["symmetry", "--map", "Z", "--mu", "1,0,1,0,0,1",
                           "--depth", "3"], tmp_path)

@@ -1,14 +1,22 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gkpfrac.exactalg import RatFunc, variables
-from gkpfrac.gkpcore import GKPParams, gkp_triangle
+from gkpfrac import cli, symmetry
+from gkpfrac.exactalg import (
+    MPoly, RatFunc, as_field, felem_is_zero, first_mismatch, mismatch_report,
+    variables,
+)
+from gkpfrac.gkpcore import GKPParams, gkp_triangle, row_polys
 from gkpfrac.symmetry import (
     CaseMismatch, D, EXPECTED_CLASS_PROFILE, IDENT, R, S, SPRIME,
-    ScalingMap, SingularMap, X, Z, all_elements, apply_map, group_table,
-    is_polynomial_action, map_equal, parse_word, polynomial_subgroup,
-    rescale_gkp, verify_action, verify_action_letter, verify_relations,
+    ScalingMap, SingularMap, X, Z, all_elements, apply_map,
+    apply_map_letters, group_table, is_polynomial_action, map_equal,
+    parse_word, polynomial_subgroup, rescale_gkp, verify_action,
+    verify_action_letter, verify_relations,
 )
 
 
@@ -184,3 +192,158 @@ def test_coset_denominators():
             if isinstance(v, RatFunc) and not v.is_poly():
                 assert v.den.degree_in("beta") > 0
                 assert v.den.degree_in("betap") == 0
+
+
+# ---------------------------------------------------------------------------
+# test-only oracle: the action folded one letter at a time over RatFunc rows
+# ---------------------------------------------------------------------------
+
+def _oracle_mobius(p, n, u, v, w):
+    """(1/w^n) * sum_k C_k u^k v^(n-k) for p = sum_k C_k x^k."""
+    if isinstance(p, RatFunc):
+        den, pnum = p.den, p.num
+    else:
+        den, pnum = None, p
+    coeffs = pnum.coeffs_in("x")
+    acc = 0
+    for k, C in coeffs.items():
+        acc = C * u ** k * v ** (n - k) + acc
+    if den is not None:
+        acc = acc * RatFunc(MPoly.one(den.vars), den)
+    if n and not (isinstance(w, int) and w == 1):
+        acc = acc * RatFunc(MPoly.one(w.vars), w ** n)
+    return acc
+
+
+def _oracle_letter(letter, mu, polys):
+    """Row polynomials of (letter . mu) from those of mu (mu: the
+    parameters the letter acts on), per the cited identities."""
+    a, b, g, ap, bp, gp = (as_field(v) for v in tuple(mu))
+    vars = next((p.vars for p in polys if isinstance(p, (MPoly, RatFunc))), ())
+    vars = vars if "x" in vars else vars + ("x",)
+    x = MPoly.variable("x", vars)
+    one = MPoly.one(vars)
+
+    def cleared(val):
+        if isinstance(val, RatFunc):
+            return val.num.in_vars(vars), val.den.in_vars(vars)
+        if isinstance(val, (int, Fraction)):
+            return MPoly.constant(val, vars), one
+        return val.in_vars(vars), one
+
+    if letter == "S":
+        u, v, w = x, -one, one
+    elif letter == "D":
+        u, v, w = one, x, one
+    elif letter in ("Z", "X"):
+        if felem_is_zero(bp):
+            raise SingularMap(letter)
+        bn, bd = cleared(b)
+        pn, pd = cleared(bp)
+        if letter == "Z":
+            u = pn * bd * x - bn * pd
+            v = w = pn * bd
+        else:
+            u = pn * bd - bn * pd * x
+            v = pn * bd * x
+            w = pn * bd
+    else:
+        if felem_is_zero(b):
+            raise SingularMap(letter)
+        bn, bd = cleared(b)
+        pn, pd = cleared(bp)
+        u = bn * pd * x
+        v = bn * pd - pn * bd * x
+        w = bn * pd
+    return [_oracle_mobius(p, n, u, v, w) for n, p in enumerate(polys)]
+
+
+def _oracle_fold(letters, mu, polys):
+    if not letters:
+        return list(polys)
+    inner = _oracle_fold(letters[1:], mu, polys)
+    return _oracle_letter(letters[0], tuple(apply_map_letters(letters[1:], mu)), inner)
+
+
+def oracle_verify(word, mu, N):
+    """verify_action's report, from the letter fold; "R" is the R letter."""
+    if word == "R":
+        name, letters, moved = "R", ["R"], apply_map(R, mu)
+    else:
+        name, letters = word.name(), word.letters()
+        moved = apply_map_letters(letters, mu)
+    lhs = row_polys(gkp_triangle(moved, N))
+    rhs = _oracle_fold(letters, mu, row_polys(gkp_triangle(mu, N)))
+    bad = first_mismatch(({"n": n}, p, q) for n, (p, q) in enumerate(zip(lhs, rhs)))
+    return {"map": name, **mismatch_report(bad)}
+
+
+def _library_verify(word, mu, N):
+    if word == "R":
+        return verify_action_letter("R", mu, N)
+    return verify_action(word, mu, N)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularMap as exc:
+        return "SingularMap: %s" % exc
+
+
+def _wrong_D(mu):
+    """The duality with gamma' off by beta: a wrong parameter action."""
+    a, b, g, ap, bp, gp = mu
+    return (ap + bp, -bp, gp, a + b, -b, g + b)
+
+
+WORDS = all_elements() + ["R"]
+
+
+def test_composed_substitution_matches_letter_fold_symbolic():
+    mu = GKPParams.symbolic()
+    for word in WORDS:
+        want = oracle_verify(word, mu, 4)
+        assert want["ok"], word
+        assert _library_verify(word, mu, 4) == want, word
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(WORDS),
+       st.tuples(*[st.fractions(-2, 2, max_denominator=2)] * 6),
+       st.booleans())
+@example(Z, (1, 1, 0, 1, 0, 1), False)          # beta' = 0
+@example(X ** 5, (1, 0, 1, 1, 1, 1), False)     # beta = 0
+@example("R", (1, 0, 1, 1, 1, 1), True)
+def test_composed_substitution_matches_letter_fold_numeric(word, mu, wrong_d):
+    with pytest.MonkeyPatch.context() as mp:
+        if wrong_d:
+            mp.setitem(symmetry._GEN_ACTS, "D", _wrong_D)
+        want = _outcome(oracle_verify, word, mu, 5)
+        got = _outcome(_library_verify, word, mu, 5)
+    assert got == want
+    if isinstance(want, str):
+        assert want.startswith("SingularMap: map ")
+
+
+def test_parameters_with_the_row_variable_are_rejected():
+    a, b, x = variables("a b x")
+    for mu in [(x, b, 0, 0, 1, 0), (a, b, 1, 1, b, b / x)]:
+        with pytest.raises(ValueError, match="x-free"):
+            verify_action("D", mu, 3)
+    with pytest.raises(ValueError, match="x-free"):
+        verify_action_letter("R", (a, b, x, 1, b, 0), 3)
+
+
+def test_wrong_parameter_action_is_reported(monkeypatch, tmp_path):
+    monkeypatch.setitem(symmetry._GEN_ACTS, "D", _wrong_D)
+    mu = GKPParams.symbolic()
+    want = oracle_verify(D, mu, 3)
+    assert want == {"map": "Z*X^11", "ok": False, "first_mismatch": {"n": 1}}
+    assert verify_action(D, mu, 3) == want
+    assert verify_action("S*D", mu, 3)["first_mismatch"] == {"n": 1}
+    out = tmp_path / "d.json"
+    assert cli.main(["symmetry", "--map", "D", "--depth", "3", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert not data["ok"] and data["exit"] == 1
+    assert data["action"] == want
