@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import (
-    MPoly, RatFunc, TruncSeries, _common_factor, as_field, divide_exact,
-    felem_eq, felem_is_zero, felem_to_json, mpoly_lcm,
+    MPoly, TruncSeries, _common_factor, as_field, clear_denominators,
+    felem_div, felem_eq, felem_is_zero, felem_to_json, num_den,
 )
 
 
@@ -63,14 +63,6 @@ class CFrac:
         }
 
 
-@dataclass(frozen=True)
-class SeqTransform:
-    """Shift weights for the generalized binomial transform b = B_xi a."""
-    xi0: object = 0
-    xi1: object = 0
-    xi2: object = 0
-
-
 # ---------------------------------------------------------------------------
 # internal quotient-of-polynomial-series representation
 # ---------------------------------------------------------------------------
@@ -92,38 +84,8 @@ def _strip_content(A, B):
 def _as_quot(series: TruncSeries):
     """Series with scalar/MPoly/RatFunc coefficients -> (A, B) polynomial
     coefficient lists with series = A/B and B constant in t."""
-    coeffs = [as_field(c) for c in series.coeffs]
-    dens = [c.den for c in coeffs if isinstance(c, RatFunc) and not c.is_poly()]
-    if not dens:
-        A = [c.as_mpoly() if isinstance(c, RatFunc) else c for c in coeffs]
-        return A, [1] + [0] * series.order
-    L = mpoly_lcm(dens, dens[0].vars)
-    A = []
-    for c in coeffs:
-        if isinstance(c, RatFunc):
-            A.append(c.num * divide_exact(L, c.den))
-        else:
-            A.append(c * L)
+    A, L = clear_denominators(series.coeffs, ())
     return A, [L] + [0] * series.order
-
-
-def _poly_ratio(num, den):
-    """Reduce num/den where both are MPoly or scalar."""
-    if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-        return Fraction(num) / Fraction(den)
-    if isinstance(num, (int, Fraction)):
-        num = MPoly.constant(num, den.vars)
-    if isinstance(den, (int, Fraction)):
-        den = MPoly.constant(den, num.vars)
-    r = RatFunc(num, den)
-    return r.as_mpoly() if r.is_poly() else r
-
-
-def _split_ratio(c):
-    """Field element -> (p, q) with c = p/q, both MPoly/scalar."""
-    if isinstance(c, RatFunc):
-        return c.num, c.den
-    return c, 1
 
 
 def extract_sfrac(a: TruncSeries, m: int) -> CFrac:
@@ -144,14 +106,14 @@ def extract_sfrac(a: TruncSeries, m: int) -> CFrac:
         if len(diff) < 2:
             break
         num, den = diff[1], A[0]
-        ck = _poly_ratio(num, den)
+        ck = felem_div(num, den)
         if felem_is_zero(ck):
             if any(not felem_is_zero(as_field(x)) for x in diff[1:]):
                 raise NonExtractableSeries(
                     "c_%d vanishes but the series continues" % k)
             return CFrac("S", c=tuple(cs), terminated_at=k)
         cs.append(ck)
-        p, q = _split_ratio(ck)
+        p, q = num_den(ck)
         A2 = [q * x for x in diff[1:]]
         B2 = [p * x for x in A[:-1]]
         A, B = _strip_content(A2, B2)
@@ -172,19 +134,19 @@ def extract_jfrac(a: TruncSeries, m: int) -> CFrac:
     es, fs = [], []
     for k in range(m):
         diff = [x - y for x, y in zip(A, B)]
-        ek = _poly_ratio(diff[1], A[0])
+        ek = felem_div(diff[1], A[0])
         es.append(ek)
-        p, q = _split_ratio(ek)
+        p, q = num_den(ek)
         # C = q*(diff) - p*t*A  has zero t^0 and t^1 coefficients
         C = [q * diff[j] - (p * A[j - 1] if j >= 1 else 0) for j in range(len(A))]
-        fk = _poly_ratio(C[2], q * A[0])
+        fk = felem_div(C[2], q * A[0])
         if felem_is_zero(fk):
             if any(not felem_is_zero(as_field(x)) for x in C[2:]):
                 raise NonExtractableSeries(
                     "f_%d vanishes but the series continues" % (k + 1))
             return CFrac("J", e=tuple(es), f=tuple(fs), terminated_at=k + 1)
         fs.append(fk)
-        p2, q2 = _split_ratio(fk)
+        p2, q2 = num_den(fk)
         A2 = [q2 * x for x in C[2:]]
         B2 = [(p2 * q) * x for x in A[:-2]]
         A, B = _strip_content(A2, B2)

@@ -947,10 +947,37 @@ def felem_inv(x):
     raise TypeError(type(x))
 
 
+def num_den(c):
+    """(numerator, denominator) of a field element: a RatFunc's reduced
+    parts, or (c, 1) for a scalar or an MPoly."""
+    if isinstance(c, RatFunc):
+        return c.num, c.den
+    return as_field(c), 1
+
+
 def felem_div(a, b):
+    """a / b in canonical form: a Fraction when both are scalars, otherwise
+    an MPoly when the quotient is a polynomial and a reduced RatFunc when it
+    is not."""
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) / Fraction(b)
-    return as_field(a) * felem_inv(b)
+    an, ad = num_den(a)
+    bn, bd = num_den(b)
+    q = ratfunc(an * bd, ad * bn)
+    return q.as_mpoly() if q.is_poly() else q
+
+
+def clear_denominators(values, vars):
+    """(numerators, L): L is the lcm of the denominators of the field
+    elements ``values`` and values[i] == numerators[i] / L.  When no value
+    has a denominator, L is 1 over ``vars`` and the numerators are the values
+    themselves (a polynomial RatFunc as its MPoly); otherwise every
+    numerator is an MPoly."""
+    parts = [num_den(v) for v in values]
+    L = mpoly_lcm([d for _, d in parts if d != 1], vars)
+    if L == 1:
+        return [n for n, _ in parts], L
+    return [n * L if d == 1 else n * divide_exact(L, d) for n, d in parts], L
 
 
 def felem_eq(a, b) -> bool:
@@ -1185,29 +1212,8 @@ class TruncSeries:
                     continue
                 term = ((j + 1) * f) * e[k - j]
                 acc = term if acc is None else acc + term
-            e.append(0 if acc is None else felem_div(acc, k + 1))
+            e.append(0 if acc is None else acc * Fraction(1, k + 1))
         return TruncSeries(n, e)
-
-    def log(self) -> "TruncSeries":
-        if not felem_eq(self.coeffs[0], 1):
-            raise ValueError("log requires constant term 1")
-        n = self.order
-        # L' = f'/f : l_k via  k f_0 l_k = k f_k - sum_{j=1}^{k-1} j l_j f_{k-j}
-        l = [0]
-        for k in range(1, n + 1):
-            acc = k * self.coeffs[k] if not felem_is_zero(self.coeffs[k]) else None
-            for j in range(1, k):
-                f = self.coeffs[k - j]
-                if felem_is_zero(f) or felem_is_zero(l[j]):
-                    continue
-                term = (j * l[j]) * f
-                acc = -term if acc is None else acc - term
-            l.append(0 if acc is None else felem_div(acc, k))
-        return TruncSeries(n, l)
-
-    def pow_field(self, exponent) -> "TruncSeries":
-        """self**exponent via exp(exponent*log(self)); needs [t^0] = 1."""
-        return self.log().scale(exponent).exp()
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -1225,24 +1231,29 @@ class TruncSeries:
 
 
 def generalized_binomial_series(base: TruncSeries, exponent) -> TruncSeries:
-    """(base)**exponent for a concrete rational exponent, [t^0]base = 1.
+    """base**exponent for a field-element exponent e (a scalar, an MPoly or
+    a RatFunc), [t^0]base = 1.
 
-    Expanded as sum_k C(exponent, k) (base-1)^k, exact through the order.
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) for g = f^e:
+    n g_n = sum_{k=1..n} ((e+1)k - n) f_k g_{n-k}, summed as
+    (e+1) sum k f_k g_{n-k} - n sum f_k g_{n-k}, so e enters two products
+    per coefficient and the whole series costs O(order^2) products.
     """
     if not felem_eq(base.coeffs[0], 1):
         raise ValueError("base must have constant term 1")
-    e = Fraction(exponent)
-    n = base.order
-    w = base - 1
-    acc = TruncSeries.one(n)
-    power = TruncSeries.one(n)
-    binom = Fraction(1)
-    for k in range(1, n + 1):
-        power = power * w
-        binom = binom * (e - (k - 1)) / k
-        if binom:
-            acc = acc + power.scale(binom)
-    return acc
+    f = base.coeffs
+    e1 = exponent + 1
+    g = [1]
+    for n in range(1, base.order + 1):
+        weighted = plain = 0
+        for k in range(1, n + 1):
+            if felem_is_zero(f[k]) or felem_is_zero(g[n - k]):
+                continue
+            term = f[k] * g[n - k]
+            weighted = weighted + k * term
+            plain = plain + term
+        g.append((e1 * weighted - n * plain) * Fraction(1, n))
+    return TruncSeries(base.order, g)
 
 
 def exp_series(a, order: int) -> TruncSeries:

@@ -15,7 +15,7 @@ from itertools import chain, count
 from typing import Callable, Optional
 
 from .exactalg import (
-    MPoly, RatFunc, TruncSeries, as_field, exp_series, felem_inv,
+    MPoly, RatFunc, TruncSeries, as_field, exp_series, felem_div,
     felem_is_zero, first_mismatch, generalized_binomial_series, mismatch_report,
     variables,
 )
@@ -27,6 +27,7 @@ from .cfrac import (
     CFrac, contract, eval_tr, extract_jfrac, extract_sfrac,
 )
 from .combinat import binom
+from .matprod import binomial_matrix, triangle_product
 
 
 class ArityMismatch(ValueError):
@@ -497,7 +498,9 @@ def verify_binomial_relations(pair: str, N: int = 8) -> dict:
         ap, bp, gp, kp, al = variables("alphap betap gammap kappa alpha", extra=("x",))
         t6 = gkp_triangle(family_params("F6", (ap, bp, gp, kp)), N)
         t2a = gkp_triangle(family_params("F2a", (al, ap, bp, gp)), N)
-        cases = _product_cases(t6, t2a, kp, N)
+        want = triangle_product(t2a, binomial_matrix(kp, N))
+        cases = (({"n": n, "k": k}, t6.entry(n, k), want.entry(n, k))
+                 for n in range(N + 1) for k in range(n + 1))
     else:
         raise ValueError("pair must be 7a/3a, 7b/3b or 6/2a")
     return {"pair": pair, **mismatch_report(first_mismatch(cases))}
@@ -515,26 +518,9 @@ def _row_transform_cases(p7, p3, xi, N):
         yield {"n": n}, p7[n], want
 
 
-def _product_cases(t6, t2a, kp, N):
-    """T6(n,k) against sum_j T2a(n,j) C(j,k) kp^(j-k)."""
-    for n in range(N + 1):
-        for k in range(n + 1):
-            want = 0
-            for j in range(k, n + 1):
-                want = want + t2a.entry(n, j) * binom(j, k) * kp ** (j - k)
-            yield {"n": n, "k": k}, t6.entry(n, k), want
-
-
 # ---------------------------------------------------------------------------
 # closed-form exponential generating functions at numeric parameters
 # ---------------------------------------------------------------------------
-
-def _pow_ratfunc_exponent(base: TruncSeries, expo) -> TruncSeries:
-    """base**expo where expo may be a RatFunc in x; uses exp(expo*log)."""
-    if isinstance(expo, (int, Fraction)):
-        return generalized_binomial_series(base, Fraction(expo))
-    return base.pow_field(expo)
-
 
 def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
     """The published closed-form egf of the family at numeric parameters
@@ -547,63 +533,58 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
     def rf(num, den):
         if felem_is_zero(as_field(den)):
             raise NonRationalExponent("exponent denominator vanishes")
-        if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-            return Fraction(num) / Fraction(den)
-        return as_field(num) * felem_inv(as_field(den))
-
-    def bracket_pow(u_series, expo):
-        return _pow_ratfunc_exponent(u_series, expo)
+        return felem_div(num, den)
 
     if id == "F1a":
         b, ap, gp = v["beta"], v["alphap"], v["gammap"]
         c = b - ap * x
         base = (TruncSeries(order, [b] + [0] * order) - exp_series(c, order).scale(ap * x)) \
-            * RatFunc(one, as_mp(c))
-        return bracket_pow(base, rf(-gp, ap))
+            * RatFunc(one, c)
+        return generalized_binomial_series(base, rf(-gp, ap))
     if id == "F1b":
         b, g, ap = v["beta"], v["gamma"], v["alphap"]
         c = ap * x - b
         base = (TruncSeries(order, [ap * x] + [0] * order)
-                - exp_series(c, order).scale(b)) * RatFunc(one, as_mp(c))
-        return bracket_pow(base, rf(-g, b))
+                - exp_series(c, order).scale(b)) * RatFunc(one, c)
+        return generalized_binomial_series(base, rf(-g, b))
     if id == "F2a":
         a, ap, bp, gp = v["alpha"], v["alphap"], v["betap"], v["gammap"]
         y = (ap + bp) * x
         base = TruncSeries(order, [1, -y])
-        return bracket_pow(base, rf(-(ap + bp + gp), ap + bp))
+        return generalized_binomial_series(base, rf(-(ap + bp + gp), ap + bp))
     if id == "F2b":
         a, b, g, bp = v["alpha"], v["beta"], v["gamma"], v["betap"]
         base = TruncSeries(order, [1, -a])
-        return bracket_pow(base, rf(-(a + g), a))
+        return generalized_binomial_series(base, rf(-(a + g), a))
     if id == "F3a":
         b, bp, gp = v["beta"], v["betap"], v["gammap"]
         u = exp_series(b, order)
         base = 1 + (1 - u).scale(bp * x) * RatFunc(one, MPoly.constant(b, ("x",)))
-        return bracket_pow(base, rf(-(bp + gp), bp))
+        return generalized_binomial_series(base, rf(-(bp + gp), bp))
     if id == "F3b":
         a, g, ap = v["alpha"], v["gamma"], v["alphap"]
         u = exp_series(ap * x, order)
-        base = 1 + (1 - u).scale(a) * RatFunc(one, as_mp(ap * x))
-        return bracket_pow(base, rf(-(a + g), a))
+        base = 1 + (1 - u).scale(a) * RatFunc(one, ap * x)
+        return generalized_binomial_series(base, rf(-(a + g), a))
     if id == "F4a":
         bp, gp, kp = v["betap"], v["gammap"], v["kappa"]
         u = exp_series(-kp * bp, order)
         base = 1 - (1 - u).scale((kp + x) * Fraction(1, kp))
-        return bracket_pow(base, rf(-(bp + gp), bp))
+        return generalized_binomial_series(base, rf(-(bp + gp), bp))
     if id == "F4b":
         a, g, kp = v["alpha"], v["gamma"], v["kappa"]
         u = exp_series(-kp * a * x, order)
-        base = 1 - (1 - u).scale((1 + kp * x) * RatFunc(one, as_mp(kp * x)))
-        return bracket_pow(base, rf(-(a + g), a))
+        base = 1 - (1 - u).scale((1 + kp * x) * RatFunc(one, kp * x))
+        return generalized_binomial_series(base, rf(-(a + g), a))
     if id == "F5":
         a, g, ap, gp = v["alpha"], v["gamma"], v["alphap"], v["gammap"]
         base = TruncSeries(order, [1, -(a + ap * x)])
-        expo = RatFunc(as_mp(-((a + g) + (ap + gp) * x)), as_mp(a + ap * x))
-        return bracket_pow(base, expo)
+        expo = RatFunc(-((a + g) + (ap + gp) * x), a + ap * x)
+        return generalized_binomial_series(base, expo)
     if id == "F6":
         ap, bp, gp, kp = v["alphap"], v["betap"], v["gammap"], v["kappa"]
         base = TruncSeries(order, [1, -(ap + bp) * (kp + x)])
-        return bracket_pow(base, rf(-(ap + bp + gp), ap + bp))
+        return generalized_binomial_series(base, rf(-(ap + bp + gp), ap + bp))
     if id == "F7a":
         b, g, bp, gp = v["beta"], v["gamma"], v["betap"], v["gammap"]
         inner = egf_closed_form("F3a", {"beta": b, "betap": bp, "gammap": gp}, order)
@@ -617,9 +598,9 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
         c = b - ap * x
         pre = exp_series(c * rf(g, b), order)
         base = (TruncSeries(order, [b] + [0] * order)
-                - exp_series(c, order).scale(ap * x)) * RatFunc(one, as_mp(c))
+                - exp_series(c, order).scale(ap * x)) * RatFunc(one, c)
         expo = rf(-g, b) + rf(-gp, ap)
-        return pre * bracket_pow(base, expo)
+        return pre * generalized_binomial_series(base, expo)
     if id in ("GKPZ", "GKPZ-ALT"):
         b, g, ap, gp, kp = (v["beta"], v["gamma"], v["alphap"], v["gammap"],
                             v["kappa"])
@@ -629,22 +610,16 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
         if id == "GKPZ":
             a_val = (b - ap * x) * (Fraction(g, 1) / b)
             c_val = b - ap * x
-            b_val = RatFunc(as_mp((ap + kp * b) * x), as_mp(b - ap * x))
+            b_val = RatFunc((ap + kp * b) * x, b - ap * x)
         else:
             M = Fraction(gp + kp * (b - g), 1) / (ap + kp * b)
             a_val = (b - ap * x) * (-M)
             c_val = -(b - ap * x)
-            b_val = RatFunc(as_mp(-b * (1 + kp * x)), as_mp(b - ap * x))
+            b_val = RatFunc(-b * (1 + kp * x), b - ap * x)
         pre = exp_series(a_val, order)
         bracket = 1 - (exp_series(c_val, order) - 1) * b_val
-        return pre * bracket_pow(bracket, -delta)
+        return pre * generalized_binomial_series(bracket, -delta)
     raise UnknownFamily(id)
-
-
-def as_mp(val) -> MPoly:
-    if isinstance(val, MPoly):
-        return val
-    return MPoly.constant(val, ("x",))
 
 
 def verify_egf_closed_forms(id: str, numeric_params, N: int = 8) -> dict:

@@ -135,11 +135,11 @@ def _exact_div(num, den):
 
 
 # desk-scale guard: full minor enumeration on symbolic entries grows very
-# fast with the matrix size; callers may raise the cap deliberately
+# fast with the matrix size
 SIZE_CAP = 6
 
 
-def hankel_tp(seq: Sequence, m: int, r: int, size_cap: Optional[int] = None) -> TPReport:
+def hankel_tp(seq: Sequence, m: int, r: int) -> TPReport:
     """All s x s minors, s <= r, of the m x m Hankel matrix of ``seq``;
     passes iff every minor has nonnegative coefficients.  The witness is the
     lexicographically first failure by (size, rows, cols).
@@ -152,10 +152,8 @@ def hankel_tp(seq: Sequence, m: int, r: int, size_cap: Optional[int] = None) -> 
     times the true one, with the same signs (the fraction-free idea of
     Bareiss, Math. Comp. 22, 1968).  Only the first failing minor is
     recomputed from the original entries, for its witness."""
-    cap = SIZE_CAP if size_cap is None else size_cap
-    if m > cap:
-        raise ValueError("Hankel size %d exceeds the cap %d; pass size_cap "
-                         "to raise it" % (m, cap))
+    if m > SIZE_CAP:
+        raise ValueError("Hankel size %d exceeds the cap %d" % (m, SIZE_CAP))
     seq = list(seq)
     H = HankelMatrix.from_sequence(seq, m)
     polys = _as_mpoly_list(seq[:max(2 * m - 1, 0)])

@@ -13,11 +13,11 @@ from math import factorial, prod
 from typing import Callable
 
 from .exactalg import (
-    MPoly, RatFunc, as_field, as_mpoly, felem_eq, felem_inv, felem_is_zero,
+    MPoly, as_field, as_mpoly, divide_exact, felem_eq, felem_inv, felem_is_zero,
     first_mismatch, mismatch_report, mpoly_gcd, variables,
 )
 from .gkpcore import (
-    FOUR_TERM, GKPParams, Triangle, _unroll, binomial_like_triangle,
+    FOUR_TERM, GKPParams, Triangle, _unroll, _xvar_for, binomial_like_triangle,
     gkp_triangle, gkpz_triangle, row_polys,
 )
 from .combinat import binom
@@ -130,15 +130,7 @@ def _case_A4(N):
                                  for n in ("ha", "hb", "hg", "hap", "hbp", "hgp"))
     A = gkp_triangle((a, b, g, ap, bp, gp), N)
     B = gkp_triangle((ha, hb, hg, hap, hbp, hgp), N)
-
-    def S(n, k):
-        acc = 0
-        for j in range(n + 1):
-            x, y = A.entry(n, j), B.entry(j, k)
-            if felem_is_zero(as_field(x)) or felem_is_zero(as_field(y)):
-                continue
-            acc = acc + x * y
-        return acc
+    C = triangle_product(A, B)
 
     def rhs(n, k):
         acc = 0
@@ -154,7 +146,7 @@ def _case_A4(N):
         return acc
 
     return mismatch_report(first_mismatch(
-        ({"n": n, "k": k}, S(n, k), rhs(n, k))
+        ({"n": n, "k": k}, C.entry(n, k), rhs(n, k))
         for n in range(1, N + 1) for k in range(n + 1)))
 
 
@@ -364,7 +356,6 @@ def case_A13_remark_defect(N=5):
     B = binomial_like_triangle(lambda n, k: (hA * n + hG(k), hGd(k)), N)
     C = triangle_product(A, B)
     factor = gp * hA * (gp * hA - a)
-    from .exactalg import divide_exact
     for n in range(1, N + 1):
         for k in range(n + 1):
             want = (a * n + g + gp * (hA + hG(k))) * C.entry(n - 1, k) \
@@ -570,82 +561,48 @@ def nearly_binomial_identities(part: str, r_max: int = 2, N: int = 6) -> dict:
 
 def inverse_pair_check(A: Triangle, B: Triangle, alpha) -> dict:
     """Evaluate the eight equivalent statements linking an inverse pair of
-    lower-triangular arrays through the weight alpha."""
+    lower-triangular arrays through the weight alpha: (a), (c), (e), (g) for
+    (A, B, alpha) and their partners (b), (d), (f), (h) for (B, A, -alpha)."""
     if A.order != B.order:
         raise SizeMismatch("orders differ")
-    N = A.order
-    vars = None
-    for row in list(A.rows) + list(B.rows):
-        for c in row:
-            if isinstance(c, (MPoly, RatFunc)):
-                vars = c.vars
-                break
-        if vars:
-            break
-    if vars is None:
-        vars = alpha.vars if isinstance(alpha, (MPoly, RatFunc)) else ("x",)
-    if "x" not in vars:
-        vars = tuple(vars) + ("x",)
-    x = MPoly.variable("x", vars)
-
-    def rowpoly(t, n):
-        return sum_poly(t.rows[n], x)
-
-    def revpoly(t, n):
-        acc = 0
-        for k, c in enumerate(t.rows[n]):
-            acc = acc + c * x ** (n - k)
-        return acc
-
-    ok_a = ok_b = ok_c = ok_d = ok_e = ok_f = ok_g = ok_h = True
-    for n in range(N + 1):
-        An = rowpoly(A, n)
-        Bn = rowpoly(B, n)
-        Abar = revpoly(A, n)
-        Bbar = revpoly(B, n)
-        # (a) A_n(x) = sum_k b_nk x^k (1+alpha x)^(n-k)
-        lhs = 0
-        for k, c in enumerate(B.rows[n]):
-            lhs = lhs + c * x ** k * (1 + alpha * x) ** (n - k)
-        ok_a &= felem_eq(as_field(An), as_field(lhs))
-        lhs = 0
-        for k, c in enumerate(A.rows[n]):
-            lhs = lhs + c * x ** k * (1 - alpha * x) ** (n - k)
-        ok_b &= felem_eq(as_field(Bn), as_field(lhs))
-        # (c)/(d): shifted reversed polynomials
-        ok_c &= felem_eq(as_field(Abar),
-                         as_field(_shift_x(Bbar, alpha, x)))
-        ok_d &= felem_eq(as_field(Bbar),
-                         as_field(_shift_x(Abar, -1 * alpha, x)))
-        for k in range(n + 1):
-            se = 0
-            sf = 0
-            for j in range(k + 1):
-                se = se + alpha ** (k - j) * binom(n - j, k - j) * B.entry(n, j)
-                sf = sf + (-1 * alpha) ** (k - j) * binom(n - j, k - j) \
-                    * A.entry(n, j)
-            ok_e &= felem_eq(as_field(A.entry(n, k)), as_field(se))
-            ok_f &= felem_eq(as_field(B.entry(n, k)), as_field(sf))
-            sg = 0
-            sh = 0
-            for j in range(k, n + 1):
-                sg = sg + B.entry(n, n - j) * binom(j, k) * alpha ** (j - k)
-                sh = sh + A.entry(n, n - j) * binom(j, k) \
-                    * (-1 * alpha) ** (j - k)
-            ok_g &= felem_eq(as_field(A.entry(n, n - k)), as_field(sg))
-            ok_h &= felem_eq(as_field(B.entry(n, n - k)), as_field(sh))
-    results = {"a": ok_a, "b": ok_b, "c": ok_c, "d": ok_d,
-               "e": ok_e, "f": ok_f, "g": ok_g, "h": ok_h}
+    x = MPoly.variable("x", _xvar_for(chain(*A.rows, *B.rows, [alpha])))
+    # each statement next to its partner: (a, b), (c, d), (e, f), (g, h)
+    pairs = zip(_inverse_pair_statements(A, B, alpha, x),
+                _inverse_pair_statements(B, A, -1 * alpha, x))
+    results = dict(zip("abcdefgh", chain.from_iterable(pairs)))
     results["all"] = all(results.values())
     results["any"] = any(results.values())
     return results
 
 
-def sum_poly(row, x):
-    acc = 0
-    for k, c in enumerate(row):
-        acc = acc + c * x ** k
-    return acc
+def _inverse_pair_statements(A, B, alpha, x):
+    """Statements (a), (c), (e), (g) of A against B under alpha."""
+    N = A.order
+    partner = inverse_pair_from_b(B, alpha)
+    cells = [(n, k) for n in range(N + 1) for k in range(n + 1)]
+    # (a) A_n(x) = sum_k b_nk x^k (1 + alpha x)^(n-k)
+    a = all(felem_eq(as_field(_row_poly(A.rows[n], x)),
+                     as_field(sum(c * x ** k * (1 + alpha * x) ** (n - k)
+                                  for k, c in enumerate(B.rows[n]))))
+            for n in range(N + 1))
+    # (c) the reversed row polynomials are x-shifts of each other
+    c = all(felem_eq(as_field(_row_poly(A.rows[n][::-1], x)),
+                     as_field(_shift_x(_row_poly(B.rows[n][::-1], x), alpha, x)))
+            for n in range(N + 1))
+    # (e) A(n,k) = sum_j alpha^(k-j) C(n-j, k-j) B(n,j)
+    e = all(felem_eq(as_field(A.entry(n, k)), as_field(partner.entry(n, k)))
+            for n, k in cells)
+    # (g) A(n,n-k) = sum_{j>=k} B(n,n-j) C(j,k) alpha^(j-k)
+    g = all(felem_eq(as_field(A.entry(n, n - k)),
+                     as_field(sum(B.entry(n, n - j) * binom(j, k) * alpha ** (j - k)
+                                  for j in range(k, n + 1))))
+            for n, k in cells)
+    return a, c, e, g
+
+
+def _row_poly(row, x):
+    """sum_k row[k] x^k."""
+    return sum(c * x ** k for k, c in enumerate(row))
 
 
 def _shift_x(p, delta, x):
@@ -682,10 +639,7 @@ def binomial_inverse_identity(k_max: int = 8) -> dict:
     p, al = variables("p al")
 
     def C(top, r):
-        acc = MPoly.one(p.vars)
-        for i in range(r):
-            acc = acc * (top - i)
-        return acc * Fraction(1, factorial(r))
+        return falling(top, r) * Fraction(1, factorial(r))
 
     def convolution(k, l):
         acc = 0
@@ -719,31 +673,55 @@ def xshift_symbolic_check(n_max: int = 3) -> dict:
 def xshift_smalln_check(n_max: int = 3, samples: int = 20, seed: int = 0) -> dict:
     """Numeric elimination oracle: for random generic parameter tuples, the
     system P_n(x; mu') = P_n(x + xi; mu), n <= 3, has exactly two solutions
-    (xi = 0 and the shift involution)."""
+    (xi = 0 and the shift involution).
+
+    Genericity is decided from mu alone, before solving; the draws that fail
+    it are replaced and counted in ``dropped`` by reason.  Every generic
+    sample is kept: its count is the true number of solutions, and a known
+    solution that the elimination misses is listed in ``unconfirmed``."""
     sym = xshift_symbolic_check(n_max)
     if not sym["ok"]:
         return {"ok": False, "symbolic": sym}
     rng = random.Random(seed)
-    results = []
+    counts, dropped, unconfirmed = [], {}, []
     attempts = 0
-    while len(results) < samples and attempts < samples * 10:
+    while len(counts) < samples and attempts < samples * 10:
         attempts += 1
         mu = tuple(Fraction(rng.randint(-6, 6)) for _ in range(6))
-        if mu[4] == 0:
+        reason = _xshift_degenerate(mu)
+        if reason:
+            dropped[reason] = dropped.get(reason, 0) + 1
             continue
-        try:
-            count = _xshift_solution_count(mu)
-        except ZeroDivisionError:
-            continue
-        if count is None:
-            continue
-        results.append(count)
-    ok = len(results) == samples and all(c == 2 for c in results)
-    return {"ok": ok, "samples": len(results), "counts": results}
+        count, missed = _xshift_solution_count(mu)
+        counts.append(count)
+        unconfirmed += [{"mu": [str(v) for v in mu], "xi": str(r)} for r in missed]
+    ok = len(counts) == samples and all(c == 2 for c in counts) and not unconfirmed
+    return {"ok": ok, "samples": len(counts), "counts": counts,
+            "dropped": dropped, "unconfirmed": unconfirmed}
+
+
+def _xshift_degenerate(mu):
+    """Why mu is not generic for the x-shift system, or None: the two known
+    solutions 0 and -beta/beta' must be distinct and defined, and the
+    elimination divides by p10 = [x^0] P_1(x + xi) and s11 = [x^1] P_1."""
+    if mu[1] == 0:
+        return "beta = 0"
+    if mu[4] == 0:
+        return "beta' = 0"
+    t = gkp_triangle(mu, 1)
+    if t.entry(1, 1) == 0:
+        # p10 = T(1,0) + T(1,1) xi
+        return "s11 = 0" if t.entry(1, 0) else "p10 = 0"
+    return None
 
 
 def _xshift_solution_count(mu):
-    """Number of xi values for which the full n <= 3 system is solvable."""
+    """(count, missed) for a generic mu.  count is the number of xi for
+    which the full n <= 3 system is solvable: the xi-degree of the
+    squarefree part of the gcd g of the elimination constraints, or None
+    when g vanishes and every xi passes them.  missed lists the known
+    solutions 0 and -beta/beta' that are not roots of g or for which no mu'
+    reproduces the shifted rows."""
     vars = ("x", "xi")
     x, xi = variables(vars)
     # p[n, k] = [x^k] P_n(x + xi; mu), a polynomial in xi
@@ -757,8 +735,6 @@ def _xshift_solution_count(mu):
     # collect the polynomial consistency constraints
     p10, p20, p21, p22 = p[1, 0], p[2, 0], p[2, 1], p[2, 2]
     s11 = p[1, 1]       # a' + b' + c'  (xi-free)
-    if s11.is_zero() or p10.is_zero():
-        return None
     # column 0: p30 * p10 = (2 p20 - p10^2) p20
     g1 = p[3, 0] * p10 - (2 * p20 - p10 * p10) * p20
     # diagonal: s11 * p33 = (2 p22 - s11^2) p22
@@ -796,20 +772,12 @@ def _xshift_solution_count(mu):
     g3 = c3 * det + a3 * D1 + b3 * D2
 
     g = mpoly_gcd(mpoly_gcd(g1, g2), g3)
+    missed = [r for r in (Fraction(0), -mu[1] / mu[4])
+              if g.subs({"xi": r}) != 0 or not _verify_xshift_solution(mu, r)]
     if g.is_zero():
-        return None
-    deg = g.degree_in("xi")
-    # squarefree part
-    if deg and mpoly_gcd(g, g.deriv("xi")).degree_in("xi"):
-        return None
-    # verify the two expected roots are among them
-    roots = {Fraction(0), -Fraction(mu[1]) / Fraction(mu[4])}
-    if any(g.subs({"xi": r}) != 0 for r in roots) or deg != len(roots):
-        return None
-    # full verification of both solutions
-    if not all(_verify_xshift_solution(mu, r) for r in roots):
-        return None
-    return len(roots)
+        return None, missed
+    squarefree = divide_exact(g, mpoly_gcd(g, g.deriv("xi")))
+    return squarefree.degree_in("xi"), missed
 
 
 def _verify_xshift_solution(mu, xi):

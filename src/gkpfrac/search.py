@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactalg import (
-    MPoly, RatFunc, as_field, divide_exact, felem_eq, felem_inv,
-    felem_is_zero, mpoly_lcm, remainder_in_x, variables,
+    MPoly, RatFunc, as_field, as_mpoly, clear_denominators, divide_exact,
+    felem_eq, felem_inv, felem_is_zero, num_den, remainder_in_x, variables,
 )
 from .gkpcore import GKPParams, gkp_triangle, ogf_trunc
 from .cfrac import extract_sfrac
@@ -170,43 +170,29 @@ def _check_consistency(node: SearchNode):
 # coefficient computation
 # ---------------------------------------------------------------------------
 
-def _inv_poly(p: MPoly) -> RatFunc:
-    return RatFunc(MPoly.one(p.vars), p)
-
-
 def node_cs(node: SearchNode, depth: int):
     """c_1..c_depth of the node's series, exactly, as field elements.
 
     The substitution is cleared to polynomial parameters first; since every
     coefficient is homogeneous of degree one in mu, the clearing factor is
     divided out again at the end."""
-    vals = [as_field(node.subs[p]) for p in BASE]
-    D = mpoly_lcm([v.den for v in vals if isinstance(v, RatFunc) and not v.is_poly()],
-                  V.a.vars)
-    mu_star = [v.num * divide_exact(D, v.den) if isinstance(v, RatFunc) else v * D
-               for v in vals]
-    t = gkp_triangle(GKPParams(*mu_star), depth)
+    nums, D = clear_denominators([node.subs[p] for p in BASE], V.a.vars)
+    t = gkp_triangle(GKPParams(*(as_mpoly(v, V.a.vars) for v in nums)), depth)
     cf = extract_sfrac(ogf_trunc(t), depth)
-    if D.is_constant() and D.constant_value() == 1:
+    if D == 1:
         cs = list(cf.c)
     else:
-        inv = _inv_poly(D)
+        inv = felem_inv(D)
         cs = [ci * inv for ci in cf.c]
     return cs, cf.terminated_at
 
 
 def _deg_x(p) -> int:
-    p = as_field(p)
-    if isinstance(p, (int, Fraction)):
+    """The x-degree of p's numerator."""
+    p = num_den(p)[0]
+    if isinstance(p, (int, Fraction)) or "x" not in p.vars:
         return 0
-    if isinstance(p, RatFunc):
-        return _deg_x(p.num)
-    return p.degree_in("x") if "x" in p.vars else 0
-
-
-def _den_of(p):
-    p = as_field(p)
-    return p.den if isinstance(p, RatFunc) else 1
+    return p.degree_in("x")
 
 
 def _x_free(p) -> bool:
@@ -232,8 +218,7 @@ def _nonzero_certified(expr, atoms) -> bool:
     expr = as_field(expr)
     if isinstance(expr, (int, Fraction)):
         return expr != 0
-    num = expr.num if isinstance(expr, RatFunc) else expr
-    den = expr.den if isinstance(expr, RatFunc) else MPoly.one(num.vars)
+    num, den = (as_mpoly(p) for p in num_den(expr))
     if num.is_zero():
         return False
 
@@ -297,7 +282,7 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
                           _deg_x(c_k), 0, [], "white")
 
     if "passthrough" in hint:
-        if not _x_free(_den_of(c_k)):
+        if not _x_free(num_den(c_k)[1]):
             raise InconsistentNode("%s: expected a polynomial coefficient"
                                    % node.name())
         token, extra_atoms, disj = hint["passthrough"]
@@ -313,7 +298,7 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
     g = hint["rfactor"](V)
     R = g * as_field(c_prev) if k >= 2 else as_field(g)
     Q = as_field(c_k) * R
-    if not _x_free(_den_of(Q)) or not _x_free(_den_of(R)):
+    if not _x_free(num_den(Q)[1]) or not _x_free(num_den(R)[1]):
         raise InconsistentNode("%s: R is not the declared multiple of c_%d"
                                % (node.name(), k - 1))
     quot, rem = remainder_in_x(Q, R, "x")
@@ -351,10 +336,7 @@ def split_node(node: SearchNode, factor_hints=None, rem=None, R=None) -> list:
     children = []
 
     # the factor product must reproduce the remainder numerator exactly
-    rem = as_field(rem)
-    num = rem.num if isinstance(rem, RatFunc) else rem
-    num_poly = MPoly.constant(num, V.a.vars) if isinstance(num, (int, Fraction)) \
-        else num
+    num_poly = as_mpoly(num_den(rem)[0], V.a.vars)
     fac_list = hint.get("factors", ())
     prod = MPoly.one(V.a.vars)
     for item in fac_list:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .exactalg import (
-    MPoly, RatFunc, _common_factor, as_field, as_mpoly, divide_exact,
+    MPoly, RatFunc, _common_factor, as_field, as_mpoly, clear_denominators,
     felem_eq, felem_inv, felem_is_zero, first_mismatch, mismatch_report,
-    mpoly_lcm,
+    num_den,
 )
 from .gkpcore import GKPParams, gkp_triangle
 
@@ -276,54 +276,50 @@ def symbolic_mu() -> GKPParams:
     return GKPParams.symbolic(extra=("x",))
 
 
+# (name, lhs word, rhs word) of the relations checked both in the abstract
+# group and as parameter maps
+_RELATIONS = (
+    ("S^2", S * S, IDENT),
+    ("Z^2", Z * Z, IDENT),
+    ("D^2", D * D, IDENT),
+    ("SZ=ZS", S * Z, Z * S),
+    ("S'Z=ZS'", SPRIME * Z, Z * SPRIME),
+    ("SS'=S'S", S * SPRIME, SPRIME * S),
+    ("(DS)^2=SS'", (D * S) ** 2, S * SPRIME),
+    ("(SD)^2=SS'", (S * D) ** 2, S * SPRIME),
+    ("(DZ)^6=SS'", (D * Z) ** 6, S * SPRIME),
+    ("(ZD)^6=SS'", (Z * D) ** 6, S * SPRIME),
+    ("SXS=X^7", S * X * S, X ** 7),
+    ("ZXZ=X^11", Z * X * Z, X ** 11),
+)
+
+
 def verify_relations() -> dict:
     """All stated relations, both abstractly and as parameter maps over the
     rational-function field in mu."""
     mu = symbolic_mu()
     report = {"abstract": {}, "maps": {}, "presentation": {}}
 
-    abstract = {
-        "S^2": S * S == IDENT,
-        "Z^2": Z * Z == IDENT,
-        "D^2": D * D == IDENT,
+    abstract = {name: u == w for name, u, w in _RELATIONS}
+    abstract.update({
         "X^12": X ** 12 == IDENT,
-        "SZ=ZS": S * Z == Z * S,
-        "S'Z=ZS'": SPRIME * Z == Z * SPRIME,
-        "SS'=S'S": S * SPRIME == SPRIME * S,
-        "(DS)^2=SS'": (D * S) ** 2 == S * SPRIME,
-        "(SD)^2=SS'": (S * D) ** 2 == S * SPRIME,
-        "(DZ)^6=SS'": (D * Z) ** 6 == S * SPRIME,
-        "(ZD)^6=SS'": (Z * D) ** 6 == S * SPRIME,
-        "SXS=X^7": S * X * S == X ** 7,
-        "ZXZ=X^11": Z * X * Z == X ** 11,
         "X=DZ": X == D * Z,
         "S'=DSD": SPRIME == D * S * D,
         "R=DZD": R == D * Z * D,
-    }
+    })
     report["abstract"] = abstract
 
     def same(w1: GroupWord, w2: GroupWord) -> bool:
         return map_equal(apply_map(w1, mu), apply_map(w2, mu))
 
-    maps = {
-        "S^2": same(S * S, IDENT),
-        "Z^2": same(Z * Z, IDENT),
-        "D^2": same(D * D, IDENT),
-        "SZ=ZS": same(S * Z, Z * S),
-        "S'Z=ZS'": same(SPRIME * Z, Z * SPRIME),
-        "SS'=S'S": same(S * SPRIME, SPRIME * S),
-        "(DS)^2=SS'": same((D * S) ** 2, S * SPRIME),
-        "(SD)^2=SS'": same((S * D) ** 2, S * SPRIME),
-        "(DZ)^6=SS'": same((D * Z) ** 6, S * SPRIME),
-        "(ZD)^6=SS'": same((Z * D) ** 6, S * SPRIME),
-        "SXS=X^7": same(S * X * S, X ** 7),
-        "ZXZ=X^11": same(Z * X * Z, X ** 11),
+    maps = {name: same(u, w) for name, u, w in _RELATIONS}
+    maps.update({
         "X^12=1": same(X ** 12, IDENT),
         "R^2=1": same(R * R, IDENT),
         "S'=S_{1,-1}": map_equal(apply_map(SPRIME, mu),
                                  apply_map(ScalingMap(1, -1), mu)),
         "X action (2.20)": _check_x_formula(mu),
-    }
+    })
     report["maps"] = maps
 
     # direct-product presentation: a = X^4, b = SZ, c = X^3, d = S
@@ -384,11 +380,9 @@ def _generates_all(gens) -> bool:
 # acting on binary forms of degree n), so a word costs one substitution per
 # row, all of it polynomial.
 
-def _cleared(val, vars):
-    """A field element as (numerator, denominator) MPolys over vars."""
-    if isinstance(val, RatFunc):
-        return val.num.in_vars(vars), val.den.in_vars(vars)
-    return as_mpoly(val, vars).in_vars(vars), MPoly.one(vars)
+def _over(p, vars):
+    """A scalar or MPoly as an MPoly over exactly ``vars``."""
+    return as_mpoly(p, vars).in_vars(vars)
 
 
 def _letter_matrix(letter, mu, vars):
@@ -401,8 +395,8 @@ def _letter_matrix(letter, mu, vars):
     _, b, _, _, bp, _ = mu
     if felem_is_zero(b if letter == "R" else bp):
         raise SingularMap(letter)
-    bn, bd = _cleared(b, vars)
-    pn, pd = _cleared(bp, vars)
+    bn, bd = (_over(v, vars) for v in num_den(b))
+    pn, pd = (_over(v, vars) for v in num_den(bp))
     p, q = pn * bd, bn * pd             # b / b' = q / p
     if letter == "Z":                   # x - b/b'
         return p, -q, zero, p, p
@@ -427,11 +421,9 @@ def _cleared_params(mu, vars):
     parameters back to the rows of mu."""
     out, dens = [], []
     for triple in (mu[:3], mu[3:]):
-        parts = [_cleared(v, vars) for v in triple]
-        d = mpoly_lcm(dict.fromkeys(den for _, den in parts
-                                    if not den.is_constant()), vars)
-        out += [num * divide_exact(d, den) for num, den in parts]
-        dens.append(d)
+        nums, d = clear_denominators(triple, vars)
+        out += [_over(v, vars) for v in nums]
+        dens.append(_over(d, vars))
     d1, d2 = dens
     zero = MPoly.zero(vars)
     return out, (d1, zero, zero, d2, d1 * d2)
@@ -466,7 +458,7 @@ def _verify_substitution(name, letters, orbit, moved, N):
     vars += () if "x" in vars else ("x",)
     # x is the row variable: the substitution does not reach x inside mu
     for p in orbit[0]:
-        for part in (p.num, p.den) if isinstance(p, RatFunc) else (p,):
+        for part in num_den(p):
             if isinstance(part, MPoly) and "x" in part.vars and part.degree_in("x"):
                 raise ValueError("parameters must be x-free")
     lhs_mu, lhs_m = _cleared_params(tuple(moved), vars)

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from gkpfrac.exactalg import (
     DivisionByZeroPolynomial, MPoly, NonInvertibleSeries, RatFunc, TruncSeries,
-    as_field, divide_exact, felem_eq, first_mismatch, generalized_binomial_series,
-    mismatch_report, mpoly_gcd, ratfunc, remainder_in_x, variables,
+    as_field, clear_denominators, divide_exact, felem_div, felem_eq, first_mismatch,
+    generalized_binomial_series, mismatch_report, mpoly_gcd, num_den, ratfunc,
+    remainder_in_x, variables,
 )
 
 
@@ -165,10 +166,150 @@ def test_generalized_binomial_integer_exponent_is_repeated_product():
         assert generalized_binomial_series(base, m) == direct
 
 
+# -- series powers against two test-only oracles -----------------------------
+
+def series_log(s):
+    """log of a series with constant term 1: L' = f'/f, so
+    k l_k = k f_k - sum_{j=1}^{k-1} j l_j f_{k-j}."""
+    assert felem_eq(s.coeffs[0], 1)
+    f, l = s.coeffs, [0]
+    for k in range(1, s.order + 1):
+        acc = k * f[k]
+        for j in range(1, k):
+            acc = acc - (j * l[j]) * f[k - j]
+        l.append(acc * Fraction(1, k))
+    return TruncSeries(s.order, l)
+
+
+def power_exp_log(base, e):
+    """base**e as exp(e log base)."""
+    return series_log(base).scale(e).exp()
+
+
+def power_binomial_sum(base, e):
+    """base**e as sum_k C(e, k) (base - 1)^k, C(e, k) = prod_i (e - i)/(i + 1)."""
+    w = base - 1
+    acc = power = TruncSeries.one(base.order)
+    binom = 1
+    for k in range(1, base.order + 1):
+        power = power * w
+        binom = binom * (e - (k - 1)) * Fraction(1, k)
+        acc = acc + power.scale(binom)
+    return acc
+
+
 def test_exp_log_roundtrip():
     x, = variables("x")
     s = TruncSeries(6, [0, x, 1, x * x])
-    assert s.exp().log() == s
+    assert series_log(s.exp()) == s
+
+
+X_ONLY = ("x",)
+small_q = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def x_polys(draw, nonzero=False):
+    """A polynomial of degree <= 2 in x with small rational coefficients."""
+    x = MPoly.variable("x", X_ONLY)
+    p = sum((draw(small_q) * x ** k for k in range(3)), MPoly.zero(X_ONLY))
+    if nonzero and p.is_zero():
+        p = p + 1
+    return p
+
+
+@st.composite
+def power_cases(draw):
+    """(base, exponent): [t^0] base = 1, other coefficients scalars or
+    polynomials in x; the exponent a rational or a RatFunc in x."""
+    order = draw(st.integers(1, 4))
+    coeff = st.one_of(small_q, x_polys())
+    base = TruncSeries(order, [1] + [draw(coeff) for _ in range(order)])
+    e = draw(st.one_of(small_q, st.builds(felem_div, x_polys(), x_polys(nonzero=True))))
+    return base, e
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(power_cases())
+def test_power_agrees_with_exp_log_and_binomial_sum(case):
+    base, e = case
+    got = generalized_binomial_series(base, e)
+    assert got == power_exp_log(base, e)
+    assert got == power_binomial_sum(base, e)
+
+
+def test_power_at_a_ratfunc_exponent():
+    # (1 - t)^(-x/(1+x)): [t^1] = x/(1+x), [t^2] = e(e+1)/2
+    x = MPoly.variable("x", X_ONLY)
+    e = ratfunc(x, 1 + x)
+    got = generalized_binomial_series(TruncSeries(3, [1, -1]), -e)
+    assert felem_eq(got[1], e)
+    assert felem_eq(got[2], e * (e + 1) * Fraction(1, 2))
+    assert got == power_exp_log(TruncSeries(3, [1, -1]), -e)
+
+
+# -- canonical division and denominator clearing ------------------------------
+
+def test_felem_div_returns_the_canonical_form():
+    a, b = variables("a b")
+    cases = [
+        (3, 6, Fraction, Fraction(1, 2)),
+        (Fraction(1, 2), -2, Fraction, Fraction(-1, 4)),
+        (a * a - b * b, a - b, MPoly, a + b),           # polynomial quotient
+        (2 * a, 4, MPoly, a * Fraction(1, 2)),
+        (a, MPoly.constant(2, a.vars), MPoly, a * Fraction(1, 2)),
+        (0, a + b, MPoly, 0),
+        (a, a + b, RatFunc, ratfunc(a, a + b)),         # not a polynomial
+        (3, a, RatFunc, ratfunc(3, a)),
+        (ratfunc(a, a + b), ratfunc(a, b * (a + b)), MPoly, b),
+        (ratfunc(a * a, b), ratfunc(a, b), MPoly, a),
+        (ratfunc(a, a + b), a, RatFunc, ratfunc(1, a + b)),
+        (ratfunc(a, a + b), 2, RatFunc, ratfunc(a, 2 * (a + b))),
+    ]
+    for num, den, kind, want in cases:
+        got = felem_div(num, den)
+        assert type(got) is kind, (num, den, got)
+        assert felem_eq(got, want), (num, den, got)
+    with pytest.raises(ZeroDivisionError):
+        felem_div(a, 0)
+
+
+def test_num_den():
+    a, b = variables("a b")
+    assert num_den(Fraction(3, 4)) == (Fraction(3, 4), 1)
+    n, d = num_den(a + b)
+    assert n == a + b and d == 1
+    # the reduced parts: the denominator integer-primitive, positive lead
+    n, d = num_den(ratfunc(2 * a * b, -4 * b * (a + b)))
+    assert n == -a * Fraction(1, 2) and d == a + b
+    with pytest.raises(TypeError):
+        num_den(0.5)
+
+
+def test_clear_denominators_without_denominators():
+    a, b = variables("a b")
+    nums, L = clear_denominators([a, 2, ratfunc(a * b, b), Fraction(1, 3)], a.vars)
+    assert type(L) is MPoly and L == 1 and L.vars == ("a", "b")
+    assert nums == [a, 2, a, Fraction(1, 3)]
+    assert type(nums[2]) is MPoly
+
+
+def test_clear_denominators_with_one_shared_denominator():
+    a, b = variables("a b")
+    values = [ratfunc(a, a + b), ratfunc(b, a + b), 3]
+    nums, L = clear_denominators(values, a.vars)
+    assert L == a + b
+    assert nums == [a, b, 3 * (a + b)]
+    assert all(type(n) is MPoly for n in nums)
+
+
+def test_clear_denominators_with_distinct_denominators():
+    a, b = variables("a b")
+    values = [ratfunc(1, a * (a + b)), ratfunc(a, b * (a + b)), b, ratfunc(1, a)]
+    nums, L = clear_denominators(values, a.vars)
+    assert L == a * b * (a + b)
+    for v, n in zip(values, nums):
+        assert type(n) is MPoly and felem_eq(felem_div(n, L), v)
 
 
 def test_json_roundtrip():

@@ -90,8 +90,6 @@ def test_order3_tp_on_random_nonneg_samples():
 def test_size_cap():
     with pytest.raises(ValueError):
         hankel_tp([1] * 17, 9, 2)
-    # explicit opt-in raises the cap
-    assert hankel_tp([1] * 17, 9, 1, size_cap=9).ok
 
 
 def test_hypothesis_sets():

@@ -6,6 +6,7 @@ import pytest
 from gkpfrac.exactalg import MPoly, as_field, felem_eq, variables
 from gkpfrac.gkpcore import Triangle, gkp_triangle, gkpz_triangle
 from gkpfrac.combinat import binom
+from gkpfrac import matprod
 from gkpfrac.matprod import (
     PRODUCT_CASES, SizeMismatch, binomial_inverse_identity, binomial_matrix,
     case_A13_remark_defect, inverse_pair_check, inverse_pair_from_b,
@@ -137,3 +138,40 @@ def test_xshift_numeric_samples():
     rep = xshift_smalln_check(3, samples=8, seed=0)
     assert rep["ok"], rep
     assert all(c == 2 for c in rep["counts"])
+    assert rep["dropped"] == {"beta = 0": 1} and rep["unconfirmed"] == []
+
+
+def test_xshift_genericity_is_decided_from_mu():
+    assert matprod._xshift_degenerate((1, 0, 1, 1, 1, 1)) == "beta = 0"
+    assert matprod._xshift_degenerate((1, 1, 1, 1, 0, 1)) == "beta' = 0"
+    # T(1,1) = alpha' + beta' + gamma' = 0, T(1,0) = alpha + gamma
+    assert matprod._xshift_degenerate((1, 1, 1, 1, 1, -2)) == "s11 = 0"
+    assert matprod._xshift_degenerate((1, 1, -1, 1, 1, -2)) == "p10 = 0"
+    assert matprod._xshift_degenerate((1, 2, 3, 1, -1, 2)) is None
+
+
+def test_xshift_oracle_fails_when_some_samples_break(monkeypatch):
+    # a fault that rejects the shift involution only where beta' < 0: the
+    # samples it hits stay in the report instead of being redrawn
+    real = matprod._verify_xshift_solution
+    monkeypatch.setattr(matprod, "_verify_xshift_solution",
+                        lambda mu, xi: real(mu, xi) and not (xi and mu[4] < 0))
+    rep = xshift_smalln_check(3, samples=20, seed=0)
+    assert not rep["ok"] and rep["samples"] == 20
+    hit = rep["unconfirmed"]
+    assert 0 < len(hit) < 20
+    assert all(Fraction(u["mu"][4]) < 0 and Fraction(u["xi"]) != 0 for u in hit)
+
+
+def test_inverse_pair_check_reports_a_broken_pair():
+    rng = random.Random(4)
+    N = 4
+    B = Triangle([[Fraction(rng.randint(-4, 4)) for _ in range(n + 1)]
+                  for n in range(N + 1)])
+    alpha = Fraction(2, 3)
+    A = inverse_pair_from_b(B, alpha)
+    rows = [list(r) for r in A.rows]
+    rows[3][1] += 1
+    rep = inverse_pair_check(Triangle(rows), B, alpha)
+    assert rep == {**{key: False for key in "abcdefgh"}, "all": False, "any": False}
+    assert list(rep) == list("abcdefgh") + ["all", "any"]
