@@ -1,6 +1,7 @@
 """Continued-fraction machinery for ordinary generating functions:
 
 * extraction of S-type and J-type coefficients from a truncated series,
+* confirmation of a predicted S-fraction on the series itself,
 * evaluation of S-, T- and J-fractions as weighted Dyck, Schroeder and
   Motzkin path sums (Flajolet, Discrete Math. 32, 1980), tabulated as in
   the production matrices of Petreolle-Sokal-Zhu (arXiv:1807.03271),
@@ -197,6 +198,40 @@ def eval_sr(c: Sequence, order: int) -> TruncSeries:
         raise InsufficientDepth("S-fraction to order %d needs %d levels, got %d"
                                 % (order, order, len(c)))
     return _path_series(c, [0] * order, 2, order)
+
+
+def sfrac_mismatch(a: TruncSeries, c: Sequence, order: int) -> Optional[int]:
+    """The first n <= order at which [t^n] of ``a`` differs from [t^n] of the
+    S-fraction with coefficients c_1, c_2, ..., or None when they agree
+    through t^order.  Coefficients past the end of ``c`` count as zero."""
+    c = list(c[:order]) + [0] * (order - len(c))
+    want = eval_sr(c, order).coeffs
+    for n in range(order + 1):
+        if not felem_eq(as_field(a.coeffs[n]), as_field(want[n])):
+            return n
+    return None
+
+
+def sfrac_confirms(a: TruncSeries, want: CFrac) -> bool:
+    """Whether ``extract_sfrac(a, a.order)`` returns ``want``'s coefficients
+    and ``terminated_at``, decided on the series without extraction.
+
+    [t^n] of an S-fraction is c_1 c_2 ... c_n plus a polynomial in
+    c_1..c_{n-1}: the only Dyck path of semilength n that reaches height n
+    rises straight and falls straight.  So when the predicted c_i before
+    the termination point L are nonzero, the series agrees with the
+    prediction (c_L and later taken as zero) through t^order exactly when
+    extraction returns it.  True is therefore certain.  False means
+    extraction differs, or that the series cannot tell: a predicted zero
+    before L, or L beyond the order."""
+    order, L = a.order, want.terminated_at
+    if L is not None and L > order:
+        return False
+    known = order if L is None else L - 1
+    c = want.c[:known]
+    if len(c) < known or any(felem_is_zero(as_field(ci)) for ci in c):
+        return False
+    return sfrac_mismatch(a, c, order) is None
 
 
 def eval_tr(c: Sequence, d: Sequence, order: int) -> TruncSeries:

@@ -4,8 +4,8 @@ fractions, with end-to-end verification harnesses.
 Each family record carries a parameter template, the closed-form fraction
 coefficients (S, T or J kind), an epistemic status flag, and the side
 conditions under which the first few coefficients are nonzero.  Verification
-regenerates the triangle, extracts (or evaluates) the fraction and compares
-against the prediction, symbolically in all free parameters.
+regenerates the triangle and compares its ogf with the prediction,
+symbolically in all free parameters.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .gkpcore import (
     row_polys, triangle,
 )
 from .cfrac import (
-    CFrac, contract, eval_tr, extract_jfrac, extract_sfrac,
+    CFrac, contract, eval_tr, extract_jfrac, extract_sfrac, sfrac_confirms,
 )
 from .combinat import binom
 from .matprod import binomial_matrix, triangle_product
@@ -426,9 +426,15 @@ def _f7b_J_entry(vals, n):
 
 
 def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None) -> dict:
-    """Generate, extract/evaluate, compare; symbolic in all free parameters.
+    """Generate, compare; symbolic in all free parameters.
 
-    S and J kinds are compared coefficient-by-coefficient against the
+    S and terminating kinds are decided on the series: the ogf agrees with
+    the predicted S-fraction through t^N exactly when extraction would
+    return the prediction, provided the predicted coefficients before the
+    termination point are nonzero (``cfrac.sfrac_confirms``).  Extraction
+    runs only when that check fails, to build the ``first_mismatch``
+    witness; if extraction then agrees after all, ``ArithmeticError`` is
+    raised.  J kinds are compared coefficient by coefficient against the
     extraction; T kinds are verified by evaluating the predicted fraction.
     """
     spec = get_family(id)
@@ -438,22 +444,16 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
     report = {"id": id, "kind": kind, "status": spec.status,
               "verified_to": N, "first_mismatch": None}
 
-    tail = None  # checked only once every coefficient agrees
-    if spec.status == "terminating":
-        got = extract_sfrac(ogf, N)
-        want = predicted_cfrac(id, params)
-        if got.terminated_at != want.terminated_at:
-            report["first_mismatch"] = {"level": got.terminated_at,
-                                        "expected": "termination at %s" % want.terminated_at}
-            return report
-        cases = zip(count(1), got.c, want.c)
-    elif kind == "S":
-        got = extract_sfrac(ogf, N)
-        want = predicted_cfrac(id, params, N, kind="S")
-        cases = zip(count(1), got.c, want.c)
-        if got.terminated_at is not None:
-            tail = {"level": got.terminated_at, "expected": "nonterminating"}
-    elif kind == "J":
+    if spec.status == "terminating" or kind == "S":
+        want = (predicted_cfrac(id, params) if spec.status == "terminating"
+                else predicted_cfrac(id, params, N, kind="S"))
+        if not sfrac_confirms(ogf, want):
+            report["first_mismatch"] = _sfrac_witness(ogf, want)
+            if report["first_mismatch"] is None:
+                raise ArithmeticError("%s: the series refutes the prediction "
+                                      "but extraction confirms it" % id)
+        return report
+    if kind == "J":
         m = N // 2
         got = extract_jfrac(ogf, m)
         want = predicted_cfrac(id, params, m, kind="J")
@@ -465,13 +465,30 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
                     ogf.coeffs)
     else:
         raise ValueError(kind)
-    bad = first_mismatch(cases)
-    if bad is None:
-        report["first_mismatch"] = tail
-    else:
-        level, g, w = bad
-        report["first_mismatch"] = {"level": level, "expected": repr(w), "got": repr(g)}
+    report["first_mismatch"] = _witness(first_mismatch(cases))
     return report
+
+
+def _sfrac_witness(ogf: TruncSeries, want: CFrac):
+    """The first_mismatch entry of extraction against an S prediction:
+    a termination level that differs, else the first differing
+    coefficient, else an unexpected termination; None when all agree."""
+    got = extract_sfrac(ogf, ogf.order)
+    tail = None  # reported only once every coefficient agrees
+    if want.terminated_at is not None:
+        if got.terminated_at != want.terminated_at:
+            return {"level": got.terminated_at,
+                    "expected": "termination at %s" % want.terminated_at}
+    elif got.terminated_at is not None:
+        tail = {"level": got.terminated_at, "expected": "nonterminating"}
+    return _witness(first_mismatch(zip(count(1), got.c, want.c)), tail)
+
+
+def _witness(bad, tail=None):
+    if bad is None:
+        return tail
+    level, g, w = bad
+    return {"level": level, "expected": repr(w), "got": repr(g)}
 
 
 # ---------------------------------------------------------------------------

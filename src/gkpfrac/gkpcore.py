@@ -122,7 +122,14 @@ FOUR_TERM = ((1, 0), (1, 1), (1, 2), (1, -1))
 def _unroll(N: int, offsets, rule: Callable) -> Triangle:
     """Rows 0..N of T(0,0) = 1, T(n,k) = sum_i w_i T(n - dn_i, k - dk_i)
     for n >= 1, where ``offsets`` lists the (dn_i, dk_i) and ``rule(n, k)``
-    returns the weights w_i in the same order.
+    returns the weights w_i in the same order."""
+    return _unroll_rows(N, offsets,
+                        lambda n: [rule(n, k) for k in range(n + 1)])
+
+
+def _unroll_rows(N: int, offsets, row_rule: Callable) -> Triangle:
+    """``_unroll`` with the weights of a whole row at once: ``row_rule(n)``
+    lists the weight tuples for k = 0..n.
 
     A neighbour outside the triangle is skipped rather than multiplied by
     zero, and each sum starts from its first term, so rational-function
@@ -130,9 +137,9 @@ def _unroll(N: int, offsets, rule: Callable) -> Triangle:
     rows = [[1]]
     for n in range(1, N + 1):
         row = []
-        for k in range(n + 1):
+        for k, weights in enumerate(row_rule(n)):
             acc = None
-            for (dn, dk), w in zip(offsets, rule(n, k)):
+            for (dn, dk), w in zip(offsets, weights):
                 m, j = n - dn, k - dk
                 if 0 <= j <= m:
                     term = w * rows[m][j]
@@ -144,7 +151,7 @@ def _unroll(N: int, offsets, rule: Callable) -> Triangle:
 
 def gkp_triangle(mu, N: int) -> Triangle:
     """Unroll T(n,k) = (an+bk+g)T(n-1,k) + (a'n+b'k+g')T(n-1,k-1)."""
-    return _unroll(N, TWO_TERM, gkp_rule(mu))
+    return _unroll_rows(N, TWO_TERM, _gkp_row_rule(mu))
 
 
 def gkpz_triangle(mu8, N: int) -> Triangle:
@@ -176,6 +183,24 @@ def gkp_rule(mu) -> Callable:
         return a * n + b * k + g, ap * n + bp * k + gp
 
     return rule
+
+
+def _gkp_row_rule(mu) -> Callable:
+    """Row n of ``gkp_rule(mu)`` for k = 0..n, stepped along the row: the
+    weights grow by b and b' from one k to the next."""
+    a, b, g, ap, bp, gp = GKPParams.of(mu)
+
+    def row_rule(n):
+        # the k = 0 weights written as in gkp_rule, so that every entry has
+        # the value type and variable tuple of the direct formula
+        w, wp = a * n + b * 0 + g, ap * n + bp * 0 + gp
+        weights = [(w, wp)]
+        for _ in range(n):
+            w, wp = w + b, wp + bp
+            weights.append((w, wp))
+        return weights
+
+    return row_rule
 
 
 def _xvar_for(entries):

@@ -8,19 +8,27 @@ every documented assertion exactly -- the substitutions, the inequations,
 the remainder and its factorization, the degree collapse of the numerator
 and denominator polynomials, the family membership of every classified
 branch -- and raises instead of silently accepting a violation.
+
+Each node's own split coefficient is extracted from its series.  A leaf's
+claimed S-fraction (the ten red families, the thirteen terminating ones) is
+decided on the series instead: the ogf agrees with the predicted fraction
+through the checked order exactly when extraction would return the
+prediction (``cfrac.sfrac_confirms``), so extraction runs again only to
+name the failing coefficient of a refuted leaf.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .exactalg import (
     MPoly, RatFunc, as_field, as_mpoly, clear_denominators, divide_exact,
-    felem_eq, felem_inv, felem_is_zero, num_den, remainder_in_x, variables,
+    felem_div, felem_eq, felem_inv, felem_is_zero, num_den, remainder_in_x,
+    variables,
 )
 from .gkpcore import GKPParams, gkp_triangle, ogf_trunc
-from .cfrac import extract_sfrac
+from .cfrac import extract_sfrac, sfrac_confirms
 from . import families
 from .hintbook import make_hint_book
 
@@ -170,15 +178,20 @@ def _check_consistency(node: SearchNode):
 # coefficient computation
 # ---------------------------------------------------------------------------
 
-def node_cs(node: SearchNode, depth: int):
-    """c_1..c_depth of the node's series, exactly, as field elements.
-
-    The substitution is cleared to polynomial parameters first; since every
-    coefficient is homogeneous of degree one in mu, the clearing factor is
-    divided out again at the end."""
+def _cleared_ogf(node: SearchNode, order: int):
+    """(ogf, D): the series to t^order of the triangle on the cleared
+    parameters D*mu, which are polynomials.  Every S-fraction coefficient
+    is homogeneous of degree one in mu, so those of D*mu are D*c_i."""
     nums, D = clear_denominators([node.subs[p] for p in BASE], V.a.vars)
-    t = gkp_triangle(GKPParams(*(as_mpoly(v, V.a.vars) for v in nums)), depth)
-    cf = extract_sfrac(ogf_trunc(t), depth)
+    t = gkp_triangle(GKPParams(*(as_mpoly(v, V.a.vars) for v in nums)), order)
+    return ogf_trunc(t), D
+
+
+def node_cs(node: SearchNode, depth: int):
+    """c_1..c_depth of the node's series, exactly, as field elements,
+    extracted on the cleared parameters with D divided out again."""
+    ogf, D = _cleared_ogf(node, depth)
+    cf = extract_sfrac(ogf, depth)
     if D == 1:
         cs = list(cf.c)
     else:
@@ -241,14 +254,10 @@ def _ratio_constant(a, b) -> bool:
     a, b = as_field(a), as_field(b)
     if felem_is_zero(a) or felem_is_zero(b):
         return False
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return True
-    r = a * felem_inv(b)
-    if isinstance(r, (int, Fraction)):
-        return True
+    r = felem_div(a, b)
     if isinstance(r, MPoly):
         return r.is_constant()
-    return r.num.is_constant() and r.den.is_constant()
+    return not isinstance(r, RatFunc)
 
 
 # ---------------------------------------------------------------------------
@@ -455,29 +464,53 @@ def _make_deg0_branch(node, deg0, factor_exprs):
 # leaf verification
 # ---------------------------------------------------------------------------
 
+def _check_leaf(node: SearchNode, want, order: int, by_extraction, fid):
+    """The node's series has the S-fraction ``want`` through ``order``,
+    decided on the cleared series by ``sfrac_confirms``.  Only a refuted
+    prediction runs ``by_extraction(node, fid, want)``, which raises the
+    failure with its witness; by the lemma behind ``sfrac_confirms`` it
+    cannot pass, and if it does the disagreement is raised instead."""
+    ogf, D = _cleared_ogf(node, order)
+    scaled = want if D == 1 else replace(
+        want, c=tuple(felem_div(D * n, d) for n, d in map(num_den, want.c)))
+    if sfrac_confirms(ogf, scaled):
+        return
+    by_extraction(node, fid, want)
+    raise ArithmeticError("%s: the series refutes %s but extraction "
+                          "confirms it" % (node.name(), fid))
+
+
 def _verify_red(node: SearchNode, family_id: str, binding):
     """Red leaves: c_1..c_10 equal the family's predicted coefficients."""
-    cs, terminated = node_cs(node, RED_DEPTH)
-    if terminated is not None:
-        raise InconsistentNode("%s: unexpectedly terminating" % node.name())
     want = families.predicted_cfrac(family_id, binding(V), RED_DEPTH, kind="S")
-    for i, (got, exp) in enumerate(zip(cs, want.c), start=1):
-        if not felem_eq(as_field(got), as_field(exp)):
-            raise InconsistentNode("%s: c_%d does not match family %s"
-                                   % (node.name(), i, family_id))
+    _check_leaf(node, want, RED_DEPTH, _red_by_extraction, family_id)
     if not family_member(family_id, node.mu()):
         raise InconsistentNode("%s: parameters not inside family %s"
                                % (node.name(), family_id))
 
 
+def _red_by_extraction(node: SearchNode, family_id: str, want):
+    cs, terminated = node_cs(node, RED_DEPTH)
+    if terminated is not None:
+        raise InconsistentNode("%s: unexpectedly terminating" % node.name())
+    for i, (got, exp) in enumerate(zip(cs, want.c), start=1):
+        if not felem_eq(as_field(got), as_field(exp)):
+            raise InconsistentNode("%s: c_%d does not match family %s"
+                                   % (node.name(), i, family_id))
+
+
 def _verify_terminating(node: SearchNode, s_id: str, binding):
-    spec = families.get_family(s_id)
-    level = spec.terminates_at
+    want = families.predicted_cfrac(s_id, binding(V))
+    _check_leaf(node, want, want.terminated_at + 3,
+                _terminating_by_extraction, s_id)
+
+
+def _terminating_by_extraction(node: SearchNode, s_id: str, want):
+    level = want.terminated_at
     cs, terminated = node_cs(node, level + 3)
     if terminated != level:
         raise InconsistentNode("%s: expected termination at %d, got %s"
                                % (node.name(), level, terminated))
-    want = families.predicted_cfrac(s_id, binding(V))
     for i, (got, exp) in enumerate(zip(cs, want.c), start=1):
         if not felem_eq(as_field(got), as_field(exp)):
             raise InconsistentNode("%s: terminating c_%d mismatch vs %s"

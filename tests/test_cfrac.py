@@ -8,7 +8,8 @@ from gkpfrac.gkpcore import gkp_triangle, ogf_trunc
 from gkpfrac.cfrac import (
     CFrac, InsufficientDepth, NonExtractableSeries, NotContractible,
     binomial_transform_seq, contract, eval_cfrac, eval_jr, eval_sr, eval_tr,
-    extract_jfrac, extract_sfrac, transform_laws,
+    extract_jfrac, extract_sfrac, sfrac_confirms, sfrac_mismatch,
+    transform_laws,
 )
 
 
@@ -273,6 +274,61 @@ def test_sfrac_roundtrip_property(c):
     back = extract_sfrac(eval_sr(c, m), m)
     assert back.terminated_at is None and len(back.c) == m
     assert all(felem_eq(as_field(a), as_field(b)) for a, b in zip(back.c, c))
+
+
+# -- deciding a predicted S-fraction on the series ---------------------------
+
+@st.composite
+def nonzero_sfracs(draw):
+    """(c, j, delta): 1-6 nonzero Fraction coefficients or 1-4 nonzero MPoly
+    coefficients over 2-3 variables, a level j and a nonzero change."""
+    fracs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    if draw(st.booleans()):
+        coeff, size = fracs, 6
+    else:
+        vars = ("p", "q", "r")[:draw(st.integers(2, 3))]
+        exps = st.tuples(*[st.integers(0, 1)] * len(vars))
+        coeff = st.builds(MPoly, st.just(vars),
+                          st.dictionaries(exps, fracs, min_size=1, max_size=2))
+        size = 4
+    c = draw(st.lists(coeff, min_size=1, max_size=size))
+    return c, draw(st.integers(1, len(c))), draw(coeff)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(nonzero_sfracs())
+def test_series_decides_a_nonzero_prediction(case):
+    # [t^n] = c_1...c_n + (terms in c_1..c_{n-1}), so a change of c_j moves
+    # t^j first, by c_1...c_{j-1} * delta
+    c, j, delta = case
+    N = len(c)
+    a = eval_sr(c, N)
+    back = extract_sfrac(a, N)
+    assert back.terminated_at is None
+    assert all(felem_eq(as_field(x), as_field(y)) for x, y in zip(back.c, c))
+    assert sfrac_mismatch(a, c, N) is None and sfrac_confirms(a, CFrac("S", c=tuple(c)))
+    bent = c[:j - 1] + [c[j - 1] + delta] + c[j:]
+    assert sfrac_mismatch(a, bent, N) == j
+    assert not sfrac_confirms(a, CFrac("S", c=tuple(bent)))
+
+
+def test_a_predicted_zero_is_left_to_extraction():
+    # 1, 2, 0, 7 has the series of the finite fraction 1, 2: the series
+    # agrees at every order, but extraction stops at level 3
+    a = eval_sr([1, 2, 0, 0, 0], 5)
+    assert sfrac_mismatch(a, [1, 2, 0, 7, 1], 5) is None
+    assert extract_sfrac(a, 5).terminated_at == 3
+    assert not sfrac_confirms(a, CFrac("S", c=(1, 2, 0, 7, 1)))
+    assert sfrac_confirms(a, CFrac("S", c=(1, 2), terminated_at=3))
+    # the same finite fraction claimed to end one level late, at level 4
+    assert not sfrac_confirms(a, CFrac("S", c=(1, 2, 0), terminated_at=4))
+    # a list shorter than its termination point, and a termination point
+    # beyond the order, cannot be decided either
+    assert not sfrac_confirms(a, CFrac("S", c=(1,), terminated_at=3))
+    assert not sfrac_confirms(a.truncate(2), CFrac("S", c=(1, 2), terminated_at=3))
+    # coefficients past a terminated list count as zero
+    assert sfrac_mismatch(a, [1, 2], 5) is None
+    assert sfrac_mismatch(a, [1, 2, 3], 5) == 3
 
 
 # -- the path evaluator against the bottom-up reciprocal loops ---------------

@@ -1,8 +1,12 @@
+import json
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from gkpfrac.exactalg import MPoly, as_field, felem_eq, felem_is_zero, variables
+from gkpfrac.exactalg import (
+    MPoly, as_field, felem_eq, felem_is_zero, felem_to_json, ratfunc, variables,
+)
 from gkpfrac.gkpcore import (
     CLOSED_FORMS, GKPParams, UnknownFamily, binomial_like_triangle, closed_form_check,
     egf_trunc, gkp_rule, gkp_triangle, gkpz_triangle, ogf_trunc,
@@ -81,6 +85,25 @@ def test_binomial_like_pascal_and_gkp_rule():
     assert t.rows[4] == [1, 4, 6, 4, 1]
     mu = GKPParams.symbolic()
     assert binomial_like_triangle(gkp_rule(mu), 8) == gkp_triangle(mu, 8)
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction", "MPoly", "RatFunc"])
+def test_stepped_gkp_rows_match_the_direct_formula(kind):
+    # gkp_triangle steps the weights along each row; binomial_like_triangle
+    # evaluates gkp_rule's a*n + b*k + g at every entry
+    a, b, g, ap, bp = variables("a b g ap bp", extra=("x",))
+    mu = {"int": (1, -2, 3, 0, 2, -1),
+          "Fraction": (Fraction(1, 2), 1, Fraction(-3, 2), 2, Fraction(1, 3), -1),
+          "MPoly": (0, b, 1, ap, -ap, g),
+          "RatFunc": (ratfunc(a, b), 1, 0, ratfunc(1, a), Fraction(1, 2), b)}[kind]
+    got = gkp_triangle(mu, 6)
+    want = binomial_like_triangle(gkp_rule(mu), 6)
+    for n in range(7):
+        for k in range(n + 1):
+            x, y = got.entry(n, k), want.entry(n, k)
+            assert type(x) is type(y), (n, k)
+            assert getattr(x, "vars", None) == getattr(y, "vars", None), (n, k)
+            assert json.dumps(felem_to_json(x)) == json.dumps(felem_to_json(y)), (n, k)
 
 
 def test_rescaling_product_formula_symbolic():
