@@ -1,7 +1,8 @@
 """Continued-fraction machinery for ordinary generating functions:
 
 * extraction of S-type and J-type coefficients from a truncated series,
-* confirmation of a predicted S-fraction on the series itself,
+* confirmation of a predicted S-fraction on the series itself, with
+  extraction only to name the failing level of a refuted one,
 * evaluation of S-, T- and J-fractions as weighted Dyck, Schroeder and
   Motzkin path sums (Flajolet, Discrete Math. 32, 1980), tabulated as in
   the production matrices of Petreolle-Sokal-Zhu (arXiv:1807.03271),
@@ -234,6 +235,22 @@ def sfrac_confirms(a: TruncSeries, want: CFrac) -> bool:
     return sfrac_mismatch(a, c, order) is None
 
 
+def sfrac_refutation(a: TruncSeries, want: CFrac, name: str) -> Optional[CFrac]:
+    """None when the series confirms the S prediction ``want``
+    (``sfrac_confirms``); otherwise ``extract_sfrac(a, a.order)``, from
+    which the caller names the failing level.  That extraction differs
+    from ``want`` in ``terminated_at`` or in some c_i; if it agrees after
+    all, the series check is at fault and ``ArithmeticError`` is raised."""
+    if sfrac_confirms(a, want):
+        return None
+    got = extract_sfrac(a, a.order)
+    if got.terminated_at == want.terminated_at and all(
+            felem_eq(as_field(g), as_field(w)) for g, w in zip(got.c, want.c)):
+        raise ArithmeticError("%s: the series refutes the prediction but "
+                              "extraction confirms it" % name)
+    return got
+
+
 def eval_tr(c: Sequence, d: Sequence, order: int) -> TruncSeries:
     """Truncated series of the T-fraction with coefficients (c_i, d_i):
     Schroeder paths, d_{h+1} on a level step of length 2 at height h."""
@@ -274,6 +291,13 @@ def eval_cfrac(cf: CFrac, order: int) -> TruncSeries:
 # contraction and binomial transform
 # ---------------------------------------------------------------------------
 
+def _check_odd(d):
+    """Even contraction and the T laws need the even-level d_i to vanish."""
+    for i in range(2, len(d) + 1, 2):
+        if not felem_is_zero(as_field(d[i - 1])):
+            raise NotContractible("d_%d must vanish for even contraction" % i)
+
+
 def contract(cf: CFrac) -> CFrac:
     """Even contraction of an S-fraction, or of a T-fraction whose even-level
     d coefficients vanish, into a J-fraction."""
@@ -283,9 +307,7 @@ def contract(cf: CFrac) -> CFrac:
     elif cf.kind == "T":
         c = list(cf.c)
         d = list(cf.d)
-        for i in range(2, len(d) + 1, 2):
-            if not felem_is_zero(as_field(d[i - 1])):
-                raise NotContractible("d_%d must vanish for even contraction" % i)
+        _check_odd(d)
     else:
         raise NotContractible("input must be S or T kind")
     if not c:
@@ -374,8 +396,3 @@ def transform_laws(kind: str, coeffs, xi, verify_order: Optional[int] = None) ->
             raise AssertionError("transform law failed verification")
     return out
 
-
-def _check_odd(d):
-    for i in range(2, len(d) + 1, 2):
-        if not felem_is_zero(as_field(d[i - 1])):
-            raise NotContractible("law needs d_%d = 0" % i)

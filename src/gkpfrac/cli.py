@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from .exactalg import (
     variables,
 )
 from .gkpcore import (
-    GKPParams, PARAM_NAMES, gkp_triangle, ogf_trunc, row_polys, triangle,
+    GKPParams, PARAM_NAMES, Triangle, gkp_triangle, ogf_trunc, row_polys,
+    triangle,
 )
 from . import cfrac as cf
 from . import combinat
@@ -386,14 +388,12 @@ def cmd_combinat(args):
 
 
 def cmd_inverse_pair(args):
-    import random as _random
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     N = _depth(args.depth)
     alpha = Fraction(1) if args.alpha is None else rational(args.alpha)
     results = []
     ok = True
     for _ in range(args.random):
-        from .gkpcore import Triangle
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n + 1)]
                 for n in range(N + 1)]
         B = Triangle(rows)
@@ -467,8 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and continued-fraction verification")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report to this path")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property suites")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("triangle", parents=[common], help="generate a triangular array")
@@ -574,6 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--alpha")
     p.add_argument("--identity-range", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the random instances")
     p.set_defaults(fn=cmd_inverse_pair)
 
     return ap

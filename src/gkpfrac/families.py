@@ -23,9 +23,7 @@ from .gkpcore import (
     GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle, ogf_trunc,
     row_polys, triangle,
 )
-from .cfrac import (
-    CFrac, contract, eval_tr, extract_jfrac, extract_sfrac, sfrac_confirms,
-)
+from .cfrac import CFrac, contract, eval_tr, extract_jfrac, sfrac_refutation
 from .combinat import binom
 from .matprod import binomial_matrix, triangle_product
 
@@ -67,6 +65,9 @@ def _xvar(vals: dict) -> MPoly:
 # --- family coefficient formulas -------------------------------------------
 
 def _s_pair(odd: Callable, even: Callable) -> Callable:
+    """The level-i rule of an S family, or of a T family split by parity,
+    whose coefficients at levels 2k-1 and 2k are ``odd(vals, k)`` and
+    ``even(vals, k)``."""
     def coeffs(vals, i):
         k = (i + 1) // 2
         return odd(vals, k) if i % 2 else even(vals, k)
@@ -156,32 +157,20 @@ def _make_catalog():
                          "2alphap+2betap+gammap != 0", "alphap != 0")))
 
     # ---- T / J families ----------------------------------------------------
-    def f7a_T(vals, i):
-        x = _xvar(vals)
-        k = (i + 1) // 2
-        c = (vals["gammap"] + k * vals["betap"]) * x if i % 2 \
-            else k * (vals["beta"] + vals["betap"] * x)
-        d = vals["gamma"] if i % 2 else 0
-        return c, d
-
+    # F7a, F7b, F9a and F9b have d = 0 at even levels: their J-forms are
+    # the even contraction of their T-forms (predicted_cfrac)
     add(FamilySpec(
         "F7a", ("beta", "gamma", "betap", "gammap"), "T", "proven",
         lambda v: GKPParams(0, v["beta"], v["gamma"], 0, v["betap"], v["gammap"]),
-        f7a_T))
-
-    def f7b_T(vals, i):
-        x = _xvar(vals)
-        k = (i + 1) // 2
-        c = (vals["gamma"] + k * vals["alpha"]) if i % 2 \
-            else k * (vals["alpha"] + vals["alphap"] * x)
-        d = vals["gammap"] * x if i % 2 else 0
-        return c, d
-
+        _s_pair(lambda v, k: ((v["gammap"] + k * v["betap"]) * _xvar(v),
+                              v["gamma"]),
+                lambda v, k: (k * (v["beta"] + v["betap"] * _xvar(v)), 0))))
     add(FamilySpec(
         "F7b", ("alpha", "gamma", "alphap", "gammap"), "T", "proven",
         lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
                             v["alphap"], -v["alphap"], v["gammap"]),
-        f7b_T))
+        _s_pair(lambda v, k: (v["gamma"] + k * v["alpha"], v["gammap"] * _xvar(v)),
+                lambda v, k: (k * (v["alpha"] + v["alphap"] * _xvar(v)), 0))))
 
     add(FamilySpec(
         "F8a", ("beta", "gamma", "alphap"), "T", "proven",
@@ -196,34 +185,22 @@ def _make_catalog():
         lambda v, i: (i * v["alphahat"],
                       (v["gammap"] + (i - 1) * v["alphap"]) * _xvar(v))))
 
-    def f9a_T(vals, i):
-        x = _xvar(vals)
-        k = (i + 1) // 2
-        c = (vals["kappa"] + k) * vals["alphaphat"] * x if i % 2 \
-            else k * vals["alphaphat"] * x
-        d = (vals["kappa"] + 2 * k - 1) * vals["beta"] if i % 2 else 0
-        return c, d
-
     add(FamilySpec(
         "F9a", ("beta", "alphaphat", "kappa"), "T", "conjectured",
         lambda v: GKPParams(0, v["beta"], (v["kappa"] + 1) * v["beta"],
                             -v["alphaphat"], 2 * v["alphaphat"],
                             v["kappa"] * v["alphaphat"]),
-        f9a_T))
-
-    def f9b_T(vals, i):
-        x = _xvar(vals)
-        k = (i + 1) // 2
-        c = (vals["kappa"] + k) * vals["alpha"] if i % 2 else k * vals["alpha"]
-        d = (vals["kappa"] + 2 * k - 1) * vals["alphap"] * x if i % 2 else 0
-        return c, d
-
+        _s_pair(lambda v, k: ((v["kappa"] + k) * v["alphaphat"] * _xvar(v),
+                              (v["kappa"] + 2 * k - 1) * v["beta"]),
+                lambda v, k: (k * v["alphaphat"] * _xvar(v), 0))))
     add(FamilySpec(
         "F9b", ("alpha", "alphap", "kappa"), "T", "conjectured",
         lambda v: GKPParams(v["alpha"], -2 * v["alpha"], v["kappa"] * v["alpha"],
                             v["alphap"], -v["alphap"],
                             (v["kappa"] + 1) * v["alphap"]),
-        f9b_T))
+        _s_pair(lambda v, k: ((v["kappa"] + k) * v["alpha"],
+                              (v["kappa"] + 2 * k - 1) * v["alphap"] * _xvar(v)),
+                lambda v, k: (k * v["alpha"], 0))))
 
     def f1c_J(vals, n):
         x = _xvar(vals)
@@ -373,8 +350,8 @@ def family_params(id: str, params=None):
 def predicted_cfrac(id: str, params=None, m: int = 8, kind: Optional[str] = None) -> CFrac:
     """Predicted coefficient bundle through m levels.
 
-    For families published with both T- and J-forms, ``kind`` selects which;
-    terminating families return their full finite c-list."""
+    For T families ``kind`` may also be "J": the even contraction of the
+    T-form.  Terminating families return their full finite c-list."""
     spec = get_family(id)
     vals = _resolve_params(spec, params)
     if spec.status == "terminating":
@@ -391,51 +368,28 @@ def predicted_cfrac(id: str, params=None, m: int = 8, kind: Optional[str] = None
         pairs = [spec.coeffs(vals, i) for i in range(1, m + 1)]
         return CFrac("T", c=tuple(p[0] for p in pairs), d=tuple(p[1] for p in pairs))
     if kind == "J":
-        if spec.kind == "J":
-            pairs = [spec.coeffs(vals, n) for n in range(m + 1)]
-            return CFrac("J", e=tuple(p[0] for p in pairs[:m]),
-                         f=tuple(pairs[n][1] for n in range(1, m + 1)))
-        if id == "F7a":
-            pairs = [_f7a_J_entry(vals, n) for n in range(m + 1)]
-        elif id == "F7b":
-            pairs = [_f7b_J_entry(vals, n) for n in range(m + 1)]
-        elif spec.kind == "T":
-            tf = predicted_cfrac(id, params, 2 * m + 1, kind="T")
-            return contract(tf)
-        else:
+        if spec.kind == "T":
+            # 2m T levels contract to e_0..e_{m-1} and f_1..f_m
+            return contract(predicted_cfrac(id, params, 2 * m, kind="T"))
+        if spec.kind != "J":
             raise UnknownFamily("%s has no J-form" % id)
+        pairs = [spec.coeffs(vals, n) for n in range(m + 1)]
         return CFrac("J", e=tuple(p[0] for p in pairs[:m]),
                      f=tuple(pairs[n][1] for n in range(1, m + 1)))
     raise ValueError(kind)
 
 
-def _f7a_J_entry(vals, n):
-    x = _xvar(vals)
-    e = (vals["gamma"] + (vals["betap"] + vals["gammap"]) * x) \
-        + n * (vals["beta"] + 2 * vals["betap"] * x)
-    f = n * (vals["gammap"] + n * vals["betap"]) * x * (vals["beta"] + vals["betap"] * x)
-    return e, f
-
-
-def _f7b_J_entry(vals, n):
-    x = _xvar(vals)
-    e = (vals["alpha"] + vals["gamma"] + vals["gammap"] * x) \
-        + n * (2 * vals["alpha"] + vals["alphap"] * x)
-    f = n * (vals["gamma"] + n * vals["alpha"]) * (vals["alpha"] + vals["alphap"] * x)
-    return e, f
-
-
 def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None) -> dict:
     """Generate, compare; symbolic in all free parameters.
 
-    S and terminating kinds are decided on the series: the ogf agrees with
-    the predicted S-fraction through t^N exactly when extraction would
-    return the prediction, provided the predicted coefficients before the
-    termination point are nonzero (``cfrac.sfrac_confirms``).  Extraction
-    runs only when that check fails, to build the ``first_mismatch``
-    witness; if extraction then agrees after all, ``ArithmeticError`` is
-    raised.  J kinds are compared coefficient by coefficient against the
-    extraction; T kinds are verified by evaluating the predicted fraction.
+    S and terminating kinds are decided on the series by
+    ``cfrac.sfrac_refutation``: the ogf agrees with the predicted S-fraction
+    through t^N exactly when extraction would return the prediction,
+    provided the predicted coefficients before the termination point are
+    nonzero.  Only a refuted prediction is extracted, and the
+    ``first_mismatch`` witness is built from that extraction.  J kinds are
+    compared coefficient by coefficient against the extraction; T kinds are
+    verified by evaluating the predicted fraction.
     """
     spec = get_family(id)
     vals = _resolve_params(spec, params)
@@ -447,11 +401,9 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
     if spec.status == "terminating" or kind == "S":
         want = (predicted_cfrac(id, params) if spec.status == "terminating"
                 else predicted_cfrac(id, params, N, kind="S"))
-        if not sfrac_confirms(ogf, want):
-            report["first_mismatch"] = _sfrac_witness(ogf, want)
-            if report["first_mismatch"] is None:
-                raise ArithmeticError("%s: the series refutes the prediction "
-                                      "but extraction confirms it" % id)
+        got = sfrac_refutation(ogf, want, id)
+        if got is not None:
+            report["first_mismatch"] = _sfrac_witness(got, want)
         return report
     if kind == "J":
         m = N // 2
@@ -469,11 +421,10 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
     return report
 
 
-def _sfrac_witness(ogf: TruncSeries, want: CFrac):
-    """The first_mismatch entry of extraction against an S prediction:
-    a termination level that differs, else the first differing
-    coefficient, else an unexpected termination; None when all agree."""
-    got = extract_sfrac(ogf, ogf.order)
+def _sfrac_witness(got: CFrac, want: CFrac):
+    """The first_mismatch entry of an extraction that refutes an S
+    prediction: a termination level that differs, else the first differing
+    coefficient, else an unexpected termination."""
     tail = None  # reported only once every coefficient agrees
     if want.terminated_at is not None:
         if got.terminated_at != want.terminated_at:
@@ -495,22 +446,23 @@ def _witness(bad, tail=None):
 # binomial-transform relations between families
 # ---------------------------------------------------------------------------
 
+# family -> (family, xi(vals, x)) of which it is the xi-binomial transform
+_BINOMIAL_SHIFTS = {"F7a": ("F3a", lambda v, x: v["gamma"]),
+                    "F7b": ("F3b", lambda v, x: v["gammap"] * x)}
+
+
 def verify_binomial_relations(pair: str, N: int = 8) -> dict:
     """The three documented matrix/binomial relations between families:
     7a = gamma-transform of 3a, 7b = (gammap*x)-transform of 3b, and
     T(family 6) = T(family 2a) * binomial matrix."""
-    if pair == "7a/3a":
-        names = ("beta", "gamma", "betap", "gammap")
-        b, g, bp, gp = variables(names, extra=("x",))
-        p7 = row_polys(gkp_triangle(family_params("F7a", (b, g, bp, gp)), N))
-        p3 = row_polys(gkp_triangle(family_params("F3a", (b, bp, gp)), N))
-        cases = _row_transform_cases(p7, p3, g, N)
-    elif pair == "7b/3b":
-        names = ("alpha", "gamma", "alphap", "gammap")
-        a, g, ap, gp = variables(names, extra=("x",))
-        p7 = row_polys(gkp_triangle(family_params("F7b", (a, g, ap, gp)), N))
-        p3 = row_polys(gkp_triangle(family_params("F3b", (a, g, ap)), N))
-        cases = _row_transform_cases(p7, p3, gp * MPoly.variable("x", gp.vars), N)
+    if pair in ("7a/3a", "7b/3b"):
+        fid = "F" + pair[:2]
+        inner, xi = _BINOMIAL_SHIFTS[fid]
+        vals = _sym(CATALOG[fid])
+        inner_vals = {p: vals[p] for p in CATALOG[inner].params}
+        p7 = row_polys(gkp_triangle(family_params(fid, vals), N))
+        p3 = row_polys(gkp_triangle(family_params(inner, inner_vals), N))
+        cases = _row_transform_cases(p7, p3, xi(vals, _xvar(vals)), N)
     elif pair == "6/2a":
         ap, bp, gp, kp, al = variables("alphap betap gammap kappa alpha", extra=("x",))
         t6 = gkp_triangle(family_params("F6", (ap, bp, gp, kp)), N)
@@ -602,14 +554,10 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
         ap, bp, gp, kp = v["alphap"], v["betap"], v["gammap"], v["kappa"]
         base = TruncSeries(order, [1, -(ap + bp) * (kp + x)])
         return generalized_binomial_series(base, rf(-(ap + bp + gp), ap + bp))
-    if id == "F7a":
-        b, g, bp, gp = v["beta"], v["gamma"], v["betap"], v["gammap"]
-        inner = egf_closed_form("F3a", {"beta": b, "betap": bp, "gammap": gp}, order)
-        return exp_series(g, order) * inner
-    if id == "F7b":
-        a, g, ap, gp = v["alpha"], v["gamma"], v["alphap"], v["gammap"]
-        inner = egf_closed_form("F3b", {"alpha": a, "gamma": g, "alphap": ap}, order)
-        return exp_series(gp * x, order) * inner
+    if id in _BINOMIAL_SHIFTS:
+        inner, xi = _BINOMIAL_SHIFTS[id]
+        inner_vals = {p: v[p] for p in CATALOG[inner].params}
+        return exp_series(xi(v, x), order) * egf_closed_form(inner, inner_vals, order)
     if id == "F1c":
         b, g, ap, gp = v["beta"], v["gamma"], v["alphap"], v["gammap"]
         c = b - ap * x

@@ -13,22 +13,23 @@ Each node's own split coefficient is extracted from its series.  A leaf's
 claimed S-fraction (the ten red families, the thirteen terminating ones) is
 decided on the series instead: the ogf agrees with the predicted fraction
 through the checked order exactly when extraction would return the
-prediction (``cfrac.sfrac_confirms``), so extraction runs again only to
-name the failing coefficient of a refuted leaf.
+prediction, so ``cfrac.sfrac_refutation`` extracts only a refuted leaf, to
+name its failing coefficient.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 from .exactalg import (
     MPoly, RatFunc, as_field, as_mpoly, clear_denominators, divide_exact,
-    felem_div, felem_eq, felem_inv, felem_is_zero, num_den, remainder_in_x,
-    variables,
+    felem_div, felem_eq, felem_inv, felem_is_zero, first_mismatch, num_den,
+    remainder_in_x, variables,
 )
 from .gkpcore import GKPParams, gkp_triangle, ogf_trunc
-from .cfrac import extract_sfrac, sfrac_confirms
+from .cfrac import extract_sfrac, sfrac_refutation
 from . import families
 from .hintbook import make_hint_book
 
@@ -74,10 +75,9 @@ FAMILY_RELATIONS = {
                      m[1] * m[5] - m[2] * m[4]],
 }
 
-RED_FAMILIES = ("F1a", "F1b", "F2a", "F2b", "F3a", "F3b", "F4a", "F4b",
-                "F5", "F6")
-TERMINATING_FAMILIES = ("s0", "s1a", "s1b", "s2a", "s2b", "s3a", "s3b",
-                        "s4a", "s4b", "s5a", "s5b", "s6a", "s6b")
+RED_FAMILIES = families.SFRAC_FAMILY_IDS
+TERMINATING_FAMILIES = tuple(fid for fid in families.family_ids()
+                             if families.get_family(fid).status == "terminating")
 
 
 def family_member(family_id: str, mu) -> bool:
@@ -383,8 +383,11 @@ def split_node(node: SearchNode, factor_hints=None, rem=None, R=None) -> list:
             if not _ratio_constant(lead, fprod):
                 raise BadFactorHint("%s: deg-0 leading-coefficient "
                                     "factorization mismatch" % node.name())
-            children.append(
-                _make_deg0_branch(node, deg0, [solve_factor]))
+            kind = next((k for k in ("red", "terminating") if k in deg0),
+                        "child")
+            children.append(_branch(
+                node, kind, deg0["token"], deg0["solve"], deg0.get(kind),
+                [solve_factor], deg0.get("const_atoms", ())))
 
     # degree-1 branches (remainder factors)
     for item in fac_list:
@@ -405,116 +408,71 @@ def split_node(node: SearchNode, factor_hints=None, rem=None, R=None) -> list:
                         "%s: discarded branch is not inside %s"
                         % (node.name(), family))
                 children.append(("discard", family, tuple(mu)))
-            elif kind == "child":
-                _, token, solve = action
-                child_hint = HINT_BOOK[node.label + (token,)]
-                child = _child_node(node, token, solve,
-                                    child_hint.get("atoms"),
-                                    disj=tuple(child_hint.get("disj", ())),
-                                    factor_exprs=[f_expr])
-                children.append(("node", child))
-            elif kind == "red":
-                _, token, solve, red = action
-                fid, binding, atoms_doc = red
-                child = _child_node(node, token, solve, atoms_doc,
-                                    factor_exprs=[f_expr])
-                _verify_red(child, fid, binding)
-                children.append(("red", fid, child))
-            elif kind == "terminating":
-                _, token, solve, term = action
-                s_id, binding = term
-                child = _child_node(node, token, solve,
-                                    lambda v: list(node.atoms),
-                                    factor_exprs=[f_expr])
-                _verify_terminating(child, s_id, binding)
-                children.append(("terminating", s_id, child))
+            elif kind in ("child", "red", "terminating"):
+                children.append(_branch(node, *action, factor_exprs=[f_expr]))
             else:
                 raise BadFactorHint("unknown hint kind %r" % (kind,))
     return children
 
 
-def _make_deg0_branch(node, deg0, factor_exprs):
-    token = deg0["token"]
-    solve = deg0["solve"]
-    if "red" in deg0:
-        fid, binding, atoms_doc = deg0["red"]
-        child = _child_node(node, token, solve, atoms_doc,
-                            factor_exprs=factor_exprs)
-        _verify_red(child, fid, binding)
-        return ("red", fid, child)
-    if "terminating" in deg0:
-        s_id, binding = deg0["terminating"]
-        extra = deg0.get("const_atoms") or []
-        child = _child_node(node, token, solve,
-                            lambda v: list(node.atoms) + [f(v) for f in extra],
-                            factor_exprs=factor_exprs)
-        _verify_terminating(child, s_id, binding)
-        return ("terminating", s_id, child)
-    child_hint = HINT_BOOK.get(node.label + (token,))
-    if child_hint is None:
-        raise BadFactorHint("no hint for deg-0 child %s,%s"
-                            % (node.name(), token))
-    child = _child_node(node, token, solve, child_hint.get("atoms"),
-                        disj=tuple(child_hint.get("disj", ())),
+def _branch(node, kind, token, solve, leaf=None, factor_exprs=(),
+            const_atoms=()):
+    """The ``child``, ``red`` or ``terminating`` branch of ``node`` reached by
+    ``solve``, verified.  ``leaf`` is the family record of a leaf: (id,
+    binding, documented atoms) for red, (id, binding) for terminating.  A
+    terminating leaf keeps the node's inequations plus ``const_atoms``."""
+    disj = ()
+    if kind == "child":
+        child_hint = HINT_BOOK.get(node.label + (token,))
+        if child_hint is None:
+            raise BadFactorHint("no hint for child %s,%s" % (node.name(), token))
+        atoms_fn, disj = child_hint.get("atoms"), child_hint.get("disj", ())
+    elif kind == "red":
+        fid, binding, atoms_fn = leaf
+    else:
+        fid, binding = leaf
+        atoms_fn = lambda v: list(node.atoms) + [f(v) for f in const_atoms]
+    child = _child_node(node, token, solve, atoms_fn, disj=tuple(disj),
                         factor_exprs=factor_exprs)
-    return ("node", child)
+    if kind == "child":
+        return ("node", child)
+    _check_leaf(child, fid, families.predicted_cfrac(fid, binding(V), RED_DEPTH,
+                                                     kind="S"))
+    if kind == "red" and not family_member(fid, child.mu()):
+        raise InconsistentNode("%s: parameters not inside family %s"
+                               % (child.name(), fid))
+    return (kind, fid, child)
 
 
 # ---------------------------------------------------------------------------
 # leaf verification
 # ---------------------------------------------------------------------------
 
-def _check_leaf(node: SearchNode, want, order: int, by_extraction, fid):
-    """The node's series has the S-fraction ``want`` through ``order``,
-    decided on the cleared series by ``sfrac_confirms``.  Only a refuted
-    prediction runs ``by_extraction(node, fid, want)``, which raises the
-    failure with its witness; by the lemma behind ``sfrac_confirms`` it
-    cannot pass, and if it does the disagreement is raised instead."""
-    ogf, D = _cleared_ogf(node, order)
-    scaled = want if D == 1 else replace(
-        want, c=tuple(felem_div(D * n, d) for n, d in map(num_den, want.c)))
-    if sfrac_confirms(ogf, scaled):
-        return
-    by_extraction(node, fid, want)
-    raise ArithmeticError("%s: the series refutes %s but extraction "
-                          "confirms it" % (node.name(), fid))
-
-
-def _verify_red(node: SearchNode, family_id: str, binding):
-    """Red leaves: c_1..c_10 equal the family's predicted coefficients."""
-    want = families.predicted_cfrac(family_id, binding(V), RED_DEPTH, kind="S")
-    _check_leaf(node, want, RED_DEPTH, _red_by_extraction, family_id)
-    if not family_member(family_id, node.mu()):
-        raise InconsistentNode("%s: parameters not inside family %s"
-                               % (node.name(), family_id))
-
-
-def _red_by_extraction(node: SearchNode, family_id: str, want):
-    cs, terminated = node_cs(node, RED_DEPTH)
-    if terminated is not None:
-        raise InconsistentNode("%s: unexpectedly terminating" % node.name())
-    for i, (got, exp) in enumerate(zip(cs, want.c), start=1):
-        if not felem_eq(as_field(got), as_field(exp)):
-            raise InconsistentNode("%s: c_%d does not match family %s"
-                                   % (node.name(), i, family_id))
-
-
-def _verify_terminating(node: SearchNode, s_id: str, binding):
-    want = families.predicted_cfrac(s_id, binding(V))
-    _check_leaf(node, want, want.terminated_at + 3,
-                _terminating_by_extraction, s_id)
-
-
-def _terminating_by_extraction(node: SearchNode, s_id: str, want):
+def _check_leaf(node: SearchNode, fid: str, want):
+    """The node's series has family ``fid``'s S-fraction ``want``: a red
+    prediction through c_10, a terminating one three levels past its end.
+    Decided on the cleared series; a refuted prediction raises
+    ``InconsistentNode`` naming the level at which extraction departs.
+    Scaling every c_i by D moves no level."""
     level = want.terminated_at
-    cs, terminated = node_cs(node, level + 3)
-    if terminated != level:
-        raise InconsistentNode("%s: expected termination at %d, got %s"
-                               % (node.name(), level, terminated))
-    for i, (got, exp) in enumerate(zip(cs, want.c), start=1):
-        if not felem_eq(as_field(got), as_field(exp)):
-            raise InconsistentNode("%s: terminating c_%d mismatch vs %s"
-                                   % (node.name(), i, s_id))
+    ogf, D = _cleared_ogf(node, RED_DEPTH if level is None else level + 3)
+    if D != 1:
+        want = replace(want, c=tuple(felem_div(D * n, d)
+                                     for n, d in map(num_den, want.c)))
+    got = sfrac_refutation(ogf, want, "%s (%s)" % (node.name(), fid))
+    if got is None:
+        return
+    if level is None:
+        if got.terminated_at is not None:
+            raise InconsistentNode("%s: unexpectedly terminating" % node.name())
+        template = "%s: c_%d does not match family %s"
+    else:
+        if got.terminated_at != level:
+            raise InconsistentNode("%s: expected termination at %d, got %s"
+                                   % (node.name(), level, got.terminated_at))
+        template = "%s: terminating c_%d mismatch vs %s"
+    i = first_mismatch(zip(count(1), got.c, want.c))[0]
+    raise InconsistentNode(template % (node.name(), i, fid))
 
 
 def _verify_c_zero(node: SearchNode, hint):
@@ -548,7 +506,7 @@ def _verify_c_zero(node: SearchNode, hint):
     sub = SearchNode(label=node.label + ("c=0",), subs=dict(zip(BASE, mu)),
                      free=tuple(p for p in node.free if p not in mapping),
                      atoms=())
-    _verify_terminating(sub, s_id, binding)
+    _check_leaf(sub, s_id, families.predicted_cfrac(s_id, binding(V)))
     return ("terminating", s_id)
 
 
@@ -556,13 +514,12 @@ def _verify_c_zero(node: SearchNode, hint):
 # replay
 # ---------------------------------------------------------------------------
 
-def run_tree(hint_book=None) -> dict:
+def run_tree() -> dict:
     """Full replay with classification counts.
 
     red -> polynomial, generically nonzero coefficients through c_10;
     gray -> no viable children; white -> internal; terminating -> rational
     generating functions (the s-families)."""
-    book = hint_book if hint_book is not None else HINT_BOOK
     root = root_node()
     white, red, gray, term, discards = [], {}, [], {}, []
     rem_checks = {}
@@ -570,7 +527,7 @@ def run_tree(hint_book=None) -> dict:
     stack = [root]
     while stack:
         node = stack.pop()
-        hint = book[node.label]
+        hint = HINT_BOOK[node.label]
         cz = _verify_c_zero(node, hint)
         if cz is not None:
             if cz[0] == "terminating":

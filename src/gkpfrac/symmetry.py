@@ -17,7 +17,7 @@ from .exactalg import (
     felem_eq, felem_inv, felem_is_zero, first_mismatch, mismatch_report,
     num_den,
 )
-from .gkpcore import GKPParams, gkp_triangle
+from .gkpcore import GKPParams, gkp_triangle, rescale_weight
 
 
 class SingularMap(ZeroDivisionError):
@@ -527,21 +527,23 @@ def rescale_gkp(case: str, mu, kappa, lam, N: int) -> dict:
     """
     a, b, g, ap, bp, gp = GKPParams.of(mu)
     z = lambda v: felem_is_zero(as_field(v))
+    lin = lambda j: j * kappa + lam
+    one = lambda j: 1
     if case == "a":
         if not (z(a) and z(b)):
             raise CaseMismatch("case a needs alpha = beta = 0")
         mu2 = GKPParams(kappa * g, -kappa * g, lam * g, ap, bp, gp)
-        weight = lambda n, k: _prod_lin(kappa, lam, n - k)
+        weight = lambda n, k: rescale_weight(lin, one, one, n, k)
     elif case == "b":
         if not (z(ap) and z(bp)):
             raise CaseMismatch("case b needs alpha' = beta' = 0")
         mu2 = GKPParams(a, b, g, 0, kappa * gp, lam * gp)
-        weight = lambda n, k: _prod_lin(kappa, lam, k)
+        weight = lambda n, k: rescale_weight(one, lin, one, n, k)
     elif case == "c":
         if not (z(a) and z(b) and z(ap) and z(bp)):
             raise CaseMismatch("case c needs alpha = beta = alpha' = beta' = 0")
         mu2 = GKPParams(kappa * g, 0, lam * g, kappa * gp, 0, lam * gp)
-        weight = lambda n, k: _prod_lin(kappa, lam, n)
+        weight = lambda n, k: rescale_weight(one, one, lin, n, k)
     else:
         raise CaseMismatch("unknown case %r" % case)
 
@@ -550,13 +552,6 @@ def rescale_gkp(case: str, mu, kappa, lam, N: int) -> dict:
     bad = first_mismatch(({"n": n, "k": k}, t2.entry(n, k), weight(n, k) * t.entry(n, k))
                          for n in range(N + 1) for k in range(n + 1))
     return {"case": case, **mismatch_report(bad)}
-
-
-def _prod_lin(kappa, lam, m):
-    acc = 1
-    for j in range(1, m + 1):
-        acc = acc * (j * kappa + lam)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,16 @@ def test_inverse_pair_cli(tmp_path):
     assert code == 0 and data["ok"]
 
 
+def test_seed_is_rejected_where_nothing_reads_it():
+    assert main(["triangle", "--mu", "0,1,0,0,0,1", "--seed", "1"]) == 2
+
+
+def test_seed_on_inverse_pair(tmp_path):
+    code, data = run_cli(["inverse-pair", "--seed", "1", "--random", "3",
+                          "--depth", "4", "--identity-range", "4"], tmp_path)
+    assert code == 0 and data["ok"]
+
+
 def test_reports_validate_against_schema(tmp_path):
     from gkpfrac.cli import validate_report
     cases = [

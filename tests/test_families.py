@@ -204,3 +204,30 @@ def test_cli_style_mixed_parameters():
     rep = verify_family("F2b", {"alpha": a, "beta": 2, "gamma": g,
                                 "betap": 1}, 6)
     assert rep["first_mismatch"] is None
+
+
+def _f7a_J_entry(v, n):
+    """The published closed J-form of F7a: (e_n, f_n)."""
+    b, g, bp, gp, x = v
+    return ((g + (bp + gp) * x) + n * (b + 2 * bp * x),
+            n * (gp + n * bp) * x * (b + bp * x))
+
+
+def _f7b_J_entry(v, n):
+    """The published closed J-form of F7b: (e_n, f_n)."""
+    a, g, ap, gp, x = v
+    return ((a + g + gp * x) + n * (2 * a + ap * x),
+            n * (g + n * a) * (a + ap * x))
+
+
+@pytest.mark.parametrize("fid, entry", [("F7a", _f7a_J_entry),
+                                        ("F7b", _f7b_J_entry)])
+def test_contracted_j_form_equals_the_published_one(fid, entry):
+    m = 8
+    v = variables(get_family(fid).params, extra=("x",))
+    v = v + (MPoly.variable("x", v[0].vars),)
+    cf = predicted_cfrac(fid, None, m, kind="J")
+    assert len(cf.e) == len(cf.f) == m
+    for n in range(m):
+        assert felem_eq(as_field(cf.e[n]), as_field(entry(v, n)[0])), (fid, n)
+        assert felem_eq(as_field(cf.f[n]), as_field(entry(v, n + 1)[1])), (fid, n)

@@ -12,7 +12,7 @@ from itertools import count
 
 import pytest
 
-from gkpfrac import families as F, search as S
+from gkpfrac import cfrac, families as F, search as S
 from gkpfrac.cfrac import extract_sfrac
 from gkpfrac.cli import main
 from gkpfrac.exactalg import as_field, felem_eq, first_mismatch
@@ -67,10 +67,8 @@ def extraction_family_witness(fid, N):
 
 def series_leaf_check(node, fid, want, order):
     """None, or the InconsistentNode message of the series route."""
-    by_extraction = (S._red_by_extraction if want.terminated_at is None
-                     else S._terminating_by_extraction)
     try:
-        S._check_leaf(node, want, order, by_extraction, fid)
+        S._check_leaf(node, fid, want)
     except S.InconsistentNode as exc:
         return str(exc)
     return None
@@ -92,9 +90,10 @@ def leaves():
     seen = []
     check = S._check_leaf
 
-    def record(node, want, order, by_extraction, fid):
+    def record(node, fid, want):
+        order = S.RED_DEPTH if want.terminated_at is None else want.terminated_at + 3
         seen.append((node, fid, want, order))
-        return check(node, want, order, by_extraction, fid)
+        return check(node, fid, want)
 
     mp = pytest.MonkeyPatch()
     mp.setattr(S, "_check_leaf", record)
@@ -221,8 +220,7 @@ def test_terminating_list_with_a_zero_coefficient_report(monkeypatch):
 # -- a refutation that extraction does not confirm is an internal error -----
 
 def test_an_unconfirmed_refutation_raises(monkeypatch, tmp_path):
-    monkeypatch.setattr(S, "sfrac_confirms", lambda a, want: False)
-    monkeypatch.setattr(F, "sfrac_confirms", lambda a, want: False)
+    monkeypatch.setattr(cfrac, "sfrac_confirms", lambda a, want: False)
     with pytest.raises(ArithmeticError, match="refutes"):
         S.run_tree()
     with pytest.raises(ArithmeticError, match="refutes"):

@@ -159,3 +159,33 @@ def test_replay_detects_wrong_child_substitution():
             node_coefficient(node)
     finally:
         S.HINT_BOOK[node.label] = saved
+
+
+def test_terminating_branch_keeps_its_constant_atoms(monkeypatch):
+    # an extra constant atom that the degree-0 solve (betap = -2 alphap)
+    # sets to zero must be caught on the terminating branch; atoms are
+    # checked as written, so it is given with the solve applied
+    from gkpfrac import search as S
+    label = ("0", "0", "0", "1a", "1a")
+    hint = dict(S.HINT_BOOK[label])
+    deg0 = dict(hint["deg0"])
+    assert "terminating" in deg0
+    deg0["const_atoms"] = list(deg0["const_atoms"]) + [
+        lambda v: (v.bp + 2 * v.ap).subs({"betap": -2 * v.ap})]
+    hint["deg0"] = deg0
+    monkeypatch.setitem(S.HINT_BOOK, label, hint)
+    with pytest.raises(InconsistentNode,
+                       match="^0,0,0,1a,1a,0: inequation violated by substitution$"):
+        run_tree()
+
+
+def test_child_action_without_a_hint(monkeypatch):
+    from gkpfrac import search as S
+    node = get_node("0,0,0")
+    hint = dict(S.HINT_BOOK[node.label])
+    bad = [dict(f) for f in hint["factors"]]
+    bad[0]["actions"] = [("child", "9z", [("alpha", lambda v: 0)])]
+    hint["factors"] = bad
+    monkeypatch.setitem(S.HINT_BOOK, node.label, hint)
+    with pytest.raises(S.BadFactorHint, match="no hint for child 0,0,0,9z"):
+        node_coefficient(node)
