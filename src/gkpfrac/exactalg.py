@@ -366,6 +366,13 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError
+            if type(other) is int or other.denominator == 1:
+                # an int quotient that is exact stays an int
+                d = int(other)
+                return _mpoly(self.vars, {
+                    k: c // d if type(c) is int and not c % d
+                    else _norm_scalar(Fraction(c) / d)
+                    for k, c in self._terms.items()})
             inv = Fraction(1, 1) / Fraction(other)
             return _mpoly(self.vars, {k: _norm_scalar(c * inv) for k, c in self._terms.items()})
         return ratfunc(self, other)
@@ -457,6 +464,8 @@ class MPoly:
         """Positive rational c with self/c integer, primitive."""
         if not self._terms:
             return Fraction(1)
+        if _INT_ONLY.issuperset(map(type, self._terms.values())):
+            return Fraction(_int_gcd(*self._terms.values()))
         num = 0
         den = 1
         for c in self._terms.values():
@@ -468,14 +477,6 @@ class MPoly:
     def monomial_content(self):
         n = len(self.vars)
         return _unpack(_monomial_gcd(n, self._terms) if self._terms else 0, n)
-
-    def map_coeffs(self, fn) -> "MPoly":
-        out = {}
-        for k, c in self._terms.items():
-            nc = _norm_scalar(Fraction(fn(c)))
-            if nc:
-                out[k] = nc
-        return _mpoly(self.vars, out)
 
     # -- display --------------------------------------------------------
 
@@ -707,13 +708,16 @@ def _content_prs_gcd(a: MPoly, b: MPoly) -> MPoly:
     return _normalize_gcd(cont * prim)
 
 
-def _normalize_gcd(p: MPoly) -> MPoly:
-    if p.is_zero():
-        return p
+def _lead_content(p: MPoly) -> Fraction:
+    """The content of nonzero p with the sign of its graded-lex leading
+    coefficient: p divided by it is integer-primitive with a positive
+    lead."""
     c = p.content()
-    if p._terms[max(p._terms)] < 0:
-        c = -c
-    return p.map_coeffs(lambda x: Fraction(x) / c)
+    return -c if p._terms[max(p._terms)] < 0 else c
+
+
+def _normalize_gcd(p: MPoly) -> MPoly:
+    return p / _lead_content(p) if p else p
 
 
 def _prs_gcd(F, G, main, vars):
@@ -729,8 +733,26 @@ def _prs_gcd(F, G, main, vars):
             R.pop()
         if not R:
             return _from_main(_common_factor(G)[1], main, vars)
-        R = _common_factor(R)[1]
+        R = _scalar_primitive(_common_factor(R)[1])
         F, G = G, R
+
+
+def _scalar_primitive(polys):
+    """The coefficient list ``polys``, not all zero, divided by the content
+    of all its coefficients together.  Without this step a pseudo-remainder
+    keeps every integer factor that the leading coefficients multiply in,
+    and on polynomials in one variable their size grows exponentially with
+    the number of steps."""
+    coeffs = [c for p in polys for c in p._terms.values()]
+    if _INT_ONLY.issuperset(map(type, coeffs)):
+        c = _int_gcd(*coeffs)
+    else:
+        num, den = 0, 1
+        for f in map(Fraction, coeffs):
+            num = _int_gcd(num, f.numerator)
+            den = den * f.denominator // _int_gcd(den, f.denominator)
+        c = Fraction(num, den)
+    return polys if c == 1 else [p / c for p in polys]
 
 
 def _pseudo_rem(F, G, vars):
@@ -759,16 +781,19 @@ class RatFunc:
 
     Canonical form: gcd(num, den) constant, den integer-primitive with
     positive graded-lex leading coefficient.  Equality is structural.
+
+    ``RatFunc(num, den)`` reduces arbitrary parts (``_reduce_fraction``).
+    Arithmetic instead relies on both operands being canonical (Henrici,
+    JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1): only gcds of the factors can
+    cancel, so it never takes the gcd of a full product.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MPoly, den: MPoly, reduce=True):
+    def __init__(self, num: MPoly, den: MPoly):
         if den.is_zero():
             raise DivisionByZeroPolynomial("zero denominator")
-        num, den = num._coerce(den)
-        if reduce:
-            num, den = _reduce_fraction(num, den)
+        num, den = _reduce_fraction(*num._coerce(den))
         self.num = num
         self.den = den
 
@@ -795,46 +820,56 @@ class RatFunc:
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, MPoly):
-            return RatFunc(other, MPoly.one(other.vars), reduce=False)
+            return _ratfunc(other, MPoly.one(other.vars))
         if isinstance(other, (int, Fraction)):
-            return RatFunc(MPoly.constant(other, self.vars), MPoly.one(self.vars), reduce=False)
+            return _ratfunc(MPoly.constant(other, self.vars), MPoly.one(self.vars))
         return None
 
-    def __add__(self, other):
+    def _parts(self, other):
+        """(n1, d1, n2, d2) of self and other over one variable tuple, or
+        None when other is not a field element."""
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+            return None
+        parts = (self.num, self.den, o.num, o.den)
+        if o.vars == self.vars:
+            return parts
+        vars = tuple(dict.fromkeys(self.vars + o.vars))
+        return tuple(p.in_vars(vars) for p in parts)
+
+    def __add__(self, other):
+        parts = self._parts(other)
+        return NotImplemented if parts is None else _rf_add(*parts)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        return _ratfunc(-self.num, self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
+        n1, d1, n2, d2 = parts
+        return _rf_add(n1, d1, -n2, d2)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        parts = self._parts(other)
+        return NotImplemented if parts is None else _rf_mul(*parts)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        if o.num.is_zero():
+        n1, d1, n2, d2 = parts
+        if n2.is_zero():
             raise DivisionByZeroPolynomial("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return _rf_mul(n1, d1, d2, n2)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -843,12 +878,13 @@ class RatFunc:
     def inv(self):
         if self.num.is_zero():
             raise DivisionByZeroPolynomial("inverse of zero")
-        return RatFunc(self.den, self.num)
+        return _normalize_den(self.den, self.num)
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+        # powers of coprime parts stay coprime
+        return _normalize_den(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, MPoly)):
@@ -872,7 +908,87 @@ class RatFunc:
         return "(%r)/(%r)" % (self.num, self.den)
 
 
+def _ratfunc(num: MPoly, den: MPoly) -> RatFunc:
+    """A RatFunc that owns parts already in canonical form."""
+    r = object.__new__(RatFunc)
+    r.num = num
+    r.den = den
+    return r
+
+
+def _normalize_den(num: MPoly, den: MPoly) -> RatFunc:
+    """num/den for coprime parts over one variable tuple, scaled so that den
+    is integer-primitive with a positive leading coefficient."""
+    c = _lead_content(den)
+    if c != 1:
+        den, num = den / c, num / c
+    return _ratfunc(num, den)
+
+
+def _cofactor(p: MPoly, g: MPoly) -> MPoly:
+    """p / g for a gcd g of p; a failed division means inconsistent
+    kernels, and going on would compute with garbage."""
+    q = divide_exact(p, g)
+    if q is None:
+        raise ArithmeticError("gcd %r does not divide %r" % (g, p))
+    return q
+
+
+def _checked_gcd(a: MPoly, b: MPoly) -> MPoly:
+    """gcd(a, b) of nonzero a and b; 1 at once when either is constant.  A
+    gcd whose degree the packed keys cannot hold comes from inconsistent
+    kernels and raises."""
+    if a.is_constant() or b.is_constant():
+        return MPoly.one(a.vars)
+    g = mpoly_gcd(a, b)
+    if g.total_degree() >= EXPONENT_LIMIT:
+        raise ArithmeticError("degree of gcd %r out of range" % (g,))
+    return g
+
+
+def _cancel(a: MPoly, b: MPoly):
+    """(a/g, b/g) for g = gcd(a, b), a and b nonzero."""
+    g = _checked_gcd(a, b)
+    if g.is_constant():
+        return a, b
+    return _cofactor(a, g), _cofactor(b, g)
+
+
+def _rf_mul(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly) -> RatFunc:
+    """(n1/d1)(n2/d2) for coprime pairs (n1, d1) and (n2, d2): only
+    gcd(n1, d2) and gcd(n2, d1) can cancel."""
+    if n1.is_zero() or n2.is_zero():
+        return _ratfunc(MPoly.zero(n1.vars), MPoly.one(n1.vars))
+    n1, d2 = _cancel(n1, d2)
+    n2, d1 = _cancel(n2, d1)
+    return _normalize_den(n1 * n2, d1 * d2)
+
+
+def _rf_add(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly) -> RatFunc:
+    """n1/d1 + n2/d2 for coprime pairs with canonical denominators: with
+    g = gcd(d1, d2) and t = n1 (d2/g) + n2 (d1/g), only h = gcd(t, g) can
+    cancel, and the sum is (t/h) / ((d1/g)(d2/h)).  A constant canonical
+    denominator is 1, and then the other one is the sum's."""
+    if d2.is_constant():
+        return _ratfunc(n1 + (n2 if d1.is_constant() else n2 * d1), d1)
+    if d1.is_constant():
+        return _ratfunc(n1 * d2 + n2, d2)
+    g = _checked_gcd(d1, d2)
+    if g.is_constant():
+        t, e1 = n1 * d2 + n2 * d1, d1
+    else:
+        e1 = _cofactor(d1, g)
+        t = n1 * _cofactor(d2, g) + n2 * e1
+    if t.is_zero():
+        return _ratfunc(t, MPoly.one(t.vars))
+    h = _checked_gcd(t, g)
+    if h.is_constant():
+        return _normalize_den(t, e1 * d2)
+    return _normalize_den(_cofactor(t, h), e1 * _cofactor(d2, h))
+
+
 def _reduce_fraction(num: MPoly, den: MPoly):
+    """Canonical (num, den) for arbitrary parts over one variable tuple."""
     if num.is_zero():
         return num, MPoly.one(den.vars)
     if den.is_constant():
@@ -896,14 +1012,8 @@ def _reduce_fraction(num: MPoly, den: MPoly):
                 if not g.is_constant():
                     num = divide_exact(num, g)
                     den = divide_exact(den, g)
-    # scale: den integer-primitive, positive leading coefficient
-    c = den.content()
-    if den._terms[max(den._terms)] < 0:
-        c = -c
-    if c != 1:
-        den = den.map_coeffs(lambda x: Fraction(x) / c)
-        num = num.map_coeffs(lambda x: Fraction(x) / c)
-    return num, den
+    r = _normalize_den(num, den)
+    return r.num, r.den
 
 
 def ratfunc(num, den) -> RatFunc:
@@ -961,9 +1071,11 @@ def felem_div(a, b):
     is not."""
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) / Fraction(b)
-    an, ad = num_den(a)
-    bn, bd = num_den(b)
-    q = ratfunc(an * bd, ad * bn)
+    if isinstance(a, (int, Fraction)):
+        a = MPoly.constant(a, b.vars)
+    if isinstance(a, MPoly):
+        a = _ratfunc(a, MPoly.one(a.vars))
+    q = a / b
     return q.as_mpoly() if q.is_poly() else q
 
 

@@ -145,7 +145,7 @@ def _solve_mapping(solve):
 
 
 def _child_node(node: SearchNode, token: str, solve, atoms_fn, disj=(),
-                factor_exprs=()) -> SearchNode:
+                factor_exprs=(), const_atoms=()) -> SearchNode:
     mapping = _solve_mapping(solve)
     subs = {p: _subst_field(node.subs[p], mapping) for p in BASE}
     free = tuple(p for p in node.free if p not in mapping)
@@ -158,18 +158,21 @@ def _child_node(node: SearchNode, token: str, solve, atoms_fn, disj=(),
         equations=node.equations + tuple(f for f in factor_exprs
                                          if f is not None),
     )
-    _check_consistency(child)
+    _check_consistency(child, const_atoms)
     return child
 
 
-def _check_consistency(node: SearchNode):
+def _check_consistency(node: SearchNode, extra_atoms=()):
+    """Every ancestor equation vanishes and every inequation (the node's
+    atoms and ``extra_atoms``) stays nonzero under the node's solved
+    parameters (a free parameter stands for itself)."""
+    mapping = {p: node.subs[p] for p in BASE if p not in node.free}
     for eq in node.equations:
-        val = _subst_field(eq, {p: node.subs[p] for p in BASE})
-        if not felem_is_zero(as_field(val)):
+        if not felem_is_zero(as_field(_subst_field(eq, mapping))):
             raise InconsistentNode(
                 "%s: ancestor equation fails to vanish" % node.name())
-    for atom in node.atoms:
-        if felem_is_zero(as_field(atom)):
+    for atom in node.atoms + tuple(extra_atoms):
+        if felem_is_zero(as_field(_subst_field(atom, mapping))):
             raise InconsistentNode(
                 "%s: inequation violated by substitution" % node.name())
 
@@ -420,7 +423,8 @@ def _branch(node, kind, token, solve, leaf=None, factor_exprs=(),
     """The ``child``, ``red`` or ``terminating`` branch of ``node`` reached by
     ``solve``, verified.  ``leaf`` is the family record of a leaf: (id,
     binding, documented atoms) for red, (id, binding) for terminating.  A
-    terminating leaf keeps the node's inequations plus ``const_atoms``."""
+    terminating leaf keeps the node's inequations.  The ``const_atoms`` of a
+    degree-0 record must stay nonzero on the branch, whatever its kind."""
     disj = ()
     if kind == "child":
         child_hint = HINT_BOOK.get(node.label + (token,))
@@ -431,9 +435,10 @@ def _branch(node, kind, token, solve, leaf=None, factor_exprs=(),
         fid, binding, atoms_fn = leaf
     else:
         fid, binding = leaf
-        atoms_fn = lambda v: list(node.atoms) + [f(v) for f in const_atoms]
+        atoms_fn = None
     child = _child_node(node, token, solve, atoms_fn, disj=tuple(disj),
-                        factor_exprs=factor_exprs)
+                        factor_exprs=factor_exprs,
+                        const_atoms=[f(V) for f in const_atoms])
     if kind == "child":
         return ("node", child)
     _check_leaf(child, fid, families.predicted_cfrac(fid, binding(V), RED_DEPTH,

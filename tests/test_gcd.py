@@ -1,6 +1,7 @@
-"""The gcd layer of exactalg (mpoly_gcd, RatFunc reduction, the common-factor
-helper behind content stripping) against sympy as an independent oracle,
-plus hand-built cases for each branch of the common-factor helper."""
+"""The gcd layer of exactalg (mpoly_gcd, RatFunc reduction and arithmetic,
+the common-factor helper behind content stripping, the PRS content step)
+against sympy as an independent oracle, plus hand-built cases for each
+branch of the common-factor helper."""
 import signal
 from fractions import Fraction
 from functools import reduce
@@ -12,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from gkpfrac import exactalg
 from gkpfrac.cfrac import _strip_content
+from gkpfrac.cli import main
 from gkpfrac.exactalg import (
-    MPoly, RatFunc, _common_factor, divide_exact, mpoly_gcd, mpoly_lcm,
-    variables,
+    MPoly, RatFunc, _common_factor, _scalar_primitive, divide_exact, felem_div,
+    mpoly_gcd, mpoly_lcm, num_den, variables,
 )
 
 NAMES = ("a", "b", "c", "d")
@@ -174,3 +176,177 @@ def test_common_factor_gcd_that_does_not_shrink_raises(monkeypatch):
     monkeypatch.setattr(exactalg, "_gcd_nonzero", lambda p, g, **kw: g)
     with pytest.raises(ArithmeticError, match="did not shrink"):
         _common_factor([a + b, a * a + b])
+
+
+# -- RatFunc arithmetic on canonical operands ---------------------------------
+
+def product_route(op, a, b=None):
+    """Test-only oracle: the full products of the parts, reduced afterwards by
+    ``RatFunc(num, den)``.  ``b`` is a RatFunc or, for ``**``, an int."""
+    if op == "+":
+        return RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+    if op == "-":
+        return RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)
+    if op == "*":
+        return RatFunc(a.num * b.num, a.den * b.den)
+    if op == "/":
+        return RatFunc(a.num * b.den, a.den * b.num)
+    if op == "inv":
+        return RatFunc(a.den, a.num)
+    if b < 0:
+        return product_route("**", product_route("inv", a), -b)
+    return RatFunc(a.num ** b, a.den ** b)
+
+
+def felem_div_route(a, b):
+    an, ad = num_den(a)
+    bn, bd = num_den(b)
+    num, den = an * bd, ad * bn
+    num = num if isinstance(num, MPoly) else MPoly.constant(num)
+    den = den if isinstance(den, MPoly) else MPoly.constant(den, num.vars)
+    q = RatFunc(num, den)
+    return q.as_mpoly() if q.is_poly() else q
+
+
+def same_form(got, want):
+    """Equal type, variable tuple and terms: byte-identical output."""
+    assert type(got) is type(want)
+    if isinstance(want, MPoly):
+        assert got.vars == want.vars and got.sorted_terms() == want.sorted_terms()
+        return
+    assert got.vars == want.vars
+    assert got.num.vars == got.den.vars == want.vars
+    assert got.num.sorted_terms() == want.num.sorted_terms()
+    assert got.den.sorted_terms() == want.den.sorted_terms()
+
+
+def sympy_expr(x):
+    if isinstance(x, (int, Fraction)):
+        return sympy.Rational(x.numerator, x.denominator)
+    n, d = num_den(x)
+    d = d if isinstance(d, MPoly) else MPoly.constant(d, n.vars)
+    return to_sympy(n).as_expr() / to_sympy(d).as_expr()
+
+
+def agrees_with_cancel(got, expr):
+    """``got`` is sympy's cancelled ``expr``, scaled to our normal form."""
+    vars = got.vars
+    gens = sympy.symbols(vars)
+    cancelled = sympy.cancel(expr)
+    if cancelled == 0:
+        assert num_den(got)[0].is_zero()
+        return
+    n, d = (sympy.Poly(e, *gens, domain="QQ") for e in sympy.fraction(cancelled))
+    want_den = normalized(d)
+    scale = want_den.LC(order="grlex") / d.LC(order="grlex")
+    num, den = num_den(got)
+    den = den if isinstance(den, MPoly) else MPoly.constant(den, vars)
+    assert den == from_sympy(want_den, vars)
+    assert num == from_sympy(n * scale, vars)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two canonical RatFuncs over 2-3 variables with planted common factors.
+    Either f sits in a's numerator and b's denominator and h in b's
+    numerator and a's denominator, so that a product needs both cross gcds;
+    or a = n/g and b = (g w - n e)/(g e), so that a + b = w/e needs the gcd
+    of t = n e + (g w - n e) = g w with the common denominator factor g.
+    Sometimes b lives on the reversed variable tuple."""
+    vars = NAMES[:draw(st.integers(2, 3))]
+    exps = st.tuples(*[st.integers(0, 1)] * len(vars))
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 2))
+
+    def poly():
+        return MPoly(vars, {e: int(c) if c.denominator == 1 else c for e, c in
+                            draw(st.dictionaries(exps, coeffs, min_size=1,
+                                                 max_size=2)).items()})
+
+    def factor():
+        p = poly()
+        return p + MPoly.variable(vars[-1], vars) if p.is_constant() else p
+
+    if draw(st.booleans()):
+        f, h = factor(), factor()
+        a = RatFunc(poly() * f, poly() * h)
+        b = RatFunc(poly() * h, poly() * f)
+    else:
+        n, g, w, e = poly(), factor(), poly(), factor()
+        a = RatFunc(n, g)
+        b = RatFunc(g * w - n * e, g * e)
+    if b.is_zero():
+        b = RatFunc(MPoly.one(vars), factor())
+    if draw(st.booleans()):
+        rev = vars[::-1]
+        b = RatFunc(b.num.in_vars(rev), b.den.in_vars(rev))
+    return a, b
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(operand_pairs(), st.integers(-2, 2))
+def test_ratfunc_arithmetic_matches_the_product_route(pair, k):
+    a, b = pair
+    cases = [("+", a + b, b), ("-", a - b, b), ("*", a * b, b), ("/", a / b, b),
+             ("inv", a.inv(), None), ("**", a ** k, k)]
+    for op, got, arg in cases:
+        same_form(got, product_route(op, a, arg))
+    ea, eb = sympy_expr(a), sympy_expr(b)
+    for got, expr in zip((got for _, got, _ in cases),
+                         (ea + eb, ea - eb, ea * eb, ea / eb, 1 / ea, ea ** k)):
+        agrees_with_cancel(got, expr)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(operand_pairs(), st.integers(0, 3))
+def test_felem_div_matches_the_product_route(pair, shape):
+    a, b = pair
+    # RatFunc, MPoly and int operands in every position
+    a = (a, a.num, 3, a)[shape]
+    b = (b, b, b.den, Fraction(-2, 3))[shape]
+    got = felem_div(a, b)
+    same_form(got, felem_div_route(a, b))
+    agrees_with_cancel(got, sympy_expr(a) / sympy_expr(b))
+
+
+def test_a_cofactor_division_that_fails_raises(monkeypatch):
+    # a gcd that divides neither part is an inconsistent kernel
+    a, b = variables("a b")
+    monkeypatch.setattr(exactalg, "mpoly_gcd", lambda p, q: a + 2 * b)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        RatFunc(a, a + b) * RatFunc(b, a - b)
+
+
+# -- integer content in the PRS -------------------------------------------------
+
+def test_scalar_primitive_divides_by_the_content_of_the_whole_list():
+    x, = variables("x")
+    zero = MPoly.zero(x.vars)
+    assert _scalar_primitive([6 * x + 4, zero, MPoly.constant(10, x.vars)]) == \
+        [3 * x + 2, zero, 5]
+    got = _scalar_primitive([x * Fraction(1, 2) + Fraction(1, 3),
+                             MPoly.constant(Fraction(2, 3), x.vars)])
+    assert got == [3 * x + 2, 4]
+    assert all(type(c) is int for p in got for c in p.terms.values())
+    kept = [2 * x + 3, MPoly.constant(4, x.vars)]
+    assert _scalar_primitive(kept) is kept
+
+
+def test_prs_coefficients_stay_small_at_numeric_mu(monkeypatch, capsys):
+    # at numeric mu the polynomials are in x alone, and a pseudo-remainder
+    # keeps every integer factor its leading coefficients bring in unless the
+    # PRS divides it out: without that step the coefficients below pass 2000
+    # bits within seconds (the command then takes about 40 s); with it they
+    # stay under 400 bits
+    widest = []
+    pseudo_rem = exactalg._pseudo_rem
+
+    def spy(F, G, vars):
+        bits = max(Fraction(c).numerator.bit_length()
+                   for p in list(F) + list(G) for c in p.terms.values())
+        assert bits <= 1024, "pseudo-remainder input of %d bits" % bits
+        widest.append(bits)
+        return pseudo_rem(F, G, vars)
+
+    monkeypatch.setattr(exactalg, "_pseudo_rem", spy)
+    assert main(["sfrac", "--mu", "1,2,3,1,1,1", "--depth", "6"]) == 0
+    assert widest and max(widest) > 64

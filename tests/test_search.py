@@ -163,8 +163,8 @@ def test_replay_detects_wrong_child_substitution():
 
 def test_terminating_branch_keeps_its_constant_atoms(monkeypatch):
     # an extra constant atom that the degree-0 solve (betap = -2 alphap)
-    # sets to zero must be caught on the terminating branch; atoms are
-    # checked as written, so it is given with the solve applied
+    # sets to zero must be caught on the terminating branch, also when it
+    # is given with the solve already applied
     from gkpfrac import search as S
     label = ("0", "0", "0", "1a", "1a")
     hint = dict(S.HINT_BOOK[label])
@@ -177,6 +177,43 @@ def test_terminating_branch_keeps_its_constant_atoms(monkeypatch):
     with pytest.raises(InconsistentNode,
                        match="^0,0,0,1a,1a,0: inequation violated by substitution$"):
         run_tree()
+
+
+def _with_deg0_atom(monkeypatch, label, atom):
+    from gkpfrac import search as S
+    hint = dict(S.HINT_BOOK[label])
+    deg0 = dict(hint["deg0"])
+    deg0["const_atoms"] = list(deg0["const_atoms"]) + [atom]
+    hint["deg0"] = deg0
+    monkeypatch.setitem(S.HINT_BOOK, label, hint)
+    return deg0
+
+
+def test_atoms_are_checked_under_the_solved_parameters(monkeypatch):
+    # written in the base parameters, the atom is nonzero; the branch's
+    # solve (betap = -2 alphap) sets it to zero
+    deg0 = _with_deg0_atom(monkeypatch, ("0", "0", "0", "1a", "1a"),
+                           lambda v: v.bp + 2 * v.ap)
+    assert "terminating" in deg0
+    with pytest.raises(InconsistentNode,
+                       match="^0,0,0,1a,1a,0: inequation violated by substitution$"):
+        node_coefficient(get_node("0,0,0,1a,1a"))
+
+
+@pytest.mark.parametrize("label, kind, atom", [
+    # red record (F2b), solve alphap = 0
+    ("0,0,0", "red", lambda v: v.ap),
+    # child record, solve gammap = -alphap - betap
+    ("0,0", "child", lambda v: v.ap + v.bp + v.gp),
+])
+def test_constant_atoms_of_every_degree0_kind_are_checked(monkeypatch, label,
+                                                          kind, atom):
+    node = get_node(label)
+    deg0 = _with_deg0_atom(monkeypatch, node.label, atom)
+    assert kind == next((k for k in ("red", "terminating") if k in deg0), "child")
+    with pytest.raises(InconsistentNode,
+                       match="^%s,0: inequation violated by substitution$" % label):
+        node_coefficient(node)
 
 
 def test_child_action_without_a_hint(monkeypatch):
