@@ -56,22 +56,25 @@ def _depth(value: int) -> int:
     return value
 
 
+def _parse_value(text, name=None, vars=None):
+    """An exact rational, or for the token 'sym' the variable ``name`` over
+    ``vars`` where the caller allows one.  Every bad value is a usage
+    error."""
+    if text == "sym" and vars is not None:
+        return MPoly.variable(name, vars)
+    try:
+        return rational(text)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise UsageError("bad rational %r" % text)
+
+
 def _parse_mu(text: str, registry=PARAM_NAMES):
     """Comma-separated exact rationals or 'sym' entries."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (6, 8):
         raise UsageError("mu needs 6 (or 8 for the four-term form) entries")
-    vals = []
-    names = registry + ("sigma", "tau")
-    for name, p in zip(names, parts):
-        if p == "sym":
-            vals.append(MPoly.variable(name, names[: len(parts)] + ("x",)))
-        else:
-            try:
-                vals.append(rational(p))
-            except (ValueError, TypeError):
-                raise UsageError("bad rational %r" % p)
-    return vals
+    names = (registry + ("sigma", "tau"))[: len(parts)]
+    return [_parse_value(p, name, names + ("x",)) for name, p in zip(names, parts)]
 
 
 def _parse_params(text):
@@ -84,17 +87,8 @@ def _parse_params(text):
             raise UsageError("expected name=value, got %r" % item)
         name, _, val = item.partition("=")
         out[name.strip()] = val.strip()
-    names = tuple(out)
-    vals = {}
-    for name, val in out.items():
-        if val == "sym":
-            vals[name] = MPoly.variable(name, names + ("x",))
-        else:
-            try:
-                vals[name] = rational(val)
-            except (ValueError, TypeError):
-                raise UsageError("bad rational %r" % val)
-    return vals
+    vars = tuple(out) + ("x",)
+    return {name: _parse_value(val, name, vars) for name, val in out.items()}
 
 
 def _parse_coeff_list(text, vars=("x",)):
@@ -134,7 +128,7 @@ def parse_poly(text: str, vars=("x",)):
             raise UsageError("unexpected end of expression in %r" % text)
         take()
         if t[0].isdigit():
-            return MPoly.constant(rational(t), vars)
+            return MPoly.constant(_parse_value(t), vars)
         if t not in vars:
             raise UsageError("unknown variable %r (declared: %s)" % (t, vars))
         return MPoly.variable(t, vars)
@@ -297,10 +291,9 @@ def cmd_group(args):
 
 def cmd_rescale(args):
     mu = _parse_mu(args.mu)
-    kappa = rational(args.kappa) if args.kappa != "sym" else \
-        MPoly.variable("kappa", ("kappa", "lam") + PARAM_NAMES)
-    lam = rational(args.lam) if args.lam != "sym" else \
-        MPoly.variable("lam", ("kappa", "lam") + PARAM_NAMES)
+    vars = ("kappa", "lam") + PARAM_NAMES
+    kappa = _parse_value(args.kappa, "kappa", vars)
+    lam = _parse_value(args.lam, "lam", vars)
     rep = symmetry.rescale_gkp(args.case, mu, kappa, lam, _depth(args.depth))
     return rep["ok"], {"report": _mk_jsonable(rep)}
 
@@ -390,7 +383,7 @@ def cmd_combinat(args):
 def cmd_inverse_pair(args):
     rng = random.Random(args.seed)
     N = _depth(args.depth)
-    alpha = Fraction(1) if args.alpha is None else rational(args.alpha)
+    alpha = Fraction(1) if args.alpha is None else _parse_value(args.alpha)
     results = []
     ok = True
     for _ in range(args.random):

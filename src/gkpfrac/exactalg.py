@@ -23,6 +23,12 @@ one subtraction that leaves every guard bit set.  Exponents and total
 degrees must stay below ``EXPONENT_LIMIT`` (2^15); a product that would
 reach it raises ``OverflowError`` instead of carrying into the next field.
 ``MPoly.terms`` shows the terms keyed by exponent tuples.
+
+Every multivariate gcd goes through ``_common_factor``, which returns the
+gcd of a list together with the cofactors p/g and checks the fallback
+kernel's answer (``_gcd_nonzero``: common monomial, one trial division,
+then a primitive PRS) once for all callers: ``mpoly_gcd``, ``mpoly_lcm``,
+``RatFunc`` reduction and arithmetic, and the content steps.
 """
 from __future__ import annotations
 
@@ -609,13 +615,19 @@ def _from_main(coeffs, i, vars):
 
 
 def _common_factor(polys):
-    """Normalized gcd g of a list of MPoly values, and the cofactors p/g.
+    """Normalized gcd g of a list of MPoly values, and the cofactors p/g:
+    the one gcd route of this module.
 
     Divide-first: g starts as the normalized entry with the fewest terms and
     every entry is divided by g once.  Only a failed division shrinks g to
-    gcd(g, p); the cofactors already kept are then multiplied by the exact
-    ratio old g / new g.  Once g is constant it is 1 and the entries come
-    back unchanged.
+    gcd(g, p) by the fallback kernel ``_gcd_nonzero``; the cofactors already
+    kept are then multiplied by the exact ratio old g / new g.  Once g is
+    constant it is 1 and the entries come back unchanged.
+
+    The kernel's answer is checked here and nowhere else: every cofactor
+    comes from an exact division, a fallback gcd must be a proper factor of
+    g, and its degree must be one the packed keys can hold.  A failed check
+    means inconsistent kernels, and going on need not terminate.
     """
     nonzero = [p for p in polys if not p.is_zero()]
     if not nonzero:
@@ -627,21 +639,30 @@ def _common_factor(polys):
     for p in polys:
         q = divide_exact(p, g)
         if q is None:
-            # p/g just failed: the gcd need not try it again
-            h = _gcd_nonzero(*p._coerce(g), a_over_b_failed=True)
+            h = _gcd_nonzero(*p._coerce(g))
+            if h.total_degree() >= EXPONENT_LIMIT:
+                raise ArithmeticError("degree of gcd %r out of range" % (h,))
             if h.is_constant():
-                return h, list(polys)
+                return MPoly.one(h.vars), list(polys)
             # h divides g and p, and g does not divide p: h is a proper
-            # factor of g.  Otherwise the kernels are inconsistent, and
-            # going on need not terminate.
+            # factor of g
             ratio = divide_exact(g, h) if h.total_degree() < g.total_degree() else None
             if ratio is None:
                 raise ArithmeticError("gcd fallback did not shrink %r" % (g,))
             quos = [x * ratio for x in quos]
             g = h
-            q = divide_exact(p, g)
+            q = _cofactor(p, g)
         quos.append(q)
     return g, quos
+
+
+def _cofactor(p: MPoly, g: MPoly) -> MPoly:
+    """p / g for a gcd g of p; a failed division means inconsistent
+    kernels, and going on would compute with garbage."""
+    q = divide_exact(p, g)
+    if q is None:
+        raise ArithmeticError("gcd %r does not divide %r" % (g, p))
+    return q
 
 
 def mpoly_lcm(polys, vars):
@@ -650,27 +671,25 @@ def mpoly_lcm(polys, vars):
     it = iter(polys)
     L = next(it, MPoly.one(vars))
     for p in it:
-        L = L * divide_exact(p, mpoly_gcd(L, p))
+        _, (_, q) = _common_factor([L, p])
+        L = L * q
     return L
 
 
 def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """gcd over Q[vars], normalized primitive-integer with positive lead."""
-    a, b = a._coerce(b)
-    if a.is_zero():
-        return _normalize_gcd(b)
-    if b.is_zero():
-        return _normalize_gcd(a)
-    return _gcd_nonzero(a, b)
+    """gcd over Q[vars], normalized primitive-integer with positive lead:
+    the gcd that ``_common_factor`` returns for the pair."""
+    return _common_factor(a._coerce(b))[0]
 
 
 def _strip_monomial(p: MPoly, m) -> MPoly:
     return _mpoly(p.vars, {k - m: c for k, c in p._terms.items()})
 
 
-def _gcd_nonzero(a: MPoly, b: MPoly, a_over_b_failed=False) -> MPoly:
-    """gcd of nonzero a and b over one variable tuple: the common monomial,
-    times the gcd of what is left after it is stripped."""
+def _gcd_nonzero(a: MPoly, b: MPoly) -> MPoly:
+    """The fallback kernel of ``_common_factor``: gcd of nonzero a and b,
+    where b does not divide a.  The common monomial, times the gcd of what
+    is left after it is stripped."""
     ta, tb = a._terms, b._terms
     mg = _monomial_gcd(len(a.vars), ta, tb)
     if mg:
@@ -680,11 +699,6 @@ def _gcd_nonzero(a: MPoly, b: MPoly, a_over_b_failed=False) -> MPoly:
     # coprime to the rest
     if len(ta) == 1 or len(tb) == 1:
         g = MPoly.one(a.vars)
-    # cheap structural checks
-    elif ta == tb:
-        g = _normalize_gcd(a)
-    elif not a_over_b_failed and divide_exact(a, b) is not None:
-        g = _normalize_gcd(b)
     elif divide_exact(b, a) is not None:
         g = _normalize_gcd(a)
     else:
@@ -782,10 +796,12 @@ class RatFunc:
     Canonical form: gcd(num, den) constant, den integer-primitive with
     positive graded-lex leading coefficient.  Equality is structural.
 
-    ``RatFunc(num, den)`` reduces arbitrary parts (``_reduce_fraction``).
-    Arithmetic instead relies on both operands being canonical (Henrici,
-    JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1): only gcds of the factors can
-    cancel, so it never takes the gcd of a full product.
+    ``RatFunc(num, den)`` reduces arbitrary parts (``_reduce_fraction``):
+    it divides both by their gcd.  Arithmetic instead relies on both
+    operands being canonical (Henrici, JACM 3, 1956; Knuth, TAOCP vol. 2,
+    4.5.1): only gcds of the factors can cancel, so it never takes the gcd
+    of a full product.  Both take the gcd and its cofactors from
+    ``_common_factor``.
     """
 
     __slots__ = ("num", "den")
@@ -925,33 +941,11 @@ def _normalize_den(num: MPoly, den: MPoly) -> RatFunc:
     return _ratfunc(num, den)
 
 
-def _cofactor(p: MPoly, g: MPoly) -> MPoly:
-    """p / g for a gcd g of p; a failed division means inconsistent
-    kernels, and going on would compute with garbage."""
-    q = divide_exact(p, g)
-    if q is None:
-        raise ArithmeticError("gcd %r does not divide %r" % (g, p))
-    return q
-
-
-def _checked_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """gcd(a, b) of nonzero a and b; 1 at once when either is constant.  A
-    gcd whose degree the packed keys cannot hold comes from inconsistent
-    kernels and raises."""
-    if a.is_constant() or b.is_constant():
-        return MPoly.one(a.vars)
-    g = mpoly_gcd(a, b)
-    if g.total_degree() >= EXPONENT_LIMIT:
-        raise ArithmeticError("degree of gcd %r out of range" % (g,))
-    return g
-
-
 def _cancel(a: MPoly, b: MPoly):
-    """(a/g, b/g) for g = gcd(a, b), a and b nonzero."""
-    g = _checked_gcd(a, b)
-    if g.is_constant():
+    """[a/g, b/g] for g = gcd(a, b), a and b nonzero."""
+    if a.is_constant() or b.is_constant():
         return a, b
-    return _cofactor(a, g), _cofactor(b, g)
+    return _common_factor([a, b])[1]
 
 
 def _rf_mul(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly) -> RatFunc:
@@ -967,52 +961,26 @@ def _rf_mul(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly) -> RatFunc:
 def _rf_add(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly) -> RatFunc:
     """n1/d1 + n2/d2 for coprime pairs with canonical denominators: with
     g = gcd(d1, d2) and t = n1 (d2/g) + n2 (d1/g), only h = gcd(t, g) can
-    cancel, and the sum is (t/h) / ((d1/g)(d2/h)).  A constant canonical
-    denominator is 1, and then the other one is the sum's."""
+    cancel, and the sum is (t/h) / ((d1/g)(d2/h)) with d2/h = (d2/g)(g/h).
+    A constant canonical denominator is 1, and then the other one is the
+    sum's."""
     if d2.is_constant():
         return _ratfunc(n1 + (n2 if d1.is_constant() else n2 * d1), d1)
     if d1.is_constant():
         return _ratfunc(n1 * d2 + n2, d2)
-    g = _checked_gcd(d1, d2)
-    if g.is_constant():
-        t, e1 = n1 * d2 + n2 * d1, d1
-    else:
-        e1 = _cofactor(d1, g)
-        t = n1 * _cofactor(d2, g) + n2 * e1
+    g, (e1, e2) = _common_factor([d1, d2])
+    t = n1 * e2 + n2 * e1
     if t.is_zero():
         return _ratfunc(t, MPoly.one(t.vars))
-    h = _checked_gcd(t, g)
-    if h.is_constant():
-        return _normalize_den(t, e1 * d2)
-    return _normalize_den(_cofactor(t, h), e1 * _cofactor(d2, h))
+    h, (gh, t) = _common_factor([g, t])
+    return _normalize_den(t, e1 * (d2 if h.is_constant() else e2 * gh))
 
 
 def _reduce_fraction(num: MPoly, den: MPoly):
     """Canonical (num, den) for arbitrary parts over one variable tuple."""
     if num.is_zero():
         return num, MPoly.one(den.vars)
-    if den.is_constant():
-        pass
-    elif num.is_constant():
-        pass
-    else:
-        mg = _monomial_gcd(len(num.vars), num._terms, den._terms)
-        if mg:
-            num, den = _strip_monomial(num, mg), _strip_monomial(den, mg)
-        q = divide_exact(num, den)
-        if q is not None:
-            num, den = q, MPoly.one(den.vars)
-        else:
-            q = divide_exact(den, num)
-            if q is not None:
-                num, den = MPoly.one(num.vars), q
-            elif len(num._terms) > 1 and len(den._terms) > 1:
-                # both trial divisions failed: go straight to the PRS
-                g = _content_prs_gcd(num, den)
-                if not g.is_constant():
-                    num = divide_exact(num, g)
-                    den = divide_exact(den, g)
-    r = _normalize_den(num, den)
+    r = _normalize_den(*_cancel(num, den))
     return r.num, r.den
 
 

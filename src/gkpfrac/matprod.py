@@ -196,8 +196,10 @@ def _case_A6_remark(N):
     xi, hb, hg, hbp, hgp = variables("xi hb hg hbp hgp")
     B = gkp_triangle((0, hb, hg, 0, hbp, hgp), N)
     C = triangle_product(binomial_matrix(xi, N), B)
-    ok = C == gkp_triangle((0, hb, hg + xi, 0, hbp, hgp), N)
-    return {"ok": ok, "first_mismatch": None if ok else True}
+    D = gkp_triangle((0, hb, hg + xi, 0, hbp, hgp), N)
+    return mismatch_report(first_mismatch(
+        ({"n": n, "k": k}, C.entry(n, k), D.entry(n, k))
+        for n in range(N + 1) for k in range(n + 1)))
 
 
 def _case_A7(N):

@@ -118,7 +118,6 @@ class NodeReport:
     degQ: int
     degR: int
     children: list
-    classification: str
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +290,7 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
                                    % (node.name(), k - 1))
     if k != node.depth + 1:
         return NodeReport(node.label, k, c_k, None, None, None, None, None,
-                          _deg_x(c_k), 0, [], "white")
+                          _deg_x(c_k), 0, [])
 
     if "passthrough" in hint:
         if not _x_free(num_den(c_k)[1]):
@@ -305,7 +304,7 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
                             disj=tuple(child_hint.get("disj", disj)))
         return NodeReport(node.label, k, c_k, as_field(c_k), 1,
                           as_field(c_k), 0, None, _deg_x(c_k), 0,
-                          [("node", child)], "white")
+                          [("node", child)])
 
     g = hint["rfactor"](V)
     R = g * as_field(c_prev) if k >= 2 else as_field(g)
@@ -334,7 +333,7 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
 
     children = split_node(node, hint, rem, R)
     return NodeReport(node.label, k, c_k, Q, R, quot, rem, rem_ok,
-                      degQ, degR, children, "white")
+                      degQ, degR, children)
 
 
 def split_node(node: SearchNode, factor_hints=None, rem=None, R=None) -> list:

@@ -56,6 +56,27 @@ def test_usage_error_exit2(tmp_path):
     assert code == 2
 
 
+def test_every_bad_value_is_a_usage_error(tmp_path):
+    # one parser for "exact rational or sym" in every option that takes one;
+    # "sym" only where the option declares a variable for it
+    cases = [
+        (["triangle", "--mu", "0,0,abc,0,0,1"], "abc"),
+        (["triangle", "--mu", "0,0,1/0,0,0,1"], "1/0"),
+        (["verify-family", "--id", "F1a", "--params", "alpha=1/0"], "1/0"),
+        (["rescale", "--case", "a", "--mu", "0,1,0,0,0,1", "--kappa", "abc"],
+         "abc"),
+        (["rescale", "--case", "a", "--mu", "0,1,0,0,0,1", "--lam", "0.5"],
+         "0.5"),
+        (["inverse-pair", "--alpha", "sym"], "sym"),
+        (["inverse-pair", "--alpha", "2/0"], "2/0"),
+        (["eval-cfrac", "--kind", "S", "--c", "1/0", "--order", "3"], "1/0"),
+    ]
+    for i, (argv, value) in enumerate(cases):
+        code, data = run_cli(argv, tmp_path, "bad%d.json" % i)
+        assert code == 2 and data["exit"] == 2, argv
+        assert data["error"] == "bad rational %r" % value, argv
+
+
 def test_symbolic_option_removed_from_hankel_and_matprod(tmp_path):
     out = str(tmp_path / "x.json")
     assert main(["hankel", "--family", "gkp-tilde", "--symbolic", "x",

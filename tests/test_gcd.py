@@ -2,6 +2,7 @@
 the common-factor helper behind content stripping, the PRS content step)
 against sympy as an independent oracle, plus hand-built cases for each
 branch of the common-factor helper."""
+import json
 import signal
 from fractions import Fraction
 from functools import reduce
@@ -178,6 +179,18 @@ def test_common_factor_gcd_that_does_not_shrink_raises(monkeypatch):
         _common_factor([a + b, a * a + b])
 
 
+def test_common_factor_gcd_of_out_of_range_degree_raises(monkeypatch):
+    # a gcd whose degree the packed keys cannot hold (a borrow from a wrong
+    # divisibility test makes one) is rejected before any other check
+    a, b = variables("a b")
+    limit = exactalg.EXPONENT_LIMIT
+    key = limit << (2 * exactalg.FIELD_BITS) | limit << exactalg.FIELD_BITS
+    huge = exactalg._mpoly(a.vars, {key: 1, 0: 1})
+    monkeypatch.setattr(exactalg, "_gcd_nonzero", lambda p, g: huge)
+    with pytest.raises(ArithmeticError, match="out of range"):
+        _common_factor([a + b, a * a + b])
+
+
 # -- RatFunc arithmetic on canonical operands ---------------------------------
 
 def product_route(op, a, b=None):
@@ -308,12 +321,35 @@ def test_felem_div_matches_the_product_route(pair, shape):
     agrees_with_cancel(got, sympy_expr(a) / sympy_expr(b))
 
 
-def test_a_cofactor_division_that_fails_raises(monkeypatch):
-    # a gcd that divides neither part is an inconsistent kernel
-    a, b = variables("a b")
-    monkeypatch.setattr(exactalg, "mpoly_gcd", lambda p, q: a + 2 * b)
-    with pytest.raises(ArithmeticError, match="does not divide"):
-        RatFunc(a, a + b) * RatFunc(b, a - b)
+def test_a_cofactor_division_that_fails_raises(monkeypatch, tmp_path):
+    # a gcd kernel that hands back a non-divisor is inconsistent: every entry
+    # point must raise, never return a wrong gcd or fail on a missing cofactor.
+    # The inputs reach the kernel: both have two or more terms and neither
+    # divides the other.  The fallback gets (den, num), and a - c divides num
+    # but not den.
+    a, b, c = variables("a b c")
+    num, den = (a + b) * (a - c), (a + b) * (b + c) * (a * b + c + 1)
+    x, y = RatFunc(num, c + 2), RatFunc(b, den)
+    u, v = RatFunc(MPoly.one(num.vars), num), RatFunc(MPoly.one(num.vars), den)
+    monkeypatch.setattr(exactalg, "_content_prs_gcd", lambda p, q: a - c)
+    entry_points = [
+        lambda: mpoly_gcd(num, den),
+        lambda: RatFunc(num, den),
+        lambda: x * y,
+        lambda: u + v,
+        lambda: _common_factor([num, den]),
+        lambda: mpoly_lcm([num, den], num.vars),
+    ]
+    for entry in entry_points:
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            entry()
+    # through the CLI, the same fault is an internal error (exit 3)
+    out = tmp_path / "internal.json"
+    code = main(["jfrac", "--mu", "1,2,3,1,1,1", "--levels", "2",
+                 "--out", str(out)])
+    data = json.loads(out.read_text())
+    assert code == 3 and data["exit"] == 3 and data["ok"] is False
+    assert data["internal"].startswith("ArithmeticError: ")
 
 
 # -- integer content in the PRS -------------------------------------------------

@@ -175,3 +175,15 @@ def test_inverse_pair_check_reports_a_broken_pair():
     rep = inverse_pair_check(Triangle(rows), B, alpha)
     assert rep == {**{key: False for key in "abcdefgh"}, "all": False, "any": False}
     assert list(rep) == list("abcdefgh") + ["all", "any"]
+
+
+def test_a6_remark_names_the_first_mismatching_cell(monkeypatch):
+    assert verify_product_case("A.6-remark", 4) == {
+        "ok": True, "first_mismatch": None, "case": "A.6-remark"}
+    binomial = matprod.binomial_matrix
+    monkeypatch.setattr(matprod, "binomial_matrix",
+                        lambda xi, N: binomial(2 * xi, N))
+    for case in ("A.6-remark", "A.10"):
+        rep = verify_product_case(case, 4)
+        assert rep["ok"] is False
+        assert rep["first_mismatch"] == {"n": 1, "k": 0}, case

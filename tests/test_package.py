@@ -1,4 +1,7 @@
+import ast
+import sys
 import types
+from pathlib import Path
 
 import gkpfrac
 
@@ -39,3 +42,26 @@ def test_exported_names_are_pinned():
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+def foreign_imports(source):
+    """Top-level names of the absolute imports in ``source`` that are not
+    standard-library modules."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {n.split(".")[0] for n in names} - sys.stdlib_module_names
+
+
+def test_the_package_imports_only_the_standard_library():
+    # sympy and the other test tools stay test-only
+    assert foreign_imports("import sympy.polys\nfrom hypothesis import given\n"
+                           "from .exactalg import MPoly\nimport json\n") \
+        == {"sympy", "hypothesis"}
+    modules = sorted(Path(gkpfrac.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    found = {m.name: foreign_imports(m.read_text()) for m in modules}
+    assert {name: f for name, f in found.items() if f} == {}
