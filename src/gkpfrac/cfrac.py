@@ -1,8 +1,10 @@
 """Continued-fraction machinery for ordinary generating functions:
 
 * extraction of S-type and J-type coefficients from a truncated series,
-* confirmation of a predicted S-fraction on the series itself, with
-  extraction only to name the failing level of a refuted one,
+* confirmation of a predicted S- or J-fraction on the series itself: the
+  prediction is evaluated as a path sum and compared coefficient by
+  coefficient, and only a refuted prediction is extracted, to name its
+  failing level,
 * evaluation of S-, T- and J-fractions as weighted Dyck, Schroeder and
   Motzkin path sums (Flajolet, Discrete Math. 32, 1980), tabulated as in
   the production matrices of Petreolle-Sokal-Zhu (arXiv:1807.03271),
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
 from typing import Optional, Sequence
 
 from .exactalg import (
     MPoly, TruncSeries, _common_factor, as_field, clear_denominators,
-    felem_div, felem_eq, felem_is_zero, felem_to_json, num_den,
+    felem_div, felem_eq, felem_is_zero, felem_to_json, first_mismatch, num_den,
 )
 
 
@@ -206,49 +209,83 @@ def sfrac_mismatch(a: TruncSeries, c: Sequence, order: int) -> Optional[int]:
     S-fraction with coefficients c_1, c_2, ..., or None when they agree
     through t^order.  Coefficients past the end of ``c`` count as zero."""
     c = list(c[:order]) + [0] * (order - len(c))
-    want = eval_sr(c, order).coeffs
+    return _first_difference(a, eval_sr(c, order), order)
+
+
+def _first_difference(a: TruncSeries, b: TruncSeries, order: int) -> Optional[int]:
+    """The first n <= order at which a and b differ, or None."""
     for n in range(order + 1):
-        if not felem_eq(as_field(a.coeffs[n]), as_field(want[n])):
+        if not felem_eq(as_field(a.coeffs[n]), as_field(b.coeffs[n])):
             return n
     return None
 
 
-def sfrac_confirms(a: TruncSeries, want: CFrac) -> bool:
-    """Whether ``extract_sfrac(a, a.order)`` returns ``want``'s coefficients
-    and ``terminated_at``, decided on the series without extraction.
+def cfrac_confirms(a: TruncSeries, want: CFrac) -> bool:
+    """Whether extraction from ``a`` returns the S or J prediction
+    ``want``'s coefficients and ``terminated_at``, decided on the series
+    without extraction.  With N = a.order, extraction reads c_1..c_N of an
+    S-fraction (``extract_sfrac(a, N)``) and e_0..e_{m-1}, f_1..f_m of a
+    J-fraction (``extract_jfrac(a, m)``, m = N // 2).
 
-    [t^n] of an S-fraction is c_1 c_2 ... c_n plus a polynomial in
-    c_1..c_{n-1}: the only Dyck path of semilength n that reaches height n
-    rises straight and falls straight.  So when the predicted c_i before
-    the termination point L are nonzero, the series agrees with the
-    prediction (c_L and later taken as zero) through t^order exactly when
-    extraction returns it.  True is therefore certain.  False means
+    The only Dyck path of semilength n that reaches height n rises straight
+    and falls straight, so [t^n] of an S-fraction is c_1 c_2 ... c_n plus a
+    polynomial in c_1..c_{n-1}.  The only Motzkin paths that reach height k
+    in 2k or 2k + 1 steps rise and fall straight, once with a level step at
+    height k: [t^{2k}] of a J-fraction is f_1 ... f_k plus a polynomial in
+    e_<k, f_<k, and [t^{2k+1}] is f_1 ... f_k e_k plus one in e_<k, f_<=k.
+    So when the predicted c_i, or f_i, before the termination point L are
+    nonzero, the series agrees with the prediction (coefficients from L on
+    taken as zero) exactly when extraction returns it: through t^N, or
+    through t^{2m} for a J-fraction that does not terminate, as extraction
+    of m levels reads no further.  True is therefore certain.  False means
     extraction differs, or that the series cannot tell: a predicted zero
-    before L, or L beyond the order."""
-    order, L = a.order, want.terminated_at
-    if L is not None and L > order:
+    before L, lists shorter than the levels they claim, or L beyond the
+    levels extraction reads."""
+    L = want.terminated_at
+    levels = a.order if want.kind == "S" else a.order // 2
+    if L is not None and L > levels:
         return False
-    known = order if L is None else L - 1
-    c = want.c[:known]
-    if len(c) < known or any(felem_is_zero(as_field(ci)) for ci in c):
+    known = levels if L is None else L - 1
+    lead = want.c if want.kind == "S" else want.f
+    if len(lead) < known or any(felem_is_zero(as_field(v)) for v in lead[:known]):
         return False
-    return sfrac_mismatch(a, c, order) is None
+    if want.kind == "S":
+        return sfrac_mismatch(a, lead[:known], a.order) is None
+    e_known = known if L is None else L
+    if len(want.e) < e_known:
+        return False
+    claim = CFrac("J", e=want.e[:e_known], f=lead[:known], terminated_at=L)
+    order = 2 * levels if L is None else a.order
+    return _first_difference(a, eval_cfrac(claim, order), order) is None
 
 
-def sfrac_refutation(a: TruncSeries, want: CFrac, name: str) -> Optional[CFrac]:
-    """None when the series confirms the S prediction ``want``
-    (``sfrac_confirms``); otherwise ``extract_sfrac(a, a.order)``, from
+def cfrac_refutation(a: TruncSeries, want: CFrac, name: str) -> Optional[CFrac]:
+    """None when the series confirms the S or J prediction ``want``
+    (``cfrac_confirms``); otherwise the extraction that it stands for, from
     which the caller names the failing level.  That extraction differs
-    from ``want`` in ``terminated_at`` or in some c_i; if it agrees after
-    all, the series check is at fault and ``ArithmeticError`` is raised."""
-    if sfrac_confirms(a, want):
+    from ``want`` in ``terminated_at`` or in some coefficient; if it agrees
+    after all, the series check is at fault and ``ArithmeticError`` is
+    raised."""
+    if cfrac_confirms(a, want):
         return None
-    got = extract_sfrac(a, a.order)
-    if got.terminated_at == want.terminated_at and all(
-            felem_eq(as_field(g), as_field(w)) for g, w in zip(got.c, want.c)):
+    if want.kind == "S":
+        got = extract_sfrac(a, a.order)
+    else:
+        got = extract_jfrac(a, a.order // 2)
+    if got.terminated_at == want.terminated_at and \
+            first_mismatch(coefficient_pairs(got, want)) is None:
         raise ArithmeticError("%s: the series refutes the prediction but "
                               "extraction confirms it" % name)
     return got
+
+
+def coefficient_pairs(got: CFrac, want: CFrac):
+    """(level, got, want) for the shared levels of two S or two J bundles:
+    c_i at level i, e_n and f_n at ("e", n) and ("f", n)."""
+    if want.kind == "S":
+        return zip(count(1), got.c, want.c)
+    return chain(((("e", n), g, w) for n, g, w in zip(count(), got.e, want.e)),
+                 ((("f", n), g, w) for n, g, w in zip(count(1), got.f, want.f)))
 
 
 def eval_tr(c: Sequence, d: Sequence, order: int) -> TruncSeries:

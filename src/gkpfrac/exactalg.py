@@ -608,35 +608,67 @@ def _poly_in_main(p: MPoly, i: int):
 
 
 def _from_main(coeffs, i, vars):
+    """sum_x coeffs[x] * vars[i]^x for coefficients over ``vars`` free of
+    vars[i]: the keys of coeffs[x] move up by x times the key of vars[i],
+    and no two meet."""
     n = len(vars)
     step = (1 << _var_shift(n, i)) + (1 << (n * FIELD_BITS))
     return _mpoly(vars, {k + x * step: c for x, p in enumerate(coeffs)
                          for k, c in p._terms.items()})
 
 
-def _common_factor(polys):
+def mpoly_from_powers(coeffs, name: str, vars) -> MPoly:
+    """sum_j coeffs[j] * name^j for MPoly coefficients over ``vars``,
+    without forming a power or taking a product: the keys of coeffs[j] move
+    up by j times the key of ``name`` (``_from_main``).  Keys can meet only
+    when some coefficient holds ``name`` itself; the moved polynomials are
+    then added in order, as the products would be."""
+    n, i = len(vars), vars.index(name)
+    if max((p.total_degree() + j for j, p in enumerate(coeffs) if p),
+           default=0) >= EXPONENT_LIMIT:
+        raise OverflowError("product degree reaches %d" % EXPONENT_LIMIT)
+    s = _var_shift(n, i)
+    if not any(reduce(or_, p._terms, 0) >> s & _FIELD for p in coeffs):
+        return _from_main(coeffs, i, vars)
+    step = (1 << s) + (1 << (n * FIELD_BITS))
+    return sum((_mpoly(vars, {k + j * step: c for k, c in p._terms.items()})
+                for j, p in enumerate(coeffs)), MPoly.zero(vars))
+
+
+def _common_factor(polys, start=None):
     """Normalized gcd g of a list of MPoly values, and the cofactors p/g:
     the one gcd route of this module.
 
-    Divide-first: g starts as the normalized entry with the fewest terms and
-    every entry is divided by g once.  Only a failed division shrinks g to
-    gcd(g, p) by the fallback kernel ``_gcd_nonzero``; the cofactors already
-    kept are then multiplied by the exact ratio old g / new g.  Once g is
-    constant it is 1 and the entries come back unchanged.
+    Divide-first: g starts as the normalized entry with the fewest terms,
+    or as polys[start] when the caller knows that entry to be normalized.
+    That entry's cofactor is its lead content, taken without a division;
+    every other entry is divided by g once.  Only a failed division shrinks
+    g to gcd(g, p) by the fallback kernel ``_gcd_nonzero``; the cofactors
+    already kept, the start entry's first among them, are then multiplied
+    by the exact ratio old g / new g.  Once g is constant it is 1 and the
+    entries come back unchanged.
 
-    The kernel's answer is checked here and nowhere else: every cofactor
-    comes from an exact division, a fallback gcd must be a proper factor of
-    g, and its degree must be one the packed keys can hold.  A failed check
-    means inconsistent kernels, and going on need not terminate.
+    The kernel's answer is checked here and nowhere else: every other
+    cofactor comes from an exact division, a fallback gcd must be a proper
+    factor of g, and its degree must be one the packed keys can hold.  A
+    failed check means inconsistent kernels, and going on need not
+    terminate.
     """
-    nonzero = [p for p in polys if not p.is_zero()]
+    nonzero = [i for i, p in enumerate(polys) if not p.is_zero()]
     if not nonzero:
         return MPoly.zero(polys[0].vars if polys else ()), list(polys)
-    g = _normalize_gcd(min(nonzero, key=lambda p: len(p._terms)))
+    if start is None:
+        start = min(nonzero, key=lambda i: len(polys[i]._terms))
+        c = _lead_content(polys[start])
+        g = polys[start] / c
+    else:
+        c, g = 1, polys[start]
     if g.is_constant():
         return g, list(polys)
-    quos = []
-    for p in polys:
+    quos = {start: MPoly.constant(c, g.vars)}
+    for i, p in enumerate(polys):
+        if i == start:
+            continue
         q = divide_exact(p, g)
         if q is None:
             h = _gcd_nonzero(*p._coerce(g))
@@ -649,11 +681,11 @@ def _common_factor(polys):
             ratio = divide_exact(g, h) if h.total_degree() < g.total_degree() else None
             if ratio is None:
                 raise ArithmeticError("gcd fallback did not shrink %r" % (g,))
-            quos = [x * ratio for x in quos]
+            quos = {j: x * ratio for j, x in quos.items()}
             g = h
             q = _cofactor(p, g)
-        quos.append(q)
-    return g, quos
+        quos[i] = q
+    return g, [quos[i] for i in range(len(polys))]
 
 
 def _cofactor(p: MPoly, g: MPoly) -> MPoly:
@@ -972,7 +1004,7 @@ def _rf_add(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly) -> RatFunc:
     t = n1 * e2 + n2 * e1
     if t.is_zero():
         return _ratfunc(t, MPoly.one(t.vars))
-    h, (gh, t) = _common_factor([g, t])
+    h, (gh, t) = _common_factor([g, t], start=0)
     return _normalize_den(t, e1 * (d2 if h.is_constant() else e2 * gh))
 
 

@@ -9,9 +9,8 @@ symbolically in all free parameters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, count
 from typing import Callable, Optional
 
 from .exactalg import (
@@ -23,7 +22,7 @@ from .gkpcore import (
     GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle, ogf_trunc,
     row_polys, triangle,
 )
-from .cfrac import CFrac, contract, eval_tr, extract_jfrac, sfrac_refutation
+from .cfrac import CFrac, cfrac_refutation, coefficient_pairs, contract, eval_tr
 from .combinat import binom
 from .matprod import binomial_matrix, triangle_product
 
@@ -382,13 +381,13 @@ def predicted_cfrac(id: str, params=None, m: int = 8, kind: Optional[str] = None
 def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None) -> dict:
     """Generate, compare; symbolic in all free parameters.
 
-    S and terminating kinds are decided on the series by
-    ``cfrac.sfrac_refutation``: the ogf agrees with the predicted S-fraction
+    S, terminating and J kinds are decided on the series by
+    ``cfrac.cfrac_refutation``: the ogf agrees with the predicted fraction
     through t^N exactly when extraction would return the prediction,
-    provided the predicted coefficients before the termination point are
-    nonzero.  Only a refuted prediction is extracted, and the
-    ``first_mismatch`` witness is built from that extraction.  J kinds are
-    compared coefficient by coefficient against the extraction; T kinds are
+    provided the predicted c_i or f_i before the termination point are
+    nonzero.  A J prediction terminates at its first zero f, as extraction
+    does.  Only a refuted prediction is extracted, and the
+    ``first_mismatch`` witness is built from that extraction.  T kinds are
     verified by evaluating the predicted fraction.
     """
     spec = get_family(id)
@@ -398,33 +397,40 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
     report = {"id": id, "kind": kind, "status": spec.status,
               "verified_to": N, "first_mismatch": None}
 
-    if spec.status == "terminating" or kind == "S":
-        want = (predicted_cfrac(id, params) if spec.status == "terminating"
-                else predicted_cfrac(id, params, N, kind="S"))
-        got = sfrac_refutation(ogf, want, id)
-        if got is not None:
-            report["first_mismatch"] = _sfrac_witness(got, want)
-        return report
-    if kind == "J":
-        m = N // 2
-        got = extract_jfrac(ogf, m)
-        want = predicted_cfrac(id, params, m, kind="J")
-        cases = chain(((("e", n), g, w) for n, g, w in zip(count(), got.e, want.e)),
-                      ((("f", n), g, w) for n, g, w in zip(count(1), got.f, want.f)))
+    if spec.status == "terminating":
+        want = predicted_cfrac(id, params)
+    elif kind == "S":
+        want = predicted_cfrac(id, params, N, kind="S")
+    elif kind == "J":
+        want = _ended_at_first_zero(predicted_cfrac(id, params, N // 2, kind="J"))
     elif kind == "T":
         want = predicted_cfrac(id, params, N, kind="T")
         cases = zip(range(N + 1), eval_tr(list(want.c), list(want.d), N).coeffs,
                     ogf.coeffs)
+        report["first_mismatch"] = _witness(first_mismatch(cases))
+        return report
     else:
         raise ValueError(kind)
-    report["first_mismatch"] = _witness(first_mismatch(cases))
+    got = cfrac_refutation(ogf, want, id)
+    if got is not None:
+        report["first_mismatch"] = _cfrac_witness(got, want)
     return report
 
 
-def _sfrac_witness(got: CFrac, want: CFrac):
-    """The first_mismatch entry of an extraction that refutes an S
+def _ended_at_first_zero(want: CFrac) -> CFrac:
+    """A J prediction with a zero f_L is the finite fraction that ends at
+    level L, where extraction stops."""
+    L = next((k for k, f in enumerate(want.f, 1) if felem_is_zero(as_field(f))), None)
+    if L is None:
+        return want
+    return replace(want, e=want.e[:L], f=want.f[:L - 1], terminated_at=L)
+
+
+def _cfrac_witness(got: CFrac, want: CFrac):
+    """The first_mismatch entry of an extraction that refutes an S or J
     prediction: a termination level that differs, else the first differing
-    coefficient, else an unexpected termination."""
+    coefficient (``cfrac.coefficient_pairs``), else an unexpected
+    termination."""
     tail = None  # reported only once every coefficient agrees
     if want.terminated_at is not None:
         if got.terminated_at != want.terminated_at:
@@ -432,7 +438,7 @@ def _sfrac_witness(got: CFrac, want: CFrac):
                     "expected": "termination at %s" % want.terminated_at}
     elif got.terminated_at is not None:
         tail = {"level": got.terminated_at, "expected": "nonterminating"}
-    return _witness(first_mismatch(zip(count(1), got.c, want.c)), tail)
+    return _witness(first_mismatch(coefficient_pairs(got, want)), tail)
 
 
 def _witness(bad, tail=None):

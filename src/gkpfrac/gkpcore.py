@@ -6,12 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import factorial, prod
 from typing import Callable, Sequence
 
 from .exactalg import (
-    Fraction, MPoly, RatFunc, TruncSeries, as_field, felem_eq, felem_is_zero,
-    felem_to_json, first_mismatch, mismatch_report, variables,
+    Fraction, MPoly, RatFunc, TruncSeries, felem_eq, felem_is_zero,
+    felem_to_json, first_mismatch, mismatch_report, mpoly_from_powers, variables,
 )
 from .combinat import binom, stirling_cycle, stirling_subset
 
@@ -205,25 +206,50 @@ def _gkp_row_rule(mu) -> Callable:
 
 def _xvar_for(entries):
     for c in entries:
-        if isinstance(c, MPoly):
-            return c.vars if "x" in c.vars else c.vars + ("x",)
-        if isinstance(c, RatFunc):
+        if isinstance(c, (MPoly, RatFunc)):
             return c.vars if "x" in c.vars else c.vars + ("x",)
     return ("x",)
 
 
 def row_polys(t: Triangle) -> RowPolys:
-    vars = _xvar_for([c for row in t.rows for c in row])
-    x = MPoly.variable("x", vars)
+    """P_n(x) = sum_k T(n,k) x^k for n = 0..N.
+
+    The variable tuple is that of the first polynomial entry with x
+    appended (x alone when there is none), extended in each row as the
+    products T(n,k) x^k and their sum would extend it.  Scalar and MPoly
+    entries are placed by key shift (``exactalg.mpoly_from_powers``): no
+    power of x is formed and no product taken.  A row with a nonzero
+    ``RatFunc`` entry is summed as T(n,k) x^k and is a ``RatFunc``."""
+    xvars = _xvar_for([c for row in t.rows for c in row])
     out = RowPolys()
     for row in t.rows:
-        p = 0
-        for k, c in enumerate(row):
-            if felem_is_zero(as_field(c)):
-                continue
-            p = p + c * x ** k
-        out.append(p if not isinstance(p, int) else MPoly.constant(p, vars))
+        if any(isinstance(c, RatFunc) and c for c in row):
+            out.append(_rational_row(row, xvars))
+            continue
+        vars = xvars
+        if any(isinstance(c, MPoly) and c.vars != xvars for c in row):
+            vars = tuple(dict.fromkeys(chain.from_iterable(
+                c.vars + xvars if isinstance(c, MPoly) else xvars
+                for c in row if not felem_is_zero(c)))) or xvars
+        out.append(mpoly_from_powers([_placed(c, vars) for c in row], "x", vars))
     return out
+
+
+def _placed(c, vars) -> MPoly:
+    """A scalar or MPoly entry, or a zero RatFunc, as MPoly over vars."""
+    if isinstance(c, MPoly):
+        return c.in_vars(vars) if c else MPoly.zero(vars)
+    return MPoly.zero(vars) if isinstance(c, RatFunc) else MPoly.constant(c, vars)
+
+
+def _rational_row(row, vars):
+    x = MPoly.variable("x", vars)
+    p, xk = 0, MPoly.one(vars)
+    for c in row:
+        if not felem_is_zero(c):
+            p = p + c * xk
+        xk = xk * x
+    return p
 
 
 def ogf_trunc(t: Triangle) -> TruncSeries:

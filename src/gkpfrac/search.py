@@ -13,7 +13,7 @@ Each node's own split coefficient is extracted from its series.  A leaf's
 claimed S-fraction (the ten red families, the thirteen terminating ones) is
 decided on the series instead: the ogf agrees with the predicted fraction
 through the checked order exactly when extraction would return the
-prediction, so ``cfrac.sfrac_refutation`` extracts only a refuted leaf, to
+prediction, so ``cfrac.cfrac_refutation`` extracts only a refuted leaf, to
 name its failing coefficient.
 """
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .exactalg import (
     remainder_in_x, variables,
 )
 from .gkpcore import GKPParams, gkp_triangle, ogf_trunc
-from .cfrac import extract_sfrac, sfrac_refutation
+from .cfrac import cfrac_refutation, extract_sfrac
 from . import families
 from .hintbook import make_hint_book
 
@@ -463,7 +463,7 @@ def _check_leaf(node: SearchNode, fid: str, want):
     if D != 1:
         want = replace(want, c=tuple(felem_div(D * n, d)
                                      for n, d in map(num_den, want.c)))
-    got = sfrac_refutation(ogf, want, "%s (%s)" % (node.name(), fid))
+    got = cfrac_refutation(ogf, want, "%s (%s)" % (node.name(), fid))
     if got is None:
         return
     if level is None:

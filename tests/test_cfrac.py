@@ -7,8 +7,8 @@ from gkpfrac.exactalg import MPoly, TruncSeries, as_field, felem_eq, variables
 from gkpfrac.gkpcore import gkp_triangle, ogf_trunc
 from gkpfrac.cfrac import (
     CFrac, InsufficientDepth, NonExtractableSeries, NotContractible,
-    binomial_transform_seq, contract, eval_cfrac, eval_jr, eval_sr, eval_tr,
-    extract_jfrac, extract_sfrac, sfrac_confirms, sfrac_mismatch,
+    binomial_transform_seq, cfrac_confirms, contract, eval_cfrac, eval_jr,
+    eval_sr, eval_tr, extract_jfrac, extract_sfrac, sfrac_mismatch,
     transform_laws,
 )
 
@@ -306,10 +306,10 @@ def test_series_decides_a_nonzero_prediction(case):
     back = extract_sfrac(a, N)
     assert back.terminated_at is None
     assert all(felem_eq(as_field(x), as_field(y)) for x, y in zip(back.c, c))
-    assert sfrac_mismatch(a, c, N) is None and sfrac_confirms(a, CFrac("S", c=tuple(c)))
+    assert sfrac_mismatch(a, c, N) is None and cfrac_confirms(a, CFrac("S", c=tuple(c)))
     bent = c[:j - 1] + [c[j - 1] + delta] + c[j:]
     assert sfrac_mismatch(a, bent, N) == j
-    assert not sfrac_confirms(a, CFrac("S", c=tuple(bent)))
+    assert not cfrac_confirms(a, CFrac("S", c=tuple(bent)))
 
 
 def test_a_predicted_zero_is_left_to_extraction():
@@ -318,14 +318,14 @@ def test_a_predicted_zero_is_left_to_extraction():
     a = eval_sr([1, 2, 0, 0, 0], 5)
     assert sfrac_mismatch(a, [1, 2, 0, 7, 1], 5) is None
     assert extract_sfrac(a, 5).terminated_at == 3
-    assert not sfrac_confirms(a, CFrac("S", c=(1, 2, 0, 7, 1)))
-    assert sfrac_confirms(a, CFrac("S", c=(1, 2), terminated_at=3))
+    assert not cfrac_confirms(a, CFrac("S", c=(1, 2, 0, 7, 1)))
+    assert cfrac_confirms(a, CFrac("S", c=(1, 2), terminated_at=3))
     # the same finite fraction claimed to end one level late, at level 4
-    assert not sfrac_confirms(a, CFrac("S", c=(1, 2, 0), terminated_at=4))
+    assert not cfrac_confirms(a, CFrac("S", c=(1, 2, 0), terminated_at=4))
     # a list shorter than its termination point, and a termination point
     # beyond the order, cannot be decided either
-    assert not sfrac_confirms(a, CFrac("S", c=(1,), terminated_at=3))
-    assert not sfrac_confirms(a.truncate(2), CFrac("S", c=(1, 2), terminated_at=3))
+    assert not cfrac_confirms(a, CFrac("S", c=(1,), terminated_at=3))
+    assert not cfrac_confirms(a.truncate(2), CFrac("S", c=(1, 2), terminated_at=3))
     # coefficients past a terminated list count as zero
     assert sfrac_mismatch(a, [1, 2], 5) is None
     assert sfrac_mismatch(a, [1, 2, 3], 5) == 3

@@ -191,6 +191,72 @@ def test_common_factor_gcd_of_out_of_range_degree_raises(monkeypatch):
         _common_factor([a + b, a * a + b])
 
 
+# -- the common factor against the divide-every-entry loop ------------------
+
+def divided_common_factor(polys):
+    """Test-only oracle: the former ``_common_factor``, which divided the
+    entry that g was taken from by g as well, and normalized g again when
+    handed one."""
+    nonzero = [p for p in polys if not p.is_zero()]
+    if not nonzero:
+        return MPoly.zero(polys[0].vars if polys else ()), list(polys)
+    g = exactalg._normalize_gcd(min(nonzero, key=lambda p: len(p._terms)))
+    if g.is_constant():
+        return g, list(polys)
+    quos = []
+    for p in polys:
+        q = divide_exact(p, g)
+        if q is None:
+            h = exactalg._gcd_nonzero(*p._coerce(g))
+            if h.is_constant():
+                return MPoly.one(h.vars), list(polys)
+            ratio = divide_exact(g, h)
+            quos = [x * ratio for x in quos]
+            g = h
+            q = divide_exact(p, g)
+        quos.append(q)
+    return g, quos
+
+
+def typed_terms(p):
+    return p.vars, [(e, c, type(c)) for e, c in p.sorted_terms()]
+
+
+def same_split(got, want):
+    """Equal gcd and cofactors, with their variable tuples and the types
+    of their coefficients."""
+    (g, quos), (wg, wquos) = got, want
+    assert typed_terms(g) == typed_terms(wg)
+    assert [typed_terms(q) for q in quos] == [typed_terms(q) for q in wquos]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: planted(n)),
+       st.lists(st.sampled_from([1, -1, 3, Fraction(-2, 3), 0]), min_size=4, max_size=4))
+def test_common_factor_matches_the_divide_every_entry_loop(polys, scales):
+    # scaled entries have a lead content other than 1, the start entry's
+    # cofactor; zero entries are skipped when g is chosen
+    *entries, factor = polys
+    entries = [s * p for s, p in zip(scales, entries)]
+    same_split(_common_factor(entries), divided_common_factor(entries))
+    # a start entry that the caller knows to be normalized, as in a sum
+    g = exactalg._normalize_gcd(factor)
+    for p in entries:
+        same_split(_common_factor([g, p], start=0), divided_common_factor([g, p]))
+
+
+def test_a_shrink_after_the_start_entry_rescales_its_cofactor():
+    # g starts as b(ab + b + 1), with lead content 3, and shrinks to
+    # ab + b + 1 at the second entry: the start cofactor 3 becomes 3b
+    a, b = variables("a b")
+    f = a * b + b + 1
+    got = _common_factor([3 * b * f, Fraction(-1, 2) * a * f])
+    assert got[0] == f and got[1] == [3 * b, Fraction(-1, 2) * a]
+    same_split(got, divided_common_factor([3 * b * f, Fraction(-1, 2) * a * f]))
+    same_split(_common_factor([b * f, a * f], start=0),
+               divided_common_factor([b * f, a * f]))
+
+
 # -- RatFunc arithmetic on canonical operands ---------------------------------
 
 def product_route(op, a, b=None):

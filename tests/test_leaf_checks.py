@@ -220,7 +220,7 @@ def test_terminating_list_with_a_zero_coefficient_report(monkeypatch):
 # -- a refutation that extraction does not confirm is an internal error -----
 
 def test_an_unconfirmed_refutation_raises(monkeypatch, tmp_path):
-    monkeypatch.setattr(cfrac, "sfrac_confirms", lambda a, want: False)
+    monkeypatch.setattr(cfrac, "cfrac_confirms", lambda a, want: False)
     with pytest.raises(ArithmeticError, match="refutes"):
         S.run_tree()
     with pytest.raises(ArithmeticError, match="refutes"):
