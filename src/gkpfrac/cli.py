@@ -403,10 +403,7 @@ def cmd_inverse_pair(args):
 def _mk_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, Fraction):
-        return "%d/%d" % (obj.numerator, obj.denominator) \
-            if obj.denominator != 1 else str(obj.numerator)
-    if isinstance(obj, (MPoly, RatFunc)):
+    if isinstance(obj, (Fraction, MPoly, RatFunc)):
         return felem_to_json(obj)
     if isinstance(obj, TruncSeries):
         return series_to_json(obj)

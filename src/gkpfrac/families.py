@@ -20,7 +20,7 @@ from .exactalg import (
 )
 from .gkpcore import (
     GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle, ogf_trunc,
-    row_polys, triangle,
+    row_polys, triangle, triangle_mismatch,
 )
 from .cfrac import CFrac, cfrac_refutation, coefficient_pairs, contract, eval_tr
 from .combinat import binom
@@ -468,17 +468,17 @@ def verify_binomial_relations(pair: str, N: int = 8) -> dict:
         inner_vals = {p: vals[p] for p in CATALOG[inner].params}
         p7 = row_polys(gkp_triangle(family_params(fid, vals), N))
         p3 = row_polys(gkp_triangle(family_params(inner, inner_vals), N))
-        cases = _row_transform_cases(p7, p3, xi(vals, _xvar(vals)), N)
+        report = mismatch_report(first_mismatch(
+            _row_transform_cases(p7, p3, xi(vals, _xvar(vals)), N)))
     elif pair == "6/2a":
         ap, bp, gp, kp, al = variables("alphap betap gammap kappa alpha", extra=("x",))
         t6 = gkp_triangle(family_params("F6", (ap, bp, gp, kp)), N)
         t2a = gkp_triangle(family_params("F2a", (al, ap, bp, gp)), N)
         want = triangle_product(t2a, binomial_matrix(kp, N))
-        cases = (({"n": n, "k": k}, t6.entry(n, k), want.entry(n, k))
-                 for n in range(N + 1) for k in range(n + 1))
+        report = triangle_mismatch(t6, want.entry, N)
     else:
         raise ValueError("pair must be 7a/3a, 7b/3b or 6/2a")
-    return {"pair": pair, **mismatch_report(first_mismatch(cases))}
+    return {"pair": pair, **report}
 
 
 def _row_transform_cases(p7, p3, xi, N):

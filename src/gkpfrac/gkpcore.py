@@ -11,7 +11,7 @@ from math import factorial, prod
 from typing import Callable, Sequence
 
 from .exactalg import (
-    Fraction, MPoly, RatFunc, TruncSeries, felem_eq, felem_is_zero,
+    MPoly, RatFunc, TruncSeries, felem_eq, felem_is_zero,
     felem_to_json, first_mismatch, mismatch_report, mpoly_from_powers, variables,
 )
 from .combinat import binom, stirling_cycle, stirling_subset
@@ -290,8 +290,17 @@ def residual_checks(mu, N: int):
 
 
 # ---------------------------------------------------------------------------
-# closed-form entry checks
+# entrywise identities and closed-form entry checks
 # ---------------------------------------------------------------------------
+
+def triangle_mismatch(t: Triangle, want: Callable, N: int, first: int = 0) -> dict:
+    """The verdict of T(n,k) = want(n, k) at every cell with
+    first <= n <= N, 0 <= k <= n, row by row, and the first cell that
+    differs, {"n", "k"}, as witness.  Neither side is computed after it."""
+    return mismatch_report(first_mismatch(
+        ({"n": n, "k": k}, t.entry(n, k), want(n, k))
+        for n in range(first, N + 1) for k in range(n + 1)))
+
 
 def closed_form_check(family_id: str, params, N: int) -> dict:
     """Compare gkp_triangle output against a catalogued closed form.
@@ -302,10 +311,7 @@ def closed_form_check(family_id: str, params, N: int) -> dict:
     if family_id not in CLOSED_FORMS:
         raise UnknownFamily(family_id)
     mu, entry = CLOSED_FORMS[family_id](params)
-    t = gkp_triangle(mu, N)
-    bad = first_mismatch(({"n": n, "k": k}, t.entry(n, k), entry(n, k))
-                         for n in range(N + 1) for k in range(n + 1))
-    return {"id": family_id, **mismatch_report(bad)}
+    return {"id": family_id, **triangle_mismatch(gkp_triangle(mu, N), entry, N)}
 
 
 def make_closed_forms():

@@ -6,7 +6,6 @@ arrays, and the small-n uniqueness check for x-shift transforms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import factorial, prod
@@ -18,7 +17,7 @@ from .exactalg import (
 )
 from .gkpcore import (
     FOUR_TERM, GKPParams, Triangle, _unroll, _xvar_for, binomial_like_triangle,
-    gkp_triangle, gkpz_triangle, row_polys,
+    gkp_triangle, gkpz_triangle, row_polys, triangle_mismatch,
 )
 from .combinat import binom
 from .symmetry import apply_map, Z as Z_WORD
@@ -62,29 +61,25 @@ def binomial_matrix(xi, N: int) -> Triangle:
 
 def _check_recurrence(C: Triangle, rec: Callable, N: int):
     """rec(n, k, entry) must reproduce C(n,k) for 1 <= n <= N."""
-    return mismatch_report(first_mismatch(
-        ({"n": n, "k": k}, C.entry(n, k), rec(n, k, C.entry))
-        for n in range(1, N + 1) for k in range(n + 1)))
+    return triangle_mismatch(C, lambda n, k: rec(n, k, C.entry), N, first=1)
 
 
-def _seq_vars(prefix, lo, hi):
-    return ["%s%d" % (prefix, i) for i in range(lo, hi + 1)]
-
-
-@dataclass(frozen=True)
-class ProductCase:
-    id: str
-    checker: Callable
+def _symbols(N, *specs):
+    """Generators over one shared registry, in spec order.  A spec is a
+    name, for one generator, or a ``(prefix, lo)`` pair, for the function
+    i -> prefix<i> on lo <= i <= N (a KeyError elsewhere)."""
+    indices = [None if isinstance(s, str) else range(s[1], N + 1) for s in specs]
+    names = []
+    for s, r in zip(specs, indices):
+        names += [s] if r is None else ["%s%d" % (s[0], i) for i in r]
+    gens = iter(variables(names))
+    # zip stops on the exhausted range before it draws from gens
+    return [next(gens) if r is None else dict(zip(r, gens)).__getitem__
+            for r in indices]
 
 
 def _case_A2(N):
-    names = _seq_vars("a", 1, N) + _seq_vars("ad", 1, N) \
-        + _seq_vars("b", 0, N) + _seq_vars("bd", 0, N)
-    gens = dict(zip(names, variables(names)))
-    a = lambda n: gens["a%d" % n]
-    ad = lambda n: gens["ad%d" % n]
-    b = lambda k: gens["b%d" % k]
-    bd = lambda k: gens["bd%d" % k]
+    a, ad, b, bd = _symbols(N, ("a", 1), ("ad", 1), ("b", 0), ("bd", 0))
     A = binomial_like_triangle(lambda n, k: (a(n), ad(n)), N)
     B = binomial_like_triangle(lambda n, k: (b(k), bd(k)), N)
     C = triangle_product(A, B)
@@ -97,16 +92,9 @@ def _case_A2(N):
 
 
 def _case_A3(N):
-    names = (_seq_vars("al", 1, N) + _seq_vars("be", 1, N)
-             + _seq_vars("gam", 0, N) + _seq_vars("de", 1, N)
-             + _seq_vars("phi", 0, N) + _seq_vars("psi", 0, N))
-    gens = dict(zip(names, variables(names)))
-    al = lambda n: gens["al%d" % n]
-    be = lambda n: gens["be%d" % n]
-    gam = lambda k: gens["gam%d" % k]
-    de = lambda k: gens["de%d" % (k if k >= 1 else 1)]
-    phi = lambda k: gens["phi%d" % k]
-    psi = lambda k: gens["psi%d" % k]
+    al, be, gam, de1, phi, psi = _symbols(
+        N, ("al", 1), ("be", 1), ("gam", 0), ("de", 1), ("phi", 0), ("psi", 0))
+    de = lambda k: de1(max(k, 1))
     A = binomial_like_triangle(
         lambda n, k: (al(n) + be(n) * gam(k), be(n) * de(k)), N)
     B = binomial_like_triangle(
@@ -145,9 +133,7 @@ def _case_A4(N):
             acc = acc + t1 + t2
         return acc
 
-    return mismatch_report(first_mismatch(
-        ({"n": n, "k": k}, C.entry(n, k), rhs(n, k))
-        for n in range(1, N + 1) for k in range(n + 1)))
+    return triangle_mismatch(C, rhs, N, first=1)
 
 
 def _case_A5(N):
@@ -196,10 +182,7 @@ def _case_A6_remark(N):
     xi, hb, hg, hbp, hgp = variables("xi hb hg hbp hgp")
     B = gkp_triangle((0, hb, hg, 0, hbp, hgp), N)
     C = triangle_product(binomial_matrix(xi, N), B)
-    D = gkp_triangle((0, hb, hg + xi, 0, hbp, hgp), N)
-    return mismatch_report(first_mismatch(
-        ({"n": n, "k": k}, C.entry(n, k), D.entry(n, k))
-        for n in range(N + 1) for k in range(n + 1)))
+    return triangle_mismatch(C, gkp_triangle((0, hb, hg + xi, 0, hbp, hgp), N).entry, N)
 
 
 def _case_A7(N):
@@ -219,14 +202,8 @@ def _case_A7(N):
 
 
 def _case_A9(N):
-    names = (["g", "bp", "gp"] + _seq_vars("hA", 0, N) + _seq_vars("hG", 0, N)
-             + _seq_vars("hAd", 0, N) + _seq_vars("hGd", 0, N))
-    gens = dict(zip(names, variables(names)))
-    g, bp, gp = gens["g"], gens["bp"], gens["gp"]
-    hA = lambda k: gens["hA%d" % k]
-    hG = lambda k: gens["hG%d" % k]
-    hAd = lambda k: gens["hAd%d" % k]
-    hGd = lambda k: gens["hGd%d" % k]
+    g, bp, gp, hA, hG, hAd, hGd = _symbols(
+        N, "g", "bp", "gp", ("hA", 0), ("hG", 0), ("hAd", 0), ("hGd", 0))
     A = binomial_like_triangle(lambda n, k: (g, bp * k + gp), N)
     B = binomial_like_triangle(
         lambda n, k: (hA(k) * n + hG(k), hAd(k) * n + hGd(k)), N)
@@ -247,14 +224,8 @@ def _case_A9(N):
 
 
 def _case_A10(N):
-    names = (["xi"] + _seq_vars("hA", 0, N) + _seq_vars("hG", 0, N)
-             + _seq_vars("hAd", 0, N) + _seq_vars("hGd", 0, N))
-    gens = dict(zip(names, variables(names)))
-    xi = gens["xi"]
-    hA = lambda k: gens["hA%d" % k]
-    hG = lambda k: gens["hG%d" % k]
-    hAd = lambda k: gens["hAd%d" % k]
-    hGd = lambda k: gens["hGd%d" % k]
+    xi, hA, hG, hAd, hGd = _symbols(
+        N, "xi", ("hA", 0), ("hG", 0), ("hAd", 0), ("hGd", 0))
     B = binomial_like_triangle(
         lambda n, k: (hA(k) * n + hG(k), hAd(k) * n + hGd(k)), N)
     C = triangle_product(binomial_matrix(xi, N), B)
@@ -281,23 +252,18 @@ def _case_A11(N):
 
 
 def _case_A12(N):
-    names = (["xi"] + _seq_vars("hA", 0, N) + _seq_vars("hG", 0, N)
-             + _seq_vars("hAd", 0, N) + _seq_vars("hGd", 0, N)
-             + _seq_vars("hD", 0, N) + _seq_vars("hDd", 0, N))
-    gens = dict(zip(names, variables(names)))
-    xi = gens["xi"]
-    f = lambda p, k: gens["%s%d" % (p, k)]
+    xi, hA, hG, hAd, hGd, hD, hDd = _symbols(
+        N, "xi", ("hA", 0), ("hG", 0), ("hAd", 0), ("hGd", 0), ("hD", 0), ("hDd", 0))
 
     B = _unroll(N, ((1, 0), (1, 1), (2, 0), (2, 1)), lambda n, k: (
-        f("hA", k) * n + f("hG", k), f("hAd", k) * n + f("hGd", k),
-        (n - 1) * f("hD", k), (n - 1) * f("hDd", k)))
+        hA(k) * n + hG(k), hAd(k) * n + hGd(k), (n - 1) * hD(k), (n - 1) * hDd(k)))
     C = triangle_product(binomial_matrix(xi, N), B)
 
     def rec(n, k, e):
-        return (f("hA", k) * n + f("hG", k) + xi) * e(n - 1, k) \
-            + (f("hAd", k) * n + f("hGd", k)) * e(n - 1, k - 1) \
-            + (n - 1) * (f("hD", k) - xi * f("hA", k)) * e(n - 2, k) \
-            + (n - 1) * (f("hDd", k) - xi * f("hAd", k)) * e(n - 2, k - 1)
+        return (hA(k) * n + hG(k) + xi) * e(n - 1, k) \
+            + (hAd(k) * n + hGd(k)) * e(n - 1, k - 1) \
+            + (n - 1) * (hD(k) - xi * hA(k)) * e(n - 2, k) \
+            + (n - 1) * (hDd(k) - xi * hAd(k)) * e(n - 2, k - 1)
 
     return _check_recurrence(C, rec, N)
 
@@ -305,11 +271,7 @@ def _case_A12(N):
 def _case_A13(N):
     out = {}
     # sub-case hat-alpha_k = 0
-    names = (["a", "g", "gp"] + _seq_vars("hG", 0, N) + _seq_vars("hGd", 0, N))
-    gens = dict(zip(names, variables(names)))
-    a, g, gp = gens["a"], gens["g"], gens["gp"]
-    hG = lambda k: gens["hG%d" % k]
-    hGd = lambda k: gens["hGd%d" % k]
+    a, g, gp, hG, hGd = _symbols(N, "a", "g", "gp", ("hG", 0), ("hGd", 0))
     A = binomial_like_triangle(lambda n, k: (a * (n - k) + g, gp), N)
     B = binomial_like_triangle(lambda n, k: (hG(k), hGd(k)), N)
     C = triangle_product(A, B)
@@ -325,11 +287,7 @@ def _case_A13(N):
     out["hatalpha=0"] = _check_recurrence(C, rec, N)
 
     # sub-case gp * hat-alpha = a (constant hat-alpha)
-    names = (["g", "gp", "hAc"] + _seq_vars("hG", 0, N) + _seq_vars("hGd", 0, N))
-    gens = dict(zip(names, variables(names)))
-    g, gp, hAc = gens["g"], gens["gp"], gens["hAc"]
-    hG = lambda k: gens["hG%d" % k]
-    hGd = lambda k: gens["hGd%d" % k]
+    g, gp, hAc, hG, hGd = _symbols(N, "g", "gp", "hAc", ("hG", 0), ("hGd", 0))
     a_val = gp * hAc
     A = binomial_like_triangle(lambda n, k: (a_val * (n - k) + g, gp), N)
     B = binomial_like_triangle(lambda n, k: (hAc * n + hG(k), hGd(k)), N)
@@ -348,12 +306,7 @@ def _case_A13(N):
 def case_A13_remark_defect(N=5):
     """With constant hat-alpha and no hypothesis, the two-term recurrence
     defect carries gp*hA*(gp*hA - a) as an overall factor."""
-    names = (["a", "g", "gp", "hA"] + _seq_vars("hG", 0, N)
-             + _seq_vars("hGd", 0, N))
-    gens = dict(zip(names, variables(names)))
-    a, g, gp, hA = gens["a"], gens["g"], gens["gp"], gens["hA"]
-    hG = lambda k: gens["hG%d" % k]
-    hGd = lambda k: gens["hGd%d" % k]
+    a, g, gp, hA, hG, hGd = _symbols(N, "a", "g", "gp", "hA", ("hG", 0), ("hGd", 0))
     A = binomial_like_triangle(lambda n, k: (a * (n - k) + g, gp), N)
     B = binomial_like_triangle(lambda n, k: (hA * n + hG(k), hGd(k)), N)
     C = triangle_product(A, B)
@@ -374,14 +327,8 @@ def case_A13_remark_defect(N=5):
 
 
 def _case_A14(N):
-    names = (["xi"] + _seq_vars("be", 1, N) + _seq_vars("gaN", 1, N)
-             + _seq_vars("bed", 1, N) + _seq_vars("gad", 1, N))
-    gens = dict(zip(names, variables(names)))
-    xi = gens["xi"]
-    be = lambda n: gens["be%d" % n]
-    gaN = lambda n: gens["gaN%d" % n]
-    bed = lambda n: gens["bed%d" % n]
-    gad = lambda n: gens["gad%d" % n]
+    xi, be, gaN, bed, gad = _symbols(
+        N, "xi", ("be", 1), ("gaN", 1), ("bed", 1), ("gad", 1))
     A = binomial_like_triangle(
         lambda n, k: (be(n) * k + gaN(n), bed(n) * k + gad(n)), N)
     C = triangle_product(A, binomial_matrix(xi, N))
@@ -410,21 +357,17 @@ def _case_A15(N):
 
 
 def _case_A16(N):
-    names = (["xi"] + _seq_vars("be", 1, N) + _seq_vars("gaN", 1, N)
-             + _seq_vars("bed", 1, N) + _seq_vars("gad", 1, N)
-             + _seq_vars("sg", 1, N) + _seq_vars("tu", 1, N))
-    gens = dict(zip(names, variables(names)))
-    xi = gens["xi"]
-    f = lambda p, n: gens["%s%d" % (p, n)]
+    xi, be_, gaN_, bed_, gad_, sg_, tu_ = _symbols(
+        N, "xi", ("be", 1), ("gaN", 1), ("bed", 1), ("gad", 1), ("sg", 1), ("tu", 1))
 
     A = _unroll(N, FOUR_TERM, lambda n, k: (
-        f("be", n) * k + f("gaN", n), f("bed", n) * k + f("gad", n),
-        f("sg", n) * (n - k + 1), f("tu", n) * (k + 1)))
+        be_(n) * k + gaN_(n), bed_(n) * k + gad_(n),
+        sg_(n) * (n - k + 1), tu_(n) * (k + 1)))
     C = triangle_product(A, binomial_matrix(xi, N))
 
     def rec(n, k, e):
-        be, bed, gaN, gad = f("be", n), f("bed", n), f("gaN", n), f("gad", n)
-        sg, tu = f("sg", n), f("tu", n)
+        be, bed, gaN, gad = be_(n), bed_(n), gaN_(n), gad_(n)
+        sg, tu = sg_(n), tu_(n)
         t1 = ((be + 2 * xi * bed - 3 * xi ** 2 * sg) * k + gaN
               + xi * (bed + gad) + xi ** 2 * sg * (n - 1)) * e(n - 1, k)
         t2 = ((bed - 3 * xi * sg) * k + gad + xi * sg * (2 * n + 1)) \
@@ -464,29 +407,18 @@ PRODUCT_CASES_OUT_OF_SCOPE = {
 }
 
 PRODUCT_CASES = {
-    "A.2": ProductCase("A.2", _case_A2),
-    "A.3": ProductCase("A.3", _case_A3),
-    "A.4": ProductCase("A.4", _case_A4),
-    "A.5": ProductCase("A.5", _case_A5),
-    "A.6": ProductCase("A.6", _case_A6),
-    "A.6-remark": ProductCase("A.6-remark", _case_A6_remark),
-    "A.7": ProductCase("A.7", _case_A7),
-    "A.9": ProductCase("A.9", _case_A9),
-    "A.10": ProductCase("A.10", _case_A10),
-    "A.11": ProductCase("A.11", _case_A11),
-    "A.12": ProductCase("A.12", _case_A12),
-    "A.13": ProductCase("A.13", _case_A13),
-    "A.14": ProductCase("A.14", _case_A14),
-    "A.15": ProductCase("A.15", _case_A15),
-    "A.16": ProductCase("A.16", _case_A16),
-    "A.17": ProductCase("A.17", _case_A17),
+    "A.2": _case_A2, "A.3": _case_A3, "A.4": _case_A4, "A.5": _case_A5,
+    "A.6": _case_A6, "A.6-remark": _case_A6_remark, "A.7": _case_A7,
+    "A.9": _case_A9, "A.10": _case_A10, "A.11": _case_A11, "A.12": _case_A12,
+    "A.13": _case_A13, "A.14": _case_A14, "A.15": _case_A15, "A.16": _case_A16,
+    "A.17": _case_A17,
 }
 
 
 def verify_product_case(case_id: str, N: int = 5) -> dict:
     if case_id not in PRODUCT_CASES:
         raise KeyError("unknown product case %r" % case_id)
-    report = PRODUCT_CASES[case_id].checker(N)
+    report = PRODUCT_CASES[case_id](N)
     report["case"] = case_id
     return report
 
@@ -583,14 +515,14 @@ def _inverse_pair_statements(A, B, alpha, x):
     partner = inverse_pair_from_b(B, alpha)
     cells = [(n, k) for n in range(N + 1) for k in range(n + 1)]
     # (a) A_n(x) = sum_k b_nk x^k (1 + alpha x)^(n-k)
-    a = all(felem_eq(as_field(_row_poly(A.rows[n], x)),
+    a = all(felem_eq(as_field(p),
                      as_field(sum(c * x ** k * (1 + alpha * x) ** (n - k)
                                   for k, c in enumerate(B.rows[n]))))
-            for n in range(N + 1))
+            for n, p in enumerate(row_polys(A)))
     # (c) the reversed row polynomials are x-shifts of each other
-    c = all(felem_eq(as_field(_row_poly(A.rows[n][::-1], x)),
-                     as_field(_shift_x(_row_poly(B.rows[n][::-1], x), alpha, x)))
-            for n in range(N + 1))
+    reversed_polys = lambda T: row_polys(Triangle([r[::-1] for r in T.rows]))
+    c = all(felem_eq(as_field(p), as_field(_shift_x(q, alpha, x)))
+            for p, q in zip(reversed_polys(A), reversed_polys(B)))
     # (e) A(n,k) = sum_j alpha^(k-j) C(n-j, k-j) B(n,j)
     e = all(felem_eq(as_field(A.entry(n, k)), as_field(partner.entry(n, k)))
             for n, k in cells)
@@ -600,11 +532,6 @@ def _inverse_pair_statements(A, B, alpha, x):
                                   for j in range(k, n + 1))))
             for n, k in cells)
     return a, c, e, g
-
-
-def _row_poly(row, x):
-    """sum_k row[k] x^k."""
-    return sum(c * x ** k for k, c in enumerate(row))
 
 
 def _shift_x(p, delta, x):

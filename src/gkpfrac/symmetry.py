@@ -17,7 +17,7 @@ from .exactalg import (
     felem_eq, felem_inv, felem_is_zero, first_mismatch, mismatch_report,
     num_den,
 )
-from .gkpcore import GKPParams, gkp_triangle, rescale_weight
+from .gkpcore import GKPParams, gkp_triangle, rescale_weight, triangle_mismatch
 
 
 class SingularMap(ZeroDivisionError):
@@ -483,12 +483,10 @@ def verify_action(g, mu, N: int) -> dict:
     triangle of mu, symbolically for all n <= N."""
     if isinstance(g, ScalingMap):
         t = gkp_triangle(mu, N)
-        t2 = gkp_triangle(apply_map(g, mu), N)
         kappa, lam = g.kappa, g.lam
-        bad = first_mismatch(
-            ({"n": n, "k": k}, t2.entry(n, k), kappa ** (n - k) * lam ** k * t.entry(n, k))
-            for n in range(N + 1) for k in range(n + 1))
-        return {"map": "S_{kappa,lambda}", **mismatch_report(bad)}
+        return {"map": "S_{kappa,lambda}", **triangle_mismatch(
+            gkp_triangle(apply_map(g, mu), N),
+            lambda n, k: kappa ** (n - k) * lam ** k * t.entry(n, k), N)}
 
     word = parse_word(g) if isinstance(g, str) else g
     if isinstance(word, GroupWord):
@@ -548,10 +546,8 @@ def rescale_gkp(case: str, mu, kappa, lam, N: int) -> dict:
         raise CaseMismatch("unknown case %r" % case)
 
     t = gkp_triangle(mu, N)
-    t2 = gkp_triangle(mu2, N)
-    bad = first_mismatch(({"n": n, "k": k}, t2.entry(n, k), weight(n, k) * t.entry(n, k))
-                         for n in range(N + 1) for k in range(n + 1))
-    return {"case": case, **mismatch_report(bad)}
+    return {"case": case, **triangle_mismatch(
+        gkp_triangle(mu2, N), lambda n, k: weight(n, k) * t.entry(n, k), N)}
 
 
 # ---------------------------------------------------------------------------

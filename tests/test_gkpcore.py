@@ -11,6 +11,7 @@ from gkpfrac.gkpcore import (
     CLOSED_FORMS, GKPParams, UnknownFamily, binomial_like_triangle, closed_form_check,
     egf_trunc, gkp_rule, gkp_triangle, gkpz_triangle, ogf_trunc,
     rescale_weight, rescaled_rule, residual_checks, row_polys, tilde_params,
+    triangle_mismatch,
 )
 
 
@@ -178,6 +179,37 @@ def test_closed_form_check_reports_first_wrong_entry(monkeypatch):
     rep = closed_form_check("perturbed", (), 6)
     assert rep == {"id": "perturbed", "ok": False, "first_mismatch": {"n": 3, "k": 1}}
     assert closed_form_check("perturbed", (), 2)["ok"]
+
+
+def test_triangle_mismatch_reads_rows_first_to_n_and_stops_at_the_first_failure():
+    t = gkp_triangle((1, 2, 3, 1, 1, 1), 4)
+    read, asked = [], []
+
+    class Spy:
+        def entry(self, n, k):
+            read.append((n, k))
+            return t.entry(n, k)
+
+    def off_at(*cells):
+        def want(n, k):
+            asked.append((n, k))
+            return t.entry(n, k) + (1 if (n, k) in cells else 0)
+        return want
+
+    # row 0 is wrong, but first=1 never reads it
+    assert triangle_mismatch(Spy(), off_at((0, 0)), 4, first=1) \
+        == {"ok": True, "first_mismatch": None}
+    every = [(n, k) for n in range(1, 5) for k in range(n + 1)]
+    assert read == asked == every
+    assert triangle_mismatch(Spy(), off_at((0, 0)), 4) \
+        == {"ok": False, "first_mismatch": {"n": 0, "k": 0}}
+    # the last row is compared; nothing after (3, 1) is computed
+    assert triangle_mismatch(Spy(), off_at((4, 4)), 4, first=1)["first_mismatch"] \
+        == {"n": 4, "k": 4}
+    read.clear(), asked.clear()
+    assert triangle_mismatch(Spy(), off_at((3, 1), (4, 2)), 4, first=1) \
+        == {"ok": False, "first_mismatch": {"n": 3, "k": 1}}
+    assert read == asked == every[:every.index((3, 1)) + 1]
 
 
 def test_duality_consistency():

@@ -187,3 +187,32 @@ def test_a6_remark_names_the_first_mismatching_cell(monkeypatch):
         rep = verify_product_case(case, 4)
         assert rep["ok"] is False
         assert rep["first_mismatch"] == {"n": 1, "k": 0}, case
+    monkeypatch.undo()
+    # every case, and each sub-case of A.6 and A.13, sees C(2,1) off by one
+    product = matprod.triangle_product
+
+    def perturbed(A, B):
+        C = product(A, B)
+        C.rows[2][1] = C.rows[2][1] + 1
+        return C
+
+    monkeypatch.setattr(matprod, "triangle_product", perturbed)
+    sub_reports = {"A.6": ("alphap=0", "hatbeta=0"),
+                   "A.13": ("hatalpha=0", "gphatalpha=a")}
+    for case in PRODUCT_CASES:
+        rep = verify_product_case(case, 3)
+        assert rep["ok"] is False, case
+        for r in [rep[sub] for sub in sub_reports.get(case, ())] or [rep]:
+            assert r["ok"] is False and r["first_mismatch"] == {"n": 2, "k": 1}, case
+
+
+def test_symbols_declares_one_generator_per_prefix_and_index():
+    xi, hA, hGd = matprod._symbols(3, "xi", ("hA", 0), ("hGd", 1))
+    names = ("xi", "hA0", "hA1", "hA2", "hA3", "hGd1", "hGd2", "hGd3")
+    gens = [xi] + [hA(i) for i in range(4)] + [hGd(i) for i in range(1, 4)]
+    assert [g.vars for g in gens] == [names] * len(names)
+    assert gens == [MPoly.variable(v, names) for v in names]
+    for f, lo in ((hA, 0), (hGd, 1)):
+        for i in (lo - 1, 4):
+            with pytest.raises(KeyError):
+                f(i)

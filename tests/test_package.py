@@ -65,3 +65,31 @@ def test_the_package_imports_only_the_standard_library():
     assert len(modules) > 10
     found = {m.name: foreign_imports(m.read_text()) for m in modules}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+def import_faults(source):
+    """Names that ``source`` imports and never uses, and names it imports
+    more than once."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {"unused": sorted(set(bound) - used),
+            "twice": sorted({name for name in bound if bound.count(name) > 1})}
+
+
+def test_no_module_imports_a_name_it_never_uses_or_twice():
+    assert import_faults(
+        "from __future__ import annotations\nimport os.path\n"
+        "from fractions import Fraction\nfrom .exactalg import Fraction, MPoly\n"
+        "def f(x: MPoly):\n    return Fraction(x)\n") \
+        == {"unused": ["os"], "twice": ["Fraction"]}
+    modules = sorted(Path(gkpfrac.__file__).parent.glob("*.py"))
+    found = {m.name: import_faults(m.read_text()) for m in modules
+             if m.name != "__init__.py"}
+    assert len(found) > 10
+    assert {name: f for name, f in found.items() if f["unused"] or f["twice"]} == {}
