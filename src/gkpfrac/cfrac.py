@@ -349,20 +349,13 @@ def contract(cf: CFrac) -> CFrac:
         raise NotContractible("input must be S or T kind")
     if not c:
         return CFrac("J")
-    e = [c[0] + d[0]]
-    f = []
-    n = 1
-    while 2 * n - 1 < len(c):
-        if 2 * n < len(c):
-            f.append(c[2 * n - 2] * c[2 * n - 1])
-            if 2 * n + 1 <= len(c):
-                en = c[2 * n - 1] + c[2 * n]
-                if 2 * n + 1 <= len(d):
-                    en = en + d[2 * n]
-                e.append(en)
-        else:
-            f.append(c[2 * n - 2] * c[2 * n - 1])
-        n += 1
+    # 0-based lists: f_n = c_{2n-1} c_{2n}, e_0 = c_1 + d_1 and
+    # e_n = c_{2n} + c_{2n+1} + d_{2n+1}, the d term only where it is given
+    f = [c[2 * n - 2] * c[2 * n - 1] for n in range(1, len(c) // 2 + 1)]
+    e = [c[0] + d[0]] + [
+        c[2 * n - 1] + c[2 * n] + d[2 * n] if 2 * n < len(d)
+        else c[2 * n - 1] + c[2 * n]
+        for n in range(1, (len(c) + 1) // 2)]
     return CFrac("J", e=tuple(e), f=tuple(f))
 
 

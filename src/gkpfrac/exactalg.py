@@ -531,12 +531,20 @@ def variables(names, extra=()) -> tuple:
     return tuple(MPoly.variable(n, allnames) for n in names)
 
 
-def as_mpoly(x, vars=()) -> MPoly:
-    if isinstance(x, MPoly):
-        return x
+def as_mpoly(x, vars=None) -> MPoly:
+    """A scalar, an MPoly or a polynomial RatFunc as an MPoly.  Without
+    ``vars`` an MPoly keeps its own tuple and a scalar has none.  With
+    ``vars`` the value lies over exactly that tuple, which must hold every
+    variable of a nonzero MPoly's tuple; a zero is ``MPoly.zero(vars)``."""
     if isinstance(x, (int, Fraction)):
-        return MPoly.constant(x, vars)
-    raise TypeError("cannot view %r as MPoly" % type(x))
+        return MPoly.constant(x, () if vars is None else vars)
+    if isinstance(x, RatFunc) and x.is_poly():
+        x = x.as_mpoly()
+    if not isinstance(x, MPoly):
+        raise TypeError("not a polynomial: %r" % (x,))
+    if vars is None:
+        return x
+    return x.in_vars(vars) if x else MPoly.zero(vars)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,24 +1047,6 @@ def felem_is_zero(x) -> bool:
     raise TypeError(type(x))
 
 
-def felem_inv(x):
-    if isinstance(x, (int, Fraction)):
-        if x == 0:
-            raise NonInvertibleSeries("zero constant term")
-        return Fraction(1, 1) / Fraction(x)
-    if isinstance(x, MPoly):
-        if x.is_zero():
-            raise NonInvertibleSeries("zero constant term")
-        if x.is_constant():
-            return Fraction(1) / Fraction(x.constant_value())
-        return RatFunc(MPoly.one(x.vars), x)
-    if isinstance(x, RatFunc):
-        if x.is_zero():
-            raise NonInvertibleSeries("zero constant term")
-        return x.inv()
-    raise TypeError(type(x))
-
-
 def num_den(c):
     """(numerator, denominator) of a field element: a RatFunc's reduced
     parts, or (c, 1) for a scalar or an MPoly."""
@@ -1125,8 +1115,8 @@ def remainder_in_x(Q, R, x: str = "x"):
     Q, R may be MPoly or have RatFunc coefficients (given as RatFunc);
     returns (quotient, remainder) with deg_x(rem) < deg_x(R).
     """
-    Qc = _x_coeff_map(Q, x)
-    Rc = _x_coeff_map(R, x)
+    Qc = x_coeffs(Q, x)
+    Rc = x_coeffs(R, x)
     if not Rc:
         raise DivisionByZeroPolynomial("R is identically zero")
     dR = max(Rc)
@@ -1149,16 +1139,21 @@ def remainder_in_x(Q, R, x: str = "x"):
     return _x_coeff_unmap(quot, x, Q), _x_coeff_unmap(rem, x, Q)
 
 
-def _x_coeff_map(p, x):
+def x_coeffs(p, x: str = "x") -> dict:
+    """{k: [x^k] p} over the nonzero coefficients of a field element whose
+    denominator is free of ``x``: a scalar is its own x^0 coefficient, an
+    MPoly's coefficients are MPoly values over its tuple and a RatFunc's
+    are RatFunc values over its denominator."""
+    if isinstance(p, (int, Fraction)):
+        return {0: p} if p else {}
     if isinstance(p, RatFunc):
-        num = p.num.coeffs_in(x) if x in p.num.vars else {0: p.num}
         if x in p.den.vars and p.den.degree_in(x) > 0:
             raise ValueError("denominator must be free of %s" % x)
-        return {k: RatFunc(v, p.den) for k, v in num.items() if not v.is_zero()}
+        return {k: RatFunc(v, p.den) for k, v in x_coeffs(p.num, x).items()}
     p = as_mpoly(p)
     if x not in p.vars:
-        return {0: p} if not p.is_zero() else {}
-    return {k: v for k, v in p.coeffs_in(x).items() if not v.is_zero()}
+        return {0: p} if p else {}
+    return {k: v for k, v in p.coeffs_in(x).items() if v}
 
 
 def _x_coeff_unmap(cmap, x, template):
@@ -1261,7 +1256,7 @@ class TruncSeries:
         c0 = self.coeffs[0]
         if felem_is_zero(c0):
             raise NonInvertibleSeries("zero constant term")
-        inv0 = None if felem_eq(c0, 1) else felem_inv(c0)
+        inv0 = None if felem_eq(c0, 1) else felem_div(1, c0)
         out = [1 if inv0 is None else inv0]
         for k in range(1, self.order + 1):
             acc = None

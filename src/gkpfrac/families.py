@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .exactalg import (
-    MPoly, RatFunc, TruncSeries, as_field, exp_series, felem_div,
+    MPoly, TruncSeries, as_field, exp_series, felem_div,
     felem_is_zero, first_mismatch, generalized_binomial_series, mismatch_report,
     variables,
 )
@@ -510,17 +510,19 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
             raise NonRationalExponent("exponent denominator vanishes")
         return felem_div(num, den)
 
+    def f1a_base(b, ap):
+        c = b - ap * x
+        return (TruncSeries(order, [b] + [0] * order)
+                - exp_series(c, order).scale(ap * x)) * felem_div(one, c)
+
     if id == "F1a":
         b, ap, gp = v["beta"], v["alphap"], v["gammap"]
-        c = b - ap * x
-        base = (TruncSeries(order, [b] + [0] * order) - exp_series(c, order).scale(ap * x)) \
-            * RatFunc(one, c)
-        return generalized_binomial_series(base, rf(-gp, ap))
+        return generalized_binomial_series(f1a_base(b, ap), rf(-gp, ap))
     if id == "F1b":
         b, g, ap = v["beta"], v["gamma"], v["alphap"]
         c = ap * x - b
         base = (TruncSeries(order, [ap * x] + [0] * order)
-                - exp_series(c, order).scale(b)) * RatFunc(one, c)
+                - exp_series(c, order).scale(b)) * felem_div(one, c)
         return generalized_binomial_series(base, rf(-g, b))
     if id == "F2a":
         a, ap, bp, gp = v["alpha"], v["alphap"], v["betap"], v["gammap"]
@@ -534,12 +536,12 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
     if id == "F3a":
         b, bp, gp = v["beta"], v["betap"], v["gammap"]
         u = exp_series(b, order)
-        base = 1 + (1 - u).scale(bp * x) * RatFunc(one, MPoly.constant(b, ("x",)))
+        base = 1 + (1 - u).scale(bp * x) * felem_div(one, b)
         return generalized_binomial_series(base, rf(-(bp + gp), bp))
     if id == "F3b":
         a, g, ap = v["alpha"], v["gamma"], v["alphap"]
         u = exp_series(ap * x, order)
-        base = 1 + (1 - u).scale(a) * RatFunc(one, ap * x)
+        base = 1 + (1 - u).scale(a) * felem_div(one, ap * x)
         return generalized_binomial_series(base, rf(-(a + g), a))
     if id == "F4a":
         bp, gp, kp = v["betap"], v["gammap"], v["kappa"]
@@ -549,13 +551,13 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
     if id == "F4b":
         a, g, kp = v["alpha"], v["gamma"], v["kappa"]
         u = exp_series(-kp * a * x, order)
-        base = 1 - (1 - u).scale((1 + kp * x) * RatFunc(one, kp * x))
+        base = 1 - (1 - u).scale(felem_div(1 + kp * x, kp * x))
         return generalized_binomial_series(base, rf(-(a + g), a))
     if id == "F5":
         a, g, ap, gp = v["alpha"], v["gamma"], v["alphap"], v["gammap"]
         base = TruncSeries(order, [1, -(a + ap * x)])
-        expo = RatFunc(-((a + g) + (ap + gp) * x), a + ap * x)
-        return generalized_binomial_series(base, expo)
+        return generalized_binomial_series(
+            base, rf(-((a + g) + (ap + gp) * x), a + ap * x))
     if id == "F6":
         ap, bp, gp, kp = v["alphap"], v["betap"], v["gammap"], v["kappa"]
         base = TruncSeries(order, [1, -(ap + bp) * (kp + x)])
@@ -566,12 +568,9 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
         return exp_series(xi(v, x), order) * egf_closed_form(inner, inner_vals, order)
     if id == "F1c":
         b, g, ap, gp = v["beta"], v["gamma"], v["alphap"], v["gammap"]
-        c = b - ap * x
-        pre = exp_series(c * rf(g, b), order)
-        base = (TruncSeries(order, [b] + [0] * order)
-                - exp_series(c, order).scale(ap * x)) * RatFunc(one, c)
+        pre = exp_series((b - ap * x) * rf(g, b), order)
         expo = rf(-g, b) + rf(-gp, ap)
-        return pre * generalized_binomial_series(base, expo)
+        return pre * generalized_binomial_series(f1a_base(b, ap), expo)
     if id in ("GKPZ", "GKPZ-ALT"):
         b, g, ap, gp, kp = (v["beta"], v["gamma"], v["alphap"], v["gammap"],
                             v["kappa"])
@@ -581,12 +580,12 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
         if id == "GKPZ":
             a_val = (b - ap * x) * (Fraction(g, 1) / b)
             c_val = b - ap * x
-            b_val = RatFunc((ap + kp * b) * x, b - ap * x)
+            b_val = felem_div((ap + kp * b) * x, b - ap * x)
         else:
             M = Fraction(gp + kp * (b - g), 1) / (ap + kp * b)
             a_val = (b - ap * x) * (-M)
             c_val = -(b - ap * x)
-            b_val = RatFunc(-b * (1 + kp * x), b - ap * x)
+            b_val = felem_div(-b * (1 + kp * x), b - ap * x)
         pre = exp_series(a_val, order)
         bracket = 1 - (exp_series(c_val, order) - 1) * b_val
         return pre * generalized_binomial_series(bracket, -delta)

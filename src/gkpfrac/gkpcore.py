@@ -11,7 +11,7 @@ from math import factorial, prod
 from typing import Callable, Sequence
 
 from .exactalg import (
-    MPoly, RatFunc, TruncSeries, felem_eq, felem_is_zero,
+    MPoly, RatFunc, TruncSeries, as_mpoly, felem_eq, felem_is_zero,
     felem_to_json, first_mismatch, mismatch_report, mpoly_from_powers, variables,
 )
 from .combinat import binom, stirling_cycle, stirling_subset
@@ -231,15 +231,8 @@ def row_polys(t: Triangle) -> RowPolys:
             vars = tuple(dict.fromkeys(chain.from_iterable(
                 c.vars + xvars if isinstance(c, MPoly) else xvars
                 for c in row if not felem_is_zero(c)))) or xvars
-        out.append(mpoly_from_powers([_placed(c, vars) for c in row], "x", vars))
+        out.append(mpoly_from_powers([as_mpoly(c, vars) for c in row], "x", vars))
     return out
-
-
-def _placed(c, vars) -> MPoly:
-    """A scalar or MPoly entry, or a zero RatFunc, as MPoly over vars."""
-    if isinstance(c, MPoly):
-        return c.in_vars(vars) if c else MPoly.zero(vars)
-    return MPoly.zero(vars) if isinstance(c, RatFunc) else MPoly.constant(c, vars)
 
 
 def _rational_row(row, vars):

@@ -25,7 +25,8 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .exactalg import (
-    MPoly, RatFunc, as_field, divide_exact, felem_is_zero, least_negative,
+    MPoly, RatFunc, as_field, as_mpoly, divide_exact, felem_is_zero,
+    least_negative,
 )
 from .gkpcore import GKPParams, gkp_triangle, row_polys, tilde_params
 
@@ -60,10 +61,7 @@ def coeffwise_nonneg(p) -> tuple:
     p = as_field(p)
     if isinstance(p, (int, Fraction)):
         return (p >= 0, None if p >= 0 else {"monomial": (), "coeff": p})
-    if isinstance(p, RatFunc):
-        if not p.is_poly():
-            raise TypeError("coefficientwise order applies to polynomials")
-        p = p.as_mpoly()
+    p = _polynomial(p)
     bad = least_negative(p)
     if bad is None:
         return True, None
@@ -156,10 +154,7 @@ def hankel_tp(seq: Sequence, m: int, r: int) -> TPReport:
         raise ValueError("Hankel size %d exceeds the cap %d" % (m, SIZE_CAP))
     seq = list(seq)
     H = HankelMatrix.from_sequence(seq, m)
-    polys = _as_mpoly_list(seq[:max(2 * m - 1, 0)])
-    vars = tuple(dict.fromkeys(v for p in polys for v in p.vars))
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    scaled = [p.in_vars(vars) * den for p in polys]
+    vars, scaled = _integer_scaled(_as_mpoly_list(seq[:max(2 * m - 1, 0)]))
     below = {((), ()): MPoly.one(vars)}
     for s in range(1, r + 1):
         level = {}
@@ -191,21 +186,31 @@ def _tp_witness(H, r, rows, cols):
         "rows": rows, "cols": cols, "minor": minor, "offending": wit})
 
 
+def _polynomial(p, vars=None) -> MPoly:
+    """``as_mpoly``, with the coefficientwise order's own message for an
+    entry that is not a polynomial."""
+    try:
+        return as_mpoly(p, vars)
+    except TypeError:
+        raise TypeError("coefficientwise order applies to polynomials") from None
+
+
 def _as_mpoly_list(seq):
-    out = []
-    vars = None
-    for p in seq:
-        p = as_field(p)
-        if isinstance(p, RatFunc):
-            if not p.is_poly():
-                raise TypeError("coefficientwise order applies to polynomials")
-            p = p.as_mpoly()
-        if isinstance(p, MPoly):
-            vars = p.vars
-        out.append(p)
-    if vars is None:
-        vars = ("x",)
-    return [p if isinstance(p, MPoly) else MPoly.constant(p, vars) for p in out]
+    """The entries as MPoly values; a scalar entry takes the variable tuple
+    of the last polynomial entry (x when there is none)."""
+    seq = [as_field(p) for p in seq]
+    scalar = lambda p: isinstance(p, (int, Fraction))
+    vars = next((p.vars for p in reversed(seq) if not scalar(p)), ("x",))
+    return [_polynomial(p, vars if scalar(p) else None) for p in seq]
+
+
+def _integer_scaled(polys):
+    """The union of the entries' variable tuples, and the entries over it
+    scaled by the lcm of all their coefficient denominators, so that every
+    coefficient is an integer."""
+    vars = tuple(dict.fromkeys(v for p in polys for v in p.vars))
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return vars, [p.in_vars(vars) * den for p in polys]
 
 
 def _pivot_columns(rows, width):
@@ -253,11 +258,8 @@ def _kronecker_pack(polys):
     CASC 2007).  A coefficient of a difference of two products is a sum of
     at most 2*T products of two entry coefficients, T the largest entry
     size, so W leaves each slot one bit above that bound for the sign."""
-    vars = tuple(dict.fromkeys(v for p in polys for v in p.vars))
-    polys = [p.in_vars(vars) for p in polys]
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    terms = [[(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
-             for p in polys]
+    vars, scaled = _integer_scaled(polys)
+    terms = [list(p.terms.items()) for p in scaled]
     keep = [j - 2 for j in _pivot_columns(
         ((1, i) + e for i, ts in enumerate(terms) for e, _ in ts), len(vars) + 2)
         if j >= 2]

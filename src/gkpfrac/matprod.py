@@ -8,16 +8,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain
-from math import factorial, prod
+from math import factorial
 from typing import Callable
 
 from .exactalg import (
-    MPoly, as_field, as_mpoly, divide_exact, felem_eq, felem_inv, felem_is_zero,
+    MPoly, as_field, as_mpoly, divide_exact, felem_div, felem_eq, felem_is_zero,
     first_mismatch, mismatch_report, mpoly_gcd, variables,
 )
 from .gkpcore import (
-    FOUR_TERM, GKPParams, Triangle, _unroll, _xvar_for, binomial_like_triangle,
-    gkp_triangle, gkpz_triangle, row_polys, triangle_mismatch,
+    CLOSED_FORMS, FOUR_TERM, GKPParams, Triangle, _unroll, _xvar_for,
+    binomial_like_triangle, gkp_triangle, gkpz_triangle, row_polys,
+    triangle_mismatch,
 )
 from .combinat import binom
 from .symmetry import apply_map, Z as Z_WORD
@@ -98,8 +99,8 @@ def _case_A3(N):
     A = binomial_like_triangle(
         lambda n, k: (al(n) + be(n) * gam(k), be(n) * de(k)), N)
     B = binomial_like_triangle(
-        lambda n, k: ((phi(k) - gam(n - 1)) * felem_inv(de(n)),
-                      psi(k) * felem_inv(de(n))), N)
+        lambda n, k: (felem_div(phi(k) - gam(n - 1), de(n)),
+                      felem_div(psi(k), de(n))), N)
     C = triangle_product(A, B)
 
     def rec(n, k, e):
@@ -187,10 +188,10 @@ def _case_A6_remark(N):
 
 def _case_A7(N):
     a, b, g, gp, hb, hbp, hgp = variables("a b g gp hb hbp hgp")
-    inv_gp = felem_inv(gp)
+    r = felem_div(b, gp)
     A = gkp_triangle((a, b, g, 0, 0, gp), N)
     B = binomial_like_triangle(
-        lambda n, k: (-b * inv_gp * n + hb * k + b * inv_gp,
+        lambda n, k: (-r * n + hb * k + r,
                       hbp * k + hgp), N)
     C = triangle_product(A, B)
 
@@ -320,8 +321,7 @@ def case_A13_remark_defect(N=5):
             defect = as_field(C.entry(n, k)) - as_field(want)
             if felem_is_zero(defect):
                 continue
-            dd = defect if isinstance(defect, MPoly) else defect.as_mpoly()
-            if divide_exact(dd, factor) is None:
+            if divide_exact(as_mpoly(defect), factor) is None:
                 return {"ok": False, "first_mismatch": {"n": n, "k": k}}
     return {"ok": True, "first_mismatch": None}
 
@@ -455,31 +455,19 @@ def nearly_binomial_identities(part: str, r_max: int = 2, N: int = 6) -> dict:
     """part "a": (n-k)^(r) T(n,k) = gamma^r n^(r) T(n-r,k) for the purely
     column-weighted family; part "b": k^(r) T(n,k) = gamma'^r n^(r)
     T(n-r,k-r) for its dual."""
-    if part == "a":
-        g, bp, gp = variables("g bp gp")
-        T = gkp_triangle((0, 0, g, 0, bp, gp), N)
-
-        def falling_pair(r, n, k):
-            return (falling(n - k, r) * T.entry(n, k),
-                    g ** r * falling(n, r) * T.entry(n - r, k))
-
-        def closed_form(n, k):
-            # binom * gamma^(n-k) * rising products
-            return prod((gp + j * bp for j in range(1, k + 1)),
-                        start=binom(n, k) * g ** (n - k))
-    elif part == "b":
-        a, g, gp = variables("a g gp")
-        T = gkp_triangle((a, -a, g, 0, 0, gp), N)
-
-        def falling_pair(r, n, k):
-            return (falling(k, r) * T.entry(n, k),
-                    gp ** r * falling(n, r) * T.entry(n - r, k - r))
-
-        def closed_form(n, k):
-            return prod((g + j * a for j in range(1, n - k + 1)),
-                        start=binom(n, k) * gp ** k)
-    else:
+    if part not in ("a", "b"):
         raise ValueError("part must be 'a' or 'b'")
+    params = variables("g bp gp" if part == "a" else "a g gp")
+    mu, closed_form = CLOSED_FORMS["nearly-binomial-" + part](params)
+    T = gkp_triangle(mu, N)
+
+    def falling_pair(r, n, k):
+        if part == "a":
+            return (falling(n - k, r) * T.entry(n, k),
+                    params[0] ** r * falling(n, r) * T.entry(n - r, k))
+        return (falling(k, r) * T.entry(n, k),
+                params[2] ** r * falling(n, r) * T.entry(n - r, k - r))
+
     cells = [(n, k) for n in range(N + 1) for k in range(n + 1)]
     bad = first_mismatch(chain(
         (({"r": r, "n": n, "k": k}, *falling_pair(r, n, k))
@@ -521,7 +509,7 @@ def _inverse_pair_statements(A, B, alpha, x):
             for n, p in enumerate(row_polys(A)))
     # (c) the reversed row polynomials are x-shifts of each other
     reversed_polys = lambda T: row_polys(Triangle([r[::-1] for r in T.rows]))
-    c = all(felem_eq(as_field(p), as_field(_shift_x(q, alpha, x)))
+    c = all(felem_eq(as_field(p), as_field(q.subs({"x": x + alpha})))
             for p, q in zip(reversed_polys(A), reversed_polys(B)))
     # (e) A(n,k) = sum_j alpha^(k-j) C(n-j, k-j) B(n,j)
     e = all(felem_eq(as_field(A.entry(n, k)), as_field(partner.entry(n, k)))
@@ -532,18 +520,6 @@ def _inverse_pair_statements(A, B, alpha, x):
                                   for j in range(k, n + 1))))
             for n, k in cells)
     return a, c, e, g
-
-
-def _shift_x(p, delta, x):
-    if isinstance(p, (int, Fraction)):
-        return p
-    coeffs = p.coeffs_in("x") if isinstance(p, MPoly) else None
-    if coeffs is None:
-        return p.subs({"x": x + delta})
-    acc = 0
-    for k, c in coeffs.items():
-        acc = acc + c * (x + delta) ** k
-    return acc
 
 
 def inverse_pair_from_b(B: Triangle, alpha) -> Triangle:
@@ -594,8 +570,9 @@ def xshift_symbolic_check(n_max: int = 3) -> dict:
     ps = row_polys(gkp_triangle(mu, n_max))
     x = MPoly.variable("x", ps[1].vars)
     zps = row_polys(gkp_triangle(apply_map(Z_WORD, mu), n_max))
-    xi = -1 * mu.beta * felem_inv(mu.betap)
-    bad = first_mismatch((n, _shift_x(ps[n], xi, x), zps[n]) for n in range(n_max + 1))
+    xi = felem_div(-1 * mu.beta, mu.betap)
+    bad = first_mismatch((n, p.subs({"x": x + xi}), zp)
+                         for n, (p, zp) in enumerate(zip(ps, zps)))
     return mismatch_report(bad)
 
 
@@ -656,7 +633,7 @@ def _xshift_solution_count(mu):
     # p[n, k] = [x^k] P_n(x + xi; mu), a polynomial in xi
     p = {}
     for n, pn in enumerate(row_polys(gkp_triangle(mu, 3))):
-        coeffs = as_mpoly(_shift_x(pn, xi, x), vars).coeffs_in("x")
+        coeffs = as_mpoly(pn.subs({"x": x + xi}), vars).coeffs_in("x")
         for k in range(n + 1):
             p[n, k] = coeffs.get(k, MPoly.zero(vars))
 
@@ -713,7 +690,7 @@ def _verify_xshift_solution(mu, xi):
     """Check that some mu' reproduces P_n(x+xi) for n <= 3 at numeric mu."""
     ps = row_polys(gkp_triangle(mu, 3))
     x = MPoly.variable("x", ps[1].vars)
-    shifted = [_shift_x(p, xi, x) for p in ps]
+    shifted = [p.subs({"x": x + xi}) for p in ps]
     if xi == 0:
         mu2 = mu
     else:

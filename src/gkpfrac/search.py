@@ -25,8 +25,8 @@ from typing import Optional
 
 from .exactalg import (
     MPoly, RatFunc, as_field, as_mpoly, clear_denominators, divide_exact,
-    felem_div, felem_eq, felem_inv, felem_is_zero, first_mismatch, num_den,
-    remainder_in_x, variables,
+    felem_div, felem_eq, felem_is_zero, first_mismatch, num_den,
+    remainder_in_x, variables, x_coeffs,
 )
 from .gkpcore import GKPParams, gkp_triangle, ogf_trunc
 from .cfrac import cfrac_refutation, extract_sfrac
@@ -194,11 +194,7 @@ def node_cs(node: SearchNode, depth: int):
     extracted on the cleared parameters with D divided out again."""
     ogf, D = _cleared_ogf(node, depth)
     cf = extract_sfrac(ogf, depth)
-    if D == 1:
-        cs = list(cf.c)
-    else:
-        inv = felem_inv(D)
-        cs = [ci * inv for ci in cf.c]
+    cs = list(cf.c) if D == 1 else [felem_div(ci, D) for ci in cf.c]
     return cs, cf.terminated_at
 
 
@@ -212,20 +208,6 @@ def _deg_x(p) -> int:
 
 def _x_free(p) -> bool:
     return _deg_x(p) == 0
-
-
-def _x_coeff(p, j):
-    p = as_field(p)
-    if isinstance(p, (int, Fraction)):
-        return p if j == 0 else 0
-    if isinstance(p, RatFunc):
-        if "x" not in p.num.vars:
-            return p if j == 0 else 0
-        num = p.num.coeffs_in("x").get(j)
-        return RatFunc(num, p.den) if num is not None else 0
-    if "x" not in p.vars:
-        return p if j == 0 else 0
-    return p.coeffs_in("x").get(j, 0)
 
 
 def _nonzero_certified(expr, atoms) -> bool:
@@ -316,7 +298,7 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
     if not felem_eq(as_field(quot * R + rem), as_field(Q)):
         raise InconsistentNode("%s: division reconstruction failed"
                                % node.name())
-    rem = _x_coeff(rem, 0)
+    rem = x_coeffs(rem).get(0, 0)
     degQ, degR = _deg_x(Q), _deg_x(R)
     if degQ > 2 or degR > 1:
         raise InconsistentNode("%s: degree collapse fails (degQ=%d, degR=%d)"
@@ -365,7 +347,7 @@ def split_node(node: SearchNode, factor_hints=None, rem=None, R=None) -> list:
     # degree-0 branch (vanishing leading coefficient of R)
     deg0 = hint.get("deg0")
     if deg0 is not None:
-        lead = _x_coeff(R, 1)
+        lead = x_coeffs(R).get(1, 0)
         if "impossible" in deg0:
             if not _nonzero_certified(lead, node.atoms):
                 raise InconsistentNode(
@@ -489,8 +471,9 @@ def _verify_c_zero(node: SearchNode, hint):
         return None
     if cz is None:
         c = own(V)
-        if not (_nonzero_certified(_x_coeff(c, 0), node.atoms)
-                or _nonzero_certified(_x_coeff(c, 1), node.atoms)):
+        cx = x_coeffs(c)
+        if not (_nonzero_certified(cx.get(0, 0), node.atoms)
+                or _nonzero_certified(cx.get(1, 0), node.atoms)):
             raise InconsistentNode(
                 "%s: coefficient could vanish but no action documented"
                 % node.name())

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .exactalg import (
     MPoly, RatFunc, _common_factor, as_field, as_mpoly, clear_denominators,
-    felem_eq, felem_inv, felem_is_zero, first_mismatch, mismatch_report,
+    felem_div, felem_eq, felem_is_zero, first_mismatch, mismatch_report,
     num_den,
 )
 from .gkpcore import GKPParams, gkp_triangle, rescale_weight, triangle_mismatch
@@ -168,7 +168,7 @@ def _act_Z(mu):
     a, b, g, ap, bp, gp = mu
     if felem_is_zero(as_field(bp)):
         raise SingularMap("Z", "(beta' = 0)")
-    r = b * felem_inv(bp)
+    r = felem_div(b, bp)
     return (a - r * ap, -b, -b + g - r * gp, ap, bp, gp)
 
 
@@ -180,7 +180,7 @@ def _act_R(mu):
     a, b, g, ap, bp, gp = mu
     if felem_is_zero(as_field(b)):
         raise SingularMap("R", "(beta = 0)")
-    r = bp * felem_inv(b)
+    r = felem_div(bp, b)
     return (a, b, g, ap + bp - r * a, -bp, gp + bp - r * g)
 
 
@@ -348,7 +348,7 @@ def verify_relations() -> dict:
 
 def _check_x_formula(mu) -> bool:
     a, b, g, ap, bp, gp = tuple(mu)
-    r = b * felem_inv(bp)
+    r = felem_div(b, bp)
     want = (ap + bp, -bp, gp, a - b - r * ap, b, g - b - r * gp)
     return map_equal(apply_map(X, mu), want)
 
@@ -380,11 +380,6 @@ def _generates_all(gens) -> bool:
 # acting on binary forms of degree n), so a word costs one substitution per
 # row, all of it polynomial.
 
-def _over(p, vars):
-    """A scalar or MPoly as an MPoly over exactly ``vars``."""
-    return as_mpoly(p, vars).in_vars(vars)
-
-
 def _letter_matrix(letter, mu, vars):
     """The substitution of one letter acting on the parameters mu."""
     one, zero = MPoly.one(vars), MPoly.zero(vars)
@@ -395,8 +390,8 @@ def _letter_matrix(letter, mu, vars):
     _, b, _, _, bp, _ = mu
     if felem_is_zero(b if letter == "R" else bp):
         raise SingularMap(letter)
-    bn, bd = (_over(v, vars) for v in num_den(b))
-    pn, pd = (_over(v, vars) for v in num_den(bp))
+    bn, bd = (as_mpoly(v, vars) for v in num_den(b))
+    pn, pd = (as_mpoly(v, vars) for v in num_den(bp))
     p, q = pn * bd, bn * pd             # b / b' = q / p
     if letter == "Z":                   # x - b/b'
         return p, -q, zero, p, p
@@ -422,8 +417,8 @@ def _cleared_params(mu, vars):
     out, dens = [], []
     for triple in (mu[:3], mu[3:]):
         nums, d = clear_denominators(triple, vars)
-        out += [_over(v, vars) for v in nums]
-        dens.append(_over(d, vars))
+        out += [as_mpoly(v, vars) for v in nums]
+        dens.append(as_mpoly(d, vars))
     d1, d2 = dens
     zero = MPoly.zero(vars)
     return out, (d1, zero, zero, d2, d1 * d2)

@@ -137,6 +137,29 @@ def test_contraction_T_variant():
         contract(CFrac("T", c=c, d=bad))
 
 
+@pytest.mark.parametrize("length", range(1, 8))
+def test_contraction_of_ragged_bundles(length):
+    # odd and even len(c); d shorter than c, as long, or longer
+    c = sym_c(8, extra=["d%d" % i for i in range(1, 10)])[:length]
+    reg = c[0].vars
+    ds = [MPoly.variable("d%d" % i, reg) if i % 2 else 0 for i in range(1, 10)]
+    for dlen in range(1, length + 2):
+        d = ds[:dlen]
+        j = contract(CFrac("T", c=c, d=d))
+        # 1-based: f_n = c_{2n-1} c_{2n}, e_0 = c_1 + d_1,
+        # e_n = c_{2n} + c_{2n+1} + d_{2n+1} (d_{2n+1} = 0 past the end of d)
+        cc = lambda i: c[i - 1]
+        dd = lambda i: d[i - 1] if i <= dlen else 0
+        want_f = [cc(2 * n - 1) * cc(2 * n) for n in range(1, length // 2 + 1)]
+        want_e = [cc(1) + dd(1)] + [cc(2 * n) + cc(2 * n + 1) + dd(2 * n + 1)
+                                    for n in range(1, (length + 1) // 2)]
+        assert len(j.e) == len(want_e) and len(j.f) == len(want_f)
+        assert all(felem_eq(as_field(g), as_field(w)) for g, w in zip(j.e, want_e))
+        assert all(felem_eq(as_field(g), as_field(w)) for g, w in zip(j.f, want_f))
+    s = contract(CFrac("S", c=c))
+    assert (len(s.e), len(s.f)) == ((length + 1) // 2, length // 2)
+
+
 def test_contract_empty():
     assert contract(CFrac("S", c=())).kind == "J"
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from gkpfrac.exactalg import (
     DivisionByZeroPolynomial, MPoly, NonInvertibleSeries, RatFunc, TruncSeries,
-    as_field, clear_denominators, divide_exact, felem_div, felem_eq, first_mismatch,
-    generalized_binomial_series, mismatch_report, mpoly_gcd, num_den, ratfunc,
-    remainder_in_x, variables,
+    as_field, as_mpoly, clear_denominators, divide_exact, felem_div, felem_eq,
+    first_mismatch, generalized_binomial_series, mismatch_report, mpoly_gcd,
+    num_den, ratfunc, remainder_in_x, variables, x_coeffs,
 )
 
 
@@ -78,6 +78,45 @@ def test_remainder_in_x_exact_divisibility():
     quo, rem = remainder_in_x(al * x ** 2 + x, x + 0 * al, "x")
     assert rem == 0
     assert quo == al * x + 1
+
+
+def test_x_coeffs_reads_scalars_polynomials_and_x_free_denominators():
+    a, x = variables("a x")
+    assert x_coeffs(Fraction(3, 2)) == {0: Fraction(3, 2)}
+    assert x_coeffs(0) == {}
+    got = x_coeffs(a * x * x + 3 * x - a)
+    assert sorted(got) == [0, 1, 2]
+    assert all(type(c) is MPoly for c in got.values())
+    assert felem_eq(got[2], a) and felem_eq(got[1], 3) and felem_eq(got[0], -a)
+    alone = MPoly.variable("a", ("a",))
+    assert x_coeffs(alone) == {0: alone}
+    assert x_coeffs(alone, "a").keys() == {1}
+    got = x_coeffs(ratfunc(a * x + 1, a + 1))
+    assert sorted(got) == [0, 1]
+    assert all(type(c) is RatFunc for c in got.values())
+    assert felem_eq(got[1], ratfunc(a, a + 1)) and felem_eq(got[0], ratfunc(1, a + 1))
+    with pytest.raises(ValueError, match="free of x"):
+        x_coeffs(ratfunc(a, a + x))
+
+
+def test_as_mpoly_places_values_on_exactly_the_given_tuple():
+    a, b = variables("a b")
+    vars = ("x", "b", "a")
+    foreign_zero = ratfunc(MPoly.zero(("y", "z")), 1)
+    cases = [(3, 3), (Fraction(1, 2), Fraction(1, 2)), (a * b, a * b),
+             (ratfunc(2 * a * b, 4), a * b * Fraction(1, 2)),
+             (MPoly.zero(("y",)), 0), (foreign_zero, 0)]
+    for value, want in cases:
+        got = as_mpoly(value, vars)
+        assert type(got) is MPoly and got.vars == vars, value
+        assert felem_eq(got, want), value
+    assert as_mpoly(a) is a
+    assert as_mpoly(ratfunc(a, 2)).vars == a.vars
+    for bad in (ratfunc(a, b), "a"):
+        with pytest.raises(TypeError):
+            as_mpoly(bad, vars)
+        with pytest.raises(TypeError):
+            as_mpoly(bad)
 
 
 def test_remainder_in_x_paper_node_values():
@@ -258,6 +297,7 @@ def test_felem_div_returns_the_canonical_form():
         (a * a - b * b, a - b, MPoly, a + b),           # polynomial quotient
         (2 * a, 4, MPoly, a * Fraction(1, 2)),
         (a, MPoly.constant(2, a.vars), MPoly, a * Fraction(1, 2)),
+        (1, MPoly.constant(2, a.vars), MPoly, Fraction(1, 2)),
         (0, a + b, MPoly, 0),
         (a, a + b, RatFunc, ratfunc(a, a + b)),         # not a polynomial
         (3, a, RatFunc, ratfunc(3, a)),

@@ -157,6 +157,9 @@ def test_egf_factorial_special_case():
 def test_egf_exponent_guard():
     with pytest.raises(NonRationalExponent):
         egf_closed_form("F1a", {"beta": 1, "alphap": 0, "gammap": 3}, 4)
+    # F5's exponent denominator is alpha + alpha' x
+    with pytest.raises(NonRationalExponent):
+        egf_closed_form("F5", {"alpha": 0, "gamma": 1, "alphap": 0, "gammap": 1}, 4)
 
 
 def test_catalog_listing():
