@@ -24,6 +24,15 @@ degrees must stay below ``EXPONENT_LIMIT`` (2^15); a product that would
 reach it raises ``OverflowError`` instead of carrying into the next field.
 ``MPoly.terms`` shows the terms keyed by exponent tuples.
 
+Only a product of two operands that both have two or more terms runs the
+pair loop over all pairs of terms.  A factor that is a scalar or a constant
+multiplies every coefficient, and a single-term factor also adds its key to
+every key (``_scaled``): distinct keys stay distinct, so nothing is
+collected.  A scalar sum touches only the constant key, and ``subs`` returns
+at once when no mapped variable occurs.  Each of these returns what the
+general route returns: the same variable tuple, keys and coefficient types
+(n/1 as an int), and the same ``OverflowError`` and ``TypeError``.
+
 Every multivariate gcd goes through ``_common_factor``, which returns the
 gcd of a list together with the cofactors p/g and checks the fallback
 kernel's answer (``_gcd_nonzero``: common monomial, one trial division,
@@ -187,6 +196,20 @@ def _mpoly(vars, terms):
     return p
 
 
+def _scaled(vars, terms, s, shift=0):
+    """The packed ``terms`` times the scalar ``s`` and the monomial with key
+    ``shift`` (negative: a monomial that divides every term is taken out),
+    over ``vars``.  Distinct keys stay distinct, so nothing is collected.
+    The result is the pair loop's: zeros dropped and n/1 back to an int."""
+    out = {}
+    if s:
+        for k, c in terms.items():
+            c *= s
+            if c:
+                out[k + shift] = c if type(c) is int or c.denominator != 1 else c.numerator
+    return _mpoly(vars, out)
+
+
 class MPoly:
     """Multivariate polynomial with exact rational coefficients.
 
@@ -297,10 +320,29 @@ class MPoly:
             return self, MPoly.constant(other, self.vars)
         return self, NotImplemented
 
+    # Operands that need no pair loop or key merge come first.  Their
+    # results are the general ones: the same tuple, keys and coefficient
+    # types.  Here and in the field-element helpers below, the MPoly test
+    # runs first: isinstance(x, Fraction) on anything else goes through
+    # ABCMeta.__instancecheck__, which costs several times more.
+
+    def _plus_scalar(self, s):
+        """self + s for a normalized scalar s: only the constant key moves."""
+        out = dict(self._terms)
+        if s:
+            c = out.get(0, 0) + s
+            if c:
+                out[0] = c if type(c) is int or c.denominator != 1 else c.numerator
+            else:
+                del out[0]
+        return _mpoly(self.vars, out)
+
     def __add__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
+        if not isinstance(other, MPoly):
+            if isinstance(other, (int, Fraction)):
+                return self._plus_scalar(_norm_scalar(other))
             return NotImplemented
+        a, b = self._coerce(other)
         out = dict(a._terms)
         get = out.get
         for k, c in b._terms.items():
@@ -317,23 +359,33 @@ class MPoly:
         return _mpoly(self.vars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
+        if not isinstance(other, MPoly):
+            if isinstance(other, (int, Fraction)):
+                return self._plus_scalar(-_norm_scalar(other))
             return NotImplemented
+        a, b = self._coerce(other)
         return a + (-b)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
+        if not isinstance(other, MPoly):
+            if isinstance(other, (int, Fraction)):
+                return _scaled(self.vars, self._terms, _norm_scalar(other))
             return NotImplemented
+        a, b = self._coerce(other)
         ta, tb = a._terms, b._terms
         if not ta or not tb:
             return _mpoly(a.vars, {})
         if len(ta) < len(tb):
             ta, tb = tb, ta
+        if len(tb) == 1:
+            # a constant or single-term factor: scale and shift, no pair loop
+            (kb, cb), = tb.items()
+            if kb and (max(ta) + kb) >> (len(a.vars) * FIELD_BITS) >= EXPONENT_LIMIT:
+                raise OverflowError("product degree reaches %d" % EXPONENT_LIMIT)
+            return _scaled(a.vars, ta, cb, kb)
         if (max(ta) + max(tb)) >> (len(a.vars) * FIELD_BITS) >= EXPONENT_LIMIT:
             raise OverflowError("product degree reaches %d" % EXPONENT_LIMIT)
         # branch-free accumulation; one pass afterwards drops the zeros and,
@@ -379,8 +431,7 @@ class MPoly:
                     k: c // d if type(c) is int and not c % d
                     else _norm_scalar(Fraction(c) / d)
                     for k, c in self._terms.items()})
-            inv = Fraction(1, 1) / Fraction(other)
-            return _mpoly(self.vars, {k: _norm_scalar(c * inv) for k, c in self._terms.items()})
+            return _scaled(self.vars, self._terms, _norm_scalar(1 / Fraction(other)))
         return ratfunc(self, other)
 
     def __eq__(self, other):
@@ -424,30 +475,38 @@ class MPoly:
         """Substitute values (scalar / MPoly / RatFunc) for variables.
 
         Variables absent from ``mapping`` stay themselves; the result lives
-        in the arithmetic closure of the substituted values.
+        in the arithmetic closure of the substituted values.  It is the sum
+        over the terms, in order, of the coefficient times the powers of the
+        values; a value is built only when a power of it is needed.
         """
-        if not self._terms:
-            return MPoly.zero(self.vars)
-        vals = []
-        for v in self.vars:
-            if v in mapping:
-                vals.append(mapping[v])
-            else:
-                vals.append(MPoly.variable(v, self.vars))
-        powers = [dict() for _ in self.vars]
+        t, vars = self._terms, self.vars
+        if not t:
+            return MPoly.zero(vars)
+        n = len(vars)
+        # a field of the OR of all keys is nonzero iff that variable occurs
+        occurring = reduce(or_, t)
+        if not any(v in mapping and occurring >> _var_shift(n, i) & _FIELD
+                   for i, v in enumerate(vars)):
+            # the sum would rebuild self: a scalar for a constant, else the
+            # same terms with n/1 back to an int
+            return _scaled(vars, t, 1) if occurring else t[0]
+        vals = {}
+        powers = {}
 
         def pw(i, k):
             if k == 0:
                 return 1
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = pw(i, k - 1) * vals[i]
-            return cache[k]
+            if (i, k) not in powers:
+                if i not in vals:
+                    v = vars[i]
+                    vals[i] = mapping[v] if v in mapping else MPoly.variable(v, vars)
+                powers[i, k] = pw(i, k - 1) * vals[i]
+            return powers[i, k]
 
         acc = 0
-        for e, c in self.terms.items():
+        for key, c in t.items():
             term = c
-            for i, k in enumerate(e):
+            for i, k in enumerate(_unpack(key, n)):
                 if k:
                     term = term * pw(i, k)
             acc = term + acc
@@ -536,11 +595,11 @@ def as_mpoly(x, vars=None) -> MPoly:
     ``vars`` an MPoly keeps its own tuple and a scalar has none.  With
     ``vars`` the value lies over exactly that tuple, which must hold every
     variable of a nonzero MPoly's tuple; a zero is ``MPoly.zero(vars)``."""
-    if isinstance(x, (int, Fraction)):
-        return MPoly.constant(x, () if vars is None else vars)
     if isinstance(x, RatFunc) and x.is_poly():
         x = x.as_mpoly()
     if not isinstance(x, MPoly):
+        if isinstance(x, (int, Fraction)):
+            return MPoly.constant(x, () if vars is None else vars)
         raise TypeError("not a polynomial: %r" % (x,))
     if vars is None:
         return x
@@ -722,10 +781,6 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     return _common_factor(a._coerce(b))[0]
 
 
-def _strip_monomial(p: MPoly, m) -> MPoly:
-    return _mpoly(p.vars, {k - m: c for k, c in p._terms.items()})
-
-
 def _gcd_nonzero(a: MPoly, b: MPoly) -> MPoly:
     """The fallback kernel of ``_common_factor``: gcd of nonzero a and b,
     where b does not divide a.  The common monomial, times the gcd of what
@@ -733,7 +788,7 @@ def _gcd_nonzero(a: MPoly, b: MPoly) -> MPoly:
     ta, tb = a._terms, b._terms
     mg = _monomial_gcd(len(a.vars), ta, tb)
     if mg:
-        a, b = _strip_monomial(a, mg), _strip_monomial(b, mg)
+        a, b = _scaled(a.vars, ta, 1, -mg), _scaled(b.vars, tb, 1, -mg)
         ta, tb = a._terms, b._terms
     # after stripping the common monomial, a monomial (or constant) is
     # coprime to the rest
@@ -743,7 +798,7 @@ def _gcd_nonzero(a: MPoly, b: MPoly) -> MPoly:
         g = _normalize_gcd(a)
     else:
         g = _content_prs_gcd(a, b)
-    return _mpoly(g.vars, {k + mg: c for k, c in g._terms.items()}) if mg else g
+    return _scaled(g.vars, g._terms, 1, mg) if mg else g
 
 
 def _content_prs_gcd(a: MPoly, b: MPoly) -> MPoly:
@@ -1032,18 +1087,16 @@ def ratfunc(num, den) -> RatFunc:
 
 def as_field(x):
     """Promote to a field element usable in series coefficients."""
-    if isinstance(x, (int, Fraction, MPoly, RatFunc)):
+    if isinstance(x, (MPoly, RatFunc, int, Fraction)):
         return x
     raise TypeError("not a field element: %r" % type(x))
 
 
 def felem_is_zero(x) -> bool:
+    if isinstance(x, (MPoly, RatFunc)):
+        return x.is_zero()
     if isinstance(x, (int, Fraction)):
         return x == 0
-    if isinstance(x, MPoly):
-        return x.is_zero()
-    if isinstance(x, RatFunc):
-        return x.is_zero()
     raise TypeError(type(x))
 
 

@@ -35,6 +35,11 @@ class NonRationalExponent(ValueError):
     pass
 
 
+class VanishingDenominator(ValueError):
+    """A closed form's denominator outside the exponent is zero at the
+    given parameters."""
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     id: str
@@ -500,7 +505,8 @@ def _row_transform_cases(p7, p3, xi, N):
 def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
     """The published closed-form egf of the family at numeric parameters
     (x stays symbolic).  Raises NonRationalExponent when a parameter
-    denominator in the exponent vanishes."""
+    denominator in the exponent vanishes, and VanishingDenominator, naming
+    the family and the expression, when one outside it does."""
     x = MPoly.variable("x", ("x",))
     one = MPoly.one(("x",))
     v = {k: Fraction(val) for k, val in vals.items()}
@@ -510,10 +516,15 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
             raise NonRationalExponent("exponent denominator vanishes")
         return felem_div(num, den)
 
+    def over(num, den, expr):
+        if felem_is_zero(as_field(den)):
+            raise VanishingDenominator("%s: denominator %s vanishes" % (id, expr))
+        return felem_div(num, den)
+
     def f1a_base(b, ap):
         c = b - ap * x
         return (TruncSeries(order, [b] + [0] * order)
-                - exp_series(c, order).scale(ap * x)) * felem_div(one, c)
+                - exp_series(c, order).scale(ap * x)) * over(one, c, "beta - alphap*x")
 
     if id == "F1a":
         b, ap, gp = v["beta"], v["alphap"], v["gammap"]
@@ -522,7 +533,7 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
         b, g, ap = v["beta"], v["gamma"], v["alphap"]
         c = ap * x - b
         base = (TruncSeries(order, [ap * x] + [0] * order)
-                - exp_series(c, order).scale(b)) * felem_div(one, c)
+                - exp_series(c, order).scale(b)) * over(one, c, "alphap*x - beta")
         return generalized_binomial_series(base, rf(-g, b))
     if id == "F2a":
         a, ap, bp, gp = v["alpha"], v["alphap"], v["betap"], v["gammap"]
@@ -536,22 +547,22 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
     if id == "F3a":
         b, bp, gp = v["beta"], v["betap"], v["gammap"]
         u = exp_series(b, order)
-        base = 1 + (1 - u).scale(bp * x) * felem_div(one, b)
+        base = 1 + (1 - u).scale(bp * x) * over(one, b, "beta")
         return generalized_binomial_series(base, rf(-(bp + gp), bp))
     if id == "F3b":
         a, g, ap = v["alpha"], v["gamma"], v["alphap"]
         u = exp_series(ap * x, order)
-        base = 1 + (1 - u).scale(a) * felem_div(one, ap * x)
+        base = 1 + (1 - u).scale(a) * over(one, ap * x, "alphap*x")
         return generalized_binomial_series(base, rf(-(a + g), a))
     if id == "F4a":
         bp, gp, kp = v["betap"], v["gammap"], v["kappa"]
         u = exp_series(-kp * bp, order)
-        base = 1 - (1 - u).scale((kp + x) * Fraction(1, kp))
+        base = 1 - (1 - u).scale((kp + x) * over(1, kp, "kappa"))
         return generalized_binomial_series(base, rf(-(bp + gp), bp))
     if id == "F4b":
         a, g, kp = v["alpha"], v["gamma"], v["kappa"]
         u = exp_series(-kp * a * x, order)
-        base = 1 - (1 - u).scale(felem_div(1 + kp * x, kp * x))
+        base = 1 - (1 - u).scale(over(1 + kp * x, kp * x, "kappa*x"))
         return generalized_binomial_series(base, rf(-(a + g), a))
     if id == "F5":
         a, g, ap, gp = v["alpha"], v["gamma"], v["alphap"], v["gammap"]

@@ -12,6 +12,7 @@ shift involution (Z) and X = D*Z built from the row-reversal duality D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from .exactalg import (
     MPoly, RatFunc, _common_factor, as_field, as_mpoly, clear_denominators,
     felem_div, felem_eq, felem_is_zero, first_mismatch, mismatch_report,
@@ -424,16 +425,16 @@ def _cleared_params(mu, vars):
     return out, (d1, zero, zero, d2, d1 * d2)
 
 
-def _substituted_rows(mu, m, N, x):
-    """H_n(a x + b, c x + d) for the rows n <= N of the triangle of mu,
-    one row at a time."""
+def _substituted_rows(rows, m, x):
+    """H_n(a x + b, c x + d) for the triangle rows ``rows``, one row at a
+    time."""
     a, b, c, d, _ = m
     u, v = a * x + b, c * x + d
     upow, vpow = [MPoly.one(x.vars)], [MPoly.one(x.vars)]
-    for _ in range(N):
+    for _ in range(len(rows) - 1):
         upow.append(upow[-1] * u)
         vpow.append(vpow[-1] * v)
-    for n, row in enumerate(gkp_triangle(mu, N).rows):
+    for n, row in enumerate(rows):
         acc = MPoly.zero(x.vars)
         for k, t in enumerate(row):
             if not felem_is_zero(t):
@@ -441,58 +442,81 @@ def _substituted_rows(mu, m, N, x):
         yield acc
 
 
-def _verify_substitution(name, letters, orbit, moved, N):
-    """Row n of the triangle of ``moved`` against row n of mu = orbit[0]
-    under the word ``letters``, whose parameters along the way are ``orbit``.
+def _substitution_check(mu, moved, N):
+    """The check of one word against the x-free parameters mu = orbit[0],
+    for words whose images of mu are among ``moved``.  The triangle of the
+    cleared mu is unrolled here, once for every word the check is run on.
 
-    With moved cleared by (d1, d2) and mu by (e1, e2), both sides are
-    polynomial: row n holds iff w^n H'_n(d1 x, d2) == (d1 d2)^n H_n(u, v),
+    With a word's image cleared by (d1, d2) and mu by (e1, e2), both sides
+    are polynomial: row n holds iff w^n H'_n(d1 x, d2) == (d1 d2)^n H_n(u, v),
     where (u, v, w) composes diag(e1, e2) with the letters' matrices."""
-    vars = tuple(dict.fromkeys(v for p in (*orbit[0], *moved)
+    vars = tuple(dict.fromkeys(v for p in chain(mu, *moved)
                                if isinstance(p, (MPoly, RatFunc)) for v in p.vars))
     vars += () if "x" in vars else ("x",)
     # x is the row variable: the substitution does not reach x inside mu
-    for p in orbit[0]:
+    for p in mu:
         for part in num_den(p):
             if isinstance(part, MPoly) and "x" in part.vars and part.degree_in("x"):
                 raise ValueError("parameters must be x-free")
-    lhs_mu, lhs_m = _cleared_params(tuple(moved), vars)
-    rhs_mu, m = _cleared_params(orbit[0], vars)
-    for letter, inner in zip(reversed(letters), orbit):
-        m = _compose(m, _letter_matrix(letter, inner, vars))
+    rhs_mu, clear = _cleared_params(mu, vars)
+    rhs_rows = gkp_triangle(rhs_mu, N).rows
     x = MPoly.variable("x", vars)
 
-    def rows():
-        lhs_w = rhs_w = MPoly.one(vars)
-        pairs = zip(_substituted_rows(lhs_mu, lhs_m, N, x),
-                    _substituted_rows(rhs_mu, m, N, x))
-        for n, (p, q) in enumerate(pairs):
-            yield {"n": n}, rhs_w * p, lhs_w * q
-            lhs_w, rhs_w = lhs_w * lhs_m[4], rhs_w * m[4]
+    def check(name, letters, orbit, moved):
+        """Row n of the triangle of ``moved`` against row n of mu under the
+        word ``letters``, whose parameters along the way are ``orbit``."""
+        lhs_mu, lhs_m = _cleared_params(tuple(moved), vars)
+        m = clear
+        for letter, inner in zip(reversed(letters), orbit):
+            m = _compose(m, _letter_matrix(letter, inner, vars))
 
-    return {"map": name, **mismatch_report(first_mismatch(rows()))}
+        def rows():
+            lhs_w = rhs_w = MPoly.one(vars)
+            pairs = zip(_substituted_rows(gkp_triangle(lhs_mu, N).rows, lhs_m, x),
+                        _substituted_rows(rhs_rows, m, x))
+            for n, (p, q) in enumerate(pairs):
+                yield {"n": n}, rhs_w * p, lhs_w * q
+                lhs_w, rhs_w = lhs_w * lhs_m[4], rhs_w * m[4]
+
+        return {"map": name, **mismatch_report(first_mismatch(rows()))}
+
+    return check
+
+
+def _word(g):
+    """(name, letters) of a word given as text, a GroupWord or letters."""
+    word = parse_word(g) if isinstance(g, str) else g
+    if isinstance(word, GroupWord):
+        return word.name(), word.letters()
+    letters = list(word)
+    return "*".join(letters), letters
+
+
+def verify_actions(words, mu, N: int) -> list:
+    """The report of ``verify_action`` for each of ``words`` on one mu, in
+    order.  The cleared triangle of mu is unrolled once and is the right
+    side of every word's check; nothing is kept between calls."""
+    words = [g if isinstance(g, ScalingMap) else _word(g) for g in words]
+    # the parameters come first: a singular map raises before any row work
+    orbits = [None if isinstance(w, ScalingMap) else _orbit(w[1], mu) for w in words]
+    moved = [o[-1] for o in orbits if o]
+    check = _substitution_check(tuple(GKPParams.of(mu)), moved, N) if moved else None
+    return [_verify_scaling(w, mu, N) if o is None else check(*w, o, o[-1])
+            for w, o in zip(words, orbits)]
+
+
+def _verify_scaling(g, mu, N):
+    t = gkp_triangle(mu, N)
+    kappa, lam = g.kappa, g.lam
+    return {"map": "S_{kappa,lambda}", **triangle_mismatch(
+        gkp_triangle(apply_map(g, mu), N),
+        lambda n, k: kappa ** (n - k) * lam ** k * t.entry(n, k), N)}
 
 
 def verify_action(g, mu, N: int) -> dict:
     """Check the identity linking the triangle of g.mu with the transformed
     triangle of mu, symbolically for all n <= N."""
-    if isinstance(g, ScalingMap):
-        t = gkp_triangle(mu, N)
-        kappa, lam = g.kappa, g.lam
-        return {"map": "S_{kappa,lambda}", **triangle_mismatch(
-            gkp_triangle(apply_map(g, mu), N),
-            lambda n, k: kappa ** (n - k) * lam ** k * t.entry(n, k), N)}
-
-    word = parse_word(g) if isinstance(g, str) else g
-    if isinstance(word, GroupWord):
-        letters = word.letters()
-        name = word.name()
-    else:
-        letters = list(word)
-        name = "*".join(letters)
-    # the parameters come first: a singular map raises before any row work
-    orbit = _orbit(letters, mu)
-    return _verify_substitution(name, letters, orbit, orbit[-1], N)
+    return verify_actions([g], mu, N)[0]
 
 
 def verify_action_letter(letter: str, mu, N: int) -> dict:
@@ -500,8 +524,8 @@ def verify_action_letter(letter: str, mu, N: int) -> dict:
     for R the left side comes from the group word R."""
     if letter != "R":
         return verify_action([letter], mu, N)
-    moved = apply_map(R, mu)
-    return _verify_substitution("R", ["R"], _orbit(["R"], mu), moved, N)
+    orbit, moved = _orbit(["R"], mu), apply_map(R, mu)
+    return _substitution_check(orbit[0], [moved], N)("R", ["R"], orbit, moved)
 
 
 # ---------------------------------------------------------------------------

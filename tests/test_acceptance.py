@@ -59,9 +59,9 @@ def test_criterion_03_symmetry_actions_n8():
         mu = GKPParams.symbolic()
         kl = variables("kp lm", extra=("alpha", "beta", "gamma", "alphap",
                                        "betap", "gammap"))
-        assert symmetry.verify_action(symmetry.ScalingMap(*kl), mu, 8)["ok"]
-        for name in ("D", "Z", "X"):
-            assert symmetry.verify_action(name, mu, 8)["ok"], name
+        words = [symmetry.ScalingMap(*kl), "D", "Z", "X"]
+        for word, rep in zip(words, symmetry.verify_actions(words, mu, 8)):
+            assert rep["ok"], word
         assert symmetry.verify_action_letter("R", mu, 8)["ok"]
         # the row-reversal identity at the matrix level, entrywise
         t = gkp_triangle(mu, 8)

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gkpfrac.exactalg import (
-    DivisionByZeroPolynomial, MPoly, NonInvertibleSeries, RatFunc, TruncSeries,
-    as_field, as_mpoly, clear_denominators, divide_exact, felem_div, felem_eq,
-    first_mismatch, generalized_binomial_series, mismatch_report, mpoly_gcd,
-    num_den, ratfunc, remainder_in_x, variables, x_coeffs,
+    EXPONENT_LIMIT, FIELD_BITS, DivisionByZeroPolynomial, MPoly,
+    NonInvertibleSeries, RatFunc, TruncSeries, _mpoly, as_field, as_mpoly,
+    clear_denominators, divide_exact, felem_div, felem_eq, first_mismatch,
+    generalized_binomial_series, mismatch_report, mpoly_gcd, num_den, ratfunc,
+    remainder_in_x, variables, x_coeffs,
 )
 
 
@@ -455,3 +456,172 @@ def test_divide_exact_fails_after_several_quotient_steps():
     assert all(i >= j for i, j in zip(ea, eb))
     assert divide_exact(a, b) is None
     assert divide_exact(a - x, b) == 2 * y ** 2 + y - 1
+
+
+# -- operands that need no pair loop, against the general loop -------------
+
+def pair_loop(a, b):
+    """The general product of MPoly ``a`` and a scalar or MPoly ``b``: every
+    pair of terms collected, zeros dropped, n/1 back to an int."""
+    a, b = a._coerce(b)
+    ta, tb = a._terms, b._terms
+    if ta and tb and (max(ta) + max(tb)) >> (len(a.vars) * FIELD_BITS) >= EXPONENT_LIMIT:
+        raise OverflowError
+    out = {}
+    for kb, cb in tb.items():
+        for ka, ca in ta.items():
+            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+    return _mpoly(a.vars, {k: c if Fraction(c).denominator != 1 else Fraction(c).numerator
+                           for k, c in out.items() if c})
+
+
+def general_sum(x, y):
+    """x + y with a scalar operand taken as a constant MPoly, so that the
+    sum of two MPoly values does the work."""
+    if isinstance(x, MPoly) and isinstance(y, MPoly):
+        return x + y
+    if isinstance(x, MPoly):
+        return x + MPoly.constant(y, x.vars)
+    if isinstance(y, MPoly):
+        return y + MPoly.constant(x, y.vars)
+    return x + y
+
+
+def general_product(x, y):
+    if isinstance(x, MPoly):
+        return pair_loop(x, y)
+    if isinstance(y, MPoly):
+        return pair_loop(y, x)
+    return x * y
+
+
+def general_subs(p, mapping):
+    """The substitution as the sum of the terms' products, with every
+    variable built and every product and sum taken by the general path."""
+    if not p._terms:
+        return MPoly.zero(p.vars)
+    vals = [mapping.get(v, MPoly.variable(v, p.vars)) for v in p.vars]
+    acc = 0
+    for e, c in p.terms.items():
+        term = c
+        for x, k in zip(vals, e):
+            power = 1
+            for _ in range(k):
+                power = general_product(power, x)
+            if k:
+                term = general_product(term, power)
+        acc = general_sum(term, acc)
+    return acc
+
+
+def assert_same(got, want):
+    """Equal values of one type; for an MPoly also the same variable tuple,
+    the same packed keys and the same coefficient types."""
+    assert type(got) is type(want)
+    if isinstance(want, MPoly):
+        assert got.vars == want.vars
+        assert got._terms == want._terms
+        assert ({k: type(c) for k, c in got._terms.items()}
+                == {k: type(c) for k, c in want._terms.items()})
+    else:
+        assert got == want
+
+
+# Fraction(n, 1) stays a Fraction when stored by the constructor
+COEFFS = st.one_of(st.integers(-4, 4).filter(bool),
+                   st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)))
+SCALARS = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4),
+                                                   st.integers(1, 3)))
+TUPLES = [("a", "b"), ("b", "a", "c"), ("c",)]
+
+
+@st.composite
+def operands(draw, scalars=True):
+    """A scalar, or an MPoly that is zero, constant, a single term or a sum
+    of two to four terms, over one of a few variable tuples."""
+    kinds = ["zero", "constant", "term", "term", "poly", "poly"]
+    kind = draw(st.sampled_from(kinds + ["scalar"] * scalars))
+    if kind == "scalar":
+        return draw(SCALARS)
+    if kind in ("zero", "constant"):
+        vars = draw(st.sampled_from(TUPLES + [()]))
+        return MPoly(vars, {} if kind == "zero" else {(0,) * len(vars): draw(COEFFS)})
+    vars = draw(st.sampled_from(TUPLES))
+    exps = st.tuples(*[st.integers(0, 3)] * len(vars))
+    n = 1 if kind == "term" else draw(st.integers(2, 4))
+    return MPoly(vars, draw(st.dictionaries(exps, COEFFS, min_size=n, max_size=n)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(operands(), operands())
+def test_products_match_the_pair_loop(x, y):
+    assume(isinstance(x, MPoly) or isinstance(y, MPoly))
+    assert_same(x * y, general_product(x, y))
+    if isinstance(x, MPoly) and isinstance(y, Fraction) and y.denominator != 1:
+        assert_same(x / y, pair_loop(x, 1 / y))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operands(scalars=False), SCALARS, st.booleans())
+def test_scalar_sums_match_the_general_sum(p, s, cancel):
+    if cancel:
+        # the sum cancels the constant term, the difference leaves -2c
+        s = -p._terms.get(0, 1)
+    assert_same(p + s, general_sum(p, s))
+    assert_same(s + p, general_sum(s, p))
+    assert_same(p - s, general_sum(p, -s))
+    assert_same(s - p, general_sum(s, -p))
+    if cancel and 0 in p._terms:
+        assert 0 not in (p + s)._terms
+
+
+VALUES = st.one_of(SCALARS, operands(scalars=False),
+                   st.sampled_from([MPoly.variable("x", ("x", "a")),
+                                    MPoly.variable("a", ("a", "d"))]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operands(scalars=False), st.dictionaries(st.sampled_from("abd"), VALUES))
+def test_subs_matches_the_general_sum(p, mapping):
+    # mapped variables that are absent, that occur, or none at all
+    assert_same(p.subs(mapping), general_subs(p, mapping))
+
+
+def test_subs_of_a_constant_is_a_scalar():
+    for c in (3, Fraction(-1, 2), Fraction(4, 1)):
+        p = MPoly(("a", "b"), {(0, 0): c})
+        for mapping in ({}, {"a": 2}, {"c": MPoly.variable("c", ("c",))}):
+            assert_same(p.subs(mapping), c)
+    a, b = variables("a b")
+    assert_same((a + 1).subs({"b": 2}), a + 1)
+
+
+def test_single_term_factor_at_the_exponent_limit():
+    top = EXPONENT_LIMIT - 1
+    vars = ("x", "y")
+    y = MPoly.variable("y", vars)
+    near = MPoly(vars, {(top - 1, 0): 2, (1, 1): Fraction(1, 2)})
+    assert_same(near * y, pair_loop(near, y))
+    assert_same(y * near, pair_loop(near, y))
+    at = MPoly(vars, {(top, 0): 2, (1, 1): Fraction(1, 2)})
+    for factor in (y, MPoly(vars, {(0, 1): Fraction(3, 2)}),
+                   MPoly(("y", "z"), {(1, 0): 5})):
+        with pytest.raises(OverflowError):
+            pair_loop(at, factor)
+        with pytest.raises(OverflowError):
+            at * factor
+        with pytest.raises(OverflowError):
+            factor * at
+    # a constant factor leaves every degree where it is
+    assert_same(at * MPoly.constant(Fraction(2, 3), vars),
+                pair_loop(at, Fraction(2, 3)))
+
+
+def test_bool_operands_are_rejected():
+    a, b = variables("a b")
+    for p in (a + b, a, MPoly.constant(2, ("a",)), MPoly.zero(("a",))):
+        for flag in (True, False):
+            for op in (lambda: p * flag, lambda: flag * p, lambda: p + flag,
+                       lambda: flag + p, lambda: p - flag, lambda: flag - p):
+                with pytest.raises(TypeError):
+                    op()

@@ -5,8 +5,8 @@ import pytest
 from gkpfrac.exactalg import MPoly, as_field, felem_eq, variables
 from gkpfrac.gkpcore import UnknownFamily, gkp_triangle
 from gkpfrac.families import (
-    ArityMismatch, NonRationalExponent, SFRAC_FAMILY_IDS, egf_closed_form,
-    family_ids, family_params, get_family, predicted_cfrac,
+    ArityMismatch, NonRationalExponent, SFRAC_FAMILY_IDS, VanishingDenominator,
+    egf_closed_form, family_ids, family_params, get_family, predicted_cfrac,
     verify_binomial_relations, verify_egf_closed_forms, verify_family,
 )
 
@@ -160,6 +160,22 @@ def test_egf_exponent_guard():
     # F5's exponent denominator is alpha + alpha' x
     with pytest.raises(NonRationalExponent):
         egf_closed_form("F5", {"alpha": 0, "gamma": 1, "alphap": 0, "gammap": 1}, 4)
+
+
+@pytest.mark.parametrize("fid, vals, expr", [
+    ("F1a", {"beta": 0, "alphap": 0, "gammap": 1}, "beta - alphap*x"),
+    ("F1b", {"beta": 0, "gamma": 1, "alphap": 0}, "alphap*x - beta"),
+    ("F3a", {"beta": 0, "betap": 1, "gammap": 1}, "beta"),
+    ("F3b", {"alpha": 1, "gamma": 1, "alphap": 0}, "alphap*x"),
+    ("F4a", {"betap": 1, "gammap": 1, "kappa": 0}, "kappa"),
+    ("F4b", {"alpha": 1, "gamma": 1, "kappa": 0}, "kappa*x"),
+])
+def test_egf_denominator_guard(fid, vals, expr):
+    # every denominator outside the exponent, at a point where only it
+    # vanishes (the exponent's denominator does not)
+    with pytest.raises(VanishingDenominator) as err:
+        egf_closed_form(fid, vals, 4)
+    assert str(err.value) == "%s: denominator %s vanishes" % (fid, expr)
 
 
 def test_catalog_listing():

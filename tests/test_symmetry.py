@@ -16,7 +16,7 @@ from gkpfrac.symmetry import (
     ScalingMap, SingularMap, X, Z, all_elements, apply_map,
     apply_map_letters, group_table, is_polynomial_action, map_equal,
     parse_word, polynomial_subgroup, rescale_gkp, verify_action,
-    verify_action_letter, verify_relations,
+    verify_action_letter, verify_actions, verify_relations,
 )
 
 
@@ -107,12 +107,12 @@ def test_parse_word():
 
 def test_actions_small():
     mu = GKPParams.symbolic()
-    for name in ("S", "D", "Z", "X"):
-        assert verify_action(name, mu, 5)["ok"]
-    assert verify_action_letter("R", mu, 5)["ok"]
     kl = variables("kp lm", extra=("alpha", "beta", "gamma", "alphap",
                                    "betap", "gammap"))
-    assert verify_action(ScalingMap(*kl), mu, 5)["ok"]
+    words = ["S", "D", "Z", ScalingMap(*kl), "X"]
+    reps = verify_actions(words, mu, 5)
+    assert [rep["ok"] for rep in reps] == [True] * 5
+    assert verify_action_letter("R", mu, 5)["ok"]
     assert verify_action("S*Z*X^3", mu, 3)["ok"]
 
 
@@ -347,3 +347,17 @@ def test_wrong_parameter_action_is_reported(monkeypatch, tmp_path):
     data = json.loads(out.read_text())
     assert not data["ok"] and data["exit"] == 1
     assert data["action"] == want
+
+
+def test_verify_actions_reports_each_word_as_verify_action(monkeypatch):
+    # one shared right-side triangle, yet each report is the one-word report,
+    # failures included
+    monkeypatch.setitem(symmetry._GEN_ACTS, "D", _wrong_D)
+    mu = GKPParams.symbolic()
+    words = all_elements()
+    reps = verify_actions(words, mu, 3)
+    assert reps == [verify_action(w, mu, 3) for w in words]
+    assert {r["ok"] for r in reps} == {True, False}
+    # a singular word raises before any row is checked
+    with pytest.raises(SingularMap):
+        verify_actions(["D", Z], (1, 1, 0, 1, 0, 1), 3)
