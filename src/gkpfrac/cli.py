@@ -569,10 +569,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on the first call of main, not at import, and then reused: parsing
+# keeps no state in the parser, and building it takes about 3 ms
+_parser = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     report = {"schema_version": SCHEMA_VERSION, "command": args.command}

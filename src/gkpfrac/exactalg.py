@@ -36,8 +36,9 @@ general route returns: the same variable tuple, keys and coefficient types
 Every multivariate gcd goes through ``_common_factor``, which returns the
 gcd of a list together with the cofactors p/g and checks the fallback
 kernel's answer (``_gcd_nonzero``: common monomial, one trial division,
-then a primitive PRS) once for all callers: ``mpoly_gcd``, ``mpoly_lcm``,
-``RatFunc`` reduction and arithmetic, and the content steps.
+a coprimality certificate from modular images, then a primitive PRS) once
+for all callers: ``mpoly_gcd``, ``mpoly_lcm``, ``RatFunc`` reduction and
+arithmetic, and the content steps.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd as _int_gcd
 from operator import or_
+from random import Random
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -643,6 +645,9 @@ def divide_exact(a: MPoly, b: MPoly):
         if not _divides(kb, ka, guards):
             return None
         d = ka - kb
+        # a borrow sets a guard bit; the keys below it need not run out
+        if d & guards:
+            raise ArithmeticError("exponent field of a quotient term out of range")
         r = rem[ka]
         if type(r) is int and type(cb) is int and not r % cb:
             q = r // cb
@@ -784,7 +789,8 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
 def _gcd_nonzero(a: MPoly, b: MPoly) -> MPoly:
     """The fallback kernel of ``_common_factor``: gcd of nonzero a and b,
     where b does not divide a.  The common monomial, times the gcd of what
-    is left after it is stripped."""
+    is left after it is stripped: 1 when the certificate ``_coprime``
+    proves it, else the PRS."""
     ta, tb = a._terms, b._terms
     mg = _monomial_gcd(len(a.vars), ta, tb)
     if mg:
@@ -796,9 +802,115 @@ def _gcd_nonzero(a: MPoly, b: MPoly) -> MPoly:
         g = MPoly.one(a.vars)
     elif divide_exact(b, a) is not None:
         g = _normalize_gcd(a)
+    elif _coprime(a, b):
+        g = MPoly.one(a.vars)
     else:
         g = _content_prs_gcd(a, b)
     return _scaled(g.vars, g._terms, 1, mg) if mg else g
+
+
+# Images for the coprimality certificate: every variable but one at a fixed
+# point mod a prime
+_IMAGE_PRIME = (1 << 61) - 1
+_IMAGE_POINTS = []
+_IMAGE_INVERSES = []
+_POINT_SOURCE = Random(1971)
+
+
+def _image_points(n):
+    """The points of the first n variables of a tuple, drawn once, in
+    order, from a seeded generator."""
+    while len(_IMAGE_POINTS) < n:
+        r = _POINT_SOURCE.randrange(2, _IMAGE_PRIME)
+        _IMAGE_POINTS.append(r)
+        _IMAGE_INVERSES.append(pow(r, -1, _IMAGE_PRIME))
+    return _IMAGE_POINTS
+
+
+def _coprime(a: MPoly, b: MPoly) -> bool:
+    """True when a and b, over one tuple, with two or more terms each, no
+    common monomial and neither dividing the other, are proven coprime;
+    False means undecided.
+
+    Coprime when no variable occurs in both, or when one of them has total
+    degree 1 (it is irreducible and does not divide the other).  Otherwise,
+    for each shared variable v, every other variable goes to its point mod
+    ``_IMAGE_PRIME`` (Brown, JACM 18, 1971).  An image counts only if both
+    degrees in v survive.  Then lc_v(gcd) divides lc_v(a), so the gcd keeps
+    its degree in v under the evaluation; when every image gcd is constant,
+    the gcd has degree 0 in every variable."""
+    n = len(a.vars)
+    occ_a, occ_b = reduce(or_, a._terms), reduce(or_, b._terms)
+    # a valid key has every guard bit clear; a set one comes from a borrow
+    if (occ_a | occ_b) & _guards(n):
+        raise ArithmeticError("exponent field of a gcd operand out of range")
+    both = occ_a & occ_b
+    shifts = [_var_shift(n, i) for i in range(n)]
+    shared = [i for i, s in enumerate(shifts) if both >> s & _FIELD]
+    if not shared or a.total_degree() == 1 or b.total_degree() == 1:
+        return True
+    _image_points(n)
+    fa = _images(a, occ_a, shared, shifts)
+    fb = _images(b, occ_b, shared, shifts) if fa else None
+    return fb is not None and not any(map(_image_gcd_degree, fa, fb))
+
+
+def _images(p: MPoly, occ, shared, shifts):
+    """For each index i in ``shared``, p mod ``_IMAGE_PRIME`` with every
+    variable but vars[i] at its point, as a coefficient list in vars[i]
+    (low to high); None if a denominator vanishes mod the prime or a
+    degree drops.  ``occ`` is the OR of p's keys.  Each term is evaluated
+    at every point once; the image in vars[i] then takes the power of
+    vars[i]'s point back out."""
+    P = _IMAGE_PRIME
+    occurring = [(_IMAGE_POINTS[j], s) for j, s in enumerate(shifts)
+                 if occ >> s & _FIELD]
+    back = [(shifts[i], _IMAGE_INVERSES[i]) for i in shared]
+    rows = [{} for _ in shared]
+    for k, c in p._terms.items():
+        if type(c) is not int:
+            d = c.denominator % P
+            if not d:
+                return None
+            c = c.numerator * pow(d, -1, P)
+        for r, s in occurring:
+            e = k >> s & _FIELD
+            if e:
+                c = c * pow(r, e, P) % P
+        for row, (s, inv) in zip(rows, back):
+            e = k >> s & _FIELD
+            row[e] = (row.get(e, 0) + (c * pow(inv, e, P) if e else c)) % P
+    images = []
+    for row in rows:
+        top = max(row)
+        if not row[top]:
+            return None
+        images.append([row.get(e, 0) for e in range(top + 1)])
+    return images
+
+
+def _image_gcd_degree(f, g) -> int:
+    """Degree of the gcd of two coefficient lists (low to high, nonzero
+    leading entries) over the integers mod ``_IMAGE_PRIME``: Euclid."""
+    P = _IMAGE_PRIME
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        dg = len(g) - 1
+        inv = pow(g[-1], -1, P)
+        f = list(f)
+        for k in range(len(f) - 1 - dg, -1, -1):
+            q = f[k + dg] * inv % P
+            if q:
+                for j in range(dg):
+                    f[k + j] = (f[k + j] - q * g[j]) % P
+        f = f[:dg]
+        while f and not f[-1]:
+            f.pop()
+        if not f:
+            return dg
+        f, g = g, f
+    return 0
 
 
 def _content_prs_gcd(a: MPoly, b: MPoly) -> MPoly:

@@ -507,6 +507,12 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
     (x stays symbolic).  Raises NonRationalExponent when a parameter
     denominator in the exponent vanishes, and VanishingDenominator, naming
     the family and the expression, when one outside it does."""
+    return _closed_form(id, id, vals, order)
+
+
+def _closed_form(id: str, family: str, vals: dict, order: int) -> TruncSeries:
+    """``egf_closed_form`` of ``id``; a VanishingDenominator names
+    ``family``, which for a binomial shift is the outer family."""
     x = MPoly.variable("x", ("x",))
     one = MPoly.one(("x",))
     v = {k: Fraction(val) for k, val in vals.items()}
@@ -518,7 +524,7 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
 
     def over(num, den, expr):
         if felem_is_zero(as_field(den)):
-            raise VanishingDenominator("%s: denominator %s vanishes" % (id, expr))
+            raise VanishingDenominator("%s: denominator %s vanishes" % (family, expr))
         return felem_div(num, den)
 
     def f1a_base(b, ap):
@@ -576,7 +582,7 @@ def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
     if id in _BINOMIAL_SHIFTS:
         inner, xi = _BINOMIAL_SHIFTS[id]
         inner_vals = {p: v[p] for p in CATALOG[inner].params}
-        return exp_series(xi(v, x), order) * egf_closed_form(inner, inner_vals, order)
+        return exp_series(xi(v, x), order) * _closed_form(inner, family, inner_vals, order)
     if id == "F1c":
         b, g, ap, gp = v["beta"], v["gamma"], v["alphap"], v["gammap"]
         pre = exp_series((b - ap * x) * rf(g, b), order)

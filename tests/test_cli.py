@@ -1,6 +1,11 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import gkpfrac
+from gkpfrac import cli
 from gkpfrac.cli import main, parse_poly
 from gkpfrac.exactalg import (
     MPoly, felem_eq, mpoly_from_json, rational, variables,
@@ -332,3 +337,45 @@ def test_vanishing_egf_denominator_is_a_usage_error(tmp_path):
         assert code == 2 and data["exit"] == 2 and not data["ok"], fid
         assert data["error"] == ("VanishingDenominator: %s: denominator %s vanishes"
                                  % (fid, expr))
+
+
+def test_main_builds_one_parser_and_no_option_leaks(monkeypatch, tmp_path, capsys):
+    # the parser is built on the first call and reused; --out and --level
+    # of one call must not reach the next
+    built = []
+    build = cli.build_parser
+
+    def spy():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "_parser", None)
+    out = tmp_path / "first.json"
+    assert main(["search-node", "--label", "0,0", "--level", "1", "--out", str(out)]) == 0
+    first = out.read_text()
+    assert json.loads(first)["node"]["level"] == 1
+    assert capsys.readouterr().out == ""
+    assert main(["group"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "group"
+    assert main(["search-node", "--label", "0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["node"]["level"] == 2
+    assert main(["no-such-command"]) == 2
+    assert out.read_text() == first
+    assert built == [1]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(gkpfrac.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "gkpfrac", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    out = tmp_path / "group.json"
+    done = run("group", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["ok"] is True
+    assert run("no-such-command").returncode == 2

@@ -169,6 +169,9 @@ def test_egf_exponent_guard():
     ("F3b", {"alpha": 1, "gamma": 1, "alphap": 0}, "alphap*x"),
     ("F4a", {"betap": 1, "gammap": 1, "kappa": 0}, "kappa"),
     ("F4b", {"alpha": 1, "gamma": 1, "kappa": 0}, "kappa*x"),
+    # the binomial shifts name themselves, not the family they shift
+    ("F7a", {"beta": 0, "gamma": 1, "betap": 1, "gammap": 1}, "beta"),
+    ("F7b", {"alpha": 1, "gamma": 1, "alphap": 0, "gammap": 1}, "alphap*x"),
 ])
 def test_egf_denominator_guard(fid, vals, expr):
     # every denominator outside the exponent, at a point where only it

@@ -4,6 +4,7 @@ against sympy as an independent oracle, plus hand-built cases for each
 branch of the common-factor helper."""
 import json
 import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -16,8 +17,8 @@ from gkpfrac import exactalg
 from gkpfrac.cfrac import _strip_content
 from gkpfrac.cli import main
 from gkpfrac.exactalg import (
-    MPoly, RatFunc, _common_factor, _scalar_primitive, divide_exact, felem_div,
-    mpoly_gcd, mpoly_lcm, num_den, variables,
+    MPoly, RatFunc, _common_factor, _coprime, _scalar_primitive, divide_exact,
+    felem_div, mpoly_gcd, mpoly_lcm, num_den, variables,
 )
 
 NAMES = ("a", "b", "c", "d")
@@ -168,6 +169,34 @@ def test_wrong_divisibility_raises_instead_of_running_on(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+@contextmanager
+def alarm_window(seconds, what):
+    def too_slow(signum, frame):
+        raise TimeoutError(what)
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_wrong_divisibility_stops_the_heap_division(monkeypatch):
+    # the same fault inside divide_exact: past the first quotient key that
+    # borrows, the heap loop walks down through the packed keys below it
+    # (over 45 s on this pair before the quotient keys were checked)
+    x, y = variables("x y")
+    m = 400
+    b = MPoly(x.vars, {(i, m - i): 1 for i in range(m + 1)})
+    a = MPoly(x.vars, {(m + 1000, 0): 1, (0, 0): 1})
+    monkeypatch.setattr(exactalg, "_divides", lambda kb, ka, guards: ka >= kb)
+    with alarm_window(10, "the division kept going"):
+        with pytest.raises(ArithmeticError, match="out of range"):
+            divide_exact(a, b)
 
 
 def test_common_factor_gcd_that_does_not_shrink_raises(monkeypatch):
@@ -392,12 +421,14 @@ def test_a_cofactor_division_that_fails_raises(monkeypatch, tmp_path):
     # point must raise, never return a wrong gcd or fail on a missing cofactor.
     # The inputs reach the kernel: both have two or more terms and neither
     # divides the other.  The fallback gets (den, num), and a - c divides num
-    # but not den.
+    # but not den.  The coprimality certificate answers "undecided", which is
+    # always a legal answer, so that every pair reaches the faulty PRS.
     a, b, c = variables("a b c")
     num, den = (a + b) * (a - c), (a + b) * (b + c) * (a * b + c + 1)
     x, y = RatFunc(num, c + 2), RatFunc(b, den)
     u, v = RatFunc(MPoly.one(num.vars), num), RatFunc(MPoly.one(num.vars), den)
     monkeypatch.setattr(exactalg, "_content_prs_gcd", lambda p, q: a - c)
+    monkeypatch.setattr(exactalg, "_coprime", lambda p, q: False)
     entry_points = [
         lambda: mpoly_gcd(num, den),
         lambda: RatFunc(num, den),
@@ -452,3 +483,93 @@ def test_prs_coefficients_stay_small_at_numeric_mu(monkeypatch, capsys):
     monkeypatch.setattr(exactalg, "_pseudo_rem", spy)
     assert main(["sfrac", "--mu", "1,2,3,1,1,1", "--depth", "6"]) == 0
     assert widest and max(widest) > 64
+
+
+# -- the coprimality certificate ----------------------------------------------
+
+def certificate_calls(a, b):
+    """mpoly_gcd(a, b), with every call of the certificate that it makes
+    recorded as (p, q, answer)."""
+    calls = []
+    coprime = exactalg._coprime
+
+    def spy(p, q):
+        answer = coprime(p, q)
+        calls.append((p, q, answer))
+        return answer
+
+    exactalg._coprime = spy
+    try:
+        mpoly_gcd(a, b)
+    finally:
+        exactalg._coprime = coprime
+    return calls
+
+
+def occurring(p):
+    return {v for e in p.terms for v, k in zip(p.vars, e) if k}
+
+
+def test_the_certificate_never_proves_a_common_factor_away():
+    # on planted common factors and on the drawn cofactors alone, at every
+    # call that mpoly_gcd makes (the PRS's content steps included)
+    by_images = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(planted(), st.booleans())
+    def check(polys, plant):
+        a, b, factor = polys
+        if not plant:
+            a, b = divide_exact(a, factor), divide_exact(b, factor)
+        for p, q, answer in certificate_calls(a, b):
+            if answer:
+                assert sympy.gcd(to_sympy(p), to_sympy(q)).total_degree() == 0
+                by_images.append(bool(occurring(p) & occurring(q))
+                                 and min(p.total_degree(), q.total_degree()) > 1)
+
+    check()
+    assert any(by_images)
+
+
+def test_the_certificate_decides_each_branch():
+    u, v, w = variables("u v w")
+    # no shared variable; a total degree 1 operand
+    assert _coprime(u + 1, v * w + 2)
+    assert _coprime(u + v + 1, u * v + 2)
+    # coprime images in u and in v
+    assert _coprime(u * v + 1, u * u + v + 3)
+    assert not _coprime((u + v) * (u - w + 1), (u + v) * (v * w + 2))
+    # a denominator that vanishes mod the prime gives no image
+    p = exactalg._IMAGE_PRIME
+    assert _coprime(u * v + Fraction(1, p + 1), u * u + v + 3)
+    assert not _coprime(u * v + Fraction(1, p), u * u + v + 3)
+
+
+def test_every_shared_variable_gets_an_image():
+    # only the image in f shows the common factor f + 1: a certificate
+    # that skips any one shared variable proves one of these pairs coprime
+    vs = variables("u v w")
+    for f in vs:
+        y, z = [x for x in vs if x is not f]
+        assert not _coprime((f + 1) * (y + z + 2), (f + 1) * (y * z + 3))
+
+
+def test_an_image_whose_degree_drops_is_not_accepted():
+    # lc_v(f) = u - r_u and lc_u(f) = v - r_v vanish at the points r, so
+    # both images of f are 1, and the images of a and b are coprime
+    # although f divides both
+    u, v = variables("u v")
+    r_u, r_v = exactalg._image_points(2)[:2]
+    f = (u - r_u) * (v - r_v) + 1
+    assert not _coprime(f * (u + v + 2), f * (u + v + 5))
+
+
+def test_a_gcd_operand_with_a_guard_bit_set_raises():
+    # a borrow from a wrong divisibility test sets the guard bit of a
+    # field; here it sits in u, which b lacks, so without the check the
+    # pair shares no variable and passes as coprime
+    u, v = variables("u v")
+    key = exactalg.EXPONENT_LIMIT << exactalg.FIELD_BITS
+    a = exactalg._mpoly(u.vars, {key: 1, 0: 1})
+    with pytest.raises(ArithmeticError, match="out of range"):
+        _coprime(a, v + 1)
