@@ -25,7 +25,7 @@ print("  all 2x2 minors coefficientwise nonnegative:", rep.ok)
 
 print("\n" + "=" * 72)
 print("All seven indeterminates symbolic: strong log-convexity to n = 8")
-print("  (equivalent to order-2 Hankel total positivity)")
+print("  (with nonnegative entries: order 2 for the 6x6 Hankel matrix of P_0..P_10)")
 print("=" * 72)
 ps = gkp_tilde_polys(10)
 rep = log_convexity(ps, 8, strong=True)

@@ -299,25 +299,37 @@ def cmd_rescale(args):
 
 
 def cmd_hankel(args):
+    m = args.size
+    # both routes answer for the m x m matrix, and the minors are capped
+    if not 1 <= m <= hk.SIZE_CAP:
+        raise UsageError("--size must be between 1 and %d, got %d" % (hk.SIZE_CAP, m))
+    if args.order < 1:
+        raise UsageError("--order must be at least 1, got %d" % args.order)
     if args.family == "gkp-tilde":
-        ps = hk.gkp_tilde_polys(2 * args.size)
+        ps = hk.gkp_tilde_polys(2 * m)
     elif args.mu:
         mu = _parse_mu(args.mu)
-        ps = row_polys(gkp_triangle(mu, 2 * args.size))
+        ps = row_polys(gkp_triangle(mu, 2 * m))
     else:
         raise UsageError("need --family gkp-tilde or --mu")
-    if args.order == 2 and not args.minors:
-        rep = hk.log_convexity(ps, 2 * args.size - 2, strong=True)
-        ok = rep["ok"]
-        return ok, {"hankel": _mk_jsonable(rep),
-                    "method": "strong-log-convexity"}
-    rep = hk.hankel_tp(ps, args.size, args.order)
+    # nonnegative entries a_0..a_{2m-2} and strong log-convexity to n_max =
+    # 2m - 4 imply order 2: every 2 x 2 minor of the m x m matrix is a sum of
+    # the differences.  The converse fails, so the minors decide a failure.
+    if args.order == 2 and not args.minors and m > 1 and \
+            all(hk.coeffwise_nonneg(p)[0] for p in ps[:2 * m - 1]):
+        rep = hk.log_convexity(ps, 2 * m - 4, strong=True)
+        if rep["ok"]:
+            return True, {"hankel": _mk_jsonable(rep),
+                          "method": "strong-log-convexity"}
+    rep = hk.hankel_tp(ps, m, args.order)
     return rep.ok, {"hankel": {"order": rep.order, "ok": rep.ok,
                                "witness": _mk_jsonable(rep.witness)},
                     "method": "minor-enumeration"}
 
 
 def cmd_logconvex(args):
+    if args.nmax < 0:
+        raise UsageError("--nmax must be nonnegative, got %d" % args.nmax)
     mu = _parse_mu(args.mu)
     ps = row_polys(gkp_triangle(mu, args.nmax + 2))
     rep = hk.log_convexity(ps, args.nmax, strong=args.strong)

@@ -366,7 +366,15 @@ class MPoly:
                 return self._plus_scalar(-_norm_scalar(other))
             return NotImplemented
         a, b = self._coerce(other)
-        return a + (-b)
+        out = dict(a._terms)
+        get = out.get
+        for k, c in b._terms.items():
+            s = get(k, 0) - c
+            if s:
+                out[k] = s if type(s) is int or s.denominator != 1 else s.numerator
+            elif k in out:
+                del out[k]
+        return _mpoly(a.vars, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -395,10 +403,20 @@ class MPoly:
         out = {}
         get = out.get
         pairs = list(ta.items())
-        for kb, cb in tb.items():
-            for ka, ca in pairs:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
+        if ta is tb:
+            # a square: each unordered pair of terms once, cross terms doubled
+            for i, (ka, ca) in enumerate(pairs):
+                k = ka + ka
+                out[k] = get(k, 0) + ca * ca
+                ca += ca
+                for kb, cb in pairs[i + 1:]:
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+        else:
+            for kb, cb in tb.items():
+                for ka, ca in pairs:
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
         if _INT_ONLY.issuperset(map(type, ta.values())) and \
                 _INT_ONLY.issuperset(map(type, tb.values())):
             if 0 in out.values():

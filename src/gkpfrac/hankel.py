@@ -2,26 +2,30 @@
 positivity of bounded order, log-convexity, and the two published
 sufficient-condition hypothesis sets.
 
-Bounded-order total positivity builds every minor of one order from the
-minors of the order below (Laplace expansion along the first row), over
-integer-scaled entries, so that a minor costs a few integer-coefficient
-products; only the first failing minor is recomputed from the original
-entries, with ``bareiss_det``, for its witness.  The big order-2 check, strong
-log-convexity, runs on a compressed copy of the sequence: exponents that
-are affine functions of the index and of the other exponents are dropped,
-and one more variable is packed into the integer coefficients by Kronecker
-substitution, so that each ``MPoly`` product of two entries multiplies
-whole columns of terms as single big integers.  A difference has a negative
-coefficient iff a packed slot of it is negative, which one test per integer
-shows; only a failing difference is expanded again, for its witness.
+Both checks run on one compressed copy of the sequence (``_kronecker_pack``):
+the entries are scaled to integer coefficients, exponents that are affine
+functions of the index and of the other exponents are dropped, and one more
+variable is packed into the integer coefficients by Kronecker substitution,
+so that each ``MPoly`` product of two entries multiplies whole columns of
+terms as single big integers; for numeric entries in x alone each entry is
+one integer.  Bounded-order total positivity builds every minor of one
+order from the packed minors of the order below (Laplace expansion along
+the first row); strong log-convexity forms each difference P_m P_{n+2} -
+P_{m+1} P_{n+1}.  A minor or difference has a negative coefficient iff one
+of its packed slots is negative, which one test over its integers shows
+(``_negative_slot``).  Only the first failing minor or difference is
+expanded again from the original entries, for its witness, the minor with
+``bareiss_det``.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
+from operator import or_
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -144,31 +148,40 @@ def hankel_tp(seq: Sequence, m: int, r: int) -> TPReport:
 
     The minors are formed level by level, by Laplace expansion along the
     first row: M(R, C) = sum_t (-1)^t H[R_0][C_t] M(R[1:], C - C_t), with
-    the level below kept only until the current level is done.  Every
-    entry is first scaled by the lcm L of all coefficient denominators, so
-    the products have integer coefficients; an s x s minor is then L^s
-    times the true one, with the same signs (the fraction-free idea of
-    Bareiss, Math. Comp. 22, 1968).  Only the first failing minor is
-    recomputed from the original entries, for its witness."""
+    the level below kept only until the current level is done.  They are
+    built on the entries of ``_kronecker_pack`` for products of min(r, m)
+    entries: every term of one minor is a product of as many entries with
+    the same index sum sum(R) + sum(C), so dropping determined exponents
+    merges no two of its terms.  The entries are scaled by the lcm L of all
+    coefficient denominators; an s x s minor is then L^s times the true
+    one, with the same signs (the fraction-free idea of Bareiss, Math.
+    Comp. 22, 1968).  For numeric entries each packed entry is a single
+    integer and each product one integer product.  Only the first failing
+    minor is recomputed from the original entries, for its witness."""
+    if m < 1 or r < 1:
+        raise ValueError("Hankel size and order must be at least 1, got size %d, "
+                         "order %d" % (m, r))
     if m > SIZE_CAP:
         raise ValueError("Hankel size %d exceeds the cap %d" % (m, SIZE_CAP))
     seq = list(seq)
     H = HankelMatrix.from_sequence(seq, m)
-    vars, scaled = _integer_scaled(_as_mpoly_list(seq[:max(2 * m - 1, 0)]))
+    levels = min(r, m)
+    packed, tops = _kronecker_pack(_as_mpoly_list(seq[:2 * m - 1]), levels)
+    vars = packed[0].vars
     below = {((), ()): MPoly.one(vars)}
-    for s in range(1, r + 1):
+    for s in range(1, levels + 1):
         level = {}
         for rows in combinations(range(m), s):
             head, tail = rows[0], rows[1:]
             for cols in combinations(range(m), s):
                 minor = MPoly.zero(vars)
                 for t, c in enumerate(cols):
-                    a = scaled[head + c]
+                    a = packed[head + c]
                     if not a:
                         continue
                     term = a * below[tail, cols[:t] + cols[t + 1:]]
                     minor = minor + term if t % 2 == 0 else minor - term
-                if least_negative(minor) is not None:
+                if _negative_slot(minor, tops):
                     return _tp_witness(H, r, rows, cols)
                 level[rows, cols] = minor
         below = level
@@ -180,7 +193,7 @@ def _tp_witness(H, r, rows, cols):
     ok, wit = coeffwise_nonneg(minor)
     if ok:
         raise ArithmeticError(
-            "integer check flags the minor with rows %r, cols %r, which has "
+            "packed check flags the minor with rows %r, cols %r, which has "
             "no negative coefficient" % (rows, cols))
     return TPReport(order=r, ok=False, witness={
         "rows": rows, "cols": cols, "minor": minor, "offending": wit})
@@ -202,15 +215,6 @@ def _as_mpoly_list(seq):
     scalar = lambda p: isinstance(p, (int, Fraction))
     vars = next((p.vars for p in reversed(seq) if not scalar(p)), ("x",))
     return [_polynomial(p, vars if scalar(p) else None) for p in seq]
-
-
-def _integer_scaled(polys):
-    """The union of the entries' variable tuples, and the entries over it
-    scaled by the lcm of all their coefficient denominators, so that every
-    coefficient is an integer."""
-    vars = tuple(dict.fromkeys(v for p in polys for v in p.vars))
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return vars, [p.in_vars(vars) * den for p in polys]
 
 
 def _pivot_columns(rows, width):
@@ -244,22 +248,28 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _kronecker_pack(polys):
+def _kronecker_pack(polys, r=2):
     """The entries of ``polys`` as ``MPoly`` values with packed integer
-    coefficients, and the mask of the top bit of every slot.
+    coefficients, for minors of at most r x r (a log-convexity difference
+    has the shape of a 2 x 2 one), and the mask of the top bit of every
+    slot.
 
-    All entries are scaled by the lcm of their coefficient denominators.
-    An exponent that is an affine function of the entry's index and of the
-    other exponents, on every term of every entry, is dropped: both
-    products of a difference have the same index sum, so the dropped
-    exponents of a product term follow from its kept ones.  One kept
-    variable y is packed into the coefficient, c * y^e as c * 2^(W*e)
-    (Kronecker substitution, in the packed layout of Monagan & Pearce,
-    CASC 2007).  A coefficient of a difference of two products is a sum of
-    at most 2*T products of two entry coefficients, T the largest entry
-    size, so W leaves each slot one bit above that bound for the sign."""
-    vars, scaled = _integer_scaled(polys)
-    terms = [list(p.terms.items()) for p in scaled]
+    All entries are put on the union of their variable tuples and scaled by
+    the lcm of their coefficient denominators.  An exponent that is an
+    affine function of the entry's index and of the other exponents, on
+    every term of every entry, is dropped: every product of a minor has as
+    many factors and the same index sum, so the dropped exponents of a
+    minor's term follow from its kept ones.  One kept variable y is packed
+    into the coefficient, c * y^e as c * 2^(W*e) (Kronecker substitution, in
+    the packed layout of Monagan & Pearce, CASC 2007).  A coefficient of an
+    r x r minor is a sum of r! signed products of r entries, each adding at
+    most T^(r-1) products of r entry coefficients, T the largest entry size
+    and top the largest coefficient: W leaves each slot one bit above
+    r! T^(r-1) top^r for the sign, and a minor's y-degree is at most r
+    times the largest one of an entry."""
+    vars = tuple(dict.fromkeys(v for p in polys for v in p.vars))
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    terms = [list((p.in_vars(vars) * den).terms.items()) for p in polys]
     keep = [j - 2 for j in _pivot_columns(
         ((1, i) + e for i, ts in enumerate(terms) for e, _ in ts), len(vars) + 2)
         if j >= 2]
@@ -274,7 +284,7 @@ def _kronecker_pack(polys):
         return e[y] if y is not None else 0
 
     top = max((abs(c) for ts in terms for _, c in ts), default=0)
-    width = (2 * len(largest) * top * top).bit_length() + 1
+    width = (factorial(r) * len(largest) ** (r - 1) * top ** r).bit_length() + 1
     packed = []
     for ts in terms:
         out = {}
@@ -282,24 +292,35 @@ def _kronecker_pack(polys):
             k = tuple(e[j] for j in rest)
             out[k] = out.get(k, 0) + (c << width * slot(e))
         packed.append(MPoly([vars[j] for j in rest], out))
-    slots = 2 * max((slot(e) for ts in terms for e, _ in ts), default=0) + 1
+    slots = r * max((slot(e) for ts in terms for e, _ in ts), default=0) + 1
     tops = ((1 << width * slots) - 1) // ((1 << width) - 1) << (width - 1)
     return packed, tops
+
+
+def _negative_slot(p, tops) -> bool:
+    """Some packed slot of ``p`` is negative: one of its integers is
+    negative, or sets the top bit of a slot.  The lowest negative slot of a
+    nonnegative integer always does, since every slot below it is
+    nonnegative and borrows nothing."""
+    c = p.terms.values()
+    return min(c, default=0) < 0 or bool(reduce(or_, c, 0) & tops)
 
 
 def log_convexity(seq: Sequence, n_max: int, strong: bool = False) -> dict:
     """Coefficientwise log-convexity P_n P_{n+2} - P_{n+1}^2 >= 0 for
     n <= n_max; with ``strong``, P_m P_{n+2} - P_{m+1} P_{n+1} >= 0 for all
-    n >= m >= 0 up to n_max.  Equivalent to Hankel total positivity of order
-    2 in the strong case.  A failure reports the graded-lex least monomial
-    with a negative coefficient.
+    n >= m >= 0 up to n_max.  With nonnegative entries P_0..P_{n_max+2},
+    the strong case implies order-2 total positivity of the Hankel matrix of
+    size n_max/2 + 2, every 2 x 2 minor of which is a sum of the
+    differences; the converse fails, since not every difference is a minor
+    of that matrix.  A failure reports the graded-lex least monomial with a
+    negative coefficient.
 
     The differences are formed on the packed entries of
-    ``_kronecker_pack``.  A difference has a negative coefficient iff one
-    of its packed integers D has a negative slot, i.e. iff D < 0 or D sets
-    the top bit of some slot: the lowest negative slot always does, since
-    every slot below it is nonnegative and borrows nothing.  Only the first
+    ``_kronecker_pack`` and decided by ``_negative_slot``.  Only the first
     failing difference is recomputed unpacked, for its witness."""
+    if n_max < 0:
+        raise ValueError("log-convexity needs n_max >= 0, got %d" % n_max)
     polys = _as_mpoly_list(seq)
     if len(polys) < n_max + 3:
         raise ValueError("need sequence entries through index %d" % (n_max + 2))
@@ -322,7 +343,7 @@ def log_convexity(seq: Sequence, n_max: int, strong: bool = False) -> dict:
 
     for m, n in pairs:
         diff = prod((m, n + 2)) - prod((m + 1, n + 1))
-        if any(d < 0 or d & tops for d in diff.terms.values()):
+        if _negative_slot(diff, tops):
             diff = polys[m] * polys[n + 2] - polys[m + 1] * polys[n + 1]
             bad = least_negative(diff)
             if bad is None:

@@ -2,7 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 import gkpfrac
 from gkpfrac import cli
@@ -264,17 +267,67 @@ def test_logconvex_strong_failure_reports(tmp_path):
 
 
 def test_hankel_order2_is_strong_log_convexity(tmp_path):
+    # size 3: the entries a_0..a_4 and the differences to n_max = 2*3 - 4
     code, data = run_cli(["hankel", "--family", "gkp-tilde", "--size", "3",
                           "--order", "2"], tmp_path)
     assert code == 0 and data["ok"]
     assert data["method"] == "strong-log-convexity"
-    assert data["hankel"] == {"ok": True, "strong": True, "n_max": 4,
+    assert data["hankel"] == {"ok": True, "strong": True, "n_max": 2,
                               "first_failure": None}
+    # a failure is decided, and witnessed, by the minors: here the entry x - 1
     code, data = run_cli(["hankel", "--mu=-1,0,0,0,0,1", "--size", "3",
                           "--order", "2"], tmp_path)
-    assert code == 1 and data["method"] == "strong-log-convexity"
-    assert data["hankel"]["first_failure"] == {
-        "m": 0, "n": 0, "monomial": "x", "coeff": -1}
+    assert code == 1 and data["method"] == "minor-enumeration"
+    assert data["hankel"]["witness"]["rows"] == [0]
+    assert data["hankel"]["witness"]["cols"] == [1]
+    assert data["hankel"]["witness"]["offending"] == {"coeff": -1, "monomial": {"x": 0}}
+
+
+def test_hankel_order2_checks_the_entries_and_only_the_matrix(tmp_path):
+    # the entry a_1 = 1 - 2x fails although every difference passes
+    for argv in (["--order", "2"], ["--order", "2", "--minors"]):
+        code, data = run_cli(["hankel", "--mu=0,-1,1,-2,2,-2", "--size", "3"] + argv,
+                             tmp_path)
+        assert code == 1 and data["method"] == "minor-enumeration", argv
+        assert data["hankel"]["witness"]["offending"] == {"coeff": -2, "monomial": {"x": 1}}
+    # P_1 P_3 - P_2^2 fails, but a_3 lies outside the 2 x 2 matrix
+    for argv in (["--order", "2"], ["--order", "2", "--minors"]):
+        code, data = run_cli(["hankel", "--mu=-1,3,1,0,0,2", "--size", "2"] + argv,
+                             tmp_path)
+        assert code == 0 and data["ok"], argv
+    # P_0 P_4 - P_1 P_3 fails, but it is no minor of the 3 x 3 matrix: the
+    # minors decide, and pass
+    code, data = run_cli(["hankel", "--mu=2,1,1/2,-1,2,0", "--size", "3", "--order", "2"],
+                         tmp_path)
+    assert code == 0 and data["method"] == "minor-enumeration"
+    assert data["hankel"] == {"ok": True, "order": 2, "witness": None}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2, 2), min_size=6, max_size=6), st.integers(2, 5))
+def test_hankel_order2_routes_agree(mu, size):
+    with tempfile.TemporaryDirectory() as d:
+        argv = ["hankel", "--mu=" + ",".join(map(str, mu)), "--size", str(size),
+                "--order", "2"]
+        fast, _ = run_cli(argv, Path(d), "fast.json")
+        minors, _ = run_cli(argv + ["--minors"], Path(d), "minors.json")
+    assert fast == minors
+
+
+def test_vacuous_ranges_are_usage_errors(tmp_path):
+    cases = [
+        (["logconvex", "--mu", "0,1,0,0,0,1", "--nmax", "-1"], "--nmax"),
+        (["logconvex", "--mu", "0,1,0,0,0,1", "--nmax", "-3", "--strong"], "--nmax"),
+        (["hankel", "--family", "gkp-tilde", "--size", "0"], "--size"),
+        # a failing order-2 check past the cap could not be decided by minors
+        (["hankel", "--mu=-1,0,0,0,0,1", "--size", "7", "--order", "2"], "--size"),
+        (["hankel", "--family", "gkp-tilde", "--order", "0"], "--order"),
+        (["hankel", "--mu", "0,1,0,0,0,1", "--order", "-1", "--minors"], "--order"),
+    ]
+    for i, (argv, name) in enumerate(cases):
+        code, data = run_cli(argv, tmp_path, "vacuous%d.json" % i)
+        assert code == 2 and data["exit"] == 2 and not data["ok"], argv
+        assert data["error"].startswith(name + " must be"), argv
 
 
 def test_hankel_minor_enumeration_reports(tmp_path):

@@ -575,6 +575,22 @@ def test_scalar_sums_match_the_general_sum(p, s, cancel):
         assert 0 not in (p + s)._terms
 
 
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operands(scalars=False), operands(scalars=False))
+def test_squares_and_differences_match_the_general_paths(p, q):
+    # a square is taken when both operands share one term dict: the same
+    # object, another MPoly over the same dict, or the base in __pow__
+    square = pair_loop(p, p)
+    assert_same(p * p, square)
+    assert_same(p * _mpoly(p.vars, p._terms), square)
+    assert_same(p ** 2, square)
+    assert_same(p ** 3, pair_loop(square, p))
+    # one-pass differences against the sum with the negation
+    assert_same(p - q, general_sum(p, -q))
+    assert_same(q - p, general_sum(q, -p))
+    assert_same(p - p, general_sum(p, -p))
+
 VALUES = st.one_of(SCALARS, operands(scalars=False),
                    st.sampled_from([MPoly.variable("x", ("x", "a")),
                                     MPoly.variable("a", ("a", "d"))]))

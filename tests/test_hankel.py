@@ -309,14 +309,16 @@ def tp_summary(rep):
 def hankel_tp_cases(draw):
     """Hankel sizes m <= 5 and orders 1 <= r <= m over signed ints,
     Fractions, zeros and MPolys in 1-3 variables (over varying variable
-    tuples) with Fraction coefficients.  Moment sequences sum_k w_k l_k^n
+    tuples) with small or large (up to 10^12) Fraction coefficients of
+    either sign.  Moment sequences sum_k w_k l_k^n
     with positive numeric w_k, l_k pass at every order, and with
     polynomial l_k usually fail only at order 2 or above; a random
     perturbation of one entry moves the first failure around."""
     m = draw(st.integers(1, 5))
     r = draw(st.integers(1, m))
     names = ("x", "y", "z")[:draw(st.integers(1, 3))]
-    coeffs = st.builds(Fraction, st.integers(-3, 6).filter(bool), st.integers(1, 3))
+    numerators = st.integers(-3, 6) | st.integers(-10 ** 12, 10 ** 12)
+    coeffs = st.builds(Fraction, numerators.filter(bool), st.integers(1, 3))
 
     def poly(coeffs):
         vars = names[:draw(st.integers(1, len(names)))]
@@ -339,7 +341,7 @@ def hankel_tp_cases(draw):
         seq = [sum((w * l ** i for w, l in atoms), 0) for i in range(n)]
     if draw(st.booleans()):
         i = draw(st.integers(0, n - 1))
-        seq[i] = seq[i] + draw(st.sampled_from([-1, Fraction(-1, 2), 1]))
+        seq[i] = seq[i] + draw(st.sampled_from([-1, Fraction(-1, 2), 1, -10 ** 9]))
     return seq, m, r
 
 
@@ -364,3 +366,73 @@ def test_hankel_tp_rejects_non_polynomial_entries():
     one = MPoly.one(("x",))
     with pytest.raises(TypeError, match="coefficientwise order applies to polynomials"):
         hankel_tp([one, RatFunc(one, x + 1), x], 2, 2)
+
+
+def test_flagged_minor_under_a_full_mask_raises(monkeypatch):
+    # a mask with every bit set flags the first nonzero packed minor of a
+    # sequence that passes
+    pack = hankel._kronecker_pack
+    monkeypatch.setattr(hankel, "_kronecker_pack", lambda ps, r=2: (pack(ps, r)[0], -1))
+    with pytest.raises(ArithmeticError, match="no negative coefficient"):
+        hankel_tp([1, 1, 2, 6, 24], 3, 3)
+
+
+def test_order3_slot_width_holds_a_minor_past_the_order2_width():
+    # a_n = C A (1 + 2^n + 3^n), A = 1 + y + y^2: a moment sequence, so every
+    # minor is nonnegative; the 3 x 3 one is 4 C^3 A^3, whose coefficient
+    # 28 C^3 at y^3 needs more bits than 2 T top^2.  The bound r! T^(r-1)
+    # top^r is not attained at r = 3 (a 3 x 3 matrix of signs has
+    # determinant at most 4), so this is the largest minor such entries give.
+    C = 1 << 20
+    y, = variables("y")
+    A = 1 + y + y * y
+    seq = [C * A * (1 + 2 ** n + 3 ** n) for n in range(5)]
+    minor = bareiss_det([[seq[i + j] for j in range(3)] for i in range(3)])
+    T, top = 3, max(seq[4].terms.values())
+    assert max(minor.terms.values()) == 28 * C ** 3 > 2 * T * top ** 2
+    # y is packed whole: each entry is one integer, and the slots of the
+    # determinant of those integers are the coefficients of the minor
+    packed, tops = hankel._kronecker_pack(seq, 3)
+    width = (tops & -tops).bit_length()
+    D = cofactor_det([[packed[i + j].constant_value() for j in range(3)] for i in range(3)])
+    slots = []
+    for _ in range(7):
+        s = D & ((1 << width) - 1)
+        s -= (s >> (width - 1)) << width
+        slots.append(s)
+        D = (D - s) >> width
+    assert D == 0 and slots == [minor.terms.get((j,), 0) for j in range(7)]
+    assert tp_summary(hankel_tp(seq, 3, 3)) == tp_summary(minorwise_hankel_tp(seq, 3, 3)) \
+        == (3, True, None)
+
+
+def test_minor_check_sees_negative_slot_in_positive_integer():
+    # every entry has y-degree 2, and every minor of order 1 and 2 passes;
+    # the 3 x 3 minor has its only negative coefficient at y^5, above the
+    # degree 4 of a product of two entries, and a positive top coefficient,
+    # so its packed integer is positive
+    y, = variables("y")
+    seq = [7 * y ** 2 + 2 * y + 7, 10 * y ** 2 + 3 * y + 9, 22 * y ** 2 + 3 * y + 21,
+           58 * y ** 2 + 3 * y + 57, 166 * y ** 2 + 3 * y + 165]
+    packed, tops = hankel._kronecker_pack(seq, 3)
+    rep = hankel_tp(seq, 3, 3)
+    assert tp_summary(rep) == tp_summary(minorwise_hankel_tp(seq, 3, 3))
+    assert rep.witness["rows"] == rep.witness["cols"] == (0, 1, 2)
+    assert rep.witness["offending"] == {"monomial": {"y": 5}, "coeff": -72}
+    assert hankel_tp(seq, 3, 2).ok
+
+
+def test_negative_packed_integer_is_flagged_whatever_the_mask():
+    # a negative integer flags by its sign alone, also when its negative
+    # slot lies above every slot the mask covers
+    assert hankel._negative_slot(MPoly((), {(): -(1 << 64)}), 1 << 7)
+    assert not hankel._negative_slot(MPoly((), {(): 1 << 64}), 1 << 7)
+    assert not hankel._negative_slot(MPoly.zero(()), 1 << 7)
+
+
+def test_empty_ranges_raise():
+    with pytest.raises(ValueError, match="n_max"):
+        log_convexity([1, 1, 1], -1)
+    for m, r in ((0, 2), (2, 0), (3, -1)):
+        with pytest.raises(ValueError, match="at least 1"):
+            hankel_tp([1] * 5, m, r)
