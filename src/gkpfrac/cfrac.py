@@ -11,14 +11,16 @@
 * even contraction (S or special T -> J),
 * the shifted binomial transform and its coefficient laws.
 
-Extraction runs on a pair of polynomial-coefficient series representing the
-current convergent as a quotient, so only one rational-function reduction is
-needed per level.
+One J iteration does all extraction, and one J path sum all confirmation:
+the S-fraction c_1, c_2, ... of a(t) is the J-fraction of a(t^2) with every
+e_k = 0 and f_k = c_k, as Dyck paths are the Motzkin paths without level
+steps.  The iteration runs on a pair of polynomial-coefficient series
+representing the current convergent as a quotient, so only one
+rational-function reduction is needed per level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, count
 from typing import Optional, Sequence
 
@@ -69,15 +71,17 @@ class CFrac:
 
 
 # ---------------------------------------------------------------------------
-# internal quotient-of-polynomial-series representation
+# extraction: one J iteration, S as the J-fraction of a(t^2)
 # ---------------------------------------------------------------------------
 
 def _strip_content(A, B):
-    """Remove a common polynomial factor of all coefficients of A and B."""
+    """Remove a common polynomial factor of all coefficients of A and B,
+    which are MPoly values or scalars.  Zero entries take no part in the
+    gcd and stay as they are."""
     entries = A + B
-    if any(isinstance(c, (int, Fraction)) and c != 0 for c in entries):
+    if any(c and not isinstance(c, MPoly) for c in entries):
         return A, B
-    polys = [i for i, c in enumerate(entries) if isinstance(c, MPoly)]
+    polys = [i for i, c in enumerate(entries) if c]
     g, quos = _common_factor([entries[i] for i in polys])
     if g.is_constant():
         return A, B
@@ -86,76 +90,68 @@ def _strip_content(A, B):
     return entries[:len(A)], entries[len(A):]
 
 
-def _as_quot(series: TruncSeries):
-    """Series with scalar/MPoly/RatFunc coefficients -> (A, B) polynomial
-    coefficient lists with series = A/B and B constant in t."""
-    A, L = clear_denominators(series.coeffs, ())
-    return A, [L] + [0] * series.order
+def _check_series(a: TruncSeries, order: int):
+    if not felem_eq(as_field(a.coeffs[0]), 1):
+        raise ValueError("series must have constant term 1")
+    if order > a.order:
+        raise InsufficientDepth("need order >= %d, have %d" % (order, a.order))
+
+
+def _in_t_squared(a: TruncSeries) -> TruncSeries:
+    """a(t^2), to order 2 * a.order: its J-fraction is e = 0, f = the S
+    coefficients of a(t)."""
+    coeffs = [0] * (2 * a.order + 1)
+    coeffs[::2] = a.coeffs
+    return TruncSeries(2 * a.order, coeffs)
+
+
+def _extract(a: TruncSeries, m: int, name: str) -> CFrac:
+    """e_0..e_{m-1}, f_1..f_m of a series with [t^0] = 1 and order >= 2m,
+    ``name`` naming the f in the error of a series that is not extractable.
+
+    Level step: 1 - 1/g_k = e_k t + f_{k+1} t^2 g_{k+1} on g_k = A/B; stops
+    early when some f vanishes identically, which requires the whole tail
+    to vanish."""
+    A, L = clear_denominators(a.coeffs, ())
+    B = [L] + [0] * a.order
+    es, fs = [], []
+    for k in range(m):
+        C = [x - y for x, y in zip(A, B)]
+        ek = felem_div(C[1], A[0])
+        es.append(ek)
+        p, q = num_den(ek)
+        if not felem_is_zero(ek):
+            # C = q*(A - B) - p*t*A  has zero t^0 and t^1 coefficients; with
+            # e_k = 0, as at every level of a(t^2), p = 0, q = 1 and C = A - B
+            C = [q * C[j] - (p * A[j - 1] if j >= 1 else 0) for j in range(len(A))]
+        fk = felem_div(C[2], q * A[0])
+        if felem_is_zero(fk):
+            if any(not felem_is_zero(as_field(x)) for x in C[2:]):
+                raise NonExtractableSeries(
+                    "%s_%d vanishes but the series continues" % (name, k + 1))
+            return CFrac("J", e=tuple(es), f=tuple(fs), terminated_at=k + 1)
+        fs.append(fk)
+        p2, q2 = num_den(fk)
+        A, B = _strip_content([q2 * x for x in C[2:]],
+                              [(p2 * q) * x for x in A[:-2]])
+    return CFrac("J", e=tuple(es), f=tuple(fs))
 
 
 def extract_sfrac(a: TruncSeries, m: int) -> CFrac:
     """S-fraction coefficients c_1..c_m of a series with [t^0] = 1.
 
-    Iterates f_0 = a,  c_k = [t^1](1 - 1/f_{k-1}),
-    f_k = (1 - 1/f_{k-1})/(c_k t); stops early (``terminated_at``) when some
-    c_k vanishes identically, which requires the whole tail to vanish.
-    """
-    if not felem_eq(as_field(a.coeffs[0]), 1):
-        raise ValueError("series must have constant term 1")
-    if m > a.order:
-        raise InsufficientDepth("need order >= %d, have %d" % (m, a.order))
-    A, B = _as_quot(a)
-    cs = []
-    for k in range(1, m + 1):
-        diff = [x - y for x, y in zip(A, B)]
-        if len(diff) < 2:
-            break
-        num, den = diff[1], A[0]
-        ck = felem_div(num, den)
-        if felem_is_zero(ck):
-            if any(not felem_is_zero(as_field(x)) for x in diff[1:]):
-                raise NonExtractableSeries(
-                    "c_%d vanishes but the series continues" % k)
-            return CFrac("S", c=tuple(cs), terminated_at=k)
-        cs.append(ck)
-        p, q = num_den(ck)
-        A2 = [q * x for x in diff[1:]]
-        B2 = [p * x for x in A[:-1]]
-        A, B = _strip_content(A2, B2)
-    return CFrac("S", c=tuple(cs))
+    They are f_1..f_m of the J-fraction of a(t^2), whose e_k all vanish;
+    ``terminated_at`` is set when some c_k vanishes identically."""
+    _check_series(a, m)
+    j = _extract(_in_t_squared(a), m, "c")
+    return CFrac("S", c=j.f, terminated_at=j.terminated_at)
 
 
 def extract_jfrac(a: TruncSeries, m: int) -> CFrac:
     """J-fraction coefficients e_0..e_{m-1}, f_1..f_m of a series with
-    [t^0] = 1; needs order >= 2m.
-
-    Level step: 1 - 1/g_k = e_k t + f_{k+1} t^2 g_{k+1}; terminates when
-    some f vanishes identically."""
-    if not felem_eq(as_field(a.coeffs[0]), 1):
-        raise ValueError("series must have constant term 1")
-    if 2 * m > a.order:
-        raise InsufficientDepth("need order >= %d, have %d" % (2 * m, a.order))
-    A, B = _as_quot(a)
-    es, fs = [], []
-    for k in range(m):
-        diff = [x - y for x, y in zip(A, B)]
-        ek = felem_div(diff[1], A[0])
-        es.append(ek)
-        p, q = num_den(ek)
-        # C = q*(diff) - p*t*A  has zero t^0 and t^1 coefficients
-        C = [q * diff[j] - (p * A[j - 1] if j >= 1 else 0) for j in range(len(A))]
-        fk = felem_div(C[2], q * A[0])
-        if felem_is_zero(fk):
-            if any(not felem_is_zero(as_field(x)) for x in C[2:]):
-                raise NonExtractableSeries(
-                    "f_%d vanishes but the series continues" % (k + 1))
-            return CFrac("J", e=tuple(es), f=tuple(fs), terminated_at=k + 1)
-        fs.append(fk)
-        p2, q2 = num_den(fk)
-        A2 = [q2 * x for x in C[2:]]
-        B2 = [(p2 * q) * x for x in A[:-2]]
-        A, B = _strip_content(A2, B2)
-    return CFrac("J", e=tuple(es), f=tuple(fs))
+    [t^0] = 1; needs order >= 2m."""
+    _check_series(a, 2 * m)
+    return _extract(a, m, "f")
 
 
 # ---------------------------------------------------------------------------
@@ -204,59 +200,42 @@ def eval_sr(c: Sequence, order: int) -> TruncSeries:
     return _path_series(c, [0] * order, 2, order)
 
 
-def sfrac_mismatch(a: TruncSeries, c: Sequence, order: int) -> Optional[int]:
-    """The first n <= order at which [t^n] of ``a`` differs from [t^n] of the
-    S-fraction with coefficients c_1, c_2, ..., or None when they agree
-    through t^order.  Coefficients past the end of ``c`` count as zero."""
-    c = list(c[:order]) + [0] * (order - len(c))
-    return _first_difference(a, eval_sr(c, order), order)
-
-
-def _first_difference(a: TruncSeries, b: TruncSeries, order: int) -> Optional[int]:
-    """The first n <= order at which a and b differ, or None."""
-    for n in range(order + 1):
-        if not felem_eq(as_field(a.coeffs[n]), as_field(b.coeffs[n])):
-            return n
-    return None
-
-
 def cfrac_confirms(a: TruncSeries, want: CFrac) -> bool:
     """Whether extraction from ``a`` returns the S or J prediction
     ``want``'s coefficients and ``terminated_at``, decided on the series
     without extraction.  With N = a.order, extraction reads c_1..c_N of an
     S-fraction (``extract_sfrac(a, N)``) and e_0..e_{m-1}, f_1..f_m of a
-    J-fraction (``extract_jfrac(a, m)``, m = N // 2).
+    J-fraction (``extract_jfrac(a, m)``, m = N // 2).  An S prediction c
+    is decided as the J prediction e = 0, f = c on a(t^2), the way it is
+    extracted; e has one zero more than c, for a termination point.
 
-    The only Dyck path of semilength n that reaches height n rises straight
-    and falls straight, so [t^n] of an S-fraction is c_1 c_2 ... c_n plus a
-    polynomial in c_1..c_{n-1}.  The only Motzkin paths that reach height k
-    in 2k or 2k + 1 steps rise and fall straight, once with a level step at
-    height k: [t^{2k}] of a J-fraction is f_1 ... f_k plus a polynomial in
-    e_<k, f_<k, and [t^{2k+1}] is f_1 ... f_k e_k plus one in e_<k, f_<=k.
-    So when the predicted c_i, or f_i, before the termination point L are
-    nonzero, the series agrees with the prediction (coefficients from L on
-    taken as zero) exactly when extraction returns it: through t^N, or
-    through t^{2m} for a J-fraction that does not terminate, as extraction
-    of m levels reads no further.  True is therefore certain.  False means
-    extraction differs, or that the series cannot tell: a predicted zero
-    before L, lists shorter than the levels they claim, or L beyond the
-    levels extraction reads."""
+    The only Motzkin paths that reach height k in 2k or 2k + 1 steps rise
+    and fall straight, once with a level step at height k: [t^{2k}] of a
+    J-fraction is f_1 ... f_k plus a polynomial in e_<k, f_<k, and
+    [t^{2k+1}] is f_1 ... f_k e_k plus one in e_<k, f_<=k.  So when the
+    predicted f_i before the termination point L are nonzero, the series
+    agrees with the prediction (coefficients from L on taken as zero)
+    exactly when extraction returns it: through t^N, or through t^{2m} for
+    a fraction that does not terminate, as extraction of m levels reads no
+    further.  True is therefore certain.  False means extraction differs,
+    or that the series cannot tell: a predicted zero before L, lists
+    shorter than the levels they claim, or L beyond the levels extraction
+    reads."""
     L = want.terminated_at
-    levels = a.order if want.kind == "S" else a.order // 2
+    if want.kind == "S":
+        return cfrac_confirms(_in_t_squared(a), CFrac(
+            "J", e=(0,) * (len(want.c) + 1), f=want.c, terminated_at=L))
+    levels = a.order // 2
     if L is not None and L > levels:
         return False
     known = levels if L is None else L - 1
-    lead = want.c if want.kind == "S" else want.f
-    if len(lead) < known or any(felem_is_zero(as_field(v)) for v in lead[:known]):
-        return False
-    if want.kind == "S":
-        return sfrac_mismatch(a, lead[:known], a.order) is None
     e_known = known if L is None else L
-    if len(want.e) < e_known:
+    if len(want.f) < known or len(want.e) < e_known or \
+            any(felem_is_zero(as_field(v)) for v in want.f[:known]):
         return False
-    claim = CFrac("J", e=want.e[:e_known], f=lead[:known], terminated_at=L)
+    claim = CFrac("J", e=want.e[:e_known], f=want.f[:known], terminated_at=L)
     order = 2 * levels if L is None else a.order
-    return _first_difference(a, eval_cfrac(claim, order), order) is None
+    return first_mismatch(zip(count(), a.coeffs, eval_cfrac(claim, order).coeffs)) is None
 
 
 def cfrac_refutation(a: TruncSeries, want: CFrac, name: str) -> Optional[CFrac]:
@@ -268,10 +247,8 @@ def cfrac_refutation(a: TruncSeries, want: CFrac, name: str) -> Optional[CFrac]:
     raised."""
     if cfrac_confirms(a, want):
         return None
-    if want.kind == "S":
-        got = extract_sfrac(a, a.order)
-    else:
-        got = extract_jfrac(a, a.order // 2)
+    got = extract_sfrac(a, a.order) if want.kind == "S" else \
+        extract_jfrac(a, a.order // 2)
     if got.terminated_at == want.terminated_at and \
             first_mismatch(coefficient_pairs(got, want)) is None:
         raise ArithmeticError("%s: the series refutes the prediction but "

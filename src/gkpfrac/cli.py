@@ -19,8 +19,8 @@ import sys
 from fractions import Fraction
 
 from .exactalg import (
-    MPoly, RatFunc, TruncSeries, felem_to_json, rational, series_to_json,
-    variables,
+    EXPONENT_LIMIT, MPoly, RatFunc, TruncSeries, felem_to_json, rational,
+    series_to_json, variables,
 )
 from .gkpcore import (
     GKPParams, PARAM_NAMES, Triangle, gkp_triangle, ogf_trunc, row_polys,
@@ -47,11 +47,15 @@ CHECK_FAILURES = (search.InconsistentNode, search.BadFactorHint,
                   cf.NonExtractableSeries)
 
 
+def _nonnegative(value: int, option: str) -> int:
+    if value < 0:
+        raise UsageError("%s must be nonnegative, got %d" % (option, value))
+    return value
+
+
 def _depth(value: int) -> int:
     cap = int(os.environ.get("GKP_MAX_DEPTH", "24"))
-    if value < 0:
-        raise UsageError("depth must be nonnegative")
-    if value > cap:
+    if _nonnegative(value, "depth") > cap:
         raise UsageError("depth %d exceeds GKP_MAX_DEPTH=%d" % (value, cap))
     return value
 
@@ -137,8 +141,11 @@ def parse_poly(text: str, vars=("x",)):
         base = atom()
         if peek() == "^":
             take()
-            e = take()
-            return base ** int(e)
+            e = peek()
+            if e is None or not e.isdigit() or int(e) >= EXPONENT_LIMIT:
+                raise UsageError("exponent after ^ must be an integer from 0 to"
+                                 " %d in %r" % (EXPONENT_LIMIT - 1, text))
+            return base ** int(take())
         return base
 
     def term():
@@ -328,17 +335,18 @@ def cmd_hankel(args):
 
 
 def cmd_logconvex(args):
-    if args.nmax < 0:
-        raise UsageError("--nmax must be nonnegative, got %d" % args.nmax)
+    nmax = _nonnegative(args.nmax, "--nmax")
     mu = _parse_mu(args.mu)
-    ps = row_polys(gkp_triangle(mu, args.nmax + 2))
-    rep = hk.log_convexity(ps, args.nmax, strong=args.strong)
+    ps = row_polys(gkp_triangle(mu, nmax + 2))
+    rep = hk.log_convexity(ps, nmax, strong=args.strong)
     return rep["ok"], {"logconvex": _mk_jsonable(rep)}
 
 
 def cmd_search_node(args):
     if tuple(tok for tok in args.label.split(",") if tok) not in search.HINT_BOOK:
         raise UsageError("unknown node label %r" % args.label)
+    if args.level is not None and _depth(args.level) < 1:
+        raise UsageError("--level must be at least 1, got %d" % args.level)
     node = search.get_node(args.label)
     rep = search.node_coefficient(node, args.level)
     data = {
@@ -377,11 +385,11 @@ def cmd_combinat(args):
     out = {}
     ok = True
     if args.master is not None:
-        rep = combinat.verify_master_sfrac(args.master)
+        rep = combinat.verify_master_sfrac(_nonnegative(args.master, "--master"))
         out["master"] = _mk_jsonable(rep)
         ok = ok and rep["ok"]
     if args.explicit is not None:
-        rep = combinat.explicit_formula_checks(args.explicit)
+        rep = combinat.explicit_formula_checks(_nonnegative(args.explicit, "--explicit"))
         out["explicit"] = _mk_jsonable(rep)
         ok = ok and rep["ok"]
     if args.stats:
@@ -395,6 +403,8 @@ def cmd_combinat(args):
 def cmd_inverse_pair(args):
     rng = random.Random(args.seed)
     N = _depth(args.depth)
+    _nonnegative(args.random, "--random")
+    _nonnegative(args.identity_range, "--identity-range")
     alpha = Fraction(1) if args.alpha is None else _parse_value(args.alpha)
     results = []
     ok = True

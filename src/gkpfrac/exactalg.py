@@ -1246,6 +1246,9 @@ def felem_div(a, b):
         return Fraction(a) / Fraction(b)
     if isinstance(a, (int, Fraction)):
         a = MPoly.constant(a, b.vars)
+    if a.is_zero() and not felem_is_zero(b):
+        # the zero that the quotient below gives, without building it
+        return MPoly.zero(dict.fromkeys(a.vars + getattr(b, "vars", ())))
     if isinstance(a, MPoly):
         a = _ratfunc(a, MPoly.one(a.vars))
     q = a / b

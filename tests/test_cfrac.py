@@ -1,15 +1,17 @@
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkpfrac.exactalg import MPoly, TruncSeries, as_field, felem_eq, variables
+from gkpfrac.exactalg import (
+    MPoly, TruncSeries, as_field, felem_eq, first_mismatch, variables,
+)
 from gkpfrac.gkpcore import gkp_triangle, ogf_trunc
 from gkpfrac.cfrac import (
     CFrac, InsufficientDepth, NonExtractableSeries, NotContractible,
     binomial_transform_seq, cfrac_confirms, contract, eval_cfrac, eval_jr,
-    eval_sr, eval_tr, extract_jfrac, extract_sfrac, sfrac_mismatch,
-    transform_laws,
+    eval_sr, eval_tr, extract_jfrac, extract_sfrac, transform_laws,
 )
 
 
@@ -301,6 +303,12 @@ def test_sfrac_roundtrip_property(c):
 
 # -- deciding a predicted S-fraction on the series ---------------------------
 
+def first_difference(a, b):
+    """The first n at which the series a and b differ, or None."""
+    bad = first_mismatch(zip(count(), a.coeffs, b.coeffs))
+    return None if bad is None else bad[0]
+
+
 @st.composite
 def nonzero_sfracs(draw):
     """(c, j, delta): 1-6 nonzero Fraction coefficients or 1-4 nonzero MPoly
@@ -329,9 +337,9 @@ def test_series_decides_a_nonzero_prediction(case):
     back = extract_sfrac(a, N)
     assert back.terminated_at is None
     assert all(felem_eq(as_field(x), as_field(y)) for x, y in zip(back.c, c))
-    assert sfrac_mismatch(a, c, N) is None and cfrac_confirms(a, CFrac("S", c=tuple(c)))
+    assert cfrac_confirms(a, CFrac("S", c=tuple(c)))
     bent = c[:j - 1] + [c[j - 1] + delta] + c[j:]
-    assert sfrac_mismatch(a, bent, N) == j
+    assert first_difference(a, eval_sr(bent, N)) == j
     assert not cfrac_confirms(a, CFrac("S", c=tuple(bent)))
 
 
@@ -339,7 +347,7 @@ def test_a_predicted_zero_is_left_to_extraction():
     # 1, 2, 0, 7 has the series of the finite fraction 1, 2: the series
     # agrees at every order, but extraction stops at level 3
     a = eval_sr([1, 2, 0, 0, 0], 5)
-    assert sfrac_mismatch(a, [1, 2, 0, 7, 1], 5) is None
+    assert first_difference(a, eval_sr([1, 2, 0, 7, 1], 5)) is None
     assert extract_sfrac(a, 5).terminated_at == 3
     assert not cfrac_confirms(a, CFrac("S", c=(1, 2, 0, 7, 1)))
     assert cfrac_confirms(a, CFrac("S", c=(1, 2), terminated_at=3))
@@ -349,9 +357,10 @@ def test_a_predicted_zero_is_left_to_extraction():
     # beyond the order, cannot be decided either
     assert not cfrac_confirms(a, CFrac("S", c=(1,), terminated_at=3))
     assert not cfrac_confirms(a.truncate(2), CFrac("S", c=(1, 2), terminated_at=3))
-    # coefficients past a terminated list count as zero
-    assert sfrac_mismatch(a, [1, 2], 5) is None
-    assert sfrac_mismatch(a, [1, 2, 3], 5) == 3
+    # a nonzero c_3 moves t^3 first; the terminated claim sees it
+    assert first_difference(a, eval_sr([1, 2, 3, 0, 0], 5)) == 3
+    assert not cfrac_confirms(a, CFrac("S", c=(1, 2, 3), terminated_at=4))
+    assert not cfrac_confirms(a, CFrac("S", c=(1, 2, 3)))
 
 
 # -- the path evaluator against the bottom-up reciprocal loops ---------------

@@ -5,13 +5,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import gkpfrac
 from gkpfrac import cli
 from gkpfrac.cli import main, parse_poly
 from gkpfrac.exactalg import (
-    MPoly, felem_eq, mpoly_from_json, rational, variables,
+    EXPONENT_LIMIT, MPoly, felem_eq, mpoly_from_json, rational, variables,
 )
 
 
@@ -154,6 +155,8 @@ def test_eval_cfrac_and_parse_poly(tmp_path):
     assert felem_eq(p, 1)
     p = parse_poly("-3/2*x + 1", ("x",))
     assert felem_eq(p, MPoly.constant(1, ("x",)) - x * 3 / 2)
+    top = EXPONENT_LIMIT - 1
+    assert parse_poly("x^%d" % top, ("x",)).total_degree() == top
 
 
 def test_search_node_cli(tmp_path):
@@ -328,6 +331,29 @@ def test_vacuous_ranges_are_usage_errors(tmp_path):
         code, data = run_cli(argv, tmp_path, "vacuous%d.json" % i)
         assert code == 2 and data["exit"] == 2 and not data["ok"], argv
         assert data["error"].startswith(name + " must be"), argv
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["combinat", "--master", "-1"], "--master must be nonnegative"),
+    (["combinat", "--explicit", "-1"], "--explicit must be nonnegative"),
+    (["inverse-pair", "--identity-range", "-1"], "--identity-range must be"),
+    (["inverse-pair", "--random", "-1"], "--random must be nonnegative"),
+    (["search-node", "--label", "0,0", "--level", "0"], "--level must be"),
+    (["search-node", "--label", "0,0", "--level", "-2"], "depth must be"),
+    (["search-node", "--label", "0,0", "--level", "30"], "depth 30 exceeds"),
+])
+def test_counts_that_check_nothing_are_usage_errors(argv, error, tmp_path):
+    code, data = run_cli(argv, tmp_path)
+    assert code == 2 and data["exit"] == 2 and not data["ok"]
+    assert cli.validate_report(data) and data["error"].startswith(error)
+
+
+@pytest.mark.parametrize("exponent", ["", "y", "2/3", "-1", str(EXPONENT_LIMIT)])
+def test_bad_exponents_are_usage_errors(exponent, tmp_path):
+    code, data = run_cli(["eval-cfrac", "--kind", "S", "--order", "2",
+                          "--c", "x^%s;1" % exponent], tmp_path)
+    assert code == 2 and cli.validate_report(data)
+    assert data["error"].startswith("exponent after ^ must be an integer")
 
 
 def test_hankel_minor_enumeration_reports(tmp_path):

@@ -313,6 +313,12 @@ def test_felem_div_returns_the_canonical_form():
         assert felem_eq(got, want), (num, den, got)
     with pytest.raises(ZeroDivisionError):
         felem_div(a, 0)
+    # a zero numerator gives the zero over both variable tuples, as any
+    # other numerator would; a zero denominator still raises
+    zero = felem_div(MPoly.zero(("b",)), a + b)
+    assert type(zero) is MPoly and zero.is_zero() and zero.vars == ("b", "a")
+    with pytest.raises(ZeroDivisionError):
+        felem_div(0 * a, 0 * a)
 
 
 def test_num_den():

@@ -3,12 +3,20 @@
 Everything here avoids the polynomial engine on purpose: triangles are
 rebuilt as weighted lattice-path sums, and continued-fraction coefficients
 are extracted with plain Fraction arithmetic after substituting random
-rational values for every indeterminate (including x).
+rational values for every indeterminate (including x).  The one exception
+is the S-extraction oracle, the former iteration of ``extract_sfrac`` on
+a(t) itself, which checks the J iteration on a(t^2) that replaced it.
 """
 import random
 from fractions import Fraction
 
-from gkpfrac.exactalg import MPoly, RatFunc, as_field
+from hypothesis import example, given, settings, strategies as st
+
+from gkpfrac.cfrac import CFrac, NonExtractableSeries, eval_sr, extract_sfrac
+from gkpfrac.exactalg import (
+    MPoly, RatFunc, TruncSeries, as_field, clear_denominators, felem_div,
+    felem_is_zero, num_den, variables,
+)
 from gkpfrac.gkpcore import GKPParams, gkp_triangle
 from gkpfrac.families import SFRAC_FAMILY_IDS, family_params, get_family
 from gkpfrac.search import BASE, HINT_BOOK, get_node, node_cs
@@ -135,3 +143,71 @@ def test_search_nodes_against_scalar_extraction():
             break
         else:
             raise AssertionError("no usable sample for %s" % (label,))
+
+
+X, Y = variables("x y")
+
+
+def quotient_sfrac(a, m):
+    """The former S iteration on a(t): f_0 = a, c_k = [t^1](1 - 1/f_{k-1}),
+    f_k = (1 - 1/f_{k-1})/(c_k t), with f_k kept as a quotient A/B of
+    polynomial-coefficient series.  No content is removed: that rescales A
+    and B alike and leaves every c_k as it is."""
+    A, L = clear_denominators(a.coeffs, ())
+    B = [L] + [0] * a.order
+    cs = []
+    for k in range(1, m + 1):
+        diff = [x - y for x, y in zip(A, B)]
+        ck = felem_div(diff[1], A[0])
+        if felem_is_zero(ck):
+            if any(not felem_is_zero(as_field(x)) for x in diff[1:]):
+                raise NonExtractableSeries(
+                    "c_%d vanishes but the series continues" % k)
+            return CFrac("S", c=tuple(cs), terminated_at=k)
+        cs.append(ck)
+        p, q = num_den(ck)
+        A, B = [q * x for x in diff[1:]], [p * x for x in A[:-1]]
+    return CFrac("S", c=tuple(cs))
+
+
+@st.composite
+def series_with_constant_term_1(draw):
+    """Order 1-5, coefficients all scalar, all MPoly or partly RatFunc over
+    x, y, a quarter of them zero: the S-fraction of drawn coefficients,
+    which a zero makes terminate, or the coefficients drawn outright, where
+    a zero t-coefficient with a nonzero tail makes the series not
+    extractable."""
+    kind = draw(st.sampled_from(["scalar", "mpoly", "ratfunc"]))
+    small = st.integers(-2, 2)
+
+    def value():
+        if draw(st.integers(0, 3)) == 0:
+            return 0 * X if kind != "scalar" else 0
+        if kind == "scalar":
+            return Fraction(draw(small), draw(st.integers(1, 3)))
+        p = draw(small) + draw(small) * X + draw(small) * Y
+        return p if kind == "mpoly" else felem_div(p, draw(small) * X + Y + 1)
+
+    order = draw(st.integers(1, 5))
+    values = [value() for _ in range(order)]
+    if draw(st.booleans()):
+        return eval_sr(values, order)
+    return TruncSeries(order, [1] + values)
+
+
+def extraction_outcome(extract, a):
+    try:
+        return extract(a, a.order).to_json()
+    except NonExtractableSeries as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(series_with_constant_term_1())
+@example(TruncSeries(4, [1, 0, 1]))
+@example(TruncSeries(3, [1, 0 * X, X, Y]))
+@example(TruncSeries(3, [1, X, X * X, felem_div(X, Y + 1)]))
+@example(eval_sr([felem_div(X, Y + 1), 0 * X, 0 * X], 3))
+def test_sfrac_extraction_against_the_quotient_iteration(a):
+    assert extraction_outcome(extract_sfrac, a) == \
+        extraction_outcome(quotient_sfrac, a)
