@@ -266,15 +266,13 @@ def cmd_verify_egf(args):
 def cmd_symmetry(args):
     mu = _parse_mu(args.mu) if args.mu else list(GKPParams.symbolic())
     N = _depth(args.depth)
-    if args.map == "scaling":
-        kappa, lam = variables("kappa lam", extra=PARAM_NAMES + ("x",))
-        rep = symmetry.verify_action(symmetry.ScalingMap(kappa, lam),
-                                     GKPParams.of(mu), N)
-    else:
-        rep = symmetry.verify_action(args.map, GKPParams.of(mu), N)
+    g = args.map
+    if g == "scaling":
+        g = symmetry.ScalingMap(*variables("kappa lam", extra=PARAM_NAMES + ("x",)))
+    rep = symmetry.verify_action(g, GKPParams.of(mu), N)
     out = {"action": _mk_jsonable(rep)}
     if args.show_map:
-        moved = symmetry.apply_map(args.map, GKPParams.of(mu))
+        moved = symmetry.apply_map(g, GKPParams.of(mu))
         out["mu_transformed"] = [felem_to_json(v) for v in moved]
     return rep["ok"], out
 

@@ -22,8 +22,10 @@ from .gkpcore import (
     GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle, ogf_trunc,
     row_polys, triangle, triangle_mismatch,
 )
-from .cfrac import CFrac, cfrac_refutation, coefficient_pairs, contract, eval_tr
-from .combinat import binom
+from .cfrac import (
+    CFrac, binomial_transform_seq, cfrac_refutation, coefficient_pairs, contract,
+    eval_tr,
+)
 from .matprod import binomial_matrix, triangle_product
 
 
@@ -465,7 +467,9 @@ _BINOMIAL_SHIFTS = {"F7a": ("F3a", lambda v, x: v["gamma"]),
 def verify_binomial_relations(pair: str, N: int = 8) -> dict:
     """The three documented matrix/binomial relations between families:
     7a = gamma-transform of 3a, 7b = (gammap*x)-transform of 3b, and
-    T(family 6) = T(family 2a) * binomial matrix."""
+    T(family 6) = T(family 2a) * binomial matrix.  A row-polynomial
+    transform is ``cfrac.binomial_transform_seq``, which also checks it
+    against the ogf substitution law."""
     if pair in ("7a/3a", "7b/3b"):
         fid = "F" + pair[:2]
         inner, xi = _BINOMIAL_SHIFTS[fid]
@@ -473,8 +477,9 @@ def verify_binomial_relations(pair: str, N: int = 8) -> dict:
         inner_vals = {p: vals[p] for p in CATALOG[inner].params}
         p7 = row_polys(gkp_triangle(family_params(fid, vals), N))
         p3 = row_polys(gkp_triangle(family_params(inner, inner_vals), N))
+        want = binomial_transform_seq(TruncSeries(N, p3), xi(vals, _xvar(vals)))
         report = mismatch_report(first_mismatch(
-            _row_transform_cases(p7, p3, xi(vals, _xvar(vals)), N)))
+            ({"n": n}, p, w) for n, (p, w) in enumerate(zip(p7, want.coeffs))))
     elif pair == "6/2a":
         ap, bp, gp, kp, al = variables("alphap betap gammap kappa alpha", extra=("x",))
         t6 = gkp_triangle(family_params("F6", (ap, bp, gp, kp)), N)
@@ -484,18 +489,6 @@ def verify_binomial_relations(pair: str, N: int = 8) -> dict:
     else:
         raise ValueError("pair must be 7a/3a, 7b/3b or 6/2a")
     return {"pair": pair, **report}
-
-
-def _row_transform_cases(p7, p3, xi, N):
-    """P7_n against sum_k C(n,k) xi^(n-k) P3_k."""
-    for n in range(N + 1):
-        want = 0
-        for k in range(n + 1):
-            term = binom(n, k) * p3[k]
-            if n - k:
-                term = term * xi ** (n - k)
-            want = want + term
-        yield {"n": n}, p7[n], want
 
 
 # ---------------------------------------------------------------------------

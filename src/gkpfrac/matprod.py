@@ -16,7 +16,7 @@ from .exactalg import (
     first_mismatch, mismatch_report, mpoly_gcd, variables,
 )
 from .gkpcore import (
-    CLOSED_FORMS, FOUR_TERM, GKPParams, Triangle, _unroll, _xvar_for,
+    CLOSED_FORMS, FOUR_TERM, GKPParams, TWO_TERM, Triangle, _unroll, _xvar_for,
     binomial_like_triangle, gkp_triangle, gkpz_triangle, row_polys,
     triangle_mismatch,
 )
@@ -60,9 +60,20 @@ def binomial_matrix(xi, N: int) -> Triangle:
     return Triangle(rows)
 
 
-def _check_recurrence(C: Triangle, rec: Callable, N: int):
-    """rec(n, k, entry) must reproduce C(n,k) for 1 <= n <= N."""
-    return triangle_mismatch(C, lambda n, k: rec(n, k, C.entry), N, first=1)
+# neighbour offsets of the claimed product recurrences, besides TWO_TERM
+# and FOUR_TERM
+THREE_TERM = ((1, 0), (1, 1), (1, -1))
+TWO_ROWS = ((1, 0), (1, 1), (2, 0), (2, 1))
+THREE_ROWS = TWO_ROWS + ((3, 0), (3, 1))
+
+
+def _claim(C: Triangle, N: int, offsets, weights: Callable) -> dict:
+    """The verdict of C(n,k) = sum_i w_i C(n - dn_i, k - dk_i) for
+    1 <= n <= N, where ``weights(n, k)`` lists the w_i in the order of the
+    (dn_i, dk_i) in ``offsets``.  C is compared with the triangle this rule
+    unrolls from T(0,0) = 1: every dn_i >= 1, so the first cell where the
+    two differ is the first cell where C breaks the rule."""
+    return triangle_mismatch(C, _unroll(N, offsets, weights).entry, N, first=1)
 
 
 def _symbols(N, *specs):
@@ -83,13 +94,8 @@ def _case_A2(N):
     a, ad, b, bd = _symbols(N, ("a", 1), ("ad", 1), ("b", 0), ("bd", 0))
     A = binomial_like_triangle(lambda n, k: (a(n), ad(n)), N)
     B = binomial_like_triangle(lambda n, k: (b(k), bd(k)), N)
-    C = triangle_product(A, B)
-
-    def rec(n, k, e):
-        return (a(n) + ad(n) * b(k)) * e(n - 1, k) \
-            + ad(n) * bd(k) * e(n - 1, k - 1)
-
-    return _check_recurrence(C, rec, N)
+    return _claim(triangle_product(A, B), N, TWO_TERM, lambda n, k: (
+        a(n) + ad(n) * b(k), ad(n) * bd(k)))
 
 
 def _case_A3(N):
@@ -101,13 +107,8 @@ def _case_A3(N):
     B = binomial_like_triangle(
         lambda n, k: (felem_div(phi(k) - gam(n - 1), de(n)),
                       felem_div(psi(k), de(n))), N)
-    C = triangle_product(A, B)
-
-    def rec(n, k, e):
-        return (al(n) + be(n) * phi(k)) * e(n - 1, k) \
-            + be(n) * psi(k) * e(n - 1, k - 1)
-
-    return _check_recurrence(C, rec, N)
+    return _claim(triangle_product(A, B), N, TWO_TERM, lambda n, k: (
+        al(n) + be(n) * phi(k), be(n) * psi(k)))
 
 
 def _case_A4(N):
@@ -141,13 +142,9 @@ def _case_A5(N):
     a, g, ap, gp, hb, hg, hbp, hgp = variables("a g ap gp hb hg hbp hgp")
     A = gkp_triangle((a, 0, g, ap, 0, gp), N)
     B = gkp_triangle((0, hb, hg, 0, hbp, hgp), N)
-    C = triangle_product(A, B)
-
-    def rec(n, k, e):
-        return ((a * n + g) + (ap * n + gp) * (hb * k + hg)) * e(n - 1, k) \
-            + (ap * n + gp) * (hbp * k + hgp) * e(n - 1, k - 1)
-
-    return _check_recurrence(C, rec, N)
+    return _claim(triangle_product(A, B), N, TWO_TERM, lambda n, k: (
+        (a * n + g) + (ap * n + gp) * (hb * k + hg),
+        (ap * n + gp) * (hbp * k + hgp)))
 
 
 def _case_A6(N):
@@ -156,24 +153,14 @@ def _case_A6(N):
     a, g, gp, hb, hg, hbp, hgp = variables("a g gp hb hg hbp hgp")
     A = gkp_triangle((a, 0, g, 0, 0, gp), N)
     B = gkp_triangle((0, hb, hg, 0, hbp, hgp), N)
-    C = triangle_product(A, B)
-
-    def rec(n, k, e):
-        return ((a + 0 * hg) * n + gp * hb * k + (g + gp * hg)) * e(n - 1, k) \
-            + (0 * n + gp * hbp * k + gp * hgp) * e(n - 1, k - 1)
-
-    out["alphap=0"] = _check_recurrence(C, rec, N)
+    out["alphap=0"] = _claim(triangle_product(A, B), N, TWO_TERM, lambda n, k: (
+        a * n + gp * hb * k + (g + gp * hg), gp * hbp * k + gp * hgp))
 
     a2, g2, ap2, gp2, hg2, hgp2 = variables("a2 g2 ap2 gp2 hg2 hgp2")
     A = gkp_triangle((a2, 0, g2, ap2, 0, gp2), N)
     B = gkp_triangle((0, 0, hg2, 0, 0, hgp2), N)
-    C = triangle_product(A, B)
-
-    def rec2(n, k, e):
-        return ((a2 + ap2 * hg2) * n + (g2 + gp2 * hg2)) * e(n - 1, k) \
-            + (ap2 * hgp2 * n + gp2 * hgp2) * e(n - 1, k - 1)
-
-    out["hatbeta=0"] = _check_recurrence(C, rec2, N)
+    out["hatbeta=0"] = _claim(triangle_product(A, B), N, TWO_TERM, lambda n, k: (
+        (a2 + ap2 * hg2) * n + (g2 + gp2 * hg2), ap2 * hgp2 * n + gp2 * hgp2))
     out["ok"] = out["alphap=0"]["ok"] and out["hatbeta=0"]["ok"]
     return out
 
@@ -193,13 +180,8 @@ def _case_A7(N):
     B = binomial_like_triangle(
         lambda n, k: (-r * n + hb * k + r,
                       hbp * k + hgp), N)
-    C = triangle_product(A, B)
-
-    def rec(n, k, e):
-        return (a * n + gp * hb * k + g) * e(n - 1, k) \
-            + gp * (hbp * k + hgp) * e(n - 1, k - 1)
-
-    return _check_recurrence(C, rec, N)
+    return _claim(triangle_product(A, B), N, TWO_TERM, lambda n, k: (
+        a * n + gp * hb * k + g, gp * (hbp * k + hgp)))
 
 
 def _case_A9(N):
@@ -208,20 +190,13 @@ def _case_A9(N):
     A = binomial_like_triangle(lambda n, k: (g, bp * k + gp), N)
     B = binomial_like_triangle(
         lambda n, k: (hA(k) * n + hG(k), hAd(k) * n + hGd(k)), N)
-    C = triangle_product(A, B)
-
-    def rec(n, k, e):
-        c1 = (bp * n + gp) * (hA(k) * n + hG(k)) + g
-        c2 = (bp * n + gp) * (hAd(k) * n + hGd(k))
-        c3 = -(n - 1) * g * (gp * hA(k) + bp * (hG(k) + (2 * n - 1) * hA(k)))
-        c4 = -(n - 1) * g * (gp * hAd(k) + bp * (hGd(k) + (2 * n - 1) * hAd(k)))
-        c5 = (n - 1) * (n - 2) * g ** 2 * bp * hA(k)
-        c6 = (n - 1) * (n - 2) * g ** 2 * bp * hAd(k)
-        return c1 * e(n - 1, k) + c2 * e(n - 1, k - 1) \
-            + c3 * e(n - 2, k) + c4 * e(n - 2, k - 1) \
-            + c5 * e(n - 3, k) + c6 * e(n - 3, k - 1)
-
-    return _check_recurrence(C, rec, N)
+    return _claim(triangle_product(A, B), N, THREE_ROWS, lambda n, k: (
+        (bp * n + gp) * (hA(k) * n + hG(k)) + g,
+        (bp * n + gp) * (hAd(k) * n + hGd(k)),
+        -(n - 1) * g * (gp * hA(k) + bp * (hG(k) + (2 * n - 1) * hA(k))),
+        -(n - 1) * g * (gp * hAd(k) + bp * (hGd(k) + (2 * n - 1) * hAd(k))),
+        (n - 1) * (n - 2) * g ** 2 * bp * hA(k),
+        (n - 1) * (n - 2) * g ** 2 * bp * hAd(k)))
 
 
 def _case_A10(N):
@@ -230,43 +205,30 @@ def _case_A10(N):
     B = binomial_like_triangle(
         lambda n, k: (hA(k) * n + hG(k), hAd(k) * n + hGd(k)), N)
     C = triangle_product(binomial_matrix(xi, N), B)
-
-    def rec(n, k, e):
-        return (hA(k) * n + hG(k) + xi) * e(n - 1, k) \
-            + (hAd(k) * n + hGd(k)) * e(n - 1, k - 1) \
-            - (n - 1) * xi * (hA(k) * e(n - 2, k) + hAd(k) * e(n - 2, k - 1))
-
-    return _check_recurrence(C, rec, N)
+    return _claim(C, N, TWO_ROWS, lambda n, k: (
+        hA(k) * n + hG(k) + xi, hAd(k) * n + hGd(k),
+        -(n - 1) * xi * hA(k), -(n - 1) * xi * hAd(k)))
 
 
 def _case_A11(N):
     xi, ha, hb, hg, hap, hbp, hgp = variables("xi ha hb hg hap hbp hgp")
     B = gkp_triangle((ha, hb, hg, hap, hbp, hgp), N)
     C = triangle_product(binomial_matrix(xi, N), B)
-
-    def rec(n, k, e):
-        return (ha * n + hb * k + hg + xi) * e(n - 1, k) \
-            + (hap * n + hbp * k + hgp) * e(n - 1, k - 1) \
-            - (n - 1) * xi * (ha * e(n - 2, k) + hap * e(n - 2, k - 1))
-
-    return _check_recurrence(C, rec, N)
+    return _claim(C, N, TWO_ROWS, lambda n, k: (
+        ha * n + hb * k + hg + xi, hap * n + hbp * k + hgp,
+        -(n - 1) * xi * ha, -(n - 1) * xi * hap))
 
 
 def _case_A12(N):
     xi, hA, hG, hAd, hGd, hD, hDd = _symbols(
         N, "xi", ("hA", 0), ("hG", 0), ("hAd", 0), ("hGd", 0), ("hD", 0), ("hDd", 0))
 
-    B = _unroll(N, ((1, 0), (1, 1), (2, 0), (2, 1)), lambda n, k: (
+    B = _unroll(N, TWO_ROWS, lambda n, k: (
         hA(k) * n + hG(k), hAd(k) * n + hGd(k), (n - 1) * hD(k), (n - 1) * hDd(k)))
     C = triangle_product(binomial_matrix(xi, N), B)
-
-    def rec(n, k, e):
-        return (hA(k) * n + hG(k) + xi) * e(n - 1, k) \
-            + (hAd(k) * n + hGd(k)) * e(n - 1, k - 1) \
-            + (n - 1) * (hD(k) - xi * hA(k)) * e(n - 2, k) \
-            + (n - 1) * (hDd(k) - xi * hAd(k)) * e(n - 2, k - 1)
-
-    return _check_recurrence(C, rec, N)
+    return _claim(C, N, TWO_ROWS, lambda n, k: (
+        hA(k) * n + hG(k) + xi, hAd(k) * n + hGd(k),
+        (n - 1) * (hD(k) - xi * hA(k)), (n - 1) * (hDd(k) - xi * hAd(k))))
 
 
 def _case_A13(N):
@@ -275,31 +237,17 @@ def _case_A13(N):
     a, g, gp, hG, hGd = _symbols(N, "a", "g", "gp", ("hG", 0), ("hGd", 0))
     A = binomial_like_triangle(lambda n, k: (a * (n - k) + g, gp), N)
     B = binomial_like_triangle(lambda n, k: (hG(k), hGd(k)), N)
-    C = triangle_product(A, B)
-
-    def rec(n, k, e):
-        cp1 = a * n + g + gp * hG(k)
-        cp2 = gp * hGd(k)
-        cp3 = (n - 1) * gp * (-a) * hG(k)
-        cp4 = (n - 1) * gp * (-a) * hGd(k)
-        return cp1 * e(n - 1, k) + cp2 * e(n - 1, k - 1) \
-            + cp3 * e(n - 2, k) + cp4 * e(n - 2, k - 1)
-
-    out["hatalpha=0"] = _check_recurrence(C, rec, N)
+    out["hatalpha=0"] = _claim(triangle_product(A, B), N, TWO_ROWS, lambda n, k: (
+        a * n + g + gp * hG(k), gp * hGd(k),
+        -(n - 1) * gp * a * hG(k), -(n - 1) * gp * a * hGd(k)))
 
     # sub-case gp * hat-alpha = a (constant hat-alpha)
     g, gp, hAc, hG, hGd = _symbols(N, "g", "gp", "hAc", ("hG", 0), ("hGd", 0))
     a_val = gp * hAc
     A = binomial_like_triangle(lambda n, k: (a_val * (n - k) + g, gp), N)
     B = binomial_like_triangle(lambda n, k: (hAc * n + hG(k), hGd(k)), N)
-    C = triangle_product(A, B)
-
-    def rec2(n, k, e):
-        cp1 = a_val * n + g + gp * (hAc + hG(k))
-        cp2 = gp * hGd(k)
-        return cp1 * e(n - 1, k) + cp2 * e(n - 1, k - 1)
-
-    out["gphatalpha=a"] = _check_recurrence(C, rec2, N)
+    out["gphatalpha=a"] = _claim(triangle_product(A, B), N, TWO_TERM, lambda n, k: (
+        a_val * n + g + gp * (hAc + hG(k)), gp * hGd(k)))
     out["ok"] = out["hatalpha=0"]["ok"] and out["gphatalpha=a"]["ok"]
     return out
 
@@ -332,28 +280,20 @@ def _case_A14(N):
     A = binomial_like_triangle(
         lambda n, k: (be(n) * k + gaN(n), bed(n) * k + gad(n)), N)
     C = triangle_product(A, binomial_matrix(xi, N))
-
-    def rec(n, k, e):
-        return ((be(n) + 2 * xi * bed(n)) * k + gaN(n)
-                + xi * (bed(n) + gad(n))) * e(n - 1, k) \
-            + (bed(n) * k + gad(n)) * e(n - 1, k - 1) \
-            + xi * (be(n) + xi * bed(n)) * (k + 1) * e(n - 1, k + 1)
-
-    return _check_recurrence(C, rec, N)
+    return _claim(C, N, THREE_TERM, lambda n, k: (
+        (be(n) + 2 * xi * bed(n)) * k + gaN(n) + xi * (bed(n) + gad(n)),
+        bed(n) * k + gad(n),
+        xi * (be(n) + xi * bed(n)) * (k + 1)))
 
 
 def _case_A15(N):
     xi, a, b, g, ap, bp, gp = variables("xi a b g ap bp gp")
     A = gkp_triangle((a, b, g, ap, bp, gp), N)
     C = triangle_product(A, binomial_matrix(xi, N))
-
-    def rec(n, k, e):
-        return ((a + xi * ap) * n + (b + 2 * xi * bp) * k + g
-                + xi * (bp + gp)) * e(n - 1, k) \
-            + (ap * n + bp * k + gp) * e(n - 1, k - 1) \
-            + xi * (b + xi * bp) * (k + 1) * e(n - 1, k + 1)
-
-    return _check_recurrence(C, rec, N)
+    return _claim(C, N, THREE_TERM, lambda n, k: (
+        (a + xi * ap) * n + (b + 2 * xi * bp) * k + g + xi * (bp + gp),
+        ap * n + bp * k + gp,
+        xi * (b + xi * bp) * (k + 1)))
 
 
 def _case_A16(N):
@@ -365,38 +305,29 @@ def _case_A16(N):
         sg_(n) * (n - k + 1), tu_(n) * (k + 1)))
     C = triangle_product(A, binomial_matrix(xi, N))
 
-    def rec(n, k, e):
+    def weights(n, k):
         be, bed, gaN, gad = be_(n), bed_(n), gaN_(n), gad_(n)
         sg, tu = sg_(n), tu_(n)
-        t1 = ((be + 2 * xi * bed - 3 * xi ** 2 * sg) * k + gaN
-              + xi * (bed + gad) + xi ** 2 * sg * (n - 1)) * e(n - 1, k)
-        t2 = ((bed - 3 * xi * sg) * k + gad + xi * sg * (2 * n + 1)) \
-            * e(n - 1, k - 1)
-        t3 = sg * (n - k + 1) * e(n - 1, k - 2)
-        t4 = (tu + xi * be + xi ** 2 * bed - xi ** 3 * sg) * (k + 1) \
-            * e(n - 1, k + 1)
-        return t1 + t2 + t3 + t4
+        return (((be + 2 * xi * bed - 3 * xi ** 2 * sg) * k + gaN
+                 + xi * (bed + gad) + xi ** 2 * sg * (n - 1)),
+                (bed - 3 * xi * sg) * k + gad + xi * sg * (2 * n + 1),
+                sg * (n - k + 1),
+                (tu + xi * be + xi ** 2 * bed - xi ** 3 * sg) * (k + 1))
 
-    return _check_recurrence(C, rec, N)
+    return _claim(C, N, FOUR_TERM, weights)
 
 
 def _case_A17(N):
     xi, a, b, g, ap, bp, gp, sg, tu = variables("xi a b g ap bp gp sg tu")
     A = gkpz_triangle((a, b, g, ap, bp, gp, sg, tu), N)
     C = triangle_product(A, binomial_matrix(xi, N))
-
-    def rec(n, k, e):
-        t1 = ((a + xi * ap + xi ** 2 * sg) * n
-              + (b + 2 * xi * bp - 3 * xi ** 2 * sg) * k
-              + g + xi * (bp + gp) - xi ** 2 * sg) * e(n - 1, k)
-        t2 = ((ap + 2 * xi * sg) * n + (bp - 3 * xi * sg) * k
-              + gp + xi * sg) * e(n - 1, k - 1)
-        t3 = sg * (n - k + 1) * e(n - 1, k - 2)
-        t4 = (tu + xi * b + xi ** 2 * bp - xi ** 3 * sg) * (k + 1) \
-            * e(n - 1, k + 1)
-        return t1 + t2 + t3 + t4
-
-    return _check_recurrence(C, rec, N)
+    return _claim(C, N, FOUR_TERM, lambda n, k: (
+        ((a + xi * ap + xi ** 2 * sg) * n
+         + (b + 2 * xi * bp - 3 * xi ** 2 * sg) * k
+         + g + xi * (bp + gp) - xi ** 2 * sg),
+        (ap + 2 * xi * sg) * n + (bp - 3 * xi * sg) * k + gp + xi * sg,
+        sg * (n - k + 1),
+        (tu + xi * b + xi ** 2 * bp - xi ** 3 * sg) * (k + 1)))
 
 
 # right-multiplication by a column-constant-weight array with a nonzero
@@ -429,15 +360,10 @@ def verify_eq_family6_gkpz(N: int = 6) -> dict:
     result does not depend on the free weight alpha."""
     al, kp, ap, bp, gp = variables("al kp ap bp gp")
     t6 = gkp_triangle((kp * (ap + bp), kp * bp, kp * gp, ap, bp, gp), N)
-
-    def rec(n, k, e):
-        t1 = ((al + kp * ap) * n + (-al + 2 * kp * bp) * k - al
-              + kp * (bp + gp)) * e(n - 1, k)
-        t2 = (ap * n + bp * k + gp) * e(n - 1, k - 1)
-        t3 = kp * (-al + kp * bp) * (k + 1) * e(n - 1, k + 1)
-        return t1 + t2 + t3
-
-    return _check_recurrence(t6, rec, N)
+    return _claim(t6, N, THREE_TERM, lambda n, k: (
+        (al + kp * ap) * n + (-al + 2 * kp * bp) * k - al + kp * (bp + gp),
+        ap * n + bp * k + gp,
+        kp * (-al + kp * bp) * (k + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +502,7 @@ def xshift_symbolic_check(n_max: int = 3) -> dict:
     return mismatch_report(bad)
 
 
-def xshift_smalln_check(n_max: int = 3, samples: int = 20, seed: int = 0) -> dict:
+def xshift_smalln_check(samples: int = 20, seed: int = 0) -> dict:
     """Numeric elimination oracle: for random generic parameter tuples, the
     system P_n(x; mu') = P_n(x + xi; mu), n <= 3, has exactly two solutions
     (xi = 0 and the shift involution).
@@ -585,7 +511,7 @@ def xshift_smalln_check(n_max: int = 3, samples: int = 20, seed: int = 0) -> dic
     it are replaced and counted in ``dropped`` by reason.  Every generic
     sample is kept: its count is the true number of solutions, and a known
     solution that the elimination misses is listed in ``unconfirmed``."""
-    sym = xshift_symbolic_check(n_max)
+    sym = xshift_symbolic_check(3)
     if not sym["ok"]:
         return {"ok": False, "symbolic": sym}
     rng = random.Random(seed)

@@ -264,6 +264,6 @@ def test_criterion_13_xshift_uniqueness():
                        "elimination finds exactly 2 solutions at 20 "
                        "generic samples"):
         assert matprod.xshift_symbolic_check(3)["ok"]
-        rep = matprod.xshift_smalln_check(3, samples=20, seed=0)
+        rep = matprod.xshift_smalln_check(samples=20, seed=0)
         assert rep["ok"], rep
         assert rep["samples"] == 20 and all(c == 2 for c in rep["counts"])

@@ -348,6 +348,25 @@ def test_counts_that_check_nothing_are_usage_errors(argv, error, tmp_path):
     assert cli.validate_report(data) and data["error"].startswith(error)
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["symmetry", "--map", "scaling"], 0),
+    (["symmetry", "--map", "scaling", "--show-map"], 0),
+    (["combinat", "--explicit", "4"], 0),
+    (["verify-egf", "--id", "F3a", "--params", ""], 2),
+    (["hankel", "--size", "3"], 2),
+])
+def test_exit_codes_of_less_used_routes(argv, code, tmp_path):
+    got, data = run_cli(argv, tmp_path)
+    assert got == code and data["exit"] == code and data["ok"] is (code == 0)
+    assert cli.validate_report(data)
+    if "--show-map" in argv:
+        kappa, lam, *mu = variables("kappa lam alpha beta gamma alphap betap gammap")
+        want = [kappa * v for v in mu[:3]] + [lam * v for v in mu[3:]]
+        moved = [mpoly_from_json(v) for v in data["mu_transformed"]]
+        assert len(moved) == 6
+        assert all(felem_eq(m, w) for m, w in zip(moved, want))
+
+
 @pytest.mark.parametrize("exponent", ["", "y", "2/3", "-1", str(EXPONENT_LIMIT)])
 def test_bad_exponents_are_usage_errors(exponent, tmp_path):
     code, data = run_cli(["eval-cfrac", "--kind", "S", "--order", "2",

@@ -134,6 +134,31 @@ def test_explicit_formulas():
         {"w": 1, "y": 1, "u": 1, "v": 1}) == 6
 
 
+def _off_at(real, args, delta=1):
+    """``real`` with ``delta`` added to its value at ``args``."""
+    return lambda *a: real(*a) + (delta if a == args else 0)
+
+
+# one injected formula per sub-check; none of the patched functions caches
+@pytest.mark.parametrize("check, patches", [
+    ("stirling_expansion_v=y", {"master_poly_bruteforce": (2,)}),
+    ("cyc_exc_counts", {"cyc_exc_count_formula": (3, 1, 1)}),
+    ("eulerian_ordered_bell", {"factorial": (2,)}),
+    # a master polynomial wrong on both routes passes the v = y expansion;
+    # its u = 1 specialization catches it
+    ("u1_specialization", {"master_poly_bruteforce": (2,),
+                           "master_poly_vy_formula": (2,)}),
+])
+def test_each_explicit_formula_check_can_fail(monkeypatch, check, patches):
+    from gkpfrac import combinat
+    for name, args in patches.items():
+        monkeypatch.setattr(combinat, name, _off_at(getattr(combinat, name), args))
+    rep = explicit_formula_checks(4)
+    assert rep.pop("ok") is False
+    assert rep == {key: key != check for key in rep}
+
+
+
 def test_x_stirling_transform():
     assert x_stirling_transform([1, 0, 0, 0, 0], 1) == [1, 0, 0, 0, 0]
     assert x_stirling_transform([1] * 5, 1) == [1, 1, 2, 5, 15]

@@ -65,6 +65,32 @@ def test_bareiss_matches_cofactor_on_random_matrices():
         assert felem_eq(as_field(bareiss_det(M)), as_field(cofactor_det(M)))
 
 
+def test_bareiss_swaps_rows_at_a_zero_pivot():
+    rng = random.Random(11)
+    u, v = variables("u v")
+    entries = [lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+               lambda: rng.randint(-2, 2) * u + rng.randint(-2, 2) * v
+               + rng.randint(-2, 2)]
+    for n in (4, 5):
+        for entry in entries:
+            M = [[entry() for _ in range(n)] for _ in range(n)]
+            M[0][0] = 0 * M[0][0]
+            M[1][0] = 1 + M[1][0] * M[1][0]      # a nonzero pivot below
+            want = cofactor_det(M)
+            assert not felem_eq(as_field(want), 0)
+            assert felem_eq(as_field(bareiss_det(M)), as_field(want))
+    # the step-0 elimination leaves m[1][1] = 4 * 1 - 2 * 2 = 0
+    M = [[1, 2, 3, 4], [2, 4, 5, 7], [3, 1, 2, 2], [1, 1, 1, 5]]
+    assert bareiss_det(M) == cofactor_det(M) != 0
+    # singular: with a zero leading entry and row 3 = row 1 + row 2; and with
+    # column 2 zero below the pivot after two steps, so no row swaps in
+    M = [[0, 1, 2, 3], [1, 0, 2, 1], [2, 1, 0, 1], [3, 1, 2, 2]]
+    assert bareiss_det(M) == cofactor_det(M) == 0
+    M = [[1, 2, 3, 4, 5], [2, 4, 6, 1, 1], [3, 6, 9, 2, 7], [1, 2, 3, 3, 1],
+         [5, 1, 2, 4, 3]]
+    assert bareiss_det(M) == cofactor_det(M) == 0
+
+
 def test_log_convexity_basics():
     assert log_convexity([1] * 13, 10)["ok"]
     rep = log_convexity([1, 2, 3, 4], 1)

@@ -135,7 +135,7 @@ def test_xshift_symbolic():
 
 
 def test_xshift_numeric_samples():
-    rep = xshift_smalln_check(3, samples=8, seed=0)
+    rep = xshift_smalln_check(samples=8, seed=0)
     assert rep["ok"], rep
     assert all(c == 2 for c in rep["counts"])
     assert rep["dropped"] == {"beta = 0": 1} and rep["unconfirmed"] == []
@@ -156,7 +156,7 @@ def test_xshift_oracle_fails_when_some_samples_break(monkeypatch):
     real = matprod._verify_xshift_solution
     monkeypatch.setattr(matprod, "_verify_xshift_solution",
                         lambda mu, xi: real(mu, xi) and not (xi and mu[4] < 0))
-    rep = xshift_smalln_check(3, samples=20, seed=0)
+    rep = xshift_smalln_check(samples=20, seed=0)
     assert not rep["ok"] and rep["samples"] == 20
     hit = rep["unconfirmed"]
     assert 0 < len(hit) < 20

@@ -1,5 +1,6 @@
 import pytest
 
+from gkpfrac import search as S
 from gkpfrac.exactalg import as_field, felem_eq, ratfunc
 from gkpfrac.search import (
     InconsistentNode, RED_FAMILIES, TERMINATING_FAMILIES, V, family_member,
@@ -226,3 +227,117 @@ def test_child_action_without_a_hint(monkeypatch):
     monkeypatch.setitem(S.HINT_BOOK, node.label, hint)
     with pytest.raises(S.BadFactorHint, match="no hint for child 0,0,0,9z"):
         node_coefficient(node)
+
+
+# -- every documented assertion of a node can fail ---------------------------
+
+def _coefficient(label):
+    return lambda: node_coefficient(get_node(label))
+
+
+def _c_zero(label):
+    return lambda: S._verify_c_zero(get_node(label),
+                                    S.HINT_BOOK[tuple(label.split(","))])
+
+
+def _actions(i, *actions):
+    def edit(hint):
+        factors = [dict(f) for f in hint["factors"]]
+        factors[i]["actions"] = list(actions)
+        hint["factors"] = factors
+    return edit
+
+
+def _split_the_root(hint):
+    # the root's coefficient is a polynomial: its remainder is zero
+    del hint["passthrough"]
+    hint.update(rfactor=lambda v: 1,
+                factors=[{"f": lambda v: v.a, "actions": [("atom",)]}])
+
+
+def _c_zero_edit(**kw):
+    return lambda hint: hint.update(c_zero=dict(hint["c_zero"], **kw))
+
+
+def _deg0_edit(**kw):
+    return lambda hint: hint.update(deg0=dict(hint["deg0"], **kw))
+
+
+_ASSERTION_FAULTS = [
+    ("0,0,0", lambda h: h.update(Q_doc=lambda v: v.a), _coefficient("0,0,0"),
+     "0,0,0: documented Q mismatch"),
+    ("0,0,0", lambda h: h.update(R_doc=lambda v: v.ap * v.x),
+     _coefficient("0,0,0"), "0,0,0: documented R mismatch"),
+    ("0,0,0", lambda h: h.update(rfactor=lambda v: v.x), _coefficient("0,0,0"),
+     "0,0,0: degree collapse fails (degQ=3, degR=2)"),
+    ("0,0,0", lambda h: h.update(rfactor=lambda v: ratfunc(1, v.x)),
+     _coefficient("0,0,0"), "0,0,0: R is not the declared multiple of c_2"),
+    ("0,0,0", lambda h: h.update(own_c=lambda v: v.a), _coefficient("0,0,0"),
+     "0,0,0: documented c_2 mismatch"),
+    ("0,0,0", lambda h: h.update(passthrough=("0", lambda v: [], [])),
+     _coefficient("0,0,0"), "0,0,0: expected a polynomial coefficient"),
+    ("0,0,0", _deg0_edit(lead_factors=[("solve", lambda v: v.a)]),
+     _coefficient("0,0,0"),
+     "0,0,0: deg-0 leading-coefficient factorization mismatch"),
+    ("0,0,1b", _deg0_edit(lead_factors=[("solve", lambda v: v.ap + v.bp),
+                                        ("atom", lambda v: v.b)]),
+     _coefficient("0,0,1b"), "0,0,1b: deg-0 atom not certified"),
+    ("0,0,0", lambda h: h.update(deg0={"impossible": True}),
+     _coefficient("0,0,0"), "0,0,0: deg-0 branch declared impossible but the "
+     "leading coefficient is not certified nonzero"),
+    ("0,0,0", _actions(0, ("atom",)), _coefficient("0,0,0"),
+     "0,0,0: remainder factor not excluded by the inequations"),
+    ("0,0,0,1b", _actions(0, ("discard", [("betap", lambda v: 0)], "F1a")),
+     _coefficient("0,0,0,1b"), "0,0,0,1b: discarded branch is not inside F1a"),
+    ("0,0,0", _actions(0, ("bogus",)), _coefficient("0,0,0"),
+     "unknown hint kind 'bogus'"),
+    ("0", _split_the_root, _coefficient("0"),
+     "0: remainder vanished but factors given"),
+    # the parent's edits reach the child through get_node's replay
+    ("0,0", _actions(0, ("child", "1a", [("gamma", lambda v: 1 - v.a)])),
+     _coefficient("0,0,1a"), "0,0,1a: ancestor equation fails to vanish"),
+    ("0,0", _deg0_edit(solve=[("alpha", lambda v: 0), ("alphap", lambda v: 0),
+                              ("gammap", lambda v: -v.bp)]),
+     _coefficient("0,0,0"), "0,0,0: series terminated at level 2"),
+    ("0,0,0", _c_zero_edit(solve=[("alpha", lambda v: 0)]), _c_zero("0,0,0"),
+     "0,0,0: documented vanishing submanifold does not kill the coefficient"),
+    ("0,0,0", _c_zero_edit(action=("discard", "F2a", None)), _c_zero("0,0,0"),
+     "0,0,0: trivial terminating case is not in F2a"),
+    ("0,0,0", lambda h: h.update(c_zero=None), _c_zero("0,0,0"),
+     "0,0,0: coefficient could vanish but no action documented"),
+    # run_tree raises at its second node, 0,0
+    ("0,0", lambda h: h.update(rem_doc=lambda v: v.a), run_tree,
+     "0,0: documented remainder mismatch"),
+]
+
+
+@pytest.mark.parametrize("label, edit, drive, message", _ASSERTION_FAULTS,
+                         ids=[fault[-1] for fault in _ASSERTION_FAULTS])
+def test_each_documented_assertion_can_fail(monkeypatch, label, edit, drive,
+                                            message):
+    key = tuple(label.split(","))
+    hint = dict(S.HINT_BOOK[key])
+    edit(hint)
+    monkeypatch.setitem(S.HINT_BOOK, key, hint)
+    with pytest.raises((InconsistentNode, S.BadFactorHint)) as exc:
+        drive()
+    assert str(exc.value) == message
+
+
+def test_red_leaf_outside_its_family(monkeypatch):
+    # the leaf check before it pins the child's series, which fixes mu, so
+    # no hint edit was found that keeps the prediction and leaves the
+    # family; the family's relations are edited instead
+    relations = S.FAMILY_RELATIONS["F2b"]
+    monkeypatch.setitem(S.FAMILY_RELATIONS, "F2b",
+                        lambda m: relations(m) + [m[0]])
+    with pytest.raises(InconsistentNode,
+                       match="^0,0,0,0: parameters not inside family F2b$"):
+        node_coefficient(get_node("0,0,0"))
+
+
+def test_a_node_without_a_record(monkeypatch):
+    monkeypatch.delitem(S.HINT_BOOK, ("0",))
+    with pytest.raises(InconsistentNode,
+                       match="^node 0 is not in the documented tree$"):
+        node_coefficient(S.root_node())
