@@ -96,13 +96,15 @@ def _parse_params(text):
 
 
 def _parse_coeff_list(text, vars=("x",)):
-    out = []
-    for tok in text.split(";"):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append(parse_poly(tok, vars))
-    return out
+    """The polynomials of a semicolon-separated list; an empty entry would
+    shift every later coefficient down one level, so it is refused."""
+    if not text:
+        return []
+    toks = [tok.strip() for tok in text.split(";")]
+    if "" in toks:
+        raise UsageError("empty entry %d in the list %r"
+                         % (toks.index("") + 1, text))
+    return [parse_poly(tok, vars) for tok in toks]
 
 
 def parse_poly(text: str, vars=("x",)):

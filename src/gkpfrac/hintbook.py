@@ -1,18 +1,29 @@
-"""Documented decision-tree data: per node, the parameter substitution and
-inequations in force, the declared R-multiplier, the documented remainder,
-and the fully attributed factorization of the remainder numerator.
+"""Documented decision-tree data: per node, the inequations in force
+(``atoms``), the node's own coefficient (``own_c``) and what its vanishing
+gives (``c_zero``), the declared R-multiplier (``rfactor``), the documented
+remainder (``rem_doc``, and ``Q_doc``/``R_doc`` where recorded) and two
+fully attributed factor lists: ``factors`` of the remainder numerator and
+``deg0["factors"]`` of the x^1 coefficient of R, whose vanishing drops R to
+degree 0.  A node whose coefficient is a polynomial has
+``passthrough=token`` instead: its one child reads its own record.
 
-Factor entries are dicts {"f": builder, "mult": power in the numerator,
-"actions": [...]} where each action is one of
+Every branch is written in one grammar.  A factor is a dict {"f": builder,
+"mult": power (default 1), "actions": [...]} where each action is one of
 
-    ("atom",)                              factor is excluded by an inequation
-    ("child", token, solve)                new internal node
+    ("atom",)                               excluded by an inequation
+    ("discard", solve, family)              inside an earlier family
+    ("child", token, solve)                 new internal node
     ("red", token, solve, (family, binding, atoms))
-    ("terminating", token, solve, (s_id, binding))
-    ("discard", solve, family)             contained in an earlier family
+    ("terminating", token, solve, (s_id, binding[, atoms]))
 
-and ``solve`` is a list of (parameter, value-builder) eliminations.  All
-builders take the generator namespace.
+``solve`` is a list of (parameter, value-builder) eliminations that kill
+the factor, and a leaf's ``atoms`` are its inequations; a terminating leaf
+without them keeps its node's.  ``deg0["const_atoms"]`` must stay nonzero
+on every degree-0 branch.  ``c_zero`` is None when one of the coefficient's
+two x-coefficients is a product of atoms, else one action on the
+coefficient itself: a ``discard``, or a ``terminating`` leaf with token
+``c=0`` and empty atoms (six of the seven such solves kill one of their
+node's inequations).  All builders take the generator namespace.
 """
 from __future__ import annotations
 
@@ -31,21 +42,19 @@ def make_hint_book(V):
 
     return {
         ("0",): _h(
-            free=("alpha", "beta", "gamma", "alphap", "betap", "gammap"),
-            atoms=lambda v: [],
             own_c=lambda v: 1,
             c_zero=None,
-            passthrough=("0", lambda v: [],
-                         [(lambda v: v.a + v.g, lambda v: v.ap + v.bp + v.gp)]),
+            passthrough="0",
         ),
         ("0", "0"): _h(
             atoms=lambda v: [],
             own_c=lambda v: (v.a + v.g) + (v.ap + v.bp + v.gp) * v.x,
-            c_zero=_h(solve=[("gamma", lambda v: -v.a),
-                             ("gammap", lambda v: -v.ap - v.bp)],
-                      action=("terminating", "s0",
-                              lambda v: {"alpha": v.a, "beta": v.b,
-                                         "alphap": v.ap, "betap": v.bp})),
+            c_zero=("terminating", "c=0",
+                    [("gamma", lambda v: -v.a),
+                     ("gammap", lambda v: -v.ap - v.bp)],
+                    ("s0", lambda v: {"alpha": v.a, "beta": v.b,
+                                      "alphap": v.ap, "betap": v.bp},
+                     lambda v: [])),
             rfactor=lambda v: 1,
             rem_doc=lambda v: (v.a + v.g)
             * (v.bp * (v.a + v.g) - v.b * (v.ap + v.bp + v.gp))
@@ -54,9 +63,11 @@ def make_hint_book(V):
             + (2 * v.a * v.ap + v.a * v.bp + v.a * v.gp + v.b * v.bp
                + v.b * v.gp + v.b * v.ap + v.g * v.ap) * v.x
             + (v.ap + v.bp) * (v.ap + v.bp + v.gp) * v.x ** 2,
-            deg0=_h(token="0", solve=[("gammap", lambda v: -v.ap - v.bp)],
-                    lead_factors=[("solve", lambda v: v.ap + v.bp + v.gp)],
-                    const_atoms=[lambda v: v.a + v.g]),
+            deg0=_h(const_atoms=[lambda v: v.a + v.g], factors=[
+                _h(f=lambda v: v.ap + v.bp + v.gp,
+                   actions=[("child", "0",
+                             [("gammap", lambda v: -v.ap - v.bp)])]),
+            ]),
             factors=[
                 _h(f=lambda v: v.a + v.g, mult=1,
                    actions=[("child", "1a", [("gamma", lambda v: -v.a)])]),
@@ -69,23 +80,23 @@ def make_hint_book(V):
         ),
         ("0", "0", "0"): _h(
             atoms=lambda v: [v.a + v.g],
-            disj=[(lambda v: v.a, lambda v: v.ap)],
             own_c=lambda v: v.a + v.ap * v.x,
-            c_zero=_h(solve=[("alpha", lambda v: 0), ("alphap", lambda v: 0)],
-                      action=("discard", "F2b", None)),
+            c_zero=("discard", [("alpha", lambda v: 0),
+                                ("alphap", lambda v: 0)], "F2b"),
             rfactor=lambda v: 1,
             rem_doc=lambda v: v.a * (v.a * v.bp - v.b * v.ap) / v.ap,
             Q_doc=lambda v: v.a * (2 * v.a + v.g)
             + v.ap * (3 * v.a + v.b + v.g) * v.x
             + v.ap * (v.ap + v.bp) * v.x ** 2,
             R_doc=lambda v: v.a + v.ap * v.x,
-            deg0=_h(token="0", solve=[("alphap", lambda v: 0)],
-                    lead_factors=[("solve", lambda v: v.ap)],
-                    const_atoms=[lambda v: v.a],
-                    red=("F2b",
-                         lambda v: {"alpha": v.a, "beta": v.b, "gamma": v.g,
-                                    "betap": v.bp},
-                         lambda v: [v.a + v.g, 2 * v.a + v.g, v.a])),
+            deg0=_h(const_atoms=[lambda v: v.a], factors=[
+                _h(f=lambda v: v.ap,
+                   actions=[("red", "0", [("alphap", lambda v: 0)],
+                             ("F2b",
+                              lambda v: {"alpha": v.a, "beta": v.b,
+                                         "gamma": v.g, "betap": v.bp},
+                              lambda v: [v.a + v.g, 2 * v.a + v.g, v.a]))]),
+            ]),
             factors=[
                 _h(f=lambda v: v.a, mult=1,
                    actions=[("child", "1a", [("alpha", lambda v: 0)])]),
@@ -96,11 +107,9 @@ def make_hint_book(V):
         ),
         ("0", "0", "1a"): _h(
             atoms=lambda v: [v.ap + v.bp + v.gp],
-            disj=[(lambda v: v.a + v.b, lambda v: v.ap + v.bp)],
             own_c=lambda v: (v.a + v.b) + (v.ap + v.bp) * v.x,
-            c_zero=_h(solve=[("beta", lambda v: -v.a),
-                             ("betap", lambda v: -v.ap)],
-                      action=("discard", "F2a", None)),
+            c_zero=("discard", [("beta", lambda v: -v.a),
+                                ("betap", lambda v: -v.ap)], "F2a"),
             rfactor=lambda v: 1,
             rem_doc=lambda v: (v.a + v.b) * (v.a * v.bp - v.b * v.ap)
             / (v.ap + v.bp),
@@ -108,9 +117,10 @@ def make_hint_book(V):
             + (v.a + v.b) * (3 * v.ap + 2 * v.bp + v.gp) * v.x
             + (v.ap + v.bp) * (2 * v.ap + 2 * v.bp + v.gp) * v.x ** 2,
             R_doc=lambda v: v.a + v.b + (v.ap + v.bp) * v.x,
-            deg0=_h(token="0", solve=[("betap", lambda v: -v.ap)],
-                    lead_factors=[("solve", lambda v: v.ap + v.bp)],
-                    const_atoms=[lambda v: v.a + v.b, lambda v: v.gp]),
+            deg0=_h(factors=[
+                _h(f=lambda v: v.ap + v.bp,
+                   actions=[("child", "0", [("betap", lambda v: -v.ap)])]),
+            ], const_atoms=[lambda v: v.a + v.b, lambda v: v.gp]),
             factors=[
                 _h(f=lambda v: v.a + v.b, mult=1,
                    actions=[("red", "1a", [("beta", lambda v: -v.a)],
@@ -133,18 +143,17 @@ def make_hint_book(V):
         ),
         ("0", "0", "1b"): _h(
             atoms=lambda v: [v.ap + v.bp + v.gp, v.a + v.g],
-            disj=[(lambda v: v.a, lambda v: v.ap + v.bp)],
             own_c=lambda v: v.a + (v.ap + v.bp) * v.x,
-            c_zero=_h(solve=[("alpha", lambda v: 0),
-                             ("betap", lambda v: -v.ap)],
-                      action=("discard", "F6", None)),
+            c_zero=("discard", [("alpha", lambda v: 0),
+                                ("betap", lambda v: -v.ap)], "F6"),
             rfactor=lambda v: v.ap + v.bp + v.gp,
             rem_doc=lambda v: v.a * v.bp
             * (v.a * v.gp - v.g * v.ap - v.g * v.bp) / (v.ap + v.bp),
-            deg0=_h(token="0", solve=[("betap", lambda v: -v.ap)],
-                    lead_factors=[("solve", lambda v: v.ap + v.bp),
-                                  ("atom", lambda v: v.ap + v.bp + v.gp)],
-                    const_atoms=[lambda v: v.a, lambda v: v.gp]),
+            deg0=_h(const_atoms=[lambda v: v.a, lambda v: v.gp], factors=[
+                _h(f=lambda v: v.ap + v.bp,
+                   actions=[("child", "0", [("betap", lambda v: -v.ap)])]),
+                _h(f=lambda v: v.ap + v.bp + v.gp, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.a, mult=1,
                    actions=[("child", "1a", [("alpha", lambda v: 0)])]),
@@ -169,22 +178,22 @@ def make_hint_book(V):
         # -------------------------------------------------------------- c4
         ("0", "0", "0", "1a"): _h(
             atoms=lambda v: [v.g, v.ap],
-            disj=[(lambda v: v.b + v.g, lambda v: v.ap + v.bp)],
             own_c=lambda v: (v.b + v.g) + (v.ap + v.bp) * v.x,
-            c_zero=_h(solve=[("gamma", lambda v: -v.b),
-                             ("betap", lambda v: -v.ap)],
-                      action=("discard", "F1b", None)),
+            c_zero=("discard", [("gamma", lambda v: -v.b),
+                                ("betap", lambda v: -v.ap)], "F1b"),
             rfactor=lambda v: 1,
             rem_doc=lambda v: -(v.b + v.g) * (v.b * v.ap - v.g * v.bp)
             / (v.ap + v.bp),
             Q_doc=lambda v: (3 * v.b * v.ap + v.b * v.bp + 2 * v.g * v.ap)
             * v.x + (v.ap + v.bp) * (2 * v.ap + v.bp) * v.x ** 2,
-            deg0=_h(token="0", solve=[("betap", lambda v: -v.ap)],
-                    lead_factors=[("solve", lambda v: v.ap + v.bp)],
-                    const_atoms=[lambda v: v.b + v.g],
-                    red=("F1b",
-                         lambda v: {"beta": v.b, "gamma": v.g, "alphap": v.ap},
-                         lambda v: [v.b + v.g, v.g, v.ap])),
+            deg0=_h(const_atoms=[lambda v: v.b + v.g], factors=[
+                _h(f=lambda v: v.ap + v.bp,
+                   actions=[("red", "0", [("betap", lambda v: -v.ap)],
+                             ("F1b",
+                              lambda v: {"beta": v.b, "gamma": v.g,
+                                         "alphap": v.ap},
+                              lambda v: [v.b + v.g, v.g, v.ap]))]),
+            ]),
             factors=[
                 _h(f=lambda v: v.b + v.g, mult=1,
                    actions=[("child", "1a", [("gamma", lambda v: -v.b)])]),
@@ -195,22 +204,21 @@ def make_hint_book(V):
         ),
         ("0", "0", "0", "1b"): _h(
             atoms=lambda v: [v.ap, v.a + v.g],
-            disj=[(lambda v: 2 * v.a + v.g, lambda v: v.ap + v.bp)],
             own_c=lambda v: (2 * v.a + v.g) + (v.ap + v.bp) * v.x,
-            c_zero=_h(solve=[("gamma", lambda v: -2 * v.a),
-                             ("betap", lambda v: -v.ap)],
-                      action=("discard", "F3b", None)),
+            c_zero=("discard", [("gamma", lambda v: -2 * v.a),
+                                ("betap", lambda v: -v.ap)], "F3b"),
             rfactor=lambda v: v.ap,
             rem_doc=lambda v: v.bp * (2 * v.a + v.g)
             * (v.a * v.ap - v.a * v.bp + v.g * v.ap) / (v.ap + v.bp),
-            deg0=_h(token="0", solve=[("betap", lambda v: -v.ap)],
-                    lead_factors=[("solve", lambda v: v.ap + v.bp),
-                                  ("atom", lambda v: v.ap)],
-                    const_atoms=[lambda v: 2 * v.a + v.g],
-                    red=("F3b",
-                         lambda v: {"alpha": v.a, "gamma": v.g,
-                                    "alphap": v.ap},
-                         lambda v: [v.ap, v.a + v.g, 2 * v.a + v.g])),
+            deg0=_h(const_atoms=[lambda v: 2 * v.a + v.g], factors=[
+                _h(f=lambda v: v.ap + v.bp,
+                   actions=[("red", "0", [("betap", lambda v: -v.ap)],
+                             ("F3b",
+                              lambda v: {"alpha": v.a, "gamma": v.g,
+                                         "alphap": v.ap},
+                              lambda v: [v.ap, v.a + v.g, 2 * v.a + v.g]))]),
+                _h(f=lambda v: v.ap, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.bp, mult=1,
                    actions=[("discard", [("betap", lambda v: 0)], "F5")]),
@@ -225,20 +233,19 @@ def make_hint_book(V):
         ),
         ("0", "0", "1a", "0"): _h(
             atoms=lambda v: [v.gp, v.a + v.b],
-            disj=[(lambda v: v.a, lambda v: v.ap + v.gp)],
             own_c=lambda v: v.a + (v.ap + v.gp) * v.x,
-            c_zero=_h(solve=[("alpha", lambda v: 0),
-                             ("gammap", lambda v: -v.ap)],
-                      action=("discard", "F1a", None)),
+            c_zero=("discard", [("alpha", lambda v: 0),
+                                ("gammap", lambda v: -v.ap)], "F1a"),
             rfactor=lambda v: 1,
             rem_doc=lambda v: -v.a * (v.a * v.ap + v.b * v.ap + v.b * v.gp)
             / (v.ap + v.gp),
             Q_doc=lambda v: v.a * (2 * v.a + v.b)
             + (3 * v.a * v.ap + 2 * v.b * v.ap + 2 * v.a * v.gp
                + 2 * v.b * v.gp) * v.x,
-            deg0=_h(token="0", solve=[("gammap", lambda v: -v.ap)],
-                    lead_factors=[("solve", lambda v: v.ap + v.gp)],
-                    const_atoms=[lambda v: v.a]),
+            deg0=_h(const_atoms=[lambda v: v.a], factors=[
+                _h(f=lambda v: v.ap + v.gp,
+                   actions=[("child", "0", [("gammap", lambda v: -v.ap)])]),
+            ]),
             factors=[
                 _h(f=lambda v: v.a, mult=1,
                    actions=[("red", "1a", [("alpha", lambda v: 0)],
@@ -254,20 +261,19 @@ def make_hint_book(V):
         ),
         ("0", "0", "1a", "1b"): _h(
             atoms=lambda v: [v.ap, v.ap + v.bp, v.ap + v.bp + v.gp],
-            disj=[(lambda v: v.a, lambda v: 2 * v.ap + 2 * v.bp + v.gp)],
             own_c=lambda v: v.a + (2 * v.ap + 2 * v.bp + v.gp) * v.x,
-            c_zero=_h(solve=[("alpha", lambda v: 0),
-                             ("gammap", lambda v: -2 * v.ap - 2 * v.bp)],
-                      action=("discard", "F2a", None)),
+            c_zero=("discard", [("alpha", lambda v: 0),
+                                ("gammap", lambda v: -2 * v.ap - 2 * v.bp)],
+                    "F2a"),
             rfactor=lambda v: v.ap,
             rem_doc=lambda v: -v.a ** 2 * v.bp * (v.ap + 2 * v.bp + v.gp)
             / (2 * v.ap + 2 * v.bp + v.gp),
-            deg0=_h(token="0",
-                    solve=[("gammap", lambda v: -2 * v.ap - 2 * v.bp)],
-                    lead_factors=[("solve",
-                                   lambda v: 2 * v.ap + 2 * v.bp + v.gp),
-                                  ("atom", lambda v: v.ap)],
-                    const_atoms=[lambda v: v.a]),
+            deg0=_h(const_atoms=[lambda v: v.a], factors=[
+                _h(f=lambda v: 2 * v.ap + 2 * v.bp + v.gp,
+                   actions=[("child", "0",
+                             [("gammap", lambda v: -2 * v.ap - 2 * v.bp)])]),
+                _h(f=lambda v: v.ap, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.a, mult=2,
                    actions=[("discard", [("alpha", lambda v: 0)], "F2a")]),
@@ -280,18 +286,17 @@ def make_hint_book(V):
         ),
         ("0", "0", "1b", "0"): _h(
             atoms=lambda v: [v.a, v.gp, v.a + v.g],
-            disj=[(lambda v: 2 * v.a + v.g, lambda v: v.ap + v.gp)],
             own_c=lambda v: (2 * v.a + v.g) + (v.ap + v.gp) * v.x,
-            c_zero=_h(solve=[("gamma", lambda v: -2 * v.a),
-                             ("gammap", lambda v: -v.ap)],
-                      action=("discard", "F4b", None)),
+            c_zero=("discard", [("gamma", lambda v: -2 * v.a),
+                                ("gammap", lambda v: -v.ap)], "F4b"),
             rfactor=lambda v: v.gp,
             rem_doc=lambda v: v.ap * (2 * v.a + v.g)
             * (v.a * v.ap + v.g * v.ap - v.a * v.gp) / (v.ap + v.gp),
-            deg0=_h(token="0", solve=[("gammap", lambda v: -v.ap)],
-                    lead_factors=[("solve", lambda v: v.ap + v.gp),
-                                  ("atom", lambda v: v.gp)],
-                    const_atoms=[lambda v: 2 * v.a + v.g]),
+            deg0=_h(const_atoms=[lambda v: 2 * v.a + v.g], factors=[
+                _h(f=lambda v: v.ap + v.gp,
+                   actions=[("child", "0", [("gammap", lambda v: -v.ap)])]),
+                _h(f=lambda v: v.gp, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.ap, mult=1,
                    actions=[("discard", [("alphap", lambda v: 0)], "F5")]),
@@ -311,26 +316,23 @@ def make_hint_book(V):
         ),
         ("0", "0", "1b", "1a"): _h(
             atoms=lambda v: [v.ap + v.bp, v.ap + v.bp + v.gp, v.g],
-            disj=[(lambda v: v.g * (v.ap + 2 * v.bp + v.gp),
-                   lambda v: 2 * v.ap + 2 * v.bp + v.gp)],
             own_c=lambda v: ratfunc(v.g * (v.ap + 2 * v.bp + v.gp),
                                     v.ap + v.bp + v.gp)
             + (2 * v.ap + 2 * v.bp + v.gp) * v.x,
-            c_zero=_h(solve=[("alphap", lambda v: 0),
-                             ("gammap", lambda v: -2 * v.bp)],
-                      action=("discard", "F4a", None)),
+            c_zero=("discard", [("alphap", lambda v: 0),
+                                ("gammap", lambda v: -2 * v.bp)], "F4a"),
             rfactor=lambda v: v.ap + v.bp + v.gp,
             R_doc=lambda v: v.g * (v.ap + 2 * v.bp + v.gp)
             + (v.ap + v.bp + v.gp) * (2 * v.ap + 2 * v.bp + v.gp) * v.x,
             rem_doc=lambda v: -v.ap * v.bp * v.g ** 2
             * (v.ap + 2 * v.bp + v.gp)
             / ((v.ap + v.bp + v.gp) * (2 * v.ap + 2 * v.bp + v.gp)),
-            deg0=_h(token="0",
-                    solve=[("gammap", lambda v: -2 * v.ap - 2 * v.bp)],
-                    lead_factors=[("solve",
-                                   lambda v: 2 * v.ap + 2 * v.bp + v.gp),
-                                  ("atom", lambda v: v.ap + v.bp + v.gp)],
-                    const_atoms=[lambda v: v.ap, lambda v: v.g]),
+            deg0=_h(const_atoms=[lambda v: v.ap, lambda v: v.g], factors=[
+                _h(f=lambda v: 2 * v.ap + 2 * v.bp + v.gp,
+                   actions=[("child", "0",
+                             [("gammap", lambda v: -2 * v.ap - 2 * v.bp)])]),
+                _h(f=lambda v: v.ap + v.bp + v.gp, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.g, mult=2, actions=[("atom",)]),
                 _h(f=lambda v: v.bp, mult=1,
@@ -356,11 +358,13 @@ def make_hint_book(V):
             rem_doc=lambda v: -2 * v.b ** 2 * v.ap / (2 * v.ap + v.bp),
             Q_doc=lambda v: 2 * v.b * (2 * v.ap + v.bp) * v.x
             + 2 * (v.ap + v.bp) * (2 * v.ap + v.bp) * v.x ** 2,
-            deg0=_h(token="0", solve=[("betap", lambda v: -2 * v.ap)],
-                    lead_factors=[("solve", lambda v: 2 * v.ap + v.bp)],
-                    const_atoms=[lambda v: v.b],
-                    terminating=("s4a",
-                                 lambda v: {"beta": v.b, "alphap": v.ap})),
+            deg0=_h(const_atoms=[lambda v: v.b], factors=[
+                _h(f=lambda v: 2 * v.ap + v.bp,
+                   actions=[("terminating", "0",
+                             [("betap", lambda v: -2 * v.ap)],
+                             ("s4a",
+                              lambda v: {"beta": v.b, "alphap": v.ap}))]),
+            ]),
             factors=[
                 _h(f=lambda v: v.b, mult=2, actions=[("atom",)]),
                 _h(f=lambda v: v.ap, mult=1, actions=[("atom",)]),
@@ -369,19 +373,19 @@ def make_hint_book(V):
         ("0", "0", "0", "1a", "1b"): _h(
             atoms=lambda v: [v.g, v.ap, v.b + v.g, v.b + 2 * v.g],
             own_c=lambda v: ratfunc(v.ap * (v.b + 2 * v.g), v.g) * v.x,
-            c_zero=_h(solve=[("beta", lambda v: -2 * v.g)],
-                      action=("terminating", "s1a",
-                              lambda v: {"gamma": v.g, "alphap": v.ap})),
-            passthrough=("0", lambda v: [], []),
+            c_zero=("terminating", "c=0", [("beta", lambda v: -2 * v.g)],
+                    ("s1a", lambda v: {"gamma": v.g, "alphap": v.ap},
+                     lambda v: [])),
+            passthrough="0",
         ),
         ("0", "0", "0", "1b", "1a"): _h(
             atoms=lambda v: [v.ap + v.bp, v.a, v.ap, 2 * v.ap + v.bp],
             own_c=lambda v: ratfunc(2 * v.ap + v.bp, v.ap)
             * (v.a + v.ap * v.x),
-            c_zero=_h(solve=[("betap", lambda v: -2 * v.ap)],
-                      action=("terminating", "s3a",
-                              lambda v: {"alpha": v.a, "alphap": v.ap})),
-            passthrough=("0", lambda v: [], []),
+            c_zero=("terminating", "c=0", [("betap", lambda v: -2 * v.ap)],
+                    ("s3a", lambda v: {"alpha": v.a, "alphap": v.ap},
+                     lambda v: [])),
+            passthrough="0",
         ),
         ("0", "0", "0", "1b", "1b"): _h(
             atoms=lambda v: [v.ap + v.bp, v.a, v.ap, v.bp],
@@ -389,12 +393,14 @@ def make_hint_book(V):
             c_zero=None,
             rfactor=lambda v: v.ap,
             rem_doc=lambda v: -2 * v.a ** 2 * v.bp ** 2 / (2 * v.ap + v.bp),
-            deg0=_h(token="0", solve=[("betap", lambda v: -2 * v.ap)],
-                    lead_factors=[("solve", lambda v: 2 * v.ap + v.bp),
-                                  ("atom", lambda v: v.ap)],
-                    const_atoms=[lambda v: v.a],
-                    terminating=("s5a",
-                                 lambda v: {"alpha": v.a, "alphap": v.ap})),
+            deg0=_h(const_atoms=[lambda v: v.a], factors=[
+                _h(f=lambda v: 2 * v.ap + v.bp,
+                   actions=[("terminating", "0",
+                             [("betap", lambda v: -2 * v.ap)],
+                             ("s5a",
+                              lambda v: {"alpha": v.a, "alphap": v.ap}))]),
+                _h(f=lambda v: v.ap, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.a, mult=2, actions=[("atom",)]),
                 _h(f=lambda v: v.bp, mult=2, actions=[("atom",)]),
@@ -406,7 +412,7 @@ def make_hint_book(V):
             c_zero=None,
             rfactor=lambda v: 1,
             rem_doc=lambda v: -2 * (v.a + v.b) * (2 * v.a + v.b),
-            deg0=_h(impossible=[("atom", lambda v: v.ap)]),
+            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
             factors=[
                 _h(f=lambda v: v.a + v.b, mult=1, actions=[("atom",)]),
                 _h(f=lambda v: 2 * v.a + v.b, mult=1,
@@ -419,19 +425,19 @@ def make_hint_book(V):
         ("0", "0", "1a", "0", "1b"): _h(
             atoms=lambda v: [v.ap + v.gp, v.a, v.gp, v.ap + 2 * v.gp],
             own_c=lambda v: ratfunc(v.a * (v.ap + 2 * v.gp), v.ap + v.gp),
-            c_zero=_h(solve=[("alphap", lambda v: -2 * v.gp)],
-                      action=("terminating", "s1b",
-                              lambda v: {"alpha": v.a, "gammap": v.gp})),
-            passthrough=("0", lambda v: [], []),
+            c_zero=("terminating", "c=0", [("alphap", lambda v: -2 * v.gp)],
+                    ("s1b", lambda v: {"alpha": v.a, "gammap": v.gp},
+                     lambda v: [])),
+            passthrough="0",
         ),
         ("0", "0", "1a", "1b", "0"): _h(
             atoms=lambda v: [v.ap + v.bp, v.a, v.ap, 2 * v.ap + v.bp],
             own_c=lambda v: ratfunc(2 * v.ap + v.bp, v.ap)
             * (v.a + v.ap * v.x),
-            c_zero=_h(solve=[("betap", lambda v: -2 * v.ap)],
-                      action=("terminating", "s3b",
-                              lambda v: {"alpha": v.a, "alphap": v.ap})),
-            passthrough=("0", lambda v: [], []),
+            c_zero=("terminating", "c=0", [("betap", lambda v: -2 * v.ap)],
+                    ("s3b", lambda v: {"alpha": v.a, "alphap": v.ap},
+                     lambda v: [])),
+            passthrough="0",
         ),
         ("0", "0", "1a", "1b", "1a"): _h(
             atoms=lambda v: [v.ap + v.bp, v.ap, v.bp],
@@ -441,8 +447,10 @@ def make_hint_book(V):
             rfactor=lambda v: v.ap,
             rem_doc=lambda v: -v.a ** 2 * v.bp ** 2 * (2 * v.ap + v.bp)
             / (2 * v.ap * (v.ap + v.bp)),
-            deg0=_h(impossible=[("atom", lambda v: v.ap),
-                                ("atom", lambda v: v.ap + v.bp)]),
+            deg0=_h(factors=[
+                _h(f=lambda v: v.ap, actions=[("atom",)]),
+                _h(f=lambda v: v.ap + v.bp, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.a, mult=2,
                    actions=[("discard", [("alpha", lambda v: 0)], "F2a")]),
@@ -460,7 +468,7 @@ def make_hint_book(V):
             c_zero=None,
             rfactor=lambda v: 1,
             rem_doc=lambda v: -2 * v.a * (3 * v.a + v.g),
-            deg0=_h(impossible=[("atom", lambda v: v.ap)]),
+            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
             factors=[
                 _h(f=lambda v: v.a, mult=1, actions=[("atom",)]),
                 _h(f=lambda v: 3 * v.a + v.g, mult=1,
@@ -473,18 +481,18 @@ def make_hint_book(V):
         ("0", "0", "1b", "0", "1a"): _h(
             atoms=lambda v: [v.ap + v.gp, v.a, v.gp, v.ap + 2 * v.gp],
             own_c=lambda v: ratfunc(v.a * (v.ap + 2 * v.gp), v.gp),
-            c_zero=_h(solve=[("alphap", lambda v: -2 * v.gp)],
-                      action=("terminating", "s2b",
-                              lambda v: {"alpha": v.a, "gammap": v.gp})),
-            passthrough=("0", lambda v: [], []),
+            c_zero=("terminating", "c=0", [("alphap", lambda v: -2 * v.gp)],
+                    ("s2b", lambda v: {"alpha": v.a, "gammap": v.gp},
+                     lambda v: [])),
+            passthrough="0",
         ),
         ("0", "0", "1b", "1a", "0"): _h(
             atoms=lambda v: [v.g, v.ap, v.ap + v.bp, 2 * v.ap + v.bp],
             own_c=lambda v: (2 * v.ap + v.bp) * v.x,
-            c_zero=_h(solve=[("betap", lambda v: -2 * v.ap)],
-                      action=("terminating", "s2a",
-                              lambda v: {"gamma": v.g, "alphap": v.ap})),
-            passthrough=("0", lambda v: [], []),
+            c_zero=("terminating", "c=0", [("betap", lambda v: -2 * v.ap)],
+                    ("s2a", lambda v: {"gamma": v.g, "alphap": v.ap},
+                     lambda v: [])),
+            passthrough="0",
         ),
         ("0", "0", "1b", "1a", "1b"): _h(
             atoms=lambda v: [v.ap + v.bp, v.g, v.ap, v.bp],
@@ -493,7 +501,9 @@ def make_hint_book(V):
             rfactor=lambda v: 1,
             rem_doc=lambda v: -v.g ** 2 * (2 * v.ap + v.bp)
             / (2 * (v.ap + v.bp)),
-            deg0=_h(impossible=[("atom", lambda v: v.ap + v.bp)]),
+            deg0=_h(factors=[
+                _h(f=lambda v: v.ap + v.bp, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.g, mult=2, actions=[("atom",)]),
                 _h(f=lambda v: 2 * v.ap + v.bp, mult=1,
@@ -512,9 +522,11 @@ def make_hint_book(V):
             rfactor=lambda v: v.g ** 2,
             rem_doc=lambda v: -v.b * v.g ** 3 * (2 * v.b + v.g)
             / (2 * (v.b + v.g)),
-            deg0=_h(impossible=[("atom", lambda v: v.g),
-                                ("atom", lambda v: v.ap),
-                                ("atom", lambda v: v.b + v.g)]),
+            deg0=_h(factors=[
+                _h(f=lambda v: v.g, actions=[("atom",)]),
+                _h(f=lambda v: v.ap, actions=[("atom",)]),
+                _h(f=lambda v: v.b + v.g, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.g, mult=3, actions=[("atom",)]),
                 _h(f=lambda v: v.b, mult=1,
@@ -531,8 +543,10 @@ def make_hint_book(V):
             rfactor=lambda v: v.ap,
             rem_doc=lambda v: -v.a ** 2 * v.bp * (v.ap + 2 * v.bp)
             / (2 * (v.ap + v.bp)),
-            deg0=_h(impossible=[("atom", lambda v: v.ap),
-                                ("atom", lambda v: v.ap + v.bp)]),
+            deg0=_h(factors=[
+                _h(f=lambda v: v.ap, actions=[("atom",)]),
+                _h(f=lambda v: v.ap + v.bp, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.a, mult=2, actions=[("atom",)]),
                 _h(f=lambda v: v.bp, mult=1,
@@ -548,10 +562,12 @@ def make_hint_book(V):
             c_zero=None,
             rfactor=lambda v: v.ap + v.gp,
             rem_doc=lambda v: -2 * v.a ** 2 * v.ap * v.gp / (2 * v.ap + v.gp),
-            deg0=_h(token="0", solve=[("gammap", lambda v: -2 * v.ap)],
-                    lead_factors=[("solve", lambda v: 2 * v.ap + v.gp),
-                                  ("atom", lambda v: v.ap + v.gp)],
-                    const_atoms=[lambda v: v.a]),
+            deg0=_h(const_atoms=[lambda v: v.a], factors=[
+                _h(f=lambda v: 2 * v.ap + v.gp,
+                   actions=[("child", "0",
+                             [("gammap", lambda v: -2 * v.ap)])]),
+                _h(f=lambda v: v.ap + v.gp, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.a, mult=2, actions=[("atom",)]),
                 _h(f=lambda v: v.ap, mult=1,
@@ -566,8 +582,10 @@ def make_hint_book(V):
             rfactor=lambda v: v.ap,
             rem_doc=lambda v: 2 * v.a ** 2 * v.bp * (v.ap - v.bp)
             / (v.ap + v.bp),
-            deg0=_h(impossible=[("atom", lambda v: v.ap),
-                                ("atom", lambda v: v.ap + v.bp)]),
+            deg0=_h(factors=[
+                _h(f=lambda v: v.ap, actions=[("atom",)]),
+                _h(f=lambda v: v.ap + v.bp, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.a, mult=2, actions=[("atom",)]),
                 _h(f=lambda v: v.bp, mult=1,
@@ -583,10 +601,12 @@ def make_hint_book(V):
             rfactor=lambda v: v.gp,
             rem_doc=lambda v: -2 * v.a ** 2 * v.ap * (v.ap + v.gp)
             / (2 * v.ap + v.gp),
-            deg0=_h(token="0", solve=[("gammap", lambda v: -2 * v.ap)],
-                    lead_factors=[("solve", lambda v: 2 * v.ap + v.gp),
-                                  ("atom", lambda v: v.gp)],
-                    const_atoms=[lambda v: v.a]),
+            deg0=_h(const_atoms=[lambda v: v.a], factors=[
+                _h(f=lambda v: 2 * v.ap + v.gp,
+                   actions=[("child", "0",
+                             [("gammap", lambda v: -2 * v.ap)])]),
+                _h(f=lambda v: v.gp, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.a, mult=2, actions=[("atom",)]),
                 _h(f=lambda v: v.ap, mult=1,
@@ -602,7 +622,9 @@ def make_hint_book(V):
             rfactor=lambda v: v.ap + v.bp,
             rem_doc=lambda v: 2 * v.g ** 2 * v.ap * v.bp * (v.ap - v.bp)
             / (v.ap + v.bp) ** 2,
-            deg0=_h(impossible=[("atom", lambda v: v.ap + v.bp)]),
+            deg0=_h(factors=[
+                _h(f=lambda v: v.ap + v.bp, mult=2, actions=[("atom",)]),
+            ]),
             factors=[
                 _h(f=lambda v: v.g, mult=2, actions=[("atom",)]),
                 _h(f=lambda v: v.ap, mult=1, actions=[("atom",)]),
@@ -616,11 +638,10 @@ def make_hint_book(V):
         ("0", "0", "0", "1a", "1b", "0", "1a"): _h(
             atoms=lambda v: [v.b, v.ap],
             own_c=lambda v: v.b + 2 * v.ap * v.x,
-            doc_own_c=lambda v: v.b + 2 * v.ap * v.x,
             c_zero=None,
             rfactor=lambda v: 1,
             rem_doc=lambda v: Fraction(-5, 4) * v.b ** 2,
-            deg0=_h(impossible=[("atom", lambda v: v.ap)]),
+            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
             factors=[_h(f=lambda v: v.b, mult=2, actions=[("atom",)])],
         ),
         ("0", "0", "0", "1b", "1a", "0", "1a"): _h(
@@ -629,7 +650,7 @@ def make_hint_book(V):
             c_zero=None,
             rfactor=lambda v: -1,
             rem_doc=lambda v: Fraction(5, 16) * v.a ** 2,
-            deg0=_h(impossible=[("atom", lambda v: v.bp)]),
+            deg0=_h(factors=[_h(f=lambda v: v.bp, actions=[("atom",)])]),
             factors=[_h(f=lambda v: v.a, mult=2, actions=[("atom",)])],
         ),
         ("0", "0", "1a", "0", "1b", "0", "0"): _h(
@@ -638,7 +659,7 @@ def make_hint_book(V):
             c_zero=None,
             rfactor=lambda v: 1,
             rem_doc=lambda v: -20 * v.a ** 2,
-            deg0=_h(impossible=[("atom", lambda v: v.ap)]),
+            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
             factors=[_h(f=lambda v: v.a, mult=2, actions=[("atom",)])],
         ),
         ("0", "0", "1a", "1b", "0", "0", "1a"): _h(
@@ -647,7 +668,7 @@ def make_hint_book(V):
             c_zero=None,
             rfactor=lambda v: 1,
             rem_doc=lambda v: Fraction(-4, 5) * v.a ** 2,
-            deg0=_h(impossible=[("atom", lambda v: v.ap)]),
+            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
             factors=[_h(f=lambda v: v.a, mult=2, actions=[("atom",)])],
         ),
         ("0", "0", "1b", "0", "1a", "0", "0"): _h(
@@ -656,7 +677,7 @@ def make_hint_book(V):
             c_zero=None,
             rfactor=lambda v: -1,
             rem_doc=lambda v: 5 * v.a ** 2,
-            deg0=_h(impossible=[("atom", lambda v: v.ap)]),
+            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
             factors=[_h(f=lambda v: v.a, mult=2, actions=[("atom",)])],
         ),
         ("0", "0", "1b", "1a", "0", "0", "1a"): _h(
@@ -665,7 +686,7 @@ def make_hint_book(V):
             c_zero=None,
             rfactor=lambda v: 1,
             rem_doc=lambda v: Fraction(-1, 5) * v.g ** 2,
-            deg0=_h(impossible=[("atom", lambda v: v.ap)]),
+            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
             factors=[_h(f=lambda v: v.g, mult=2, actions=[("atom",)])],
         ),
     }

@@ -7,7 +7,10 @@ engine recomputes all fraction coefficients from scratch, then verifies
 every documented assertion exactly -- the substitutions, the inequations,
 the remainder and its factorization, the degree collapse of the numerator
 and denominator polynomials, the family membership of every classified
-branch -- and raises instead of silently accepting a violation.
+branch -- and raises instead of silently accepting a violation.  Every
+branch (a factor of the remainder numerator or of the deg-0 leading
+coefficient, or the node's own coefficient vanishing) goes through one
+action interpreter, ``_take``.
 
 Each node's own split coefficient is extracted from its series.  A leaf's
 claimed S-fraction (the ten red families, the thirteen terminating ones) is
@@ -24,7 +27,7 @@ from itertools import count
 from typing import Optional
 
 from .exactalg import (
-    MPoly, RatFunc, as_field, as_mpoly, clear_denominators, divide_exact,
+    MPoly, as_field, as_mpoly, clear_denominators, divide_exact,
     felem_div, felem_eq, felem_is_zero, first_mismatch, num_den,
     remainder_in_x, variables, x_coeffs,
 )
@@ -91,7 +94,6 @@ class SearchNode:
     subs: dict                     # base parameter -> value in the survivors
     free: tuple                    # surviving parameter names
     atoms: tuple                   # known-nonzero side conditions
-    disjunctions: tuple = ()       # documented "A != 0 or B != 0" records
     equations: tuple = ()          # factor expressions solved along the path
 
     @property
@@ -143,7 +145,7 @@ def _solve_mapping(solve):
     return mapping
 
 
-def _child_node(node: SearchNode, token: str, solve, atoms_fn, disj=(),
+def _child_node(node: SearchNode, token: str, solve, atoms_fn,
                 factor_exprs=(), const_atoms=()) -> SearchNode:
     mapping = _solve_mapping(solve)
     subs = {p: _subst_field(node.subs[p], mapping) for p in BASE}
@@ -153,9 +155,7 @@ def _child_node(node: SearchNode, token: str, solve, atoms_fn, disj=(),
         subs=subs,
         free=free,
         atoms=tuple(atoms_fn(V)) if atoms_fn else node.atoms,
-        disjunctions=tuple(disj),
-        equations=node.equations + tuple(f for f in factor_exprs
-                                         if f is not None),
+        equations=node.equations + tuple(factor_exprs),
     )
     _check_consistency(child, const_atoms)
     return child
@@ -234,14 +234,18 @@ def _nonzero_certified(expr, atoms) -> bool:
     return strip(num).is_constant() and strip(den).is_constant()
 
 
-def _ratio_constant(a, b) -> bool:
-    a, b = as_field(a), as_field(b)
-    if felem_is_zero(a) or felem_is_zero(b):
-        return False
-    r = felem_div(a, b)
-    if isinstance(r, MPoly):
-        return r.is_constant()
-    return not isinstance(r, RatFunc)
+def _check_factors(node: SearchNode, record: str, value, factors):
+    """``value`` is a nonzero constant times the product of its documented
+    ``factors``, each to its multiplicity."""
+    num, den = num_den(as_field(value))
+    prod = MPoly.one(V.a.vars)
+    for item in factors:
+        prod = prod * item["f"](V) ** item.get("mult", 1)
+    q = divide_exact(as_mpoly(num, V.a.vars), prod)
+    if q is None or q.is_zero() or not q.is_constant() \
+            or not as_mpoly(den).is_constant():
+        raise BadFactorHint("%s: %s factorization mismatch"
+                            % (node.name(), record))
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +282,9 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
         if not _x_free(num_den(c_k)[1]):
             raise InconsistentNode("%s: expected a polynomial coefficient"
                                    % node.name())
-        token, extra_atoms, disj = hint["passthrough"]
-        child_hint = HINT_BOOK.get(node.label + (token,), {})
-        atoms_fn = child_hint.get("atoms") or (
-            lambda v: list(node.atoms) + extra_atoms(v))
-        child = _child_node(node, token, [], atoms_fn,
-                            disj=tuple(child_hint.get("disj", disj)))
         return NodeReport(node.label, k, c_k, as_field(c_k), 1,
                           as_field(c_k), 0, None, _deg_x(c_k), 0,
-                          [("node", child)])
+                          [_branch(node, "child", hint["passthrough"], [])])
 
     g = hint["rfactor"](V)
     R = g * as_field(c_prev) if k >= 2 else as_field(g)
@@ -319,107 +317,82 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
 
 
 def split_node(node: SearchNode, factor_hints=None, rem=None, R=None) -> list:
-    """Construct and verify the node's children from the documented factor
-    hints.  A factor marked "atom" is certified to contradict an inequation
-    (pruned branch); "discard" branches are certified to lie inside the
-    named earlier family."""
+    """Construct and verify the node's children from its two documented
+    factor lists: the ``deg0`` record's factors of the x^1 coefficient of R
+    (the branch on which R loses its degree) and the node's ``factors`` of
+    the remainder numerator.  Each list must multiply out to its
+    polynomial up to a nonzero constant; then every action of every factor
+    is taken, the degree-0 ones first."""
     hint = factor_hints if factor_hints is not None else HINT_BOOK[node.label]
     if rem is None:
         return node_coefficient(node).children
+    _check_factors(node, "remainder", num_den(rem)[0], hint["factors"])
+    deg0 = hint["deg0"]
+    _check_factors(node, "deg-0 leading-coefficient", x_coeffs(R).get(1, 0),
+                   deg0["factors"])
     children = []
-
-    # the factor product must reproduce the remainder numerator exactly
-    num_poly = as_mpoly(num_den(rem)[0], V.a.vars)
-    fac_list = hint.get("factors", ())
-    prod = MPoly.one(V.a.vars)
-    for item in fac_list:
-        prod = prod * item["f"](V) ** item.get("mult", 1)
-    if num_poly.is_zero():
-        if fac_list:
-            raise BadFactorHint("%s: remainder vanished but factors given"
-                                % node.name())
-    else:
-        q = divide_exact(num_poly, prod)
-        if q is None or not q.is_constant() or q.is_zero():
-            raise BadFactorHint("%s: factor product does not match the "
-                                "remainder numerator" % node.name())
-
-    # degree-0 branch (vanishing leading coefficient of R)
-    deg0 = hint.get("deg0")
-    if deg0 is not None:
-        lead = x_coeffs(R).get(1, 0)
-        if "impossible" in deg0:
-            if not _nonzero_certified(lead, node.atoms):
-                raise InconsistentNode(
-                    "%s: deg-0 branch declared impossible but the leading "
-                    "coefficient is not certified nonzero" % node.name())
-        else:
-            fprod = MPoly.one(V.a.vars)
-            solve_factor = None
-            for kind, f in deg0["lead_factors"]:
-                fprod = fprod * f(V)
-                if kind == "atom":
-                    if not _nonzero_certified(f(V), node.atoms):
-                        raise InconsistentNode("%s: deg-0 atom not certified"
-                                               % node.name())
-                else:
-                    solve_factor = f(V)
-            if not _ratio_constant(lead, fprod):
-                raise BadFactorHint("%s: deg-0 leading-coefficient "
-                                    "factorization mismatch" % node.name())
-            kind = next((k for k in ("red", "terminating") if k in deg0),
-                        "child")
-            children.append(_branch(
-                node, kind, deg0["token"], deg0["solve"], deg0.get(kind),
-                [solve_factor], deg0.get("const_atoms", ())))
-
-    # degree-1 branches (remainder factors)
-    for item in fac_list:
-        f_expr = item["f"](V)
-        for action in item["actions"]:
-            kind = action[0]
-            if kind == "atom":
-                if not _nonzero_certified(f_expr, node.atoms):
-                    raise InconsistentNode(
-                        "%s: remainder factor not excluded by the "
-                        "inequations" % node.name())
-            elif kind == "discard":
-                _, solve, family = action
-                mapping = _solve_mapping(solve)
-                mu = [_subst_field(node.subs[p], mapping) for p in BASE]
-                if not family_member(family, mu):
-                    raise InconsistentNode(
-                        "%s: discarded branch is not inside %s"
-                        % (node.name(), family))
-                children.append(("discard", family, tuple(mu)))
-            elif kind in ("child", "red", "terminating"):
-                children.append(_branch(node, *action, factor_exprs=[f_expr]))
-            else:
-                raise BadFactorHint("unknown hint kind %r" % (kind,))
+    for record, rec in (("deg-0 leading-coefficient", deg0),
+                        ("remainder", hint)):
+        const_atoms = [f(V) for f in rec.get("const_atoms", ())]
+        for item in rec["factors"]:
+            f_expr = item["f"](V)
+            for action in item["actions"]:
+                child = _take(node, record, action, f_expr, const_atoms)
+                if child is not None:
+                    children.append(child)
     return children
+
+
+def _take(node: SearchNode, record: str, action, factor, const_atoms=()):
+    """The one interpreter of a documented action on ``factor`` of the
+    node's ``record`` (a factor of the deg-0 leading coefficient or of the
+    remainder numerator, or the node's own coefficient for c=0).  An
+    ``atom`` factor is certified to contradict an inequation (no branch); a
+    ``discard`` solve kills the factor inside the named earlier family; a
+    ``child``, ``red`` or ``terminating`` branch is built and verified by
+    ``_branch``, with ``factor`` as its new equation."""
+    kind = action[0]
+    if kind == "atom":
+        if not _nonzero_certified(factor, node.atoms):
+            raise InconsistentNode("%s: %s factor not excluded by the "
+                                   "inequations" % (node.name(), record))
+        return None
+    if kind == "discard":
+        _, solve, family = action
+        mapping = _solve_mapping(solve)
+        if not felem_is_zero(as_field(_subst_field(factor, mapping))):
+            raise InconsistentNode("%s: documented vanishing submanifold "
+                                   "does not kill the %s factor"
+                                   % (node.name(), record))
+        mu = tuple(_subst_field(node.subs[p], mapping) for p in BASE)
+        if not family_member(family, mu):
+            raise InconsistentNode("%s: discarded branch is not inside %s "
+                                   "(%s)" % (node.name(), family, record))
+        return ("discard", family, mu)
+    if kind in ("child", "red", "terminating"):
+        return _branch(node, *action, factor_exprs=[factor],
+                       const_atoms=const_atoms)
+    raise BadFactorHint("unknown hint kind %r" % (kind,))
 
 
 def _branch(node, kind, token, solve, leaf=None, factor_exprs=(),
             const_atoms=()):
     """The ``child``, ``red`` or ``terminating`` branch of ``node`` reached by
-    ``solve``, verified.  ``leaf`` is the family record of a leaf: (id,
-    binding, documented atoms) for red, (id, binding) for terminating.  A
-    terminating leaf keeps the node's inequations.  The ``const_atoms`` of a
-    degree-0 record must stay nonzero on the branch, whatever its kind."""
-    disj = ()
+    ``solve``, verified.  A child takes the atoms of its own record.
+    ``leaf`` is the family record of a leaf, (id, binding, atoms): a
+    terminating leaf without documented atoms keeps the node's
+    inequations.  The ``const_atoms`` of a degree-0 record must stay
+    nonzero on the branch, whatever its kind."""
     if kind == "child":
         child_hint = HINT_BOOK.get(node.label + (token,))
         if child_hint is None:
             raise BadFactorHint("no hint for child %s,%s" % (node.name(), token))
-        atoms_fn, disj = child_hint.get("atoms"), child_hint.get("disj", ())
-    elif kind == "red":
-        fid, binding, atoms_fn = leaf
+        atoms_fn = child_hint.get("atoms")
     else:
-        fid, binding = leaf
-        atoms_fn = None
-    child = _child_node(node, token, solve, atoms_fn, disj=tuple(disj),
-                        factor_exprs=factor_exprs,
-                        const_atoms=[f(V) for f in const_atoms])
+        fid, binding, *atoms = leaf
+        atoms_fn = atoms[0] if atoms else None
+    child = _child_node(node, token, solve, atoms_fn,
+                        factor_exprs=factor_exprs, const_atoms=const_atoms)
     if kind == "child":
         return ("node", child)
     _check_leaf(child, fid, families.predicted_cfrac(fid, binding(V), RED_DEPTH,
@@ -462,39 +435,22 @@ def _check_leaf(node: SearchNode, fid: str, want):
 
 
 def _verify_c_zero(node: SearchNode, hint):
-    """The submanifold where the node's own coefficient vanishes: certified
-    impossible, or a nontrivial terminating family, or contained in one of
-    the red families (trivial, dropped)."""
-    cz = hint.get("c_zero")
-    own = hint.get("own_c")
-    if node.depth == 0:
-        return None
-    if cz is None:
-        c = own(V)
-        cx = x_coeffs(c)
-        if not (_nonzero_certified(cx.get(0, 0), node.atoms)
-                or _nonzero_certified(cx.get(1, 0), node.atoms)):
-            raise InconsistentNode(
-                "%s: coefficient could vanish but no action documented"
-                % node.name())
-        return None
-    mapping = _solve_mapping(cz["solve"])
-    if not felem_is_zero(as_field(_subst_field(own(V), mapping))):
-        raise InconsistentNode("%s: documented vanishing submanifold does "
-                               "not kill the coefficient" % node.name())
-    mu = [_subst_field(node.subs[p], mapping) for p in BASE]
-    action = cz["action"]
-    if action[0] == "discard":
-        if not family_member(action[1], mu):
-            raise InconsistentNode("%s: trivial terminating case is not in %s"
-                                   % (node.name(), action[1]))
-        return ("discard", action[1])
-    s_id, binding = action[1], action[2]
-    sub = SearchNode(label=node.label + ("c=0",), subs=dict(zip(BASE, mu)),
-                     free=tuple(p for p in node.free if p not in mapping),
-                     atoms=())
-    _check_leaf(sub, s_id, families.predicted_cfrac(s_id, binding(V)))
-    return ("terminating", s_id)
+    """The submanifold where the node's own coefficient vanishes: without a
+    ``c_zero`` action it is certified impossible (one of the coefficient's
+    two x-coefficients is a product of atoms), otherwise the action is
+    taken on the coefficient as its factor: a ``discard`` into one of the
+    red families, or a ``terminating`` leaf labelled ``c=0``."""
+    own = hint["own_c"](V)
+    action = hint["c_zero"]
+    if action is not None:
+        return _take(node, "c=0", action, own)
+    cx = x_coeffs(own)
+    if not (_nonzero_certified(cx.get(0, 0), node.atoms)
+            or _nonzero_certified(cx.get(1, 0), node.atoms)):
+        raise InconsistentNode(
+            "%s: coefficient could vanish but no action documented"
+            % node.name())
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +474,7 @@ def run_tree() -> dict:
         cz = _verify_c_zero(node, hint)
         if cz is not None:
             if cz[0] == "terminating":
-                term[node.label + ("c=0",)] = cz[1]
+                term[cz[2].label] = cz[1]
             else:
                 discards.append((node.label + ("c=0",), cz[1]))
         rep = node_coefficient(node)
@@ -539,7 +495,7 @@ def run_tree() -> dict:
                 viable += 1
             elif kind == "terminating":
                 term[child[2].label] = child[1]
-            elif kind == "discard":
+            else:
                 discards.append((node.label, child[1]))
         if viable:
             white.append(node.label)

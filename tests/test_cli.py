@@ -367,6 +367,23 @@ def test_exit_codes_of_less_used_routes(argv, code, tmp_path):
         assert all(felem_eq(m, w) for m, w in zip(moved, want))
 
 
+@pytest.mark.parametrize("coeffs", ["1;;x", "1;x;", ";1", " ; "])
+def test_empty_coefficient_entries_are_usage_errors(coeffs, tmp_path):
+    # dropping the entry would move x from c_3 to c_2 and exit 0
+    code, data = run_cli(["eval-cfrac", "--kind", "S", "--order", "2",
+                          "--c", coeffs], tmp_path)
+    assert code == 2 and data["exit"] == 2 and cli.validate_report(data)
+    assert data["error"].startswith("empty entry")
+
+
+def test_missing_or_empty_coefficient_option_is_an_empty_list(tmp_path):
+    # a J-fraction reads no c list
+    reports = [run_cli(["eval-cfrac", "--kind", "J", "--order", "2", "--e",
+                        "1;1", "--f", "1;1"] + argv, tmp_path)
+               for argv in ([], ["--c", ""])]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
 @pytest.mark.parametrize("exponent", ["", "y", "2/3", "-1", str(EXPONENT_LIMIT)])
 def test_bad_exponents_are_usage_errors(exponent, tmp_path):
     code, data = run_cli(["eval-cfrac", "--kind", "S", "--order", "2",

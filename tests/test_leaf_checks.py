@@ -170,8 +170,9 @@ def test_red_binding_with_a_swapped_parameter(monkeypatch):
 def test_terminating_binding_that_ends_one_level_late(monkeypatch):
     # s1a ends at level 4; s4a, with the same values, at level 5
     def late(hint):
-        hint["c_zero"] = dict(hint["c_zero"], action=(
-            "terminating", "s4a", lambda v: {"beta": v.g, "alphap": v.ap}))
+        kind, token, solve, (_, _, atoms) = hint["c_zero"]
+        hint["c_zero"] = (kind, token, solve, (
+            "s4a", lambda v: {"beta": v.g, "alphap": v.ap}, atoms))
 
     assert _replay_message(monkeypatch, ("0", "0", "0", "1a", "1b"), late) \
         == "0,0,0,1a,1b,c=0: expected termination at 5, got 4"

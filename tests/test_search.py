@@ -168,20 +168,21 @@ def test_terminating_branch_keeps_its_constant_atoms(monkeypatch):
     # is given with the solve already applied
     from gkpfrac import search as S
     label = ("0", "0", "0", "1a", "1a")
-    hint = dict(S.HINT_BOOK[label])
-    deg0 = dict(hint["deg0"])
-    assert "terminating" in deg0
-    deg0["const_atoms"] = list(deg0["const_atoms"]) + [
-        lambda v: (v.bp + 2 * v.ap).subs({"betap": -2 * v.ap})]
-    hint["deg0"] = deg0
-    monkeypatch.setitem(S.HINT_BOOK, label, hint)
+    deg0 = _with_deg0_atom(monkeypatch, label, lambda v: (v.bp + 2 * v.ap)
+                           .subs({"betap": -2 * v.ap}))
+    assert _deg0_kind(deg0) == "terminating"
     with pytest.raises(InconsistentNode,
                        match="^0,0,0,1a,1a,0: inequation violated by substitution$"):
         run_tree()
 
 
+def _deg0_kind(deg0):
+    """The kind of the branch that a deg-0 record opens."""
+    return next(action[0] for factor in deg0["factors"]
+                for action in factor["actions"] if action[0] != "atom")
+
+
 def _with_deg0_atom(monkeypatch, label, atom):
-    from gkpfrac import search as S
     hint = dict(S.HINT_BOOK[label])
     deg0 = dict(hint["deg0"])
     deg0["const_atoms"] = list(deg0["const_atoms"]) + [atom]
@@ -195,7 +196,7 @@ def test_atoms_are_checked_under_the_solved_parameters(monkeypatch):
     # solve (betap = -2 alphap) sets it to zero
     deg0 = _with_deg0_atom(monkeypatch, ("0", "0", "0", "1a", "1a"),
                            lambda v: v.bp + 2 * v.ap)
-    assert "terminating" in deg0
+    assert _deg0_kind(deg0) == "terminating"
     with pytest.raises(InconsistentNode,
                        match="^0,0,0,1a,1a,0: inequation violated by substitution$"):
         node_coefficient(get_node("0,0,0,1a,1a"))
@@ -211,7 +212,7 @@ def test_constant_atoms_of_every_degree0_kind_are_checked(monkeypatch, label,
                                                           kind, atom):
     node = get_node(label)
     deg0 = _with_deg0_atom(monkeypatch, node.label, atom)
-    assert kind == next((k for k in ("red", "terminating") if k in deg0), "child")
+    assert kind == _deg0_kind(deg0)
     with pytest.raises(InconsistentNode,
                        match="^%s,0: inequation violated by substitution$" % label):
         node_coefficient(node)
@@ -255,12 +256,20 @@ def _split_the_root(hint):
                 factors=[{"f": lambda v: v.a, "actions": [("atom",)]}])
 
 
-def _c_zero_edit(**kw):
-    return lambda hint: hint.update(c_zero=dict(hint["c_zero"], **kw))
+def _c_zero_edit(action):
+    return lambda hint: hint.update(c_zero=action)
 
 
 def _deg0_edit(**kw):
     return lambda hint: hint.update(deg0=dict(hint["deg0"], **kw))
+
+
+def _deg0_factor(i, **kw):
+    def edit(hint):
+        factors = [dict(f) for f in hint["deg0"]["factors"]]
+        factors[i].update(kw)
+        hint["deg0"] = dict(hint["deg0"], factors=factors)
+    return edit
 
 
 _ASSERTION_FAULTS = [
@@ -274,35 +283,54 @@ _ASSERTION_FAULTS = [
      _coefficient("0,0,0"), "0,0,0: R is not the declared multiple of c_2"),
     ("0,0,0", lambda h: h.update(own_c=lambda v: v.a), _coefficient("0,0,0"),
      "0,0,0: documented c_2 mismatch"),
-    ("0,0,0", lambda h: h.update(passthrough=("0", lambda v: [], [])),
+    ("0,0,0", lambda h: h.update(passthrough="0"),
      _coefficient("0,0,0"), "0,0,0: expected a polynomial coefficient"),
-    ("0,0,0", _deg0_edit(lead_factors=[("solve", lambda v: v.a)]),
-     _coefficient("0,0,0"),
+    ("0,0,0", _deg0_factor(0, f=lambda v: v.a), _coefficient("0,0,0"),
      "0,0,0: deg-0 leading-coefficient factorization mismatch"),
-    ("0,0,1b", _deg0_edit(lead_factors=[("solve", lambda v: v.ap + v.bp),
-                                        ("atom", lambda v: v.b)]),
-     _coefficient("0,0,1b"), "0,0,1b: deg-0 atom not certified"),
-    ("0,0,0", lambda h: h.update(deg0={"impossible": True}),
-     _coefficient("0,0,0"), "0,0,0: deg-0 branch declared impossible but the "
-     "leading coefficient is not certified nonzero"),
+    # an atom factor replaced by a polynomial that does not divide the lead:
+    # beside a branch, and where the degree-0 branch is impossible (alpha is
+    # itself an atom of 0,0,1a,0,0, so only the factorization catches it)
+    ("0,0,1b", _deg0_factor(1, f=lambda v: v.b), _coefficient("0,0,1b"),
+     "0,0,1b: deg-0 leading-coefficient factorization mismatch"),
+    ("0,0,1a,0,0", _deg0_factor(0, f=lambda v: v.a),
+     _coefficient("0,0,1a,0,0"),
+     "0,0,1a,0,0: deg-0 leading-coefficient factorization mismatch"),
+    # the lead is (alphap + betap)^2
+    ("0,0,1b,1a,0,0", _deg0_factor(0, mult=1), _coefficient("0,0,1b,1a,0,0"),
+     "0,0,1b,1a,0,0: deg-0 leading-coefficient factorization mismatch"),
+    # the degree-0 branch declared impossible where it is not
+    ("0,0,0", _deg0_edit(factors=[{"f": lambda v: v.ap,
+                                   "actions": [("atom",)]}]),
+     _coefficient("0,0,0"),
+     "0,0,0: deg-0 leading-coefficient factor not excluded by the inequations"),
     ("0,0,0", _actions(0, ("atom",)), _coefficient("0,0,0"),
      "0,0,0: remainder factor not excluded by the inequations"),
     ("0,0,0,1b", _actions(0, ("discard", [("betap", lambda v: 0)], "F1a")),
-     _coefficient("0,0,0,1b"), "0,0,0,1b: discarded branch is not inside F1a"),
+     _coefficient("0,0,0,1b"),
+     "0,0,0,1b: discarded branch is not inside F1a (remainder)"),
     ("0,0,0", _actions(0, ("bogus",)), _coefficient("0,0,0"),
      "unknown hint kind 'bogus'"),
     ("0", _split_the_root, _coefficient("0"),
-     "0: remainder vanished but factors given"),
+     "0: remainder factorization mismatch"),
     # the parent's edits reach the child through get_node's replay
     ("0,0", _actions(0, ("child", "1a", [("gamma", lambda v: 1 - v.a)])),
      _coefficient("0,0,1a"), "0,0,1a: ancestor equation fails to vanish"),
-    ("0,0", _deg0_edit(solve=[("alpha", lambda v: 0), ("alphap", lambda v: 0),
-                              ("gammap", lambda v: -v.bp)]),
+    ("0,0", _deg0_factor(0, actions=[("child", "0", [
+        ("alpha", lambda v: 0), ("alphap", lambda v: 0),
+        ("gammap", lambda v: -v.bp)])]),
      _coefficient("0,0,0"), "0,0,0: series terminated at level 2"),
-    ("0,0,0", _c_zero_edit(solve=[("alpha", lambda v: 0)]), _c_zero("0,0,0"),
-     "0,0,0: documented vanishing submanifold does not kill the coefficient"),
-    ("0,0,0", _c_zero_edit(action=("discard", "F2a", None)), _c_zero("0,0,0"),
-     "0,0,0: trivial terminating case is not in F2a"),
+    ("0,0,0", _c_zero_edit(("discard", [("alpha", lambda v: 0)], "F2b")),
+     _c_zero("0,0,0"),
+     "0,0,0: documented vanishing submanifold does not kill the c=0 factor"),
+    ("0,0,0", _c_zero_edit(("discard", [("alpha", lambda v: 0),
+                                        ("alphap", lambda v: 0)], "F2a")),
+     _c_zero("0,0,0"), "0,0,0: discarded branch is not inside F2a (c=0)"),
+    # the c=0 leaf carries the coefficient as its equation
+    ("0,0,0,1a,1b", _c_zero_edit((
+        "terminating", "c=0", [("beta", lambda v: -v.g)],
+        ("s1a", lambda v: {"gamma": v.g, "alphap": v.ap}, lambda v: []))),
+     _c_zero("0,0,0,1a,1b"),
+     "0,0,0,1a,1b,c=0: ancestor equation fails to vanish"),
     ("0,0,0", lambda h: h.update(c_zero=None), _c_zero("0,0,0"),
      "0,0,0: coefficient could vanish but no action documented"),
     # run_tree raises at its second node, 0,0
@@ -341,3 +369,68 @@ def test_a_node_without_a_record(monkeypatch):
     with pytest.raises(InconsistentNode,
                        match="^node 0 is not in the documented tree$"):
         node_coefficient(S.root_node())
+
+
+# -- every documented entry is read -------------------------------------------
+
+class _Tracked(dict):
+    """A hint record that notes each key the engine looks up."""
+
+    def __init__(self, items, path, read):
+        super().__init__(items)
+        self.path, self.read = path, read
+
+    def __getitem__(self, key):
+        self.read.add(self.path + (key,))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if key in self:
+            self.read.add(self.path + (key,))
+        return super().get(key, default)
+
+
+def _track(value, path, entries, read):
+    """``value`` with every record key and every builder registered in
+    ``entries`` and noted in ``read`` when the engine looks it up or calls
+    it."""
+    if isinstance(value, dict):
+        entries.update(path + (key,) for key in value)
+        return _Tracked({k: _track(v, path + (k,), entries, read)
+                         for k, v in value.items()}, path, read)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_track(v, path + (i,), entries, read)
+                           for i, v in enumerate(value))
+    if callable(value):
+        entries.add(path)
+
+        def builder(v):
+            read.add(path)
+            return value(v)
+        return builder
+    return value
+
+
+def _action_kinds(record):
+    actions = [record["c_zero"]] if record.get("c_zero") else []
+    for rec in (record, record.get("deg0", {})):
+        actions += [a for f in rec.get("factors", ()) for a in f["actions"]]
+    return {a[0] for a in actions}
+
+
+def test_every_hint_entry_and_action_kind_is_read(monkeypatch):
+    entries, read, taken = set(), set(), set()
+    book = {label: _track(record, label, entries, read)
+            for label, record in S.HINT_BOOK.items()}
+    take = S._take
+
+    def noting_take(node, record, action, *args):
+        taken.add(action[0])
+        return take(node, record, action, *args)
+
+    monkeypatch.setattr(S, "HINT_BOOK", book)
+    monkeypatch.setattr(S, "_take", noting_take)
+    assert run_tree()["ok"]
+    assert sorted(entries - read) == []
+    kinds = set().union(*map(_action_kinds, book.values()))
+    assert kinds == taken
