@@ -23,8 +23,7 @@ from .exactalg import (
     series_to_json, variables,
 )
 from .gkpcore import (
-    GKPParams, PARAM_NAMES, Triangle, gkp_triangle, ogf_trunc, row_polys,
-    triangle,
+    GKPParams, PARAM_NAMES, Triangle, ogf_trunc, row_polys, triangle,
 )
 from . import cfrac as cf
 from . import combinat
@@ -90,7 +89,10 @@ def _parse_params(text):
         if "=" not in item:
             raise UsageError("expected name=value, got %r" % item)
         name, _, val = item.partition("=")
-        out[name.strip()] = val.strip()
+        name = name.strip()
+        if name in out:
+            raise UsageError("parameter %r given more than once" % name)
+        out[name] = val.strip()
     vars = tuple(out) + ("x",)
     return {name: _parse_value(val, name, vars) for name, val in out.items()}
 
@@ -312,13 +314,12 @@ def cmd_hankel(args):
         raise UsageError("--size must be between 1 and %d, got %d" % (hk.SIZE_CAP, m))
     if args.order < 1:
         raise UsageError("--order must be at least 1, got %d" % args.order)
-    if args.family == "gkp-tilde":
-        ps = hk.gkp_tilde_polys(2 * m)
-    elif args.mu:
-        mu = _parse_mu(args.mu)
-        ps = row_polys(gkp_triangle(mu, 2 * m))
+    if (args.family == "gkp-tilde") == bool(args.mu):
+        raise UsageError("need exactly one of --family gkp-tilde and --mu")
+    if args.mu:
+        ps = row_polys(triangle(_parse_mu(args.mu), 2 * m))
     else:
-        raise UsageError("need --family gkp-tilde or --mu")
+        ps = hk.gkp_tilde_polys(2 * m)
     # nonnegative entries a_0..a_{2m-2} and strong log-convexity to n_max =
     # 2m - 4 imply order 2: every 2 x 2 minor of the m x m matrix is a sum of
     # the differences.  The converse fails, so the minors decide a failure.
@@ -336,8 +337,7 @@ def cmd_hankel(args):
 
 def cmd_logconvex(args):
     nmax = _nonnegative(args.nmax, "--nmax")
-    mu = _parse_mu(args.mu)
-    ps = row_polys(gkp_triangle(mu, nmax + 2))
+    ps = row_polys(triangle(_parse_mu(args.mu), nmax + 2))
     rep = hk.log_convexity(ps, nmax, strong=args.strong)
     return rep["ok"], {"logconvex": _mk_jsonable(rep)}
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Callable, Sequence
 
 from .exactalg import (
@@ -151,8 +151,31 @@ def _unroll_rows(N: int, offsets, row_rule: Callable) -> Triangle:
 
 
 def gkp_triangle(mu, N: int) -> Triangle:
-    """Unroll T(n,k) = (an+bk+g)T(n-1,k) + (a'n+b'k+g')T(n-1,k-1)."""
-    return _unroll_rows(N, TWO_TERM, _gkp_row_rule(mu))
+    """Unroll T(n,k) = (an+bk+g)T(n-1,k) + (a'n+b'k+g')T(n-1,k-1).
+
+    Rational mu is unrolled fraction-free (the idea of Bareiss, Math.
+    Comp. 22, 1968): each path to (n,k) takes n-k weights linear in
+    (a,b,g) and k linear in (a',b',g'), so T(n,k) is homogeneous of degree
+    n-k in the first triple and k in the second.  The unroll runs on the
+    integer triples d1 (a,b,g) and d2 (a',b',g'), d1 and d2 the lcms of
+    their denominators, and entry (n,k) is divided once by
+    d1^(n-k) d2^k.  The types are those of the ``Fraction`` unroll: row 0
+    is the int 1, and T(n,k) is a ``Fraction`` iff k < n and (a,b,g) holds
+    a ``Fraction``, or k > 0 and (a',b',g') does."""
+    mu = tuple(GKPParams.of(mu))
+    if not all(isinstance(v, (int, Fraction)) for v in mu):
+        return _unroll_rows(N, TWO_TERM, _gkp_row_rule(mu))
+    triples = mu[:3], mu[3:]
+    d1, d2 = (lcm(*(v.denominator for v in vs)) for vs in triples)
+    f1, f2 = (any(isinstance(v, Fraction) for v in vs) for vs in triples)
+    t = _unroll_rows(N, TWO_TERM, _gkp_row_rule(
+        [v.numerator * (d // v.denominator) for vs, d in zip(triples, (d1, d2))
+         for v in vs]))
+    for n, row in enumerate(t.rows):
+        for k in range(n + 1):
+            if k < n and f1 or k and f2:
+                row[k] = Fraction(row[k], d1 ** (n - k) * d2 ** k)
+    return t
 
 
 def gkpz_triangle(mu8, N: int) -> Triangle:

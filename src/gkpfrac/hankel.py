@@ -8,14 +8,15 @@ functions of the index and of the other exponents are dropped, and one more
 variable is packed into the integer coefficients by Kronecker substitution,
 so that each ``MPoly`` product of two entries multiplies whole columns of
 terms as single big integers; for numeric entries in x alone each entry is
-one integer.  Bounded-order total positivity builds every minor of one
-order from the packed minors of the order below (Laplace expansion along
-the first row); strong log-convexity forms each difference P_m P_{n+2} -
-P_{m+1} P_{n+1}.  A minor or difference has a negative coefficient iff one
-of its packed slots is negative, which one test over its integers shows
-(``_negative_slot``).  Only the first failing minor or difference is
-expanded again from the original entries, for its witness, the minor with
-``bareiss_det``.
+literally one ``int``, and the minors and differences are int arithmetic;
+both kinds of entry go through the same code.  Bounded-order total
+positivity builds every minor of one order from the packed minors of the
+order below (Laplace expansion along the first row); strong
+log-convexity forms each difference P_m P_{n+2} - P_{m+1} P_{n+1}.  A
+minor or difference has a negative coefficient iff one of its packed slots
+is negative, which one test over its integers shows (``_negative_slot``).
+Only the first failing minor or difference is expanded again from the
+original entries, for its witness, the minor with ``bareiss_det``.
 """
 from __future__ import annotations
 
@@ -155,9 +156,10 @@ def hankel_tp(seq: Sequence, m: int, r: int) -> TPReport:
     merges no two of its terms.  The entries are scaled by the lcm L of all
     coefficient denominators; an s x s minor is then L^s times the true
     one, with the same signs (the fraction-free idea of Bareiss, Math.
-    Comp. 22, 1968).  For numeric entries each packed entry is a single
-    integer and each product one integer product.  Only the first failing
-    minor is recomputed from the original entries, for its witness."""
+    Comp. 22, 1968).  For numeric entries each packed entry is an ``int``
+    and each product one integer product; the recursion starts from the
+    ints 1 and 0 for either kind of entry.  Only the first failing minor is
+    recomputed from the original entries, for its witness."""
     if m < 1 or r < 1:
         raise ValueError("Hankel size and order must be at least 1, got size %d, "
                          "order %d" % (m, r))
@@ -167,14 +169,13 @@ def hankel_tp(seq: Sequence, m: int, r: int) -> TPReport:
     H = HankelMatrix.from_sequence(seq, m)
     levels = min(r, m)
     packed, tops = _kronecker_pack(_as_mpoly_list(seq[:2 * m - 1]), levels)
-    vars = packed[0].vars
-    below = {((), ()): MPoly.one(vars)}
+    below = {((), ()): 1}
     for s in range(1, levels + 1):
         level = {}
         for rows in combinations(range(m), s):
             head, tail = rows[0], rows[1:]
             for cols in combinations(range(m), s):
-                minor = MPoly.zero(vars)
+                minor = 0
                 for t, c in enumerate(cols):
                     a = packed[head + c]
                     if not a:
@@ -252,7 +253,8 @@ def _kronecker_pack(polys, r=2):
     """The entries of ``polys`` as ``MPoly`` values with packed integer
     coefficients, for minors of at most r x r (a log-convexity difference
     has the shape of a 2 x 2 one), and the mask of the top bit of every
-    slot.
+    slot.  When no variable is left after packing, as for numeric entries
+    in x alone, each entry is the packed integer itself, a plain ``int``.
 
     All entries are put on the union of their variable tuples and scaled by
     the lcm of their coefficient denominators.  An exponent that is an
@@ -291,17 +293,19 @@ def _kronecker_pack(polys, r=2):
         for e, c in ts:
             k = tuple(e[j] for j in rest)
             out[k] = out.get(k, 0) + (c << width * slot(e))
-        packed.append(MPoly([vars[j] for j in rest], out))
+        packed.append(MPoly([vars[j] for j in rest], out) if rest else out.get((), 0))
     slots = r * max((slot(e) for ts in terms for e, _ in ts), default=0) + 1
     tops = ((1 << width * slots) - 1) // ((1 << width) - 1) << (width - 1)
     return packed, tops
 
 
 def _negative_slot(p, tops) -> bool:
-    """Some packed slot of ``p`` is negative: one of its integers is
-    negative, or sets the top bit of a slot.  The lowest negative slot of a
-    nonnegative integer always does, since every slot below it is
-    nonnegative and borrows nothing."""
+    """Some packed slot of ``p`` (a packed ``int`` or ``MPoly``) is
+    negative: one of its integers is negative, or sets the top bit of a
+    slot.  The lowest negative slot of a nonnegative integer always does,
+    since every slot below it is nonnegative and borrows nothing."""
+    if isinstance(p, int):
+        return p < 0 or bool(p & tops)
     c = p.terms.values()
     return min(c, default=0) < 0 or bool(reduce(or_, c, 0) & tops)
 

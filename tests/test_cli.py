@@ -417,25 +417,29 @@ def test_arithmetic_errors_are_internal(tmp_path, monkeypatch):
             raise exc
         return fn
 
-    monkeypatch.setattr(hankel, "hankel_tp", raiser(ArithmeticError("cross-check")))
-    monkeypatch.setattr(hankel, "log_convexity", raiser(OverflowError("key limit")))
-    monkeypatch.setattr(cli, "triangle", raiser(ZeroDivisionError("zero pivot")))
+    # every command builds its rows with cli.triangle, so each case patches
+    # only the function it names
     cases = [
-        (["hankel", "--mu", "0,1,0,0,0,1", "--size", "3", "--order", "3"],
+        (hankel, "hankel_tp", ArithmeticError("cross-check"),
+         ["hankel", "--mu", "0,1,0,0,0,1", "--size", "3", "--order", "3"],
          "ArithmeticError: cross-check"),
-        (["logconvex", "--mu", "0,1,0,0,0,1", "--nmax", "3"],
+        (hankel, "log_convexity", OverflowError("key limit"),
+         ["logconvex", "--mu", "0,1,0,0,0,1", "--nmax", "3"],
          "OverflowError: key limit"),
-        (["triangle", "--mu", "0,1,0,0,0,1", "--depth", "3"],
+        (cli, "triangle", ZeroDivisionError("zero pivot"),
+         ["triangle", "--mu", "0,1,0,0,0,1", "--depth", "3"],
          "ZeroDivisionError: zero pivot"),
     ]
-    for i, (argv, message) in enumerate(cases):
-        code, data = run_cli(argv, tmp_path, "internal%d.json" % i)
+    for i, (owner, name, exc, argv, message) in enumerate(cases):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, raiser(exc))
+            code, data = run_cli(argv, tmp_path, "internal%d.json" % i)
         assert code == 3 and data["exit"] == 3 and data["ok"] is False, argv
         assert data["internal"] == message
         assert validate_report(data)
     # a singular parameter map stays a usage error
     monkeypatch.setattr(cli, "triangle", raiser(cli.symmetry.SingularMap("map Z")))
-    code, data = run_cli(cases[2][0], tmp_path, "singular.json")
+    code, data = run_cli(cases[2][3], tmp_path, "singular.json")
     assert code == 2 and data["exit"] == 2 and validate_report(data)
 
 
@@ -494,3 +498,42 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["ok"] is True
     assert run("no-such-command").returncode == 2
+
+
+def test_repeated_parameter_name_is_a_usage_error(tmp_path):
+    argv = ["verify-family", "--id", "F3a", "--depth", "3", "--params"]
+    code, data = run_cli(argv + ["beta=1,betap=2,gammap=3,beta=5"], tmp_path, "twice.json")
+    assert code == 2 and data["exit"] == 2 and not data["ok"]
+    assert cli.validate_report(data) and "'beta'" in data["error"]
+    code, data = run_cli(argv + ["beta=5,betap=2,gammap=3"], tmp_path, "once.json")
+    assert code == 0 and data["ok"]
+
+
+def test_hankel_takes_one_of_family_and_mu(tmp_path):
+    code, data = run_cli(["hankel", "--family", "gkp-tilde", "--mu", "1,2,3,1,1,1",
+                          "--size", "3"], tmp_path)
+    assert code == 2 and data["exit"] == 2 and not data["ok"]
+    assert cli.validate_report(data)
+    assert data["error"] == "need exactly one of --family gkp-tilde and --mu"
+
+
+def test_hankel_and_logconvex_take_the_four_term_mu(tmp_path):
+    # sigma = tau = 2 make the sequence fail where the GKP triangle of the
+    # first six entries passes; the reports are those of gkpz_triangle
+    from gkpfrac import hankel
+    from gkpfrac.gkpcore import gkpz_triangle, row_polys
+    mu = (2, 1, -1, 1, 1, 1, 2, 2)
+    code, data = run_cli(["hankel", "--mu", "2,1,-1,1,1,1,2,2", "--size", "3",
+                          "--order", "3"], tmp_path, "hankel.json")
+    rep = hankel.hankel_tp(row_polys(gkpz_triangle(mu, 6)), 3, 3)
+    assert code == 1 and cli.validate_report(data) and not rep.ok
+    assert data["hankel"]["witness"] == json.loads(json.dumps(cli._mk_jsonable(rep.witness)))
+    assert data["hankel"]["witness"]["rows"] == [0, 1]
+    code, data = run_cli(["logconvex", "--mu", "2,1,-1,1,1,1,2,2", "--nmax", "3",
+                          "--strong"], tmp_path, "logconvex.json")
+    rep = hankel.log_convexity(row_polys(gkpz_triangle(mu, 5)), 3, strong=True)
+    assert code == 1 and cli.validate_report(data) and not rep["ok"]
+    assert data["logconvex"] == json.loads(json.dumps(cli._mk_jsonable(rep)))
+    for argv in (["hankel", "--mu", "2,1,-1,1,1,1", "--size", "3", "--order", "3"],
+                 ["logconvex", "--mu", "2,1,-1,1,1,1", "--nmax", "3", "--strong"]):
+        assert run_cli(argv, tmp_path, "six.json")[0] == 0, argv

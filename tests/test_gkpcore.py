@@ -3,12 +3,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gkpfrac.exactalg import (
     MPoly, as_field, felem_eq, felem_is_zero, felem_to_json, ratfunc, variables,
 )
 from gkpfrac.gkpcore import (
-    CLOSED_FORMS, GKPParams, UnknownFamily, binomial_like_triangle, closed_form_check,
+    CLOSED_FORMS, TWO_TERM, GKPParams, UnknownFamily, _gkp_row_rule, _unroll_rows,
+    binomial_like_triangle, closed_form_check,
     egf_trunc, gkp_rule, gkp_triangle, gkpz_triangle, ogf_trunc,
     rescale_weight, rescaled_rule, residual_checks, row_polys, tilde_params,
     triangle_mismatch,
@@ -106,6 +108,30 @@ def test_stepped_gkp_rows_match_the_direct_formula(kind):
             assert getattr(x, "vars", None) == getattr(y, "vars", None), (n, k)
             assert json.dumps(felem_to_json(x)) == json.dumps(felem_to_json(y)), (n, k)
 
+
+
+@st.composite
+def rational_mus(draw):
+    """Six int or Fraction parameters, zeros and negatives included, with
+    integral and proper Fractions mixed within each triple, and N <= 10."""
+    value = st.integers(-5, 5) | st.builds(Fraction, st.integers(-5, 5)) \
+        | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return tuple(draw(value) for _ in range(6)), draw(st.integers(0, 10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_mus())
+@example(((Fraction(2), 1, 0, 3, Fraction(-1), 0), 4))
+@example(((1, 2, 3, Fraction(1, 2), 0, -1), 5))
+@example(((Fraction(1, 2), 0, Fraction(-3, 4), 2, Fraction(5, 3), 0), 10))
+def test_fraction_free_unroll_matches_the_fraction_unroll(case):
+    # gkp_triangle unrolls rational mu on integers and divides each entry
+    # once; the Fraction unroll fixes every value and every type
+    mu, N = case
+    got = gkp_triangle(mu, N).rows
+    want = _unroll_rows(N, TWO_TERM, _gkp_row_rule(mu)).rows
+    assert [[(type(c), c) for c in row] for row in got] == \
+        [[(type(c), c) for c in row] for row in want]
 
 def test_rescaling_product_formula_symbolic():
     # fully symbolic weight sequences at depth 5

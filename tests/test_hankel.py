@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gkpfrac import hankel
 from gkpfrac.exactalg import (
@@ -403,6 +403,34 @@ def test_flagged_minor_under_a_full_mask_raises(monkeypatch):
         hankel_tp([1, 1, 2, 6, 24], 3, 3)
 
 
+
+@st.composite
+def numeric_mu_cases(draw):
+    """int or Fraction mu, all nonnegative half of the time, with Hankel
+    sizes m <= 6, orders r <= 3 and n_max <= 6."""
+    value = st.integers(0, 4) | st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
+    if draw(st.booleans()):
+        value = value | st.integers(-3, -1) \
+            | st.builds(Fraction, st.integers(-6, -1), st.integers(1, 3))
+    mu = tuple(draw(value) for _ in range(6))
+    return mu, draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(0, 6))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(numeric_mu_cases())
+# first failures at order 3: the leading 3 x 3 minor, and rows (0, 1, 4)
+@example(((Fraction(1, 2), Fraction(-1, 2), 2, 0, 3, Fraction(1, 2)), 3, 3, 4))
+@example(((Fraction(3, 2), 1, 2, -1, 3, 0), 5, 3, 6))
+def test_int_packed_checks_on_numeric_rows_match_the_unpacked_ones(case):
+    # the row polynomials of numeric mu pack into one int each: the minors
+    # and the differences are int products decided by one slot test
+    mu, m, r, n_max = case
+    ps = row_polys(gkp_triangle(mu, max(2 * m - 2, n_max + 2)))
+    assert all(type(a) is int for a in hankel._kronecker_pack(ps, r)[0])
+    assert tp_summary(hankel_tp(ps, m, r)) == tp_summary(minorwise_hankel_tp(ps, m, r))
+    for strong in (False, True):
+        assert log_convexity(ps, n_max, strong) == unpacked_log_convexity(ps, n_max, strong)
+
 def test_order3_slot_width_holds_a_minor_past_the_order2_width():
     # a_n = C A (1 + 2^n + 3^n), A = 1 + y + y^2: a moment sequence, so every
     # minor is nonnegative; the 3 x 3 one is 4 C^3 A^3, whose coefficient
@@ -420,7 +448,8 @@ def test_order3_slot_width_holds_a_minor_past_the_order2_width():
     # determinant of those integers are the coefficients of the minor
     packed, tops = hankel._kronecker_pack(seq, 3)
     width = (tops & -tops).bit_length()
-    D = cofactor_det([[packed[i + j].constant_value() for j in range(3)] for i in range(3)])
+    assert all(type(a) is int for a in packed)
+    D = cofactor_det([[packed[i + j] for j in range(3)] for i in range(3)])
     slots = []
     for _ in range(7):
         s = D & ((1 << width) - 1)
@@ -441,6 +470,8 @@ def test_minor_check_sees_negative_slot_in_positive_integer():
     seq = [7 * y ** 2 + 2 * y + 7, 10 * y ** 2 + 3 * y + 9, 22 * y ** 2 + 3 * y + 21,
            58 * y ** 2 + 3 * y + 57, 166 * y ** 2 + 3 * y + 165]
     packed, tops = hankel._kronecker_pack(seq, 3)
+    D = cofactor_det([[packed[i + j] for j in range(3)] for i in range(3)])
+    assert type(D) is int and D > 0 and hankel._negative_slot(D, tops)
     rep = hankel_tp(seq, 3, 3)
     assert tp_summary(rep) == tp_summary(minorwise_hankel_tp(seq, 3, 3))
     assert rep.witness["rows"] == rep.witness["cols"] == (0, 1, 2)
@@ -451,9 +482,9 @@ def test_minor_check_sees_negative_slot_in_positive_integer():
 def test_negative_packed_integer_is_flagged_whatever_the_mask():
     # a negative integer flags by its sign alone, also when its negative
     # slot lies above every slot the mask covers
-    assert hankel._negative_slot(MPoly((), {(): -(1 << 64)}), 1 << 7)
-    assert not hankel._negative_slot(MPoly((), {(): 1 << 64}), 1 << 7)
-    assert not hankel._negative_slot(MPoly.zero(()), 1 << 7)
+    assert hankel._negative_slot(-(1 << 64), 1 << 7)
+    assert not hankel._negative_slot(1 << 64, 1 << 7)
+    assert not hankel._negative_slot(0, 1 << 7)
 
 
 def test_empty_ranges_raise():
