@@ -6,7 +6,7 @@ families, and coefficientwise Hankel-total-positivity checks.
 
 from .exactalg import (
     MPoly, RatFunc, TruncSeries, generalized_binomial_series, rational,
-    remainder_in_x, variables,
+    variables,
 )
 from .gkpcore import (
     GKPParams, GKPZParams, Triangle, binomial_like_triangle, closed_form_check,

@@ -25,7 +25,7 @@ from itertools import chain, count
 from typing import Optional, Sequence
 
 from .exactalg import (
-    MPoly, TruncSeries, _common_factor, as_field, clear_denominators,
+    MPoly, TruncSeries, _common_factor, clear_denominators,
     felem_div, felem_eq, felem_is_zero, felem_to_json, first_mismatch, num_den,
 )
 
@@ -91,7 +91,7 @@ def _strip_content(A, B):
 
 
 def _check_series(a: TruncSeries, order: int):
-    if not felem_eq(as_field(a.coeffs[0]), 1):
+    if not felem_eq(a.coeffs[0], 1):
         raise ValueError("series must have constant term 1")
     if order > a.order:
         raise InsufficientDepth("need order >= %d, have %d" % (order, a.order))
@@ -126,7 +126,7 @@ def _extract(a: TruncSeries, m: int, name: str) -> CFrac:
             C = [q * C[j] - (p * A[j - 1] if j >= 1 else 0) for j in range(len(A))]
         fk = felem_div(C[2], q * A[0])
         if felem_is_zero(fk):
-            if any(not felem_is_zero(as_field(x)) for x in C[2:]):
+            if any(not felem_is_zero(x) for x in C[2:]):
                 raise NonExtractableSeries(
                     "%s_%d vanishes but the series continues" % (name, k + 1))
             return CFrac("J", e=tuple(es), f=tuple(fs), terminated_at=k + 1)
@@ -231,7 +231,7 @@ def cfrac_confirms(a: TruncSeries, want: CFrac) -> bool:
     known = levels if L is None else L - 1
     e_known = known if L is None else L
     if len(want.f) < known or len(want.e) < e_known or \
-            any(felem_is_zero(as_field(v)) for v in want.f[:known]):
+            any(felem_is_zero(v) for v in want.f[:known]):
         return False
     claim = CFrac("J", e=want.e[:e_known], f=want.f[:known], terminated_at=L)
     order = 2 * levels if L is None else a.order
@@ -308,7 +308,7 @@ def eval_cfrac(cf: CFrac, order: int) -> TruncSeries:
 def _check_odd(d):
     """Even contraction and the T laws need the even-level d_i to vanish."""
     for i in range(2, len(d) + 1, 2):
-        if not felem_is_zero(as_field(d[i - 1])):
+        if not felem_is_zero(d[i - 1]):
             raise NotContractible("d_%d must vanish for even contraction" % i)
 
 

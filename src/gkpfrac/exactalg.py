@@ -697,30 +697,21 @@ def _poly_in_main(p: MPoly, i: int):
     return [_mpoly(p.vars, split.get(x, {})) for x in range(top + 1)]
 
 
-def _from_main(coeffs, i, vars):
-    """sum_x coeffs[x] * vars[i]^x for coefficients over ``vars`` free of
-    vars[i]: the keys of coeffs[x] move up by x times the key of vars[i],
-    and no two meet."""
-    n = len(vars)
-    step = (1 << _var_shift(n, i)) + (1 << (n * FIELD_BITS))
-    return _mpoly(vars, {k + x * step: c for x, p in enumerate(coeffs)
-                         for k, c in p._terms.items()})
-
-
 def mpoly_from_powers(coeffs, name: str, vars) -> MPoly:
     """sum_j coeffs[j] * name^j for MPoly coefficients over ``vars``,
     without forming a power or taking a product: the keys of coeffs[j] move
-    up by j times the key of ``name`` (``_from_main``).  Keys can meet only
-    when some coefficient holds ``name`` itself; the moved polynomials are
-    then added in order, as the products would be."""
+    up by j times the key of ``name``.  When no coefficient holds ``name``
+    no two moved keys meet; otherwise the moved polynomials are added in
+    order, as the products would be."""
     n, i = len(vars), vars.index(name)
     if max((p.total_degree() + j for j, p in enumerate(coeffs) if p),
            default=0) >= EXPONENT_LIMIT:
         raise OverflowError("product degree reaches %d" % EXPONENT_LIMIT)
     s = _var_shift(n, i)
-    if not any(reduce(or_, p._terms, 0) >> s & _FIELD for p in coeffs):
-        return _from_main(coeffs, i, vars)
     step = (1 << s) + (1 << (n * FIELD_BITS))
+    if not any(reduce(or_, p._terms, 0) >> s & _FIELD for p in coeffs):
+        return _mpoly(vars, {k + j * step: c for j, p in enumerate(coeffs)
+                             for k, c in p._terms.items()})
     return sum((_mpoly(vars, {k + j * step: c for k, c in p._terms.items()})
                 for j, p in enumerate(coeffs)), MPoly.zero(vars))
 
@@ -971,7 +962,7 @@ def _prs_gcd(F, G, main, vars):
         while R and R[-1].is_zero():
             R.pop()
         if not R:
-            return _from_main(_common_factor(G)[1], main, vars)
+            return mpoly_from_powers(_common_factor(G)[1], vars[main], vars)
         R = _scalar_primitive(_common_factor(R)[1])
         F, G = G, R
 
@@ -1279,7 +1270,7 @@ def first_mismatch(cases):
     or None.  ``cases`` is consumed lazily: nothing after the first
     mismatch is computed."""
     for case in cases:
-        if not felem_eq(as_field(case[1]), as_field(case[2])):
+        if not felem_eq(case[1], case[2]):
             return case
     return None
 
@@ -1288,41 +1279,6 @@ def mismatch_report(bad) -> dict:
     """The verdict of a ``first_mismatch`` result, with the mismatching key
     as the witness."""
     return {"ok": bad is None, "first_mismatch": None if bad is None else bad[0]}
-
-
-# ---------------------------------------------------------------------------
-# polynomial division in a designated variable
-# ---------------------------------------------------------------------------
-
-def remainder_in_x(Q, R, x: str = "x"):
-    """Division Q = quot*R + rem in the variable ``x`` over the rational-
-    function field of the remaining variables.
-
-    Q, R may be MPoly or have RatFunc coefficients (given as RatFunc);
-    returns (quotient, remainder) with deg_x(rem) < deg_x(R).
-    """
-    Qc = x_coeffs(Q, x)
-    Rc = x_coeffs(R, x)
-    if not Rc:
-        raise DivisionByZeroPolynomial("R is identically zero")
-    dR = max(Rc)
-    lead = Rc[dR]
-    quot: dict[int, object] = {}
-    rem = dict(Qc)
-    while rem:
-        dQ = max(rem)
-        if dQ < dR:
-            break
-        factor = felem_div(rem[dQ], lead)
-        quot[dQ - dR] = factor
-        for k, c in Rc.items():
-            key = dQ - dR + k
-            val = rem.get(key, 0) - factor * c
-            if felem_is_zero(val):
-                rem.pop(key, None)
-            else:
-                rem[key] = val
-    return _x_coeff_unmap(quot, x, Q), _x_coeff_unmap(rem, x, Q)
 
 
 def x_coeffs(p, x: str = "x") -> dict:
@@ -1340,20 +1296,6 @@ def x_coeffs(p, x: str = "x") -> dict:
     if x not in p.vars:
         return {0: p} if p else {}
     return {k: v for k, v in p.coeffs_in(x).items() if v}
-
-
-def _x_coeff_unmap(cmap, x, template):
-    vars = template.vars if isinstance(template, (MPoly, RatFunc)) else (x,)
-    if x not in vars:
-        vars = vars + (x,)
-    xp = MPoly.variable(x, vars)
-    out = None
-    for k, c in sorted(cmap.items()):
-        term = c * xp ** k
-        out = term if out is None else out + term
-    if out is None:
-        return MPoly.zero(vars)
-    return out
 
 
 # ---------------------------------------------------------------------------

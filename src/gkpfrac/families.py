@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .exactalg import (
-    MPoly, TruncSeries, as_field, exp_series, felem_div,
+    MPoly, TruncSeries, exp_series, felem_div,
     felem_is_zero, first_mismatch, generalized_binomial_series, mismatch_report,
     variables,
 )
@@ -427,7 +427,7 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
 def _ended_at_first_zero(want: CFrac) -> CFrac:
     """A J prediction with a zero f_L is the finite fraction that ends at
     level L, where extraction stops."""
-    L = next((k for k, f in enumerate(want.f, 1) if felem_is_zero(as_field(f))), None)
+    L = next((k for k, f in enumerate(want.f, 1) if felem_is_zero(f)), None)
     if L is None:
         return want
     return replace(want, e=want.e[:L], f=want.f[:L - 1], terminated_at=L)
@@ -511,12 +511,12 @@ def _closed_form(id: str, family: str, vals: dict, order: int) -> TruncSeries:
     v = {k: Fraction(val) for k, val in vals.items()}
 
     def rf(num, den):
-        if felem_is_zero(as_field(den)):
+        if felem_is_zero(den):
             raise NonRationalExponent("exponent denominator vanishes")
         return felem_div(num, den)
 
     def over(num, den, expr):
-        if felem_is_zero(as_field(den)):
+        if felem_is_zero(den):
             raise VanishingDenominator("%s: denominator %s vanishes" % (family, expr))
         return felem_div(num, den)
 
@@ -584,7 +584,7 @@ def _closed_form(id: str, family: str, vals: dict, order: int) -> TruncSeries:
     if id in ("GKPZ", "GKPZ-ALT"):
         b, g, ap, gp, kp = (v["beta"], v["gamma"], v["alphap"], v["gammap"],
                             v["kappa"])
-        if felem_is_zero(as_field(b)) or felem_is_zero(as_field(ap + kp * b)):
+        if felem_is_zero(b) or felem_is_zero(ap + kp * b):
             raise NonRationalExponent("exponent denominator vanishes")
         delta = Fraction(g, 1) / b + Fraction(gp + kp * (b - g), 1) / (ap + kp * b)
         if id == "GKPZ":

@@ -101,19 +101,12 @@ class Triangle:
             for a, b in zip(ra, rb)
         )
 
-    def map(self, fn) -> "Triangle":
-        return Triangle([[fn(c) for c in row] for row in self.rows])
-
     def to_json(self):
         return {"order": self.order,
                 "rows": [[felem_to_json(c) for c in row] for row in self.rows]}
 
     def __repr__(self):
         return "Triangle(order=%d)" % self.order
-
-
-class RowPolys(list):
-    """P_0..P_N with P_n(x) = sum_k T(n,k) x^k."""
 
 
 TWO_TERM = ((1, 0), (1, 1))
@@ -234,7 +227,7 @@ def _xvar_for(entries):
     return ("x",)
 
 
-def row_polys(t: Triangle) -> RowPolys:
+def row_polys(t: Triangle) -> list:
     """P_n(x) = sum_k T(n,k) x^k for n = 0..N.
 
     The variable tuple is that of the first polynomial entry with x
@@ -244,7 +237,7 @@ def row_polys(t: Triangle) -> RowPolys:
     power of x is formed and no product taken.  A row with a nonzero
     ``RatFunc`` entry is summed as T(n,k) x^k and is a ``RatFunc``."""
     xvars = _xvar_for([c for row in t.rows for c in row])
-    out = RowPolys()
+    out = []
     for row in t.rows:
         if any(isinstance(c, RatFunc) and c for c in row):
             out.append(_rational_row(row, xvars))

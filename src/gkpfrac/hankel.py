@@ -85,7 +85,7 @@ def cofactor_det(rows):
     acc = 0
     for j in range(n):
         a = rows[0][j]
-        if felem_is_zero(as_field(a)):
+        if felem_is_zero(a):
             continue
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         term = a * cofactor_det(minor)
@@ -102,9 +102,9 @@ def bareiss_det(rows):
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if felem_is_zero(as_field(m[k][k])):
+        if felem_is_zero(m[k][k]):
             for i in range(k + 1, n):
-                if not felem_is_zero(as_field(m[i][k])):
+                if not felem_is_zero(m[i][k]):
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break

@@ -40,7 +40,7 @@ def triangle_product(A: Triangle, B: Triangle) -> Triangle:
             for j in range(k, n + 1):
                 a = A.entry(n, j)
                 b = B.entry(j, k)
-                if felem_is_zero(as_field(a)) or felem_is_zero(as_field(b)):
+                if felem_is_zero(a) or felem_is_zero(b):
                     continue
                 acc = acc + a * b
             row.append(acc)
@@ -429,21 +429,21 @@ def _inverse_pair_statements(A, B, alpha, x):
     partner = inverse_pair_from_b(B, alpha)
     cells = [(n, k) for n in range(N + 1) for k in range(n + 1)]
     # (a) A_n(x) = sum_k b_nk x^k (1 + alpha x)^(n-k)
-    a = all(felem_eq(as_field(p),
-                     as_field(sum(c * x ** k * (1 + alpha * x) ** (n - k)
-                                  for k, c in enumerate(B.rows[n]))))
+    a = all(felem_eq(p,
+                     sum(c * x ** k * (1 + alpha * x) ** (n - k)
+                         for k, c in enumerate(B.rows[n])))
             for n, p in enumerate(row_polys(A)))
     # (c) the reversed row polynomials are x-shifts of each other
     reversed_polys = lambda T: row_polys(Triangle([r[::-1] for r in T.rows]))
-    c = all(felem_eq(as_field(p), as_field(q.subs({"x": x + alpha})))
+    c = all(felem_eq(p, q.subs({"x": x + alpha}))
             for p, q in zip(reversed_polys(A), reversed_polys(B)))
     # (e) A(n,k) = sum_j alpha^(k-j) C(n-j, k-j) B(n,j)
-    e = all(felem_eq(as_field(A.entry(n, k)), as_field(partner.entry(n, k)))
+    e = all(felem_eq(A.entry(n, k), partner.entry(n, k))
             for n, k in cells)
     # (g) A(n,n-k) = sum_{j>=k} B(n,n-j) C(j,k) alpha^(j-k)
-    g = all(felem_eq(as_field(A.entry(n, n - k)),
-                     as_field(sum(B.entry(n, n - j) * binom(j, k) * alpha ** (j - k)
-                                  for j in range(k, n + 1))))
+    g = all(felem_eq(A.entry(n, n - k),
+                     sum(B.entry(n, n - j) * binom(j, k) * alpha ** (j - k)
+                         for j in range(k, n + 1)))
             for n, k in cells)
     return a, c, e, g
 
@@ -622,5 +622,4 @@ def _verify_xshift_solution(mu, xi):
     else:
         mu2 = tuple(GKPParams.of(apply_map(Z_WORD, mu)))
     ps2 = row_polys(gkp_triangle(mu2, 3))
-    return all(felem_eq(as_field(a), as_field(b))
-               for a, b in zip(shifted, ps2))
+    return all(felem_eq(a, b) for a, b in zip(shifted, ps2))

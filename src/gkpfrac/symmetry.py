@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from .exactalg import (
-    MPoly, RatFunc, _common_factor, as_field, as_mpoly, clear_denominators,
+    MPoly, RatFunc, _common_factor, as_mpoly, clear_denominators,
     felem_div, felem_eq, felem_is_zero, first_mismatch, mismatch_report,
     num_den,
 )
@@ -167,7 +167,7 @@ def _act_D(mu):
 
 def _act_Z(mu):
     a, b, g, ap, bp, gp = mu
-    if felem_is_zero(as_field(bp)):
+    if felem_is_zero(bp):
         raise SingularMap("Z", "(beta' = 0)")
     r = felem_div(b, bp)
     return (a - r * ap, -b, -b + g - r * gp, ap, bp, gp)
@@ -179,7 +179,7 @@ def _act_X(mu):
 
 def _act_R(mu):
     a, b, g, ap, bp, gp = mu
-    if felem_is_zero(as_field(b)):
+    if felem_is_zero(b):
         raise SingularMap("R", "(beta = 0)")
     r = felem_div(bp, b)
     return (a, b, g, ap + bp - r * a, -bp, gp + bp - r * g)
@@ -212,7 +212,7 @@ def apply_map_letters(letters, mu):
 
 
 def map_equal(mu1, mu2) -> bool:
-    return all(felem_eq(as_field(u), as_field(v))
+    return all(felem_eq(u, v)
                for u, v in zip(GKPParams.of(mu1), GKPParams.of(mu2)))
 
 
@@ -543,7 +543,7 @@ def rescale_gkp(case: str, mu, kappa, lam, N: int) -> dict:
         T(n,k; kg, 0, lg, kg', 0, lg') = prod_{j=1}^{n}(j kappa + lam) T(n,k; mu)
     """
     a, b, g, ap, bp, gp = GKPParams.of(mu)
-    z = lambda v: felem_is_zero(as_field(v))
+    z = felem_is_zero
     lin = lambda j: j * kappa + lam
     one = lambda j: 1
     if case == "a":

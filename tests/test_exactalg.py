@@ -10,7 +10,7 @@ from gkpfrac.exactalg import (
     NonInvertibleSeries, RatFunc, TruncSeries, _mpoly, as_field, as_mpoly,
     clear_denominators, divide_exact, felem_div, felem_eq, first_mismatch,
     generalized_binomial_series, mismatch_report, mpoly_gcd, num_den, ratfunc,
-    remainder_in_x, variables, x_coeffs,
+    variables, x_coeffs,
 )
 
 
@@ -74,13 +74,6 @@ def test_gcd_basic():
     assert divide_exact(f1, a + g) is None
 
 
-def test_remainder_in_x_exact_divisibility():
-    x, al = variables("x al")
-    quo, rem = remainder_in_x(al * x ** 2 + x, x + 0 * al, "x")
-    assert rem == 0
-    assert quo == al * x + 1
-
-
 def test_x_coeffs_reads_scalars_polynomials_and_x_free_denominators():
     a, x = variables("a x")
     assert x_coeffs(Fraction(3, 2)) == {0: Fraction(3, 2)}
@@ -118,31 +111,6 @@ def test_as_mpoly_places_values_on_exactly_the_given_tuple():
             as_mpoly(bad, vars)
         with pytest.raises(TypeError):
             as_mpoly(bad)
-
-
-def test_remainder_in_x_paper_node_values():
-    # the two documented polynomial remainders over the parameter field
-    a, b, g, ap, bp, gp, x = variables("alpha beta gamma alphap betap gammap x")
-    P1 = (a + g) + (ap + bp + gp) * x
-    Q = a * (a + g) \
-        + (2 * a * ap + ap * b + a * bp + b * bp + ap * g + a * gp + b * gp) * x \
-        + (ap + bp) * (ap + bp + gp) * x ** 2
-    quo, rem = remainder_in_x(Q, P1, "x")
-    want = ratfunc((a + g) * ((a + g) * bp - (ap + bp + gp) * b), ap + bp + gp)
-    assert felem_eq(as_field(rem), want)
-
-    Q2 = a * (2 * a + g) + ap * (3 * a + b + g) * x + ap * (ap + bp) * x ** 2
-    R2 = a + ap * x
-    quo, rem = remainder_in_x(Q2, R2, "x")
-    assert felem_eq(as_field(rem), ratfunc(a * (a * bp - b * ap), ap))
-    # reconstruction
-    assert felem_eq(as_field(quo * R2 + rem), as_field(Q2))
-
-
-def test_remainder_zero_divisor():
-    x, = variables("x")
-    with pytest.raises(DivisionByZeroPolynomial):
-        remainder_in_x(x, MPoly.zero(("x",)), "x")
 
 
 def test_series_reciprocal_geometric():
@@ -389,6 +357,16 @@ def test_first_mismatch_stops_at_the_mismatch():
         raise AssertionError("consumed past the first mismatch")
 
     assert first_mismatch(cases()) == (1, 2, 3)
+
+
+def test_first_mismatch_refuses_a_float():
+    # equal or not, a float on either side is no field element; the
+    # comparison raises instead of deciding it
+    x, = variables("x")
+    for got, want in [(1.0, 1), (Fraction(1, 2), 0.5), (0.0, 0), (1.5, 2),
+                      (0.5, x), (x, 0.5), (0.5, ratfunc(1, x))]:
+        with pytest.raises(TypeError):
+            first_mismatch([("k", got, want)])
 
 
 # -- exact division against sympy as an independent oracle ---------------

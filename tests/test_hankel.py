@@ -21,6 +21,8 @@ from gkpfrac.hankel import (
 def test_coeffwise_nonneg():
     x, = variables("x")
     assert coeffwise_nonneg(x + 2)[0]
+    assert coeffwise_nonneg(0) == (True, None)
+    assert coeffwise_nonneg(Fraction(0)) == (True, None)
     ok, wit = coeffwise_nonneg(x - 1)
     assert not ok and wit["coeff"] == -1
     t = gkp_triangle((0, 1, 0, 0, 0, 1), 7)

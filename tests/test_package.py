@@ -10,7 +10,7 @@ import gkpfrac
 PUBLIC_NAMES = {
     # exactalg
     "MPoly", "RatFunc", "TruncSeries", "generalized_binomial_series",
-    "rational", "remainder_in_x", "variables",
+    "rational", "variables",
     # gkpcore
     "GKPParams", "GKPZParams", "Triangle", "binomial_like_triangle",
     "closed_form_check", "egf_trunc", "gkp_triangle", "gkpz_triangle",

@@ -1,7 +1,14 @@
+from functools import reduce
+from operator import mul
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gkpfrac import search as S
-from gkpfrac.exactalg import as_field, felem_eq, ratfunc
+from gkpfrac.exactalg import (
+    MPoly, RatFunc, as_field, felem_div, felem_eq, felem_is_zero, ratfunc,
+    variables, x_coeffs,
+)
 from gkpfrac.search import (
     InconsistentNode, RED_FAMILIES, TERMINATING_FAMILIES, V, family_member,
     get_node, node_coefficient, node_cs, run_tree, tree_dot,
@@ -37,11 +44,92 @@ def test_documented_remainders_level3():
                             v.ap + v.bp))
 
 
-def test_reconstruction_identity():
-    # Q = quot*R + rem exactly, on a documented node
-    rep = node_coefficient(get_node("0,0,1b"))
-    lhs = rep.quotient * rep.R + rep.remainder
-    assert felem_eq(as_field(lhs), as_field(rep.Q))
+def _at_x(p, v):
+    """p with x := v.  A RatFunc's denominator is free of x, so only its
+    numerator is evaluated (``RatFunc.subs`` would divide two int results
+    with ``/``)."""
+    if isinstance(p, RatFunc):
+        return felem_div(_at_x(p.num, v), p.den)
+    return p.subs({"x": v}) if isinstance(p, MPoly) else p
+
+
+def _remainder_by_evaluation(Q, R):
+    """Test-only oracle for Q mod R in x, deg_x R <= 1, by the remainder
+    theorem: Q(-r0/r1) for R = r0 + r1 x with r1 nonzero, else 0.  It reads
+    no x-coefficient and takes no division step."""
+    r0 = _at_x(R, 0)
+    r1 = _at_x(R, 1) - r0
+    if felem_is_zero(r1):
+        return 0
+    return _at_x(Q, felem_div(-r0, r1))
+
+
+def test_every_tree_split_remainder_is_q_at_the_root_of_r(monkeypatch):
+    reports = []
+
+    def recording(node, k=None):
+        rep = node_coefficient(node, k)
+        reports.append(rep)
+        return rep
+
+    monkeypatch.setattr(S, "node_coefficient", recording)
+    assert run_tree()["ok"] and reports
+    for rep in reports:
+        want = _remainder_by_evaluation(rep.Q, rep.R)
+        assert felem_eq(rep.remainder, want), rep.label
+    # the oracle is not vacuous: most splits divide by a linear R and leave
+    # a nonzero remainder
+    assert sum(rep.degR == 1 and not felem_is_zero(rep.remainder)
+               for rep in reports) >= len(reports) // 2
+
+
+_A, _B, _C, _X = variables("a b c x")
+
+
+@st.composite
+def _x_coefficients(draw):
+    """A RatFunc in two or three of a, b, c whose denominator is never zero,
+    or a zero."""
+    params = draw(st.sampled_from([(_A, _B), (_A, _C), (_A, _B, _C)]))
+
+    def poly():
+        terms = draw(st.lists(st.tuples(st.integers(-3, 3),
+                                        st.lists(st.sampled_from(params),
+                                                 max_size=2)),
+                              max_size=3))
+        return sum((c * reduce(mul, vs, MPoly.one(_A.vars))
+                    for c, vs in terms), MPoly.zero(_A.vars))
+    num, den = poly(), poly()
+    return ratfunc(num, den if den else den + 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_x_coefficients(), min_size=3, max_size=3),
+       st.lists(_x_coefficients(), min_size=2, max_size=2))
+def test_split_remainder_matches_evaluation_at_the_root(qs, rs):
+    Q = sum((q * _X ** k for k, q in enumerate(qs)), MPoly.zero(_X.vars))
+    R = rs[0] + rs[1] * _X
+    assume(not felem_is_zero(R))
+    got = S._x_remainder(x_coeffs(Q), x_coeffs(R))
+    assert felem_eq(got, _remainder_by_evaluation(Q, R))
+
+
+def test_split_remainder_on_the_documented_node_values():
+    # the two documented polynomial remainders over the parameter field
+    a, b, g, ap, bp, gp, x = variables("alpha beta gamma alphap betap gammap x")
+    P1 = (a + g) + (ap + bp + gp) * x
+    Q = a * (a + g) \
+        + (2 * a * ap + ap * b + a * bp + b * bp + ap * g + a * gp + b * gp) * x \
+        + (ap + bp) * (ap + bp + gp) * x ** 2
+    want = ratfunc((a + g) * ((a + g) * bp - (ap + bp + gp) * b), ap + bp + gp)
+    assert felem_eq(S._x_remainder(x_coeffs(Q), x_coeffs(P1)), want)
+
+    Q2 = a * (2 * a + g) + ap * (3 * a + b + g) * x + ap * (ap + bp) * x ** 2
+    R2 = a + ap * x
+    assert felem_eq(S._x_remainder(x_coeffs(Q2), x_coeffs(R2)),
+                    ratfunc(a * (a * bp - b * ap), ap))
+    # R free of x divides every Q
+    assert S._x_remainder(x_coeffs(Q2), x_coeffs(a * ap)) == 0
 
 
 def test_split_examples():
