@@ -6,14 +6,12 @@ report carries the witness), 2 = usage or configuration error, 3 = internal
 error (an ``ArithmeticError`` such as a failed cross-check, an overflow or a
 division by zero; the report names it under "internal").  Parameters
 are exact rational strings ("3", "-2/5") or the token "sym"; floats are
-rejected.  The environment variable GKP_MAX_DEPTH caps every depth argument
-(default 24).
+rejected.  Every depth argument is capped at ``MAX_DEPTH``.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -34,6 +32,7 @@ from . import search
 from . import symmetry
 
 SCHEMA_VERSION = 1
+MAX_DEPTH = 24
 
 
 class UsageError(ValueError):
@@ -53,9 +52,8 @@ def _nonnegative(value: int, option: str) -> int:
 
 
 def _depth(value: int) -> int:
-    cap = int(os.environ.get("GKP_MAX_DEPTH", "24"))
-    if _nonnegative(value, "depth") > cap:
-        raise UsageError("depth %d exceeds GKP_MAX_DEPTH=%d" % (value, cap))
+    if _nonnegative(value, "depth") > MAX_DEPTH:
+        raise UsageError("depth %d exceeds the cap %d" % (value, MAX_DEPTH))
     return value
 
 
@@ -309,7 +307,6 @@ def cmd_rescale(args):
 
 def cmd_hankel(args):
     m = args.size
-    # both routes answer for the m x m matrix, and the minors are capped
     if not 1 <= m <= hk.SIZE_CAP:
         raise UsageError("--size must be between 1 and %d, got %d" % (hk.SIZE_CAP, m))
     if args.order < 1:
@@ -320,15 +317,6 @@ def cmd_hankel(args):
         ps = row_polys(triangle(_parse_mu(args.mu), 2 * m))
     else:
         ps = hk.gkp_tilde_polys(2 * m)
-    # nonnegative entries a_0..a_{2m-2} and strong log-convexity to n_max =
-    # 2m - 4 imply order 2: every 2 x 2 minor of the m x m matrix is a sum of
-    # the differences.  The converse fails, so the minors decide a failure.
-    if args.order == 2 and not args.minors and m > 1 and \
-            all(hk.coeffwise_nonneg(p)[0] for p in ps[:2 * m - 1]):
-        rep = hk.log_convexity(ps, 2 * m - 4, strong=True)
-        if rep["ok"]:
-            return True, {"hankel": _mk_jsonable(rep),
-                          "method": "strong-log-convexity"}
     rep = hk.hankel_tp(ps, m, args.order)
     return rep.ok, {"hankel": {"order": rep.order, "ok": rep.ok,
                                "witness": _mk_jsonable(rep.witness)},
@@ -544,13 +532,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=6)
     p.set_defaults(fn=cmd_rescale)
 
-    p = sub.add_parser("hankel", parents=[common], help="coefficientwise total positivity")
+    p = sub.add_parser("hankel", parents=[common],
+                       help="coefficientwise total positivity: every minor up to --order")
     p.add_argument("--family", choices=["gkp-tilde"])
     p.add_argument("--mu")
     p.add_argument("--size", type=int, default=5)
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--minors", action="store_true",
-                   help="force minor enumeration even at order 2")
     p.set_defaults(fn=cmd_hankel)
 
     p = sub.add_parser("logconvex", parents=[common], help="coefficientwise log-convexity")

@@ -452,6 +452,8 @@ class MPoly:
                     else _norm_scalar(Fraction(c) / d)
                     for k, c in self._terms.items()})
             return _scaled(self.vars, self._terms, _norm_scalar(1 / Fraction(other)))
+        if isinstance(other, RatFunc):
+            return NotImplemented
         return ratfunc(self, other)
 
     def __eq__(self, other):
@@ -1132,7 +1134,7 @@ class RatFunc:
         return not self.num.is_zero()
 
     def subs(self, mapping: dict):
-        return as_field(self.num.subs(mapping)) / as_field(self.den.subs(mapping))
+        return felem_div(self.num.subs(mapping), self.den.subs(mapping))
 
     def __repr__(self):
         if self.den == 1:

@@ -9,10 +9,9 @@ variable is packed into the integer coefficients by Kronecker substitution,
 so that each ``MPoly`` product of two entries multiplies whole columns of
 terms as single big integers; for numeric entries in x alone each entry is
 literally one ``int``, and the minors and differences are int arithmetic;
-both kinds of entry go through the same code.  Bounded-order total
-positivity builds every minor of one order from the packed minors of the
-order below (Laplace expansion along the first row); strong
-log-convexity forms each difference P_m P_{n+2} - P_{m+1} P_{n+1}.  A
+both kinds of entry go through the same code.  The 2 x 2 minors and the
+strong log-convexity differences P_m P_{n+2} - P_{m+1} P_{n+1} are
+differences of pair products from one table (``_differences``).  A
 minor or difference has a negative coefficient iff one of its packed slots
 is negative, which one test over its integers shows (``_negative_slot``).
 Only the first failing minor or difference is expanded again from the
@@ -38,19 +37,6 @@ from .gkpcore import GKPParams, gkp_triangle, row_polys, tilde_params
 
 class RequiresNumeric(TypeError):
     pass
-
-
-@dataclass
-class HankelMatrix:
-    size: int
-    entries: list
-
-    @staticmethod
-    def from_sequence(seq, m: int) -> "HankelMatrix":
-        if len(seq) < 2 * m - 1:
-            raise ValueError("need %d sequence entries for size %d"
-                             % (2 * m - 1, m))
-        return HankelMatrix(m, [[seq[i + j] for j in range(m)] for i in range(m)])
 
 
 @dataclass
@@ -147,57 +133,91 @@ def hankel_tp(seq: Sequence, m: int, r: int) -> TPReport:
     passes iff every minor has nonnegative coefficients.  The witness is the
     lexicographically first failure by (size, rows, cols).
 
-    The minors are formed level by level, by Laplace expansion along the
-    first row: M(R, C) = sum_t (-1)^t H[R_0][C_t] M(R[1:], C - C_t), with
-    the level below kept only until the current level is done.  They are
+    The matrix is symmetric, M(R, C) = M(C, R): only the minors with
+    R <= C are formed, and the first failure is among them.  Order 2 takes
+    a_{i+k} a_{j+l} - a_{i+l} a_{j+k} from ``_differences``; each higher
+    order expands along the first row over the order below,
+    M(R, C) = sum_t (-1)^t H[R_0][C_t] M(R[1:], C - C_t).  The minors are
     built on the entries of ``_kronecker_pack`` for products of min(r, m)
     entries: every term of one minor is a product of as many entries with
     the same index sum sum(R) + sum(C), so dropping determined exponents
     merges no two of its terms.  The entries are scaled by the lcm L of all
     coefficient denominators; an s x s minor is then L^s times the true
     one, with the same signs (the fraction-free idea of Bareiss, Math.
-    Comp. 22, 1968).  For numeric entries each packed entry is an ``int``
-    and each product one integer product; the recursion starts from the
-    ints 1 and 0 for either kind of entry.  Only the first failing minor is
-    recomputed from the original entries, for its witness."""
+    Comp. 22, 1968).  Only the first failing minor is recomputed from the
+    original entries, for its witness."""
     if m < 1 or r < 1:
         raise ValueError("Hankel size and order must be at least 1, got size %d, "
                          "order %d" % (m, r))
     if m > SIZE_CAP:
         raise ValueError("Hankel size %d exceeds the cap %d" % (m, SIZE_CAP))
     seq = list(seq)
-    H = HankelMatrix.from_sequence(seq, m)
+    if len(seq) < 2 * m - 1:
+        raise ValueError("need %d sequence entries for size %d" % (2 * m - 1, m))
     levels = min(r, m)
     packed, tops = _kronecker_pack(_as_mpoly_list(seq[:2 * m - 1]), levels)
-    below = {((), ()): 1}
     for s in range(1, levels + 1):
+        subsets = list(combinations(range(m), s))
+        pairs = [(R, C) for i, R in enumerate(subsets) for C in subsets[i:]]
+        if s == 1:
+            minors = (packed[i + j] for (i,), (j,) in pairs)
+        elif s == 2:
+            minors = _differences(packed, [((i + k, j + l), (i + l, j + k))
+                                           for (i, j), (k, l) in pairs])
+        else:
+            minors = (_laplace(packed, below, R, C) for R, C in pairs)
         level = {}
-        for rows in combinations(range(m), s):
-            head, tail = rows[0], rows[1:]
-            for cols in combinations(range(m), s):
-                minor = 0
-                for t, c in enumerate(cols):
-                    a = packed[head + c]
-                    if not a:
-                        continue
-                    term = a * below[tail, cols[:t] + cols[t + 1:]]
-                    minor = minor + term if t % 2 == 0 else minor - term
-                if _negative_slot(minor, tops):
-                    return _tp_witness(H, r, rows, cols)
-                level[rows, cols] = minor
+        for (R, C), minor in zip(pairs, minors):
+            if _negative_slot(minor, tops):
+                minor = bareiss_det([[seq[i + j] for j in C] for i in R])
+                ok, wit = coeffwise_nonneg(minor)
+                if ok:
+                    raise ArithmeticError(
+                        "packed check flags the minor with rows %r, cols %r, which "
+                        "has no negative coefficient" % (R, C))
+                return TPReport(order=r, ok=False, witness={
+                    "rows": R, "cols": C, "minor": minor, "offending": wit})
+            if 1 < s < levels:
+                level[R, C] = minor
         below = level
     return TPReport(order=r, ok=True)
 
 
-def _tp_witness(H, r, rows, cols):
-    minor = bareiss_det([[H.entries[i][j] for j in cols] for i in rows])
-    ok, wit = coeffwise_nonneg(minor)
-    if ok:
-        raise ArithmeticError(
-            "packed check flags the minor with rows %r, cols %r, which has "
-            "no negative coefficient" % (rows, cols))
-    return TPReport(order=r, ok=False, witness={
-        "rows": rows, "cols": cols, "minor": minor, "offending": wit})
+def _laplace(packed, below, R, C):
+    """M(R, C) along its first row; ``below`` holds only keys with R <= C."""
+    head, tail = R[0], R[1:]
+    minor = 0
+    for t, c in enumerate(C):
+        a = packed[head + c]
+        if not a:
+            continue
+        rest = C[:t] + C[t + 1:]
+        term = a * below[(tail, rest) if tail <= rest else (rest, tail)]
+        minor = minor + term if t % 2 == 0 else minor - term
+    return minor
+
+
+def _differences(packed, keys):
+    """P_a P_b - P_c P_d on the packed entries, for each ((a, b), (c, d)) of
+    ``keys`` in turn.  Each product P_i P_j and each difference is formed
+    once and dropped after its last use."""
+    keys = [tuple((a, b) if a <= b else (b, a) for a, b in k) for k in keys]
+    prods = _shared([p for k in dict.fromkeys(keys) for p in k],
+                    lambda p: packed[p[0]] * packed[p[1]])
+    return _shared(keys, lambda k: next(prods) - next(prods))
+
+
+def _shared(keys, make):
+    """make(key) for each of ``keys`` in turn: a value is made at the first
+    use of its key and kept only until the last."""
+    uses = Counter(keys)
+    live = {}
+    for key in keys:
+        value = live.pop(key) if key in live else make(key)
+        uses[key] -= 1
+        if uses[key]:
+            live[key] = value
+        yield value
 
 
 def _polynomial(p, vars=None) -> MPoly:
@@ -301,13 +321,12 @@ def _kronecker_pack(polys, r=2):
 
 def _negative_slot(p, tops) -> bool:
     """Some packed slot of ``p`` (a packed ``int`` or ``MPoly``) is
-    negative: one of its integers is negative, or sets the top bit of a
-    slot.  The lowest negative slot of a nonnegative integer always does,
-    since every slot below it is nonnegative and borrows nothing."""
-    if isinstance(p, int):
-        return p < 0 or bool(p & tops)
-    c = p.terms.values()
-    return min(c, default=0) < 0 or bool(reduce(or_, c, 0) & tops)
+    negative: one of its integers is negative, and then so is their bitwise
+    or, or sets the top bit of a slot.  The lowest negative slot of a
+    nonnegative integer always does, since every slot below it is
+    nonnegative and borrows nothing."""
+    v = p if isinstance(p, int) else reduce(or_, p.terms.values(), 0)
+    return v < 0 or bool(v & tops)
 
 
 def log_convexity(seq: Sequence, n_max: int, strong: bool = False) -> dict:
@@ -320,8 +339,8 @@ def log_convexity(seq: Sequence, n_max: int, strong: bool = False) -> dict:
     of that matrix.  A failure reports the graded-lex least monomial with a
     negative coefficient.
 
-    The differences are formed on the packed entries of
-    ``_kronecker_pack`` and decided by ``_negative_slot``.  Only the first
+    The differences are formed by ``_differences`` on the packed entries
+    of ``_kronecker_pack`` and decided by ``_negative_slot``.  Only the first
     failing difference is recomputed unpacked, for its witness."""
     if n_max < 0:
         raise ValueError("log-convexity needs n_max >= 0, got %d" % n_max)
@@ -332,21 +351,8 @@ def log_convexity(seq: Sequence, n_max: int, strong: bool = False) -> dict:
              for n in range(m, n_max + 1)] if strong \
         else [(n, n) for n in range(n_max + 1)]
     packed, tops = _kronecker_pack(polys[:n_max + 3])
-    # each product P_i P_j is computed once and dropped after its last use
-    uses = Counter(key for m, n in pairs for key in ((m, n + 2), (m + 1, n + 1)))
-    live = {}
-
-    def prod(key):
-        p = live.get(key)
-        if p is None:
-            p = live[key] = packed[key[0]] * packed[key[1]]
-        uses[key] -= 1
-        if not uses[key]:
-            del live[key]
-        return p
-
-    for m, n in pairs:
-        diff = prod((m, n + 2)) - prod((m + 1, n + 1))
+    diffs = _differences(packed, [((m, n + 2), (m + 1, n + 1)) for m, n in pairs])
+    for (m, n), diff in zip(pairs, diffs):
         if _negative_slot(diff, tops):
             diff = polys[m] * polys[n + 2] - polys[m + 1] * polys[n + 1]
             bad = least_negative(diff)

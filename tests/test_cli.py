@@ -14,6 +14,8 @@ from gkpfrac.cli import main, parse_poly
 from gkpfrac.exactalg import (
     EXPONENT_LIMIT, MPoly, felem_eq, mpoly_from_json, rational, variables,
 )
+from gkpfrac.gkpcore import row_polys, triangle
+from gkpfrac.hankel import coeffwise_nonneg, hankel_tp, log_convexity
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -52,7 +54,7 @@ def test_group_table_summary(tmp_path):
 
 def test_failing_check_exit1(tmp_path):
     code, data = run_cli(["hankel", "--mu=-1,0,0,0,0,1", "--size", "2",
-                          "--order", "1", "--minors"], tmp_path)
+                          "--order", "1"], tmp_path)
     assert code == 1 and not data["ok"]
     assert data["hankel"]["witness"] is not None
 
@@ -94,6 +96,14 @@ def test_symbolic_option_removed_from_hankel_and_matprod(tmp_path):
                  "--out", out]) == 2
 
 
+def test_minors_option_removed_from_hankel(tmp_path):
+    # the minors are the only route, so there is nothing left to force
+    out = tmp_path / "x.json"
+    assert main(["hankel", "--family", "gkp-tilde", "--size", "2", "--order",
+                 "2", "--minors", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_singular_map_is_usage_error(tmp_path):
     code, data = run_cli(["symmetry", "--map", "Z", "--mu", "1,0,1,0,0,1",
                           "--depth", "3"], tmp_path)
@@ -105,15 +115,13 @@ def test_unknown_subcommand_exit2():
     assert main(["definitely-not-a-command"]) == 2
 
 
-def test_depth_cap(tmp_path):
-    os.environ["GKP_MAX_DEPTH"] = "6"
-    try:
-        out = tmp_path / "cap.json"
-        code = main(["triangle", "--mu", "0,1,0,0,0,1", "--depth", "10",
-                     "--out", str(out)])
-        assert code == 2
-    finally:
-        del os.environ["GKP_MAX_DEPTH"]
+def test_depth_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DEPTH", 6)
+    code, data = run_cli(["triangle", "--mu", "0,1,0,0,0,1", "--depth", "10"],
+                         tmp_path)
+    assert code == 2 and data["error"] == "depth 10 exceeds the cap 6"
+    assert run_cli(["triangle", "--mu", "0,1,0,0,0,1", "--depth", "6"],
+                   tmp_path)[0] == 0
 
 
 def test_determinism(tmp_path):
@@ -269,15 +277,13 @@ def test_logconvex_strong_failure_reports(tmp_path):
         "m": 1, "n": 1, "monomial": "x^2", "coeff": "-1/4"}
 
 
-def test_hankel_order2_is_strong_log_convexity(tmp_path):
-    # size 3: the entries a_0..a_4 and the differences to n_max = 2*3 - 4
+def test_hankel_order2_reports_come_from_the_minors(tmp_path):
     code, data = run_cli(["hankel", "--family", "gkp-tilde", "--size", "3",
                           "--order", "2"], tmp_path)
     assert code == 0 and data["ok"]
-    assert data["method"] == "strong-log-convexity"
-    assert data["hankel"] == {"ok": True, "strong": True, "n_max": 2,
-                              "first_failure": None}
-    # a failure is decided, and witnessed, by the minors: here the entry x - 1
+    assert data["method"] == "minor-enumeration"
+    assert data["hankel"] == {"ok": True, "order": 2, "witness": None}
+    # a failure is witnessed by the first failing minor: here the entry x - 1
     code, data = run_cli(["hankel", "--mu=-1,0,0,0,0,1", "--size", "3",
                           "--order", "2"], tmp_path)
     assert code == 1 and data["method"] == "minor-enumeration"
@@ -288,18 +294,16 @@ def test_hankel_order2_is_strong_log_convexity(tmp_path):
 
 def test_hankel_order2_checks_the_entries_and_only_the_matrix(tmp_path):
     # the entry a_1 = 1 - 2x fails although every difference passes
-    for argv in (["--order", "2"], ["--order", "2", "--minors"]):
-        code, data = run_cli(["hankel", "--mu=0,-1,1,-2,2,-2", "--size", "3"] + argv,
-                             tmp_path)
-        assert code == 1 and data["method"] == "minor-enumeration", argv
-        assert data["hankel"]["witness"]["offending"] == {"coeff": -2, "monomial": {"x": 1}}
+    code, data = run_cli(["hankel", "--mu=0,-1,1,-2,2,-2", "--size", "3", "--order", "2"],
+                         tmp_path)
+    assert code == 1 and data["method"] == "minor-enumeration"
+    assert data["hankel"]["witness"]["offending"] == {"coeff": -2, "monomial": {"x": 1}}
     # P_1 P_3 - P_2^2 fails, but a_3 lies outside the 2 x 2 matrix
-    for argv in (["--order", "2"], ["--order", "2", "--minors"]):
-        code, data = run_cli(["hankel", "--mu=-1,3,1,0,0,2", "--size", "2"] + argv,
-                             tmp_path)
-        assert code == 0 and data["ok"], argv
-    # P_0 P_4 - P_1 P_3 fails, but it is no minor of the 3 x 3 matrix: the
-    # minors decide, and pass
+    code, data = run_cli(["hankel", "--mu=-1,3,1,0,0,2", "--size", "2", "--order", "2"],
+                         tmp_path)
+    assert code == 0 and data["ok"]
+    # P_0 P_4 - P_1 P_3 fails, but it is no minor of the 3 x 3 matrix, and
+    # every minor passes
     code, data = run_cli(["hankel", "--mu=2,1,1/2,-1,2,0", "--size", "3", "--order", "2"],
                          tmp_path)
     assert code == 0 and data["method"] == "minor-enumeration"
@@ -307,14 +311,23 @@ def test_hankel_order2_checks_the_entries_and_only_the_matrix(tmp_path):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(st.integers(-2, 2), min_size=6, max_size=6), st.integers(2, 5))
-def test_hankel_order2_routes_agree(mu, size):
+@given(st.lists(st.integers(-2, 2), min_size=6, max_size=6)
+       | st.lists(st.integers(0, 2), min_size=6, max_size=6), st.integers(2, 5))
+def test_strong_log_convexity_implies_order2_hankel(mu, size):
+    # nonnegative entries a_0..a_{2m-2} and strong log-convexity to n_max =
+    # 2m - 4 imply order 2: every 2 x 2 minor of the m x m matrix is a sum
+    # of the differences.  Nonnegative mu make the premise hold at every size.
+    ps = row_polys(triangle(mu, 2 * size))
+    rep = hankel_tp(ps, size, 2)
+    if all(coeffwise_nonneg(p)[0] for p in ps[:2 * size - 1]) and \
+            log_convexity(ps, 2 * size - 4, strong=True)["ok"]:
+        assert rep.ok
     with tempfile.TemporaryDirectory() as d:
-        argv = ["hankel", "--mu=" + ",".join(map(str, mu)), "--size", str(size),
-                "--order", "2"]
-        fast, _ = run_cli(argv, Path(d), "fast.json")
-        minors, _ = run_cli(argv + ["--minors"], Path(d), "minors.json")
-    assert fast == minors
+        code, data = run_cli(["hankel", "--mu=" + ",".join(map(str, mu)),
+                              "--size", str(size), "--order", "2"], Path(d))
+    assert code == (0 if rep.ok else 1)
+    assert data["hankel"] == json.loads(json.dumps(cli._mk_jsonable(
+        {"order": rep.order, "ok": rep.ok, "witness": rep.witness})))
 
 
 def test_vacuous_ranges_are_usage_errors(tmp_path):
@@ -322,10 +335,10 @@ def test_vacuous_ranges_are_usage_errors(tmp_path):
         (["logconvex", "--mu", "0,1,0,0,0,1", "--nmax", "-1"], "--nmax"),
         (["logconvex", "--mu", "0,1,0,0,0,1", "--nmax", "-3", "--strong"], "--nmax"),
         (["hankel", "--family", "gkp-tilde", "--size", "0"], "--size"),
-        # a failing order-2 check past the cap could not be decided by minors
+        # the minors are capped at every order
         (["hankel", "--mu=-1,0,0,0,0,1", "--size", "7", "--order", "2"], "--size"),
         (["hankel", "--family", "gkp-tilde", "--order", "0"], "--order"),
-        (["hankel", "--mu", "0,1,0,0,0,1", "--order", "-1", "--minors"], "--order"),
+        (["hankel", "--mu", "0,1,0,0,0,1", "--order", "-1"], "--order"),
     ]
     for i, (argv, name) in enumerate(cases):
         code, data = run_cli(argv, tmp_path, "vacuous%d.json" % i)
@@ -394,7 +407,7 @@ def test_bad_exponents_are_usage_errors(exponent, tmp_path):
 
 def test_hankel_minor_enumeration_reports(tmp_path):
     code, data = run_cli(["hankel", "--mu=-1,0,0,0,0,1", "--size", "3",
-                          "--order", "3", "--minors"], tmp_path)
+                          "--order", "3"], tmp_path)
     assert code == 1 and data["exit"] == 1 and not data["ok"]
     assert data["method"] == "minor-enumeration"
     assert data["hankel"] == {"ok": False, "order": 3, "witness": {

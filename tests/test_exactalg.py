@@ -596,6 +596,28 @@ def test_subs_of_a_constant_is_a_scalar():
     assert_same((a + 1).subs({"b": 2}), a + 1)
 
 
+def test_ratfunc_subs_to_scalars_is_a_fraction():
+    a, x = variables("a x")
+    got = ratfunc(a * x + 1, a + 1).subs({"x": 0, "a": 1})
+    assert type(got) is Fraction and got == Fraction(1, 2)
+
+
+def test_ratfunc_subs_with_a_zero_numerator_is_zero():
+    a, c = variables("a c")
+    got = ratfunc(a, c + 1).subs({"a": 0})
+    assert isinstance(got, MPoly) and got.is_zero()
+
+
+def test_ratfunc_subs_of_a_ratfunc_value():
+    a, b, c = variables("a b c")
+    value = ratfunc(a, c + 1)
+    want = ratfunc((a + 1) * (c + 1), a + c + 1)
+    assert felem_eq(ratfunc(a + 1, b + 1).subs({"b": value}), want)
+    # MPoly / RatFunc is answered by RatFunc.__rtruediv__
+    assert felem_eq((a + 1) / value, ratfunc((a + 1) * (c + 1), a))
+    assert felem_eq(2 / value, ratfunc(2 * c + 2, a))
+
+
 def test_single_term_factor_at_the_exponent_limit():
     top = EXPONENT_LIMIT - 1
     vars = ("x", "y")

@@ -93,6 +93,21 @@ def test_bareiss_swaps_rows_at_a_zero_pivot():
     assert bareiss_det(M) == cofactor_det(M) == 0
 
 
+def test_bareiss_divides_polynomial_entries_by_a_scalar_pivot():
+    # a scalar first pivot other than 1 over polynomial entries: the next
+    # step divides polynomials by that scalar
+    rng = random.Random(5)
+    u, v = variables("u v")
+    for n in (4, 5):
+        for pivot in (2, -3, Fraction(3, 2)):
+            M = [[rng.randint(-2, 2) * u + rng.randint(-2, 2) * v + rng.randint(-2, 2)
+                  for _ in range(n)] for _ in range(n)]
+            M[0][0] = pivot
+            want = cofactor_det(M)
+            assert isinstance(want, MPoly) and not want.is_constant()
+            assert felem_eq(as_field(bareiss_det(M)), as_field(want))
+
+
 def test_log_convexity_basics():
     assert log_convexity([1] * 13, 10)["ok"]
     rep = log_convexity([1, 2, 3, 4], 1)
@@ -118,6 +133,11 @@ def test_order3_tp_on_random_nonneg_samples():
 def test_size_cap():
     with pytest.raises(ValueError):
         hankel_tp([1] * 17, 9, 2)
+
+
+def test_hankel_tp_needs_every_entry_of_the_matrix():
+    with pytest.raises(ValueError, match="need 5 sequence entries for size 3"):
+        hankel_tp([1, 1, 2, 6], 3, 2)
 
 
 def test_hypothesis_sets():
@@ -313,11 +333,11 @@ def test_flagged_difference_without_negative_coefficient_raises(monkeypatch):
 def minorwise_hankel_tp(seq, m, r):
     """Test-only copy of the former enumeration: every minor computed on
     its own by ``bareiss_det`` over the original entries."""
-    H = hankel.HankelMatrix.from_sequence(list(seq), m)
+    H = [[seq[i + j] for j in range(m)] for i in range(m)]
     for s in range(1, r + 1):
         for rows in combinations(range(m), s):
             for cols in combinations(range(m), s):
-                minor = bareiss_det([[H.entries[i][j] for j in cols] for i in rows])
+                minor = bareiss_det([[H[i][j] for j in cols] for i in rows])
                 ok, wit = coeffwise_nonneg(minor)
                 if not ok:
                     return hankel.TPReport(order=r, ok=False, witness={
