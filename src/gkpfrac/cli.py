@@ -313,10 +313,11 @@ def cmd_hankel(args):
         raise UsageError("--order must be at least 1, got %d" % args.order)
     if (args.family == "gkp-tilde") == bool(args.mu):
         raise UsageError("need exactly one of --family gkp-tilde and --mu")
+    # the m x m Hankel matrix reads a_0..a_{2m-2}
     if args.mu:
-        ps = row_polys(triangle(_parse_mu(args.mu), 2 * m))
+        ps = row_polys(triangle(_parse_mu(args.mu), 2 * m - 2))
     else:
-        ps = hk.gkp_tilde_polys(2 * m)
+        ps = hk.gkp_tilde_polys(2 * m - 2)
     rep = hk.hankel_tp(ps, m, args.order)
     return rep.ok, {"hankel": {"order": rep.order, "ok": rep.ok,
                                "witness": _mk_jsonable(rep.witness)},

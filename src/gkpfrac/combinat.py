@@ -8,15 +8,11 @@ formulas they satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 
-from .exactalg import (
-    MPoly, TruncSeries, exp_series, felem_eq, generalized_binomial_series,
-    variables,
-)
+from .exactalg import MPoly, felem_eq, variables
 from .cfrac import eval_sr
 
 
@@ -154,13 +150,6 @@ def eulerian(n: int, k: int) -> int:
     return (k + 1) * eulerian(n - 1, k) + (n - k) * eulerian(n - 1, k - 1)
 
 
-def eulerian_traditional(n: int, k: int) -> int:
-    """Classical table indexing: row n >= 1 starts at k = 1."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    return eulerian(n, k - 1)
-
-
 def binom(n, k) -> int:
     if k < 0 or k > n:
         return 0
@@ -283,38 +272,3 @@ def x_stirling_transform(a, x) -> list:
             acc = acc + term
         out.append(acc)
     return out
-
-
-def x_stirling_egf_check(order: int) -> bool:
-    """egf law B(t) = A((e^{xt}-1)/x) with symbolic a_0..a_order and x."""
-    names = ["a%d" % i for i in range(order + 1)]
-    syms = variables(names, extra=("x",))
-    x = MPoly.variable("x", syms[0].vars)
-    b = x_stirling_transform(list(syms), x)
-    B = TruncSeries(order, [bi * Fraction(1, factorial(n)) for n, bi in enumerate(b)])
-    A = TruncSeries(order, [ai * Fraction(1, factorial(n)) for n, ai in enumerate(syms)])
-    # (e^{xt}-1)/x = sum_{m>=1} x^(m-1) t^m / m!
-    inner = TruncSeries(order, [0] + [x ** (m - 1) * Fraction(1, factorial(m))
-                                      for m in range(1, order + 1)])
-    return A.compose(inner) == B
-
-
-def master_egf(w, u, y, order: int) -> TruncSeries:
-    """((y-u)/(y-u e^{(y-u)t}))^(w/u) at numeric weights (w/u rational)."""
-    w, u, y = Fraction(w), Fraction(u), Fraction(y)
-    if u == 0 or y == u:
-        raise ValueError("need u != 0 and y != u at numeric weights")
-    c = y - u
-    num = TruncSeries(order, [y] + [0] * order) - exp_series(c, order).scale(u)
-    base = num.scale(1 / c)  # (y - u e^{ct})/(y - u), constant term 1
-    return generalized_binomial_series(base, -w / u)
-
-
-def stirling_cycle_egf(w, y, order: int) -> TruncSeries:
-    """(1 - y t)^(-w/y) = exp(sum_{n>=1} w y^(n-1) t^n / n), polynomial in
-    both weights."""
-    coeffs = [0]
-    for n in range(1, order + 1):
-        coeffs.append(w * y ** (n - 1) * Fraction(1, n) if n > 1
-                      else w * Fraction(1, n))
-    return TruncSeries(order, coeffs).exp()

@@ -282,13 +282,6 @@ class MPoly:
         s = _var_shift(len(self.vars), self.vars.index(name))
         return max(((k >> s) & _FIELD for k in self._terms), default=0)
 
-    def leading_term(self):
-        """(exponents, coeff) maximal in graded-lex order."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        k = max(self._terms)
-        return _unpack(k, len(self.vars)), self._terms[k]
-
     def in_vars(self, vars: Sequence[str]) -> "MPoly":
         """Re-express over a variable tuple containing all current vars."""
         vars = tuple(vars)
@@ -534,17 +527,6 @@ class MPoly:
             acc = term + acc
         return acc
 
-    def eval_scalar(self, mapping: dict) -> Fraction:
-        out = Fraction(0)
-        pts = [Fraction(mapping[v]) for v in self.vars]
-        for e, c in self.terms.items():
-            t = Fraction(c)
-            for x, k in zip(pts, e):
-                if k:
-                    t *= x ** k
-            out += t
-        return out
-
     # -- integer/monomial content --------------------------------------
 
     def content(self) -> Fraction:
@@ -560,10 +542,6 @@ class MPoly:
             num = _int_gcd(num, f.numerator)
             den = den * f.denominator // _int_gcd(den, f.denominator)
         return Fraction(num, den)
-
-    def monomial_content(self):
-        n = len(self.vars)
-        return _unpack(_monomial_gcd(n, self._terms) if self._terms else 0, n)
 
     # -- display --------------------------------------------------------
 
@@ -1530,11 +1508,3 @@ def felem_to_json(c):
 
 def series_to_json(s: TruncSeries) -> dict:
     return {"order": s.order, "coeffs": [felem_to_json(c) for c in s.coeffs]}
-
-
-def mpoly_from_json(d) -> MPoly:
-    vars = tuple(d["vars"])
-    terms = {}
-    for e, c in d["terms"]:
-        terms[tuple(e)] = _norm_scalar(rational(c))
-    return MPoly(vars, terms)

@@ -465,18 +465,6 @@ def tilde_params(tilde) -> GKPParams:
     return GKPParams(ta, tb, tg - ta, tap, tbp, tgp - tap - tbp)
 
 
-def rescaled_rule(base_rule: Callable, c_seq, d_seq, e_seq) -> Callable:
-    """Weight rule (n,k) -> (c_{n-k} e_n a_{n,k}, d_k e_n a'_{n,k})."""
-
-    def rule(n, k):
-        a_nk, ap_nk = base_rule(n, k)
-        lvl = c_seq(n - k) * e_seq(n) * a_nk if k <= n - 1 else 0
-        rise = d_seq(k) * e_seq(n) * ap_nk if k >= 1 else 0
-        return lvl, rise
-
-    return rule
-
-
 def rescale_weight(c_seq, d_seq, e_seq, n, k):
     """Accumulated product c_1..c_{n-k} d_1..d_k e_1..e_n."""
     acc = 1

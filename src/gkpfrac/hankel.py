@@ -16,13 +16,24 @@ minor or difference has a negative coefficient iff one of its packed slots
 is negative, which one test over its integers shows (``_negative_slot``).
 Only the first failing minor or difference is expanded again from the
 original entries, for its witness, the minor with ``bareiss_det``.
+
+The last level of either check is only tested, never kept: every
+difference of ``log_convexity``, and the minors of the top order of
+``hankel_tp``.  On Linux, when that level is large enough
+(``SPLIT_MIN_WORK``) and the process may run on two or more CPUs, it is
+split across forked workers (``_first_flagged``); elsewhere, and for small
+levels such as numeric entries, it runs in this process.  The split changes
+no result, witness or exception.
 """
 from __future__ import annotations
 
+import os
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
+from heapq import heappop, heappush
 from itertools import combinations
 from math import factorial, gcd, lcm
 from operator import or_
@@ -156,31 +167,42 @@ def hankel_tp(seq: Sequence, m: int, r: int) -> TPReport:
         raise ValueError("need %d sequence entries for size %d" % (2 * m - 1, m))
     levels = min(r, m)
     packed, tops = _kronecker_pack(_as_mpoly_list(seq[:2 * m - 1]), levels)
+    below = {}
     for s in range(1, levels + 1):
         subsets = list(combinations(range(m), s))
         pairs = [(R, C) for i, R in enumerate(subsets) for C in subsets[i:]]
-        if s == 1:
-            minors = (packed[i + j] for (i,), (j,) in pairs)
-        elif s == 2:
-            minors = _differences(packed, [((i + k, j + l), (i + l, j + k))
-                                           for (i, j), (k, l) in pairs])
+        if s == 2:
+            keys = [((i + k, j + l), (i + l, j + k)) for (i, j), (k, l) in pairs]
+            minors = partial(_differences, packed)
         else:
-            minors = (_laplace(packed, below, R, C) for R, C in pairs)
-        level = {}
-        for (R, C), minor in zip(pairs, minors):
-            if _negative_slot(minor, tops):
-                minor = bareiss_det([[seq[i + j] for j in C] for i in R])
-                ok, wit = coeffwise_nonneg(minor)
-                if ok:
-                    raise ArithmeticError(
-                        "packed check flags the minor with rows %r, cols %r, which "
-                        "has no negative coefficient" % (R, C))
-                return TPReport(order=r, ok=False, witness={
-                    "rows": R, "cols": C, "minor": minor, "offending": wit})
-            if 1 < s < levels:
-                level[R, C] = minor
-        below = level
+            keys, minors = pairs, partial(_minors, packed, below)
+        if s < levels:
+            level = []
+            flag = _first_negative(keys, minors, tops, level)
+            below = dict(zip(pairs, level))
+        elif s == 1 or isinstance(packed[0], int):  # no products, or cheap int ones
+            flag = _first_negative(keys, minors, tops)
+        else:
+            flag = _first_flagged(keys, minors, tops, _difference_groups(packed, keys)
+                                  if s == 2 else _laplace_groups(packed, below, pairs))
+        if flag is not None:
+            R, C = pairs[flag]
+            minor = bareiss_det([[seq[i + j] for j in C] for i in R])
+            ok, wit = coeffwise_nonneg(minor)
+            if ok:
+                raise ArithmeticError(
+                    "packed check flags the minor with rows %r, cols %r, which "
+                    "has no negative coefficient" % (R, C))
+            return TPReport(order=r, ok=False, witness={
+                "rows": R, "cols": C, "minor": minor, "offending": wit})
     return TPReport(order=r, ok=True)
+
+
+def _minors(packed, below, pairs):
+    """The packed minors M(R, C) of ``pairs``, all of one size, in turn: the
+    entries themselves, or expansions along the first row over ``below``."""
+    return (packed[R[0] + C[0]] if len(R) == 1 else _laplace(packed, below, R, C)
+            for R, C in pairs)
 
 
 def _laplace(packed, below, R, C):
@@ -195,6 +217,36 @@ def _laplace(packed, below, R, C):
         term = a * below[(tail, rest) if tail <= rest else (rest, tail)]
         minor = minor + term if t % 2 == 0 else minor - term
     return minor
+
+
+def _laplace_groups(packed, below, pairs):
+    """Each minor of ``pairs`` (of order 3 or more) on its own, with its
+    work: sum |H[R_0][C_t]| |M(R[1:], C - C_t)| over its expansion."""
+    groups = []
+    for i, (R, C) in enumerate(pairs):
+        tail, work = R[1:], 0
+        for t, c in enumerate(C):
+            rest = C[:t] + C[t + 1:]
+            work += _size(packed[R[0] + c]) * _size(
+                below[(tail, rest) if tail <= rest else (rest, tail)])
+        groups.append((work, [i]))
+    return groups
+
+
+def _difference_groups(packed, keys):
+    """The positions of the differences ``keys`` (as for ``_differences``)
+    grouped by index sum a + b, which two differences sharing a product
+    share, each group with its work: sum |P_i| |P_j| over its products."""
+    groups = {}
+    for i, ((a, b), _) in enumerate(keys):
+        groups.setdefault(a + b, []).append(i)
+    return [(sum(_size(packed[i]) * _size(packed[j])
+                 for i, j in {tuple(sorted(q)) for k in ks for q in keys[k]}), ks)
+            for ks in groups.values()]
+
+
+def _size(p):
+    return len(p.terms) if isinstance(p, MPoly) else 1
 
 
 def _differences(packed, keys):
@@ -329,6 +381,106 @@ def _negative_slot(p, tops) -> bool:
     return v < 0 or bool(v & tops)
 
 
+def _first_negative(keys, values, tops, keep=None):
+    """Position of the first of ``keys`` whose value has a negative packed
+    slot, or None; ``values(keys)`` yields the values in turn, and ``keep``,
+    when given, collects the values before that one."""
+    for i, value in enumerate(values(keys)):
+        if _negative_slot(value, tops):
+            return i
+        if keep is not None:
+            keep.append(value)
+    return None
+
+
+# Least estimated work (term products, see ``_first_flagged``) for which the
+# sign-only level is split across processes.  A fork round trip took 2.5-4 ms
+# on a 2-CPU Linux host, on which packed products ran at 0.8-1.7 million term
+# products per second: below this a level takes well under 100 ms, and half
+# of it would not be worth a fork.
+SPLIT_MIN_WORK = 100_000
+
+
+def _first_flagged(keys, values, tops, groups):
+    """``_first_negative`` over the whole last level of a check, whose
+    values are only tested, never kept.  ``groups`` partitions the positions
+    of ``keys`` into lists that share pair products, each with its work, the
+    sum of |P_i| |P_j| over the products it forms.
+
+    With W = min(usable CPUs, groups) >= 2 and at least ``SPLIT_MIN_WORK``
+    of work, the groups go longest first to the least loaded of W shares.
+    This process walks one share and a forked child each other one, every
+    worker in order up to its first flag; the level's first flag is the
+    least of theirs.  It stays serial where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing (outside Linux).  When a child does
+    not report or anything raises here, the children are reaped and the
+    whole level is walked serially, so results and exceptions are those of
+    the serial walk."""
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), len(groups))
+    if workers > 1 and sum(work for work, _ in groups) >= SPLIT_MIN_WORK:
+        loads = [(0, 0, w) for w in range(workers)]
+        shares = [[] for _ in range(workers)]
+        for work, positions in sorted(groups, key=lambda g: -g[0]):
+            load, _, w = heappop(loads)
+            shares[w] += positions
+            heappush(loads, (load + work, len(shares[w]), w))
+
+        def walk(share):
+            share.sort()
+            i = _first_negative([keys[p] for p in share], values, tops)
+            return None if i is None else share[i]
+
+        flag = _forked_first(shares, walk)
+        if flag is not False:
+            return flag
+    return _first_negative(keys, values, tops)
+
+
+def _forked_first(shares, walk):
+    """The least of walk(share) over ``shares``, walking the first share in
+    this process and each other one in a forked child that reports on a
+    pipe; False when a child fails to report or this process raises."""
+    import signal  # here, not at start-up: only a split needs it
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        flag = walk(share)
+                        os.write(write, b"%d" % (-1 if flag is None else flag))
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+            finally:
+                os.close(write)
+        flags = [walk(shares[0])]
+        # a child that reports nothing is told apart by its exit status
+        flags += [int(pipe.read() or -1) for pipe in pipes]
+        while pids:
+            status = os.waitpid(pids[-1], 0)[1]
+            pids.pop()
+            if status:
+                return False
+    except Exception:  # any failure here: the caller walks serially
+        return False
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return min((f for f in flags if f is not None and f >= 0), default=None)
+
+
 def log_convexity(seq: Sequence, n_max: int, strong: bool = False) -> dict:
     """Coefficientwise log-convexity P_n P_{n+2} - P_{n+1}^2 >= 0 for
     n <= n_max; with ``strong``, P_m P_{n+2} - P_{m+1} P_{n+1} >= 0 for all
@@ -351,20 +503,25 @@ def log_convexity(seq: Sequence, n_max: int, strong: bool = False) -> dict:
              for n in range(m, n_max + 1)] if strong \
         else [(n, n) for n in range(n_max + 1)]
     packed, tops = _kronecker_pack(polys[:n_max + 3])
-    diffs = _differences(packed, [((m, n + 2), (m + 1, n + 1)) for m, n in pairs])
-    for (m, n), diff in zip(pairs, diffs):
-        if _negative_slot(diff, tops):
-            diff = polys[m] * polys[n + 2] - polys[m + 1] * polys[n + 1]
-            bad = least_negative(diff)
-            if bad is None:
-                raise ArithmeticError(
-                    "packed check flags P_%d P_%d - P_%d P_%d, which has no "
-                    "negative coefficient" % (m, n + 2, m + 1, n + 1))
-            e, c = bad
-            return {"ok": False, "strong": strong,
-                    "first_failure": {"m": m, "n": n,
-                                      "monomial": repr(MPoly(diff.vars, {e: 1})),
-                                      "coeff": c}}
+    keys = [((m, n + 2), (m + 1, n + 1)) for m, n in pairs]
+    differences = partial(_differences, packed)
+    if isinstance(packed[0], int):  # numeric rows: one cheap int product per pair
+        flag = _first_negative(keys, differences, tops)
+    else:
+        flag = _first_flagged(keys, differences, tops, _difference_groups(packed, keys))
+    if flag is not None:
+        m, n = pairs[flag]
+        diff = polys[m] * polys[n + 2] - polys[m + 1] * polys[n + 1]
+        bad = least_negative(diff)
+        if bad is None:
+            raise ArithmeticError(
+                "packed check flags P_%d P_%d - P_%d P_%d, which has no "
+                "negative coefficient" % (m, n + 2, m + 1, n + 1))
+        e, c = bad
+        return {"ok": False, "strong": strong,
+                "first_failure": {"m": m, "n": n,
+                                  "monomial": repr(MPoly(diff.vars, {e: 1})),
+                                  "coeff": c}}
     return {"ok": True, "strong": strong, "n_max": n_max,
             "first_failure": None}
 

@@ -568,21 +568,3 @@ def rescale_gkp(case: str, mu, kappa, lam, N: int) -> dict:
     return {"case": case, **triangle_mismatch(
         gkp_triangle(mu2, N), lambda n, k: weight(n, k) * t.entry(n, k), N)}
 
-
-# ---------------------------------------------------------------------------
-# subgroup facts
-# ---------------------------------------------------------------------------
-
-def polynomial_subgroup():
-    """G0 = {1, S, S', SS', D, SD, S'D, SS'D}."""
-    return [IDENT, S, SPRIME, S * SPRIME, D, S * D, SPRIME * D, S * SPRIME * D]
-
-
-def is_polynomial_action(word: GroupWord) -> bool:
-    """True iff the word's action on a symbolic mu has denominator 1."""
-    mu = symbolic_mu()
-    out = apply_map(word, mu)
-    for v in out:
-        if isinstance(v, RatFunc) and not v.is_poly():
-            return False
-    return True

@@ -12,10 +12,16 @@ import gkpfrac
 from gkpfrac import cli
 from gkpfrac.cli import main, parse_poly
 from gkpfrac.exactalg import (
-    EXPONENT_LIMIT, MPoly, felem_eq, mpoly_from_json, rational, variables,
+    EXPONENT_LIMIT, MPoly, _norm_scalar, felem_eq, rational, variables,
 )
 from gkpfrac.gkpcore import row_polys, triangle
 from gkpfrac.hankel import coeffwise_nonneg, hankel_tp, log_convexity
+
+
+def mpoly_from_json(d) -> MPoly:
+    """The polynomial a report prints as {"vars", "terms"}."""
+    return MPoly(tuple(d["vars"]),
+                 {tuple(e): _norm_scalar(rational(c)) for e, c in d["terms"]})
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -290,6 +296,18 @@ def test_hankel_order2_reports_come_from_the_minors(tmp_path):
     assert data["hankel"]["witness"]["rows"] == [0]
     assert data["hankel"]["witness"]["cols"] == [1]
     assert data["hankel"]["witness"]["offending"] == {"coeff": -1, "monomial": {"x": 0}}
+
+
+def test_hankel_builds_only_the_rows_the_matrix_reads(tmp_path, monkeypatch):
+    # the m x m Hankel matrix reads a_0..a_{2m-2}: rows 0..2m-2 of the triangle
+    asked = []
+    monkeypatch.setattr(cli, "triangle", lambda mu, N: asked.append(N) or triangle(mu, N))
+    tilde = cli.hk.gkp_tilde_polys
+    monkeypatch.setattr(cli.hk, "gkp_tilde_polys", lambda N: asked.append(N) or tilde(N))
+    for m in (1, 3):
+        assert run_cli(["hankel", "--mu", "1,2,1,1,1,1", "--size", str(m)], tmp_path)[0] == 0
+        assert run_cli(["hankel", "--family", "gkp-tilde", "--size", str(m)], tmp_path)[0] == 0
+    assert asked == [0, 0, 4, 4]
 
 
 def test_hankel_order2_checks_the_entries_and_only_the_matrix(tmp_path):

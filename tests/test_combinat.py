@@ -3,16 +3,17 @@ from math import factorial
 
 import pytest
 
-from gkpfrac.exactalg import MPoly, as_field, felem_eq, variables
+from gkpfrac.exactalg import (
+    MPoly, TruncSeries, as_field, exp_series, felem_eq, generalized_binomial_series,
+    variables,
+)
 from gkpfrac.gkpcore import gkp_triangle
 from gkpfrac.cfrac import eval_sr
 from gkpfrac.combinat import (
     InvalidPermutation, SizeLimit, cyc_exc_count_bruteforce,
-    cyc_exc_count_formula, eulerian, eulerian_traditional,
-    explicit_formula_checks, master_egf, master_poly_bruteforce,
-    master_poly_vy_formula, perm_stats, stirling_cycle, stirling_subset,
-    stirling_cycle_egf, verify_master_sfrac, x_stirling_egf_check,
-    x_stirling_transform,
+    cyc_exc_count_formula, eulerian, explicit_formula_checks,
+    master_poly_bruteforce, master_poly_vy_formula, perm_stats, stirling_cycle,
+    stirling_subset, verify_master_sfrac, x_stirling_transform,
 )
 
 
@@ -55,8 +56,7 @@ def test_master_sfrac():
 def test_master_specializations():
     w, y, u, v = variables("w y u v")
     # all weights 1 counts permutations
-    assert master_poly_bruteforce(5).eval_scalar(
-        {"w": 1, "y": 1, "u": 1, "v": 1}) == 120
+    assert master_poly_bruteforce(5).subs({"w": 1, "y": 1, "u": 1, "v": 1}) == 120
     # u = y gives homogenized cycle products
     for n in range(6):
         lhs = master_poly_bruteforce(n).subs({"u": y, "v": y})
@@ -79,7 +79,6 @@ def test_classical_numbers():
     assert stirling_subset(3, 2) == 3
     assert stirling_cycle(4, 2) == 11
     assert eulerian(3, 1) == 4
-    assert eulerian_traditional(3, 2) == 4
     assert sum(eulerian(5, k) for k in range(5)) == 120
 
 
@@ -98,9 +97,9 @@ def test_classical_triangles_match_recurrence_arrays():
         for k in range(n + 1):
             assert t.entry(n, k) == eulerian(n, k), (n, k)
     t = gkp_triangle((0, 1, 0, 1, -1, 1), 7)
-    for n in range(1, 8):
+    for n in range(1, 8):  # the classical indexing: row n >= 1 starts at k = 1
         for k in range(n + 1):
-            assert t.entry(n, k) == eulerian_traditional(n, k), (n, k)
+            assert t.entry(n, k) == eulerian(n, k - 1), (n, k)
     # ordered set partitions
     t = gkp_triangle((0, 1, 0, 0, 1, 0), 7)
     for n in range(8):
@@ -130,8 +129,7 @@ def test_explicit_formulas():
     assert cyc_exc_count_formula(2, 2, 0) == 1
     assert cyc_exc_count_formula(2, 1, 1) == 1
     # n = 3 with all weights 1 counts the six permutations
-    assert master_poly_vy_formula(3).eval_scalar(
-        {"w": 1, "y": 1, "u": 1, "v": 1}) == 6
+    assert master_poly_vy_formula(3).subs({"w": 1, "y": 1, "u": 1, "v": 1}) == 6
 
 
 def _off_at(real, args, delta=1):
@@ -159,6 +157,36 @@ def test_each_explicit_formula_check_can_fail(monkeypatch, check, patches):
 
 
 
+def x_stirling_egf_check(order: int) -> bool:
+    """egf law B(t) = A((e^{xt}-1)/x) with symbolic a_0..a_order and x."""
+    names = ["a%d" % i for i in range(order + 1)]
+    syms = variables(names, extra=("x",))
+    x = MPoly.variable("x", syms[0].vars)
+    b = x_stirling_transform(list(syms), x)
+    B = TruncSeries(order, [bi * Fraction(1, factorial(n)) for n, bi in enumerate(b)])
+    A = TruncSeries(order, [ai * Fraction(1, factorial(n)) for n, ai in enumerate(syms)])
+    # (e^{xt}-1)/x = sum_{m>=1} x^(m-1) t^m / m!
+    inner = TruncSeries(order, [0] + [x ** (m - 1) * Fraction(1, factorial(m))
+                                      for m in range(1, order + 1)])
+    return A.compose(inner) == B
+
+
+def master_egf(w, u, y, order: int) -> TruncSeries:
+    """((y-u)/(y-u e^{(y-u)t}))^(w/u) at numeric weights (w/u rational)."""
+    w, u, y = Fraction(w), Fraction(u), Fraction(y)
+    c = y - u
+    num = TruncSeries(order, [y] + [0] * order) - exp_series(c, order).scale(u)
+    base = num.scale(1 / c)  # (y - u e^{ct})/(y - u), constant term 1
+    return generalized_binomial_series(base, -w / u)
+
+
+def stirling_cycle_egf(w, y, order: int) -> TruncSeries:
+    """(1 - y t)^(-w/y) = exp(sum_{n>=1} w y^(n-1) t^n / n), polynomial in
+    both weights."""
+    return TruncSeries(order, [0] + [w * y ** (n - 1) * Fraction(1, n)
+                                     for n in range(1, order + 1)]).exp()
+
+
 def test_x_stirling_transform():
     assert x_stirling_transform([1, 0, 0, 0, 0], 1) == [1, 0, 0, 0, 0]
     assert x_stirling_transform([1] * 5, 1) == [1, 1, 2, 5, 15]
@@ -169,7 +197,7 @@ def test_master_egf_numeric():
     for (wv, uv, yv) in [(1, 2, 3), (Fraction(1, 2), 1, 2), (2, 3, 5)]:
         F = master_egf(wv, uv, yv, 8)
         for n in range(9):
-            want = master_poly_bruteforce(n).eval_scalar(
+            want = master_poly_bruteforce(n).subs(
                 {"w": wv, "y": yv, "u": uv, "v": yv}) * Fraction(1, factorial(n))
             assert F.coeffs[n] == want
 

@@ -12,7 +12,7 @@ from gkpfrac.gkpcore import (
     CLOSED_FORMS, TWO_TERM, GKPParams, UnknownFamily, _gkp_row_rule, _unroll_rows,
     binomial_like_triangle, closed_form_check,
     egf_trunc, gkp_rule, gkp_triangle, gkpz_triangle, ogf_trunc,
-    rescale_weight, rescaled_rule, residual_checks, row_polys, tilde_params,
+    rescale_weight, residual_checks, row_polys, tilde_params,
     triangle_mismatch,
 )
 
@@ -149,8 +149,14 @@ def test_rescaling_product_formula_symbolic():
     c = lambda j: gens["c%d" % j]
     d = lambda j: gens["d%d" % j]
     e = lambda j: gens["e%d" % j]
+    def rescaled(n, k):
+        # the weights (c_{n-k} e_n a_{n,k}, d_k e_n a'_{n,k})
+        a_nk, ap_nk = base(n, k)
+        return (c(n - k) * e(n) * a_nk if k <= n - 1 else 0,
+                d(k) * e(n) * ap_nk if k >= 1 else 0)
+
     T = binomial_like_triangle(base, N)
-    T2 = binomial_like_triangle(rescaled_rule(base, c, d, e), N)
+    T2 = binomial_like_triangle(rescaled, N)
     for n in range(N + 1):
         for k in range(n + 1):
             want = rescale_weight(c, d, e, n, k) * T.entry(n, k)

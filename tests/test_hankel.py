@@ -1,5 +1,8 @@
+import os
 import random
+import time
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from gkpfrac import hankel
+from gkpfrac import cli, hankel
 from gkpfrac.exactalg import (
     MPoly, RatFunc, as_field, felem_eq, least_negative, variables,
 )
@@ -515,3 +518,167 @@ def test_empty_ranges_raise():
     for m, r in ((0, 2), (2, 0), (3, -1)):
         with pytest.raises(ValueError, match="at least 1"):
             hankel_tp([1] * 5, m, r)
+
+
+# -- the sign-only last level split across forked workers -------------------
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def cpus(n, min_work=0):
+    """``n`` usable CPUs and a split threshold of ``min_work``; the forks
+    made inside are counted in the list it yields, and none outlives it."""
+    forks = []
+    fork = os.fork
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "SPLIT_MIN_WORK", min_work)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+        yield forks
+    assert_no_child_left()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_convexity_cases(), hankel_tp_cases(), numeric_mu_cases())
+def test_split_last_level_matches_the_serial_walk(lc, tp, numeric):
+    seq, n_max, strong = lc
+    tseq, m, r = tp
+    mu, nm, nr, nn = numeric
+    ps = row_polys(gkp_triangle(mu, max(2 * nm - 2, nn + 2)))
+
+    def reports():
+        return (log_convexity(seq, n_max, strong), tp_summary(hankel_tp(tseq, m, r)),
+                log_convexity(ps, nn, True), tp_summary(hankel_tp(ps, nm, nr)))
+
+    with cpus(1) as forks:
+        want = reports()
+    assert not forks
+    with cpus(2):
+        assert reports() == want
+
+
+def test_split_runs_on_the_tilde_polynomials():
+    ps = gkp_tilde_polys(6)
+    with cpus(1):
+        want = log_convexity(ps, 4, strong=True), hankel_tp(ps, 4, 3), hankel_tp(ps, 3, 2)
+    for n in (2, 3):
+        with cpus(n) as forks:
+            got = log_convexity(ps, 4, strong=True), hankel_tp(ps, 4, 3), hankel_tp(ps, 3, 2)
+        assert got == want and len(forks) == 3 * (n - 1)
+
+
+def first_flagged(n, flagged, child=None):
+    """``_first_flagged`` over the keys 0..n-1, one group each, of which
+    ``flagged`` have a negative value; in a forked worker, ``child(key)``
+    runs before each value."""
+    parent = os.getpid()
+
+    def values(keys):
+        for k in keys:
+            if child is not None and os.getpid() != parent:
+                child(k)
+            yield -1 if k in flagged else 1
+
+    return hankel._first_flagged(list(range(n)), values, 0,
+                                 [(1 + k % 3, [k]) for k in range(n)])
+
+
+def test_split_finds_the_least_flag_of_every_worker():
+    with cpus(2) as forks:
+        for flagged in [()] + [(p,) for p in range(7)] + list(combinations(range(7), 2)):
+            assert first_flagged(7, set(flagged)) == min(flagged, default=None), flagged
+            assert_no_child_left()
+    assert len(forks) == 1 + 7 + 21
+
+
+def test_failing_child_falls_back_to_the_serial_walk():
+    def boom(key):
+        raise RuntimeError("child")
+
+    with cpus(2) as forks:
+        for p in range(7):
+            assert first_flagged(7, {p}, boom) == p
+        # the same on a real check: a child that raises changes no report
+        ps = gkp_tilde_polys(6)
+        ta, x = MPoly.variable("ta", ps[0].vars), MPoly.variable("x", ps[0].vars)
+        bent = ps[:3] + [ps[3] + 5 * ta * x ** 2] + ps[4:]
+        with cpus(1):
+            want = log_convexity(bent, 4, strong=True), hankel_tp(ps, 4, 3)
+        assert not want[0]["ok"] and want[1].ok
+        parent = os.getpid()
+        slot = hankel._negative_slot
+
+        def child_raises(p, tops):
+            if os.getpid() != parent:
+                raise MemoryError
+            return slot(p, tops)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hankel, "_negative_slot", child_raises)
+            assert (log_convexity(bent, 4, strong=True), hankel_tp(ps, 4, 3)) == want
+    assert len(forks) == 9
+
+
+def test_exception_in_the_parent_share_is_the_serial_one():
+    parent = os.getpid()
+
+    def values(keys):
+        for k in keys:
+            if k == 4 and os.getpid() == parent:
+                raise ArithmeticError("no value for key %d" % k)
+            yield 1
+
+    groups = [(1, [k]) for k in range(6)]
+    with cpus(1):
+        with pytest.raises(ArithmeticError, match="^no value for key 4$"):
+            hankel._first_flagged(list(range(6)), values, 0, groups)
+    with cpus(2) as forks:
+        with pytest.raises(ArithmeticError, match="^no value for key 4$"):
+            hankel._first_flagged(list(range(6)), values, 0, groups)
+    assert len(forks) == 1
+
+
+def test_interrupt_kills_and_reaps_the_children():
+    parent = os.getpid()
+
+    def values(keys):
+        for k in keys:
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(10)
+            yield 1
+
+    start = time.perf_counter()
+    with cpus(2) as forks:
+        with pytest.raises(KeyboardInterrupt):
+            hankel._first_flagged([0, 1], values, 0, [(1, [0]), (1, [1])])
+    assert forks and time.perf_counter() - start < 5
+
+
+def test_no_fork_without_a_second_cpu_or_fork():
+    ps = gkp_tilde_polys(6)
+    with cpus(1) as forks:
+        want = log_convexity(ps, 4, strong=True), hankel_tp(ps, 4, 3)
+    assert not forks
+    for name in ("fork", "sched_getaffinity"):
+        with cpus(2) as forks, pytest.MonkeyPatch.context() as mp:
+            mp.delattr(os, name)
+            assert (log_convexity(ps, 4, strong=True), hankel_tp(ps, 4, 3)) == want
+        assert not forks
+
+
+def test_small_levels_stay_serial():
+    # numeric rows never split; the threshold keeps the symbolic-mu
+    # differences of the benchmark's logconvex job (25 162 term products) in
+    # one process, and splits the tilde differences (223 849)
+    mu = cli._parse_mu("1,sym,1,1,sym,1")
+    numeric = row_polys(gkp_triangle((1, 2, Fraction(1, 2), 3, 1, 4), 8))
+    with cpus(2, hankel.SPLIT_MIN_WORK) as forks:
+        log_convexity(row_polys(cli.triangle(mu, 10)), 8, strong=True)
+        hankel_tp(numeric, 5, 3)
+        assert not forks
+        log_convexity(gkp_tilde_polys(8), 6, strong=True)
+        assert len(forks) == 1

@@ -80,8 +80,13 @@ def _eval_felem(value, point):
     def ev(p):
         # variables absent from the point never occur with a nonzero
         # exponent in a node's substitution values
-        full = {v: point.get(v, Fraction(0)) for v in p.vars}
-        return p.eval_scalar(full)
+        out = Fraction(0)
+        for e, c in p.terms.items():
+            t = Fraction(c)
+            for v, k in zip(p.vars, e):
+                t *= point.get(v, Fraction(0)) ** k
+            out += t
+        return out
 
     if isinstance(value, RatFunc):
         return ev(value.num) / ev(value.den)
