@@ -338,7 +338,7 @@ def contract(cf: CFrac) -> CFrac:
 
 def binomial_transform_seq(a: TruncSeries, xi) -> TruncSeries:
     """b_n = sum_k C(n,k) a_k xi^{n-k}, cross-checked against the ogf
-    substitution law b(t) = (1-xi t)^{-1} a(t/(1-xi t))."""
+    substitution law b(t) = (1-xi t)^{-1} a(t/(1-xi t)) (``_cross_check``)."""
     n = a.order
     out = []
     for i in range(n + 1):
@@ -355,10 +355,16 @@ def binomial_transform_seq(a: TruncSeries, xi) -> TruncSeries:
     direct = TruncSeries(n, out)
     geom = TruncSeries(n, [1] + [xi ** j for j in range(1, n + 1)])  # 1/(1-xi t)
     inner = geom.shift_up()  # t/(1-xi t)
-    subst = a.compose(inner) * geom
-    if direct != subst:
-        raise AssertionError("binomial transform laws disagree")
+    _cross_check(direct, a.compose(inner) * geom, "binomial transform laws disagree")
     return direct
+
+
+def _cross_check(got: TruncSeries, want: TruncSeries, what: str) -> None:
+    """Raise ArithmeticError naming the first t^n at which the two sides of
+    an internal cross-check differ."""
+    bad = first_mismatch(zip(count(), got.coeffs, want.coeffs))
+    if bad is not None:
+        raise ArithmeticError("%s at t^%d" % (what, bad[0]))
 
 
 def transform_laws(kind: str, coeffs, xi, verify_order: Optional[int] = None) -> CFrac:
@@ -366,7 +372,8 @@ def transform_laws(kind: str, coeffs, xi, verify_order: Optional[int] = None) ->
 
     kind: "S->T", "T->T", "J->J", "S->J", "T->J".  For T inputs the even-
     level d's must vanish.  With ``verify_order`` set, the output is checked
-    against binomial_transform_seq applied to the evaluated input."""
+    against binomial_transform_seq applied to the evaluated input
+    (``_cross_check``)."""
     def oddpattern(m):
         return tuple(xi if i % 2 == 0 else 0 for i in range(m))
 
@@ -397,9 +404,8 @@ def transform_laws(kind: str, coeffs, xi, verify_order: Optional[int] = None) ->
         raise ValueError("unknown transform kind %r" % kind)
 
     if verify_order is not None:
-        want = binomial_transform_seq(eval_cfrac(src, verify_order), xi)
-        got = eval_cfrac(out, verify_order)
-        if want != got:
-            raise AssertionError("transform law failed verification")
+        _cross_check(eval_cfrac(out, verify_order),
+                     binomial_transform_seq(eval_cfrac(src, verify_order), xi),
+                     "%s transform law failed verification" % kind)
     return out
 

@@ -250,6 +250,8 @@ def cmd_eval_cfrac(args):
 
 def cmd_verify_family(args):
     N = _depth(args.depth)
+    if args.symbolic and args.params:
+        raise UsageError("--symbolic takes no --params")
     params = None if args.symbolic else _parse_params(args.params)
     rep = families.verify_family(args.id, params, N, kind=args.kind)
     ok = rep["first_mismatch"] is None

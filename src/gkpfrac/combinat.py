@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 
-from .exactalg import MPoly, felem_eq, variables
+from .exactalg import MPoly, first_mismatch, mismatch_report, variables
 from .cfrac import eval_sr
 
 
@@ -24,7 +24,14 @@ class SizeLimit(ValueError):
     pass
 
 
+# the largest n whose n! permutations any oracle here enumerates
 BRUTE_FORCE_CAP = 9
+
+
+def _capped(n: int) -> int:
+    if n > BRUTE_FORCE_CAP:
+        raise SizeLimit("n=%d exceeds the brute-force cap %d" % (n, BRUTE_FORCE_CAP))
+    return n
 
 
 @dataclass(frozen=True)
@@ -86,10 +93,8 @@ MASTER_VARS = ("w", "y", "u", "v")
 def master_poly_bruteforce(n: int) -> MPoly:
     """Sum over all permutations of [n] of
     w^cyc y^erec u^(n-exc-cyc) v^(exc-erec)."""
-    if n > BRUTE_FORCE_CAP:
-        raise SizeLimit("n=%d exceeds the brute-force cap %d" % (n, BRUTE_FORCE_CAP))
     acc = {}
-    for sigma in permutations(range(1, n + 1)):
+    for sigma in permutations(range(1, _capped(n) + 1)):
         st = perm_stats(sigma)
         key = (st.cyc, st.erec, n - st.exc - st.cyc, st.exc - st.erec)
         acc[key] = acc.get(key, 0) + 1
@@ -108,14 +113,13 @@ def master_sfrac_coeffs(m: int):
 
 def verify_master_sfrac(n_max: int) -> dict:
     """eval of the master S-fraction == brute-force sum over permutations,
-    symbolically in all four weights."""
-    if n_max > 8:
-        raise SizeLimit("brute force capped at 8 here")
-    series = eval_sr(master_sfrac_coeffs(n_max), n_max)
-    for n in range(n_max + 1):
-        if not felem_eq(series.coeffs[n], master_poly_bruteforce(n)):
-            return {"ok": False, "first_mismatch": n}
-    return {"ok": True, "verified_to": n_max, "first_mismatch": None}
+    symbolically in all four weights; the witness is the first failing n."""
+    series = eval_sr(master_sfrac_coeffs(_capped(n_max)), n_max)
+    report = mismatch_report(first_mismatch(
+        (n, series.coeffs[n], master_poly_bruteforce(n)) for n in range(n_max + 1)))
+    if report["ok"]:
+        report["verified_to"] = n_max
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +167,22 @@ def binom(n, k) -> int:
 # explicit formulas
 # ---------------------------------------------------------------------------
 
+def _sum(terms) -> MPoly:
+    return sum(terms, MPoly.zero(MASTER_VARS))
+
+
 def master_poly_vy_formula(n: int) -> MPoly:
     """Stirling-subset expansion of the v=y specialization:
     sum_r {n r} (y-u)^(n-r) prod_{k=0}^{r-1}(w+ku)."""
     w, y, u, v = variables(MASTER_VARS)
-    acc = MPoly.zero(MASTER_VARS)
-    for r in range(n + 1):
-        c = stirling_subset(n, r)
-        if c == 0:
-            continue
-        acc = acc + c * (y - u) ** (n - r) * prod(w + k * u for k in range(r))
-    return acc
+    return _sum(stirling_subset(n, r) * (y - u) ** (n - r) * prod(w + k * u for k in range(r))
+                for r in range(n + 1))
 
 
 def cyc_exc_count_bruteforce(n: int) -> dict:
     """(cyc, exc) -> count over all permutations of [n]."""
-    if n > BRUTE_FORCE_CAP:
-        raise SizeLimit(n)
     out = {}
-    for sigma in permutations(range(1, n + 1)):
+    for sigma in permutations(range(1, _capped(n) + 1)):
         st = perm_stats(sigma)
         key = (st.cyc, st.exc)
         out[key] = out.get(key, 0) + 1
@@ -197,58 +198,37 @@ def cyc_exc_count_formula(n: int, i: int, l: int) -> int:
     return acc
 
 
-def explicit_formula_checks(n_max: int) -> dict:
-    """The four summation identities at once; see the per-item keys."""
-    if n_max > 8:
-        raise SizeLimit(n_max)
-    w, y, u, v = variables(MASTER_VARS)
-    report = {}
-
-    ok = True
-    for n in range(n_max + 1):
-        brute = master_poly_bruteforce(n).subs({"v": y})
-        if not felem_eq(brute, master_poly_vy_formula(n)):
-            ok = False
-            break
-    report["stirling_expansion_v=y"] = ok
-
-    ok = True
+def _cyc_exc_cases(n_max: int):
+    """((n, i, l), formula, brute-force count), one n at a time."""
     for n in range(n_max + 1):
         counts = cyc_exc_count_bruteforce(n)
         for i in range(n + 1):
             for l in range(n + 1):
-                if counts.get((i, l), 0) != cyc_exc_count_formula(n, i, l):
-                    ok = False
-    report["cyc_exc_counts"] = ok
+                yield (n, i, l), cyc_exc_count_formula(n, i, l), counts.get((i, l), 0)
 
-    ok = True
-    for n in range(n_max + 1):
-        lhs = MPoly.zero(MASTER_VARS)
-        for k in range(n + 1):
-            c = eulerian(n, k)
-            if c:
-                lhs = lhs + c * y ** k * w ** (n - k)
-        rhs = MPoly.zero(MASTER_VARS)
-        for r in range(n + 1):
-            c = factorial(r) * stirling_subset(n, r)
-            if c:
-                rhs = rhs + c * (y - w) ** (n - r) * w ** r
-        if not felem_eq(lhs, rhs):
-            ok = False
-    report["eulerian_ordered_bell"] = ok
 
-    ok = True
-    for n in range(n_max + 1):
-        lhs = master_poly_vy_formula(n).subs({"u": 1})
-        rhs = MPoly.zero(MASTER_VARS)
-        for r in range(n + 1):
-            c = stirling_subset(n, r)
-            if c:
-                rhs = rhs + c * (y - 1) ** (n - r) * prod(w + k for k in range(r))
-        if not felem_eq(lhs, rhs):
-            ok = False
-    report["u1_specialization"] = ok
-
+def explicit_formula_checks(n_max: int) -> dict:
+    """The four summation identities at once, each True iff it holds for
+    every n <= n_max; see the per-item keys."""
+    w, y, u, v = variables(MASTER_VARS)
+    ns = range(_capped(n_max) + 1)
+    cases = {
+        "stirling_expansion_v=y": (
+            (n, master_poly_bruteforce(n).subs({"v": y}), master_poly_vy_formula(n))
+            for n in ns),
+        "cyc_exc_counts": _cyc_exc_cases(n_max),
+        "eulerian_ordered_bell": (
+            (n, _sum(eulerian(n, k) * y ** k * w ** (n - k) for k in range(n + 1)),
+             _sum(factorial(r) * stirling_subset(n, r) * (y - w) ** (n - r) * w ** r
+                  for r in range(n + 1)))
+            for n in ns),
+        "u1_specialization": (
+            (n, master_poly_vy_formula(n).subs({"u": 1}),
+             _sum(stirling_subset(n, r) * (y - 1) ** (n - r) * prod(w + k for k in range(r))
+                  for r in range(n + 1)))
+            for n in ns),
+    }
+    report = {key: first_mismatch(c) is None for key, c in cases.items()}
     report["ok"] = all(report.values())
     return report
 

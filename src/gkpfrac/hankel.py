@@ -1,6 +1,6 @@
 """Hankel matrices of polynomial sequences, coefficientwise total
-positivity of bounded order, log-convexity, and the two published
-sufficient-condition hypothesis sets.
+positivity of bounded order, log-convexity, and two published parameter
+hypothesis sets (``hypothesis_check``).
 
 Both checks run on one compressed copy of the sequence (``_kronecker_pack``):
 the entries are scaled to integer coefficients, exponents that are affine
@@ -62,7 +62,7 @@ def coeffwise_nonneg(p) -> tuple:
     first offending monomial in graded-lex order."""
     p = as_field(p)
     if isinstance(p, (int, Fraction)):
-        return (p >= 0, None if p >= 0 else {"monomial": (), "coeff": p})
+        return (True, None) if p >= 0 else (False, {"monomial": (), "coeff": p})
     p = _polynomial(p)
     bad = least_negative(p)
     if bad is None:
@@ -537,8 +537,12 @@ def gkp_tilde_polys(N: int):
 
 
 def hypothesis_check(mu, which: str) -> bool:
-    """Exact evaluation of the published nonnegativity hypothesis sets on a
-    concrete parameter tuple."""
+    """Exact evaluation of two published parameter hypothesis sets on a
+    concrete parameter tuple.  Neither is a tested sufficient condition for
+    the checks of this module: ``ChenWangYang`` admits mu = (0, 2, -1, 1/2,
+    1, 2), whose entry T(1,0) = alpha + gamma is -1 and whose Hankel minors
+    and strong log-convexity both fail, and what ``LiuWang`` implies is
+    not checked here."""
     vals = []
     for v in tuple(GKPParams.of(mu)):
         v = as_field(v)

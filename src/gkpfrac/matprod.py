@@ -12,7 +12,7 @@ from math import factorial
 from typing import Callable
 
 from .exactalg import (
-    MPoly, as_field, as_mpoly, divide_exact, felem_div, felem_eq, felem_is_zero,
+    MPoly, as_mpoly, divide_exact, felem_div, felem_eq, felem_is_zero,
     first_mismatch, mismatch_report, mpoly_gcd, variables,
 )
 from .gkpcore import (
@@ -254,24 +254,24 @@ def _case_A13(N):
 
 def case_A13_remark_defect(N=5):
     """With constant hat-alpha and no hypothesis, the two-term recurrence
-    defect carries gp*hA*(gp*hA - a) as an overall factor."""
+    defect carries gp*hA*(gp*hA - a) as an overall factor: each cell's
+    defect must equal the factor times its exact quotient (0 if none)."""
     a, g, gp, hA, hG, hGd = _symbols(N, "a", "g", "gp", "hA", ("hG", 0), ("hGd", 0))
     A = binomial_like_triangle(lambda n, k: (a * (n - k) + g, gp), N)
     B = binomial_like_triangle(lambda n, k: (hA * n + hG(k), hGd(k)), N)
     C = triangle_product(A, B)
     factor = gp * hA * (gp * hA - a)
-    for n in range(1, N + 1):
-        for k in range(n + 1):
-            want = (a * n + g + gp * (hA + hG(k))) * C.entry(n - 1, k) \
-                + gp * hGd(k) * (C.entry(n - 1, k - 1) if k else 0) \
-                + (n - 1) * gp * (gp * hA - a) * hG(k) * C.entry(n - 2, k) \
-                + (n - 1) * gp * (gp * hA - a) * hGd(k) * C.entry(n - 2, k - 1)
-            defect = as_field(C.entry(n, k)) - as_field(want)
-            if felem_is_zero(defect):
-                continue
-            if divide_exact(as_mpoly(defect), factor) is None:
-                return {"ok": False, "first_mismatch": {"n": n, "k": k}}
-    return {"ok": True, "first_mismatch": None}
+
+    def cases():
+        for n in range(1, N + 1):
+            for k in range(n + 1):
+                want = (a * n + g + gp * (hA + hG(k))) * C.entry(n - 1, k) \
+                    + gp * hGd(k) * (C.entry(n - 1, k - 1) if k else 0) \
+                    + (n - 1) * gp * (gp * hA - a) * hG(k) * C.entry(n - 2, k) \
+                    + (n - 1) * gp * (gp * hA - a) * hGd(k) * C.entry(n - 2, k - 1)
+                defect = as_mpoly(C.entry(n, k) - want)
+                yield {"n": n, "k": k}, defect, factor * (divide_exact(defect, factor) or 0)
+    return mismatch_report(first_mismatch(cases()))
 
 
 def _case_A14(N):

@@ -210,6 +210,30 @@ def test_transform_laws():
     assert all(felem_eq(as_field(v), 0) for v in t0.d)
 
 
+def _off_at(series, n):
+    """``series`` with 1 added to its t^n coefficient."""
+    coeffs = list(series.coeffs)
+    coeffs[n] = coeffs[n] + 1
+    return TruncSeries(series.order, coeffs)
+
+
+def test_binomial_cross_checks_name_the_first_differing_power(monkeypatch):
+    from gkpfrac import cfrac
+    compose = TruncSeries.compose
+    with monkeypatch.context() as patch:
+        patch.setattr(TruncSeries, "compose", lambda a, inner: _off_at(compose(a, inner), 3))
+        with pytest.raises(ArithmeticError,
+                           match=r"^binomial transform laws disagree at t\^3$"):
+            binomial_transform_seq(TruncSeries(5, [1, 1, 2, 6, 24, 120]), 2)
+    c = sym_c(6, extra=("xi",))
+    xi = MPoly.variable("xi", c[0].vars)
+    monkeypatch.setattr(cfrac, "binomial_transform_seq",
+                        lambda a, x: _off_at(binomial_transform_seq(a, x), 2))
+    with pytest.raises(ArithmeticError,
+                       match=r"^J->J transform law failed verification at t\^2$"):
+        transform_laws("J->J", (c[:3], c[3:]), xi, verify_order=6)
+
+
 def test_transform_commutes_with_contraction():
     c = sym_c(9, extra=("xi",))
     xi = MPoly.variable("xi", c[0].vars)

@@ -379,6 +379,38 @@ def test_counts_that_check_nothing_are_usage_errors(argv, error, tmp_path):
     assert cli.validate_report(data) and data["error"].startswith(error)
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["verify-family", "--id", "F3a", "--params", "beta"], "expected name=value"),
+    # --symbolic used to drop --params silently and check symbolically
+    (["verify-family", "--id", "F3a", "--symbolic", "--params",
+      "beta=1,betap=2,gammap=3", "--depth", "4"], "--symbolic takes no --params"),
+    (["combinat"], "nothing to do"),
+    (["combinat", "--master", "10"], "SizeLimit: n=10 exceeds the brute-force cap 9"),
+    (["eval-cfrac", "--kind", "S", "--c", "(x"], "missing )"),
+    (["eval-cfrac", "--kind", "S", "--c", "x+"], "unexpected end of expression"),
+    (["eval-cfrac", "--kind", "S", "--c", "y"], "unknown variable 'y'"),
+    (["eval-cfrac", "--kind", "S", "--c", "x)"], "trailing tokens"),
+    (["eval-cfrac", "--kind", "S", "--c", "x$1"], "bad character '$'"),
+])
+def test_usage_errors_of_parsers_and_option_sets(argv, error, tmp_path):
+    code, data = run_cli(argv, tmp_path)
+    assert code == 2 and data["exit"] == 2 and not data["ok"]
+    assert cli.validate_report(data) and data["error"].startswith(error), data["error"]
+
+
+@pytest.mark.parametrize("fid, params", [
+    ("GKPZ", "beta=1,gamma=2,alphap=3,gammap=1,kappa=2"),
+    ("F3a", "beta=1,betap=2,gammap=3"),
+    ("F7a", "beta=1,gamma=2,betap=3,gammap=1"),
+    ("F1c", "beta=2,gamma=3,alphap=1,gammap=5"),
+])
+def test_verify_egf_passes(fid, params, tmp_path):
+    code, data = run_cli(["verify-egf", "--id", fid, "--params", params,
+                          "--order", "6"], tmp_path)
+    assert data["report"] == {"id": fid, "ok": True, "first_mismatch": None}
+    assert code == 0 and data["exit"] == 0 and cli.validate_report(data)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["symmetry", "--map", "scaling"], 0),
     (["symmetry", "--map", "scaling", "--show-map"], 0),

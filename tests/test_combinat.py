@@ -4,13 +4,13 @@ from math import factorial
 import pytest
 
 from gkpfrac.exactalg import (
-    MPoly, TruncSeries, as_field, exp_series, felem_eq, generalized_binomial_series,
-    variables,
+    MPoly, TruncSeries, as_field, exp_series, felem_eq, first_mismatch,
+    generalized_binomial_series, variables,
 )
 from gkpfrac.gkpcore import gkp_triangle
 from gkpfrac.cfrac import eval_sr
 from gkpfrac.combinat import (
-    InvalidPermutation, SizeLimit, cyc_exc_count_bruteforce,
+    InvalidPermutation, SizeLimit, _cyc_exc_cases, cyc_exc_count_bruteforce,
     cyc_exc_count_formula, eulerian, explicit_formula_checks,
     master_poly_bruteforce, master_poly_vy_formula, perm_stats, stirling_cycle,
     stirling_subset, verify_master_sfrac, x_stirling_transform,
@@ -122,6 +122,8 @@ def test_classical_triangles_match_recurrence_arrays():
 
 
 def test_explicit_formulas():
+    # the cyc/exc cases first, so a failure shows its (n, i, l)
+    assert first_mismatch(_cyc_exc_cases(6)) is None
     rep = explicit_formula_checks(6)
     assert rep["ok"], rep
     counts = cyc_exc_count_bruteforce(2)
@@ -155,6 +157,53 @@ def test_each_explicit_formula_check_can_fail(monkeypatch, check, patches):
     assert rep.pop("ok") is False
     assert rep == {key: key != check for key in rep}
 
+
+def _counted(calls, real, args=None):
+    """``real`` recording each call's arguments in ``calls``, one more than
+    ``real`` at ``args``."""
+    def spy(*a):
+        calls.append(a)
+        out = real(*a)
+        return out + 1 if a == args else out
+    return spy
+
+
+def test_cyc_exc_check_stops_at_its_first_failure(monkeypatch):
+    from gkpfrac import combinat
+    formula, brute = [], []
+    monkeypatch.setattr(combinat, "cyc_exc_count_formula",
+                        _counted(formula, combinat.cyc_exc_count_formula, (3, 1, 1)))
+    monkeypatch.setattr(combinat, "cyc_exc_count_bruteforce",
+                        _counted(brute, cyc_exc_count_bruteforce))
+    assert first_mismatch(_cyc_exc_cases(6))[0] == (3, 1, 1)
+    # nothing after the failing case is computed: no later (i, l), no n = 4
+    assert formula[-1] == (3, 1, 1) and len(formula) == 1 + 4 + 9 + 4 + 2
+    assert brute == [(0,), (1,), (2,), (3,)]
+    formula.clear()
+    brute.clear()
+    assert explicit_formula_checks(6)["cyc_exc_counts"] is False
+    assert formula[-1] == (3, 1, 1) and brute[-1] == (3,)
+
+
+def test_master_check_names_its_first_failing_n(monkeypatch):
+    from gkpfrac import combinat
+    calls = []
+    monkeypatch.setattr(combinat, "master_poly_bruteforce",
+                        _counted(calls, combinat.master_poly_bruteforce, (3,)))
+    assert verify_master_sfrac(6) == {"ok": False, "first_mismatch": 3}
+    assert calls == [(0,), (1,), (2,), (3,)]
+
+
+def test_one_brute_force_cap(monkeypatch):
+    from gkpfrac import combinat
+    assert combinat.BRUTE_FORCE_CAP == 9
+    monkeypatch.setattr(combinat, "BRUTE_FORCE_CAP", 3)
+    assert verify_master_sfrac(3) == {"ok": True, "verified_to": 3, "first_mismatch": None}
+    assert explicit_formula_checks(3)["ok"]
+    for check in (verify_master_sfrac, explicit_formula_checks,
+                  master_poly_bruteforce, cyc_exc_count_bruteforce):
+        with pytest.raises(SizeLimit, match=r"^n=4 exceeds the brute-force cap 3$"):
+            check(4)
 
 
 def x_stirling_egf_check(order: int) -> bool:

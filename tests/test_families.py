@@ -149,6 +149,25 @@ def test_egf_closed_forms():
         assert rep["ok"], (fid, rep)
 
 
+def test_gkpz_parametrizations_name_the_first_order_they_differ(monkeypatch):
+    from gkpfrac import families
+    params = {"beta": 1, "gamma": 2, "alphap": 3, "gammap": 1, "kappa": 2}
+    real = families.egf_closed_form
+
+    def perturbed_alt(id, vals, order):
+        s = real(id, vals, order)
+        if id == "GKPZ-ALT" and order >= 4:
+            s.coeffs[4] = s.coeffs[4] + 1
+        return s
+
+    monkeypatch.setattr(families, "egf_closed_form", perturbed_alt)
+    assert verify_egf_closed_forms("GKPZ", params, 6) == {
+        "id": "GKPZ", "ok": False,
+        "first_mismatch": {"order": 4, "against": "GKPZ-ALT"}}
+    # below that order the two agree, and both agree with the triangle
+    assert verify_egf_closed_forms("GKPZ", params, 3)["ok"]
+
+
 def test_egf_factorial_special_case():
     s = egf_closed_form("F2b", {"alpha": 1, "beta": 0, "gamma": 0, "betap": 1}, 6)
     assert all(felem_eq(as_field(c), 1) for c in s.coeffs)

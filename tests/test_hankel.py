@@ -143,6 +143,26 @@ def test_hankel_tp_needs_every_entry_of_the_matrix():
         hankel_tp([1, 1, 2, 6], 3, 2)
 
 
+def test_coeffwise_nonneg_on_scalars():
+    # a scalar zero is nonnegative
+    assert coeffwise_nonneg(0) == (True, None)
+    assert coeffwise_nonneg(Fraction(0)) == (True, None)
+    assert coeffwise_nonneg(Fraction(1, 2)) == (True, None)
+    assert coeffwise_nonneg(-1) == (False, {"monomial": (), "coeff": -1})
+
+
+def test_chen_wang_yang_set_admits_a_failing_point():
+    # the set asks alpha + beta + gamma >= 0, but T(1,0) = alpha + gamma:
+    # this point lies inside it, has a negative entry and fails both checks
+    mu = (0, 2, -1, Fraction(1, 2), 1, 2)
+    assert hypothesis_check(mu, "ChenWangYang")
+    t = gkp_triangle(mu, 8)
+    assert t.entry(1, 0) == -1
+    rows = row_polys(t)
+    assert not hankel_tp(rows, 5, 3).ok
+    assert not log_convexity(rows, 6, strong=True)["ok"]
+
+
 def test_hypothesis_sets():
     assert hypothesis_check((1, 0, 0, 0, 0, 1), "LiuWang")
     assert hypothesis_check((1, 0, 0, 0, 0, 1), "ChenWangYang")

@@ -62,7 +62,20 @@ def test_all_product_cases():
 
 
 def test_a13_remark_defect_factor():
-    assert case_A13_remark_defect(5)["ok"]
+    assert case_A13_remark_defect(5) == {"ok": True, "first_mismatch": None}
+
+
+def test_a13_remark_defect_names_its_cell(monkeypatch):
+    # one wrong product entry leaves a defect the factor does not divide
+    real = matprod.triangle_product
+
+    def off(A, B):
+        rows = real(A, B).rows
+        rows[3][1] = rows[3][1] + 1
+        return Triangle(rows)
+
+    monkeypatch.setattr(matprod, "triangle_product", off)
+    assert case_A13_remark_defect(5) == {"ok": False, "first_mismatch": {"n": 3, "k": 1}}
 
 
 def test_a17_reduces_to_a15():
