@@ -17,8 +17,7 @@ import sys
 from fractions import Fraction
 
 from .exactalg import (
-    EXPONENT_LIMIT, MPoly, RatFunc, TruncSeries, felem_to_json, rational,
-    series_to_json, variables,
+    EXPONENT_LIMIT, MPoly, felem_to_json, rational, series_to_json, variables,
 )
 from .gkpcore import (
     GKPParams, PARAM_NAMES, Triangle, ogf_trunc, row_polys, triangle,
@@ -416,15 +415,11 @@ def cmd_inverse_pair(args):
 def _mk_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, (Fraction, MPoly, RatFunc)):
-        return felem_to_json(obj)
-    if isinstance(obj, TruncSeries):
-        return series_to_json(obj)
     if isinstance(obj, dict):
         return {str(k): _mk_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_mk_jsonable(v) for v in obj]
-    return repr(obj)
+    return felem_to_json(obj)
 
 
 # minimal shipped schema: required top-level keys per report, plus the

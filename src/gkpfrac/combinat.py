@@ -48,9 +48,14 @@ def perm_stats(sigma) -> PermStats:
     """Cycle, excedance and record statistics of a permutation of [n],
     given as the value sequence (sigma(1), ..., sigma(n))."""
     sigma = tuple(sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
+    if sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise InvalidPermutation(sigma)
+    return _perm_stats(sigma)
+
+
+def _perm_stats(sigma) -> PermStats:
+    """``perm_stats`` of a tuple known to be a permutation of [n]."""
+    n = len(sigma)
     rec = arec = erec = earec = exc = 0
     is_rec = [False] * n
     is_arec = [False] * n
@@ -93,12 +98,19 @@ MASTER_VARS = ("w", "y", "u", "v")
 def master_poly_bruteforce(n: int) -> MPoly:
     """Sum over all permutations of [n] of
     w^cyc y^erec u^(n-exc-cyc) v^(exc-erec)."""
-    acc = {}
-    for sigma in permutations(range(1, _capped(n) + 1)):
-        st = perm_stats(sigma)
+    return MPoly(MASTER_VARS, _master_counts(_capped(n)))
+
+
+@lru_cache(maxsize=None)
+def _master_counts(n: int) -> dict:
+    """(cyc, erec, n-exc-cyc, exc-erec) -> number of permutations of [n]:
+    the one enumeration of S_n that both brute-force oracles read."""
+    out = {}
+    for sigma in permutations(range(1, n + 1)):
+        st = _perm_stats(sigma)
         key = (st.cyc, st.erec, n - st.exc - st.cyc, st.exc - st.erec)
-        acc[key] = acc.get(key, 0) + 1
-    return MPoly(MASTER_VARS, acc)
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
 def master_sfrac_coeffs(m: int):
@@ -182,10 +194,8 @@ def master_poly_vy_formula(n: int) -> MPoly:
 def cyc_exc_count_bruteforce(n: int) -> dict:
     """(cyc, exc) -> count over all permutations of [n]."""
     out = {}
-    for sigma in permutations(range(1, _capped(n) + 1)):
-        st = perm_stats(sigma)
-        key = (st.cyc, st.exc)
-        out[key] = out.get(key, 0) + 1
+    for (cyc, erec, _, rest), count in _master_counts(_capped(n)).items():
+        out[cyc, erec + rest] = out.get((cyc, erec + rest), 0) + count
     return out
 
 

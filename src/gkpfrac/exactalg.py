@@ -311,9 +311,7 @@ class MPoly:
                 return self, other
             merged = tuple(dict.fromkeys(self.vars + other.vars))
             return self.in_vars(merged), other.in_vars(merged)
-        if isinstance(other, (int, Fraction)):
-            return self, MPoly.constant(other, self.vars)
-        return self, NotImplemented
+        return self, MPoly.constant(other, self.vars)
 
     # Operands that need no pair loop or key merge come first.  Their
     # results are the general ones: the same tuple, keys and coefficient
@@ -455,8 +453,6 @@ class MPoly:
         if isinstance(other, MPoly):
             a, b = self._coerce(other)
             return a._terms == b._terms
-        if isinstance(other, RatFunc):
-            return other == self
         return NotImplemented
 
     def __hash__(self):
@@ -533,15 +529,7 @@ class MPoly:
         """Positive rational c with self/c integer, primitive."""
         if not self._terms:
             return Fraction(1)
-        if _INT_ONLY.issuperset(map(type, self._terms.values())):
-            return Fraction(_int_gcd(*self._terms.values()))
-        num = 0
-        den = 1
-        for c in self._terms.values():
-            f = Fraction(c)
-            num = _int_gcd(num, f.numerator)
-            den = den * f.denominator // _int_gcd(den, f.denominator)
-        return Fraction(num, den)
+        return _rational_content(self._terms.values())
 
     # -- display --------------------------------------------------------
 
@@ -667,14 +655,10 @@ def divide_exact(a: MPoly, b: MPoly):
 
 
 def _poly_in_main(p: MPoly, i: int):
-    """View p as univariate in vars[i]: list of MPoly coefficients (low->high)."""
+    """View nonzero p as univariate in vars[i]: list of MPoly coefficients
+    (low->high).  ``_coprime`` has range-checked the exponents of p."""
     split = _split_var(p._terms, len(p.vars), i)
-    top = max(split, default=0)
-    # a valid key has every exponent below EXPONENT_LIMIT; a larger field
-    # comes from a borrow, and a PRS on it would run through 2^16 degrees
-    if top >= EXPONENT_LIMIT:
-        raise ArithmeticError("exponent %d of %s out of range" % (top, p.vars[i]))
-    return [_mpoly(p.vars, split.get(x, {})) for x in range(top + 1)]
+    return [_mpoly(p.vars, split.get(x, {})) for x in range(max(split) + 1)]
 
 
 def mpoly_from_powers(coeffs, name: str, vars) -> MPoly:
@@ -903,14 +887,12 @@ def _image_gcd_degree(f, g) -> int:
 
 
 def _content_prs_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """gcd of a and b, both with two or more terms and no common monomial
-    factor: content gcd times primitive PRS in the first shared variable."""
+    """gcd of a and b, with two or more terms each, no common monomial factor
+    and a shared variable: content gcd times primitive PRS in the first one."""
     n = len(a.vars)
     # a field of the OR of all keys is nonzero iff that variable occurs
     both = reduce(or_, a._terms) & reduce(or_, b._terms)
-    main = next((i for i in range(n) if both >> _var_shift(n, i) & _FIELD), None)
-    if main is None:
-        return MPoly.one(a.vars)
+    main = next(i for i in range(n) if both >> _var_shift(n, i) & _FIELD)
     ca, fa = _common_factor(_poly_in_main(a, main))
     cb, fb = _common_factor(_poly_in_main(b, main))
     cont = mpoly_gcd(ca, cb)
@@ -953,16 +935,20 @@ def _scalar_primitive(polys):
     keeps every integer factor that the leading coefficients multiply in,
     and on polynomials in one variable their size grows exponentially with
     the number of steps."""
-    coeffs = [c for p in polys for c in p._terms.values()]
-    if _INT_ONLY.issuperset(map(type, coeffs)):
-        c = _int_gcd(*coeffs)
-    else:
-        num, den = 0, 1
-        for f in map(Fraction, coeffs):
-            num = _int_gcd(num, f.numerator)
-            den = den * f.denominator // _int_gcd(den, f.denominator)
-        c = Fraction(num, den)
+    c = _rational_content([c for p in polys for c in p._terms.values()])
     return polys if c == 1 else [p / c for p in polys]
+
+
+def _rational_content(coeffs) -> Fraction:
+    """The gcd of the numerators of ``coeffs`` over the lcm of their
+    denominators; ``coeffs`` is read twice."""
+    if _INT_ONLY.issuperset(map(type, coeffs)):
+        return Fraction(_int_gcd(*coeffs))
+    num, den = 0, 1
+    for f in map(Fraction, coeffs):
+        num = _int_gcd(num, f.numerator)
+        den = den * f.denominator // _int_gcd(den, f.denominator)
+    return Fraction(num, den)
 
 
 def _pseudo_rem(F, G, vars):

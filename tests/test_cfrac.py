@@ -470,3 +470,17 @@ def test_terminated_bundles_match_bottom_up_loops(kind, order, coeffs):
         want = _bottom_up_jr(e + [0] * max((order + 1) // 2 - len(e), 0),
                              f + [0] * max(order // 2 - len(f), 0), order)
     assert eval_cfrac(cf, order) == want
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: CFrac("Q", c=(1,)), ValueError, "kind must be S, T or J"),
+    (lambda: extract_sfrac(TruncSeries(2, [2, 1, 1]), 2), ValueError,
+     "series must have constant term 1"),
+    (lambda: contract(CFrac("J", e=(1,), f=(1,))), NotContractible,
+     "input must be S or T kind"),
+    (lambda: transform_laws("J->S", [1, 2], 1), ValueError,
+     "unknown transform kind 'J->S'"),
+])
+def test_guards_reject_what_they_cannot_take(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

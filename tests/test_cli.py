@@ -238,6 +238,12 @@ def test_reports_validate_against_schema(tmp_path):
     for i, argv in enumerate(cases):
         code, data = run_cli(argv, tmp_path, "schema%d.json" % i)
         assert validate_report(data), argv
+    # the last report, each way it can break the schema
+    assert not validate_report({k: v for k, v in data.items() if k != "ok"})
+    assert not validate_report(dict(data, ok="yes"))
+    assert not validate_report(dict(data, schema_version=cli.SCHEMA_VERSION + 1))
+    code, data = run_cli(cases[0], tmp_path, "schema_payload.json")
+    assert not validate_report({k: v for k, v in data.items() if k != "triangle"})
 
 
 def test_search_tree_dot(tmp_path):
@@ -553,14 +559,16 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def run(*args):
-        return subprocess.run([sys.executable, "-m", "gkpfrac", *args], env=env,
+        return subprocess.run([sys.executable, "-m", *args], env=env,
                               capture_output=True, text=True, timeout=120)
 
     out = tmp_path / "group.json"
-    done = run("group", "--out", str(out))
+    done = run("gkpfrac", "group", "--out", str(out))
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["ok"] is True
-    assert run("no-such-command").returncode == 2
+    assert run("gkpfrac", "no-such-command").returncode == 2
+    # the module of the front end runs as a program too
+    assert run("gkpfrac.cli", "no-such-command").returncode == 2
 
 
 def test_repeated_parameter_name_is_a_usage_error(tmp_path):

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from gkpfrac.exactalg import (
     EXPONENT_LIMIT, FIELD_BITS, DivisionByZeroPolynomial, MPoly,
     NonInvertibleSeries, RatFunc, TruncSeries, _mpoly, as_field, as_mpoly,
-    clear_denominators, divide_exact, felem_div, felem_eq, first_mismatch,
-    generalized_binomial_series, mismatch_report, mpoly_gcd, num_den, ratfunc,
-    variables, x_coeffs,
+    clear_denominators, divide_exact, felem_div, felem_eq, felem_to_json,
+    first_mismatch, generalized_binomial_series, mismatch_report, mpoly_gcd,
+    num_den, ratfunc, rational, variables, x_coeffs,
 )
 
 
@@ -648,3 +648,98 @@ def test_bool_operands_are_rejected():
                        lambda: flag + p, lambda: p - flag, lambda: flag - p):
                 with pytest.raises(TypeError):
                     op()
+
+
+# Input from outside and operands of the wrong kind: each guard raises its
+# own exception, and a foreign operand gets Python's TypeError.
+def _guard_cases():
+    a, b = variables("a b")
+    r = ratfunc(a, b)
+    s = TruncSeries(2, [1, a, 0])
+    return [
+        (lambda: MPoly.constant(0.5, ("a",)), TypeError, "scalar must be int or Fraction"),
+        (lambda: rational(0.5), TypeError, "floats are not accepted"),
+        (lambda: MPoly(("a", "b"), {(1,): 1}), ValueError, "does not match 2 variables"),
+        (lambda: a.terms[(1,)], KeyError, r"\(1,\)"),
+        (lambda: a.terms[(-1, 0)], KeyError, r"\(-1, 0\)"),
+        (lambda: a.terms[(EXPONENT_LIMIT, 0)], KeyError, str(EXPONENT_LIMIT)),
+        (lambda: (a + b).constant_value(), ValueError, "not a constant polynomial"),
+        (lambda: (a ** (EXPONENT_LIMIT - 1) + 1) * (a + 1), OverflowError,
+         "product degree reaches"),
+        (lambda: a ** -1, ValueError, "exponent must be a nonnegative int"),
+        (lambda: a / 0, ZeroDivisionError, "^$"),
+        (lambda: divide_exact(a, MPoly.zero(a.vars)), DivisionByZeroPolynomial,
+         "division by zero polynomial"),
+        (lambda: r.as_mpoly(), ValueError, "not a polynomial"),
+        (lambda: RatFunc(MPoly.zero(a.vars), b).inv(), DivisionByZeroPolynomial,
+         "inverse of zero"),
+        (lambda: r / s, TypeError, "unsupported operand"),
+        (lambda: s + 0.5, TypeError, "unsupported operand"),
+        (lambda: s - 0.5, TypeError, "unsupported operand"),
+        (lambda: s * 0.5, TypeError, "unsupported operand"),
+        (lambda: s.compose(s), ValueError, "inner series must have zero constant term"),
+        (lambda: s.exp(), ValueError, "exp requires zero constant term"),
+        (lambda: generalized_binomial_series(s.shift_up(), 2), ValueError,
+         "base must have constant term 1"),
+        (lambda: felem_to_json(0.5), TypeError, "float"),
+    ]
+
+
+@pytest.mark.parametrize("call, error, message", _guard_cases())
+def test_guards_reject_what_they_cannot_take(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_scalar_forms_of_public_entry_points():
+    a, b = variables("a b")
+    zero = MPoly.zero(a.vars)
+    assert rational(3) == Fraction(3) and type(rational(3)) is Fraction
+    assert rational(Fraction(2, 6)) == Fraction(1, 3)
+    assert zero.constant_value() == 0
+    assert zero.content() == 1 and type(zero.content()) is Fraction
+    for p, c in [(6 * a - 4 * b, 2), (a / 2 - Fraction(2, 3) * b, Fraction(1, 6))]:
+        assert p.content() == c and type(p.content()) is Fraction
+    assert mpoly_gcd(zero, zero) == zero
+
+
+def test_ratfunc_compares_hashes_and_prints_like_its_value():
+    a, b = variables("a b")
+    r = ratfunc(a * b, b)                 # reduces to a, a RatFunc with den 1
+    assert isinstance(r, RatFunc) and r.den == 1
+    # MPoly == RatFunc is answered by the reflected RatFunc.__eq__
+    assert a == r and r == a and r == RatFunc(a, MPoly.one(a.vars))
+    assert ratfunc(a, b) != a and RatFunc(2 * b, b) == 2
+    assert (r == "a") is False and (a == "a") is False
+    assert hash(ratfunc(2 * a, 2 * b)) == hash(ratfunc(a, b))
+    assert repr(r) == repr(a) == "a"
+    assert repr(ratfunc(a, b)) == "(a)/(b)"
+
+
+def test_ratfunc_minus_series_goes_to_the_series():
+    a, b = variables("a b")
+    s = TruncSeries(2, [1, a, 0])
+    got = ratfunc(a, b) - s
+    assert isinstance(got, TruncSeries)
+    assert got == TruncSeries(2, [ratfunc(a, b) - 1, -a, 0])
+    assert (s == "s") is False
+
+
+def test_series_division_and_reciprocal():
+    a, b = variables("a b")
+    num = TruncSeries(3, [1, a, b, 0])
+    den = TruncSeries(3, [2, 0, a, 1])
+    quo = num / den
+    assert quo == num * den.reciprocal()
+    assert quo * den == num
+    assert quo.coeffs[:2] == [Fraction(1, 2), a / 2]
+    # a scalar divisor is a constant series
+    assert num / 2 == num.scale(Fraction(1, 2))
+
+
+def test_series_derivative_in_a_coefficient_variable():
+    a, b = variables("a b")
+    s = TruncSeries(3, [1, Fraction(1, 2), a * a * b, ratfunc(a, a + b)])
+    got = s.deriv_coeff("a")
+    assert got.coeffs[:3] == [0, 0, 2 * a * b]
+    assert felem_eq(got.coeffs[3], ratfunc(b, (a + b) ** 2))

@@ -272,3 +272,22 @@ def test_contracted_j_form_equals_the_published_one(fid, entry):
     for n in range(m):
         assert felem_eq(as_field(cf.e[n]), as_field(entry(v, n)[0])), (fid, n)
         assert felem_eq(as_field(cf.f[n]), as_field(entry(v, n + 1)[1])), (fid, n)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: family_params("F3a", {"beta": 1, "betap": 2}), ArityMismatch,
+     "family F3a takes"),
+    (lambda: predicted_cfrac("F3a", None, 2, kind="J"), UnknownFamily, "F3a has no J-form"),
+    (lambda: predicted_cfrac("F3a", None, 2, kind="Q"), ValueError, "^Q$"),
+    (lambda: verify_family("F3a", None, 2, kind="Q"), ValueError, "^Q$"),
+    (lambda: verify_binomial_relations("3a/7a", 2), ValueError,
+     "pair must be 7a/3a, 7b/3b or 6/2a"),
+    (lambda: egf_closed_form("GKPZ", {"beta": 0, "gamma": 1, "alphap": 1,
+                                      "gammap": 1, "kappa": 1}, 2),
+     NonRationalExponent, "exponent denominator vanishes"),
+    (lambda: egf_closed_form("F8a", {"beta": 1, "gamma": 1, "alphap": 1}, 2),
+     UnknownFamily, "F8a"),
+])
+def test_guards_reject_what_they_cannot_take(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -454,8 +454,9 @@ def test_a_cofactor_division_that_fails_raises(monkeypatch, tmp_path):
 def test_scalar_primitive_divides_by_the_content_of_the_whole_list():
     x, = variables("x")
     zero = MPoly.zero(x.vars)
-    assert _scalar_primitive([6 * x + 4, zero, MPoly.constant(10, x.vars)]) == \
-        [3 * x + 2, zero, 5]
+    got = _scalar_primitive([6 * x + 4, zero, MPoly.constant(10, x.vars)])
+    assert got == [3 * x + 2, zero, 5]
+    assert all(type(c) is int for p in got for c in p.terms.values())
     got = _scalar_primitive([x * Fraction(1, 2) + Fraction(1, 3),
                              MPoly.constant(Fraction(2, 3), x.vars)])
     assert got == [3 * x + 2, 4]

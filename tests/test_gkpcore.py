@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gkpfrac.exactalg import (
-    MPoly, as_field, felem_eq, felem_is_zero, felem_to_json, ratfunc, variables,
+    EXPONENT_LIMIT, MPoly, as_field, felem_eq, felem_is_zero, felem_to_json, ratfunc, variables,
 )
 from gkpfrac.gkpcore import (
-    CLOSED_FORMS, TWO_TERM, GKPParams, UnknownFamily, _gkp_row_rule, _unroll_rows,
+    CLOSED_FORMS, TWO_TERM, GKPParams, Triangle, UnknownFamily, _gkp_row_rule, _unroll_rows,
     binomial_like_triangle, closed_form_check,
     egf_trunc, gkp_rule, gkp_triangle, gkpz_triangle, ogf_trunc,
     rescale_weight, residual_checks, row_polys, tilde_params,
@@ -296,3 +296,24 @@ def test_row_polynomial_closed_forms():
         want = (kp + x) ** n * prod(gp + j * (ap + bp)
                                     for j in range(1, n + 1))
         assert felem_eq(as_field(ps[n]), as_field(want))
+
+
+def test_guards_reject_what_they_cannot_take():
+    a, = variables("a")
+    with pytest.raises(ValueError, match="need 6 parameters"):
+        GKPParams.of((1, 2, 3))
+    with pytest.raises(ValueError, match="row 1 must have 2 entries"):
+        Triangle([[1], [1]])
+    # T(1,1) = a^(limit-1) fits a key; its row-polynomial term a^(limit-1) x
+    # does not
+    t = gkp_triangle((0, 0, 1, 0, 0, a ** (EXPONENT_LIMIT - 1)), 1)
+    with pytest.raises(OverflowError, match="product degree reaches %d" % EXPONENT_LIMIT):
+        row_polys(t)
+
+
+def test_triangle_equality_and_repr():
+    t = gkp_triangle((0, 0, 1, 0, 0, 1), 3)
+    assert t == gkp_triangle((0, 0, 1, 0, 0, 1), 3)
+    assert t != gkp_triangle((0, 0, 1, 0, 0, 1), 2)
+    assert (t == t.rows) is False
+    assert repr(t) == "Triangle(order=3)"

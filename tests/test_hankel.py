@@ -702,3 +702,28 @@ def test_small_levels_stay_serial():
         assert not forks
         log_convexity(gkp_tilde_polys(8), 6, strong=True)
         assert len(forks) == 1
+
+
+def test_empty_determinant_is_one():
+    assert cofactor_det([]) == 1 == bareiss_det([])
+
+
+def test_exact_division_invariants_raise():
+    a, b = variables("a b")
+    assert hankel._exact_div(0, a) == 0
+    assert hankel._exact_div(a * b, a) == b
+    for num in (3, a + 1):
+        with pytest.raises(ArithmeticError, match="non-exact Bareiss division"):
+            hankel._exact_div(num, a)
+
+
+def test_guards_reject_what_they_cannot_take():
+    a, = variables("a")
+    with pytest.raises(ValueError, match="need sequence entries through index 3"):
+        log_convexity([1, 1, 1], 1)
+    with pytest.raises(RequiresNumeric, match="need numeric parameters"):
+        hypothesis_check((RatFunc(a, a + 1), 1, 0, 1, 1, 0), "LiuWang")
+    # a constant polynomial is a number
+    one = MPoly.one(a.vars)
+    assert hypothesis_check((one, 0, 0, 1, 0, 0), "LiuWang") is True
+    assert hypothesis_check((-one, 0, 0, 1, 0, 0), "LiuWang") is False

@@ -140,6 +140,15 @@ def test_every_family_agrees_with_the_extraction_oracle(fid, monkeypatch):
     assert report["first_mismatch"] == extraction_family_witness(fid, DEPTH)
 
 
+def test_red_prediction_of_a_terminating_leaf(leaves):
+    node, fid, want, _ = next(leaf for leaf in leaves if leaf[2].terminated_at)
+    red = replace(want, c=want.c + (1,) * (S.RED_DEPTH - len(want.c)),
+                  terminated_at=None)
+    msg = "%s: unexpectedly terminating" % node.name()
+    assert extraction_leaf_check(node, fid, red, S.RED_DEPTH) == msg
+    assert series_leaf_check(node, fid, red, S.RED_DEPTH) == msg
+
+
 # -- injected faults, with the messages the extraction comparison gave -------
 
 def _replay_message(monkeypatch, label, edit):

@@ -229,3 +229,23 @@ def test_symbols_declares_one_generator_per_prefix_and_index():
         for i in (lo - 1, 4):
             with pytest.raises(KeyError):
                 f(i)
+
+
+def test_guards_reject_what_they_cannot_take():
+    with pytest.raises(ValueError, match="part must be 'a' or 'b'"):
+        nearly_binomial_identities("c")
+    with pytest.raises(SizeMismatch, match="orders differ"):
+        inverse_pair_check(gkp_triangle((0, 0, 1, 0, 0, 1), 2),
+                           gkp_triangle((0, 0, 1, 0, 0, 1), 3), 1)
+
+
+def test_xshift_oracle_stops_when_the_symbolic_check_fails(monkeypatch):
+    monkeypatch.setattr(matprod, "xshift_symbolic_check", lambda n_max: {"ok": False})
+    assert xshift_smalln_check(samples=1) == {"ok": False, "symbolic": {"ok": False}}
+
+
+def test_xshift_count_is_none_when_the_constraints_vanish():
+    # the gcd of the three elimination constraints is the zero polynomial:
+    # no xi is singled out
+    mu = tuple(Fraction(v) for v in (-1, -1, -1, 0, -1, -1))
+    assert matprod._xshift_solution_count(mu) == (None, [])

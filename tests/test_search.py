@@ -153,7 +153,7 @@ def test_get_node_unknown():
         get_node("0,0,zz")
 
 
-def test_full_tree():
+def test_full_tree(monkeypatch):
     summary = run_tree()
     assert summary["ok"]
     assert summary["counts"]["red"] == 10
@@ -174,6 +174,9 @@ def test_full_tree():
     assert len(deep_gray) == 6
     dot = tree_dot(summary)
     assert dot.startswith("digraph") and "fillcolor" in dot
+    # without a summary, tree_dot replays the tree itself
+    monkeypatch.setattr(S, "run_tree", lambda: summary)
+    assert tree_dot() == dot
 
 
 def test_ancestor_consistency_and_inequations():
@@ -522,3 +525,24 @@ def test_every_hint_entry_and_action_kind_is_read(monkeypatch):
     assert sorted(entries - read) == []
     kinds = set().union(*map(_action_kinds, book.values()))
     assert kinds == taken
+
+
+def test_split_node_defaults_to_the_documented_split():
+    node = get_node("0,0")
+    names = [[c if isinstance(c, str) else c.name() for c in child]
+             for child in S.split_node(node)]
+    assert names == [[c if isinstance(c, str) else c.name() for c in child]
+                      for child in node_coefficient(node).children]
+    assert len(names) == 3
+
+
+def test_x_remainder_drops_a_cancelled_term():
+    # Q = x^2 + x + 3 = (x + 1) x + 3
+    assert S._x_remainder({2: 1, 1: 1, 0: 3}, {1: 1, 0: 1}) == 3
+    assert S._x_remainder({2: 1, 1: 1}, {1: 1, 0: 1}) == 0
+
+
+def test_zero_is_not_certified_nonzero():
+    a, = variables("a")
+    assert S._nonzero_certified(MPoly.zero(a.vars), [a]) is False
+    assert S._nonzero_certified(a * a, [a]) is True

@@ -103,6 +103,30 @@ def test_parse_word():
     assert parse_word("D") == D
     assert parse_word("1") == IDENT
     assert parse_word("R") == D * Z * D
+    assert parse_word("") == IDENT and parse_word("S**Z*") == S * Z
+    assert X ** -1 == X ** 11 == X.inv() and (S * X) ** -2 == ((S * X) ** 2).inv()
+    assert repr(S * Z * X ** 3) == "S*Z*X^3" and repr(IDENT) == "1"
+
+
+@pytest.mark.parametrize("letter, wrong", [
+    ("S", lambda mu: tuple(2 * v for v in symmetry._act_S(mu))),
+    ("Z", lambda mu: tuple(2 * v for v in symmetry._act_Z(mu))),
+])
+def test_each_involution_map_check_can_fail(monkeypatch, letter, wrong):
+    monkeypatch.setitem(symmetry._GEN_ACTS, letter, wrong)
+    rep = verify_relations()
+    assert rep["ok"] is False
+    assert rep["maps"][letter + "^2"] is False
+    # the abstract group does not know the parameter actions
+    assert all(rep["abstract"].values()) and all(rep["presentation"].values())
+
+
+def test_actions_of_letter_lists():
+    mu = GKPParams.symbolic()
+    assert verify_action(["S", "D"], mu, 3) == {"map": "S*D", "ok": True,
+                                                "first_mismatch": None}
+    assert verify_action_letter("D", mu, 3) == {"map": "D", "ok": True,
+                                                "first_mismatch": None}
 
 
 def test_actions_small():
@@ -131,8 +155,13 @@ def test_rescale_cases():
     assert rescale_gkp("c", (0, 0, g, 0, 0, gp), kp, lm, 6)["ok"]
     # kappa = lambda = 1 trivially
     assert rescale_gkp("c", (0, 0, g, 0, 0, gp), 1, 1, 5)["ok"]
-    with pytest.raises(CaseMismatch):
-        rescale_gkp("a", (1, 0, g, ap, bp, gp), kp, lm, 4)
+    for case, mu, message in [
+            ("a", (1, 0, g, ap, bp, gp), "case a needs alpha = beta = 0"),
+            ("b", (a, b, g, 1, 0, gp), "case b needs alpha' = beta' = 0"),
+            ("c", (0, 0, g, 0, bp, gp), "case c needs alpha = beta = alpha' = beta' = 0"),
+            ("d", (0, 0, g, 0, 0, gp), "unknown case 'd'")]:
+        with pytest.raises(CaseMismatch, match=message):
+            rescale_gkp(case, mu, kp, lm, 4)
 
 
 def test_rescale_factorials_and_semifactorials():
