@@ -274,28 +274,25 @@ def egf_trunc(t: Triangle) -> TruncSeries:
 
 def residual_checks(mu, N: int):
     """Residuals of the linear differential recurrence for P_n and of the
-    first-order linear PDE for the egf; both vanish identically for every mu.
-    """
+    first-order linear PDE for the egf F; both vanish identically for every
+    mu.  The PDE is linear in F, so it is checked on N! F, whose
+    coefficients P_n N!/n! are integral where the P_n are, and the residual
+    is divided by N! once: the egf's own residual, of the same types."""
     a, b, g, ap, bp, gp = GKPParams.of(mu)
     t = gkp_triangle(mu, N)
     ps = row_polys(t)
     vars = ps[1].vars if N >= 1 else ("x",)
     x = MPoly.variable("x", vars)
 
-    ode_residuals = []
-    for n in range(1, N + 1):
-        pn, pm = ps[n], ps[n - 1]
-        res = pn - (n * (a + ap * x) + g + (bp + gp) * x) * pm \
-            - x * (b + bp * x) * pm.deriv("x")
-        ode_residuals.append(res)
+    ode_residuals = [
+        ps[n] - (n * (a + ap * x) + g + (bp + gp) * x) * ps[n - 1]
+        - x * (b + bp * x) * ps[n - 1].deriv("x") for n in range(1, N + 1)]
 
-    F = egf_trunc(t)
-    Ft = F.deriv_t()
-    Fx = F.deriv_coeff("x").truncate(N - 1)
-    lhs = TruncSeries(N - 1, [1, -(a + ap * x)]) * Ft
-    rhs = F.truncate(N - 1).scale(a + g + (ap + bp + gp) * x) + Fx.scale(b * x + bp * x * x)
-    pde_residual = lhs - rhs
-    return ode_residuals, pde_residual
+    F = TruncSeries(N, [p * (factorial(N) // factorial(n)) for n, p in enumerate(ps)])
+    lhs = TruncSeries(N - 1, [1, -(a + ap * x)]) * F.deriv_t()
+    rhs = F.truncate(N - 1).scale(a + g + (ap + bp + gp) * x) \
+        + F.deriv_coeff("x").truncate(N - 1).scale(b * x + bp * x * x)
+    return ode_residuals, (lhs - rhs).scale(Fraction(1, factorial(N)))
 
 
 # ---------------------------------------------------------------------------

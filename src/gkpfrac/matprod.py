@@ -123,16 +123,14 @@ def _case_A4(N):
     C = triangle_product(A, B)
 
     def rhs(n, k):
+        # A(n-1,j) [B(j,k) w1 + B(j,k-1) w2 w3], one product by A(n-1,j)
         acc = 0
         for j in range(n):
-            t1 = A.entry(n - 1, j) * B.entry(j, k) \
-                * ((a * n + b * j + g)
-                   + (ap * n + bp * (j + 1) + gp)
-                   * (ha * (j + 1) + hb * k + hg))
-            t2 = A.entry(n - 1, j) * B.entry(j, k - 1) \
-                * (ap * n + bp * (j + 1) + gp) \
-                * (hap * (j + 1) + hbp * k + hgp) if k >= 1 else 0
-            acc = acc + t1 + t2
+            w2 = ap * n + bp * (j + 1) + gp
+            inner = B.entry(j, k) * ((a * n + b * j + g) + w2 * (ha * (j + 1) + hb * k + hg))
+            if k >= 1:
+                inner = inner + B.entry(j, k - 1) * (w2 * (hap * (j + 1) + hbp * k + hgp))
+            acc = acc + A.entry(n - 1, j) * inner
         return acc
 
     return triangle_mismatch(C, rhs, N, first=1)
@@ -535,16 +533,21 @@ def xshift_smalln_check(samples: int = 20, seed: int = 0) -> dict:
 def _xshift_degenerate(mu):
     """Why mu is not generic for the x-shift system, or None: the two known
     solutions 0 and -beta/beta' must be distinct and defined, and the
-    elimination divides by p10 = [x^0] P_1(x + xi) and s11 = [x^1] P_1."""
+    elimination divides by p10 = [x^0] P_1(x + xi), s11 = [x^1] P_1 and the
+    determinant s11 p10^2 (2 s11 p20 - p21 p10) of E1, E2.  That vanishes
+    for every xi iff 2 P_1' P_2 = P_2' P_1, i.e. P_2 is a constant times
+    P_1^2, as for rows that are powers of one linear form, which every
+    shift xi maps to the rows of some mu'."""
     if mu[1] == 0:
         return "beta = 0"
     if mu[4] == 0:
         return "beta' = 0"
-    t = gkp_triangle(mu, 1)
+    t = gkp_triangle(mu, 2)
     if t.entry(1, 1) == 0:
         # p10 = T(1,0) + T(1,1) xi
         return "s11 = 0" if t.entry(1, 0) else "p10 = 0"
-    return None
+    _, p1, p2 = row_polys(t)
+    return "P_2 = c P_1^2" if 2 * t.entry(1, 1) * p2 == p2.deriv("x") * p1 else None
 
 
 def _xshift_solution_count(mu):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gkpfrac.exactalg import MPoly, as_field, felem_eq, variables
-from gkpfrac.gkpcore import Triangle, gkp_triangle, gkpz_triangle
+from gkpfrac.gkpcore import Triangle, gkp_triangle, gkpz_triangle, row_polys
 from gkpfrac.combinat import binom
 from gkpfrac import matprod
 from gkpfrac.matprod import (
@@ -161,6 +161,24 @@ def test_xshift_genericity_is_decided_from_mu():
     assert matprod._xshift_degenerate((1, 1, 1, 1, 1, -2)) == "s11 = 0"
     assert matprod._xshift_degenerate((1, 1, -1, 1, 1, -2)) == "p10 = 0"
     assert matprod._xshift_degenerate((1, 2, 3, 1, -1, 2)) is None
+
+
+def test_rows_that_are_powers_of_one_linear_form_are_not_generic():
+    # P_n = (-1)^n (n+1)! (x+1)^n: every shift xi is reproduced, by
+    # mu' = (-c, -c, -c, 0, -1, -1) with c = 1 + xi, so the elimination
+    # singles out none and the draw must be dropped before solving
+    mu = tuple(Fraction(v) for v in (-1, -1, -1, 0, -1, -1))
+    assert matprod._xshift_degenerate(mu) == "P_2 = c P_1^2"
+    ps = row_polys(gkp_triangle(mu, 3))
+    x = MPoly.variable("x", ps[1].vars)
+    for xi in (Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
+        c = 1 + xi
+        shifted = row_polys(gkp_triangle((-c, -c, -c, 0, -1, -1), 3))
+        assert all(felem_eq(p.subs({"x": x + xi}), q) for p, q in zip(ps, shifted)), xi
+    # seed 10 draws this mu among its generic-looking samples
+    rep = xshift_smalln_check(samples=20, seed=10)
+    assert rep["ok"], rep
+    assert rep["dropped"]["P_2 = c P_1^2"] == 1 and all(c == 2 for c in rep["counts"])
 
 
 def test_xshift_oracle_fails_when_some_samples_break(monkeypatch):

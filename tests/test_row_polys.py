@@ -7,9 +7,12 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from gkpfrac import gkpcore
-from gkpfrac.exactalg import MPoly, RatFunc, as_field, felem_is_zero, variables
+from gkpfrac.exactalg import (
+    MPoly, RatFunc, TruncSeries, as_field, felem_eq, felem_is_zero, variables,
+)
 from gkpfrac.gkpcore import (
-    GKPParams, Triangle, gkp_triangle, gkpz_triangle, residual_checks, row_polys,
+    GKPParams, Triangle, egf_trunc, gkp_triangle, gkpz_triangle, residual_checks,
+    row_polys,
 )
 
 TUPLES = [(), ("a",), ("a", "b"), ("b", "a"), ("a", "b", "x"), ("x", "a"),
@@ -106,12 +109,36 @@ def test_rows_over_other_variable_tuples_keep_the_summed_tuple():
     assert [form(p) for p in got] == [form(p) for p in summed_row_polys(t)]
 
 
+def egf_pde_residual(mu, N):
+    """Test-only oracle: the PDE residual computed on the egf itself, whose
+    coefficients P_n/n! come from ``egf_trunc``."""
+    a, b, g, ap, bp, gp = GKPParams.of(mu)
+    t = gkpcore.gkp_triangle(mu, N)
+    x = MPoly.variable("x", row_polys(t)[1].vars)
+    F = egf_trunc(t)
+    lhs = TruncSeries(N - 1, [1, -(a + ap * x)]) * F.deriv_t()
+    rhs = F.truncate(N - 1).scale(a + g + (ap + bp + gp) * x) \
+        + F.deriv_coeff("x").truncate(N - 1).scale(b * x + bp * x * x)
+    return lhs - rhs
+
+
+def same_series(got, want):
+    """Equal orders and, coefficient by coefficient, equal values, types and
+    variable tuples."""
+    return got.order == want.order and all(
+        type(c) is type(w) and getattr(c, "vars", None) == getattr(w, "vars", None)
+        and felem_eq(c, w) for c, w in zip(got.coeffs, want.coeffs))
+
+
 def test_residual_checks_read_the_unrolled_triangle(monkeypatch):
     # the rows come from the triangle, not from the recurrence being
-    # checked: one wrong entry must leave a nonzero residual
+    # checked: one wrong entry must leave a nonzero residual, in the ODE
+    # and in the PDE, and the PDE residual is the egf's own
     mu = GKPParams.symbolic()
-    odes, pde = residual_checks(mu, 5)
+    odes, _ = residual_checks(mu, 5)
     assert all(r.is_zero() for r in odes)
+    _, pde = residual_checks(mu, 6)
+    assert pde.is_zero() and same_series(pde, egf_pde_residual(mu, 6))
     unrolled = gkp_triangle
 
     def wrong(mu, N):
@@ -121,5 +148,6 @@ def test_residual_checks_read_the_unrolled_triangle(monkeypatch):
         return Triangle(rows)
 
     monkeypatch.setattr(gkpcore, "gkp_triangle", wrong)
-    odes, _ = residual_checks(mu, 5)
+    odes, pde = residual_checks(mu, 5)
     assert [n for n, r in enumerate(odes, 1) if not r.is_zero()] == [3, 4]
+    assert not pde.is_zero() and same_series(pde, egf_pde_residual(mu, 5))
