@@ -1100,6 +1100,11 @@ class RatFunc:
     def subs(self, mapping: dict):
         return felem_div(self.num.subs(mapping), self.den.subs(mapping))
 
+    def deriv(self, name: str) -> "RatFunc":
+        """The quotient rule (num' den - num den') / den^2."""
+        num, den = self.num, self.den
+        return RatFunc(num.deriv(name) * den - num * den.deriv(name), den * den)
+
     def __repr__(self):
         if self.den == 1:
             return repr(self.num)
@@ -1375,16 +1380,8 @@ class TruncSeries:
                            [(i + 1) * self.coeffs[i + 1] for i in range(self.order)])
 
     def deriv_coeff(self, name: str) -> "TruncSeries":
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, (int, Fraction)):
-                out.append(0)
-            elif isinstance(c, MPoly):
-                out.append(c.deriv(name))
-            else:
-                num, den = c.num, c.den
-                out.append(RatFunc(num.deriv(name) * den - num * den.deriv(name), den * den))
-        return TruncSeries(self.order, out)
+        return TruncSeries(self.order, [0 if isinstance(c, (int, Fraction)) else c.deriv(name)
+                                        for c in self.coeffs])
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         if not felem_is_zero(inner.coeffs[0]):

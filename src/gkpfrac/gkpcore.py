@@ -272,6 +272,17 @@ def egf_trunc(t: Triangle) -> TruncSeries:
         t.order, [p * Fraction(1, factorial(n)) for n, p in enumerate(ps)])
 
 
+def _ode_step(mu, n: int, prev):
+    """The right side of the row ODE,
+    [(n alpha + gamma) + (n alpha' + beta' + gamma') x] prev
+    + x (beta + beta' x) prev', which maps P_{n-1}(x; mu) to P_n(x; mu).
+    It is linear in mu; prev is an MPoly or RatFunc over a tuple with x."""
+    a, b, g, ap, bp, gp = GKPParams.of(mu)
+    x = MPoly.variable("x", prev.vars)
+    return (n * (a + ap * x) + g + (bp + gp) * x) * prev \
+        + x * (b + bp * x) * prev.deriv("x")
+
+
 def residual_checks(mu, N: int):
     """Residuals of the linear differential recurrence for P_n and of the
     first-order linear PDE for the egf F; both vanish identically for every
@@ -284,9 +295,7 @@ def residual_checks(mu, N: int):
     vars = ps[1].vars if N >= 1 else ("x",)
     x = MPoly.variable("x", vars)
 
-    ode_residuals = [
-        ps[n] - (n * (a + ap * x) + g + (bp + gp) * x) * ps[n - 1]
-        - x * (b + bp * x) * ps[n - 1].deriv("x") for n in range(1, N + 1)]
+    ode_residuals = [ps[n] - _ode_step(mu, n, ps[n - 1]) for n in range(1, N + 1)]
 
     F = TruncSeries(N, [p * (factorial(N) // factorial(n)) for n, p in enumerate(ps)])
     lhs = TruncSeries(N - 1, [1, -(a + ap * x)]) * F.deriv_t()

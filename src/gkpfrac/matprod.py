@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import factorial
 from typing import Callable
 
@@ -16,11 +16,12 @@ from .exactalg import (
     first_mismatch, mismatch_report, mpoly_gcd, variables,
 )
 from .gkpcore import (
-    CLOSED_FORMS, FOUR_TERM, GKPParams, TWO_TERM, Triangle, _unroll, _xvar_for,
-    binomial_like_triangle, gkp_triangle, gkpz_triangle, row_polys,
+    CLOSED_FORMS, FOUR_TERM, GKPParams, TWO_TERM, Triangle, _ode_step, _unroll,
+    _xvar_for, binomial_like_triangle, gkp_triangle, gkpz_triangle, row_polys,
     triangle_mismatch,
 )
 from .combinat import binom
+from .hankel import bareiss_det
 from .symmetry import apply_map, Z as Z_WORD
 
 
@@ -501,14 +502,14 @@ def xshift_symbolic_check(n_max: int = 3) -> dict:
 
 
 def xshift_smalln_check(samples: int = 20, seed: int = 0) -> dict:
-    """Numeric elimination oracle: for random generic parameter tuples, the
-    system P_n(x; mu') = P_n(x + xi; mu), n <= 3, has exactly two solutions
-    (xi = 0 and the shift involution).
+    """Linear-algebra oracle: for random generic mu, the system
+    P_n(x; mu') = P_n(x + xi; mu), n <= 3 (``_xshift_system``), has exactly
+    two solutions xi: 0 and the shift involution's -beta/beta'.
 
     Genericity is decided from mu alone, before solving; the draws that fail
     it are replaced and counted in ``dropped`` by reason.  Every generic
     sample is kept: its count is the true number of solutions, and a known
-    solution that the elimination misses is listed in ``unconfirmed``."""
+    solution that the count misses is listed in ``unconfirmed``."""
     sym = xshift_symbolic_check(3)
     if not sym["ok"]:
         return {"ok": False, "symbolic": sym}
@@ -530,83 +531,55 @@ def xshift_smalln_check(samples: int = 20, seed: int = 0) -> dict:
             "dropped": dropped, "unconfirmed": unconfirmed}
 
 
+def _xshift_system(mu):
+    """Rows [M | q] over Q[xi]: P_n(x; mu') = Q_n = P_n(x + xi; mu), n <= 3,
+    iff Q_n = _ode_step(mu', n, Q_{n-1}) at each x^j, j <= n (row ODE).  The
+    n = 1 equations fix gamma~, gamma~'; the other seven read M u = q in
+    u = (alpha~, beta~, alpha~', beta~'), mu' = base + sum_i u_i dirs_i."""
+    x, xi = variables("x xi")
+    zero = MPoly.zero(xi.vars)
+    qs = [as_mpoly(p.subs({"x": x + xi}), xi.vars) for p in row_polys(gkp_triangle(mu, 3))]
+    q1 = qs[1].coeffs_in("x")
+    base = (0, 0, q1.get(0, zero), 0, 0, q1.get(1, zero))
+    dirs = ((1, 0, -1, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1))
+    rows = []
+    for n in (2, 3):
+        cols = [_ode_step(d, n, qs[n - 1]).coeffs_in("x") for d in dirs]
+        cols.append((qs[n] - _ode_step(base, n, qs[n - 1])).coeffs_in("x"))
+        rows += [[c.get(j, zero) for c in cols] for j in range(n + 1)]
+    return rows
+
+
+def _minor_gcd(rows):
+    """gcd of the maximal minors of a tall matrix over Q[xi] (0 if all are);
+    stops at a constant, which the last rows' minors reach soonest."""
+    g = MPoly.zero(rows[0][0].vars)
+    for pick in combinations(rows[::-1], len(rows[0])):
+        g = mpoly_gcd(g, as_mpoly(bareiss_det(pick), g.vars))
+        if g and g.is_constant():
+            break
+    return g
+
+
 def _xshift_degenerate(mu):
-    """Why mu is not generic for the x-shift system, or None: the two known
-    solutions 0 and -beta/beta' must be distinct and defined, and the
-    elimination divides by p10 = [x^0] P_1(x + xi), s11 = [x^1] P_1 and the
-    determinant s11 p10^2 (2 s11 p20 - p21 p10) of E1, E2.  That vanishes
-    for every xi iff 2 P_1' P_2 = P_2' P_1, i.e. P_2 is a constant times
-    P_1^2, as for rows that are powers of one linear form, which every
-    shift xi maps to the rows of some mu'."""
+    """Why mu is not generic, or None: 0 and -beta/beta' must be defined and
+    distinct, and M(xi) of full column rank at every xi (its 4 x 4 minors
+    coprime).  Where the rank drops, the minors of [M | q] vanish whether or
+    not xi is a solution (rows that are powers of one linear form: all are)."""
     if mu[1] == 0:
         return "beta = 0"
     if mu[4] == 0:
         return "beta' = 0"
-    t = gkp_triangle(mu, 2)
-    if t.entry(1, 1) == 0:
-        # p10 = T(1,0) + T(1,1) xi
-        return "s11 = 0" if t.entry(1, 0) else "p10 = 0"
-    _, p1, p2 = row_polys(t)
-    return "P_2 = c P_1^2" if 2 * t.entry(1, 1) * p2 == p2.deriv("x") * p1 else None
+    g = _minor_gcd([row[:4] for row in _xshift_system(mu)])
+    return None if g and g.is_constant() else "rank-deficient M(xi)"
 
 
 def _xshift_solution_count(mu):
-    """(count, missed) for a generic mu.  count is the number of xi for
-    which the full n <= 3 system is solvable: the xi-degree of the
-    squarefree part of the gcd g of the elimination constraints, or None
-    when g vanishes and every xi passes them.  missed lists the known
-    solutions 0 and -beta/beta' that are not roots of g or for which no mu'
-    reproduces the shifted rows."""
-    vars = ("x", "xi")
-    x, xi = variables(vars)
-    # p[n, k] = [x^k] P_n(x + xi; mu), a polynomial in xi
-    p = {}
-    for n, pn in enumerate(row_polys(gkp_triangle(mu, 3))):
-        coeffs = as_mpoly(pn.subs({"x": x + xi}), vars).coeffs_in("x")
-        for k in range(n + 1):
-            p[n, k] = coeffs.get(k, MPoly.zero(vars))
-
-    # reconstruct mu' pieces as rational functions of xi where possible and
-    # collect the polynomial consistency constraints
-    p10, p20, p21, p22 = p[1, 0], p[2, 0], p[2, 1], p[2, 2]
-    s11 = p[1, 1]       # a' + b' + c'  (xi-free)
-    # column 0: p30 * p10 = (2 p20 - p10^2) p20
-    g1 = p[3, 0] * p10 - (2 * p20 - p10 * p10) * p20
-    # diagonal: s11 * p33 = (2 p22 - s11^2) p22
-    g2 = s11 * p[3, 3] - (2 * p22 - s11 * s11) * p22
-    # linear system in (b, a') from T'(2,1), T'(3,1), T'(3,2)
-    # unknown u1 = b, u2 = a'; coefficients are xi-polynomials over the
-    # already-determined rational pieces; clear p10 denominators throughout.
-    # a = p20/p10 - p10, c = 2p10 - p20/p10 (times p10: aN = p20 - p10^2,
-    # cN = 2 p10^2 - p20 over denominator p10)
-    p10sq = p10 * p10
-    aN = p20 - p10sq
-    cN = 2 * p10sq - p20
-    # s = a'+b' -> sN over s11: sN = p22 - s11^2 (den s11), c' = 2 s11 - p22/s11
-    sN = p22 - s11 * s11
-    cpN = 2 * s11 * s11 - p22
-    # E1: (2a + u1 + c) s11 + (s11 + u2) p10 = p21
-    #   multiply by p10: (2aN + cN + u1 p10) s11 + (s11 + u2) p10^2 = p21 p10
-    # E2: (3a + u1 + c) p21 + (2 u2 + s + c') p20 = p31  (times p10 s11)
-    # E3: (3a + 2 u1 + c) p22 + (u2 + 2 s + c') p21 = p32 (times p10 s11)
-    # Each is (const, coef_u1, coef_u2) with const + coef_u1*u1 + coef_u2*u2 = 0.
-    c1, a1, b1 = (s11 * (2 * aN + cN) + s11 * p10sq - p21 * p10,
-                  s11 * p10, p10sq)
-    c2, a2, b2 = (s11 * p21 * (3 * aN + cN) + (sN + cpN) * p20 * p10
-                  - s11 * p[3, 1] * p10,
-                  s11 * p21 * p10, 2 * s11 * p20 * p10)
-    c3, a3, b3 = (s11 * p22 * (3 * aN + cN) + (2 * sN + cpN) * p21 * p10
-                  - s11 * p[3, 2] * p10,
-                  2 * s11 * p22 * p10, s11 * p21 * p10)
-
-    # solve E1,E2 for (u1, u2) by Cramer over Q(xi); E3 gives constraint g3:
-    # det * u1 = D1, det * u2 = D2; plug into E3:
-    det = a1 * b2 - a2 * b1
-    D1 = c2 * b1 - c1 * b2
-    D2 = a2 * c1 - a1 * c2
-    g3 = c3 * det + a3 * D1 + b3 * D2
-
-    g = mpoly_gcd(mpoly_gcd(g1, g2), g3)
+    """(count, missed) for a generic mu.  xi is a solution iff all 5 x 5
+    minors of [M | q] vanish there: count is the xi-degree of the squarefree
+    part of their gcd g, None when g = 0.  missed lists the known solutions
+    0 and -beta/beta' that are not roots of g or not reproduced by a mu'."""
+    g = _minor_gcd(_xshift_system(mu))
     missed = [r for r in (Fraction(0), -mu[1] / mu[4])
               if g.subs({"xi": r}) != 0 or not _verify_xshift_solution(mu, r)]
     if g.is_zero():
@@ -616,13 +589,10 @@ def _xshift_solution_count(mu):
 
 
 def _verify_xshift_solution(mu, xi):
-    """Check that some mu' reproduces P_n(x+xi) for n <= 3 at numeric mu."""
+    """Check that some mu' reproduces P_n(x+xi) for n <= 3 at numeric mu:
+    mu itself at xi = 0, its image under the shift involution otherwise."""
+    mu2 = mu if xi == 0 else tuple(GKPParams.of(apply_map(Z_WORD, mu)))
     ps = row_polys(gkp_triangle(mu, 3))
     x = MPoly.variable("x", ps[1].vars)
-    shifted = [p.subs({"x": x + xi}) for p in ps]
-    if xi == 0:
-        mu2 = mu
-    else:
-        mu2 = tuple(GKPParams.of(apply_map(Z_WORD, mu)))
-    ps2 = row_polys(gkp_triangle(mu2, 3))
-    return all(felem_eq(a, b) for a, b in zip(shifted, ps2))
+    return all(felem_eq(p.subs({"x": x + xi}), q)
+               for p, q in zip(ps, row_polys(gkp_triangle(mu2, 3))))

@@ -260,9 +260,9 @@ def test_criterion_12_residuals():
 
 def test_criterion_13_xshift_uniqueness():
     with criterion(13, "x-shift transforms at n <= 3: identity and the "
-                       "shift involution verified symbolically; numeric "
-                       "elimination finds exactly 2 solutions at 20 "
-                       "generic samples"):
+                       "shift involution verified symbolically; the linear "
+                       "system from the row ODE has exactly 2 solutions at "
+                       "20 generic samples"):
         assert matprod.xshift_symbolic_check(3)["ok"]
         rep = matprod.xshift_smalln_check(samples=20, seed=0)
         assert rep["ok"], rep

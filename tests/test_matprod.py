@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+import sympy
 
 from gkpfrac.exactalg import MPoly, as_field, felem_eq, variables
 from gkpfrac.gkpcore import Triangle, gkp_triangle, gkpz_triangle, row_polys
@@ -157,18 +159,21 @@ def test_xshift_numeric_samples():
 def test_xshift_genericity_is_decided_from_mu():
     assert matprod._xshift_degenerate((1, 0, 1, 1, 1, 1)) == "beta = 0"
     assert matprod._xshift_degenerate((1, 1, 1, 1, 0, 1)) == "beta' = 0"
-    # T(1,1) = alpha' + beta' + gamma' = 0, T(1,0) = alpha + gamma
-    assert matprod._xshift_degenerate((1, 1, 1, 1, 1, -2)) == "s11 = 0"
-    assert matprod._xshift_degenerate((1, 1, -1, 1, 1, -2)) == "p10 = 0"
+    # T(1,1) = alpha' + beta' + gamma' = 0 leaves M(xi) of full rank
+    mu = tuple(Fraction(v) for v in (1, 1, 1, 1, 1, -2))
+    assert matprod._xshift_degenerate(mu) is None
+    assert matprod._xshift_solution_count(mu) == (2, [])
+    # T(1,0) = alpha + gamma = 0 as well: M(xi) loses rank
+    assert matprod._xshift_degenerate((1, 1, -1, 1, 1, -2)) == "rank-deficient M(xi)"
     assert matprod._xshift_degenerate((1, 2, 3, 1, -1, 2)) is None
 
 
 def test_rows_that_are_powers_of_one_linear_form_are_not_generic():
     # P_n = (-1)^n (n+1)! (x+1)^n: every shift xi is reproduced, by
-    # mu' = (-c, -c, -c, 0, -1, -1) with c = 1 + xi, so the elimination
-    # singles out none and the draw must be dropped before solving
+    # mu' = (-c, -c, -c, 0, -1, -1) with c = 1 + xi, so M(xi) is
+    # rank-deficient at every xi and the draw must be dropped before solving
     mu = tuple(Fraction(v) for v in (-1, -1, -1, 0, -1, -1))
-    assert matprod._xshift_degenerate(mu) == "P_2 = c P_1^2"
+    assert matprod._xshift_degenerate(mu) == "rank-deficient M(xi)"
     ps = row_polys(gkp_triangle(mu, 3))
     x = MPoly.variable("x", ps[1].vars)
     for xi in (Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
@@ -178,7 +183,53 @@ def test_rows_that_are_powers_of_one_linear_form_are_not_generic():
     # seed 10 draws this mu among its generic-looking samples
     rep = xshift_smalln_check(samples=20, seed=10)
     assert rep["ok"], rep
-    assert rep["dropped"]["P_2 = c P_1^2"] == 1 and all(c == 2 for c in rep["counts"])
+    assert rep["dropped"] == {"beta = 0": 4, "beta' = 0": 4, "rank-deficient M(xi)": 1}
+    assert rep["counts"] == [2] * 20
+
+
+def sympy_rows(mu):
+    """Rows 0..3 of the GKP triangle as sympy values, by the recurrence
+    T(n,k) = (alpha n + beta k + gamma) T(n-1,k)
+             + (alpha' n + beta' k + gamma') T(n-1,k-1)."""
+    a, b, g, ap, bp, gp = mu
+    rows = [[sympy.Integer(1)]]
+    for n in range(1, 4):
+        prev = rows[-1] + [0]
+        rows.append([(a * n + b * k + g) * prev[k]
+                     + (ap * n + bp * k + gp) * (prev[k - 1] if k else 0)
+                     for k in range(n + 1)])
+    return rows
+
+
+def sympy_shift_exists(mu, xi):
+    """Whether some complex mu' has T(n,k; mu') = [x^k] P_n(x + xi; mu) for
+    n <= 3, decided by sympy from the entries alone: the row ODE is not
+    used, and the equations have no common zero iff their Groebner basis
+    is [1]."""
+    x = sympy.Symbol("x")
+    unknowns = sympy.symbols("m0:6")
+    want = sympy_rows([sympy.Rational(v.numerator, v.denominator) for v in mu])
+    got = sympy_rows(unknowns)
+    eqs = []
+    for n in range(1, 4):
+        shifted = sympy.Poly(sum(c * (x + xi) ** k for k, c in enumerate(want[n])), x)
+        eqs += [sympy.expand(got[n][k] - shifted.coeff_monomial(x ** k))
+                for k in range(n + 1)]
+    return list(sympy.groebner(eqs, *unknowns)) != [1]
+
+
+def test_xshift_roots_agree_with_sympy_on_the_entry_equations():
+    rng = random.Random(3)
+    draws = (tuple(Fraction(rng.randint(-6, 6)) for _ in range(6)) for _ in range(30))
+    mus = list(islice((mu for mu in draws if matprod._xshift_degenerate(mu) is None), 3))
+    assert len(mus) == 3
+    for mu in mus:
+        g = matprod._minor_gcd(matprod._xshift_system(mu))
+        xis = [Fraction(0), -mu[1] / mu[4], Fraction(7, 3), Fraction(-11, 5)]
+        roots = [g.subs({"xi": xi}) == 0 for xi in xis]
+        assert roots == [True, True, False, False], mu
+        assert [sympy_shift_exists(mu, sympy.Rational(xi.numerator, xi.denominator))
+                for xi in xis] == roots, mu
 
 
 def test_xshift_oracle_fails_when_some_samples_break(monkeypatch):
@@ -263,7 +314,7 @@ def test_xshift_oracle_stops_when_the_symbolic_check_fails(monkeypatch):
 
 
 def test_xshift_count_is_none_when_the_constraints_vanish():
-    # the gcd of the three elimination constraints is the zero polynomial:
-    # no xi is singled out
+    # every 5 x 5 minor of [M | q] is the zero polynomial: no xi is singled
+    # out
     mu = tuple(Fraction(v) for v in (-1, -1, -1, 0, -1, -1))
     assert matprod._xshift_solution_count(mu) == (None, [])

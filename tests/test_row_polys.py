@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from gkpfrac import gkpcore
 from gkpfrac.exactalg import (
-    MPoly, RatFunc, TruncSeries, as_field, felem_eq, felem_is_zero, variables,
+    MPoly, RatFunc, TruncSeries, as_field, felem_eq, felem_is_zero, ratfunc,
+    variables,
 )
 from gkpfrac.gkpcore import (
     GKPParams, Triangle, egf_trunc, gkp_triangle, gkpz_triangle, residual_checks,
@@ -151,3 +152,14 @@ def test_residual_checks_read_the_unrolled_triangle(monkeypatch):
     odes, pde = residual_checks(mu, 5)
     assert [n for n, r in enumerate(odes, 1) if not r.is_zero()] == [3, 4]
     assert not pde.is_zero() and same_series(pde, egf_pde_residual(mu, 5))
+
+
+def test_residual_checks_take_rational_function_rows():
+    # a RatFunc parameter makes the rows P_n, n >= 1, RatFunc values, which
+    # the ODE step and the PDE differentiate by the quotient rule
+    a, b = variables("a b")
+    mu = (ratfunc(a, b), 1, 0, 2, b, 1)
+    assert all(isinstance(p, RatFunc) for p in row_polys(gkp_triangle(mu, 4))[1:])
+    odes, pde = residual_checks(mu, 4)
+    assert len(odes) == 4 and all(felem_is_zero(r) for r in odes)
+    assert pde.order == 3 and pde.is_zero()
