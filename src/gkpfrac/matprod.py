@@ -21,7 +21,7 @@ from .gkpcore import (
     triangle_mismatch,
 )
 from .combinat import binom
-from .hankel import bareiss_det
+from .hankel import cofactor_det
 from .symmetry import apply_map, Z as Z_WORD
 
 
@@ -519,11 +519,12 @@ def xshift_smalln_check(samples: int = 20, seed: int = 0) -> dict:
     while len(counts) < samples and attempts < samples * 10:
         attempts += 1
         mu = tuple(Fraction(rng.randint(-6, 6)) for _ in range(6))
-        reason = _xshift_degenerate(mu)
+        system = _xshift_system(mu)
+        reason = _xshift_degenerate(mu, system)
         if reason:
             dropped[reason] = dropped.get(reason, 0) + 1
             continue
-        count, missed = _xshift_solution_count(mu)
+        count, missed = _xshift_solution_count(mu, system)
         counts.append(count)
         unconfirmed += [{"mu": [str(v) for v in mu], "xi": str(r)} for r in missed]
     ok = len(counts) == samples and all(c == 2 for c in counts) and not unconfirmed
@@ -555,13 +556,13 @@ def _minor_gcd(rows):
     stops at a constant, which the last rows' minors reach soonest."""
     g = MPoly.zero(rows[0][0].vars)
     for pick in combinations(rows[::-1], len(rows[0])):
-        g = mpoly_gcd(g, as_mpoly(bareiss_det(pick), g.vars))
+        g = mpoly_gcd(g, as_mpoly(cofactor_det(pick), g.vars))
         if g and g.is_constant():
             break
     return g
 
 
-def _xshift_degenerate(mu):
+def _xshift_degenerate(mu, system):
     """Why mu is not generic, or None: 0 and -beta/beta' must be defined and
     distinct, and M(xi) of full column rank at every xi (its 4 x 4 minors
     coprime).  Where the rank drops, the minors of [M | q] vanish whether or
@@ -570,16 +571,16 @@ def _xshift_degenerate(mu):
         return "beta = 0"
     if mu[4] == 0:
         return "beta' = 0"
-    g = _minor_gcd([row[:4] for row in _xshift_system(mu)])
+    g = _minor_gcd([row[:4] for row in system])
     return None if g and g.is_constant() else "rank-deficient M(xi)"
 
 
-def _xshift_solution_count(mu):
+def _xshift_solution_count(mu, system):
     """(count, missed) for a generic mu.  xi is a solution iff all 5 x 5
     minors of [M | q] vanish there: count is the xi-degree of the squarefree
     part of their gcd g, None when g = 0.  missed lists the known solutions
     0 and -beta/beta' that are not roots of g or not reproduced by a mu'."""
-    g = _minor_gcd(_xshift_system(mu))
+    g = _minor_gcd(system)
     missed = [r for r in (Fraction(0), -mu[1] / mu[4])
               if g.subs({"xi": r}) != 0 or not _verify_xshift_solution(mu, r)]
     if g.is_zero():

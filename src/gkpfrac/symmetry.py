@@ -7,11 +7,21 @@ derived from the defining relations
 
 and act on parameter tuples mu = (alpha, beta, gamma, alpha', beta', gamma')
 through the generator actions: sign flip of the unprimed triple (S), the
-shift involution (Z) and X = D*Z built from the row-reversal duality D.
+row-reversal duality (D), the shift involution (Z), X = D*Z and the
+inverse-pair involution (R).
+
+An element acts through its cheapest word over the letters S, D, Z and R
+(``WORDS``), found at import by Dijkstra's search from 1 over the Cayley
+graph: S and D are polynomial and cost 0, Z divides by beta' and R by beta
+and cost 1 each, and ties go to fewer letters.  The 48 words divide 72 times,
+at most 3 times in one word, and each divisor is a factor of the denominator
+of the element's reduced map, so a word raises ``SingularMap`` only where
+its element's map is undefined.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain
 from .exactalg import (
     MPoly, RatFunc, _common_factor, as_mpoly, clear_denominators,
@@ -73,26 +83,9 @@ class GroupWord:
         return out
 
     def letters(self):
-        """Generator letters, leftmost acting last on parameters.
-
-        Elements of the polynomial subgroup decompose over the total maps
-        {S, D}; the coset that only inverts beta goes through R; high powers
-        of X are rewritten through Z X^(12-m) Z = X^m so that a word never
-        composes more than six X actions."""
-        key = (self.s, self.z, self.m)
-        if key in _G0_WORDS:
-            return list(_G0_WORDS[key])
-        g = self * GroupWord(0, 0, 7)          # self * X^-5
-        gkey = (g.s, g.z, g.m)
-        if gkey in _G0_WORDS:
-            return list(_G0_WORDS[gkey]) + ["S", "D", "S", "R"]
-        pre = ["S"] * self.s
-        m = self.m
-        if m <= 6:
-            return pre + ["Z"] * self.z + ["X"] * m
-        if self.z:
-            return pre + ["X"] * (12 - m) + ["Z"]
-        return pre + ["Z"] + ["X"] * (12 - m) + ["Z"]
+        """Generator letters, leftmost acting last on parameters: the
+        element's cheapest word in ``WORDS``."""
+        return list(WORDS[self])
 
     def name(self) -> str:
         bits = []
@@ -108,14 +101,6 @@ class GroupWord:
         return self.name()
 
 
-# normal forms of the polynomial subgroup, with words over the total maps
-_G0_WORDS = {
-    (0, 0, 0): [], (1, 0, 0): ["S"], (0, 1, 11): ["D"],
-    (1, 1, 11): ["S", "D"], (1, 0, 6): ["D", "S", "D"],
-    (0, 0, 6): ["S", "D", "S", "D"], (1, 1, 5): ["D", "S"],
-    (0, 1, 5): ["S", "D", "S"],
-}
-
 IDENT = GroupWord(0, 0, 0)
 S = GroupWord(1, 0, 0)
 Z = GroupWord(0, 1, 0)
@@ -125,6 +110,25 @@ SPRIME = S * X ** 6           # the (1,-1) scaling, also D*S*D
 R = D * Z * D                 # inverse-pair involution
 
 NAMED = {"1": IDENT, "S": S, "Z": Z, "X": X, "D": D, "R": R, "S'": SPRIME}
+
+
+def _cheapest_words(letters):
+    """{element: word} for each element that ``letters``, a map from a
+    letter to its (element, cost), reach from 1: Dijkstra's search over the
+    Cayley graph, ties going to fewer letters, then to the first word in
+    letter order.  A word is a tuple of letters, leftmost acting last."""
+    words, heap = {}, [(0, 0, (), IDENT)]
+    while heap:
+        cost, n, word, g = heappop(heap)
+        if g not in words:
+            words[g] = word
+            for name, (h, c) in letters.items():
+                heappush(heap, (cost + c, n + 1, word + (name,), g * h))
+    return words
+
+
+# S and D are polynomial maps; Z divides by beta' and R by beta
+WORDS = _cheapest_words({"S": (S, 0), "D": (D, 0), "Z": (Z, 1), "R": (R, 1)})
 
 
 def _factors(text: str):
@@ -275,10 +279,6 @@ def expected_classes():
     ]
 
 
-def symbolic_mu() -> GKPParams:
-    return GKPParams.symbolic(extra=("x",))
-
-
 # (name, lhs, rhs) of the relations checked both in the abstract group and
 # as parameter maps, each side written as a word over the generators
 _RELATIONS = (
@@ -297,6 +297,7 @@ _RELATIONS = (
 )
 
 # the direct-product presentation, with a = X^4, b = SZ, c = X^3, d = S
+_GENERATORS = {"a": (X ** 4, 1), "b": (S * Z, 1), "c": (X ** 3, 1), "d": (S, 1)}
 _PRESENTATION = (
     ("a^3", "X^4*X^4*X^4", "1"),
     ("b^2", "S*Z*S*Z", "1"),
@@ -322,7 +323,7 @@ def verify_relations() -> dict:
     rational-function field in mu.  Each is written once, as two words: the
     abstract half compares their normal forms, the map half composes the
     generator actions of each word in the order written."""
-    mu = symbolic_mu()
+    mu = GKPParams.symbolic()
     images = {(): tuple(mu)}  # letters -> image of mu, shared by the words
 
     def image(letters):
@@ -346,7 +347,7 @@ def verify_relations() -> dict:
                                           apply_map(ScalingMap(1, -1), mu)),
                  "X action (2.20)": _check_x_formula(mu)},
         "presentation": {**abstract(_PRESENTATION),
-                         "<a,b,c,d> = G": _generates_all([X ** 4, S * Z, X ** 3, S])},
+                         "<a,b,c,d> = G": len(_cheapest_words(_GENERATORS)) == 48},
         "presentation_maps": maps(_PRESENTATION),
     }
     report["ok"] = all(all(part.values()) for part in report.values())
@@ -358,22 +359,6 @@ def _check_x_formula(mu) -> bool:
     r = felem_div(b, bp)
     want = (ap + bp, -bp, gp, a - b - r * ap, b, g - b - r * gp)
     return map_equal(apply_map(X, mu), want)
-
-
-def _generates_all(gens) -> bool:
-    seen = {IDENT}
-    frontier = [IDENT]
-    gens = list(gens) + [g.inv() for g in gens]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                h = e * g
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return len(seen) == 48
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +508,6 @@ def verify_action(g, mu, N: int) -> dict:
     """Check the identity linking the triangle of g.mu with the transformed
     triangle of mu, symbolically for all n <= N."""
     return verify_actions([g], mu, N)[0]
-
-
-def verify_action_letter(letter: str, mu, N: int) -> dict:
-    """Single-generator version, used for the cited identities directly;
-    for R the left side comes from the group word R."""
-    if letter != "R":
-        return verify_action([letter], mu, N)
-    orbit, moved = _orbit(["R"], mu), apply_map(R, mu)
-    return _substitution_check(orbit[0], [moved], N)("R", ["R"], orbit, moved)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_criterion_03_symmetry_actions_n8():
         words = [symmetry.ScalingMap(*kl), "D", "Z", "X"]
         for word, rep in zip(words, symmetry.verify_actions(words, mu, 8)):
             assert rep["ok"], word
-        assert symmetry.verify_action_letter("R", mu, 8)["ok"]
+        assert symmetry.verify_action(["R"], mu, 8)["ok"]
         # the row-reversal identity at the matrix level, entrywise
         t = gkp_triangle(mu, 8)
         td = gkp_triangle(symmetry.apply_map(symmetry.D, mu), 8)

@@ -117,6 +117,13 @@ def test_singular_map_is_usage_error(tmp_path):
     assert data["error"].startswith("SingularMap: map Z is singular")
 
 
+def test_a_word_is_not_singular_where_its_map_is_defined(tmp_path):
+    # X^7 divides by beta' only, so beta = 0 does not make it singular
+    code, data = run_cli(["symmetry", "--map", "X^7", "--mu", "1,0,1,1,1,1",
+                          "--depth", "4"], tmp_path)
+    assert code == 0 and data["exit"] == 0 and data["ok"]
+
+
 def test_unknown_subcommand_exit2():
     assert main(["definitely-not-a-command"]) == 2
 

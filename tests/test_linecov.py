@@ -1,7 +1,8 @@
 """tools/linecov.py on a throwaway module: a reached line is not listed, an
 unreached one is, and lines run only in a forked child or only as a program
-are listed apart."""
+are listed apart.  The committed report matches the code it describes."""
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -55,3 +56,22 @@ def test_linecov_lists_what_the_run_did_not_reach(tmp_path):
     assert cov.report() == {"executable": 8, "reached": 5, "modules": {
         "throwaway.py": {"executable": 8, "unreached": [6],
                          "forked_child": [10], "subprocess": [14]}}}
+
+
+def test_committed_report_matches_the_package():
+    # a report left stale by a change to src/ no longer counts its lines
+    linecov = load("linecov", LINECOV)
+    report = json.loads(linecov.REPORT.read_text())
+    paths = {path.relative_to(linecov.PACKAGE).as_posix(): path
+             for path in linecov.PACKAGE.rglob("*.py")}
+    assert sorted(report["modules"]) == sorted(paths)
+    listed = 0
+    for name, path in paths.items():
+        lines = linecov.executable_lines(path.read_text(), str(path))
+        entry = report["modules"][name]
+        assert entry["executable"] == len(lines), name
+        missed = entry["unreached"] + entry["forked_child"] + entry["subprocess"]
+        assert set(missed) <= lines, name
+        listed += len(missed)
+    total = sum(entry["executable"] for entry in report["modules"].values())
+    assert (report["executable"], report["reached"]) == (total, total - listed)

@@ -156,16 +156,24 @@ def test_xshift_numeric_samples():
     assert rep["dropped"] == {"beta = 0": 1} and rep["unconfirmed"] == []
 
 
+def degenerate(mu):
+    return matprod._xshift_degenerate(mu, matprod._xshift_system(mu))
+
+
+def solution_count(mu):
+    return matprod._xshift_solution_count(mu, matprod._xshift_system(mu))
+
+
 def test_xshift_genericity_is_decided_from_mu():
-    assert matprod._xshift_degenerate((1, 0, 1, 1, 1, 1)) == "beta = 0"
-    assert matprod._xshift_degenerate((1, 1, 1, 1, 0, 1)) == "beta' = 0"
+    assert degenerate((1, 0, 1, 1, 1, 1)) == "beta = 0"
+    assert degenerate((1, 1, 1, 1, 0, 1)) == "beta' = 0"
     # T(1,1) = alpha' + beta' + gamma' = 0 leaves M(xi) of full rank
     mu = tuple(Fraction(v) for v in (1, 1, 1, 1, 1, -2))
-    assert matprod._xshift_degenerate(mu) is None
-    assert matprod._xshift_solution_count(mu) == (2, [])
+    assert degenerate(mu) is None
+    assert solution_count(mu) == (2, [])
     # T(1,0) = alpha + gamma = 0 as well: M(xi) loses rank
-    assert matprod._xshift_degenerate((1, 1, -1, 1, 1, -2)) == "rank-deficient M(xi)"
-    assert matprod._xshift_degenerate((1, 2, 3, 1, -1, 2)) is None
+    assert degenerate((1, 1, -1, 1, 1, -2)) == "rank-deficient M(xi)"
+    assert degenerate((1, 2, 3, 1, -1, 2)) is None
 
 
 def test_rows_that_are_powers_of_one_linear_form_are_not_generic():
@@ -173,7 +181,7 @@ def test_rows_that_are_powers_of_one_linear_form_are_not_generic():
     # mu' = (-c, -c, -c, 0, -1, -1) with c = 1 + xi, so M(xi) is
     # rank-deficient at every xi and the draw must be dropped before solving
     mu = tuple(Fraction(v) for v in (-1, -1, -1, 0, -1, -1))
-    assert matprod._xshift_degenerate(mu) == "rank-deficient M(xi)"
+    assert degenerate(mu) == "rank-deficient M(xi)"
     ps = row_polys(gkp_triangle(mu, 3))
     x = MPoly.variable("x", ps[1].vars)
     for xi in (Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
@@ -221,7 +229,7 @@ def sympy_shift_exists(mu, xi):
 def test_xshift_roots_agree_with_sympy_on_the_entry_equations():
     rng = random.Random(3)
     draws = (tuple(Fraction(rng.randint(-6, 6)) for _ in range(6)) for _ in range(30))
-    mus = list(islice((mu for mu in draws if matprod._xshift_degenerate(mu) is None), 3))
+    mus = list(islice((mu for mu in draws if degenerate(mu) is None), 3))
     assert len(mus) == 3
     for mu in mus:
         g = matprod._minor_gcd(matprod._xshift_system(mu))
@@ -317,4 +325,4 @@ def test_xshift_count_is_none_when_the_constraints_vanish():
     # every 5 x 5 minor of [M | q] is the zero polynomial: no xi is singled
     # out
     mu = tuple(Fraction(v) for v in (-1, -1, -1, 0, -1, -1))
-    assert matprod._xshift_solution_count(mu) == (None, [])
+    assert solution_count(mu) == (None, [])

@@ -1,22 +1,22 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gkpfrac import cli, symmetry
 from gkpfrac.exactalg import (
-    MPoly, RatFunc, as_field, felem_is_zero, first_mismatch, mismatch_report,
-    variables,
+    MPoly, RatFunc, as_field, as_mpoly, clear_denominators, divide_exact,
+    felem_is_zero, first_mismatch, mismatch_report, variables,
 )
-from gkpfrac.gkpcore import GKPParams, gkp_triangle, row_polys
+from gkpfrac.gkpcore import PARAM_NAMES, GKPParams, gkp_triangle, row_polys
 from gkpfrac.symmetry import (
     CaseMismatch, D, EXPECTED_CLASS_PROFILE, IDENT, R, S, SPRIME,
     ScalingMap, SingularMap, X, Z, all_elements, apply_map,
     apply_map_letters, group_table, map_equal, parse_word, rescale_gkp,
-    symbolic_mu, verify_action, verify_action_letter, verify_actions,
-    verify_relations,
+    verify_action, verify_actions, verify_relations,
 )
 
 
@@ -125,8 +125,8 @@ def test_actions_of_letter_lists():
     mu = GKPParams.symbolic()
     assert verify_action(["S", "D"], mu, 3) == {"map": "S*D", "ok": True,
                                                 "first_mismatch": None}
-    assert verify_action_letter("D", mu, 3) == {"map": "D", "ok": True,
-                                                "first_mismatch": None}
+    assert verify_action(["D"], mu, 3) == {"map": "D", "ok": True,
+                                           "first_mismatch": None}
 
 
 def test_actions_small():
@@ -136,7 +136,7 @@ def test_actions_small():
     words = ["S", "D", "Z", ScalingMap(*kl), "X"]
     reps = verify_actions(words, mu, 5)
     assert [rep["ok"] for rep in reps] == [True] * 5
-    assert verify_action_letter("R", mu, 5)["ok"]
+    assert verify_action(["R"], mu, 5)["ok"]
     assert verify_action("S*Z*X^3", mu, 3)["ok"]
 
 
@@ -176,7 +176,7 @@ def test_rescale_factorials_and_semifactorials():
 def is_polynomial_action(word):
     """The word's action on a symbolic mu has denominator 1."""
     return not any(isinstance(v, RatFunc) and not v.is_poly()
-                   for v in apply_map(word, symbolic_mu()))
+                   for v in apply_map(word, GKPParams.symbolic()))
 
 
 def test_polynomial_subgroup():
@@ -228,6 +228,53 @@ def test_coset_denominators():
             if isinstance(v, RatFunc) and not v.is_poly():
                 assert v.den.degree_in("beta") > 0
                 assert v.den.degree_in("betap") == 0
+
+
+def _divisors(letters, mu):
+    """What each division of the word divides by, along the orbit of mu:
+    beta' before a Z or an X, beta before an R."""
+    orbit = symmetry._orbit(letters, mu)
+    return [p[1] if letter == "R" else p[4]
+            for letter, p in zip(reversed(letters), orbit) if letter in "ZXR"]
+
+
+def _reduced_denominator(g, mu):
+    """The lcm of the denominators of the reduced image of mu under g."""
+    vars = mu.alpha.vars
+    return as_mpoly(clear_denominators(tuple(apply_map(g, mu)), vars)[1], vars)
+
+
+def test_words_multiply_out_and_divide_at_most_three_times():
+    words = {g: g.letters() for g in all_elements()}
+    assert all(parse_word("*".join(w)) == g for g, w in words.items())
+    divisions = [sum(letter in "ZXR" for letter in w) for w in words.values()]
+    assert sum(divisions) == 72 and max(divisions) == 3
+    assert words[IDENT] == [] and words[R] == ["R"] and words[S * D] == ["S", "D"]
+
+
+def test_every_division_divides_the_reduced_denominator():
+    mu = GKPParams.symbolic()
+    for g in all_elements():
+        den = _reduced_denominator(g, mu)
+        for d in _divisors(g.letters(), mu):
+            assert divide_exact(den, as_mpoly(d, den.vars)) is not None, (g, d)
+
+
+def test_a_word_raises_only_where_its_map_is_undefined():
+    # beta, beta' in {0, 1, -2}: each word gives its reduced map's value
+    # where that map's denominator does not vanish, and raises where it does
+    sym = GKPParams.symbolic()
+    for g in all_elements():
+        image, den = apply_map(g, sym), _reduced_denominator(g, sym)
+        for b, bp in product((0, 1, -2), repeat=2):
+            mu = (1, b, 2, -1, bp, 3)
+            point = dict(zip(PARAM_NAMES, mu))
+            if felem_is_zero(den.subs(point)):
+                with pytest.raises(SingularMap):
+                    apply_map(g, mu)
+            else:
+                assert map_equal(apply_map(g, mu),
+                                 [as_field(v).subs(point) for v in image]), (g, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +349,15 @@ def _oracle_fold(letters, mu, polys):
 
 
 def oracle_verify(word, mu, N):
-    """verify_action's report, from the letter fold; "R" is the R letter."""
-    if word == "R":
-        name, letters, moved = "R", ["R"], apply_map(R, mu)
+    """verify_action's report, from the letter fold; a list is the letters."""
+    if isinstance(word, list):
+        name, letters = "*".join(word), word
     else:
         name, letters = word.name(), word.letters()
-        moved = apply_map_letters(letters, mu)
-    lhs = row_polys(gkp_triangle(moved, N))
+    lhs = row_polys(gkp_triangle(apply_map_letters(letters, mu), N))
     rhs = _oracle_fold(letters, mu, row_polys(gkp_triangle(mu, N)))
     bad = first_mismatch(({"n": n}, p, q) for n, (p, q) in enumerate(zip(lhs, rhs)))
     return {"map": name, **mismatch_report(bad)}
-
-
-def _library_verify(word, mu, N):
-    if word == "R":
-        return verify_action_letter("R", mu, N)
-    return verify_action(word, mu, N)
 
 
 def _outcome(fn, *args):
@@ -333,7 +373,8 @@ def _wrong_D(mu):
     return (ap + bp, -bp, gp, a + b, -b, g + b)
 
 
-WORDS = all_elements() + ["R"]
+# no group word has the letter X, so letter lists give it its own cases
+WORDS = all_elements() + [["R"], ["X"], ["X", "S", "X"]]
 
 
 def test_composed_substitution_matches_letter_fold_symbolic():
@@ -341,7 +382,7 @@ def test_composed_substitution_matches_letter_fold_symbolic():
     for word in WORDS:
         want = oracle_verify(word, mu, 4)
         assert want["ok"], word
-        assert _library_verify(word, mu, 4) == want, word
+        assert verify_action(word, mu, 4) == want, word
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -350,13 +391,14 @@ def test_composed_substitution_matches_letter_fold_symbolic():
        st.booleans())
 @example(Z, (1, 1, 0, 1, 0, 1), False)          # beta' = 0
 @example(X ** 5, (1, 0, 1, 1, 1, 1), False)     # beta = 0
-@example("R", (1, 0, 1, 1, 1, 1), True)
+@example(["R"], (1, 0, 1, 1, 1, 1), True)
+@example(["X"], (1, 0, 1, 1, 0, 1), True)
 def test_composed_substitution_matches_letter_fold_numeric(word, mu, wrong_d):
     with pytest.MonkeyPatch.context() as mp:
         if wrong_d:
             mp.setitem(symmetry._GEN_ACTS, "D", _wrong_D)
         want = _outcome(oracle_verify, word, mu, 5)
-        got = _outcome(_library_verify, word, mu, 5)
+        got = _outcome(verify_action, word, mu, 5)
     assert got == want
     if isinstance(want, str):
         assert want.startswith("SingularMap: map ")
@@ -368,7 +410,7 @@ def test_parameters_with_the_row_variable_are_rejected():
         with pytest.raises(ValueError, match="x-free"):
             verify_action("D", mu, 3)
     with pytest.raises(ValueError, match="x-free"):
-        verify_action_letter("R", (a, b, x, 1, b, 0), 3)
+        verify_action(["R"], (a, b, x, 1, b, 0), 3)
 
 
 def test_wrong_parameter_action_is_reported(monkeypatch, tmp_path):
