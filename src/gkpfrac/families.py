@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, count
 from typing import Callable, Optional
 
 from .exactalg import (
-    MPoly, TruncSeries, exp_series, felem_div,
+    MPoly, TruncSeries, exp_series, felem_div, felem_eq,
     felem_is_zero, first_mismatch, generalized_binomial_series, mismatch_report,
     variables,
 )
@@ -352,6 +353,43 @@ def family_params(id: str, params=None):
     """Instantiate the family's parameter tuple (symbolic by default)."""
     spec = get_family(id)
     return spec.template(_resolve_params(spec, params))
+
+
+@lru_cache(maxsize=None)
+def _reader(spec: FamilySpec):
+    """(arity, [(parameter, i, 1/c)]): the template's number of coordinates
+    and, for each parameter but kappa, the first coordinate i that is a
+    constant c times it."""
+    coords = tuple(spec.template(_sym(spec)))
+    found = {}
+    for i, t in enumerate(coords):
+        if isinstance(t, MPoly) and len(t.terms) == 1:
+            (e, c), = t.terms.items()
+            if sum(e) == 1:
+                found.setdefault(t.vars[e.index(1)], (i, 1 / Fraction(c)))
+    return len(coords), [(p,) + found[p] for p in spec.params if p != "kappa"]
+
+
+def family_binding(id: str, mu) -> Optional[dict]:
+    """The parameter values at which family ``id``'s template is ``mu``, or
+    None when no values give ``mu``.  Each parameter but kappa is read off
+    its coordinate of ``_reader``; the template is affine in kappa, so
+    kappa solves mu_i = T_i(0) + kappa (T_i(1) - T_i(0)) at the first
+    coordinate whose slope is nonzero, and is 0 when none is.  The
+    template at the values read must then be ``mu``."""
+    spec = get_family(id)
+    mu = tuple(mu)
+    arity, reads = _reader(spec)
+    if len(mu) != arity:
+        return None
+    vals = {p: mu[i] * inv for p, i, inv in reads}
+    if "kappa" in spec.params:
+        at0 = spec.template({**vals, "kappa": 0})
+        at1 = spec.template({**vals, "kappa": 1})
+        vals["kappa"] = next(
+            (felem_div(m - t0, t1 - t0) for m, t0, t1 in zip(mu, at0, at1)
+             if not felem_eq(t0, t1)), 0)
+    return vals if all(map(felem_eq, mu, spec.template(vals))) else None
 
 
 def predicted_cfrac(id: str, params=None, m: int = 8, kind: Optional[str] = None) -> CFrac:

@@ -13,12 +13,14 @@ Every branch is written in one grammar.  A factor is a dict {"f": builder,
     ("atom",)                               excluded by an inequation
     ("discard", solve, family)              inside an earlier family
     ("child", token, solve)                 new internal node
-    ("red", token, solve, (family, binding, atoms))
-    ("terminating", token, solve, (s_id, binding[, atoms]))
+    ("red", token, solve, (family, atoms))
+    ("terminating", token, solve, (s_id[, atoms]))
 
 ``solve`` is a list of (parameter, value-builder) eliminations that kill
 the factor, and a leaf's ``atoms`` are its inequations; a terminating leaf
-without them keeps its node's.  ``deg0["const_atoms"]`` must stay nonzero
+without them keeps its node's.  A leaf names its family only: the family's
+parameter values are read off the leaf's point by
+``families.family_binding``.  ``deg0["const_atoms"]`` must stay nonzero
 on every degree-0 branch.  ``c_zero`` is None when one of the coefficient's
 two x-coefficients is a product of atoms, else one action on the
 coefficient itself: a ``discard``, or a ``terminating`` leaf with token
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg import felem_div, ratfunc
+from .exactalg import ratfunc
 
 
 def _h(**kw):
@@ -52,9 +54,7 @@ def make_hint_book(V):
             c_zero=("terminating", "c=0",
                     [("gamma", lambda v: -v.a),
                      ("gammap", lambda v: -v.ap - v.bp)],
-                    ("s0", lambda v: {"alpha": v.a, "beta": v.b,
-                                      "alphap": v.ap, "betap": v.bp},
-                     lambda v: [])),
+                    ("s0", lambda v: [])),
             rfactor=lambda v: 1,
             rem_doc=lambda v: (v.a + v.g)
             * (v.bp * (v.a + v.g) - v.b * (v.ap + v.bp + v.gp))
@@ -93,8 +93,6 @@ def make_hint_book(V):
                 _h(f=lambda v: v.ap,
                    actions=[("red", "0", [("alphap", lambda v: 0)],
                              ("F2b",
-                              lambda v: {"alpha": v.a, "beta": v.b,
-                                         "gamma": v.g, "betap": v.bp},
                               lambda v: [v.a + v.g, 2 * v.a + v.g, v.a]))]),
             ]),
             factors=[
@@ -125,8 +123,6 @@ def make_hint_book(V):
                 _h(f=lambda v: v.a + v.b, mult=1,
                    actions=[("red", "1a", [("beta", lambda v: -v.a)],
                              ("F2a",
-                              lambda v: {"alpha": v.a, "alphap": v.ap,
-                                         "betap": v.bp, "gammap": v.gp},
                               lambda v: [v.ap + v.bp, v.ap + v.bp + v.gp,
                                          2 * v.ap + 2 * v.bp + v.gp]))]),
                 _h(f=lambda v: v.a * v.bp - v.b * v.ap, mult=1,
@@ -136,8 +132,6 @@ def make_hint_book(V):
                        ("red", "1c",
                         [("alpha", lambda v: 0), ("alphap", lambda v: 0)],
                         ("F3a",
-                         lambda v: {"beta": v.b, "betap": v.bp,
-                                    "gammap": v.gp},
                          lambda v: [v.bp, v.bp + v.gp, 2 * v.bp + v.gp]))]),
             ],
         ),
@@ -160,17 +154,12 @@ def make_hint_book(V):
                 _h(f=lambda v: v.bp, mult=1,
                    actions=[("red", "1b", [("betap", lambda v: 0)],
                              ("F5",
-                              lambda v: {"alpha": v.a, "gamma": v.g,
-                                         "alphap": v.ap, "gammap": v.gp},
                               lambda v: [v.ap + v.gp, v.a + v.g, v.ap]))]),
                 _h(f=lambda v: v.a * v.gp - v.g * v.ap - v.g * v.bp, mult=1,
                    actions=[("red", "1c",
                              [("gamma",
                                lambda v: v.a * v.gp / (v.ap + v.bp))],
                              ("F6",
-                              lambda v: {"alphap": v.ap, "betap": v.bp,
-                                         "gammap": v.gp,
-                                         "kappa": felem_div(v.a, v.ap + v.bp)},
                               lambda v: [v.ap + v.bp, v.ap + v.bp + v.gp,
                                          2 * v.ap + 2 * v.bp + v.gp, v.a]))]),
             ],
@@ -189,10 +178,7 @@ def make_hint_book(V):
             deg0=_h(const_atoms=[lambda v: v.b + v.g], factors=[
                 _h(f=lambda v: v.ap + v.bp,
                    actions=[("red", "0", [("betap", lambda v: -v.ap)],
-                             ("F1b",
-                              lambda v: {"beta": v.b, "gamma": v.g,
-                                         "alphap": v.ap},
-                              lambda v: [v.b + v.g, v.g, v.ap]))]),
+                             ("F1b", lambda v: [v.b + v.g, v.g, v.ap]))]),
             ]),
             factors=[
                 _h(f=lambda v: v.b + v.g, mult=1,
@@ -214,8 +200,6 @@ def make_hint_book(V):
                 _h(f=lambda v: v.ap + v.bp,
                    actions=[("red", "0", [("betap", lambda v: -v.ap)],
                              ("F3b",
-                              lambda v: {"alpha": v.a, "gamma": v.g,
-                                         "alphap": v.ap},
                               lambda v: [v.ap, v.a + v.g, 2 * v.a + v.g]))]),
                 _h(f=lambda v: v.ap, actions=[("atom",)]),
             ]),
@@ -249,10 +233,7 @@ def make_hint_book(V):
             factors=[
                 _h(f=lambda v: v.a, mult=1,
                    actions=[("red", "1a", [("alpha", lambda v: 0)],
-                             ("F1a",
-                              lambda v: {"beta": v.b, "alphap": v.ap,
-                                         "gammap": v.gp},
-                              lambda v: [v.ap + v.gp, v.b, v.gp]))]),
+                             ("F1a", lambda v: [v.ap + v.gp, v.b, v.gp]))]),
                 _h(f=lambda v: v.a * v.ap + v.b * v.ap + v.b * v.gp, mult=1,
                    actions=[("child", "1b",
                              [("beta",
@@ -308,8 +289,6 @@ def make_hint_book(V):
                              [("alphap",
                                lambda v: v.a * v.gp / (v.a + v.g))],
                              ("F4b",
-                              lambda v: {"alpha": v.a, "gamma": v.g,
-                                         "kappa": felem_div(v.gp, v.a + v.g)},
                               lambda v: [v.a + v.g, 2 * v.a + v.g, v.a,
                                          v.gp]))]),
             ],
@@ -340,8 +319,6 @@ def make_hint_book(V):
                 _h(f=lambda v: v.ap, mult=1,
                    actions=[("red", "1a", [("alphap", lambda v: 0)],
                              ("F4a",
-                              lambda v: {"betap": v.bp, "gammap": v.gp,
-                                         "kappa": felem_div(v.g, v.bp + v.gp)},
                               lambda v: [v.bp + v.gp, 2 * v.bp + v.gp, v.g,
                                          v.bp]))]),
                 _h(f=lambda v: v.ap + 2 * v.bp + v.gp, mult=1,
@@ -361,9 +338,7 @@ def make_hint_book(V):
             deg0=_h(const_atoms=[lambda v: v.b], factors=[
                 _h(f=lambda v: 2 * v.ap + v.bp,
                    actions=[("terminating", "0",
-                             [("betap", lambda v: -2 * v.ap)],
-                             ("s4a",
-                              lambda v: {"beta": v.b, "alphap": v.ap}))]),
+                             [("betap", lambda v: -2 * v.ap)], ("s4a",))]),
             ]),
             factors=[
                 _h(f=lambda v: v.b, mult=2, actions=[("atom",)]),
@@ -374,8 +349,7 @@ def make_hint_book(V):
             atoms=lambda v: [v.g, v.ap, v.b + v.g, v.b + 2 * v.g],
             own_c=lambda v: ratfunc(v.ap * (v.b + 2 * v.g), v.g) * v.x,
             c_zero=("terminating", "c=0", [("beta", lambda v: -2 * v.g)],
-                    ("s1a", lambda v: {"gamma": v.g, "alphap": v.ap},
-                     lambda v: [])),
+                    ("s1a", lambda v: [])),
             passthrough="0",
         ),
         ("0", "0", "0", "1b", "1a"): _h(
@@ -383,8 +357,7 @@ def make_hint_book(V):
             own_c=lambda v: ratfunc(2 * v.ap + v.bp, v.ap)
             * (v.a + v.ap * v.x),
             c_zero=("terminating", "c=0", [("betap", lambda v: -2 * v.ap)],
-                    ("s3a", lambda v: {"alpha": v.a, "alphap": v.ap},
-                     lambda v: [])),
+                    ("s3a", lambda v: [])),
             passthrough="0",
         ),
         ("0", "0", "0", "1b", "1b"): _h(
@@ -396,9 +369,7 @@ def make_hint_book(V):
             deg0=_h(const_atoms=[lambda v: v.a], factors=[
                 _h(f=lambda v: 2 * v.ap + v.bp,
                    actions=[("terminating", "0",
-                             [("betap", lambda v: -2 * v.ap)],
-                             ("s5a",
-                              lambda v: {"alpha": v.a, "alphap": v.ap}))]),
+                             [("betap", lambda v: -2 * v.ap)], ("s5a",))]),
                 _h(f=lambda v: v.ap, actions=[("atom",)]),
             ]),
             factors=[
@@ -417,17 +388,14 @@ def make_hint_book(V):
                 _h(f=lambda v: v.a + v.b, mult=1, actions=[("atom",)]),
                 _h(f=lambda v: 2 * v.a + v.b, mult=1,
                    actions=[("terminating", "1a",
-                             [("beta", lambda v: -2 * v.a)],
-                             ("s4b",
-                              lambda v: {"alpha": v.a, "alphap": v.ap}))]),
+                             [("beta", lambda v: -2 * v.a)], ("s4b",))]),
             ],
         ),
         ("0", "0", "1a", "0", "1b"): _h(
             atoms=lambda v: [v.ap + v.gp, v.a, v.gp, v.ap + 2 * v.gp],
             own_c=lambda v: ratfunc(v.a * (v.ap + 2 * v.gp), v.ap + v.gp),
             c_zero=("terminating", "c=0", [("alphap", lambda v: -2 * v.gp)],
-                    ("s1b", lambda v: {"alpha": v.a, "gammap": v.gp},
-                     lambda v: [])),
+                    ("s1b", lambda v: [])),
             passthrough="0",
         ),
         ("0", "0", "1a", "1b", "0"): _h(
@@ -435,8 +403,7 @@ def make_hint_book(V):
             own_c=lambda v: ratfunc(2 * v.ap + v.bp, v.ap)
             * (v.a + v.ap * v.x),
             c_zero=("terminating", "c=0", [("betap", lambda v: -2 * v.ap)],
-                    ("s3b", lambda v: {"alpha": v.a, "alphap": v.ap},
-                     lambda v: [])),
+                    ("s3b", lambda v: [])),
             passthrough="0",
         ),
         ("0", "0", "1a", "1b", "1a"): _h(
@@ -457,9 +424,7 @@ def make_hint_book(V):
                 _h(f=lambda v: v.bp, mult=2, actions=[("atom",)]),
                 _h(f=lambda v: 2 * v.ap + v.bp, mult=1,
                    actions=[("terminating", "1a",
-                             [("betap", lambda v: -2 * v.ap)],
-                             ("s5b",
-                              lambda v: {"alpha": v.a, "alphap": v.ap}))]),
+                             [("betap", lambda v: -2 * v.ap)], ("s5b",))]),
             ],
         ),
         ("0", "0", "1b", "0", "0"): _h(
@@ -473,25 +438,21 @@ def make_hint_book(V):
                 _h(f=lambda v: v.a, mult=1, actions=[("atom",)]),
                 _h(f=lambda v: 3 * v.a + v.g, mult=1,
                    actions=[("terminating", "1a",
-                             [("gamma", lambda v: -3 * v.a)],
-                             ("s6a",
-                              lambda v: {"alpha": v.a, "alphap": v.ap}))]),
+                             [("gamma", lambda v: -3 * v.a)], ("s6a",))]),
             ],
         ),
         ("0", "0", "1b", "0", "1a"): _h(
             atoms=lambda v: [v.ap + v.gp, v.a, v.gp, v.ap + 2 * v.gp],
             own_c=lambda v: ratfunc(v.a * (v.ap + 2 * v.gp), v.gp),
             c_zero=("terminating", "c=0", [("alphap", lambda v: -2 * v.gp)],
-                    ("s2b", lambda v: {"alpha": v.a, "gammap": v.gp},
-                     lambda v: [])),
+                    ("s2b", lambda v: [])),
             passthrough="0",
         ),
         ("0", "0", "1b", "1a", "0"): _h(
             atoms=lambda v: [v.g, v.ap, v.ap + v.bp, 2 * v.ap + v.bp],
             own_c=lambda v: (2 * v.ap + v.bp) * v.x,
             c_zero=("terminating", "c=0", [("betap", lambda v: -2 * v.ap)],
-                    ("s2a", lambda v: {"gamma": v.g, "alphap": v.ap},
-                     lambda v: [])),
+                    ("s2a", lambda v: [])),
             passthrough="0",
         ),
         ("0", "0", "1b", "1a", "1b"): _h(
@@ -508,9 +469,7 @@ def make_hint_book(V):
                 _h(f=lambda v: v.g, mult=2, actions=[("atom",)]),
                 _h(f=lambda v: 2 * v.ap + v.bp, mult=1,
                    actions=[("terminating", "1a",
-                             [("betap", lambda v: -2 * v.ap)],
-                             ("s6b",
-                              lambda v: {"beta": -v.g, "alphap": v.ap}))]),
+                             [("betap", lambda v: -2 * v.ap)], ("s6b",))]),
             ],
         ),
         # -------------------------------------------------------------- c6

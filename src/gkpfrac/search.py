@@ -6,11 +6,11 @@ The tree is driven by the hint book (one record per documented node): the
 engine recomputes all fraction coefficients from scratch, then verifies
 every documented assertion exactly -- the substitutions, the inequations,
 the remainder and its factorization, the degree collapse of the numerator
-and denominator polynomials, the family membership of every classified
-branch -- and raises instead of silently accepting a violation.  Every
-branch (a factor of the remainder numerator or of the deg-0 leading
-coefficient, or the node's own coefficient vanishing) goes through one
-action interpreter, ``_take``.
+and denominator polynomials, the family membership of every discarded
+branch and every leaf (``families.family_binding``) -- and raises instead
+of silently accepting a violation.  Every branch (a factor of the
+remainder numerator or of the deg-0 leading coefficient, or the node's own
+coefficient vanishing) goes through one action interpreter, ``_take``.
 
 Each node's own split coefficient is extracted from its series.  A leaf's
 claimed S-fraction (the ten red families, the thirteen terminating ones) is
@@ -61,31 +61,9 @@ class _Ns:
 V = _Ns()
 HINT_BOOK = make_hint_book(V)
 
-# family membership: defining polynomial relations on the six-tuple
-FAMILY_RELATIONS = {
-    "F1a": lambda m: [m[0], m[2], m[3] + m[4]],
-    "F1b": lambda m: [m[0], m[5], m[3] + m[4]],
-    "F2a": lambda m: [m[0] + m[1], m[0] + m[2]],
-    "F2b": lambda m: [m[3], m[4] + m[5]],
-    "F3a": lambda m: [m[0], m[2], m[3]],
-    "F3b": lambda m: [m[0] + m[1], m[3] + m[4], m[5]],
-    "F4a": lambda m: [m[0], m[3], m[1] * (m[4] + m[5]) - m[2] * m[4]],
-    "F4b": lambda m: [m[0] + m[1], m[3] + m[4],
-                      m[5] * m[0] - m[3] * (m[0] + m[2])],
-    "F5": lambda m: [m[1], m[4]],
-    "F6": lambda m: [m[0] * m[4] - m[1] * (m[3] + m[4]),
-                     m[0] * m[5] - m[2] * (m[3] + m[4]),
-                     m[1] * m[5] - m[2] * m[4]],
-}
-
 RED_FAMILIES = families.SFRAC_FAMILY_IDS
 TERMINATING_FAMILIES = tuple(fid for fid in families.family_ids()
                              if families.get_family(fid).status == "terminating")
-
-
-def family_member(family_id: str, mu) -> bool:
-    m = [as_field(v) for v in tuple(mu)]
-    return all(felem_is_zero(r) for r in FAMILY_RELATIONS[family_id](m))
 
 
 @dataclass(frozen=True)
@@ -382,7 +360,7 @@ def _take(node: SearchNode, record: str, action, factor, const_atoms=()):
                                    "does not kill the %s factor"
                                    % (node.name(), record))
         mu = tuple(_subst_field(node.subs[p], mapping) for p in BASE)
-        if not family_member(family, mu):
+        if families.family_binding(family, mu) is None:
             raise InconsistentNode("%s: discarded branch is not inside %s "
                                    "(%s)" % (node.name(), family, record))
         return ("discard", family, mu)
@@ -396,27 +374,29 @@ def _branch(node, kind, token, solve, leaf=None, factor_exprs=(),
             const_atoms=()):
     """The ``child``, ``red`` or ``terminating`` branch of ``node`` reached by
     ``solve``, verified.  A child takes the atoms of its own record.
-    ``leaf`` is the family record of a leaf, (id, binding, atoms): a
-    terminating leaf without documented atoms keeps the node's
-    inequations.  The ``const_atoms`` of a degree-0 record must stay
-    nonzero on the branch, whatever its kind."""
+    ``leaf`` is the family record of a leaf, (id, atoms): a terminating
+    leaf without documented atoms keeps the node's inequations.  A leaf's
+    point must lie in its family, whose parameter values there feed the
+    predicted fraction.  The ``const_atoms`` of a degree-0 record must
+    stay nonzero on the branch, whatever its kind."""
     if kind == "child":
         child_hint = HINT_BOOK.get(node.label + (token,))
         if child_hint is None:
             raise BadFactorHint("no hint for child %s,%s" % (node.name(), token))
         atoms_fn = child_hint.get("atoms")
     else:
-        fid, binding, *atoms = leaf
+        fid, *atoms = leaf
         atoms_fn = atoms[0] if atoms else None
     child = _child_node(node, token, solve, atoms_fn,
                         factor_exprs=factor_exprs, const_atoms=const_atoms)
     if kind == "child":
         return ("node", child)
-    _check_leaf(child, fid, families.predicted_cfrac(fid, binding(V), RED_DEPTH,
-                                                     kind="S"))
-    if kind == "red" and not family_member(fid, child.mu()):
+    binding = families.family_binding(fid, child.mu())
+    if binding is None:
         raise InconsistentNode("%s: parameters not inside family %s"
                                % (child.name(), fid))
+    _check_leaf(child, fid, families.predicted_cfrac(fid, binding, RED_DEPTH,
+                                                     kind="S"))
     return (kind, fid, child)
 
 

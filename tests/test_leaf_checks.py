@@ -161,30 +161,31 @@ def _replay_message(monkeypatch, label, edit):
 
 
 def test_red_binding_with_a_swapped_parameter(monkeypatch):
-    def swap(hint):
-        factors = [dict(f) for f in hint["factors"]]
-        kind, token, solve, (fid, _, atoms) = factors[1]["actions"][0]
-        assert fid == "F5"
+    # F5's c_2 written with alpha and gamma swapped: the leaf 0,0,1b,1b
+    # still lies in F5, and its series refutes the prediction at c_2
+    f5 = F.get_family("F5")
 
-        def binding(v):
-            return {"alpha": v.g, "gamma": v.a, "alphap": v.ap, "gammap": v.gp}
+    def swapped(v, i):
+        return f5.coeffs(dict(v, alpha=v["gamma"], gamma=v["alpha"])
+                         if i == 2 else v, i)
 
-        factors[1]["actions"] = [(kind, token, solve, (fid, binding, atoms))]
-        hint["factors"] = factors
-
-    assert _replay_message(monkeypatch, ("0", "0", "1b"), swap) \
-        == "0,0,1b,1b: c_2 does not match family F5"
+    monkeypatch.setitem(F.CATALOG, "F5", replace(f5, coeffs=swapped))
+    with pytest.raises(S.InconsistentNode) as exc:
+        S.run_tree()
+    assert str(exc.value) == "0,0,1b,1b: c_2 does not match family F5"
 
 
 def test_terminating_binding_that_ends_one_level_late(monkeypatch):
-    # s1a ends at level 4; s4a, with the same values, at level 5
+    # s1a ends at level 4 and s4a at level 5; the c=0 leaf of s1a is not a
+    # point of s4a, which is caught before any fraction is predicted (a
+    # prediction that ends one level late is
+    # test_prediction_with_a_zero_coefficient)
     def late(hint):
-        kind, token, solve, (_, _, atoms) = hint["c_zero"]
-        hint["c_zero"] = (kind, token, solve, (
-            "s4a", lambda v: {"beta": v.g, "alphap": v.ap}, atoms))
+        kind, token, solve, (_, atoms) = hint["c_zero"]
+        hint["c_zero"] = (kind, token, solve, ("s4a", atoms))
 
     assert _replay_message(monkeypatch, ("0", "0", "0", "1a", "1b"), late) \
-        == "0,0,0,1a,1b,c=0: expected termination at 5, got 4"
+        == "0,0,0,1a,1b,c=0: parameters not inside family s4a"
 
 
 def test_prediction_with_a_zero_coefficient(monkeypatch):

@@ -2,6 +2,7 @@ from functools import reduce
 from operator import mul
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from gkpfrac import search as S
@@ -10,8 +11,8 @@ from gkpfrac.exactalg import (
     variables, x_coeffs,
 )
 from gkpfrac.search import (
-    InconsistentNode, RED_FAMILIES, TERMINATING_FAMILIES, V, family_member,
-    get_node, node_coefficient, node_cs, run_tree, tree_dot,
+    InconsistentNode, RED_FAMILIES, TERMINATING_FAMILIES, V, get_node,
+    node_coefficient, node_cs, run_tree, tree_dot,
 )
 
 
@@ -142,10 +143,10 @@ def test_split_examples():
 
 
 def test_family_membership_predicates():
-    from gkpfrac.families import family_params
-    for fid in RED_FAMILIES:
-        assert family_member(fid, family_params(fid)), fid
-    assert not family_member("F5", (1, 2, 3, 4, 5, 6))
+    from gkpfrac.families import family_binding, family_params
+    for fid in RED_FAMILIES + TERMINATING_FAMILIES:
+        assert family_binding(fid, family_params(fid)) is not None, fid
+    assert family_binding("F5", (1, 2, 3, 4, 5, 6)) is None
 
 
 def test_get_node_unknown():
@@ -444,14 +445,16 @@ def test_each_documented_assertion_can_fail(monkeypatch, label, edit, drive,
 
 
 def test_red_leaf_outside_its_family(monkeypatch):
-    # the leaf check before it pins the child's series, which fixes mu, so
-    # no hint edit was found that keeps the prediction and leaves the
-    # family; the family's relations are edited instead
-    relations = S.FAMILY_RELATIONS["F2b"]
-    monkeypatch.setitem(S.FAMILY_RELATIONS, "F2b",
-                        lambda m: relations(m) + [m[0]])
+    # the leaf 0,0,0,0 (F2b: alpha' = 0, gamma' = -beta') claimed for F2a
+    hint = dict(S.HINT_BOOK[("0", "0", "0")])
+    factor = dict(hint["deg0"]["factors"][0])
+    (kind, token, solve, (fid, atoms)), = factor["actions"]
+    assert (kind, token, fid) == ("red", "0", "F2b")
+    factor["actions"] = [(kind, token, solve, ("F2a", atoms))]
+    hint["deg0"] = dict(hint["deg0"], factors=[factor])
+    monkeypatch.setitem(S.HINT_BOOK, ("0", "0", "0"), hint)
     with pytest.raises(InconsistentNode,
-                       match="^0,0,0,0: parameters not inside family F2b$"):
+                       match="^0,0,0,0: parameters not inside family F2a$"):
         node_coefficient(get_node("0,0,0"))
 
 
@@ -546,3 +549,22 @@ def test_zero_is_not_certified_nonzero():
     a, = variables("a")
     assert S._nonzero_certified(MPoly.zero(a.vars), [a]) is False
     assert S._nonzero_certified(a * a, [a]) is True
+
+
+# -- the documented factors against sympy as an independent oracle ---------
+
+def test_every_documented_factor_is_irreducible_over_q():
+    gens = sympy.symbols(V.a.vars)
+    factors = [(label, record, item["f"](V))
+               for label, hint in S.HINT_BOOK.items()
+               for record, rec in (("remainder", hint),
+                                   ("deg-0", hint.get("deg0", {})))
+               for item in rec.get("factors", ())]
+    assert len(factors) == 105
+    for label, record, f in factors:
+        expr = sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator)
+             for e, c in f.terms.items()}, gens, domain="QQ")
+        _, parts = sympy.factor_list(expr)
+        assert [(p.total_degree() > 0, m) for p, m in parts] == [(True, 1)], \
+            (",".join(label), record, str(f))

@@ -198,19 +198,40 @@ def test_sprime_is_scaling():
 
 
 def test_family_orbit_facts():
-    # X cycles the three-parameter families and the diagonal ones
-    from gkpfrac.families import family_params
-    from gkpfrac.search import family_member
-    cycles = [("F1a", "F4a"), ("F4a", "F3b"), ("F3b", "F1a"),
-              ("F1b", "F3a"), ("F3a", "F4b"), ("F4b", "F1b"),
-              ("F2a", "F6"), ("F6", "F2b"), ("F2b", "F2a")]
-    for src, dst in cycles:
-        mu = family_params(src)
-        try:
-            moved = apply_map(X, mu)
-        except SingularMap:
-            pytest.fail("X singular on %s" % src)
-        assert family_member(dst, moved), (src, dst)
+    # the 48 elements map each S family's point into an S family wherever
+    # the map is defined, and each terminating family's into a terminating
+    # one; the families fall into six orbits
+    from gkpfrac.families import (
+        SFRAC_FAMILY_IDS, family_binding, family_ids, family_params,
+        get_family,
+    )
+    terminating = tuple(f for f in family_ids()
+                        if get_family(f).status == "terminating")
+    orbit = {}
+    singular = 0
+    for kind in (SFRAC_FAMILY_IDS, terminating):
+        for src in kind:
+            mu = family_params(src)
+            orbit.setdefault(src, {src})
+            for g in symmetry.WORDS:
+                try:
+                    image = apply_map(g, mu)
+                except SingularMap:
+                    singular += kind is SFRAC_FAMILY_IDS
+                    continue
+                dst = [f for f in kind if family_binding(f, image) is not None]
+                assert dst, "%s mapped by %s lies in no family of its kind" \
+                    % (src, g.name())
+                for f in dst:
+                    merged = orbit[src] | orbit.setdefault(f, {f})
+                    for member in merged:
+                        orbit[member] = merged
+    assert singular == 40
+    orbits = sorted(sorted(o) for o in {frozenset(o) for o in orbit.values()})
+    assert orbits == sorted([
+        ["F1a", "F1b", "F3a", "F3b", "F4a", "F4b"], ["F2a", "F2b", "F6"],
+        ["F5"], ["s0"], ["s1a", "s1b", "s2a", "s2b", "s3a", "s3b"],
+        ["s4a", "s4b", "s5a", "s5b", "s6a", "s6b"]])
 
 
 def test_coset_denominators():
