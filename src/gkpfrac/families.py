@@ -3,9 +3,13 @@ fractions, with end-to-end verification harnesses.
 
 Each family record carries a parameter template, the closed-form fraction
 coefficients (S, T or J kind), an epistemic status flag, and the side
-conditions under which the first few coefficients are nonzero.  Verification
-regenerates the triangle and compares its ogf with the prediction,
-symbolically in all free parameters.
+conditions under which the first few coefficients are nonzero.  The thirteen
+``b`` families F1b-F4b, F7b-F9b and s1b-s6b state no coefficients: each is
+the image of its ``a`` twin under the row reversal D of ``symmetry``, which
+sends T(n, k) to T(n, n-k).  Since P_n(x; D mu) = x^n P_n(1/x; mu), each of
+their coefficients is x c(1/x), where c is the twin's coefficient at the
+D-image of the point.  Verification regenerates the triangle and compares
+its ogf with the prediction, symbolically in all free parameters.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from typing import Callable, Optional
 from .exactalg import (
     MPoly, TruncSeries, exp_series, felem_div, felem_eq,
     felem_is_zero, first_mismatch, generalized_binomial_series, mismatch_report,
-    variables,
+    variables, x_coeffs,
 )
 from .gkpcore import (
     GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle, ogf_trunc,
@@ -29,6 +33,7 @@ from .cfrac import (
     eval_tr,
 )
 from .matprod import binomial_matrix, triangle_product
+from .symmetry import D, apply_map
 
 
 class ArityMismatch(ValueError):
@@ -55,6 +60,8 @@ class FamilySpec:
     side_conditions: tuple = ()         # inequations (strings, documentation)
     terminating_cs: Optional[Callable] = None
     terminates_at: Optional[int] = None
+    twin: Optional[str] = None          # the a family this is the D-image
+                                        # of, which states its coefficients
 
 
 def _sym(spec: FamilySpec) -> dict:
@@ -88,6 +95,11 @@ def _make_catalog():
     def add(spec):
         cat[spec.id] = spec
 
+    def mirror(id, twin, names, template, side_conditions=()):
+        a = cat[twin]
+        add(FamilySpec(id, names, a.kind, a.status, template,
+                       side_conditions=side_conditions, twin=twin))
+
     # ---- the ten S-fraction families --------------------------------------
     add(FamilySpec(
         "F1a", ("beta", "alphap", "gammap"), "S", "proven",
@@ -95,12 +107,9 @@ def _make_catalog():
         _s_pair(lambda v, k: (v["gammap"] + (k - 1) * v["alphap"]) * _xvar(v),
                 lambda v, k: k * v["beta"]),
         side_conditions=("alphap+gammap != 0", "beta*gammap != 0")))
-    add(FamilySpec(
-        "F1b", ("beta", "gamma", "alphap"), "S", "proven",
-        lambda v: GKPParams(0, v["beta"], v["gamma"], v["alphap"], -v["alphap"], 0),
-        _s_pair(lambda v, k: v["gamma"] + (k - 1) * v["beta"],
-                lambda v, k: k * v["alphap"] * _xvar(v)),
-        side_conditions=("beta+gamma != 0", "gamma*alphap != 0")))
+    mirror("F1b", "F1a", ("beta", "gamma", "alphap"),
+           lambda v: GKPParams(0, v["beta"], v["gamma"], v["alphap"], -v["alphap"], 0),
+           ("beta+gamma != 0", "gamma*alphap != 0"))
     add(FamilySpec(
         "F2a", ("alpha", "alphap", "betap", "gammap"), "S", "proven",
         lambda v: GKPParams(v["alpha"], -v["alpha"], -v["alpha"],
@@ -109,26 +118,20 @@ def _make_catalog():
                 lambda v, k: k * (v["alphap"] + v["betap"]) * _xvar(v)),
         side_conditions=("alphap+betap != 0", "alphap+betap+gammap != 0",
                          "2alphap+2betap+gammap != 0")))
-    add(FamilySpec(
-        "F2b", ("alpha", "beta", "gamma", "betap"), "S", "proven",
-        lambda v: GKPParams(v["alpha"], v["beta"], v["gamma"], 0,
-                            v["betap"], -v["betap"]),
-        _s_pair(lambda v, k: k * v["alpha"] + v["gamma"],
-                lambda v, k: k * v["alpha"]),
-        side_conditions=("alpha != 0", "alpha+gamma != 0", "2alpha+gamma != 0")))
+    mirror("F2b", "F2a", ("alpha", "beta", "gamma", "betap"),
+           lambda v: GKPParams(v["alpha"], v["beta"], v["gamma"], 0,
+                               v["betap"], -v["betap"]),
+           ("alpha != 0", "alpha+gamma != 0", "2alpha+gamma != 0"))
     add(FamilySpec(
         "F3a", ("beta", "betap", "gammap"), "S", "proven",
         lambda v: GKPParams(0, v["beta"], 0, 0, v["betap"], v["gammap"]),
         _s_pair(lambda v, k: (v["gammap"] + k * v["betap"]) * _xvar(v),
                 lambda v, k: k * (v["beta"] + v["betap"] * _xvar(v))),
         side_conditions=("betap != 0", "betap+gammap != 0", "2betap+gammap != 0")))
-    add(FamilySpec(
-        "F3b", ("alpha", "gamma", "alphap"), "S", "proven",
-        lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
-                            v["alphap"], -v["alphap"], 0),
-        _s_pair(lambda v, k: k * v["alpha"] + v["gamma"],
-                lambda v, k: k * (v["alpha"] + v["alphap"] * _xvar(v))),
-        side_conditions=("alphap != 0", "alpha+gamma != 0", "2alpha+gamma != 0")))
+    mirror("F3b", "F3a", ("alpha", "gamma", "alphap"),
+           lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
+                               v["alphap"], -v["alphap"], 0),
+           ("alphap != 0", "alpha+gamma != 0", "2alpha+gamma != 0"))
     add(FamilySpec(
         "F4a", ("betap", "gammap", "kappa"), "S", "proven",
         lambda v: GKPParams(0, v["kappa"] * v["betap"],
@@ -138,14 +141,11 @@ def _make_catalog():
                 lambda v, k: k * v["betap"] * _xvar(v)),
         side_conditions=("betap+gammap != 0", "2betap+gammap != 0",
                          "kappa*betap != 0")))
-    add(FamilySpec(
-        "F4b", ("alpha", "gamma", "kappa"), "S", "proven",
-        lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
-                            v["kappa"] * v["alpha"], -v["kappa"] * v["alpha"],
-                            v["kappa"] * (v["alpha"] + v["gamma"])),
-        _s_pair(lambda v, k: (v["gamma"] + k * v["alpha"]) * (1 + v["kappa"] * _xvar(v)),
-                lambda v, k: k * v["alpha"]),
-        side_conditions=("alpha+gamma != 0", "2alpha+gamma != 0", "alpha*kappa != 0")))
+    mirror("F4b", "F4a", ("alpha", "gamma", "kappa"),
+           lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
+                               v["kappa"] * v["alpha"], -v["kappa"] * v["alpha"],
+                               v["kappa"] * (v["alpha"] + v["gamma"])),
+           ("alpha+gamma != 0", "2alpha+gamma != 0", "alpha*kappa != 0"))
     add(FamilySpec(
         "F5", ("alpha", "gamma", "alphap", "gammap"), "S", "proven",
         lambda v: GKPParams(v["alpha"], 0, v["gamma"], v["alphap"], 0, v["gammap"]),
@@ -173,12 +173,9 @@ def _make_catalog():
         _s_pair(lambda v, k: ((v["gammap"] + k * v["betap"]) * _xvar(v),
                               v["gamma"]),
                 lambda v, k: (k * (v["beta"] + v["betap"] * _xvar(v)), 0))))
-    add(FamilySpec(
-        "F7b", ("alpha", "gamma", "alphap", "gammap"), "T", "proven",
-        lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
-                            v["alphap"], -v["alphap"], v["gammap"]),
-        _s_pair(lambda v, k: (v["gamma"] + k * v["alpha"], v["gammap"] * _xvar(v)),
-                lambda v, k: (k * (v["alpha"] + v["alphap"] * _xvar(v)), 0))))
+    mirror("F7b", "F7a", ("alpha", "gamma", "alphap", "gammap"),
+           lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
+                               v["alphap"], -v["alphap"], v["gammap"]))
 
     add(FamilySpec(
         "F8a", ("beta", "gamma", "alphap"), "T", "proven",
@@ -186,12 +183,9 @@ def _make_catalog():
                             v["alphap"], v["alphap"], -v["alphap"]),
         lambda v, i: (i * v["alphap"] * _xvar(v),
                       v["gamma"] + (i - 1) * v["beta"])))
-    add(FamilySpec(
-        "F8b", ("alphahat", "alphap", "gammap"), "T", "proven",
-        lambda v: GKPParams(2 * v["alphahat"], -v["alphahat"], -v["alphahat"],
-                            v["alphap"], -v["alphap"], v["gammap"]),
-        lambda v, i: (i * v["alphahat"],
-                      (v["gammap"] + (i - 1) * v["alphap"]) * _xvar(v))))
+    mirror("F8b", "F8a", ("alphahat", "alphap", "gammap"),
+           lambda v: GKPParams(2 * v["alphahat"], -v["alphahat"], -v["alphahat"],
+                               v["alphap"], -v["alphap"], v["gammap"]))
 
     add(FamilySpec(
         "F9a", ("beta", "alphaphat", "kappa"), "T", "conjectured",
@@ -201,14 +195,10 @@ def _make_catalog():
         _s_pair(lambda v, k: ((v["kappa"] + k) * v["alphaphat"] * _xvar(v),
                               (v["kappa"] + 2 * k - 1) * v["beta"]),
                 lambda v, k: (k * v["alphaphat"] * _xvar(v), 0))))
-    add(FamilySpec(
-        "F9b", ("alpha", "alphap", "kappa"), "T", "conjectured",
-        lambda v: GKPParams(v["alpha"], -2 * v["alpha"], v["kappa"] * v["alpha"],
-                            v["alphap"], -v["alphap"],
-                            (v["kappa"] + 1) * v["alphap"]),
-        _s_pair(lambda v, k: ((v["kappa"] + k) * v["alpha"],
-                              (v["kappa"] + 2 * k - 1) * v["alphap"] * _xvar(v)),
-                lambda v, k: (k * v["alpha"], 0))))
+    mirror("F9b", "F9a", ("alpha", "alphap", "kappa"),
+           lambda v: GKPParams(v["alpha"], -2 * v["alpha"], v["kappa"] * v["alpha"],
+                               v["alphap"], -v["alphap"],
+                               (v["kappa"] + 1) * v["alphap"]))
 
     def f1c_J(vals, n):
         x = _xvar(vals)
@@ -257,69 +247,55 @@ def _make_catalog():
                              v["alphap"], -2 * v["alphap"], v["alphap"]),
          lambda v: [v["gamma"], v["alphap"] * _xvar(v),
                     -v["gamma"] - v["alphap"] * _xvar(v)], 4)
-    term("s1b", ("alpha", "gammap"),
-         lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
-                             -2 * v["gammap"], 2 * v["gammap"], v["gammap"]),
-         lambda v: [v["gammap"] * _xvar(v), -v["alpha"],
-                    v["alpha"] - v["gammap"] * _xvar(v)], 4)
+    mirror("s1b", "s1a", ("alpha", "gammap"),
+           lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
+                               -2 * v["gammap"], 2 * v["gammap"], v["gammap"]))
     term("s2a", ("gamma", "alphap"),
          lambda v: GKPParams(0, -2 * v["gamma"], v["gamma"],
                              v["alphap"], -2 * v["alphap"], 2 * v["alphap"]),
          lambda v: [v["gamma"] + v["alphap"] * _xvar(v),
                     -v["alphap"] * _xvar(v), -v["gamma"]], 4)
-    term("s2b", ("alpha", "gammap"),
-         lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -2 * v["alpha"],
-                             -2 * v["gammap"], 2 * v["gammap"], v["gammap"]),
-         lambda v: [-v["alpha"] + v["gammap"] * _xvar(v), v["alpha"],
-                    -v["gammap"] * _xvar(v)], 4)
+    mirror("s2b", "s2a", ("alpha", "gammap"),
+           lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -2 * v["alpha"],
+                               -2 * v["gammap"], 2 * v["gammap"], v["gammap"]))
     term("s3a", ("alpha", "alphap"),
          lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -2 * v["alpha"],
                              v["alphap"], -2 * v["alphap"], v["alphap"]),
          lambda v: [-v["alpha"], v["alpha"] + v["alphap"] * _xvar(v),
                     -v["alphap"] * _xvar(v)], 4)
-    term("s3b", ("alpha", "alphap"),
-         lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
-                             v["alphap"], -2 * v["alphap"], 2 * v["alphap"]),
-         lambda v: [v["alphap"] * _xvar(v), -v["alpha"] - v["alphap"] * _xvar(v),
-                    v["alpha"]], 4)
+    mirror("s3b", "s3a", ("alpha", "alphap"),
+           lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
+                               v["alphap"], -2 * v["alphap"], 2 * v["alphap"]))
     term("s4a", ("beta", "alphap"),
          lambda v: GKPParams(0, v["beta"], -v["beta"],
                              v["alphap"], -2 * v["alphap"], v["alphap"]),
          lambda v: [-v["beta"], v["alphap"] * _xvar(v),
                     -v["alphap"] * _xvar(v), v["beta"]], 5)
-    term("s4b", ("alpha", "alphap"),
-         lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
-                             v["alphap"], -v["alphap"], -v["alphap"]),
-         lambda v: [-v["alphap"] * _xvar(v), -v["alpha"], v["alpha"],
-                    v["alphap"] * _xvar(v)], 5)
+    mirror("s4b", "s4a", ("alpha", "alphap"),
+           lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
+                               v["alphap"], -v["alphap"], -v["alphap"]))
     term("s5a", ("alpha", "alphap"),
          lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -3 * v["alpha"],
                              v["alphap"], -2 * v["alphap"], v["alphap"]),
          lambda v: [-2 * v["alpha"], v["alpha"] + v["alphap"] * _xvar(v),
                     -v["alpha"] - v["alphap"] * _xvar(v), 2 * v["alpha"]], 5)
-    term("s5b", ("alpha", "alphap"),
-         lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
-                             v["alphap"], -2 * v["alphap"], 3 * v["alphap"]),
-         lambda v: [2 * v["alphap"] * _xvar(v),
-                    -v["alpha"] - v["alphap"] * _xvar(v),
-                    v["alpha"] + v["alphap"] * _xvar(v),
-                    -2 * v["alphap"] * _xvar(v)], 5)
+    mirror("s5b", "s5a", ("alpha", "alphap"),
+           lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
+                               v["alphap"], -2 * v["alphap"], 3 * v["alphap"]))
     term("s6a", ("alpha", "alphap"),
          lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -3 * v["alpha"],
                              v["alphap"], -v["alphap"], -v["alphap"]),
          lambda v: [-2 * v["alpha"] - v["alphap"] * _xvar(v), v["alpha"],
                     -v["alpha"], 2 * v["alpha"] + v["alphap"] * _xvar(v)], 5)
-    term("s6b", ("beta", "alphap"),
-         lambda v: GKPParams(0, v["beta"], -v["beta"],
-                             v["alphap"], -2 * v["alphap"], 3 * v["alphap"]),
-         lambda v: [-v["beta"] + 2 * v["alphap"] * _xvar(v),
-                    -v["alphap"] * _xvar(v), v["alphap"] * _xvar(v),
-                    v["beta"] - 2 * v["alphap"] * _xvar(v)], 5)
+    mirror("s6b", "s6a", ("beta", "alphap"),
+           lambda v: GKPParams(0, v["beta"], -v["beta"],
+                               v["alphap"], -2 * v["alphap"], 3 * v["alphap"]))
     return cat
 
 
 CATALOG = _make_catalog()
-SFRAC_FAMILY_IDS = ("F1a", "F1b", "F2a", "F2b", "F3a", "F3b", "F4a", "F4b", "F5", "F6")
+SFRAC_FAMILY_IDS = tuple(fid for fid, spec in CATALOG.items()
+                         if spec.kind == "S" and spec.status != "terminating")
 
 
 def family_ids():
@@ -396,32 +372,55 @@ def predicted_cfrac(id: str, params=None, m: int = 8, kind: Optional[str] = None
     """Predicted coefficient bundle through m levels.
 
     For T families ``kind`` may also be "J": the even contraction of the
-    T-form.  Terminating families return their full finite c-list."""
+    T-form.  Terminating families have only an S-form, their full finite
+    c-list.  A family with a ``twin`` is predicted from it (``_mirrored``)."""
     spec = get_family(id)
     vals = _resolve_params(spec, params)
-    if spec.status == "terminating":
-        cs = spec.terminating_cs(vals)
-        return CFrac("S", c=tuple(cs), terminated_at=spec.terminates_at)
     kind = kind or spec.kind
+    if kind not in ("S", "T", "J"):
+        raise ValueError(kind)
+    if kind == "J" and spec.kind == "T":
+        # 2m T levels contract to e_0..e_{m-1} and f_1..f_m
+        return contract(predicted_cfrac(id, params, 2 * m, kind="T"))
+    if kind != spec.kind:
+        raise UnknownFamily("%s has no %s-form" % (id, kind))
+    if spec.twin is not None:
+        return _mirrored(spec, vals, m)
+    if spec.status == "terminating":
+        return CFrac("S", c=tuple(spec.terminating_cs(vals)),
+                     terminated_at=spec.terminates_at)
     if kind == "S":
-        if spec.kind != "S":
-            raise UnknownFamily("%s has no S-form" % id)
         return CFrac("S", c=tuple(spec.coeffs(vals, i) for i in range(1, m + 1)))
     if kind == "T":
-        if spec.kind != "T":
-            raise UnknownFamily("%s has no T-form" % id)
         pairs = [spec.coeffs(vals, i) for i in range(1, m + 1)]
         return CFrac("T", c=tuple(p[0] for p in pairs), d=tuple(p[1] for p in pairs))
-    if kind == "J":
-        if spec.kind == "T":
-            # 2m T levels contract to e_0..e_{m-1} and f_1..f_m
-            return contract(predicted_cfrac(id, params, 2 * m, kind="T"))
-        if spec.kind != "J":
-            raise UnknownFamily("%s has no J-form" % id)
-        pairs = [spec.coeffs(vals, n) for n in range(m + 1)]
-        return CFrac("J", e=tuple(p[0] for p in pairs[:m]),
-                     f=tuple(pairs[n][1] for n in range(1, m + 1)))
-    raise ValueError(kind)
+    pairs = [spec.coeffs(vals, n) for n in range(m + 1)]
+    return CFrac("J", e=tuple(p[0] for p in pairs[:m]),
+                 f=tuple(pairs[n][1] for n in range(1, m + 1)))
+
+
+def _mirrored(spec: FamilySpec, vals: dict, m: int) -> CFrac:
+    """The S or T prediction of ``spec`` at ``vals``: its twin's at the
+    D-image of the point, bound once, with each coefficient c turned into
+    x c(1/x) by swapping its x^0 and x^1 coefficients.  ArithmeticError,
+    naming both families, means the catalog is at fault: the D-image is
+    not a point of the twin, or a coefficient has x-degree above 1."""
+    binding = family_binding(spec.twin, apply_map(D, spec.template(vals)))
+    if binding is None:
+        raise ArithmeticError("%s: the D-image of the point is not inside %s"
+                              % (spec.id, spec.twin))
+    want = predicted_cfrac(spec.twin, binding, m, spec.kind)
+    x = _xvar(vals)
+
+    def flipped(c):
+        cx = x_coeffs(c)
+        if max(cx, default=0) > 1:
+            raise ArithmeticError("%s: coefficient %r of %s has x-degree above 1"
+                                  % (spec.id, c, spec.twin))
+        return cx.get(1, 0) + cx.get(0, 0) * x
+
+    return replace(want, c=tuple(map(flipped, want.c)),
+                   d=tuple(map(flipped, want.d)))
 
 
 def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None) -> dict:
@@ -438,14 +437,12 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
     """
     spec = get_family(id)
     vals = _resolve_params(spec, params)
-    kind = kind or ("S" if spec.status == "terminating" else spec.kind)
+    kind = kind or spec.kind
     ogf = ogf_trunc(triangle(spec.template(vals), N))
     report = {"id": id, "kind": kind, "status": spec.status,
               "verified_to": N, "first_mismatch": None}
 
-    if spec.status == "terminating":
-        want = predicted_cfrac(id, params)
-    elif kind == "S":
+    if kind == "S":
         want = predicted_cfrac(id, params, N, kind="S")
     elif kind == "J":
         want = _ended_at_first_zero(predicted_cfrac(id, params, N // 2, kind="J"))

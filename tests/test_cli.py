@@ -45,6 +45,20 @@ def test_verify_family_exit0(tmp_path):
     assert code == 0 and data["ok"]
 
 
+@pytest.mark.parametrize("fid", ["s1a", "s1b"])
+def test_verify_family_terminating_kinds(fid, tmp_path):
+    # a terminating family has only an S-form: --kind T or J is refused
+    # instead of checking the S-form under another name
+    for kind in "TJ":
+        code, data = run_cli(["verify-family", "--id", fid, "--symbolic",
+                              "--kind", kind], tmp_path, "kind%s.json" % kind)
+        assert code == 2 and not data["ok"]
+        assert data["error"] == "UnknownFamily: '%s has no %s-form'" % (fid, kind)
+    code, data = run_cli(["verify-family", "--id", fid, "--symbolic",
+                          "--kind", "S"], tmp_path)
+    assert code == 0 and data["report"]["kind"] == "S"
+
+
 def test_group_relations_exit0(tmp_path):
     code, data = run_cli(["group", "--relations"], tmp_path)
     assert code == 0 and data["ok"]
