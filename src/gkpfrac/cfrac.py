@@ -1,10 +1,14 @@
 """Continued-fraction machinery for ordinary generating functions:
 
 * extraction of S-type and J-type coefficients from a truncated series,
-* confirmation of a predicted S- or J-fraction on the series itself: the
-  prediction is evaluated as a path sum and compared coefficient by
-  coefficient, and only a refuted prediction is extracted, to name its
-  failing level,
+* the one reading and refutation of a predicted S- or J-fraction: it is
+  read through the levels that extraction reads (with no stated end it
+  ends at its first zero coefficient, and a stated end beyond those levels
+  is not claimed), evaluated as a path sum and compared with the series
+  coefficient by coefficient; only a refuted prediction is extracted, up
+  to the level where the series leaves it, and the witness is its earliest
+  departure: the first differing coefficient, else the unexpected or
+  missing end,
 * evaluation of S-, T- and J-fractions as weighted Dyck, Schroeder and
   Motzkin path sums (Flajolet, Discrete Math. 32, 1980), tabulated as in
   the production matrices of Petreolle-Sokal-Zhu (arXiv:1807.03271),
@@ -21,7 +25,7 @@ rational-function reduction is needed per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -202,67 +206,84 @@ def eval_sr(c: Sequence, order: int) -> TruncSeries:
 
 def cfrac_confirms(a: TruncSeries, want: CFrac) -> bool:
     """Whether extraction from ``a`` returns the S or J prediction
-    ``want``'s coefficients and ``terminated_at``, decided on the series
-    without extraction.  With N = a.order, extraction reads c_1..c_N of an
-    S-fraction (``extract_sfrac(a, N)``) and e_0..e_{m-1}, f_1..f_m of a
-    J-fraction (``extract_jfrac(a, m)``, m = N // 2).  An S prediction c
-    is decided as the J prediction e = 0, f = c on a(t^2), the way it is
-    extracted; e has one zero more than c, for a termination point.
+    ``want``, decided on the series without extraction.  With N = a.order,
+    extraction reads c_1..c_N of an S-fraction (``extract_sfrac(a, N)``)
+    and e_0..e_{m-1}, f_1..f_m of a J-fraction (``extract_jfrac(a, m)``,
+    m = N // 2), and the prediction is read through those levels: with no
+    stated end it ends at its first zero c or f, where extraction stops,
+    and a stated end beyond them is not claimed.  True is certain; False
+    means that extraction differs, or that the series cannot tell
+    (``_departure``)."""
+    return _departure(a, want)[1] is None
+
+
+def _departure(a: TruncSeries, want: CFrac):
+    """(claim, m): the J claim that ``want`` reads as, and the levels m
+    that extraction reads to reach the first t^n at which the series leaves
+    it: None when the series confirms it, all of them when it cannot tell.
+    An S prediction c on a is read as the J prediction e = 0, f = c on
+    a(t^2), e one zero longer for an end, as it is extracted.
 
     The only Motzkin paths that reach height k in 2k or 2k + 1 steps rise
     and fall straight, once with a level step at height k: [t^{2k}] of a
     J-fraction is f_1 ... f_k plus a polynomial in e_<k, f_<k, and
     [t^{2k+1}] is f_1 ... f_k e_k plus one in e_<k, f_<=k.  So when the
-    predicted f_i before the termination point L are nonzero, the series
-    agrees with the prediction (coefficients from L on taken as zero)
-    exactly when extraction returns it: through t^N, or through t^{2m} for
-    a fraction that does not terminate, as extraction of m levels reads no
-    further.  True is therefore certain.  False means extraction differs,
-    or that the series cannot tell: a predicted zero before L, lists
-    shorter than the levels they claim, or L beyond the levels extraction
-    reads."""
-    L = want.terminated_at
+    claimed f_i before its end L are nonzero, the series agrees with the
+    claim (coefficients from L on taken as zero) exactly when extraction
+    returns it: through t^N, or through t^{2m} for a fraction that does not
+    end, as extraction of m levels reads no further; and the first t^n at
+    which they differ is the first that extraction of (n + 1) // 2 levels
+    reads differently.  The series cannot tell when a claimed f before L is
+    zero (a zero before a stated end) or when the lists are shorter than
+    the levels they claim."""
     if want.kind == "S":
-        return cfrac_confirms(_in_t_squared(a), CFrac(
-            "J", e=(0,) * (len(want.c) + 1), f=want.c, terminated_at=L))
+        a = _in_t_squared(a)
+        want = CFrac("J", e=(0,) * (len(want.c) + 1), f=want.c,
+                     terminated_at=want.terminated_at)
     levels = a.order // 2
-    if L is not None and L > levels:
-        return False
-    known = levels if L is None else L - 1
-    e_known = known if L is None else L
-    if len(want.f) < known or len(want.e) < e_known or \
-            any(felem_is_zero(v) for v in want.f[:known]):
-        return False
+    L = want.terminated_at
+    if L is None:
+        L = next((k for k, v in enumerate(want.f[:levels], 1) if felem_is_zero(v)), None)
+    elif L > levels:
+        L = None
+    known, e_known = (levels, levels) if L is None else (L - 1, L)
     claim = CFrac("J", e=want.e[:e_known], f=want.f[:known], terminated_at=L)
+    if len(claim.f) < known or len(claim.e) < e_known or \
+            any(felem_is_zero(v) for v in claim.f):
+        return claim, levels
     order = 2 * levels if L is None else a.order
-    return first_mismatch(zip(count(), a.coeffs, eval_cfrac(claim, order).coeffs)) is None
+    bad = first_mismatch(zip(count(), a.coeffs, eval_cfrac(claim, order).coeffs))
+    return claim, None if bad is None else min((bad[0] + 1) // 2, levels)
 
 
-def cfrac_refutation(a: TruncSeries, want: CFrac, name: str) -> Optional[CFrac]:
+def cfrac_refutation(a: TruncSeries, want: CFrac, name: str) -> Optional[dict]:
     """None when the series confirms the S or J prediction ``want``
-    (``cfrac_confirms``); otherwise the extraction that it stands for, from
-    which the caller names the failing level.  That extraction differs
-    from ``want`` in ``terminated_at`` or in some coefficient; if it agrees
-    after all, the series check is at fault and ``ArithmeticError`` is
-    raised."""
-    if cfrac_confirms(a, want):
+    (``cfrac_confirms``); otherwise the ``first_mismatch`` witness of its
+    earliest departure from extraction, which reads only up to the level
+    where the series leaves the prediction (all levels where the series
+    cannot tell): the first differing coefficient, c_i at level i of an S
+    prediction and e_n, f_n at ("e", n), ("f", n) of a J one, else the
+    unexpected or missing end.  If the extraction agrees after all, the
+    series check is at fault and ``ArithmeticError`` is raised."""
+    claim, m = _departure(a, want)
+    if m is None:
         return None
-    got = extract_sfrac(a, a.order) if want.kind == "S" else \
-        extract_jfrac(a, a.order // 2)
-    if got.terminated_at == want.terminated_at and \
-            first_mismatch(coefficient_pairs(got, want)) is None:
-        raise ArithmeticError("%s: the series refutes the prediction but "
-                              "extraction confirms it" % name)
-    return got
-
-
-def coefficient_pairs(got: CFrac, want: CFrac):
-    """(level, got, want) for the shared levels of two S or two J bundles:
-    c_i at level i, e_n and f_n at ("e", n) and ("f", n)."""
-    if want.kind == "S":
-        return zip(count(1), got.c, want.c)
-    return chain(((("e", n), g, w) for n, g, w in zip(count(), got.e, want.e)),
-                 ((("f", n), g, w) for n, g, w in zip(count(1), got.f, want.f)))
+    s = want.kind == "S"
+    got = extract_sfrac(a, m) if s else extract_jfrac(a, m)
+    # each coefficient at the first t^n that it moves: e_n at 2n + 1 and f_n
+    # at 2n (an S prediction has no e to compare)
+    pairs = [(2 * n + 1, ("e", n), g, w) for n, (g, w) in enumerate(zip(got.e, claim.e))]
+    pairs += [(2 * n, n if s else ("f", n), g, w)
+              for n, (g, w) in enumerate(zip(got.c if s else got.f, claim.f), 1)]
+    bad = first_mismatch(p[1:] for p in sorted(pairs))
+    if bad is not None:
+        level, g, w = bad
+        return {"level": level, "expected": repr(w), "got": repr(g)}
+    if got.terminated_at != claim.terminated_at:
+        return {"level": got.terminated_at, "expected": "nonterminating"
+                if claim.terminated_at is None else "termination at %d" % claim.terminated_at}
+    raise ArithmeticError("%s: the series refutes the prediction but "
+                          "extraction confirms it" % name)
 
 
 def eval_tr(c: Sequence, d: Sequence, order: int) -> TruncSeries:

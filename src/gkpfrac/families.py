@@ -9,7 +9,8 @@ the image of its ``a`` twin under the row reversal D of ``symmetry``, which
 sends T(n, k) to T(n, n-k).  Since P_n(x; D mu) = x^n P_n(1/x; mu), each of
 their coefficients is x c(1/x), where c is the twin's coefficient at the
 D-image of the point.  Verification regenerates the triangle and compares
-its ogf with the prediction, symbolically in all free parameters.
+its ogf with the prediction, symbolically in all free parameters; an S or J
+prediction is read and refuted by ``cfrac.cfrac_refutation`` alone.
 """
 from __future__ import annotations
 
@@ -29,8 +30,7 @@ from .gkpcore import (
     row_polys, triangle, triangle_mismatch,
 )
 from .cfrac import (
-    CFrac, binomial_transform_seq, cfrac_refutation, coefficient_pairs, contract,
-    eval_tr,
+    CFrac, binomial_transform_seq, cfrac_refutation, contract, eval_tr,
 )
 from .matprod import binomial_matrix, triangle_product
 from .symmetry import D, apply_map
@@ -427,13 +427,13 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
     """Generate, compare; symbolic in all free parameters.
 
     S, terminating and J kinds are decided on the series by
-    ``cfrac.cfrac_refutation``: the ogf agrees with the predicted fraction
-    through t^N exactly when extraction would return the prediction,
-    provided the predicted c_i or f_i before the termination point are
-    nonzero.  A J prediction terminates at its first zero f, as extraction
-    does.  Only a refuted prediction is extracted, and the
-    ``first_mismatch`` witness is built from that extraction.  T kinds are
-    verified by evaluating the predicted fraction.
+    ``cfrac.cfrac_refutation``, which reads the prediction through the
+    levels that extraction from the ogf through t^N reads: a prediction
+    ends at its first zero coefficient unless it states an end, and an end
+    beyond those levels is not claimed.  Only a refuted prediction is
+    extracted, up to the level where the series leaves it, and that
+    extraction gives the ``first_mismatch`` witness.  T kinds are verified
+    by evaluating the predicted fraction.
     """
     spec = get_family(id)
     vals = _resolve_params(spec, params)
@@ -442,53 +442,17 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
     report = {"id": id, "kind": kind, "status": spec.status,
               "verified_to": N, "first_mismatch": None}
 
-    if kind == "S":
-        want = predicted_cfrac(id, params, N, kind="S")
-    elif kind == "J":
-        want = _ended_at_first_zero(predicted_cfrac(id, params, N // 2, kind="J"))
-    elif kind == "T":
+    if kind == "T":
         want = predicted_cfrac(id, params, N, kind="T")
-        cases = zip(range(N + 1), eval_tr(list(want.c), list(want.d), N).coeffs,
-                    ogf.coeffs)
-        report["first_mismatch"] = _witness(first_mismatch(cases))
+        bad = first_mismatch(zip(count(), ogf.coeffs,
+                                 eval_tr(list(want.c), list(want.d), N).coeffs))
+        if bad is not None:
+            level, g, w = bad
+            report["first_mismatch"] = {"level": level, "expected": repr(w), "got": repr(g)}
         return report
-    else:
-        raise ValueError(kind)
-    got = cfrac_refutation(ogf, want, id)
-    if got is not None:
-        report["first_mismatch"] = _cfrac_witness(got, want)
+    want = predicted_cfrac(id, params, N // 2 if kind == "J" else N, kind)
+    report["first_mismatch"] = cfrac_refutation(ogf, want, id)
     return report
-
-
-def _ended_at_first_zero(want: CFrac) -> CFrac:
-    """A J prediction with a zero f_L is the finite fraction that ends at
-    level L, where extraction stops."""
-    L = next((k for k, f in enumerate(want.f, 1) if felem_is_zero(f)), None)
-    if L is None:
-        return want
-    return replace(want, e=want.e[:L], f=want.f[:L - 1], terminated_at=L)
-
-
-def _cfrac_witness(got: CFrac, want: CFrac):
-    """The first_mismatch entry of an extraction that refutes an S or J
-    prediction: a termination level that differs, else the first differing
-    coefficient (``cfrac.coefficient_pairs``), else an unexpected
-    termination."""
-    tail = None  # reported only once every coefficient agrees
-    if want.terminated_at is not None:
-        if got.terminated_at != want.terminated_at:
-            return {"level": got.terminated_at,
-                    "expected": "termination at %s" % want.terminated_at}
-    elif got.terminated_at is not None:
-        tail = {"level": got.terminated_at, "expected": "nonterminating"}
-    return _witness(first_mismatch(coefficient_pairs(got, want)), tail)
-
-
-def _witness(bad, tail=None):
-    if bad is None:
-        return tail
-    level, g, w = bad
-    return {"level": level, "expected": repr(w), "got": repr(g)}
 
 
 # ---------------------------------------------------------------------------

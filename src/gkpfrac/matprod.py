@@ -22,7 +22,7 @@ from .gkpcore import (
 )
 from .combinat import binom
 from .hankel import cofactor_det
-from .symmetry import apply_map, Z as Z_WORD
+from .symmetry import Z as Z_WORD, verify_action
 
 
 class SizeMismatch(ValueError):
@@ -489,16 +489,10 @@ def binomial_inverse_identity(k_max: int = 8) -> dict:
 
 def xshift_symbolic_check(n_max: int = 3) -> dict:
     """The shift involution xi = -beta/beta' satisfies
-    P_n(x; mu') = P_n(x + xi; mu) symbolically for n <= n_max (xi = 0, the
-    identity, satisfies it trivially)."""
-    mu = GKPParams.symbolic()
-    ps = row_polys(gkp_triangle(mu, n_max))
-    x = MPoly.variable("x", ps[1].vars)
-    zps = row_polys(gkp_triangle(apply_map(Z_WORD, mu), n_max))
-    xi = felem_div(-1 * mu.beta, mu.betap)
-    bad = first_mismatch((n, p.subs({"x": x + xi}), zp)
-                         for n, (p, zp) in enumerate(zip(ps, zps)))
-    return mismatch_report(bad)
+    P_n(x; mu') = P_n(x + xi; mu) symbolically for n <= n_max: the action
+    of Z on row polynomials (``symmetry.verify_action``).  xi = 0, the
+    identity, satisfies it trivially."""
+    return verify_action(Z_WORD, GKPParams.symbolic(), n_max)
 
 
 def xshift_smalln_check(samples: int = 20, seed: int = 0) -> dict:
@@ -591,9 +585,6 @@ def _xshift_solution_count(mu, system):
 
 def _verify_xshift_solution(mu, xi):
     """Check that some mu' reproduces P_n(x+xi) for n <= 3 at numeric mu:
-    mu itself at xi = 0, its image under the shift involution otherwise."""
-    mu2 = mu if xi == 0 else tuple(GKPParams.of(apply_map(Z_WORD, mu)))
-    ps = row_polys(gkp_triangle(mu, 3))
-    x = MPoly.variable("x", ps[1].vars)
-    return all(felem_eq(p.subs({"x": x + xi}), q)
-               for p, q in zip(ps, row_polys(gkp_triangle(mu2, 3))))
+    mu itself at xi = 0, its image under the shift involution otherwise
+    (``symmetry.verify_action``)."""
+    return xi == 0 or verify_action(Z_WORD, mu, 3)["ok"]

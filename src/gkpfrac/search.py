@@ -14,22 +14,19 @@ coefficient vanishing) goes through one action interpreter, ``_take``.
 
 Each node's own split coefficient is extracted from its series.  A leaf's
 claimed S-fraction (the ten red families, the thirteen terminating ones) is
-decided on the series instead: the ogf agrees with the predicted fraction
-through the checked order exactly when extraction would return the
-prediction, so ``cfrac.cfrac_refutation`` extracts only a refuted leaf, to
-name its failing coefficient.
+decided on the series instead by ``cfrac.cfrac_refutation``, which
+extracts a refuted leaf only up to its departure; the leaf's message is
+built from that witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count
 from typing import Optional
 
 from .exactalg import (
     MPoly, as_field, as_mpoly, clear_denominators, divide_exact,
-    felem_div, felem_eq, felem_is_zero, first_mismatch, num_den, variables,
-    x_coeffs,
+    felem_div, felem_eq, felem_is_zero, num_den, variables, x_coeffs,
 )
 from .gkpcore import GKPParams, gkp_triangle, ogf_trunc
 from .cfrac import cfrac_refutation, extract_sfrac
@@ -415,20 +412,17 @@ def _check_leaf(node: SearchNode, fid: str, want):
     if D != 1:
         want = replace(want, c=tuple(felem_div(D * n, d)
                                      for n, d in map(num_den, want.c)))
-    got = cfrac_refutation(ogf, want, "%s (%s)" % (node.name(), fid))
-    if got is None:
+    bad = cfrac_refutation(ogf, want, "%s (%s)" % (node.name(), fid))
+    if bad is None:
         return
-    if level is None:
-        if got.terminated_at is not None:
-            raise InconsistentNode("%s: unexpectedly terminating" % node.name())
-        template = "%s: c_%d does not match family %s"
-    else:
-        if got.terminated_at != level:
-            raise InconsistentNode("%s: expected termination at %d, got %s"
-                                   % (node.name(), level, got.terminated_at))
-        template = "%s: terminating c_%d mismatch vs %s"
-    i = first_mismatch(zip(count(1), got.c, want.c))[0]
-    raise InconsistentNode(template % (node.name(), i, fid))
+    if "got" in bad:
+        template = "%s: c_%d does not match family %s" if level is None \
+            else "%s: terminating c_%d mismatch vs %s"
+        raise InconsistentNode(template % (node.name(), bad["level"], fid))
+    if bad["expected"] == "nonterminating":
+        raise InconsistentNode("%s: unexpectedly terminating" % node.name())
+    raise InconsistentNode("%s: expected %s, got %s"
+                           % (node.name(), bad["expected"], bad["level"]))
 
 
 def _verify_c_zero(node: SearchNode, hint):

@@ -7,8 +7,8 @@ derived from the defining relations
 
 and act on parameter tuples mu = (alpha, beta, gamma, alpha', beta', gamma')
 through the generator actions: sign flip of the unprimed triple (S), the
-row-reversal duality (D), the shift involution (Z), X = D*Z and the
-inverse-pair involution (R).
+row-reversal duality (D), the shift involution (Z) and the inverse-pair
+involution (R); X = D*Z.
 
 An element acts through its cheapest word over the letters S, D, Z and R
 (``WORDS``), found at import by Dijkstra's search from 1 over the Cayley
@@ -179,10 +179,6 @@ def _act_Z(mu):
     return (a - r * ap, -b, -b + g - r * gp, ap, bp, gp)
 
 
-def _act_X(mu):
-    return _act_D(_act_Z(mu))
-
-
 def _act_R(mu):
     a, b, g, ap, bp, gp = mu
     if felem_is_zero(b):
@@ -191,7 +187,7 @@ def _act_R(mu):
     return (a, b, g, ap + bp - r * a, -bp, gp + bp - r * g)
 
 
-_GEN_ACTS = {"S": _act_S, "Z": _act_Z, "X": _act_X, "D": _act_D, "R": _act_R}
+_GEN_ACTS = {"S": _act_S, "Z": _act_Z, "D": _act_D, "R": _act_R}
 
 
 def apply_map(g, mu) -> GKPParams:
@@ -313,9 +309,10 @@ _PRESENTATION = (
 
 
 def _word_letters(text):
-    """The generator letters of a written word, in the order written."""
-    return tuple(chain.from_iterable([base] * exp for base, exp in _factors(text)
-                                     if base != "1"))
+    """The generator letters of a written word, in the order written, with
+    each X written out as D*Z."""
+    return tuple(chain.from_iterable((("D", "Z") if base == "X" else (base,)) * exp
+                                     for base, exp in _factors(text) if base != "1"))
 
 
 def verify_relations() -> dict:
@@ -387,8 +384,6 @@ def _letter_matrix(letter, mu, vars):
     p, q = pn * bd, bn * pd             # b / b' = q / p
     if letter == "Z":                   # x - b/b'
         return p, -q, zero, p, p
-    if letter == "X":                   # 1/x - b/b'
-        return -q, p, p, zero, p
     return q, zero, -p, q, q            # R: b x / (b - b' x)
 
 

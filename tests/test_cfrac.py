@@ -369,18 +369,21 @@ def test_series_decides_a_nonzero_prediction(case):
 
 def test_a_predicted_zero_is_left_to_extraction():
     # 1, 2, 0, 7 has the series of the finite fraction 1, 2: the series
-    # agrees at every order, but extraction stops at level 3
+    # agrees at every order, and extraction stops at level 3, where the
+    # prediction, which states no end, ends at its first zero
     a = eval_sr([1, 2, 0, 0, 0], 5)
     assert first_difference(a, eval_sr([1, 2, 0, 7, 1], 5)) is None
     assert extract_sfrac(a, 5).terminated_at == 3
-    assert not cfrac_confirms(a, CFrac("S", c=(1, 2, 0, 7, 1)))
+    assert cfrac_confirms(a, CFrac("S", c=(1, 2, 0, 7, 1)))
     assert cfrac_confirms(a, CFrac("S", c=(1, 2), terminated_at=3))
-    # the same finite fraction claimed to end one level late, at level 4
+    # the same finite fraction claimed to end one level late, at level 4:
+    # a zero before a stated end is left to extraction
     assert not cfrac_confirms(a, CFrac("S", c=(1, 2, 0), terminated_at=4))
-    # a list shorter than its termination point, and a termination point
-    # beyond the order, cannot be decided either
+    # a list shorter than its termination point cannot be decided either
     assert not cfrac_confirms(a, CFrac("S", c=(1,), terminated_at=3))
-    assert not cfrac_confirms(a.truncate(2), CFrac("S", c=(1, 2), terminated_at=3))
+    # a termination point beyond the order is not claimed: c_1, c_2 agree
+    assert cfrac_confirms(a.truncate(2), CFrac("S", c=(1, 2), terminated_at=3))
+    assert not cfrac_confirms(a.truncate(2), CFrac("S", c=(1, 3), terminated_at=3))
     # a nonzero c_3 moves t^3 first; the terminated claim sees it
     assert first_difference(a, eval_sr([1, 2, 3, 0, 0], 5)) == 3
     assert not cfrac_confirms(a, CFrac("S", c=(1, 2, 3), terminated_at=4))

@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from gkpfrac import families as F
 from gkpfrac.exactalg import MPoly, as_field, felem_eq, variables
 from gkpfrac.gkpcore import UnknownFamily, gkp_triangle
 from gkpfrac.families import (
@@ -71,6 +73,17 @@ def test_t_and_j_families_symbolic():
     for fid, N in (("F7a", 8), ("F7b", 8), ("F1c", 8), ("GKPZ", 8)):
         rep = verify_family(fid, None, N, kind="J")
         assert rep["first_mismatch"] is None, rep
+
+
+def test_a_bent_t_prediction_names_the_first_order_it_moves(monkeypatch):
+    # c_2 + 1 moves t^2 by c_1 = alphap x: the witness holds the ogf's
+    # coefficient as "got" and the prediction's as "expected", as for S and J
+    f8a = get_family("F8a")
+    monkeypatch.setitem(F.CATALOG, "F8a", replace(f8a, coeffs=lambda v, i: (
+        f8a.coeffs(v, i)[0] + (1 if i == 2 else 0), f8a.coeffs(v, i)[1])))
+    row = "3*alphap^2*x^2 + beta*alphap*x + 3*gamma*alphap*x + gamma^2"
+    assert verify_family("F8a", None, 6, kind="T")["first_mismatch"] == {
+        "level": 2, "expected": row + " + alphap*x", "got": row}
 
 
 def test_conjectured_families():

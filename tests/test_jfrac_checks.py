@@ -7,7 +7,6 @@ numeric samples (terminating ones included), and on bent predictions.
 """
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,26 +40,31 @@ SAMPLES = [
 
 # -- test-only oracle: the extraction comparison ------------------------------
 
+def first_zero(f):
+    """The level of the first zero f, where a J prediction ends."""
+    return next((k for k, v in enumerate(f, 1) if felem_is_zero(as_field(v))), None)
+
+
 def extraction_witness(fid, params, N):
-    """first_mismatch of the J prediction against ``extract_jfrac``: a
-    termination level that differs (the prediction ends at its first zero
-    f), else the first differing e_n or f_n, else an unexpected end."""
+    """first_mismatch of the J prediction against ``extract_jfrac``: the
+    first differing e_n or f_n, in the order of the t^n that they first
+    move (e_n at 2n + 1, f_n at 2n), else a termination level that differs
+    (the prediction ends at its first zero f)."""
     got = extract_jfrac(ogf_trunc(triangle(F.family_params(fid, params), N)), N // 2)
     want = F.predicted_cfrac(fid, params, N // 2, kind="J")
-    end = next((k for k, f in enumerate(want.f, 1) if felem_is_zero(as_field(f))), None)
-    tail = None
+    end = first_zero(want.f)
     if end is not None:
-        if got.terminated_at != end:
-            return {"level": got.terminated_at, "expected": "termination at %s" % end}
-    elif got.terminated_at is not None:
-        tail = {"level": got.terminated_at, "expected": "nonterminating"}
-    bad = first_mismatch(chain(
-        ((("e", n), g, w) for n, g, w in zip(count(), got.e, want.e)),
-        ((("f", n), g, w) for n, g, w in zip(count(1), got.f, want.f))))
-    if bad is None:
-        return tail
-    level, g, w = bad
-    return {"level": level, "expected": repr(w), "got": repr(g)}
+        want = replace(want, e=want.e[:end], f=want.f[:end - 1])
+    pairs = [(2 * n + 1, ("e", n), g, w) for n, (g, w) in enumerate(zip(got.e, want.e))]
+    pairs += [(2 * n, ("f", n), g, w) for n, (g, w) in enumerate(zip(got.f, want.f), 1)]
+    bad = first_mismatch(p[1:] for p in sorted(pairs))
+    if bad is not None:
+        level, g, w = bad
+        return {"level": level, "expected": repr(w), "got": repr(g)}
+    if got.terminated_at == end:
+        return None
+    return {"level": got.terminated_at, "expected": "nonterminating" if end is None
+            else "termination at %s" % end}
 
 
 def bend(monkeypatch, edit):
@@ -119,8 +123,7 @@ def test_bent_symbolic_predictions_agree_with_the_oracle(fid, N, edit, monkeypat
 
 @pytest.mark.parametrize("fid, params, N", SAMPLES[:6])
 def test_bent_terminating_predictions_agree_with_the_oracle(fid, params, N, monkeypatch):
-    end = F._ended_at_first_zero(
-        F.predicted_cfrac(fid, params, N // 2, kind="J")).terminated_at
+    end = first_zero(F.predicted_cfrac(fid, params, N // 2, kind="J").f)
     # an extra nonzero f past the end, one more past that, and e or f bent
     # before the end
     edits = [lambda e, f: (e, f[:end - 1] + [1] + f[end:]),
@@ -146,8 +149,20 @@ def test_a_prediction_past_an_early_end_is_refuted(monkeypatch):
     assert extraction_witness("F1c", params, 10) == report["first_mismatch"]
 
 
+def off_at_the_end(monkeypatch):
+    """Make the path sums of every claim wrong in their last coefficient, a
+    fault of the series check that extraction does not share."""
+    real = cfrac.eval_cfrac
+
+    def off(cf, order):
+        s = real(cf, order)
+        return TruncSeries(order, s.coeffs[:-1] + [s.coeffs[-1] + 1])
+
+    monkeypatch.setattr(cfrac, "eval_cfrac", off)
+
+
 def test_an_unconfirmed_j_refutation_raises(monkeypatch):
-    monkeypatch.setattr(cfrac, "cfrac_confirms", lambda a, want: False)
+    off_at_the_end(monkeypatch)
     with pytest.raises(ArithmeticError, match="refutes"):
         F.verify_family("F1c", None, 6, kind="J")
 
@@ -189,32 +204,35 @@ def test_series_decides_a_nonzero_j_prediction(case):
     assert all(felem_eq(as_field(x), as_field(y)) for x, y in
                zip(back.e + back.f, e + f))
     assert cfrac_confirms(a, CFrac("J", e=tuple(e), f=tuple(f)))
-    for bent_e, bent_f in ((add_at(e, j - 1, delta), f), (e, add_at(f, j - 1, delta))):
+    for bent_e, bent_f, level in ((add_at(e, j - 1, delta), f, ("e", j - 1)),
+                                  (e, add_at(f, j - 1, delta), ("f", j))):
         want = CFrac("J", e=tuple(bent_e), f=tuple(bent_f))
         assert not cfrac_confirms(a, want)
-        got = cfrac_refutation(a, want, "bent")
-        assert got.terminated_at is None and len(got.f) == m
+        assert cfrac_refutation(a, want, "bent")["level"] == level
 
 
 def test_a_predicted_zero_f_is_left_to_extraction():
     # e = 1, 2, 3 and f = 2, 5, 0 is the finite fraction that ends at level
-    # 3: the series agrees with the prediction read as written, but
-    # extraction ends there
+    # 3: with no stated end the prediction ends at its zero f_3, where
+    # extraction ends too
     e, f = [1, 2, 3], [2, 5, 0]
     a = eval_jr(e, f, 6)
     assert extract_jfrac(a, 3).terminated_at == 3
-    assert not cfrac_confirms(a, CFrac("J", e=tuple(e), f=tuple(f)))
-    got = cfrac_refutation(a, CFrac("J", e=tuple(e), f=tuple(f)), "zero")
-    assert got.terminated_at == 3 and got.f == (2, 5)
+    assert cfrac_confirms(a, CFrac("J", e=tuple(e), f=tuple(f)))
     assert cfrac_confirms(a, CFrac("J", e=(1, 2, 3), f=(2, 5), terminated_at=3))
     # the same fraction claimed to end one level earlier or later
     assert not cfrac_confirms(a, CFrac("J", e=(1, 2), f=(2,), terminated_at=2))
-    assert not cfrac_confirms(a, CFrac("J", e=(1, 2, 3, 4), f=(2, 5, 0),
-                                       terminated_at=4))
-    # a zero before a claimed end, and an end beyond the levels read
+    # a zero before a stated end is left to extraction, which ends at 3;
+    # the stated end 4 lies beyond the three levels read, so through them
+    # the prediction claims none
+    late = CFrac("J", e=(1, 2, 3, 4), f=(2, 5, 0), terminated_at=4)
+    assert not cfrac_confirms(a, late)
+    assert cfrac_refutation(a, late, "zero") == {"level": 3, "expected": "nonterminating"}
     assert not cfrac_confirms(a, CFrac("J", e=(1, 0, 3), f=(0, 5), terminated_at=3))
-    assert not cfrac_confirms(a.truncate(4), CFrac("J", e=(1, 2, 3), f=(2, 5),
-                                                   terminated_at=3))
+    # an end beyond the levels read is not claimed: the two levels that
+    # extraction from t^4 reads agree
+    assert cfrac_confirms(a.truncate(4), CFrac("J", e=(1, 2, 3), f=(2, 5),
+                                               terminated_at=3))
 
 
 def test_the_order_through_which_a_claim_is_compared():

@@ -15,7 +15,7 @@ import pytest
 from gkpfrac import cfrac, families as F, search as S
 from gkpfrac.cfrac import extract_sfrac
 from gkpfrac.cli import main
-from gkpfrac.exactalg import as_field, felem_eq, first_mismatch
+from gkpfrac.exactalg import TruncSeries, as_field, felem_eq, first_mismatch
 from gkpfrac.gkpcore import ogf_trunc, triangle
 
 DEPTH = 10
@@ -26,43 +26,40 @@ S_OR_TERMINATING = [fid for fid in F.family_ids()
 # -- test-only oracles: the extraction comparison the checks used to run -----
 
 def extraction_leaf_check(node, fid, want, order):
-    """None, or the InconsistentNode message of the former leaf check."""
+    """None, or the InconsistentNode message of the former leaf check, with
+    the earliest departure first: a differing coefficient before a
+    termination level that differs."""
     cs, terminated = S.node_cs(node, order)
-    if want.terminated_at is None:
-        if terminated is not None:
-            return "%s: unexpectedly terminating" % node.name()
-        template = "%s: c_%d does not match family %s"
-    else:
-        if terminated != want.terminated_at:
-            return "%s: expected termination at %d, got %s" % (
-                node.name(), want.terminated_at, terminated)
-        template = "%s: terminating c_%d mismatch vs %s"
+    template = "%s: c_%d does not match family %s" if want.terminated_at is None \
+        else "%s: terminating c_%d mismatch vs %s"
     for i, (got, exp) in enumerate(zip(cs, want.c), start=1):
         if not felem_eq(as_field(got), as_field(exp)):
             return template % (node.name(), i, fid)
-    return None
+    if terminated == want.terminated_at:
+        return None
+    if want.terminated_at is None:
+        return "%s: unexpectedly terminating" % node.name()
+    return "%s: expected termination at %d, got %s" % (
+        node.name(), want.terminated_at, terminated)
 
 
 def extraction_family_witness(fid, N):
     """The former ``verify_family`` first_mismatch of an S or terminating
-    family with symbolic parameters."""
+    family with symbolic parameters, with the earliest departure first."""
     spec = F.get_family(fid)
     got = extract_sfrac(ogf_trunc(triangle(F.family_params(fid), N)), N)
-    tail = None
     if spec.status == "terminating":
         want = F.predicted_cfrac(fid)
-        if got.terminated_at != want.terminated_at:
-            return {"level": got.terminated_at,
-                    "expected": "termination at %s" % want.terminated_at}
     else:
         want = F.predicted_cfrac(fid, None, N, kind="S")
-        if got.terminated_at is not None:
-            tail = {"level": got.terminated_at, "expected": "nonterminating"}
     bad = first_mismatch(zip(count(1), got.c, want.c))
-    if bad is None:
-        return tail
-    level, g, w = bad
-    return {"level": level, "expected": repr(w), "got": repr(g)}
+    if bad is not None:
+        level, g, w = bad
+        return {"level": level, "expected": repr(w), "got": repr(g)}
+    if got.terminated_at == want.terminated_at:
+        return None
+    return {"level": got.terminated_at, "expected": "nonterminating"
+            if want.terminated_at is None else "termination at %s" % want.terminated_at}
 
 
 def series_leaf_check(node, fid, want, order):
@@ -238,7 +235,15 @@ def test_terminating_list_with_a_zero_coefficient_report(monkeypatch):
 # -- a refutation that extraction does not confirm is an internal error -----
 
 def test_an_unconfirmed_refutation_raises(monkeypatch, tmp_path):
-    monkeypatch.setattr(cfrac, "cfrac_confirms", lambda a, want: False)
+    # the path sums of every claim wrong in their last coefficient: a fault
+    # of the series check that extraction does not share
+    real = cfrac.eval_cfrac
+
+    def off(cf, order):
+        s = real(cf, order)
+        return TruncSeries(order, s.coeffs[:-1] + [s.coeffs[-1] + 1])
+
+    monkeypatch.setattr(cfrac, "eval_cfrac", off)
     with pytest.raises(ArithmeticError, match="refutes"):
         S.run_tree()
     with pytest.raises(ArithmeticError, match="refutes"):
