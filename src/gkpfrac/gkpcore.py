@@ -11,8 +11,9 @@ from math import factorial, lcm, prod
 from typing import Callable, Sequence
 
 from .exactalg import (
-    MPoly, RatFunc, TruncSeries, as_mpoly, felem_eq, felem_is_zero,
-    felem_to_json, first_mismatch, mismatch_report, mpoly_from_powers, variables,
+    MPoly, RatFunc, TruncSeries, as_mpoly, clear_denominators, felem_eq,
+    felem_is_zero, felem_to_json, first_mismatch, mismatch_report,
+    mpoly_from_powers, variables,
 )
 from .combinat import binom, stirling_cycle, stirling_subset
 
@@ -146,29 +147,46 @@ def _unroll_rows(N: int, offsets, row_rule: Callable) -> Triangle:
 def gkp_triangle(mu, N: int) -> Triangle:
     """Unroll T(n,k) = (an+bk+g)T(n-1,k) + (a'n+b'k+g')T(n-1,k-1).
 
-    Rational mu is unrolled fraction-free (the idea of Bareiss, Math.
-    Comp. 22, 1968): each path to (n,k) takes n-k weights linear in
-    (a,b,g) and k linear in (a',b',g'), so T(n,k) is homogeneous of degree
-    n-k in the first triple and k in the second.  The unroll runs on the
-    integer triples d1 (a,b,g) and d2 (a',b',g'), d1 and d2 the lcms of
-    their denominators, and entry (n,k) is divided once by
-    d1^(n-k) d2^k.  The types are those of the ``Fraction`` unroll: row 0
-    is the int 1, and T(n,k) is a ``Fraction`` iff k < n and (a,b,g) holds
-    a ``Fraction``, or k > 0 and (a',b',g') does."""
+    Rational mu is unrolled on the integer triples of ``cleared_triangle``,
+    and entry (n,k) is divided once by d1^(n-k) d2^k.  The types are those
+    of the ``Fraction`` unroll: row 0 is the int 1, and T(n,k) is a
+    ``Fraction`` iff k < n and (a,b,g) holds a ``Fraction``, or k > 0 and
+    (a',b',g') does."""
     mu = tuple(GKPParams.of(mu))
     if not all(isinstance(v, (int, Fraction)) for v in mu):
         return _unroll_rows(N, TWO_TERM, _gkp_row_rule(mu))
-    triples = mu[:3], mu[3:]
-    d1, d2 = (lcm(*(v.denominator for v in vs)) for vs in triples)
-    f1, f2 = (any(isinstance(v, Fraction) for v in vs) for vs in triples)
-    t = _unroll_rows(N, TWO_TERM, _gkp_row_rule(
-        [v.numerator * (d // v.denominator) for vs, d in zip(triples, (d1, d2))
-         for v in vs]))
+    nums, d1, d2 = _cleared(mu)
+    t = _unroll_rows(N, TWO_TERM, _gkp_row_rule(nums))
+    f1, f2 = (any(isinstance(v, Fraction) for v in vs) for vs in (mu[:3], mu[3:]))
     for n, row in enumerate(t.rows):
         for k in range(n + 1):
             if k < n and f1 or k and f2:
                 row[k] = Fraction(row[k], d1 ** (n - k) * d2 ** k)
     return t
+
+
+def cleared_triangle(mu, N: int, vars=None):
+    """(T', d1, d2): ``gkp_triangle`` on the triples d1 (a,b,g) and
+    d2 (a',b',g'), d1 and d2 the lcms of their denominators.  Each path to
+    (n,k) takes n-k weights linear in (a,b,g) and k in (a',b',g'), so
+    T'(n,k) = d1^(n-k) d2^k T(n,k) and P'_n(x) = d1^n P_n(d2 x/d1) (the
+    fraction-free idea of Bareiss, Math. Comp. 22, 1968).  For numeric mu
+    these are ints; otherwise ``clear_denominators`` clears each triple and
+    d1, d2 and T' are ``MPoly`` values over ``vars``, which must hold every
+    variable of mu."""
+    nums, d1, d2 = _cleared(tuple(GKPParams.of(mu)), vars)
+    return gkp_triangle(nums, N), d1, d2
+
+
+def _cleared(mu, vars=None):
+    """The six cleared parameters of ``cleared_triangle``, d1 and d2."""
+    triples = mu[:3], mu[3:]
+    if all(isinstance(v, (int, Fraction)) for v in mu):
+        ds = [lcm(*(v.denominator for v in vs)) for vs in triples]
+        return [v.numerator * (d // v.denominator)
+                for vs, d in zip(triples, ds) for v in vs], *ds
+    (n1, d1), (n2, d2) = (clear_denominators(vs, vars) for vs in triples)
+    return [as_mpoly(v, vars) for v in n1 + n2], as_mpoly(d1, vars), as_mpoly(d2, vars)
 
 
 def gkpz_triangle(mu8, N: int) -> Triangle:

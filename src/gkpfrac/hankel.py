@@ -329,8 +329,10 @@ def _kronecker_pack(polys, r=2):
     in x alone, each entry is the packed integer itself, a plain ``int``.
 
     All entries are put on the union of their variable tuples and scaled by
-    the lcm of their coefficient denominators.  An exponent that is an
-    affine function of the entry's index and of the other exponents, on
+    the lcm of their coefficient denominators, which is 1 for the integer
+    rows of ``gkpcore.cleared_triangle`` (the CLI's numeric mu).  An
+    exponent that is an affine function of the entry's index and of the
+    other exponents, on
     every term of every entry, is dropped: every product of a minor has as
     many factors and the same index sum, so the dropped exponents of a
     minor's term follow from its kept ones.  One kept variable y is packed

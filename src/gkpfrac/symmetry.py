@@ -24,11 +24,12 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
 from .exactalg import (
-    MPoly, RatFunc, _common_factor, as_mpoly, clear_denominators,
-    felem_div, felem_eq, felem_is_zero, first_mismatch, mismatch_report,
-    num_den,
+    MPoly, RatFunc, _common_factor, as_mpoly, felem_div, felem_eq,
+    felem_is_zero, first_mismatch, mismatch_report, num_den,
 )
-from .gkpcore import GKPParams, gkp_triangle, rescale_weight, triangle_mismatch
+from .gkpcore import (
+    GKPParams, cleared_triangle, gkp_triangle, rescale_weight, triangle_mismatch,
+)
 
 
 class SingularMap(ZeroDivisionError):
@@ -397,20 +398,6 @@ def _compose(inner, outer):
                                  w1 * w2])[1])
 
 
-def _cleared_params(mu, vars):
-    """mu with each triple multiplied by the lcm d of its denominators, and
-    the substitution (d1, 0, 0, d2, d1 d2) that takes the rows of the cleared
-    parameters back to the rows of mu."""
-    out, dens = [], []
-    for triple in (mu[:3], mu[3:]):
-        nums, d = clear_denominators(triple, vars)
-        out += [as_mpoly(v, vars) for v in nums]
-        dens.append(as_mpoly(d, vars))
-    d1, d2 = dens
-    zero = MPoly.zero(vars)
-    return out, (d1, zero, zero, d2, d1 * d2)
-
-
 def _substituted_rows(rows, m, x):
     """H_n(a x + b, c x + d) for the triangle rows ``rows``, one row at a
     time."""
@@ -444,22 +431,23 @@ def _substitution_check(mu, moved, N):
         for part in num_den(p):
             if isinstance(part, MPoly) and "x" in part.vars and part.degree_in("x"):
                 raise ValueError("parameters must be x-free")
-    rhs_mu, clear = _cleared_params(mu, vars)
-    rhs_rows = gkp_triangle(rhs_mu, N).rows
-    x = MPoly.variable("x", vars)
+    rhs, e1, e2 = cleared_triangle(mu, N, vars)
+    x, zero = MPoly.variable("x", vars), MPoly.zero(vars)
+    clear = e1, zero, zero, e2, e1 * e2
 
     def check(name, letters, orbit, moved):
         """Row n of the triangle of ``moved`` against row n of mu under the
         word ``letters``, whose parameters along the way are ``orbit``."""
-        lhs_mu, lhs_m = _cleared_params(tuple(moved), vars)
+        lhs, d1, d2 = cleared_triangle(moved, N, vars)
+        lhs_m = d1, zero, zero, d2, d1 * d2
         m = clear
         for letter, inner in zip(reversed(letters), orbit):
             m = _compose(m, _letter_matrix(letter, inner, vars))
 
         def rows():
             lhs_w = rhs_w = MPoly.one(vars)
-            pairs = zip(_substituted_rows(gkp_triangle(lhs_mu, N).rows, lhs_m, x),
-                        _substituted_rows(rhs_rows, m, x))
+            pairs = zip(_substituted_rows(lhs.rows, lhs_m, x),
+                        _substituted_rows(rhs.rows, m, x))
             for n, (p, q) in enumerate(pairs):
                 yield {"n": n}, rhs_w * p, lhs_w * q
                 lhs_w, rhs_w = lhs_w * lhs_m[4], rhs_w * m[4]

@@ -67,9 +67,14 @@ def extraction_witness(fid, params, N):
             else "termination at %s" % end}
 
 
+PREDICTED = F.predicted_cfrac
+
+
 def bend(monkeypatch, edit):
-    """Make predicted_cfrac hand back ``edit(e, f)`` for J kinds."""
-    predicted = F.predicted_cfrac
+    """Make predicted_cfrac hand back ``edit(e, f)`` for J kinds.  Each bend
+    edits the catalog's own prediction, not one bent before it, so that
+    every edit is checked alone."""
+    predicted = PREDICTED
 
     def bent(id, params=None, m=8, kind=None):
         want = predicted(id, params, m, kind)

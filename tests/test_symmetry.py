@@ -421,6 +421,22 @@ def test_composed_substitution_matches_letter_fold_numeric(word, mu, wrong_d):
         assert want.startswith("SingularMap: map ")
 
 
+@pytest.mark.parametrize("mu", [
+    tuple(map(Fraction, ["1/2", "2/3", "-1", "3/4", "1/5", "2"])),
+    tuple(map(Fraction, ["-3/2", "1", "5/6", "2", "-1/3", "1/4"]))])
+@pytest.mark.parametrize("wrong_d", [False, True])
+def test_every_word_matches_the_letter_fold_at_rational_mu(mu, wrong_d, monkeypatch):
+    # both triples have denominators: each side of every check is a cleared
+    # triangle with d1, d2 != 1
+    if wrong_d:
+        monkeypatch.setitem(symmetry._GEN_ACTS, "D", _wrong_D)
+    words = all_elements()
+    for N in (1, 3, 5):
+        want = [oracle_verify(w, mu, N) for w in words]
+        assert verify_actions(words, mu, N) == want
+        assert {r["ok"] for r in want} == ({True, False} if wrong_d else {True})
+
+
 def test_parameters_with_the_row_variable_are_rejected():
     a, b, x = variables("a b x")
     for mu in [(x, b, 0, 0, 1, 0), (a, b, 1, 1, b, b / x)]:
