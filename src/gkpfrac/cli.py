@@ -20,7 +20,7 @@ from .exactalg import (
     EXPONENT_LIMIT, MPoly, felem_to_json, rational, series_to_json, variables,
 )
 from .gkpcore import (
-    GKPParams, PARAM_NAMES, Triangle, cleared_triangle, ogf_trunc, row_polys, triangle,
+    GKPParams, PARAM_NAMES, Triangle, ogf_trunc, row_polys, triangle,
 )
 from . import cfrac as cf
 from . import combinat
@@ -306,20 +306,6 @@ def cmd_rescale(args):
     return rep["ok"], {"report": _mk_jsonable(rep)}
 
 
-def _checked_rows(mu, N, check, passed):
-    """``check`` on the rows P_0..P_N of mu's triangle.  At numeric
-    six-entry mu it first takes the integer rows of ``cleared_triangle``,
-    P'_n(x) = d1^n P_n(d2 x/d1): d1, d2 > 0, so their minors and
-    differences have the coefficient signs of the P_n's.  Only a failure is
-    rerun on the ``Fraction`` rows, for their witness."""
-    if len(mu) == 6 and all(isinstance(v, (int, Fraction)) for v in mu):
-        t, d1, d2 = cleared_triangle(mu, N)
-        rep = check(row_polys(t))
-        if passed(rep) or d1 == d2 == 1:
-            return rep
-    return check(row_polys(triangle(mu, N)))
-
-
 def cmd_hankel(args):
     m = args.size
     if not 1 <= m <= hk.SIZE_CAP:
@@ -328,10 +314,12 @@ def cmd_hankel(args):
         raise UsageError("--order must be at least 1, got %d" % args.order)
     if (args.family == "gkp-tilde") == bool(args.mu):
         raise UsageError("need exactly one of --family gkp-tilde and --mu")
-    check = lambda ps: hk.hankel_tp(ps, m, args.order)
     # the m x m Hankel matrix reads a_0..a_{2m-2}
-    rep = _checked_rows(_parse_mu(args.mu), 2 * m - 2, check, lambda r: r.ok) \
-        if args.mu else check(hk.gkp_tilde_polys(2 * m - 2))
+    if args.mu:
+        ps = row_polys(triangle(_parse_mu(args.mu), 2 * m - 2))
+    else:
+        ps = hk.gkp_tilde_polys(2 * m - 2)
+    rep = hk.hankel_tp(ps, m, args.order)
     return rep.ok, {"hankel": {"order": rep.order, "ok": rep.ok,
                                "witness": _mk_jsonable(rep.witness)},
                     "method": "minor-enumeration"}
@@ -339,8 +327,8 @@ def cmd_hankel(args):
 
 def cmd_logconvex(args):
     nmax = _nonnegative(args.nmax, "--nmax")
-    rep = _checked_rows(_parse_mu(args.mu), nmax + 2, lambda ps: hk.log_convexity(
-        ps, nmax, strong=args.strong), lambda r: r["ok"])
+    ps = row_polys(triangle(_parse_mu(args.mu), nmax + 2))
+    rep = hk.log_convexity(ps, nmax, strong=args.strong)
     return rep["ok"], {"logconvex": _mk_jsonable(rep)}
 
 

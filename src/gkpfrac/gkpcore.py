@@ -153,11 +153,11 @@ def gkp_triangle(mu, N: int) -> Triangle:
     ``Fraction`` iff k < n and (a,b,g) holds a ``Fraction``, or k > 0 and
     (a',b',g') does."""
     mu = tuple(GKPParams.of(mu))
-    if not all(isinstance(v, (int, Fraction)) for v in mu):
+    f1, f2 = (any(isinstance(v, Fraction) for v in vs) for vs in (mu[:3], mu[3:]))
+    if not (f1 or f2) or not all(isinstance(v, (int, Fraction)) for v in mu):
         return _unroll_rows(N, TWO_TERM, _gkp_row_rule(mu))
     nums, d1, d2 = _cleared(mu)
     t = _unroll_rows(N, TWO_TERM, _gkp_row_rule(nums))
-    f1, f2 = (any(isinstance(v, Fraction) for v in vs) for vs in (mu[:3], mu[3:]))
     for n, row in enumerate(t.rows):
         for k in range(n + 1):
             if k < n and f1 or k and f2:
@@ -166,14 +166,11 @@ def gkp_triangle(mu, N: int) -> Triangle:
 
 
 def cleared_triangle(mu, N: int, vars=None):
-    """(T', d1, d2): ``gkp_triangle`` on the triples d1 (a,b,g) and
-    d2 (a',b',g'), d1 and d2 the lcms of their denominators.  Each path to
-    (n,k) takes n-k weights linear in (a,b,g) and k in (a',b',g'), so
-    T'(n,k) = d1^(n-k) d2^k T(n,k) and P'_n(x) = d1^n P_n(d2 x/d1) (the
-    fraction-free idea of Bareiss, Math. Comp. 22, 1968).  For numeric mu
-    these are ints; otherwise ``clear_denominators`` clears each triple and
-    d1, d2 and T' are ``MPoly`` values over ``vars``, which must hold every
-    variable of mu."""
+    """(T', d1, d2): ``gkp_triangle`` on d1 (a,b,g) and d2 (a',b',g'), d1 and
+    d2 the lcms of the triples' denominators (ints, or ``MPoly`` values over
+    ``vars``, which holds every variable of mu).  A path to (n,k) takes n-k
+    weights linear in (a,b,g) and k in (a',b',g'), so T'(n,k) =
+    d1^(n-k) d2^k T(n,k) (Bareiss, Math. Comp. 22, 1968)."""
     nums, d1, d2 = _cleared(tuple(GKPParams.of(mu)), vars)
     return gkp_triangle(nums, N), d1, d2
 

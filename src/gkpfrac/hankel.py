@@ -329,11 +329,10 @@ def _kronecker_pack(polys, r=2):
     in x alone, each entry is the packed integer itself, a plain ``int``.
 
     All entries are put on the union of their variable tuples and scaled by
-    the lcm of their coefficient denominators, which is 1 for the integer
-    rows of ``gkpcore.cleared_triangle`` (the CLI's numeric mu).  An
-    exponent that is an affine function of the entry's index and of the
-    other exponents, on
-    every term of every entry, is dropped: every product of a minor has as
+    the lcm L of their coefficient denominators, c to the int
+    c.numerator (L // c.denominator).  An exponent that is an affine
+    function of the entry's index and of the other exponents, on every
+    term of every entry, is dropped: every product of a minor has as
     many factors and the same index sum, so the dropped exponents of a
     minor's term follow from its kept ones.  One kept variable y is packed
     into the coefficient, c * y^e as c * 2^(W*e) (Kronecker substitution, in
@@ -345,7 +344,8 @@ def _kronecker_pack(polys, r=2):
     times the largest one of an entry."""
     vars = tuple(dict.fromkeys(v for p in polys for v in p.vars))
     den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    terms = [list((p.in_vars(vars) * den).terms.items()) for p in polys]
+    terms = [[(e, c.numerator * (den // c.denominator)) for e, c in p.in_vars(vars).terms.items()]
+             for p in polys]
     keep = [j - 2 for j in _pivot_columns(
         ((1, i) + e for i, ts in enumerate(terms) for e, _ in ts), len(vars) + 2)
         if j >= 2]

@@ -14,7 +14,7 @@ from gkpfrac.cli import main, parse_poly
 from gkpfrac.exactalg import (
     EXPONENT_LIMIT, MPoly, _norm_scalar, felem_eq, rational, variables,
 )
-from gkpfrac.gkpcore import cleared_triangle, row_polys, triangle
+from gkpfrac.gkpcore import row_polys, triangle
 from gkpfrac.hankel import coeffwise_nonneg, hankel_tp, log_convexity
 
 
@@ -327,11 +327,8 @@ def test_hankel_order2_reports_come_from_the_minors(tmp_path):
 
 def test_hankel_builds_only_the_rows_the_matrix_reads(tmp_path, monkeypatch):
     # the m x m Hankel matrix reads a_0..a_{2m-2}: rows 0..2m-2 of the triangle
-    # (of its cleared form, at numeric mu)
     asked = []
     monkeypatch.setattr(cli, "triangle", lambda mu, N: asked.append(N) or triangle(mu, N))
-    monkeypatch.setattr(cli, "cleared_triangle",
-                        lambda mu, N: asked.append(N) or cleared_triangle(mu, N))
     tilde = cli.hk.gkp_tilde_polys
     monkeypatch.setattr(cli.hk, "gkp_tilde_polys", lambda N: asked.append(N) or tilde(N))
     for m in (1, 3):

@@ -8,6 +8,7 @@ S or terminating family.
 """
 import json
 from dataclasses import replace
+from fractions import Fraction
 from itertools import count
 
 import pytest
@@ -15,8 +16,10 @@ import pytest
 from gkpfrac import cfrac, families as F, search as S
 from gkpfrac.cfrac import extract_sfrac
 from gkpfrac.cli import main
-from gkpfrac.exactalg import TruncSeries, as_field, felem_eq, first_mismatch
-from gkpfrac.gkpcore import ogf_trunc, triangle
+from gkpfrac.exactalg import (
+    TruncSeries, as_field, felem_div, felem_eq, first_mismatch,
+)
+from gkpfrac.gkpcore import cleared_triangle, ogf_trunc, triangle
 
 DEPTH = 10
 S_OR_TERMINATING = [fid for fid in F.family_ids()
@@ -116,6 +119,30 @@ def test_every_leaf_agrees_with_the_extraction_oracle(leaves):
             msg = extraction_leaf_check(node, fid, bad, order)
             assert msg is not None, (node.name(), j)
             assert series_leaf_check(node, fid, bad, order) == msg
+
+
+def test_a_c_1_of_any_form_is_refuted_alike_at_every_leaf(leaves):
+    # a leaf whose triples have denominators decides on F(d2 x/d1, d1 t) and
+    # maps each predicted c to d1 c(d2 x/d1); no form of c is special there
+    x = S.V.x
+    forms = (x * x, felem_div(1, 1 + x), Fraction(-1, 3))
+    # the forms in turn, separately over the leaves with and without clearing
+    turn = {False: 0, True: 0}
+    seen = set()
+    for node, fid, want, order in leaves:
+        if not want.c:
+            continue
+        _, d1, d2 = cleared_triangle(node.mu(), 0, S.V.a.vars)
+        cleared = (d1, d2) != (1, 1)
+        i, turn[cleared] = turn[cleared] % 3, turn[cleared] + 1
+        seen.add((i, cleared))
+        template = "%s: c_%d does not match family %s" if want.terminated_at is None \
+            else "%s: terminating c_%d mismatch vs %s"
+        bad = replace(want, c=(forms[i],) + want.c[1:])
+        msg = template % (node.name(), 1, fid)
+        assert extraction_leaf_check(node, fid, bad, order) == msg, node.name()
+        assert series_leaf_check(node, fid, bad, order) == msg, node.name()
+    assert seen == {(j, cleared) for j in range(3) for cleared in (False, True)}
 
 
 @pytest.mark.parametrize("fid", S_OR_TERMINATING)
