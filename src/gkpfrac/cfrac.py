@@ -204,19 +204,6 @@ def eval_sr(c: Sequence, order: int) -> TruncSeries:
     return _path_series(c, [0] * order, 2, order)
 
 
-def cfrac_confirms(a: TruncSeries, want: CFrac) -> bool:
-    """Whether extraction from ``a`` returns the S or J prediction
-    ``want``, decided on the series without extraction.  With N = a.order,
-    extraction reads c_1..c_N of an S-fraction (``extract_sfrac(a, N)``)
-    and e_0..e_{m-1}, f_1..f_m of a J-fraction (``extract_jfrac(a, m)``,
-    m = N // 2), and the prediction is read through those levels: with no
-    stated end it ends at its first zero c or f, where extraction stops,
-    and a stated end beyond them is not claimed.  True is certain; False
-    means that extraction differs, or that the series cannot tell
-    (``_departure``)."""
-    return _departure(a, want)[1] is None
-
-
 def _departure(a: TruncSeries, want: CFrac):
     """(claim, m): the J claim that ``want`` reads as, and the levels m
     that extraction reads to reach the first t^n at which the series leaves
@@ -257,12 +244,14 @@ def _departure(a: TruncSeries, want: CFrac):
 
 
 def cfrac_refutation(a: TruncSeries, want: CFrac, name: str) -> Optional[dict]:
-    """None when the series confirms the S or J prediction ``want``
-    (``cfrac_confirms``); otherwise the ``first_mismatch`` witness of its
-    earliest departure from extraction, which reads only up to the level
-    where the series leaves the prediction (all levels where the series
-    cannot tell): the first differing coefficient, c_i at level i of an S
-    prediction and e_n, f_n at ("e", n), ("f", n) of a J one, else the
+    """None when the series confirms the S or J prediction ``want``, read
+    through the levels that extraction reads (``_departure``): with no
+    stated end it ends at its first zero c or f, and a stated end beyond
+    those levels is not claimed.  Otherwise the ``first_mismatch`` witness
+    of its earliest departure from extraction, which reads only up to the
+    level where the series leaves the prediction (all levels where the
+    series cannot tell): the first differing coefficient, c_i at level i of
+    an S prediction and e_n, f_n at ("e", n), ("f", n) of a J one, else the
     unexpected or missing end.  If the extraction agrees after all, the
     series check is at fault and ``ArithmeticError`` is raised."""
     claim, m = _departure(a, want)

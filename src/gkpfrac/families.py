@@ -1,16 +1,20 @@
 """Catalog of the named parameter families and their predicted continued
 fractions, with end-to-end verification harnesses.
 
-Each family record carries a parameter template, the closed-form fraction
-coefficients (S, T or J kind), an epistemic status flag, and the side
-conditions under which the first few coefficients are nonzero.  The thirteen
-``b`` families F1b-F4b, F7b-F9b and s1b-s6b state no coefficients: each is
-the image of its ``a`` twin under the row reversal D of ``symmetry``, which
-sends T(n, k) to T(n, n-k).  Since P_n(x; D mu) = x^n P_n(1/x; mu), each of
-their coefficients is x c(1/x), where c is the twin's coefficient at the
-D-image of the point.  Verification regenerates the triangle and compares
-its ogf with the prediction, symbolically in all free parameters; an S or J
-prediction is read and refuted by ``cfrac.cfrac_refutation`` alone.
+Each family record carries a parameter template, its fraction (S, T or J
+kind), an epistemic status flag, and the side conditions under which the
+first few coefficients are nonzero.  Eleven representatives state their
+coefficients: F1a, F2a, F5, F7a, F8a, F9a, F1c, GKPZ, s0, s1a and s4a.  Each
+of the other twenty families is the image of a representative's point under
+a word of the symmetry group (``FamilySpec.source``).  Since
+P_n(x; g mu) = lambda(x)^n P_n(m(x); mu), each coefficient c of the
+representative's S- or T-fraction becomes lambda c(m(x))
+(``symmetry.transport``).  That law is applied once per family, at its
+symbolic point with the level index k symbolic, and must give polynomials
+(``_derived``).
+Verification regenerates the triangle and compares its ogf with the
+prediction, symbolically in all free parameters; an S or J prediction is
+read and refuted by ``cfrac.cfrac_refutation`` alone.
 """
 from __future__ import annotations
 
@@ -21,9 +25,9 @@ from itertools import chain, count
 from typing import Callable, Optional
 
 from .exactalg import (
-    MPoly, TruncSeries, exp_series, felem_div, felem_eq,
+    MPoly, RatFunc, TruncSeries, as_mpoly, exp_series, felem_div, felem_eq,
     felem_is_zero, first_mismatch, generalized_binomial_series, mismatch_report,
-    variables, x_coeffs,
+    variables,
 )
 from .gkpcore import (
     GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle, ogf_trunc,
@@ -33,7 +37,7 @@ from .cfrac import (
     CFrac, binomial_transform_seq, cfrac_refutation, contract, eval_tr,
 )
 from .matprod import binomial_matrix, triangle_product
-from .symmetry import D, apply_map
+from .symmetry import _orbit, transport, word_matrix
 
 
 class ArityMismatch(ValueError):
@@ -51,17 +55,21 @@ class VanishingDenominator(ValueError):
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A representative states its fraction; a derived family states its
+    ``source`` instead: its point is the word (letters S, D, Z, R as in
+    ``symmetry.apply_map_letters``) applied to the representative's."""
     id: str
     params: tuple                       # free-parameter names, in order
     kind: str                           # "S", "T" or "J"
     status: str                         # proven | conjectured | terminating
     template: Callable                  # params dict -> GKPParams/GKPZParams
-    coeffs: Optional[Callable] = None   # (vals, level) -> coefficient(s)
+    odd: Optional[Callable] = None      # S, T: (vals, k) -> c_2k-1, or (c, d)
+    even: Optional[Callable] = None     # S, T: (vals, k) -> c_2k, or (c, d)
+    coeffs: Optional[Callable] = None   # J: (vals, n) -> (e_n, f_n)
     side_conditions: tuple = ()         # inequations (strings, documentation)
-    terminating_cs: Optional[Callable] = None
+    terminating_cs: Optional[Callable] = None   # vals -> [c_1, ...]
     terminates_at: Optional[int] = None
-    twin: Optional[str] = None          # the a family this is the D-image
-                                        # of, which states its coefficients
+    source: Optional[tuple] = None      # (representative, word)
 
 
 def _sym(spec: FamilySpec) -> dict:
@@ -77,71 +85,52 @@ def _xvar(vals: dict) -> MPoly:
     return MPoly.variable("x", ("x",))
 
 
-# --- family coefficient formulas -------------------------------------------
-
-def _s_pair(odd: Callable, even: Callable) -> Callable:
-    """The level-i rule of an S family, or of a T family split by parity,
-    whose coefficients at levels 2k-1 and 2k are ``odd(vals, k)`` and
-    ``even(vals, k)``."""
-    def coeffs(vals, i):
-        k = (i + 1) // 2
-        return odd(vals, k) if i % 2 else even(vals, k)
-    return coeffs
-
-
 def _make_catalog():
     cat = {}
 
     def add(spec):
         cat[spec.id] = spec
 
-    def mirror(id, twin, names, template, side_conditions=()):
-        a = cat[twin]
-        add(FamilySpec(id, names, a.kind, a.status, template,
-                       side_conditions=side_conditions, twin=twin))
+    def derive(id, source, word, names, template, side_conditions=()):
+        rep = cat[source]
+        add(FamilySpec(id, names, rep.kind, rep.status, template,
+                       side_conditions=side_conditions, source=(source, word)))
 
     # ---- the ten S-fraction families --------------------------------------
     add(FamilySpec(
         "F1a", ("beta", "alphap", "gammap"), "S", "proven",
         lambda v: GKPParams(0, v["beta"], 0, v["alphap"], -v["alphap"], v["gammap"]),
-        _s_pair(lambda v, k: (v["gammap"] + (k - 1) * v["alphap"]) * _xvar(v),
-                lambda v, k: k * v["beta"]),
+        odd=lambda v, k: (v["gammap"] + (k - 1) * v["alphap"]) * _xvar(v),
+        even=lambda v, k: k * v["beta"],
         side_conditions=("alphap+gammap != 0", "beta*gammap != 0")))
-    mirror("F1b", "F1a", ("beta", "gamma", "alphap"),
+    derive("F1b", "F1a", "D", ("beta", "gamma", "alphap"),
            lambda v: GKPParams(0, v["beta"], v["gamma"], v["alphap"], -v["alphap"], 0),
            ("beta+gamma != 0", "gamma*alphap != 0"))
     add(FamilySpec(
         "F2a", ("alpha", "alphap", "betap", "gammap"), "S", "proven",
         lambda v: GKPParams(v["alpha"], -v["alpha"], -v["alpha"],
                             v["alphap"], v["betap"], v["gammap"]),
-        _s_pair(lambda v, k: (v["gammap"] + k * (v["alphap"] + v["betap"])) * _xvar(v),
-                lambda v, k: k * (v["alphap"] + v["betap"]) * _xvar(v)),
+        odd=lambda v, k: (v["gammap"] + k * (v["alphap"] + v["betap"])) * _xvar(v),
+        even=lambda v, k: k * (v["alphap"] + v["betap"]) * _xvar(v),
         side_conditions=("alphap+betap != 0", "alphap+betap+gammap != 0",
                          "2alphap+2betap+gammap != 0")))
-    mirror("F2b", "F2a", ("alpha", "beta", "gamma", "betap"),
+    derive("F2b", "F2a", "D", ("alpha", "beta", "gamma", "betap"),
            lambda v: GKPParams(v["alpha"], v["beta"], v["gamma"], 0,
                                v["betap"], -v["betap"]),
            ("alpha != 0", "alpha+gamma != 0", "2alpha+gamma != 0"))
-    add(FamilySpec(
-        "F3a", ("beta", "betap", "gammap"), "S", "proven",
-        lambda v: GKPParams(0, v["beta"], 0, 0, v["betap"], v["gammap"]),
-        _s_pair(lambda v, k: (v["gammap"] + k * v["betap"]) * _xvar(v),
-                lambda v, k: k * (v["beta"] + v["betap"] * _xvar(v))),
-        side_conditions=("betap != 0", "betap+gammap != 0", "2betap+gammap != 0")))
-    mirror("F3b", "F3a", ("alpha", "gamma", "alphap"),
+    derive("F3a", "F1a", "R", ("beta", "betap", "gammap"),
+           lambda v: GKPParams(0, v["beta"], 0, 0, v["betap"], v["gammap"]),
+           ("betap != 0", "betap+gammap != 0", "2betap+gammap != 0"))
+    derive("F3b", "F1a", "RZ", ("alpha", "gamma", "alphap"),
            lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
                                v["alphap"], -v["alphap"], 0),
            ("alphap != 0", "alpha+gamma != 0", "2alpha+gamma != 0"))
-    add(FamilySpec(
-        "F4a", ("betap", "gammap", "kappa"), "S", "proven",
-        lambda v: GKPParams(0, v["kappa"] * v["betap"],
-                            v["kappa"] * (v["betap"] + v["gammap"]),
-                            0, v["betap"], v["gammap"]),
-        _s_pair(lambda v, k: (v["gammap"] + k * v["betap"]) * (v["kappa"] + _xvar(v)),
-                lambda v, k: k * v["betap"] * _xvar(v)),
-        side_conditions=("betap+gammap != 0", "2betap+gammap != 0",
-                         "kappa*betap != 0")))
-    mirror("F4b", "F4a", ("alpha", "gamma", "kappa"),
+    derive("F4a", "F1a", "DZ", ("betap", "gammap", "kappa"),
+           lambda v: GKPParams(0, v["kappa"] * v["betap"],
+                               v["kappa"] * (v["betap"] + v["gammap"]),
+                               0, v["betap"], v["gammap"]),
+           ("betap+gammap != 0", "2betap+gammap != 0", "kappa*betap != 0"))
+    derive("F4b", "F1a", "Z", ("alpha", "gamma", "kappa"),
            lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
                                v["kappa"] * v["alpha"], -v["kappa"] * v["alpha"],
                                v["kappa"] * (v["alpha"] + v["gamma"])),
@@ -149,20 +138,16 @@ def _make_catalog():
     add(FamilySpec(
         "F5", ("alpha", "gamma", "alphap", "gammap"), "S", "proven",
         lambda v: GKPParams(v["alpha"], 0, v["gamma"], v["alphap"], 0, v["gammap"]),
-        _s_pair(lambda v, k: (v["gamma"] + v["gammap"] * _xvar(v))
-                + k * (v["alpha"] + v["alphap"] * _xvar(v)),
-                lambda v, k: k * (v["alpha"] + v["alphap"] * _xvar(v))),
+        odd=lambda v, k: (v["gamma"] + v["gammap"] * _xvar(v))
+        + k * (v["alpha"] + v["alphap"] * _xvar(v)),
+        even=lambda v, k: k * (v["alpha"] + v["alphap"] * _xvar(v)),
         side_conditions=("alphap+gammap != 0", "alpha+gamma != 0", "alphap != 0")))
-    add(FamilySpec(
-        "F6", ("alphap", "betap", "gammap", "kappa"), "S", "proven",
-        lambda v: GKPParams(v["kappa"] * (v["alphap"] + v["betap"]),
-                            v["kappa"] * v["betap"], v["kappa"] * v["gammap"],
-                            v["alphap"], v["betap"], v["gammap"]),
-        _s_pair(lambda v, k: (v["gammap"] + k * (v["alphap"] + v["betap"]))
-                * (v["kappa"] + _xvar(v)),
-                lambda v, k: k * (v["alphap"] + v["betap"]) * (v["kappa"] + _xvar(v))),
-        side_conditions=("alphap+betap != 0", "alphap+betap+gammap != 0",
-                         "2alphap+2betap+gammap != 0", "alphap != 0")))
+    derive("F6", "F2a", "Z", ("alphap", "betap", "gammap", "kappa"),
+           lambda v: GKPParams(v["kappa"] * (v["alphap"] + v["betap"]),
+                               v["kappa"] * v["betap"], v["kappa"] * v["gammap"],
+                               v["alphap"], v["betap"], v["gammap"]),
+           ("alphap+betap != 0", "alphap+betap+gammap != 0",
+            "2alphap+2betap+gammap != 0", "alphap != 0"))
 
     # ---- T / J families ----------------------------------------------------
     # F7a, F7b, F9a and F9b have d = 0 at even levels: their J-forms are
@@ -170,10 +155,9 @@ def _make_catalog():
     add(FamilySpec(
         "F7a", ("beta", "gamma", "betap", "gammap"), "T", "proven",
         lambda v: GKPParams(0, v["beta"], v["gamma"], 0, v["betap"], v["gammap"]),
-        _s_pair(lambda v, k: ((v["gammap"] + k * v["betap"]) * _xvar(v),
-                              v["gamma"]),
-                lambda v, k: (k * (v["beta"] + v["betap"] * _xvar(v)), 0))))
-    mirror("F7b", "F7a", ("alpha", "gamma", "alphap", "gammap"),
+        odd=lambda v, k: ((v["gammap"] + k * v["betap"]) * _xvar(v), v["gamma"]),
+        even=lambda v, k: (k * (v["beta"] + v["betap"] * _xvar(v)), 0)))
+    derive("F7b", "F7a", "D", ("alpha", "gamma", "alphap", "gammap"),
            lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
                                v["alphap"], -v["alphap"], v["gammap"]))
 
@@ -181,9 +165,11 @@ def _make_catalog():
         "F8a", ("beta", "gamma", "alphap"), "T", "proven",
         lambda v: GKPParams(0, v["beta"], v["gamma"],
                             v["alphap"], v["alphap"], -v["alphap"]),
-        lambda v, i: (i * v["alphap"] * _xvar(v),
-                      v["gamma"] + (i - 1) * v["beta"])))
-    mirror("F8b", "F8a", ("alphahat", "alphap", "gammap"),
+        odd=lambda v, k: ((2 * k - 1) * v["alphap"] * _xvar(v),
+                          v["gamma"] + (2 * k - 2) * v["beta"]),
+        even=lambda v, k: (2 * k * v["alphap"] * _xvar(v),
+                           v["gamma"] + (2 * k - 1) * v["beta"])))
+    derive("F8b", "F8a", "D", ("alphahat", "alphap", "gammap"),
            lambda v: GKPParams(2 * v["alphahat"], -v["alphahat"], -v["alphahat"],
                                v["alphap"], -v["alphap"], v["gammap"]))
 
@@ -192,10 +178,10 @@ def _make_catalog():
         lambda v: GKPParams(0, v["beta"], (v["kappa"] + 1) * v["beta"],
                             -v["alphaphat"], 2 * v["alphaphat"],
                             v["kappa"] * v["alphaphat"]),
-        _s_pair(lambda v, k: ((v["kappa"] + k) * v["alphaphat"] * _xvar(v),
-                              (v["kappa"] + 2 * k - 1) * v["beta"]),
-                lambda v, k: (k * v["alphaphat"] * _xvar(v), 0))))
-    mirror("F9b", "F9a", ("alpha", "alphap", "kappa"),
+        odd=lambda v, k: ((v["kappa"] + k) * v["alphaphat"] * _xvar(v),
+                          (v["kappa"] + 2 * k - 1) * v["beta"]),
+        even=lambda v, k: (k * v["alphaphat"] * _xvar(v), 0)))
+    derive("F9b", "F9a", "D", ("alpha", "alphap", "kappa"),
            lambda v: GKPParams(v["alpha"], -2 * v["alpha"], v["kappa"] * v["alpha"],
                                v["alphap"], -v["alphap"],
                                (v["kappa"] + 1) * v["alphap"]))
@@ -212,7 +198,7 @@ def _make_catalog():
         "F1c", ("beta", "gamma", "alphap", "gammap"), "J", "proven",
         lambda v: GKPParams(0, v["beta"], v["gamma"],
                             v["alphap"], -v["alphap"], v["gammap"]),
-        f1c_J))
+        coeffs=f1c_J))
 
     def gkpz_template(v):
         return GKPZParams(0, v["beta"], v["gamma"], v["alphap"],
@@ -231,7 +217,7 @@ def _make_catalog():
 
     add(FamilySpec(
         "GKPZ", ("beta", "gamma", "alphap", "gammap", "kappa"), "J", "proven",
-        gkpz_template, gkpz_J))
+        gkpz_template, coeffs=gkpz_J))
 
     # ---- terminating families (rational ogfs) ------------------------------
     def term(id, names, template, clist, level):
@@ -247,23 +233,19 @@ def _make_catalog():
                              v["alphap"], -2 * v["alphap"], v["alphap"]),
          lambda v: [v["gamma"], v["alphap"] * _xvar(v),
                     -v["gamma"] - v["alphap"] * _xvar(v)], 4)
-    mirror("s1b", "s1a", ("alpha", "gammap"),
+    derive("s1b", "s1a", "D", ("alpha", "gammap"),
            lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
                                -2 * v["gammap"], 2 * v["gammap"], v["gammap"]))
-    term("s2a", ("gamma", "alphap"),
-         lambda v: GKPParams(0, -2 * v["gamma"], v["gamma"],
-                             v["alphap"], -2 * v["alphap"], 2 * v["alphap"]),
-         lambda v: [v["gamma"] + v["alphap"] * _xvar(v),
-                    -v["alphap"] * _xvar(v), -v["gamma"]], 4)
-    mirror("s2b", "s2a", ("alpha", "gammap"),
+    derive("s2a", "s1a", "R", ("gamma", "alphap"),
+           lambda v: GKPParams(0, -2 * v["gamma"], v["gamma"],
+                               v["alphap"], -2 * v["alphap"], 2 * v["alphap"]))
+    derive("s2b", "s1a", "RZ", ("alpha", "gammap"),
            lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -2 * v["alpha"],
                                -2 * v["gammap"], 2 * v["gammap"], v["gammap"]))
-    term("s3a", ("alpha", "alphap"),
-         lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -2 * v["alpha"],
-                             v["alphap"], -2 * v["alphap"], v["alphap"]),
-         lambda v: [-v["alpha"], v["alpha"] + v["alphap"] * _xvar(v),
-                    -v["alphap"] * _xvar(v)], 4)
-    mirror("s3b", "s3a", ("alpha", "alphap"),
+    derive("s3a", "s1a", "Z", ("alpha", "alphap"),
+           lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -2 * v["alpha"],
+                               v["alphap"], -2 * v["alphap"], v["alphap"]))
+    derive("s3b", "s1a", "DZ", ("alpha", "alphap"),
            lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
                                v["alphap"], -2 * v["alphap"], 2 * v["alphap"]))
     term("s4a", ("beta", "alphap"),
@@ -271,23 +253,19 @@ def _make_catalog():
                              v["alphap"], -2 * v["alphap"], v["alphap"]),
          lambda v: [-v["beta"], v["alphap"] * _xvar(v),
                     -v["alphap"] * _xvar(v), v["beta"]], 5)
-    mirror("s4b", "s4a", ("alpha", "alphap"),
+    derive("s4b", "s4a", "D", ("alpha", "alphap"),
            lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
                                v["alphap"], -v["alphap"], -v["alphap"]))
-    term("s5a", ("alpha", "alphap"),
-         lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -3 * v["alpha"],
-                             v["alphap"], -2 * v["alphap"], v["alphap"]),
-         lambda v: [-2 * v["alpha"], v["alpha"] + v["alphap"] * _xvar(v),
-                    -v["alpha"] - v["alphap"] * _xvar(v), 2 * v["alpha"]], 5)
-    mirror("s5b", "s5a", ("alpha", "alphap"),
+    derive("s5a", "s4a", "Z", ("alpha", "alphap"),
+           lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -3 * v["alpha"],
+                               v["alphap"], -2 * v["alphap"], v["alphap"]))
+    derive("s5b", "s4a", "DZ", ("alpha", "alphap"),
            lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -v["alpha"],
                                v["alphap"], -2 * v["alphap"], 3 * v["alphap"]))
-    term("s6a", ("alpha", "alphap"),
-         lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -3 * v["alpha"],
-                             v["alphap"], -v["alphap"], -v["alphap"]),
-         lambda v: [-2 * v["alpha"] - v["alphap"] * _xvar(v), v["alpha"],
-                    -v["alpha"], 2 * v["alpha"] + v["alphap"] * _xvar(v)], 5)
-    mirror("s6b", "s6a", ("beta", "alphap"),
+    derive("s6a", "s4a", "RZ", ("alpha", "alphap"),
+           lambda v: GKPParams(v["alpha"], -2 * v["alpha"], -3 * v["alpha"],
+                               v["alphap"], -v["alphap"], -v["alphap"]))
+    derive("s6b", "s4a", "R", ("beta", "alphap"),
            lambda v: GKPParams(0, v["beta"], -v["beta"],
                                v["alphap"], -2 * v["alphap"], 3 * v["alphap"]))
     return cat
@@ -373,7 +351,8 @@ def predicted_cfrac(id: str, params=None, m: int = 8, kind: Optional[str] = None
 
     For T families ``kind`` may also be "J": the even contraction of the
     T-form.  Terminating families have only an S-form, their full finite
-    c-list.  A family with a ``twin`` is predicted from it (``_mirrored``)."""
+    c-list.  A family with a ``source`` is predicted by its derived rules
+    (``_derived``)."""
     spec = get_family(id)
     vals = _resolve_params(spec, params)
     kind = kind or spec.kind
@@ -384,43 +363,74 @@ def predicted_cfrac(id: str, params=None, m: int = 8, kind: Optional[str] = None
         return contract(predicted_cfrac(id, params, 2 * m, kind="T"))
     if kind != spec.kind:
         raise UnknownFamily("%s has no %s-form" % (id, kind))
-    if spec.twin is not None:
-        return _mirrored(spec, vals, m)
+    if spec.source is not None:
+        spec = _derived(spec, get_family(spec.source[0]))(vals)
     if spec.status == "terminating":
         return CFrac("S", c=tuple(spec.terminating_cs(vals)),
                      terminated_at=spec.terminates_at)
+    if kind == "J":
+        e, f = zip(*(spec.coeffs(vals, n) for n in range(m + 1)))
+        return CFrac("J", e=e[:m], f=f[1:])
+    rows = tuple(spec.odd(vals, (i + 1) // 2) if i % 2 else spec.even(vals, i // 2)
+                 for i in range(1, m + 1))
     if kind == "S":
-        return CFrac("S", c=tuple(spec.coeffs(vals, i) for i in range(1, m + 1)))
-    if kind == "T":
-        pairs = [spec.coeffs(vals, i) for i in range(1, m + 1)]
-        return CFrac("T", c=tuple(p[0] for p in pairs), d=tuple(p[1] for p in pairs))
-    pairs = [spec.coeffs(vals, n) for n in range(m + 1)]
-    return CFrac("J", e=tuple(p[0] for p in pairs[:m]),
-                 f=tuple(pairs[n][1] for n in range(1, m + 1)))
+        return CFrac("S", c=rows)
+    return CFrac("T", c=tuple(r[0] for r in rows), d=tuple(r[1] for r in rows))
 
 
-def _mirrored(spec: FamilySpec, vals: dict, m: int) -> CFrac:
-    """The S or T prediction of ``spec`` at ``vals``: its twin's at the
-    D-image of the point, bound once, with each coefficient c turned into
-    x c(1/x) by swapping its x^0 and x^1 coefficients.  ArithmeticError,
-    naming both families, means the catalog is at fault: the D-image is
-    not a point of the twin, or a coefficient has x-degree above 1."""
-    binding = family_binding(spec.twin, apply_map(D, spec.template(vals)))
+@lru_cache(maxsize=None)
+def _derived(spec: FamilySpec, rep: FamilySpec) -> Callable:
+    """The function of a point vals that gives ``spec`` with its rules
+    stated there.  They are derived once: ``rep`` is bound at the point of
+    ``spec`` mapped back by the word reversed (each letter is an
+    involution), with the level index k symbolic, and each coefficient c
+    becomes lambda c(m(x)) (``symmetry.transport``), which must be a
+    polynomial in the parameters, k and x; ArithmeticError, naming both
+    families and the word, is a catalog fault.  At vals, the parameters and
+    x are substituted once and k at each level."""
+    word = spec.source[1]
+    *gens, k, _ = variables(spec.params + ("k", "x"))
+    point = spec.template(dict(zip(spec.params, gens)))
+    orbit = _orbit(word[::-1], point)[::-1]
+    binding = family_binding(rep.id, orbit[0])
     if binding is None:
-        raise ArithmeticError("%s: the D-image of the point is not inside %s"
-                              % (spec.id, spec.twin))
-    want = predicted_cfrac(spec.twin, binding, m, spec.kind)
-    x = _xvar(vals)
+        raise ArithmeticError("%s: the preimage of the point under %s is not "
+                              "inside %s" % (spec.id, word, rep.id))
+    m = word_matrix(word, orbit, k.vars)
 
-    def flipped(c):
-        cx = x_coeffs(c)
-        if max(cx, default=0) > 1:
-            raise ArithmeticError("%s: coefficient %r of %s has x-degree above 1"
-                                  % (spec.id, c, spec.twin))
-        return cx.get(1, 0) + cx.get(0, 0) * x
+    def moved(c):
+        if isinstance(c, tuple):
+            return tuple(map(moved, c))
+        out = transport(c, m)
+        if isinstance(out, RatFunc) and not out.is_poly():
+            raise ArithmeticError("%s: coefficient %r of %s is not a polynomial "
+                                  "under %s" % (spec.id, c, rep.id, word))
+        return as_mpoly(out, k.vars).coeffs_in("k")
 
-    return replace(want, c=tuple(map(flipped, want.c)),
-                   d=tuple(map(flipped, want.d)))
+    terminating = rep.status == "terminating"
+    rules = [moved(tuple(rep.terminating_cs(binding)))] if terminating \
+        else [moved(rep.odd(binding, k)), moved(rep.even(binding, k))]
+
+    def stated(vals):
+        x = _xvar(vals)
+        at = {**vals, "x": x}
+
+        def bound(rule):
+            if isinstance(rule, tuple):
+                parts = [bound(r) for r in rule]
+                return lambda k: tuple(f(k) for f in parts)
+            # a scalar value is a constant over x's variables
+            parts = [(j, q.subs(at)) for j, q in rule.items()]
+            return lambda k: sum((q * k ** j for j, q in parts), MPoly.zero(x.vars))
+
+        rules_at = [bound(r) for r in rules]
+        if terminating:
+            return replace(spec, terminating_cs=lambda v: rules_at[0](0),
+                           terminates_at=rep.terminates_at, source=None)
+        return replace(spec, odd=lambda v, k: rules_at[0](k),
+                       even=lambda v, k: rules_at[1](k), source=None)
+
+    return stated
 
 
 def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None) -> dict:

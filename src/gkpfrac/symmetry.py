@@ -25,7 +25,7 @@ from heapq import heappop, heappush
 from itertools import chain
 from .exactalg import (
     MPoly, RatFunc, _common_factor, as_mpoly, felem_div, felem_eq,
-    felem_is_zero, first_mismatch, mismatch_report, num_den,
+    felem_is_zero, first_mismatch, mismatch_report, num_den, x_coeffs,
 )
 from .gkpcore import (
     GKPParams, cleared_triangle, gkp_triangle, rescale_weight, triangle_mismatch,
@@ -251,31 +251,6 @@ EXPECTED_CLASS_PROFILE = sorted([
 ])
 
 
-def expected_classes():
-    """The full membership table of the fifteen conjugacy classes."""
-    def c(*words):
-        return frozenset(words)
-
-    SZ = S * Z
-    return [
-        c(IDENT),
-        c(X ** 6),
-        c(S, S * X ** 6),
-        c(S * X ** 3, S * X ** 9),
-        c(SZ, SZ * X ** 4, SZ * X ** 8),
-        c(SZ * X ** 2, SZ * X ** 6, SZ * X ** 10),
-        c(*(Z * X ** m for m in range(0, 12, 2))),
-        c(*(Z * X ** m for m in range(1, 12, 2))),
-        c(X ** 4, X ** 8),
-        c(X ** 3, X ** 9),
-        c(*(SZ * X ** m for m in range(1, 12, 2))),
-        c(X ** 2, X ** 10),
-        c(S * X, S * X ** 5, S * X ** 7, S * X ** 11),
-        c(S * X ** 2, S * X ** 4, S * X ** 8, S * X ** 10),
-        c(X, X ** 5, X ** 7, X ** 11),
-    ]
-
-
 # (name, lhs, rhs) of the relations checked both in the abstract group and
 # as parameter maps, each side written as a word over the generators
 _RELATIONS = (
@@ -398,6 +373,32 @@ def _compose(inner, outer):
                                  w1 * w2])[1])
 
 
+def word_matrix(letters, orbit, vars, m=None):
+    """The x-free matrix (a, b, c, d, w) of the nonempty word ``letters`` on
+    mu = orbit[0], along its ``_orbit``, composed after ``m`` if given: the
+    rows of g.mu are lambda^n P_n(m(x); mu), with m(x) = (a x + b)/(c x + d)
+    and lambda = (c x + d)/w."""
+    for letter, inner in zip(reversed(letters), orbit):
+        step = _letter_matrix(letter, inner, vars)
+        m = step if m is None else _compose(m, step)
+    return m
+
+
+def transport(coeff, m):
+    """The law of a word with matrix ``m`` on S- and T-fraction
+    coefficients: since the ogf of g.mu is F(m(x), lambda t), each
+    coefficient c of mu's fraction becomes lambda c(m(x)).  For c of
+    x-degree e <= E = max(e, 1) that is the form sum_i c_i u^i v^(E-i) in
+    u = a x + b and v = c x + d, over w v^(E-1): one division."""
+    a, b, c, d, w = m
+    x = MPoly.variable("x", a.vars)
+    u, v = a * x + b, c * x + d
+    cx = x_coeffs(coeff)
+    E = max(1, max(cx, default=0))
+    return felem_div(sum(q * u ** i * v ** (E - i) for i, q in cx.items()),
+                     w * v ** (E - 1))
+
+
 def _substituted_rows(rows, m, x):
     """H_n(a x + b, c x + d) for the triangle rows ``rows``, one row at a
     time."""
@@ -440,9 +441,7 @@ def _substitution_check(mu, moved, N):
         word ``letters``, whose parameters along the way are ``orbit``."""
         lhs, d1, d2 = cleared_triangle(moved, N, vars)
         lhs_m = d1, zero, zero, d2, d1 * d2
-        m = clear
-        for letter, inner in zip(reversed(letters), orbit):
-            m = _compose(m, _letter_matrix(letter, inner, vars))
+        m = word_matrix(letters, orbit, vars, clear)
 
         def rows():
             lhs_w = rhs_w = MPoly.one(vars)

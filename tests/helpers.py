@@ -1,0 +1,38 @@
+"""Names that only the tests call, kept out of the package: the membership
+table of the group's conjugacy classes and the yes/no form of the series
+check of a predicted fraction."""
+from gkpfrac.cfrac import _departure
+from gkpfrac.symmetry import IDENT, S, X, Z
+
+
+def expected_classes():
+    """The full membership table of the fifteen conjugacy classes."""
+    def c(*words):
+        return frozenset(words)
+
+    SZ = S * Z
+    return [
+        c(IDENT),
+        c(X ** 6),
+        c(S, S * X ** 6),
+        c(S * X ** 3, S * X ** 9),
+        c(SZ, SZ * X ** 4, SZ * X ** 8),
+        c(SZ * X ** 2, SZ * X ** 6, SZ * X ** 10),
+        c(*(Z * X ** m for m in range(0, 12, 2))),
+        c(*(Z * X ** m for m in range(1, 12, 2))),
+        c(X ** 4, X ** 8),
+        c(X ** 3, X ** 9),
+        c(*(SZ * X ** m for m in range(1, 12, 2))),
+        c(X ** 2, X ** 10),
+        c(S * X, S * X ** 5, S * X ** 7, S * X ** 11),
+        c(S * X ** 2, S * X ** 4, S * X ** 8, S * X ** 10),
+        c(X, X ** 5, X ** 7, X ** 11),
+    ]
+
+
+def cfrac_confirms(a, want) -> bool:
+    """Whether extraction from ``a`` returns the S or J prediction
+    ``want``, decided on the series without extraction, as
+    ``cfrac.cfrac_refutation`` decides it.  True is certain; False means
+    that extraction differs, or that the series cannot tell."""
+    return _departure(a, want)[1] is None

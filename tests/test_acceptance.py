@@ -15,6 +15,7 @@ from gkpfrac import hankel as hk
 from gkpfrac import matprod
 from gkpfrac import search
 from gkpfrac import symmetry
+from helpers import expected_classes
 
 
 @contextmanager
@@ -48,7 +49,7 @@ def test_criterion_02_group_structure():
         sizes = sorted(c["size"] for c in classes)
         assert sizes == [1, 1, 2, 2, 2, 2, 2, 3, 3, 4, 4, 4, 6, 6, 6]
         got = {frozenset(c["elements"]) for c in classes}
-        assert got == set(symmetry.expected_classes())
+        assert got == set(expected_classes())
         rep = symmetry.verify_relations()
         assert rep["ok"], rep
 

@@ -10,9 +10,10 @@ from gkpfrac.exactalg import (
 from gkpfrac.gkpcore import gkp_triangle, ogf_trunc
 from gkpfrac.cfrac import (
     CFrac, InsufficientDepth, NonExtractableSeries, NotContractible,
-    binomial_transform_seq, cfrac_confirms, contract, eval_cfrac, eval_jr,
+    binomial_transform_seq, contract, eval_cfrac, eval_jr,
     eval_sr, eval_tr, extract_jfrac, extract_sfrac, transform_laws,
 )
+from helpers import cfrac_confirms
 
 
 def sym_c(m, extra=()):

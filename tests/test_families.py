@@ -79,8 +79,8 @@ def test_a_bent_t_prediction_names_the_first_order_it_moves(monkeypatch):
     # c_2 + 1 moves t^2 by c_1 = alphap x: the witness holds the ogf's
     # coefficient as "got" and the prediction's as "expected", as for S and J
     f8a = get_family("F8a")
-    monkeypatch.setitem(F.CATALOG, "F8a", replace(f8a, coeffs=lambda v, i: (
-        f8a.coeffs(v, i)[0] + (1 if i == 2 else 0), f8a.coeffs(v, i)[1])))
+    monkeypatch.setitem(F.CATALOG, "F8a", replace(f8a, even=lambda v, k: (
+        f8a.even(v, k)[0] + (1 if k == 1 else 0), f8a.even(v, k)[1])))
     row = "3*alphap^2*x^2 + beta*alphap*x + 3*gamma*alphap*x + gamma^2"
     assert verify_family("F8a", None, 6, kind="T")["first_mismatch"] == {
         "level": 2, "expected": row + " + alphap*x", "got": row}

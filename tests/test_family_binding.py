@@ -14,7 +14,7 @@ import pytest
 
 from gkpfrac import families as F, search as S
 from gkpfrac.exactalg import as_field, felem_eq, felem_is_zero
-from gkpfrac.symmetry import D, WORDS, SingularMap, apply_map, map_equal
+from gkpfrac.symmetry import WORDS, SingularMap, apply_map
 
 # the defining polynomial relations of each S family on the six-tuple mu
 RELATIONS = {
@@ -78,6 +78,10 @@ def tree_calls():
         calls.append((fid, tuple(mu), out))
         return out
 
+    # each derived family binds its representative once, symbolically
+    for fid, spec in F.CATALOG.items():
+        if spec.source:
+            F.predicted_cfrac(fid, None, 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(F, "family_binding", noting)
         assert S.run_tree()["ok"]
@@ -85,19 +89,15 @@ def tree_calls():
 
 
 def test_agreement_on_the_tree_calls(tree_calls):
-    # 21 discards, 10 red leaves and the twins of the 4 red b leaves in S
-    # families; 13 terminating leaves and the twins of the 6 b ones
+    # 21 discards and 10 red leaves in S families, and 13 terminating
+    # leaves: a leaf of a derived family is predicted by its rules, derived
+    # before the replay, and binds no other family
     s_calls = [c for c in tree_calls if c[0] in RELATIONS]
-    assert (len(s_calls), len(tree_calls)) == (35, 54)
+    assert (len(s_calls), len(tree_calls)) == (31, 44)
     for fid, mu, binding in tree_calls:
         assert binding is not None, fid
         if fid in RELATIONS:
             assert on_relations(fid, mu), fid
-    # the prediction at a b leaf binds its twin at the D-image of the point
-    mirrored = [(leaf, call) for leaf, call in zip(tree_calls, tree_calls[1:])
-                if F.get_family(leaf[0]).twin == call[0]
-                and map_equal(apply_map(D, leaf[1]), call[1])]
-    assert len(mirrored) == 10
 
 
 def test_agreement_on_the_symbolic_images():

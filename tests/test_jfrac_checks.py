@@ -13,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from gkpfrac import cfrac, families as F
 from gkpfrac.cfrac import (
-    CFrac, NonExtractableSeries, cfrac_confirms, cfrac_refutation, eval_jr,
+    CFrac, NonExtractableSeries, cfrac_refutation, eval_jr,
     extract_jfrac,
 )
 from gkpfrac.exactalg import (
     MPoly, TruncSeries, as_field, felem_eq, felem_is_zero, first_mismatch,
 )
 from gkpfrac.gkpcore import ogf_trunc, triangle
+from helpers import cfrac_confirms
 
 J_FAMILIES = [(fid, 8 if fid == "GKPZ" else 10) for fid in
               ("F1c", "GKPZ", "F7a", "F7b", "F9a", "F9b")]

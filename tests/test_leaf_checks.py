@@ -149,9 +149,12 @@ def test_a_c_1_of_any_form_is_refuted_alike_at_every_leaf(leaves):
 def test_every_family_agrees_with_the_extraction_oracle(fid, monkeypatch):
     assert F.verify_family(fid, None, DEPTH)["first_mismatch"] is None
     assert extraction_family_witness(fid, DEPTH) is None
-    # a b family states no coefficients: the fault goes into its twin,
-    # whose c_2 + 1 reverses to the b family's c_2 + x
-    spec = F.get_family(F.get_family(fid).twin or fid)
+    # a derived family states no coefficients: the fault goes into its
+    # representative, whose c_2 + c_1 the transport law, which is linear,
+    # moves to the family's c_2 + c_1; the rules are derived with the level
+    # index k symbolic, so an S family is bent at every even level
+    source = F.get_family(fid).source
+    spec = F.get_family(source[0] if source else fid)
     if spec.status == "terminating" and spec.id == fid:
         # symbolic parameters: the bent list is the same for every call
         bad = bent(F.predicted_cfrac(fid), 2)
@@ -160,10 +163,10 @@ def test_every_family_agrees_with_the_extraction_oracle(fid, monkeypatch):
     elif spec.status == "terminating":
         cs = spec.terminating_cs
         spec = replace(spec, terminating_cs=lambda v: [
-            c + 1 if i == 1 else c for i, c in enumerate(cs(v))])
+            c + cs(v)[0] if i == 1 else c for i, c in enumerate(cs(v))])
     else:
-        coeffs = spec.coeffs
-        spec = replace(spec, coeffs=lambda v, i: coeffs(v, i) + (1 if i == 2 else 0))
+        odd, even = spec.odd, spec.even
+        spec = replace(spec, even=lambda v, k: even(v, k) + odd(v, k))
     monkeypatch.setitem(F.CATALOG, spec.id, spec)
     report = F.verify_family(fid, None, DEPTH)
     assert report["first_mismatch"] is not None
@@ -195,11 +198,11 @@ def test_red_binding_with_a_swapped_parameter(monkeypatch):
     # still lies in F5, and its series refutes the prediction at c_2
     f5 = F.get_family("F5")
 
-    def swapped(v, i):
-        return f5.coeffs(dict(v, alpha=v["gamma"], gamma=v["alpha"])
-                         if i == 2 else v, i)
+    def swapped(v, k):
+        return f5.even(dict(v, alpha=v["gamma"], gamma=v["alpha"])
+                       if k == 1 else v, k)
 
-    monkeypatch.setitem(F.CATALOG, "F5", replace(f5, coeffs=swapped))
+    monkeypatch.setitem(F.CATALOG, "F5", replace(f5, even=swapped))
     with pytest.raises(S.InconsistentNode) as exc:
         S.run_tree()
     assert str(exc.value) == "0,0,1b,1b: c_2 does not match family F5"
@@ -221,21 +224,21 @@ def test_terminating_binding_that_ends_one_level_late(monkeypatch):
 def test_prediction_with_a_zero_coefficient(monkeypatch):
     # s1a padded with c_4 = 0 and claimed to end at 5: the series of the
     # claim is that of the node, so only the nonzero guard sends it to
-    # extraction, which finds the termination at 4.  s1b is derived from
-    # s1a, and the replay reaches its leaf first
+    # extraction, which finds the termination at 4.  s1b, s2a, s2b, s3a and
+    # s3b are derived from s1a, and the replay reaches the s2a leaf first
     s1a = F.get_family("s1a")
     monkeypatch.setitem(F.CATALOG, "s1a", replace(
         s1a, terminates_at=5,
         terminating_cs=lambda v: list(s1a.terminating_cs(v)) + [0]))
     with pytest.raises(S.InconsistentNode) as exc:
         S.run_tree()
-    assert str(exc.value) == "0,0,1a,0,1b,c=0: expected termination at 5, got 4"
+    assert str(exc.value) == "0,0,1b,1a,0,c=0: expected termination at 5, got 4"
 
 
 def test_corrupted_s_coefficient_report(monkeypatch):
     f5 = F.get_family("F5")
     monkeypatch.setitem(F.CATALOG, "F5", replace(
-        f5, coeffs=lambda v, i: f5.coeffs(v, i) + (1 if i == 3 else 0)))
+        f5, odd=lambda v, k: f5.odd(v, k) + (1 if k == 2 else 0)))
     assert F.verify_family("F5", None, DEPTH)["first_mismatch"] == {
         "level": 3, "expected": "2*alphap*x + gammap*x + 2*alpha + gamma + 1",
         "got": "2*alphap*x + gammap*x + 2*alpha + gamma"}

@@ -14,10 +14,11 @@ from dataclasses import replace
 import pytest
 
 from gkpfrac import cfrac, families as F, search as S
-from gkpfrac.cfrac import CFrac, cfrac_confirms, cfrac_refutation, eval_cfrac, eval_jr
+from gkpfrac.cfrac import CFrac, cfrac_refutation, eval_cfrac, eval_jr
 from gkpfrac.cli import main
 from gkpfrac.exactalg import as_field, felem_eq, felem_is_zero
 from gkpfrac.gkpcore import GKPParams, ogf_trunc, triangle
+from helpers import cfrac_confirms
 
 SWEEP_DEPTH = 8
 
@@ -93,13 +94,14 @@ def counted_extractions(monkeypatch, most):
 
 
 def test_a_wrong_template_is_extracted_only_to_its_departure(monkeypatch):
-    # F3a with alpha = beta departs at t^1: one level names it, where the
-    # whole fraction took minutes from depth 8 on
-    f3a = F.get_family("F3a")
-    monkeypatch.setitem(F.CATALOG, "F3a", replace(f3a, template=lambda v: GKPParams(
-        v["beta"], v["beta"], 0, 0, v["betap"], v["gammap"])))
+    # F1a with alpha = beta departs at t^1: one level names it, where the
+    # whole fraction took minutes from depth 8 on (F3a with alpha = beta
+    # did; a derived family's wrong template is a catalog fault now)
+    f1a = F.get_family("F1a")
+    monkeypatch.setitem(F.CATALOG, "F1a", replace(f1a, template=lambda v: GKPParams(
+        v["beta"], v["beta"], 0, v["alphap"], -v["alphap"], v["gammap"])))
     seen = counted_extractions(monkeypatch, 1)
-    report = F.verify_family("F3a", None, 10)
+    report = F.verify_family("F1a", None, 10)
     assert report["first_mismatch"]["level"] == 1
     assert seen == [1]
 
@@ -130,12 +132,15 @@ def test_a_leaf_reports_a_coefficient_before_a_missed_end(monkeypatch):
     s1a = F.get_family("s1a")
 
     def cs(v):
+        # the appended c_4 is a form of degree 1, as the law needs for the
+        # families derived from s1a
         c = list(s1a.terminating_cs(v))
-        return [c[0], 0, c[2], 1]
+        return [c[0], 0, c[2], c[0]]
 
     monkeypatch.setitem(F.CATALOG, "s1a", replace(s1a, terminates_at=5, terminating_cs=cs))
     report = F.verify_family("s1a", None, 8)
     assert report["first_mismatch"]["level"] == 2
     assert report["first_mismatch"]["expected"] == "0"
-    with pytest.raises(S.InconsistentNode, match=r": terminating c_2 mismatch vs s1"):
+    # the replay reaches a leaf of s2a, derived from s1a, first
+    with pytest.raises(S.InconsistentNode, match=r": terminating c_2 mismatch vs s2a$"):
         S.run_tree()

@@ -18,6 +18,7 @@ from gkpfrac.symmetry import (
     apply_map_letters, group_table, map_equal, parse_word, rescale_gkp,
     verify_action, verify_actions, verify_relations,
 )
+from helpers import expected_classes
 
 
 def test_normal_forms_unique_and_closed():
@@ -42,7 +43,6 @@ def test_orders_divide_twelve():
 
 
 def test_exact_class_membership():
-    from gkpfrac.symmetry import expected_classes
     _, _, classes, _ = group_table()
     got = {frozenset(c["elements"]) for c in classes}
     want = set(expected_classes())
@@ -232,6 +232,18 @@ def test_family_orbit_facts():
         ["F1a", "F1b", "F3a", "F3b", "F4a", "F4b"], ["F2a", "F2b", "F6"],
         ["F5"], ["s0"], ["s1a", "s1b", "s2a", "s2b", "s3a", "s3b"],
         ["s4a", "s4b", "s5a", "s5b", "s6a", "s6b"]])
+    # the catalog derives each orbit from one representative: its sources
+    # generate the same partition, and each word maps its representative's
+    # point into the family
+    by_source = {}
+    for fid in orbit:
+        source = get_family(fid).source
+        by_source.setdefault(source[0] if source else fid, []).append(fid)
+        if source:
+            image = apply_map_letters(source[1], family_params(source[0]))
+            assert family_binding(fid, image) is not None, \
+                "%s mapped by %s lies outside %s" % (source[0], source[1], fid)
+    assert sorted(sorted(o) for o in by_source.values()) == orbits
 
 
 def test_coset_denominators():
