@@ -386,8 +386,9 @@ def _derived(spec: FamilySpec, rep: FamilySpec) -> Callable:
     involution), with the level index k symbolic, and each coefficient c
     becomes lambda c(m(x)) (``symmetry.transport``), which must be a
     polynomial in the parameters, k and x; ArithmeticError, naming both
-    families and the word, is a catalog fault.  At vals, the parameters and
-    x are substituted once and k at each level."""
+    families and the word, is a catalog fault, as is a rule of ``rep`` whose
+    value at k = 1 or 2 is not its form in k put there.  At vals, the
+    parameters and x are substituted once and k at each level."""
     word = spec.source[1]
     *gens, k, _ = variables(spec.params + ("k", "x"))
     point = spec.template(dict(zip(spec.params, gens)))
@@ -407,9 +408,24 @@ def _derived(spec: FamilySpec, rep: FamilySpec) -> Callable:
                                   "under %s" % (spec.id, c, rep.id, word))
         return as_mpoly(out, k.vars).coeffs_in("k")
 
+    def at(c, j):
+        if isinstance(c, tuple):
+            return tuple(at(q, j) for q in c)
+        return c.subs({"k": j}) if isinstance(c, (MPoly, RatFunc)) else c
+
+    def form(name):
+        # a rule that branches on k in Python is no form in k
+        rule = getattr(rep, name)
+        c = rule(binding, k)
+        for j in (1, 2):
+            if rule(binding, j) != at(c, j):
+                raise ArithmeticError("%s: rule %s at k = %d is not its form "
+                                      "in k" % (rep.id, name, j))
+        return moved(c)
+
     terminating = rep.status == "terminating"
     rules = [moved(tuple(rep.terminating_cs(binding)))] if terminating \
-        else [moved(rep.odd(binding, k)), moved(rep.even(binding, k))]
+        else [form("odd"), form("even")]
 
     def stated(vals):
         x = _xvar(vals)

@@ -28,7 +28,8 @@ from .exactalg import (
     felem_is_zero, first_mismatch, mismatch_report, num_den, x_coeffs,
 )
 from .gkpcore import (
-    GKPParams, cleared_triangle, gkp_triangle, rescale_weight, triangle_mismatch,
+    GKPParams, _cleared, _ode_step, cleared_triangle, gkp_triangle,
+    rescale_weight, triangle_mismatch,
 )
 
 
@@ -343,7 +344,9 @@ def _check_x_formula(mu) -> bool:
 # held as the x-free matrix m = (a, b, c, d, w), which is defined up to a
 # common factor.  Substitutions compose by the 2x2 matrix product (GL_2
 # acting on binary forms of degree n), so a word costs one substitution per
-# row, all of it polynomial.
+# row of mu, all of it polynomial.  The rows of g.mu are decided by their
+# row ODE applied to the substituted rows of mu: exact, since the rows are
+# unique from P_0 = 1 and L_n is linear in the parameters.
 
 def _letter_matrix(letter, mu, vars):
     """The substitution of one letter acting on the parameters mu."""
@@ -421,9 +424,12 @@ def _substitution_check(mu, moved, N):
     for words whose images of mu are among ``moved``.  The triangle of the
     cleared mu is unrolled here, once for every word the check is run on.
 
-    With a word's image cleared by (d1, d2) and mu by (e1, e2), both sides
-    are polynomial: row n holds iff w^n H'_n(d1 x, d2) == (d1 d2)^n H_n(u, v),
-    where (u, v, w) composes diag(e1, e2) with the letters' matrices."""
+    With mu cleared by (e1, e2) and g.mu by (d1, d2) into (n1, n2), let
+    q_n = H_n(u, v), (u, v, w) composing diag(e1, e2) with the letters'
+    matrices.  Row 0 holds iff q_0 == 1, and row n, given the rows below,
+    iff w L_n(d2 n1, d1 n2) q_(n-1) == d1 d2 q_n, L_n the row ODE
+    (``_ode_step``): exact, as the rows are unique from P_0 = 1 and L_n is
+    linear in the parameters."""
     vars = tuple(dict.fromkeys(v for p in chain(mu, *moved)
                                if isinstance(p, (MPoly, RatFunc)) for v in p.vars))
     vars += () if "x" in vars else ("x",)
@@ -437,19 +443,19 @@ def _substitution_check(mu, moved, N):
     clear = e1, zero, zero, e2, e1 * e2
 
     def check(name, letters, orbit, moved):
-        """Row n of the triangle of ``moved`` against row n of mu under the
+        """Row n of ``moved`` by its row ODE against row n of mu under the
         word ``letters``, whose parameters along the way are ``orbit``."""
-        lhs, d1, d2 = cleared_triangle(moved, N, vars)
-        lhs_m = d1, zero, zero, d2, d1 * d2
+        nums, d1, d2 = _cleared(moved, vars)
+        scaled = [d2 * v for v in nums[:3]] + [d1 * v for v in nums[3:]]
         m = word_matrix(letters, orbit, vars, clear)
 
         def rows():
-            lhs_w = rhs_w = MPoly.one(vars)
-            pairs = zip(_substituted_rows(lhs.rows, lhs_m, x),
-                        _substituted_rows(rhs.rows, m, x))
-            for n, (p, q) in enumerate(pairs):
-                yield {"n": n}, rhs_w * p, lhs_w * q
-                lhs_w, rhs_w = lhs_w * lhs_m[4], rhs_w * m[4]
+            qs = _substituted_rows(rhs.rows, m, x)
+            prev = next(qs)
+            yield {"n": 0}, 1, prev
+            for n, q in enumerate(qs, 1):
+                yield {"n": n}, m[4] * _ode_step(scaled, n, prev), d1 * d2 * q
+                prev = q
 
         return {"map": name, **mismatch_report(first_mismatch(rows()))}
 
@@ -467,8 +473,10 @@ def _word(g):
 
 def verify_actions(words, mu, N: int) -> list:
     """The report of ``verify_action`` for each of ``words`` on one mu, in
-    order.  The cleared triangle of mu is unrolled once and is the right
-    side of every word's check; nothing is kept between calls."""
+    order.  For the group words only mu's cleared triangle is unrolled,
+    once; each g.mu is decided by its row ODE on mu's substituted rows, exact
+    as the rows are unique from P_0 = 1 and L_n is linear in mu.  Nothing is
+    kept between calls."""
     words = [g if isinstance(g, ScalingMap) else _word(g) for g in words]
     # the parameters come first: a singular map raises before any row work
     orbits = [None if isinstance(w, ScalingMap) else _orbit(w[1], mu) for w in words]
@@ -487,8 +495,9 @@ def _verify_scaling(g, mu, N):
 
 
 def verify_action(g, mu, N: int) -> dict:
-    """Check the identity linking the triangle of g.mu with the transformed
-    triangle of mu, symbolically for all n <= N."""
+    """Check the rows of g.mu, decided by their row ODE applied to the
+    substituted rows of mu (exact: the rows are unique from P_0 = 1 and L_n
+    is linear in mu), symbolically for all n <= N."""
     return verify_actions([g], mu, N)[0]
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkpfrac import families as F
+from gkpfrac import cli, families as F
 from gkpfrac.cfrac import CFrac, cfrac_refutation, contract
 from gkpfrac.exactalg import MPoly, felem_eq
 from gkpfrac.gkpcore import GKPParams, ogf_trunc, triangle
@@ -224,6 +224,23 @@ def test_a_bent_representative_bends_its_derived_families(monkeypatch):
         f1a, even=lambda v, k: f1a.even(v, k) + f1a.odd(v, k)))
     for fid in family:
         assert F.verify_family(fid, None, 6)["first_mismatch"]["level"] == 2, fid
+
+
+def test_a_rule_that_branches_on_k_raises(monkeypatch, tmp_path):
+    # at symbolic k the branch is not taken, so the derived rules would be
+    # those of the unbent F1a; the values at k = 1, 2 give the bend away
+    family = [fid for fid in TWINS if F.get_family(fid).source[0] == "F1a"]
+    assert len(family) == 5
+    f1a = F.get_family("F1a")
+    monkeypatch.setitem(F.CATALOG, "F1a", replace(
+        f1a, even=lambda v, k: f1a.even(v, k) + (f1a.odd(v, k) if k == 1 else 0)))
+    for fid in family:
+        with pytest.raises(ArithmeticError, match="^F1a: rule even at k = 1 is "
+                                                  "not its form in k$"):
+            F.predicted_cfrac(fid, None, 4)
+    out = tmp_path / "bent.json"
+    assert cli.main(["verify-family", "--id", "F1b", "--symbolic", "--depth", "6",
+                     "--out", str(out)]) == 3
 
 
 def test_a_template_off_its_d_image_raises(monkeypatch):

@@ -6,10 +6,10 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gkpfrac import cli, symmetry
+from gkpfrac import cli, gkpcore, symmetry
 from gkpfrac.exactalg import (
     MPoly, RatFunc, as_field, as_mpoly, clear_denominators, divide_exact,
-    felem_is_zero, first_mismatch, mismatch_report, variables,
+    felem_eq, felem_is_zero, first_mismatch, mismatch_report, variables,
 )
 from gkpfrac.gkpcore import PARAM_NAMES, GKPParams, gkp_triangle, row_polys
 from gkpfrac.symmetry import (
@@ -470,6 +470,37 @@ def test_wrong_parameter_action_is_reported(monkeypatch, tmp_path):
     data = json.loads(out.read_text())
     assert not data["ok"] and data["exit"] == 1
     assert data["action"] == want
+
+
+_ODE_STEP = gkpcore._ode_step
+
+
+def _ode_fault(index):
+    """``_ode_step`` less c x prev, c the parameter at ``index``: beta' (4)
+    dropped from the multiplier of x, or n alpha' written as (n - 1) alpha'
+    (3)."""
+    def step(mu, n, prev):
+        c = tuple(GKPParams.of(mu))[index]
+        return _ODE_STEP(mu, n, prev) - c * MPoly.variable("x", prev.vars) * prev
+    return step
+
+
+@pytest.mark.parametrize("index", [4, 3], ids=["beta'-dropped", "n-1-alpha'"])
+def test_a_wrong_row_ode_fails_the_actions(monkeypatch, index):
+    # the rows of g.mu are decided by the row ODE: a fault in it fails each
+    # word at the first row it touches, while the letter fold, which unrolls
+    # both triangles, still holds
+    fault = _ode_fault(index)
+    monkeypatch.setattr(gkpcore, "_ode_step", fault)
+    monkeypatch.setattr(symmetry, "_ode_step", fault)
+    mu, N = GKPParams.symbolic(), 4
+    for word in (S, Z, R, X ** 5):
+        rows = row_polys(gkp_triangle(apply_map(word, mu), N))
+        first = next(n for n in range(1, N + 1)
+                     if not felem_eq(fault(apply_map(word, mu), n, rows[n - 1]), rows[n]))
+        assert verify_action(word, mu, N) == {
+            "map": word.name(), "ok": False, "first_mismatch": {"n": first}}
+        assert oracle_verify(word, mu, N)["ok"], word
 
 
 def test_verify_actions_reports_each_word_as_verify_action(monkeypatch):
