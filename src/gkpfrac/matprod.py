@@ -22,7 +22,7 @@ from .gkpcore import (
 )
 from .combinat import binom
 from .hankel import cofactor_det
-from .symmetry import Z as Z_WORD, verify_action
+from .symmetry import Z as Z_WORD, substitute, verify_action
 
 
 class SizeMismatch(ValueError):
@@ -427,15 +427,11 @@ def _inverse_pair_statements(A, B, alpha, x):
     N = A.order
     partner = inverse_pair_from_b(B, alpha)
     cells = [(n, k) for n in range(N + 1) for k in range(n + 1)]
-    # (a) A_n(x) = sum_k b_nk x^k (1 + alpha x)^(n-k)
-    a = all(felem_eq(p,
-                     sum(c * x ** k * (1 + alpha * x) ** (n - k)
-                         for k, c in enumerate(B.rows[n])))
-            for n, p in enumerate(row_polys(A)))
+    # (a) A_n(x) = sum_k b_nk x^k (1 + alpha x)^(n-k) = H_n^B(x, 1 + alpha x)
+    a = all(map(felem_eq, row_polys(A), substitute(B.rows, (1, 0, alpha, 1), x)))
     # (c) the reversed row polynomials are x-shifts of each other
-    reversed_polys = lambda T: row_polys(Triangle([r[::-1] for r in T.rows]))
-    c = all(felem_eq(p, q.subs({"x": x + alpha}))
-            for p, q in zip(reversed_polys(A), reversed_polys(B)))
+    c = all(map(felem_eq, row_polys(Triangle([r[::-1] for r in A.rows])),
+                substitute([r[::-1] for r in B.rows], (1, alpha, 0, 1), x)))
     # (e) A(n,k) = sum_j alpha^(k-j) C(n-j, k-j) B(n,j)
     e = all(felem_eq(A.entry(n, k), partner.entry(n, k))
             for n, k in cells)
@@ -533,7 +529,7 @@ def _xshift_system(mu):
     u = (alpha~, beta~, alpha~', beta~'), mu' = base + sum_i u_i dirs_i."""
     x, xi = variables("x xi")
     zero = MPoly.zero(xi.vars)
-    qs = [as_mpoly(p.subs({"x": x + xi}), xi.vars) for p in row_polys(gkp_triangle(mu, 3))]
+    qs = substitute(gkp_triangle(mu, 3).rows, (1, xi, 0, 1), x)
     q1 = qs[1].coeffs_in("x")
     base = (0, 0, q1.get(0, zero), 0, 0, q1.get(1, zero))
     dirs = ((1, 0, -1, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1))

@@ -31,6 +31,7 @@ from .exactalg import (
 from .gkpcore import GKPParams, cleared_triangle, gkp_triangle, ogf_trunc
 from .cfrac import cfrac_refutation, extract_sfrac
 from . import families
+from .symmetry import transport
 from .hintbook import make_hint_book
 
 
@@ -398,14 +399,14 @@ def _check_leaf(node: SearchNode, fid: str, want):
     """The node's series has family ``fid``'s S-fraction ``want``: a red
     prediction through c_10, a terminating one three levels past its end.
     Decided on the series F(d2 x/d1, d1 t) of ``cleared_triangle``, whose
-    coefficients are d1 c(d2 x/d1); a refuted prediction raises
-    ``InconsistentNode`` naming the level at which extraction departs."""
+    coefficients are d1 c(d2 x/d1) (``transport``); a refuted prediction
+    raises ``InconsistentNode`` naming the level at which extraction departs."""
     level = want.terminated_at
     t, d1, d2 = cleared_triangle(
         node.mu(), RED_DEPTH if level is None else level + 3, V.a.vars)
     if d1 != 1 or d2 != 1:
-        x = {"x": felem_div(d2 * V.x, d1)}
-        want = replace(want, c=tuple(d1 * _subst_field(c, x) for c in want.c))
+        m = d2, 0, 0, d1, 1
+        want = replace(want, c=tuple(transport(c, m) for c in want.c))
     bad = cfrac_refutation(ogf_trunc(t), want, "%s (%s)" % (node.name(), fid))
     if bad is None:
         return

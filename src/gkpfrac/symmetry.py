@@ -339,18 +339,23 @@ def _check_x_formula(mu) -> bool:
 # action on triangles and row polynomials
 # ---------------------------------------------------------------------------
 
-# A word acts on row polynomials by one substitution
+# A word acts on row polynomials by one substitution (``substitute``)
 #     P_n(x)  ->  H_n(a x + b, c x + d) / w^n,   H_n(X, Y) = sum_k T(n,k) X^k Y^(n-k),
 # held as the x-free matrix m = (a, b, c, d, w), which is defined up to a
 # common factor.  Substitutions compose by the 2x2 matrix product (GL_2
 # acting on binary forms of degree n), so a word costs one substitution per
-# row of mu, all of it polynomial.  The rows of g.mu are decided by their
-# row ODE applied to the substituted rows of mu: exact, since the rows are
-# unique from P_0 = 1 and L_n is linear in the parameters.
+# row of mu, all of it polynomial; a scaling map is one more letter.  The
+# rows of g.mu are decided by their row ODE applied to the substituted rows
+# of mu: exact, since the rows are unique from P_0 = 1 and L_n is linear in
+# the parameters.
 
 def _letter_matrix(letter, mu, vars):
-    """The substitution of one letter acting on the parameters mu."""
+    """The substitution of one letter or ``ScalingMap`` acting on mu."""
     one, zero = MPoly.one(vars), MPoly.zero(vars)
+    split = lambda v: [as_mpoly(part, vars) for part in num_den(v)]
+    if isinstance(letter, ScalingMap):  # kappa^n P_n(lambda x / kappa)
+        (kn, kd), (ln, ld) = split(letter.kappa), split(letter.lam)
+        return ln * kd, zero, zero, kn * ld, kd * ld
     if letter == "S":
         return one, zero, zero, -one, one
     if letter == "D":
@@ -358,8 +363,7 @@ def _letter_matrix(letter, mu, vars):
     # mu has passed the letter's parameter action (``_orbit``), which raises
     # SingularMap where the b' (for R, the b) divided by here is zero
     _, b, _, _, bp, _ = mu
-    bn, bd = (as_mpoly(v, vars) for v in num_den(b))
-    pn, pd = (as_mpoly(v, vars) for v in num_den(bp))
+    (bn, bd), (pn, pd) = split(b), split(bp)
     p, q = pn * bd, bn * pd             # b / b' = q / p
     if letter == "Z":                   # x - b/b'
         return p, -q, zero, p, p
@@ -387,36 +391,39 @@ def word_matrix(letters, orbit, vars, m=None):
     return m
 
 
+def substitute(forms, m, x):
+    """H(a x + b, c x + d) for each binary form H(u, v) = sum_k h_k u^k
+    v^(E-k) of ``forms``, each given by its coefficients [h_0, ..., h_E],
+    with m = (a, b, c, d, ...): the powers of u and v are built once, to the
+    highest degree, and shared by the forms."""
+    a, b, c, d = m[:4]
+    u, v = a * x + b, c * x + d
+    one = MPoly.one(x.vars)
+    upow, vpow = [one, u], [one, v]
+    for _ in range(max(map(len, forms)) - 2):
+        upow.append(upow[-1] * u)
+        vpow.append(vpow[-1] * v)
+    return [sum((h * (upow[k] * vpow[len(form) - 1 - k])
+                 for k, h in enumerate(form) if not felem_is_zero(h)),
+                MPoly.zero(x.vars))
+            for form in forms]
+
+
 def transport(coeff, m):
     """The law of a word with matrix ``m`` on S- and T-fraction
     coefficients: since the ogf of g.mu is F(m(x), lambda t), each
-    coefficient c of mu's fraction becomes lambda c(m(x)).  For c of
-    x-degree e <= E = max(e, 1) that is the form sum_i c_i u^i v^(E-i) in
-    u = a x + b and v = c x + d, over w v^(E-1): one division."""
-    a, b, c, d, w = m
-    x = MPoly.variable("x", a.vars)
-    u, v = a * x + b, c * x + d
-    cx = x_coeffs(coeff)
-    E = max(1, max(cx, default=0))
-    return felem_div(sum(q * u ** i * v ** (E - i) for i, q in cx.items()),
-                     w * v ** (E - 1))
-
-
-def _substituted_rows(rows, m, x):
-    """H_n(a x + b, c x + d) for the triangle rows ``rows``, one row at a
-    time."""
-    a, b, c, d, _ = m
-    u, v = a * x + b, c * x + d
-    upow, vpow = [MPoly.one(x.vars)], [MPoly.one(x.vars)]
-    for _ in range(len(rows) - 1):
-        upow.append(upow[-1] * u)
-        vpow.append(vpow[-1] * v)
-    for n, row in enumerate(rows):
-        acc = MPoly.zero(x.vars)
-        for k, t in enumerate(row):
-            if not felem_is_zero(t):
-                acc = acc + t * (upow[k] * vpow[n - k])
-        yield acc
+    coefficient c = p/q of mu's fraction becomes lambda c(m(x)).  For p and
+    q of x-degrees e and f that is v^(1+f-e) H_p(u, v) / (w H_q(u, v)): the
+    form of p of degree E = max(e, f + 1) over w times the form of q of
+    degree E - 1, one division.  A form of degree 0 is not substituted."""
+    x = MPoly.variable("x", m[0].vars)
+    p, q = (x_coeffs(part) for part in num_den(coeff))
+    E = max(max(p, default=0), max(q) + 1)
+    forms = [[p.get(i, 0) for i in range(E + 1)]]
+    if E > 1:
+        forms.append([q.get(j, 0) for j in range(E)])
+    num, *den = substitute(forms, m, x)
+    return felem_div(num, m[4] * (den[0] if den else q[0]))
 
 
 def _substitution_check(mu, moved, N):
@@ -442,56 +449,46 @@ def _substitution_check(mu, moved, N):
     x, zero = MPoly.variable("x", vars), MPoly.zero(vars)
     clear = e1, zero, zero, e2, e1 * e2
 
-    def check(name, letters, orbit, moved):
-        """Row n of ``moved`` by its row ODE against row n of mu under the
-        word ``letters``, whose parameters along the way are ``orbit``."""
-        nums, d1, d2 = _cleared(moved, vars)
+    def check(name, letters, orbit):
+        """Row n of g.mu = orbit[-1] by its row ODE against row n of mu
+        under ``letters``, whose parameters along the way are ``orbit``."""
+        nums, d1, d2 = _cleared(orbit[-1], vars)
         scaled = [d2 * v for v in nums[:3]] + [d1 * v for v in nums[3:]]
         m = word_matrix(letters, orbit, vars, clear)
 
         def rows():
-            qs = _substituted_rows(rhs.rows, m, x)
-            prev = next(qs)
-            yield {"n": 0}, 1, prev
-            for n, q in enumerate(qs, 1):
-                yield {"n": n}, m[4] * _ode_step(scaled, n, prev), d1 * d2 * q
-                prev = q
+            qs = substitute(rhs.rows, m, x)
+            yield {"n": 0}, 1, qs[0]
+            for n in range(1, len(qs)):
+                yield {"n": n}, m[4] * _ode_step(scaled, n, qs[n - 1]), d1 * d2 * qs[n]
 
         return {"map": name, **mismatch_report(first_mismatch(rows()))}
 
     return check
 
 
-def _word(g):
-    """(name, letters) of a word given as text, a GroupWord or letters."""
+def _word(g, mu):
+    """(name, letters, orbit of mu) of a ``ScalingMap``, which is its own
+    letter, or of a word given as text, a GroupWord or letters."""
+    if isinstance(g, ScalingMap):
+        return "S_{kappa,lambda}", [g], [mu, tuple(apply_map(g, mu))]
     word = parse_word(g) if isinstance(g, str) else g
-    if isinstance(word, GroupWord):
-        return word.name(), word.letters()
-    letters = list(word)
-    return "*".join(letters), letters
+    letters = word.letters() if isinstance(word, GroupWord) else list(word)
+    name = word.name() if isinstance(word, GroupWord) else "*".join(letters)
+    return name, letters, _orbit(letters, mu)
 
 
 def verify_actions(words, mu, N: int) -> list:
     """The report of ``verify_action`` for each of ``words`` on one mu, in
-    order.  For the group words only mu's cleared triangle is unrolled,
-    once; each g.mu is decided by its row ODE on mu's substituted rows, exact
-    as the rows are unique from P_0 = 1 and L_n is linear in mu.  Nothing is
-    kept between calls."""
-    words = [g if isinstance(g, ScalingMap) else _word(g) for g in words]
+    order.  Only mu's cleared triangle is unrolled, once; each g.mu is
+    decided by its row ODE on mu's substituted rows, exact as the rows are
+    unique from P_0 = 1 and L_n is linear in mu.  Nothing is kept between
+    calls."""
+    mu = tuple(GKPParams.of(mu))
     # the parameters come first: a singular map raises before any row work
-    orbits = [None if isinstance(w, ScalingMap) else _orbit(w[1], mu) for w in words]
-    moved = [o[-1] for o in orbits if o]
-    check = _substitution_check(tuple(GKPParams.of(mu)), moved, N) if moved else None
-    return [_verify_scaling(w, mu, N) if o is None else check(*w, o, o[-1])
-            for w, o in zip(words, orbits)]
-
-
-def _verify_scaling(g, mu, N):
-    t = gkp_triangle(mu, N)
-    kappa, lam = g.kappa, g.lam
-    return {"map": "S_{kappa,lambda}", **triangle_mismatch(
-        gkp_triangle(apply_map(g, mu), N),
-        lambda n, k: kappa ** (n - k) * lam ** k * t.entry(n, k), N)}
+    words = [_word(g, mu) for g in words]
+    check = _substitution_check(mu, [w[2][-1] for w in words], N) if words else None
+    return [check(*w) for w in words]
 
 
 def verify_action(g, mu, N: int) -> dict:

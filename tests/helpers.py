@@ -1,7 +1,9 @@
 """Names that only the tests call, kept out of the package: the membership
-table of the group's conjugacy classes and the yes/no form of the series
-check of a predicted fraction."""
+table of the group's conjugacy classes, the yes/no form of the series
+check of a predicted fraction and the substitution route of the transport
+law."""
 from gkpfrac.cfrac import _departure
+from gkpfrac.exactalg import MPoly, RatFunc, felem_div
 from gkpfrac.symmetry import IDENT, S, X, Z
 
 
@@ -36,3 +38,16 @@ def cfrac_confirms(a, want) -> bool:
     ``cfrac.cfrac_refutation`` decides it.  True is certain; False means
     that extraction differs, or that the series cannot tell."""
     return _departure(a, want)[1] is None
+
+
+def transported(c, m):
+    """lambda c(m(x)) for the matrix m = (a, b, c, d, w), with
+    lambda = (c x + d)/w and m(x) = (a x + b)/(c x + d), by ``MPoly.subs``
+    with a field value and one ``felem_div``: a route that shares no binary
+    form with ``symmetry.transport``."""
+    a, b, cx, d, w = m
+    x = MPoly.variable("x", a.vars)
+    v = cx * x + d
+    if isinstance(c, (MPoly, RatFunc)):
+        c = c.subs({"x": felem_div(a * x + b, v)})
+    return felem_div(v * c, w)

@@ -4,21 +4,22 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gkpfrac import cli, gkpcore, symmetry
 from gkpfrac.exactalg import (
     MPoly, RatFunc, as_field, as_mpoly, clear_denominators, divide_exact,
-    felem_eq, felem_is_zero, first_mismatch, mismatch_report, variables,
+    felem_div, felem_eq, felem_is_zero, first_mismatch, mismatch_report,
+    variables,
 )
 from gkpfrac.gkpcore import PARAM_NAMES, GKPParams, gkp_triangle, row_polys
 from gkpfrac.symmetry import (
     CaseMismatch, D, EXPECTED_CLASS_PROFILE, IDENT, R, S, SPRIME,
     ScalingMap, SingularMap, X, Z, all_elements, apply_map,
     apply_map_letters, group_table, map_equal, parse_word, rescale_gkp,
-    verify_action, verify_actions, verify_relations,
+    transport, verify_action, verify_actions, verify_relations,
 )
-from helpers import expected_classes
+from helpers import expected_classes, transported
 
 
 def test_normal_forms_unique_and_closed():
@@ -138,6 +139,34 @@ def test_actions_small():
     assert [rep["ok"] for rep in reps] == [True] * 5
     assert verify_action(["R"], mu, 5)["ok"]
     assert verify_action("S*Z*X^3", mu, 3)["ok"]
+
+
+RATIONAL_MU = tuple(map(Fraction, ["1/2", "2/3", "-1", "3/4", "1/5", "2"]))
+
+
+@pytest.mark.parametrize("mu", [GKPParams.symbolic(), RATIONAL_MU],
+                         ids=["symbolic", "rational"])
+def test_scaling_maps_at_rational_and_rational_function_kappa_lambda(mu):
+    kp, = variables("kp", extra=PARAM_NAMES + ("x",))
+    for kappa, lam in [(Fraction(2, 3), Fraction(-3, 7)),
+                       (felem_div(1, kp), felem_div(1, 1 + kp))]:
+        assert verify_action(ScalingMap(kappa, lam), mu, 5) == {
+            "map": "S_{kappa,lambda}", "ok": True, "first_mismatch": None}
+
+
+def test_kappa_and_lambda_swapped_in_the_scaling_matrix_fail(monkeypatch):
+    # the witness of a scaling map is a row, as every word's
+    real = symmetry._letter_matrix
+    monkeypatch.setattr(symmetry, "_letter_matrix", lambda g, mu, vars: real(
+        ScalingMap(g.lam, g.kappa), mu, vars))
+    for mu in (GKPParams.symbolic(), RATIONAL_MU):
+        assert verify_action(ScalingMap(Fraction(2, 3), Fraction(-3, 7)), mu, 4) \
+            == {"map": "S_{kappa,lambda}", "ok": False, "first_mismatch": {"n": 1}}
+
+
+def test_no_words_unroll_no_triangle(monkeypatch):
+    monkeypatch.setattr(symmetry, "cleared_triangle", None)
+    assert verify_actions([], GKPParams.symbolic(), 5) == []
 
 
 def test_duality_on_stirling_triangle():
@@ -308,6 +337,33 @@ def test_a_word_raises_only_where_its_map_is_undefined():
             else:
                 assert map_equal(apply_map(g, mu),
                                  [as_field(v).subs(point) for v in image]), (g, mu)
+
+
+# ---------------------------------------------------------------------------
+# the transport law of fraction coefficients against substitution
+# ---------------------------------------------------------------------------
+
+_s, _t, _x = variables("s t x")
+_ENTRY = st.builds(lambda i, j, k: i + j * _s + k * _t, *[st.integers(-2, 2)] * 3)
+# polynomials of x-degree 0-3, and rational coefficients with x in the
+# denominator: the power of v moves to either side of the quotient
+_COEFF = st.one_of(
+    st.lists(_ENTRY, min_size=1, max_size=4).map(
+        lambda cs: sum(c * _x ** i for i, c in enumerate(cs))),
+    st.sampled_from([felem_div(1, 1 + _x), felem_div(_x * _x, 2 - _x)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.tuples(*[_ENTRY] * 5), _COEFF)
+@example((1 + _s, _t, 2 * _t, 1 - _s, 2 + _s), Fraction(-1, 3))
+@example((2 + _s, 1, _s, 1, 2), felem_div(1, 1 + _x))
+@example((1, _t - 1, 2, _s, -2), felem_div(_x * _x, 2 - _x))
+@example((_s, 1, -1, 2, 1 + _t), _s * _x ** 3 + _x - _t)
+def test_transport_matches_substitution(m, c):
+    m = tuple(as_mpoly(e, _x.vars) for e in m)
+    a, b, cx, d, w = m
+    assume(not felem_is_zero(w * (a * d - b * cx)))
+    assert felem_eq(transport(c, m), transported(c, m))
 
 
 # ---------------------------------------------------------------------------
