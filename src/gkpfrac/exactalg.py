@@ -1396,23 +1396,6 @@ class TruncSeries:
                 acc = acc + power.scale(c)
         return acc
 
-    def exp(self) -> "TruncSeries":
-        if not felem_is_zero(self.coeffs[0]):
-            raise ValueError("exp requires zero constant term")
-        n = self.order
-        # E' = f' E  =>  (k+1) e_{k+1} = sum_j (j+1) f_{j+1} e_{k-j}
-        e = [1]
-        for k in range(n):
-            acc = None
-            for j in range(k + 1):
-                f = self.coeffs[j + 1]
-                if felem_is_zero(f):
-                    continue
-                term = ((j + 1) * f) * e[k - j]
-                acc = term if acc is None else acc + term
-            e.append(0 if acc is None else acc * Fraction(1, k + 1))
-        return TruncSeries(n, e)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

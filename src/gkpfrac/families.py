@@ -11,7 +11,9 @@ P_n(x; g mu) = lambda(x)^n P_n(m(x); mu), each coefficient c of the
 representative's S- or T-fraction becomes lambda c(m(x))
 (``symmetry.transport``).  That law is applied once per family, at its
 symbolic point with the level index k symbolic, and must give polynomials
-(``_derived``).
+(``_derived``).  Closed-form egfs obey F_{g mu}(x, t) = F_mu(m(x), lambda t):
+F1a, F2a, F5, F1c and GKPZ state theirs, F7a's is a binomial shift of F3a's,
+and a derived family's is its representative's, transported (``_transported``).
 Verification regenerates the triangle and compares its ogf with the
 prediction, symbolically in all free parameters; an S or J prediction is
 read and refuted by ``cfrac.cfrac_refutation`` alone.
@@ -25,9 +27,9 @@ from itertools import chain, count
 from typing import Callable, Optional
 
 from .exactalg import (
-    MPoly, RatFunc, TruncSeries, as_mpoly, exp_series, felem_div, felem_eq,
-    felem_is_zero, first_mismatch, generalized_binomial_series, mismatch_report,
-    variables,
+    MPoly, RatFunc, TruncSeries, _common_factor, _lead_content, as_mpoly,
+    exp_series, felem_div, felem_eq, felem_is_zero, first_mismatch,
+    generalized_binomial_series, mismatch_report, variables, x_coeffs,
 )
 from .gkpcore import (
     GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle, ogf_trunc,
@@ -37,7 +39,7 @@ from .cfrac import (
     CFrac, binomial_transform_seq, cfrac_refutation, contract, eval_tr,
 )
 from .matprod import binomial_matrix, triangle_product
-from .symmetry import _orbit, transport, word_matrix
+from .symmetry import _orbit, substitute, transport, word_matrix
 
 
 class ArityMismatch(ValueError):
@@ -45,12 +47,13 @@ class ArityMismatch(ValueError):
 
 
 class NonRationalExponent(ValueError):
-    pass
+    what = "exponent denominator"
 
 
 class VanishingDenominator(ValueError):
     """A closed form's denominator outside the exponent is zero at the
     given parameters."""
+    what = "denominator"
 
 
 @dataclass(frozen=True)
@@ -379,25 +382,34 @@ def predicted_cfrac(id: str, params=None, m: int = 8, kind: Optional[str] = None
 
 
 @lru_cache(maxsize=None)
-def _derived(spec: FamilySpec, rep: FamilySpec) -> Callable:
-    """The function of a point vals that gives ``spec`` with its rules
-    stated there.  They are derived once: ``rep`` is bound at the point of
-    ``spec`` mapped back by the word reversed (each letter is an
-    involution), with the level index k symbolic, and each coefficient c
-    becomes lambda c(m(x)) (``symmetry.transport``), which must be a
-    polynomial in the parameters, k and x; ArithmeticError, naming both
-    families and the word, is a catalog fault, as is a rule of ``rep`` whose
-    value at k = 1 or 2 is not its form in k put there.  At vals, the
-    parameters and x are substituted once and k at each level."""
-    word = spec.source[1]
+def _pullback(spec: FamilySpec):
+    """(binding, m) of a derived family: its representative bound at the
+    symbolic point mapped back by the word (each letter is an involution),
+    and the word's matrix (``symmetry.word_matrix``) over the parameters,
+    the level index k and x."""
+    rep, word = spec.source
     *gens, k, _ = variables(spec.params + ("k", "x"))
     point = spec.template(dict(zip(spec.params, gens)))
     orbit = _orbit(word[::-1], point)[::-1]
-    binding = family_binding(rep.id, orbit[0])
+    binding = family_binding(rep, orbit[0])
     if binding is None:
         raise ArithmeticError("%s: the preimage of the point under %s is not "
-                              "inside %s" % (spec.id, word, rep.id))
-    m = word_matrix(word, orbit, k.vars)
+                              "inside %s" % (spec.id, word, rep))
+    return binding, word_matrix(word, orbit, k.vars)
+
+
+@lru_cache(maxsize=None)
+def _derived(spec: FamilySpec, rep: FamilySpec) -> Callable:
+    """The function of a point vals that gives ``spec`` with its rules
+    stated there.  They are derived once, at ``_pullback(spec)``: each
+    coefficient c becomes lambda c(m(x)) (``symmetry.transport``), which
+    must be a polynomial in the parameters, k and x; ArithmeticError, naming
+    both families and the word, is a catalog fault, as is a rule of ``rep``
+    whose value at k = 1 or 2 is not its form in k put there.  At vals, the
+    parameters and x are substituted once and k at each level."""
+    word = spec.source[1]
+    binding, m = _pullback(spec)
+    k = MPoly.variable("k", m[0].vars)
 
     def moved(c):
         if isinstance(c, tuple):
@@ -522,83 +534,49 @@ def verify_binomial_relations(pair: str, N: int = 8) -> dict:
 # ---------------------------------------------------------------------------
 
 def egf_closed_form(id: str, vals: dict, order: int) -> TruncSeries:
-    """The published closed-form egf of the family at numeric parameters
-    (x stays symbolic).  Raises NonRationalExponent when a parameter
-    denominator in the exponent vanishes, and VanishingDenominator, naming
-    the family and the expression, when one outside it does."""
+    """The closed-form egf of the family at numeric parameters (x stays
+    symbolic): the published one of F1a, F2a, F5, F1c and GKPZ, F3a's
+    gamma-shift for F7a, and for F1b, F2b, F3a, F3b, F4a, F4b, F6 and F7b
+    their representative's, transported (``_transported``).  Each error
+    names the family: NonRationalExponent when a denominator in the
+    exponent vanishes, VanishingDenominator when one outside it does."""
     return _closed_form(id, id, vals, order)
 
 
 def _closed_form(id: str, family: str, vals: dict, order: int) -> TruncSeries:
-    """``egf_closed_form`` of ``id``; a VanishingDenominator names
-    ``family``, which for a binomial shift is the outer family."""
-    x = MPoly.variable("x", ("x",))
-    one = MPoly.one(("x",))
+    """``egf_closed_form`` of ``id``; an error names ``family``, which for
+    a binomial shift is the outer family."""
     v = {k: Fraction(val) for k, val in vals.items()}
+    source = getattr(CATALOG.get(id), "source", None)
+    if source is not None and source[0] in ("F1a", "F2a", "F7a"):  # stated below
+        return _transported(CATALOG[id], family, v, order)
+    x = MPoly.variable("x", ("x",))
 
     def rf(num, den):
         if felem_is_zero(den):
-            raise NonRationalExponent("exponent denominator vanishes")
-        return felem_div(num, den)
-
-    def over(num, den, expr):
-        if felem_is_zero(den):
-            raise VanishingDenominator("%s: denominator %s vanishes" % (family, expr))
+            raise NonRationalExponent("%s: exponent denominator vanishes" % family)
         return felem_div(num, den)
 
     def f1a_base(b, ap):
         c = b - ap * x
+        if felem_is_zero(c):
+            raise VanishingDenominator("%s: denominator beta - alphap*x vanishes" % family)
         return (TruncSeries(order, [b] + [0] * order)
-                - exp_series(c, order).scale(ap * x)) * over(one, c, "beta - alphap*x")
+                - exp_series(c, order).scale(ap * x)) * felem_div(1, c)
 
     if id == "F1a":
         b, ap, gp = v["beta"], v["alphap"], v["gammap"]
         return generalized_binomial_series(f1a_base(b, ap), rf(-gp, ap))
-    if id == "F1b":
-        b, g, ap = v["beta"], v["gamma"], v["alphap"]
-        c = ap * x - b
-        base = (TruncSeries(order, [ap * x] + [0] * order)
-                - exp_series(c, order).scale(b)) * over(one, c, "alphap*x - beta")
-        return generalized_binomial_series(base, rf(-g, b))
     if id == "F2a":
-        a, ap, bp, gp = v["alpha"], v["alphap"], v["betap"], v["gammap"]
-        y = (ap + bp) * x
-        base = TruncSeries(order, [1, -y])
+        ap, bp, gp = v["alphap"], v["betap"], v["gammap"]
+        base = TruncSeries(order, [1, -(ap + bp) * x])
         return generalized_binomial_series(base, rf(-(ap + bp + gp), ap + bp))
-    if id == "F2b":
-        a, b, g, bp = v["alpha"], v["beta"], v["gamma"], v["betap"]
-        base = TruncSeries(order, [1, -a])
-        return generalized_binomial_series(base, rf(-(a + g), a))
-    if id == "F3a":
-        b, bp, gp = v["beta"], v["betap"], v["gammap"]
-        u = exp_series(b, order)
-        base = 1 + (1 - u).scale(bp * x) * over(one, b, "beta")
-        return generalized_binomial_series(base, rf(-(bp + gp), bp))
-    if id == "F3b":
-        a, g, ap = v["alpha"], v["gamma"], v["alphap"]
-        u = exp_series(ap * x, order)
-        base = 1 + (1 - u).scale(a) * over(one, ap * x, "alphap*x")
-        return generalized_binomial_series(base, rf(-(a + g), a))
-    if id == "F4a":
-        bp, gp, kp = v["betap"], v["gammap"], v["kappa"]
-        u = exp_series(-kp * bp, order)
-        base = 1 - (1 - u).scale((kp + x) * over(1, kp, "kappa"))
-        return generalized_binomial_series(base, rf(-(bp + gp), bp))
-    if id == "F4b":
-        a, g, kp = v["alpha"], v["gamma"], v["kappa"]
-        u = exp_series(-kp * a * x, order)
-        base = 1 - (1 - u).scale(over(1 + kp * x, kp * x, "kappa*x"))
-        return generalized_binomial_series(base, rf(-(a + g), a))
     if id == "F5":
         a, g, ap, gp = v["alpha"], v["gamma"], v["alphap"], v["gammap"]
         base = TruncSeries(order, [1, -(a + ap * x)])
         return generalized_binomial_series(
             base, rf(-((a + g) + (ap + gp) * x), a + ap * x))
-    if id == "F6":
-        ap, bp, gp, kp = v["alphap"], v["betap"], v["gammap"], v["kappa"]
-        base = TruncSeries(order, [1, -(ap + bp) * (kp + x)])
-        return generalized_binomial_series(base, rf(-(ap + bp + gp), ap + bp))
-    if id in _BINOMIAL_SHIFTS:
+    if id == "F7a":
         inner, xi = _BINOMIAL_SHIFTS[id]
         inner_vals = {p: v[p] for p in CATALOG[inner].params}
         return exp_series(xi(v, x), order) * _closed_form(inner, family, inner_vals, order)
@@ -610,22 +588,43 @@ def _closed_form(id: str, family: str, vals: dict, order: int) -> TruncSeries:
     if id in ("GKPZ", "GKPZ-ALT"):
         b, g, ap, gp, kp = (v["beta"], v["gamma"], v["alphap"], v["gammap"],
                             v["kappa"])
-        if felem_is_zero(b) or felem_is_zero(ap + kp * b):
-            raise NonRationalExponent("exponent denominator vanishes")
-        delta = Fraction(g, 1) / b + Fraction(gp + kp * (b - g), 1) / (ap + kp * b)
+        r, M = rf(g, b), rf(gp + kp * (b - g), ap + kp * b)
         if id == "GKPZ":
-            a_val = (b - ap * x) * (Fraction(g, 1) / b)
-            c_val = b - ap * x
+            a_val, c_val = (b - ap * x) * r, b - ap * x
             b_val = felem_div((ap + kp * b) * x, b - ap * x)
         else:
-            M = Fraction(gp + kp * (b - g), 1) / (ap + kp * b)
-            a_val = (b - ap * x) * (-M)
-            c_val = -(b - ap * x)
+            a_val, c_val = (b - ap * x) * (-M), -(b - ap * x)
             b_val = felem_div(-b * (1 + kp * x), b - ap * x)
         pre = exp_series(a_val, order)
         bracket = 1 - (exp_series(c_val, order) - 1) * b_val
-        return pre * generalized_binomial_series(bracket, -delta)
+        return pre * generalized_binomial_series(bracket, -(r + M))
     raise UnknownFamily(id)
+
+
+def _transported(spec: FamilySpec, family: str, vals: dict, order: int) -> TruncSeries:
+    """The egf of a derived family at numeric vals, F_mu(m(x), lambda t):
+    [t^n] of the representative's egf at the binding of ``_pullback`` maps
+    as a form of degree n, P -> H_n(ax + b, cx + d) / w^n, once m's common
+    factor is divided out.  Errors name ``family``, and the representative
+    and the word where its form fails."""
+    rep, word = spec.source
+    binding, m = _pullback(spec)
+    m = _common_factor(list(m))[1]
+    at = lambda e: Fraction(e.subs(vals) or 0)
+    for den in (m[4], *(e.den for e in binding.values() if isinstance(e, RatFunc))):
+        if not at(den):
+            raise VanishingDenominator("%s: denominator %r vanishes"
+                                       % (family, den / _lead_content(den)))
+    try:
+        series = _closed_form(rep, rep, {p: at(e) for p, e in binding.items()}, order)
+    except (NonRationalExponent, VanishingDenominator) as err:
+        raise type(err)("%s: %s vanishes in %s's form under %s"
+                        % (family, err.what, rep, word)) from None
+    a, b, c, d, w = map(at, m)
+    forms = [[x_coeffs(p).get(i, 0) for i in range(n + 1)]
+             for n, p in enumerate(series.coeffs)]
+    rows = substitute(forms, (a, b, c, d), MPoly.variable("x", ("x",)))
+    return TruncSeries(order, [h / w ** n for n, h in enumerate(rows)])
 
 
 def verify_egf_closed_forms(id: str, numeric_params, N: int = 8) -> dict:

@@ -1,9 +1,11 @@
 """Names that only the tests call, kept out of the package: the membership
 table of the group's conjugacy classes, the yes/no form of the series
-check of a predicted fraction and the substitution route of the transport
-law."""
+check of a predicted fraction, the substitution route of the transport
+law and the exponential of a series."""
+from fractions import Fraction
+
 from gkpfrac.cfrac import _departure
-from gkpfrac.exactalg import MPoly, RatFunc, felem_div
+from gkpfrac.exactalg import MPoly, RatFunc, TruncSeries, felem_div, felem_is_zero
 from gkpfrac.symmetry import IDENT, S, X, Z
 
 
@@ -51,3 +53,21 @@ def transported(c, m):
     if isinstance(c, (MPoly, RatFunc)):
         c = c.subs({"x": felem_div(a * x + b, v)})
     return felem_div(v * c, w)
+
+
+def series_exp(s):
+    """exp(s) for a series s with zero constant term, by E' = s' E:
+    (k+1) e_{k+1} = sum_j (j+1) s_{j+1} e_{k-j}."""
+    if not felem_is_zero(s.coeffs[0]):
+        raise ValueError("exp requires zero constant term")
+    e = [1]
+    for k in range(s.order):
+        acc = None
+        for j in range(k + 1):
+            f = s.coeffs[j + 1]
+            if felem_is_zero(f):
+                continue
+            term = ((j + 1) * f) * e[k - j]
+            acc = term if acc is None else acc + term
+        e.append(0 if acc is None else acc * Fraction(1, k + 1))
+    return TruncSeries(s.order, e)

@@ -539,9 +539,9 @@ def test_vanishing_egf_denominator_is_a_usage_error(tmp_path):
     # internal division by zero (exit 3)
     for fid, params, expr in [
             ("F3a", "beta=0,betap=1,gammap=1", "beta"),
-            ("F3b", "alpha=1,gamma=1,alphap=0", "alphap*x"),
+            ("F3b", "alpha=1,gamma=1,alphap=0", "alpha*alphap"),
             ("F1a", "beta=0,alphap=0,gammap=1", "beta - alphap*x"),
-            ("F4b", "alpha=1,gamma=1,kappa=0", "kappa*x")]:
+            ("F4b", "alpha=1,gamma=1,kappa=0", "kappa")]:
         code, data = run_cli(["verify-egf", "--id", fid, "--params", params], tmp_path)
         assert code == 2 and data["exit"] == 2 and not data["ok"], fid
         assert data["error"] == ("VanishingDenominator: %s: denominator %s vanishes"

@@ -15,6 +15,7 @@ from gkpfrac.combinat import (
     master_poly_bruteforce, master_poly_vy_formula, perm_stats, stirling_cycle,
     stirling_subset, verify_master_sfrac, x_stirling_transform,
 )
+from helpers import series_exp
 
 
 def test_perm_stats_examples():
@@ -232,8 +233,8 @@ def master_egf(w, u, y, order: int) -> TruncSeries:
 def stirling_cycle_egf(w, y, order: int) -> TruncSeries:
     """(1 - y t)^(-w/y) = exp(sum_{n>=1} w y^(n-1) t^n / n), polynomial in
     both weights."""
-    return TruncSeries(order, [0] + [w * y ** (n - 1) * Fraction(1, n)
-                                     for n in range(1, order + 1)]).exp()
+    return series_exp(TruncSeries(order, [0] + [w * y ** (n - 1) * Fraction(1, n)
+                                                for n in range(1, order + 1)]))
 
 
 def test_x_stirling_transform():

@@ -12,6 +12,7 @@ from gkpfrac.exactalg import (
     first_mismatch, generalized_binomial_series, mismatch_report, mpoly_gcd,
     num_den, ratfunc, rational, variables, x_coeffs,
 )
+from helpers import series_exp
 
 
 def rand_poly(rng, gens, nterms=3, maxdeg=2, maxc=4):
@@ -191,7 +192,7 @@ def series_log(s):
 
 def power_exp_log(base, e):
     """base**e as exp(e log base)."""
-    return series_log(base).scale(e).exp()
+    return series_exp(series_log(base).scale(e))
 
 
 def power_binomial_sum(base, e):
@@ -209,7 +210,7 @@ def power_binomial_sum(base, e):
 def test_exp_log_roundtrip():
     x, = variables("x")
     s = TruncSeries(6, [0, x, 1, x * x])
-    assert series_log(s.exp()) == s
+    assert series_log(series_exp(s)) == s
 
 
 X_ONLY = ("x",)
@@ -678,7 +679,7 @@ def _guard_cases():
         (lambda: s - 0.5, TypeError, "unsupported operand"),
         (lambda: s * 0.5, TypeError, "unsupported operand"),
         (lambda: s.compose(s), ValueError, "inner series must have zero constant term"),
-        (lambda: s.exp(), ValueError, "exp requires zero constant term"),
+        (lambda: series_exp(s), ValueError, "exp requires zero constant term"),
         (lambda: generalized_binomial_series(s.shift_up(), 2), ValueError,
          "base must have constant term 1"),
         (lambda: felem_to_json(0.5), TypeError, "float"),

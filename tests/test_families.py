@@ -11,6 +11,7 @@ from gkpfrac.families import (
     egf_closed_form, family_ids, family_params, get_family, predicted_cfrac,
     verify_binomial_relations, verify_egf_closed_forms, verify_family,
 )
+from hand_egfs import HAND_EGF_IDS, hand_egf
 
 TERMINATING_IDS = ("s0", "s1a", "s1b", "s2a", "s2b", "s3a", "s3b",
                    "s4a", "s4b", "s5a", "s5b", "s6a", "s6b")
@@ -187,11 +188,25 @@ def test_egf_factorial_special_case():
 
 
 def test_egf_exponent_guard():
-    with pytest.raises(NonRationalExponent):
+    with pytest.raises(NonRationalExponent, match="^F1a: exponent denominator vanishes$"):
         egf_closed_form("F1a", {"beta": 1, "alphap": 0, "gammap": 3}, 4)
     # F5's exponent denominator is alpha + alpha' x
-    with pytest.raises(NonRationalExponent):
+    with pytest.raises(NonRationalExponent, match="^F5: exponent denominator vanishes$"):
         egf_closed_form("F5", {"alpha": 0, "gamma": 1, "alphap": 0, "gammap": 1}, 4)
+    # F1b binds F1a's alphap to its beta
+    with pytest.raises(NonRationalExponent) as err:
+        egf_closed_form("F1b", {"beta": 0, "gamma": 1, "alphap": 1}, 4)
+    assert str(err.value) == "F1b: exponent denominator vanishes in F1a's form under D"
+
+
+TRANSPORTED_MESSAGES = {
+    "F1b": "F1b: denominator vanishes in F1a's form under D",
+    "F3a": "F3a: denominator beta vanishes",
+    "F3b": "F3b: denominator alpha*alphap vanishes",
+    "F4a": "F4a: denominator kappa vanishes",
+    "F4b": "F4b: denominator kappa vanishes",
+    "F7b": "F7b: denominator vanishes in F7a's form under D",
+}
 
 
 @pytest.mark.parametrize("fid, vals, expr", [
@@ -206,11 +221,19 @@ def test_egf_exponent_guard():
     ("F7b", {"alpha": 1, "gamma": 1, "alphap": 0, "gammap": 1}, "alphap*x"),
 ])
 def test_egf_denominator_guard(fid, vals, expr):
-    # every denominator outside the exponent, at a point where only it
-    # vanishes (the exponent's denominator does not)
+    # every denominator outside the exponent of the stated and hand-written
+    # forms, at a point where only it vanishes (the exponent's denominator
+    # does not); a transported egf states the word's w there, or names the
+    # representative whose form it is and the word
+    want = "%s: denominator %s vanishes" % (fid, expr)
+    if fid in HAND_EGF_IDS:
+        with pytest.raises(VanishingDenominator) as err:
+            hand_egf(fid, vals, 4)
+        assert str(err.value) == want
+        want = TRANSPORTED_MESSAGES[fid]
     with pytest.raises(VanishingDenominator) as err:
         egf_closed_form(fid, vals, 4)
-    assert str(err.value) == "%s: denominator %s vanishes" % (fid, expr)
+    assert str(err.value) == want
 
 
 def test_catalog_listing():
