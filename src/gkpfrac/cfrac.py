@@ -29,7 +29,7 @@ from itertools import count
 from typing import Optional, Sequence
 
 from .exactalg import (
-    MPoly, TruncSeries, _common_factor, clear_denominators,
+    MPoly, TruncSeries, _common_factor, clear_denominators, divide_exact,
     felem_div, felem_eq, felem_is_zero, felem_to_json, first_mismatch, num_den,
 )
 
@@ -94,6 +94,22 @@ def _strip_content(A, B):
     return entries[:len(A)], entries[len(A):]
 
 
+def _divided(entries, p):
+    """The entries divided by p, MPoly values or zeros, or None unless p is
+    a nonconstant MPoly that divides every entry exactly."""
+    if not isinstance(p, MPoly) or p.is_constant():
+        return None
+    quos = []
+    for c in entries:
+        if c and not isinstance(c, MPoly):
+            return None
+        q = divide_exact(c, p) if c else c
+        if q is None:
+            return None
+        quos.append(q)
+    return quos
+
+
 def _check_series(a: TruncSeries, order: int):
     if not felem_eq(a.coeffs[0], 1):
         raise ValueError("series must have constant term 1")
@@ -115,7 +131,16 @@ def _extract(a: TruncSeries, m: int, name: str) -> CFrac:
 
     Level step: 1 - 1/g_k = e_k t + f_{k+1} t^2 g_{k+1} on g_k = A/B; stops
     early when some f vanishes identically, which requires the whole tail
-    to vanish."""
+    to vanish.
+
+    With e_k = p/q and f_{k+1} = p2/q2 reduced, g_{k+1} is q2 C[2:] over
+    p2 q A, C the series with zero t^0 and t^1 coefficients below.  When
+    the nonconstant polynomial p2 divides every entry of C[2:], as at most
+    levels of the decision tree, it is divided out of the numerator:
+    A = q2 C[2:]/p2 and B = q A, with no gcd taken.  Otherwise
+    ``_strip_content`` removes the content of both.  A factor left common
+    to A and B changes no coefficient: each e and f is a canonical
+    quotient (``felem_div``)."""
     A, L = clear_denominators(a.coeffs, ())
     B = [L] + [0] * a.order
     es, fs = [], []
@@ -136,8 +161,13 @@ def _extract(a: TruncSeries, m: int, name: str) -> CFrac:
             return CFrac("J", e=tuple(es), f=tuple(fs), terminated_at=k + 1)
         fs.append(fk)
         p2, q2 = num_den(fk)
-        A, B = _strip_content([q2 * x for x in C[2:]],
-                              [(p2 * q) * x for x in A[:-2]])
+        quos = _divided(C[3:], p2)
+        if quos is None:
+            A, B = _strip_content([q2 * x for x in C[2:]],
+                                  [(p2 * q) * x for x in A[:-2]])
+        else:
+            # C[2] q2 = p2 q A[0], so the new A[0] needs no division
+            A, B = [q * A[0]] + [q2 * x for x in quos], [q * x for x in A[:-2]]
     return CFrac("J", e=tuple(es), f=tuple(fs))
 
 

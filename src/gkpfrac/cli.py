@@ -17,11 +17,10 @@ import sys
 from fractions import Fraction
 
 from .exactalg import (
-    EXPONENT_LIMIT, MPoly, felem_to_json, rational, series_to_json, variables,
+    EXPONENT_LIMIT, MPoly, TruncSeries, felem_to_json, rational, series_to_json,
+    variables,
 )
-from .gkpcore import (
-    GKPParams, PARAM_NAMES, Triangle, ogf_trunc, row_polys, triangle,
-)
+from .gkpcore import GKPParams, PARAM_NAMES, Triangle, triangle, triangle_rows
 from . import cfrac as cf
 from . import combinat
 from . import families
@@ -214,24 +213,21 @@ def cmd_triangle(args):
 def cmd_polys(args):
     mu = _parse_mu(args.mu)
     N = _depth(args.depth)
-    t = triangle(mu, N)
-    ps = row_polys(t)
+    ps = triangle_rows(mu, N)
     return True, {"row_polys": [felem_to_json(p) for p in ps]}
 
 
 def cmd_sfrac(args):
     mu = _parse_mu(args.mu)
     N = _depth(args.depth)
-    t = triangle(mu, N)
-    out = cf.extract_sfrac(ogf_trunc(t), N)
+    out = cf.extract_sfrac(TruncSeries(N, triangle_rows(mu, N)), N)
     return True, {"cfrac": out.to_json()}
 
 
 def cmd_jfrac(args):
     mu = _parse_mu(args.mu)
     N = _depth(2 * args.levels)
-    t = triangle(mu, N)
-    out = cf.extract_jfrac(ogf_trunc(t), args.levels)
+    out = cf.extract_jfrac(TruncSeries(N, triangle_rows(mu, N)), args.levels)
     return True, {"cfrac": out.to_json()}
 
 
@@ -316,7 +312,7 @@ def cmd_hankel(args):
         raise UsageError("need exactly one of --family gkp-tilde and --mu")
     # the m x m Hankel matrix reads a_0..a_{2m-2}
     if args.mu:
-        ps = row_polys(triangle(_parse_mu(args.mu), 2 * m - 2))
+        ps = triangle_rows(_parse_mu(args.mu), 2 * m - 2)
     else:
         ps = hk.gkp_tilde_polys(2 * m - 2)
     rep = hk.hankel_tp(ps, m, args.order)
@@ -327,7 +323,7 @@ def cmd_hankel(args):
 
 def cmd_logconvex(args):
     nmax = _nonnegative(args.nmax, "--nmax")
-    ps = row_polys(triangle(_parse_mu(args.mu), nmax + 2))
+    ps = triangle_rows(_parse_mu(args.mu), nmax + 2)
     rep = hk.log_convexity(ps, nmax, strong=args.strong)
     return rep["ok"], {"logconvex": _mk_jsonable(rep)}
 

@@ -32,8 +32,8 @@ from .exactalg import (
     generalized_binomial_series, mismatch_report, variables, x_coeffs,
 )
 from .gkpcore import (
-    GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle, ogf_trunc,
-    row_polys, triangle, triangle_mismatch,
+    GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle, row_polys,
+    triangle, triangle_mismatch, triangle_rows,
 )
 from .cfrac import (
     CFrac, binomial_transform_seq, cfrac_refutation, contract, eval_tr,
@@ -476,7 +476,7 @@ def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None)
     spec = get_family(id)
     vals = _resolve_params(spec, params)
     kind = kind or spec.kind
-    ogf = ogf_trunc(triangle(spec.template(vals), N))
+    ogf = TruncSeries(N, triangle_rows(spec.template(vals), N))
     report = {"id": id, "kind": kind, "status": spec.status,
               "verified_to": N, "first_mismatch": None}
 

@@ -1,6 +1,16 @@
 """Triangular arrays from two-term and four-term linear recurrences, their
 row-generating polynomials, truncated generating functions, and residual
 checks for the differential recurrence / PDE satisfied by them.
+
+Rows come two ways.  ``gkp_rows`` steps the row ODE (``_ode_step``) on
+whole rows, and every caller that reads only GKP rows takes them from it:
+the search nodes and leaves, ``families.verify_family``, the symbolic
+Hankel rows and the CLI's ``polys``, ``sfrac``, ``jfrac``, ``hankel`` and
+``logconvex`` (``triangle_rows``).  The unroll stays where T(n,k) itself
+is read: the product recurrences of ``matprod``, the group actions of
+``symmetry``, ``triangle_mismatch`` and the four-term GKPZ triangle.
+``residual_checks`` keeps it too, so that the ODE is checked against an
+independent route.
 """
 from __future__ import annotations
 
@@ -207,6 +217,12 @@ def triangle(mu, N: int) -> Triangle:
     return gkpz_triangle(mu, N) if len(mu) == 8 else gkp_triangle(mu, N)
 
 
+def triangle_rows(mu, N: int) -> list:
+    """``row_polys(triangle(mu, N))``, by ``gkp_rows`` for six parameters."""
+    mu = tuple(mu)
+    return row_polys(gkpz_triangle(mu, N)) if len(mu) == 8 else gkp_rows(mu, N)
+
+
 def gkp_rule(mu) -> Callable:
     """The GKP specialization of the binomial-like coefficient rule."""
     a, b, g, ap, bp, gp = GKPParams.of(mu)
@@ -296,6 +312,31 @@ def _ode_step(mu, n: int, prev):
     x = MPoly.variable("x", prev.vars)
     return (n * (a + ap * x) + g + (bp + gp) * x) * prev \
         + x * (b + bp * x) * prev.deriv("x")
+
+
+def gkp_rows(mu, N: int) -> list:
+    """P_0..P_N of ``gkp_triangle(mu, N)`` by the row ODE: P_0 = 1 and
+    P_n = ``_ode_step(mu, n, P_(n-1))``, equal to
+    ``row_polys(gkp_triangle(mu, N))`` in value, row type and variable
+    tuple.  Each step multiplies whole rows, and no entry of T is built.
+
+    The ODE runs on polynomial mu, free of x, whose ``MPoly`` values share
+    one tuple.  Any other mu reads the unrolled triangle: scalar mu, as
+    its int unroll is faster than the ODE over Q[x]; ``RatFunc`` mu, as
+    the ODE differentiates rational rows (ten times slower at N = 6); and
+    mu over several tuples, as its rows take the tuples that the unroll's
+    products give them."""
+    mu = tuple(GKPParams.of(mu))
+    polys = [v for v in mu if isinstance(v, MPoly)]
+    tuples = {p.vars for p in polys}
+    if N < 1 or len(tuples) != 1 or any(isinstance(v, RatFunc) for v in mu) \
+            or any("x" in p.vars and p.degree_in("x") for p in polys):
+        return row_polys(gkp_triangle(mu, N))
+    (vars,) = tuples
+    rows = [MPoly.one(vars if "x" in vars else vars + ("x",))]
+    for n in range(1, N + 1):
+        rows.append(_ode_step(mu, n, rows[-1]))
+    return rows
 
 
 def residual_checks(mu, N: int):

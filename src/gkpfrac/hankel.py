@@ -43,7 +43,7 @@ from .exactalg import (
     MPoly, RatFunc, as_field, as_mpoly, divide_exact, felem_is_zero,
     least_negative,
 )
-from .gkpcore import GKPParams, gkp_triangle, row_polys, tilde_params
+from .gkpcore import GKPParams, gkp_rows, tilde_params
 
 
 class RequiresNumeric(TypeError):
@@ -534,8 +534,7 @@ def gkp_tilde_polys(N: int):
     names = ("ta", "tb", "tg", "tap", "tbp", "tgp")
     from .exactalg import variables
     gens = variables(names, extra=("x",))
-    mu = tilde_params(gens)
-    return row_polys(gkp_triangle(mu, N))
+    return gkp_rows(tilde_params(gens), N)
 
 
 def hypothesis_check(mu, which: str) -> bool:

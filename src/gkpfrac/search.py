@@ -14,9 +14,11 @@ coefficient vanishing) goes through one action interpreter, ``_take``.
 
 Each node's own split coefficient is extracted from its series.  A leaf's
 claimed S-fraction (the ten red families, the thirteen terminating ones) is
-decided on the series of ``gkpcore.cleared_triangle`` instead, by
+decided on the series of the parameters cleared per triple instead, by
 ``cfrac.cfrac_refutation``, which extracts a refuted leaf only up to its
-departure; the leaf's message is built from that witness.
+departure; the leaf's message is built from that witness.  Both series
+take their rows from ``gkpcore.gkp_rows``, which steps the row ODE on
+whole rows and builds no triangle.
 """
 from __future__ import annotations
 
@@ -25,10 +27,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactalg import (
-    MPoly, as_field, as_mpoly, clear_denominators, divide_exact,
+    MPoly, TruncSeries, as_field, as_mpoly, clear_denominators, divide_exact,
     felem_div, felem_eq, felem_is_zero, num_den, variables, x_coeffs,
 )
-from .gkpcore import GKPParams, cleared_triangle, gkp_triangle, ogf_trunc
+from .gkpcore import GKPParams, _cleared, gkp_rows
 from .cfrac import cfrac_refutation, extract_sfrac
 from . import families
 from .symmetry import transport
@@ -158,10 +160,11 @@ def _check_consistency(node: SearchNode, extra_atoms=()):
 def node_cs(node: SearchNode, depth: int):
     """c_1..c_depth of the node's series, extracted on D mu, D the lcm of
     all six denominators, and divided by D: each c_i has degree one in mu.
-    Per-triple clearing would need x mapped back, at 7-11 % more time."""
+    The rows of D mu come from ``gkp_rows``.  Per-triple clearing would
+    need x mapped back, at 7-11 % more time."""
     nums, D = clear_denominators([node.subs[p] for p in BASE], V.a.vars)
-    t = gkp_triangle([as_mpoly(v, V.a.vars) for v in nums], depth)
-    cf = extract_sfrac(ogf_trunc(t), depth)
+    rows = gkp_rows([as_mpoly(v, V.a.vars) for v in nums], depth)
+    cf = extract_sfrac(TruncSeries(depth, rows), depth)
     cs = list(cf.c) if D == 1 else [felem_div(ci, D) for ci in cf.c]
     return cs, cf.terminated_at
 
@@ -398,16 +401,19 @@ def _branch(node, kind, token, solve, leaf=None, factor_exprs=(),
 def _check_leaf(node: SearchNode, fid: str, want):
     """The node's series has family ``fid``'s S-fraction ``want``: a red
     prediction through c_10, a terminating one three levels past its end.
-    Decided on the series F(d2 x/d1, d1 t) of ``cleared_triangle``, whose
-    coefficients are d1 c(d2 x/d1) (``transport``); a refuted prediction
-    raises ``InconsistentNode`` naming the level at which extraction departs."""
+    Decided on the series F(d2 x/d1, d1 t), whose rows ``gkp_rows`` builds
+    on the numerators of the triples cleared by d1 and d2 (``_cleared``),
+    and whose coefficients are d1 c(d2 x/d1) (``transport``); a refuted
+    prediction raises ``InconsistentNode`` naming the level at which
+    extraction departs."""
     level = want.terminated_at
-    t, d1, d2 = cleared_triangle(
-        node.mu(), RED_DEPTH if level is None else level + 3, V.a.vars)
+    order = RED_DEPTH if level is None else level + 3
+    nums, d1, d2 = _cleared(tuple(node.mu()), V.a.vars)
     if d1 != 1 or d2 != 1:
         m = d2, 0, 0, d1, 1
         want = replace(want, c=tuple(transport(c, m) for c in want.c))
-    bad = cfrac_refutation(ogf_trunc(t), want, "%s (%s)" % (node.name(), fid))
+    bad = cfrac_refutation(TruncSeries(order, gkp_rows(nums, order)), want,
+                           "%s (%s)" % (node.name(), fid))
     if bad is None:
         return
     if "got" in bad:

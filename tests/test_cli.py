@@ -328,7 +328,8 @@ def test_hankel_order2_reports_come_from_the_minors(tmp_path):
 def test_hankel_builds_only_the_rows_the_matrix_reads(tmp_path, monkeypatch):
     # the m x m Hankel matrix reads a_0..a_{2m-2}: rows 0..2m-2 of the triangle
     asked = []
-    monkeypatch.setattr(cli, "triangle", lambda mu, N: asked.append(N) or triangle(mu, N))
+    rows = cli.triangle_rows
+    monkeypatch.setattr(cli, "triangle_rows", lambda mu, N: asked.append(N) or rows(mu, N))
     tilde = cli.hk.gkp_tilde_polys
     monkeypatch.setattr(cli.hk, "gkp_tilde_polys", lambda N: asked.append(N) or tilde(N))
     for m in (1, 3):

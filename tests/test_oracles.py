@@ -4,15 +4,21 @@ Everything here avoids the polynomial engine on purpose: triangles are
 rebuilt as weighted lattice-path sums, and continued-fraction coefficients
 are extracted with plain Fraction arithmetic after substituting random
 rational values for every indeterminate (including x).  The one exception
-is the S-extraction oracle, the former iteration of ``extract_sfrac`` on
-a(t) itself, which checks the J iteration on a(t^2) that replaced it.
+are the extraction oracles: the former iteration of ``extract_sfrac`` on
+a(t) itself, which checks the J iteration on a(t^2) that replaced it, and
+its J counterpart, which removes no content from the tails.
 """
+import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gkpfrac.cfrac import CFrac, NonExtractableSeries, eval_sr, extract_sfrac
+from gkpfrac import cfrac
+from gkpfrac.cfrac import (
+    CFrac, NonExtractableSeries, eval_jr, eval_sr, extract_jfrac, extract_sfrac,
+)
 from gkpfrac.exactalg import (
     MPoly, RatFunc, TruncSeries, as_field, clear_denominators, felem_div,
     felem_is_zero, num_den, variables,
@@ -200,9 +206,36 @@ def series_with_constant_term_1(draw):
     return TruncSeries(order, [1] + values)
 
 
-def extraction_outcome(extract, a):
+def quotient_jfrac(a, m):
+    """The J counterpart of ``quotient_sfrac``: g_0 = a, e_k = [t^1] of
+    1 - 1/g_k and g_{k+1} = (1 - 1/g_k - e_k t)/(f_{k+1} t^2), f_{k+1} its
+    [t^2], with g_k kept as a quotient A/B of polynomial-coefficient series
+    and no content removed."""
+    A, L = clear_denominators(a.coeffs, ())
+    B = [L] + [0] * a.order
+    es, fs = [], []
+    for k in range(1, m + 1):
+        # 1 - 1/g_k - e_k t = (q (A - B) - p t A)/(q A), with e_k = p/q
+        ek = felem_div(A[1] - B[1], A[0])
+        es.append(ek)
+        p, q = num_den(ek)
+        diff = [q * (x - y) - (p * A[j - 1] if j else 0)
+                for j, (x, y) in enumerate(zip(A, B))]
+        fk = felem_div(diff[2], q * A[0])
+        if felem_is_zero(fk):
+            if any(not felem_is_zero(as_field(x)) for x in diff[2:]):
+                raise NonExtractableSeries(
+                    "f_%d vanishes but the series continues" % k)
+            return CFrac("J", e=tuple(es), f=tuple(fs), terminated_at=k)
+        fs.append(fk)
+        p2, q2 = num_den(fk)
+        A, B = [q2 * x for x in diff[2:]], [p2 * q * x for x in A[:-2]]
+    return CFrac("J", e=tuple(es), f=tuple(fs))
+
+
+def extraction_outcome(extract, a, m=None):
     try:
-        return extract(a, a.order).to_json()
+        return extract(a, a.order if m is None else m).to_json()
     except NonExtractableSeries as exc:
         return type(exc).__name__, str(exc)
 
@@ -216,3 +249,45 @@ def extraction_outcome(extract, a):
 def test_sfrac_extraction_against_the_quotient_iteration(a):
     assert extraction_outcome(extract_sfrac, a) == \
         extraction_outcome(quotient_sfrac, a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(series_with_constant_term_1())
+@example(TruncSeries(6, [1, X, X + Y, X * Y + 1, Y, X, 1]))
+def test_jfrac_extraction_against_the_quotient_iteration(a):
+    m = a.order // 2
+    assert extraction_outcome(extract_jfrac, a, m) == \
+        extraction_outcome(quotient_jfrac, a, m)
+
+
+# Series on which every level's f_k = p_k/q_k has a numerator p_k that
+# divides the whole tail, so that the next tail is divided by p_k and no
+# content gcd is taken; series on which p_k does not divide it at the
+# first level, so that ``_strip_content`` takes the gcd; and series whose
+# first tail divides by p_k = x up to a nonzero scalar entry.
+KNOWN_FACTOR = {"S": eval_sr([X + 1, X + Y, 2 * X, Y + 1, X - Y], 5),
+                "J": eval_jr([X, Y, X + Y, 1], [X + 1, Y + 2, X * Y], 6)}
+CONTENT_GCD = {"S": TruncSeries(4, [1, X, X + Y, X * Y + 1, Y]),
+               "J": TruncSeries(6, [1, X, X + Y, X * Y + 1, Y, X, 1])}
+SCALAR_ENTRY = {"S": TruncSeries(3, [1, X, X * X + X, 1]),
+                "J": TruncSeries(6, [1, 0, X, 0, X * X + X, 0, 1])}
+
+
+@pytest.mark.parametrize("kind", ["S", "J"])
+@pytest.mark.parametrize("series, strips", [(KNOWN_FACTOR, False),
+                                            (CONTENT_GCD, True),
+                                            (SCALAR_ENTRY, True)],
+                         ids=["known-factor", "content-gcd", "scalar-entry"])
+def test_both_tail_branches_against_the_quotient_iteration(kind, series, strips,
+                                                           monkeypatch):
+    stripped = []
+    strip = cfrac._strip_content
+    monkeypatch.setattr(cfrac, "_strip_content",
+                        lambda A, B: stripped.append(len(A)) or strip(A, B))
+    a = series[kind]
+    if kind == "S":
+        got, want = extract_sfrac(a, a.order), quotient_sfrac(a, a.order)
+    else:
+        got, want = extract_jfrac(a, a.order // 2), quotient_jfrac(a, a.order // 2)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert bool(stripped) is strips

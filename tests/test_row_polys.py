@@ -1,9 +1,12 @@
 """``row_polys`` places each entry T(n,k) by shifting its packed keys by k
 times the key of x.  The summation it replaced, T(n,k) * x**k added up
 entry by entry, is kept below as a test-only oracle: every row must come
-out with the same type, variable tuple, terms and coefficient types."""
+out with the same type, variable tuple, terms and coefficient types.
+``gkp_rows``, the rows by the row ODE, must give the rows of the unrolled
+triangle in the same form."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkpfrac import gkpcore
@@ -12,8 +15,8 @@ from gkpfrac.exactalg import (
     variables,
 )
 from gkpfrac.gkpcore import (
-    GKPParams, Triangle, egf_trunc, gkp_triangle, gkpz_triangle, residual_checks,
-    row_polys,
+    PARAM_NAMES, GKPParams, Triangle, egf_trunc, gkp_rows, gkp_triangle,
+    gkpz_triangle, residual_checks, row_polys,
 )
 
 TUPLES = [(), ("a",), ("a", "b"), ("b", "a"), ("a", "b", "x"), ("x", "a"),
@@ -163,3 +166,48 @@ def test_residual_checks_take_rational_function_rows():
     odes, pde = residual_checks(mu, 4)
     assert len(odes) == 4 and all(felem_is_zero(r) for r in odes)
     assert pde.order == 3 and pde.is_zero()
+
+
+GENS = variables(PARAM_NAMES, extra=("x",))
+A, B = variables(("a", "b"))
+
+
+@st.composite
+def gkp_mus(draw, kind):
+    """Six parameters of one kind: symbolic; partly solved, each a
+    polynomial of degree <= 2 in the six over their tuple with x, as the
+    cleared search nodes are; rational; MPoly over (a, b) mixed with
+    Fraction; one RatFunc among MPoly and Fraction values; or one value
+    with x in it, or over a second tuple, where the ODE does not apply."""
+    if kind == "symbolic":
+        return GENS
+    if kind == "solved":
+        def term():
+            c = draw(fracs.filter(bool))
+            for g in draw(st.lists(st.sampled_from(GENS), max_size=2)):
+                c = c * g
+            return c
+        return tuple(sum((term() for _ in range(draw(st.integers(0, 2)))),
+                         MPoly.zero(GENS[0].vars)) for _ in range(6))
+    if kind == "rational":
+        return tuple(draw(fracs) for _ in range(6))
+    mu = [draw(st.sampled_from([A, B, A + B, 2 * A - 1, MPoly.zero(A.vars)]))
+          if draw(st.booleans()) else draw(fracs) for _ in range(6)]
+    odd = {"mixed": A - Fraction(1, 2), "ratfunc": ratfunc(A + 1, B + 2),
+           "x": A * MPoly.variable("x", ("a", "b", "x")),
+           "tuples": MPoly.variable("c", ("c",))}[kind]
+    mu[draw(st.integers(0, 5))] = odd
+    return tuple(mu)
+
+
+@pytest.mark.parametrize("kind", ["symbolic", "solved", "rational", "mixed",
+                                  "ratfunc", "x", "tuples"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gkp_rows_are_the_rows_of_the_unrolled_triangle(kind, data):
+    mu = data.draw(gkp_mus(kind))
+    # the unroll to N is the first N + 1 rows of the unroll to 10
+    rows = gkp_triangle(mu, 10).rows
+    for N in range(11):
+        want = row_polys(Triangle(rows[:N + 1]))
+        assert [form(p) for p in gkp_rows(mu, N)] == [form(p) for p in want], N
