@@ -6,7 +6,12 @@ report carries the witness), 2 = usage or configuration error, 3 = internal
 error (an ``ArithmeticError`` such as a failed cross-check, an overflow or a
 division by zero; the report names it under "internal").  Parameters
 are exact rational strings ("3", "-2/5") or the token "sym"; floats are
-rejected.  Every depth argument is capped at ``MAX_DEPTH``.
+rejected.  Capped at ``MAX_DEPTH``: every ``--depth``, the ``--order`` of
+``eval-cfrac`` and ``verify-egf``, twice ``jfrac --levels`` and
+``search-node --level``; ``hankel --size`` is capped at
+``hankel.SIZE_CAP``.  ``logconvex --nmax``, ``combinat --master`` and
+``--explicit`` and ``inverse-pair --random`` and ``--identity-range`` are
+only required to be nonnegative.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .exactalg import (
@@ -288,8 +294,8 @@ def cmd_group(args):
                      "elements": [e.name() for e in c["elements"]]}
                     for c in classes],
     }
-    ok = len(elems) == 48 and sorted(
-        (c["order"], c["size"]) for c in classes) == symmetry.EXPECTED_CLASS_PROFILE
+    ok = sorted((c["order"], c["size"])
+                for c in classes) == symmetry.EXPECTED_CLASS_PROFILE
     return ok, {"group": data}
 
 
@@ -586,42 +592,39 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     report = {"schema_version": SCHEMA_VERSION, "command": args.command}
+    # the --out path is opened before the subcommand runs, so that a path
+    # that cannot be written is a usage error with its report on stdout
     try:
-        ok, payload = args.fn(args)
-    except UsageError as exc:
-        report.update({"ok": False, "error": str(exc), "exit": 2})
-        _emit(report, args)
+        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        report.update({"ok": False, "exit": 2, "error": "cannot write --out "
+                       "%s: %s" % (args.out, exc.strerror or exc)})
+        _emit(report, sys.stdout)
         return 2
-    except CHECK_FAILURES as exc:
-        report.update({"ok": False, "failure": "%s: %s"
-                       % (type(exc).__name__, exc), "exit": 1})
-        _emit(report, args)
-        return 1
-    except (KeyError, ValueError, TypeError, symmetry.SingularMap) as exc:
-        report.update({"ok": False, "error": "%s: %s"
-                       % (type(exc).__name__, exc), "exit": 2})
-        _emit(report, args)
-        return 2
-    except ArithmeticError as exc:
-        report.update({"ok": False, "internal": "%s: %s"
-                       % (type(exc).__name__, exc), "exit": 3})
-        _emit(report, args)
-        return 3
-    report.update(payload)
-    report["ok"] = bool(ok)
-    report["exit"] = 0 if ok else 1
-    _emit(report, args)
-    return 0 if ok else 1
+    with out as fh:
+        try:
+            ok, payload = args.fn(args)
+        except UsageError as exc:
+            report.update({"ok": False, "error": str(exc), "exit": 2})
+        except CHECK_FAILURES as exc:
+            report.update({"ok": False, "failure": "%s: %s"
+                           % (type(exc).__name__, exc), "exit": 1})
+        except (KeyError, ValueError, TypeError, symmetry.SingularMap) as exc:
+            report.update({"ok": False, "error": "%s: %s"
+                           % (type(exc).__name__, exc), "exit": 2})
+        except ArithmeticError as exc:
+            report.update({"ok": False, "internal": "%s: %s"
+                           % (type(exc).__name__, exc), "exit": 3})
+        else:
+            report.update(payload)
+            report["ok"] = bool(ok)
+            report["exit"] = 0 if ok else 1
+        _emit(report, fh)
+    return report["exit"]
 
 
-def _emit(report, args):
-    text = json.dumps(report, indent=2, sort_keys=True)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _emit(report, fh):
+    fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,11 @@ and denominator polynomials, the family membership of every discarded
 branch and every leaf (``families.family_binding``) -- and raises instead
 of silently accepting a violation.  Every branch (a factor of the
 remainder numerator or of the deg-0 leading coefficient, or the node's own
-coefficient vanishing) goes through one action interpreter, ``_take``.
+coefficient vanishing) goes through one action interpreter, ``_take``: the
+one step that applies a documented solve to the node's parameters and
+checks, there, that it kills its factor.  A node's parameters are its
+parent's with that solve composed in, so a factor killed at the node that
+solved it stays zero at every descendant and is not checked again.
 
 Each node's own split coefficient is extracted from its series.  A leaf's
 claimed S-fraction (the ten red families, the thirteen terminating ones) is
@@ -72,7 +76,6 @@ class SearchNode:
     subs: dict                     # base parameter -> value in the survivors
     free: tuple                    # surviving parameter names
     atoms: tuple                   # known-nonzero side conditions
-    equations: tuple = ()          # factor expressions solved along the path
 
     @property
     def depth(self) -> int:
@@ -120,37 +123,6 @@ def _solve_mapping(solve):
     for var, value_fn in solve:
         mapping[var] = _subst_field(value_fn(V), mapping)
     return mapping
-
-
-def _child_node(node: SearchNode, token: str, solve, atoms_fn,
-                factor_exprs=(), const_atoms=()) -> SearchNode:
-    mapping = _solve_mapping(solve)
-    subs = {p: _subst_field(node.subs[p], mapping) for p in BASE}
-    free = tuple(p for p in node.free if p not in mapping)
-    child = SearchNode(
-        label=node.label + (token,),
-        subs=subs,
-        free=free,
-        atoms=tuple(atoms_fn(V)) if atoms_fn else node.atoms,
-        equations=node.equations + tuple(factor_exprs),
-    )
-    _check_consistency(child, const_atoms)
-    return child
-
-
-def _check_consistency(node: SearchNode, extra_atoms=()):
-    """Every ancestor equation vanishes and every inequation (the node's
-    atoms and ``extra_atoms``) stays nonzero under the node's solved
-    parameters (a free parameter stands for itself)."""
-    mapping = {p: node.subs[p] for p in BASE if p not in node.free}
-    for eq in node.equations:
-        if not felem_is_zero(_subst_field(eq, mapping)):
-            raise InconsistentNode(
-                "%s: ancestor equation fails to vanish" % node.name())
-    for atom in node.atoms + tuple(extra_atoms):
-        if felem_is_zero(_subst_field(atom, mapping)):
-            raise InconsistentNode(
-                "%s: inequation violated by substitution" % node.name())
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +227,8 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
                                    % node.name())
         return NodeReport(node.label, k, c_k, as_field(c_k), 1, 0, None,
                           _deg_x(c_k), 0,
-                          [_branch(node, "child", hint["passthrough"], [])])
+                          [_branch(node, ("child", hint["passthrough"]),
+                                   node.subs, node.free)])
 
     g = hint["rfactor"](V)
     R = g * as_field(c_prev) if k >= 2 else as_field(g)
@@ -336,53 +309,64 @@ def _take(node: SearchNode, record: str, action, factor, const_atoms=()):
     """The one interpreter of a documented action on ``factor`` of the
     node's ``record`` (a factor of the deg-0 leading coefficient or of the
     remainder numerator, or the node's own coefficient for c=0).  An
-    ``atom`` factor is certified to contradict an inequation (no branch); a
-    ``discard`` solve kills the factor inside the named earlier family; a
-    ``child``, ``red`` or ``terminating`` branch is built and verified by
-    ``_branch``, with ``factor`` as its new equation."""
+    ``atom`` factor is certified to contradict an inequation (no branch).
+    Every other action solves: its solve is applied to the node's
+    parameters here, once, and the factor must vanish under the solved
+    parameters.  A ``discard`` then lies inside the named earlier family;
+    a ``child``, ``red`` or ``terminating`` branch is built and verified by
+    ``_branch``."""
     kind = action[0]
     if kind == "atom":
         if not _nonzero_certified(factor, node.atoms):
             raise InconsistentNode("%s: %s factor not excluded by the "
                                    "inequations" % (node.name(), record))
         return None
+    if kind not in ("discard", "child", "red", "terminating"):
+        raise BadFactorHint("unknown hint kind %r" % (kind,))
+    mapping = _solve_mapping(action[1] if kind == "discard" else action[2])
+    subs = {p: _subst_field(node.subs[p], mapping) for p in BASE}
+    free = tuple(p for p in node.free if p not in mapping)
+    solved = {p: subs[p] for p in BASE if p not in free}
+    if not felem_is_zero(_subst_field(factor, solved)):
+        raise InconsistentNode("%s: documented vanishing submanifold "
+                               "does not kill the %s factor"
+                               % (node.name(), record))
     if kind == "discard":
-        _, solve, family = action
-        mapping = _solve_mapping(solve)
-        if not felem_is_zero(_subst_field(factor, mapping)):
-            raise InconsistentNode("%s: documented vanishing submanifold "
-                                   "does not kill the %s factor"
-                                   % (node.name(), record))
-        mu = tuple(_subst_field(node.subs[p], mapping) for p in BASE)
+        family = action[2]
+        mu = tuple(subs[p] for p in BASE)
         if families.family_binding(family, mu) is None:
             raise InconsistentNode("%s: discarded branch is not inside %s "
                                    "(%s)" % (node.name(), family, record))
         return ("discard", family, mu)
-    if kind in ("child", "red", "terminating"):
-        return _branch(node, *action, factor_exprs=[factor],
-                       const_atoms=const_atoms)
-    raise BadFactorHint("unknown hint kind %r" % (kind,))
+    return _branch(node, action, subs, free, const_atoms)
 
 
-def _branch(node, kind, token, solve, leaf=None, factor_exprs=(),
-            const_atoms=()):
-    """The ``child``, ``red`` or ``terminating`` branch of ``node`` reached by
-    ``solve``, verified.  A child takes the atoms of its own record.
-    ``leaf`` is the family record of a leaf, (id, atoms): a terminating
-    leaf without documented atoms keeps the node's inequations.  A leaf's
-    point must lie in its family, whose parameter values there feed the
-    predicted fraction.  The ``const_atoms`` of a degree-0 record must
-    stay nonzero on the branch, whatever its kind."""
+def _branch(node, action, subs, free, const_atoms=()):
+    """The ``child``, ``red`` or ``terminating`` branch of ``node`` at the
+    parameters ``subs`` that ``_take`` solved by ``action`` (a passthrough
+    child keeps its node's), verified.  A child takes the atoms of its own
+    record.  A leaf's family record is (id, atoms): a terminating leaf
+    without documented atoms keeps the node's inequations.  Every atom, and
+    every ``const_atoms`` of a degree-0 record, must stay nonzero under the
+    solved parameters (a free parameter stands for itself).  A leaf's point
+    must lie in its family, whose parameter values there feed the predicted
+    fraction."""
+    kind, token = action[:2]
     if kind == "child":
         child_hint = HINT_BOOK.get(node.label + (token,))
         if child_hint is None:
             raise BadFactorHint("no hint for child %s,%s" % (node.name(), token))
         atoms_fn = child_hint.get("atoms")
     else:
-        fid, *atoms = leaf
+        fid, *atoms = action[3]
         atoms_fn = atoms[0] if atoms else None
-    child = _child_node(node, token, solve, atoms_fn,
-                        factor_exprs=factor_exprs, const_atoms=const_atoms)
+    child = SearchNode(label=node.label + (token,), subs=subs, free=free,
+                       atoms=tuple(atoms_fn(V)) if atoms_fn else node.atoms)
+    solved = {p: subs[p] for p in BASE if p not in free}
+    for atom in child.atoms + tuple(const_atoms):
+        if felem_is_zero(_subst_field(atom, solved)):
+            raise InconsistentNode("%s: inequation violated by substitution"
+                                   % child.name())
     if kind == "child":
         return ("node", child)
     binding = families.family_binding(fid, child.mu())

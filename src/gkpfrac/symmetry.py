@@ -433,10 +433,10 @@ def _substitution_check(mu, moved, N):
 
     With mu cleared by (e1, e2) and g.mu by (d1, d2) into (n1, n2), let
     q_n = H_n(u, v), (u, v, w) composing diag(e1, e2) with the letters'
-    matrices.  Row 0 holds iff q_0 == 1, and row n, given the rows below,
-    iff w L_n(d2 n1, d1 n2) q_(n-1) == d1 d2 q_n, L_n the row ODE
-    (``_ode_step``): exact, as the rows are unique from P_0 = 1 and L_n is
-    linear in the parameters."""
+    matrices.  Row 0 is the constant form 1 for every matrix, and row
+    n >= 1, given the rows below, holds iff w L_n(d2 n1, d1 n2) q_(n-1) ==
+    d1 d2 q_n, L_n the row ODE (``_ode_step``): exact, as the rows are
+    unique from P_0 = 1 and L_n is linear in the parameters."""
     vars = tuple(dict.fromkeys(v for p in chain(mu, *moved)
                                if isinstance(p, (MPoly, RatFunc)) for v in p.vars))
     vars += () if "x" in vars else ("x",)
@@ -458,7 +458,6 @@ def _substitution_check(mu, moved, N):
 
         def rows():
             qs = substitute(rhs.rows, m, x)
-            yield {"n": 0}, 1, qs[0]
             for n in range(1, len(qs)):
                 yield {"n": n}, m[4] * _ode_step(scaled, n, qs[n - 1]), d1 * d2 * qs[n]
 

@@ -575,6 +575,20 @@ def test_main_builds_one_parser_and_no_option_leaks(monkeypatch, tmp_path, capsy
     assert built == [1]
 
 
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_an_out_path_that_cannot_be_opened_is_a_usage_error(
+        monkeypatch, tmp_path, capsys, where):
+    # the path is opened before the subcommand, which is never called
+    path = tmp_path / where
+    monkeypatch.setattr(cli, "cmd_polys", lambda args: pytest.fail("ran"))
+    monkeypatch.setattr(cli, "_parser", None)
+    assert main(["polys", "--mu", "1,2,3,1,1,1", "--out", str(path)]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert cli.validate_report(data) and data["exit"] == 2 and not data["ok"]
+    assert data["error"].startswith("cannot write --out %s: " % path)
+    assert data["command"] == "polys"
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = str(Path(gkpfrac.__file__).resolve().parent.parent)
     env = dict(os.environ)

@@ -7,11 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gkpfrac import search as S
 from gkpfrac.exactalg import (
-    MPoly, RatFunc, as_field, felem_div, felem_eq, felem_is_zero, ratfunc,
-    variables, x_coeffs,
+    MPoly, RatFunc, as_field, as_mpoly, felem_div, felem_eq, felem_is_zero,
+    ratfunc, variables, x_coeffs,
 )
 from gkpfrac.search import (
-    InconsistentNode, RED_FAMILIES, TERMINATING_FAMILIES, V, get_node,
+    BASE, InconsistentNode, RED_FAMILIES, TERMINATING_FAMILIES, V, get_node,
     node_coefficient, node_cs, run_tree, tree_dot,
 )
 
@@ -180,18 +180,50 @@ def test_full_tree(monkeypatch):
     assert tree_dot() == dot
 
 
-def test_ancestor_consistency_and_inequations():
-    node = get_node("0,0,1b,1a")
-    mu = [node.subs[p] for p in
-          ("alpha", "beta", "gamma", "alphap", "betap", "gammap")]
-    # all solved factor equations vanish under the composed substitution
-    for eq in node.equations:
-        val = eq.subs({p: node.subs[p] for p in
-                       ("alpha", "beta", "gamma", "alphap", "betap", "gammap")})
-        assert felem_eq(as_field(val), 0)
+def _solved_factors(label):
+    """(parent, factor) for each solve on the path from the root to
+    ``label``, read from the hint book alone: the factor whose action opens
+    the next token (a passthrough solves nothing)."""
+    out = []
+    for depth in range(1, len(label)):
+        parent, token = label[:depth], label[depth]
+        hint = S.HINT_BOOK[parent]
+        if hint.get("passthrough") == token:
+            continue
+        found = [item["f"](V) for rec in (hint, hint["deg0"])
+                 for item in rec["factors"] for action in item["actions"]
+                 if action[0] != "atom" and action[0] != "discard"
+                 and action[1] == token]
+        assert len(found) == 1, (label, depth)
+        out.append((parent, as_mpoly(found[0], V.a.vars)))
+    return out
+
+
+def _leaf_labels():
+    return [label + (action[1],) for label, hint in S.HINT_BOOK.items()
+            for rec in (hint, hint.get("deg0", {}))
+            for item in rec.get("factors", ()) for action in item["actions"]
+            if action[0] in ("red", "terminating")]
+
+
+def test_every_solved_factor_vanishes_at_every_node_below_its_solve():
+    # the replay checks a factor only where it is solved; written in the
+    # solving node's free parameters, it stays zero at every descendant
+    labels = list(S.HINT_BOOK) + _leaf_labels()
+    nodes = {label: get_node(label) for label in labels}
+    assert len(nodes) == 35 + 16
+    solves = 0
+    for label, node in nodes.items():
+        for parent, factor in _solved_factors(label):
+            free = nodes[parent].free
+            assert all(factor.degree_in(p) == 0 for p in BASE if p not in free)
+            assert not factor.is_zero()
+            assert felem_is_zero(factor.subs(node.subs)), (label, parent)
+            solves += 1
+    assert solves == 142
     # atoms are nonzero field elements
-    for atom in node.atoms:
-        assert not felem_eq(as_field(atom), 0)
+    for node in nodes.values():
+        assert not any(felem_is_zero(atom) for atom in node.atoms)
 
 
 def test_degree_collapse_everywhere():
@@ -341,6 +373,16 @@ def _actions(i, *actions):
     return edit
 
 
+def _resolve(i, solve):
+    """Factor i's one branch action, with ``solve`` in place of its own."""
+    def edit(hint):
+        factors = [dict(f) for f in hint["factors"]]
+        (kind, token, _, *leaf), = factors[i]["actions"]
+        factors[i]["actions"] = [(kind, token, solve, *leaf)]
+        hint["factors"] = factors
+    return edit
+
+
 def _split_the_root(hint):
     # the root's coefficient is a polynomial: its remainder is zero
     del hint["passthrough"]
@@ -404,9 +446,19 @@ _ASSERTION_FAULTS = [
      "unknown hint kind 'bogus'"),
     ("0", _split_the_root, _coefficient("0"),
      "0: remainder factorization mismatch"),
+    # a solve that does not kill its factor, on each kind that solves: a
+    # child, a red leaf (a + b), a remainder terminating leaf (2 a + b) and,
+    # below, a c=0 discard and a c=0 terminating leaf
+    ("0,0", _resolve(0, [("gamma", lambda v: 1 - v.a)]), _coefficient("0,0"),
+     "0,0: documented vanishing submanifold does not kill the remainder factor"),
+    ("0,0,1a", _resolve(0, [("beta", lambda v: 0)]), _coefficient("0,0,1a"),
+     "0,0,1a: documented vanishing submanifold does not kill the remainder "
+     "factor"),
+    ("0,0,1a,0,0", _resolve(1, [("beta", lambda v: -v.a)]),
+     _coefficient("0,0,1a,0,0"),
+     "0,0,1a,0,0: documented vanishing submanifold does not kill the "
+     "remainder factor"),
     # the parent's edits reach the child through get_node's replay
-    ("0,0", _actions(0, ("child", "1a", [("gamma", lambda v: 1 - v.a)])),
-     _coefficient("0,0,1a"), "0,0,1a: ancestor equation fails to vanish"),
     ("0,0", _deg0_factor(0, actions=[("child", "0", [
         ("alpha", lambda v: 0), ("alphap", lambda v: 0),
         ("gammap", lambda v: -v.bp)])]),
@@ -417,12 +469,12 @@ _ASSERTION_FAULTS = [
     ("0,0,0", _c_zero_edit(("discard", [("alpha", lambda v: 0),
                                         ("alphap", lambda v: 0)], "F2a")),
      _c_zero("0,0,0"), "0,0,0: discarded branch is not inside F2a (c=0)"),
-    # the c=0 leaf carries the coefficient as its equation
     ("0,0,0,1a,1b", _c_zero_edit((
         "terminating", "c=0", [("beta", lambda v: -v.g)],
-        ("s1a", lambda v: {"gamma": v.g, "alphap": v.ap}, lambda v: []))),
+        ("s1a", lambda v: []))),
      _c_zero("0,0,0,1a,1b"),
-     "0,0,0,1a,1b,c=0: ancestor equation fails to vanish"),
+     "0,0,0,1a,1b: documented vanishing submanifold does not kill the c=0 "
+     "factor"),
     ("0,0,0", lambda h: h.update(c_zero=None), _c_zero("0,0,0"),
      "0,0,0: coefficient could vanish but no action documented"),
     # run_tree raises at its second node, 0,0
