@@ -2,8 +2,8 @@
 fractions, with end-to-end verification harnesses.
 
 Each family record carries a parameter template, its fraction (S, T or J
-kind), an epistemic status flag, and the side conditions under which the
-first few coefficients are nonzero.  Eleven representatives state their
+kind) and an epistemic status flag (the S families' inequations are their
+red leaves' atoms in the hint book).  Eleven representatives state their
 coefficients: F1a, F2a, F5, F7a, F8a, F9a, F1c, GKPZ, s0, s1a and s4a.  Each
 of the other twenty families is the image of a representative's point under
 a word of the symmetry group (``FamilySpec.source``).  Since
@@ -69,7 +69,6 @@ class FamilySpec:
     odd: Optional[Callable] = None      # S, T: (vals, k) -> c_2k-1, or (c, d)
     even: Optional[Callable] = None     # S, T: (vals, k) -> c_2k, or (c, d)
     coeffs: Optional[Callable] = None   # J: (vals, n) -> (e_n, f_n)
-    side_conditions: tuple = ()         # inequations (strings, documentation)
     terminating_cs: Optional[Callable] = None   # vals -> [c_1, ...]
     terminates_at: Optional[int] = None
     source: Optional[tuple] = None      # (representative, word)
@@ -94,63 +93,51 @@ def _make_catalog():
     def add(spec):
         cat[spec.id] = spec
 
-    def derive(id, source, word, names, template, side_conditions=()):
+    def derive(id, source, word, names, template):
         rep = cat[source]
         add(FamilySpec(id, names, rep.kind, rep.status, template,
-                       side_conditions=side_conditions, source=(source, word)))
+                       source=(source, word)))
 
     # ---- the ten S-fraction families --------------------------------------
     add(FamilySpec(
         "F1a", ("beta", "alphap", "gammap"), "S", "proven",
         lambda v: GKPParams(0, v["beta"], 0, v["alphap"], -v["alphap"], v["gammap"]),
         odd=lambda v, k: (v["gammap"] + (k - 1) * v["alphap"]) * _xvar(v),
-        even=lambda v, k: k * v["beta"],
-        side_conditions=("alphap+gammap != 0", "beta*gammap != 0")))
+        even=lambda v, k: k * v["beta"]))
     derive("F1b", "F1a", "D", ("beta", "gamma", "alphap"),
-           lambda v: GKPParams(0, v["beta"], v["gamma"], v["alphap"], -v["alphap"], 0),
-           ("beta+gamma != 0", "gamma*alphap != 0"))
+           lambda v: GKPParams(0, v["beta"], v["gamma"], v["alphap"], -v["alphap"], 0))
     add(FamilySpec(
         "F2a", ("alpha", "alphap", "betap", "gammap"), "S", "proven",
         lambda v: GKPParams(v["alpha"], -v["alpha"], -v["alpha"],
                             v["alphap"], v["betap"], v["gammap"]),
         odd=lambda v, k: (v["gammap"] + k * (v["alphap"] + v["betap"])) * _xvar(v),
-        even=lambda v, k: k * (v["alphap"] + v["betap"]) * _xvar(v),
-        side_conditions=("alphap+betap != 0", "alphap+betap+gammap != 0",
-                         "2alphap+2betap+gammap != 0")))
+        even=lambda v, k: k * (v["alphap"] + v["betap"]) * _xvar(v)))
     derive("F2b", "F2a", "D", ("alpha", "beta", "gamma", "betap"),
            lambda v: GKPParams(v["alpha"], v["beta"], v["gamma"], 0,
-                               v["betap"], -v["betap"]),
-           ("alpha != 0", "alpha+gamma != 0", "2alpha+gamma != 0"))
+                               v["betap"], -v["betap"]))
     derive("F3a", "F1a", "R", ("beta", "betap", "gammap"),
-           lambda v: GKPParams(0, v["beta"], 0, 0, v["betap"], v["gammap"]),
-           ("betap != 0", "betap+gammap != 0", "2betap+gammap != 0"))
+           lambda v: GKPParams(0, v["beta"], 0, 0, v["betap"], v["gammap"]))
     derive("F3b", "F1a", "RZ", ("alpha", "gamma", "alphap"),
            lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
-                               v["alphap"], -v["alphap"], 0),
-           ("alphap != 0", "alpha+gamma != 0", "2alpha+gamma != 0"))
+                               v["alphap"], -v["alphap"], 0))
     derive("F4a", "F1a", "DZ", ("betap", "gammap", "kappa"),
            lambda v: GKPParams(0, v["kappa"] * v["betap"],
                                v["kappa"] * (v["betap"] + v["gammap"]),
-                               0, v["betap"], v["gammap"]),
-           ("betap+gammap != 0", "2betap+gammap != 0", "kappa*betap != 0"))
+                               0, v["betap"], v["gammap"]))
     derive("F4b", "F1a", "Z", ("alpha", "gamma", "kappa"),
            lambda v: GKPParams(v["alpha"], -v["alpha"], v["gamma"],
                                v["kappa"] * v["alpha"], -v["kappa"] * v["alpha"],
-                               v["kappa"] * (v["alpha"] + v["gamma"])),
-           ("alpha+gamma != 0", "2alpha+gamma != 0", "alpha*kappa != 0"))
+                               v["kappa"] * (v["alpha"] + v["gamma"])))
     add(FamilySpec(
         "F5", ("alpha", "gamma", "alphap", "gammap"), "S", "proven",
         lambda v: GKPParams(v["alpha"], 0, v["gamma"], v["alphap"], 0, v["gammap"]),
         odd=lambda v, k: (v["gamma"] + v["gammap"] * _xvar(v))
         + k * (v["alpha"] + v["alphap"] * _xvar(v)),
-        even=lambda v, k: k * (v["alpha"] + v["alphap"] * _xvar(v)),
-        side_conditions=("alphap+gammap != 0", "alpha+gamma != 0", "alphap != 0")))
+        even=lambda v, k: k * (v["alpha"] + v["alphap"] * _xvar(v))))
     derive("F6", "F2a", "Z", ("alphap", "betap", "gammap", "kappa"),
            lambda v: GKPParams(v["kappa"] * (v["alphap"] + v["betap"]),
                                v["kappa"] * v["betap"], v["kappa"] * v["gammap"],
-                               v["alphap"], v["betap"], v["gammap"]),
-           ("alphap+betap != 0", "alphap+betap+gammap != 0",
-            "2alphap+2betap+gammap != 0", "alphap != 0"))
+                               v["alphap"], v["betap"], v["gammap"]))
 
     # ---- T / J families ----------------------------------------------------
     # F7a, F7b, F9a and F9b have d = 0 at even levels: their J-forms are

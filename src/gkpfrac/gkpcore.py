@@ -223,24 +223,14 @@ def triangle_rows(mu, N: int) -> list:
     return row_polys(gkpz_triangle(mu, N)) if len(mu) == 8 else gkp_rows(mu, N)
 
 
-def gkp_rule(mu) -> Callable:
-    """The GKP specialization of the binomial-like coefficient rule."""
-    a, b, g, ap, bp, gp = GKPParams.of(mu)
-
-    def rule(n, k):
-        return a * n + b * k + g, ap * n + bp * k + gp
-
-    return rule
-
-
 def _gkp_row_rule(mu) -> Callable:
-    """Row n of ``gkp_rule(mu)`` for k = 0..n, stepped along the row: the
+    """Row n of the GKP weights for k = 0..n, stepped along the row: the
     weights grow by b and b' from one k to the next."""
     a, b, g, ap, bp, gp = GKPParams.of(mu)
 
     def row_rule(n):
-        # the k = 0 weights written as in gkp_rule, so that every entry has
-        # the value type and variable tuple of the direct formula
+        # the k = 0 weights keep their b k and b' k terms, so that every
+        # entry has the value type and variable tuple of a n + b k + g
         w, wp = a * n + b * 0 + g, ap * n + bp * 0 + gp
         weights = [(w, wp)]
         for _ in range(n):

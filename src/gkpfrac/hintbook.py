@@ -7,7 +7,7 @@ fully attributed factor lists: ``factors`` of the remainder numerator and
 degree 0.  A node whose coefficient is a polynomial has
 ``passthrough=token`` instead: its one child reads its own record.
 
-Every branch is written in one grammar.  A factor is a dict {"f": builder,
+Every branch is written in one grammar.  A factor is a dict {"f": factor,
 "mult": power (default 1), "actions": [...]} where each action is one of
 
     ("atom",)                               excluded by an inequation
@@ -16,8 +16,8 @@ Every branch is written in one grammar.  A factor is a dict {"f": builder,
     ("red", token, solve, (family, atoms))
     ("terminating", token, solve, (s_id[, atoms]))
 
-``solve`` is a list of (parameter, value-builder) eliminations that kill
-the factor, and a leaf's ``atoms`` are its inequations; a terminating leaf
+``solve`` is a list of (parameter, value) eliminations that kill the
+factor, and a leaf's ``atoms`` are its inequations; a terminating leaf
 without them keeps its node's.  A leaf names its family only: the family's
 parameter values are read off the leaf's point by
 ``families.family_binding``.  ``deg0["const_atoms"]`` must stay nonzero
@@ -25,627 +25,513 @@ on every degree-0 branch.  ``c_zero`` is None when one of the coefficient's
 two x-coefficients is a product of atoms, else one action on the
 coefficient itself: a ``discard``, or a ``terminating`` leaf with token
 ``c=0`` and empty atoms (six of the seven such solves kill one of their
-node's inequations).  All builders take the generator namespace.
+node's inequations).  Every entry is a value over the generators of
+``GKPParams.symbolic()`` (``a`` .. ``gp``, with ``x`` on their variable
+tuple ``VARS``), built once at import.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg import ratfunc
+from .exactalg import MPoly, ratfunc
+from .gkpcore import GKPParams
 
+a, b, g, ap, bp, gp = GKPParams.symbolic()
+VARS = a.vars
+x = MPoly.variable("x", VARS)
 
-def _h(**kw):
-    return kw
-
-
-def make_hint_book(V):
-    a, b, g, ap, bp, gp, x = V.a, V.b, V.g, V.ap, V.bp, V.gp, V.x
-    half = Fraction(1, 2)
-
-    return {
-        ("0",): _h(
-            own_c=lambda v: 1,
-            c_zero=None,
-            passthrough="0",
-        ),
-        ("0", "0"): _h(
-            atoms=lambda v: [],
-            own_c=lambda v: (v.a + v.g) + (v.ap + v.bp + v.gp) * v.x,
-            c_zero=("terminating", "c=0",
-                    [("gamma", lambda v: -v.a),
-                     ("gammap", lambda v: -v.ap - v.bp)],
-                    ("s0", lambda v: [])),
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: (v.a + v.g)
-            * (v.bp * (v.a + v.g) - v.b * (v.ap + v.bp + v.gp))
-            / (v.ap + v.bp + v.gp),
-            Q_doc=lambda v: v.a * (v.a + v.g)
-            + (2 * v.a * v.ap + v.a * v.bp + v.a * v.gp + v.b * v.bp
-               + v.b * v.gp + v.b * v.ap + v.g * v.ap) * v.x
-            + (v.ap + v.bp) * (v.ap + v.bp + v.gp) * v.x ** 2,
-            deg0=_h(const_atoms=[lambda v: v.a + v.g], factors=[
-                _h(f=lambda v: v.ap + v.bp + v.gp,
-                   actions=[("child", "0",
-                             [("gammap", lambda v: -v.ap - v.bp)])]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.a + v.g, mult=1,
-                   actions=[("child", "1a", [("gamma", lambda v: -v.a)])]),
-                _h(f=lambda v: v.bp * (v.a + v.g) - v.b * (v.ap + v.bp + v.gp),
-                   mult=1,
-                   actions=[("child", "1b",
-                             [("beta", lambda v: (v.a + v.g) * v.bp
-                               / (v.ap + v.bp + v.gp))])]),
-            ],
-        ),
-        ("0", "0", "0"): _h(
-            atoms=lambda v: [v.a + v.g],
-            own_c=lambda v: v.a + v.ap * v.x,
-            c_zero=("discard", [("alpha", lambda v: 0),
-                                ("alphap", lambda v: 0)], "F2b"),
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: v.a * (v.a * v.bp - v.b * v.ap) / v.ap,
-            Q_doc=lambda v: v.a * (2 * v.a + v.g)
-            + v.ap * (3 * v.a + v.b + v.g) * v.x
-            + v.ap * (v.ap + v.bp) * v.x ** 2,
-            R_doc=lambda v: v.a + v.ap * v.x,
-            deg0=_h(const_atoms=[lambda v: v.a], factors=[
-                _h(f=lambda v: v.ap,
-                   actions=[("red", "0", [("alphap", lambda v: 0)],
-                             ("F2b",
-                              lambda v: [v.a + v.g, 2 * v.a + v.g, v.a]))]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.a, mult=1,
-                   actions=[("child", "1a", [("alpha", lambda v: 0)])]),
-                _h(f=lambda v: v.a * v.bp - v.b * v.ap, mult=1,
-                   actions=[("child", "1b",
-                             [("beta", lambda v: v.a * v.bp / v.ap)])]),
-            ],
-        ),
-        ("0", "0", "1a"): _h(
-            atoms=lambda v: [v.ap + v.bp + v.gp],
-            own_c=lambda v: (v.a + v.b) + (v.ap + v.bp) * v.x,
-            c_zero=("discard", [("beta", lambda v: -v.a),
-                                ("betap", lambda v: -v.ap)], "F2a"),
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: (v.a + v.b) * (v.a * v.bp - v.b * v.ap)
-            / (v.ap + v.bp),
-            Q_doc=lambda v: v.a * (v.a + v.b)
-            + (v.a + v.b) * (3 * v.ap + 2 * v.bp + v.gp) * v.x
-            + (v.ap + v.bp) * (2 * v.ap + 2 * v.bp + v.gp) * v.x ** 2,
-            R_doc=lambda v: v.a + v.b + (v.ap + v.bp) * v.x,
-            deg0=_h(factors=[
-                _h(f=lambda v: v.ap + v.bp,
-                   actions=[("child", "0", [("betap", lambda v: -v.ap)])]),
-            ], const_atoms=[lambda v: v.a + v.b, lambda v: v.gp]),
-            factors=[
-                _h(f=lambda v: v.a + v.b, mult=1,
-                   actions=[("red", "1a", [("beta", lambda v: -v.a)],
-                             ("F2a",
-                              lambda v: [v.ap + v.bp, v.ap + v.bp + v.gp,
-                                         2 * v.ap + 2 * v.bp + v.gp]))]),
-                _h(f=lambda v: v.a * v.bp - v.b * v.ap, mult=1,
-                   actions=[
-                       ("child", "1b",
-                        [("beta", lambda v: v.a * v.bp / v.ap)]),
-                       ("red", "1c",
-                        [("alpha", lambda v: 0), ("alphap", lambda v: 0)],
-                        ("F3a",
-                         lambda v: [v.bp, v.bp + v.gp, 2 * v.bp + v.gp]))]),
-            ],
-        ),
-        ("0", "0", "1b"): _h(
-            atoms=lambda v: [v.ap + v.bp + v.gp, v.a + v.g],
-            own_c=lambda v: v.a + (v.ap + v.bp) * v.x,
-            c_zero=("discard", [("alpha", lambda v: 0),
-                                ("betap", lambda v: -v.ap)], "F6"),
-            rfactor=lambda v: v.ap + v.bp + v.gp,
-            rem_doc=lambda v: v.a * v.bp
-            * (v.a * v.gp - v.g * v.ap - v.g * v.bp) / (v.ap + v.bp),
-            deg0=_h(const_atoms=[lambda v: v.a, lambda v: v.gp], factors=[
-                _h(f=lambda v: v.ap + v.bp,
-                   actions=[("child", "0", [("betap", lambda v: -v.ap)])]),
-                _h(f=lambda v: v.ap + v.bp + v.gp, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.a, mult=1,
-                   actions=[("child", "1a", [("alpha", lambda v: 0)])]),
-                _h(f=lambda v: v.bp, mult=1,
-                   actions=[("red", "1b", [("betap", lambda v: 0)],
-                             ("F5",
-                              lambda v: [v.ap + v.gp, v.a + v.g, v.ap]))]),
-                _h(f=lambda v: v.a * v.gp - v.g * v.ap - v.g * v.bp, mult=1,
-                   actions=[("red", "1c",
-                             [("gamma",
-                               lambda v: v.a * v.gp / (v.ap + v.bp))],
-                             ("F6",
-                              lambda v: [v.ap + v.bp, v.ap + v.bp + v.gp,
-                                         2 * v.ap + 2 * v.bp + v.gp, v.a]))]),
-            ],
-        ),
-        # -------------------------------------------------------------- c4
-        ("0", "0", "0", "1a"): _h(
-            atoms=lambda v: [v.g, v.ap],
-            own_c=lambda v: (v.b + v.g) + (v.ap + v.bp) * v.x,
-            c_zero=("discard", [("gamma", lambda v: -v.b),
-                                ("betap", lambda v: -v.ap)], "F1b"),
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: -(v.b + v.g) * (v.b * v.ap - v.g * v.bp)
-            / (v.ap + v.bp),
-            Q_doc=lambda v: (3 * v.b * v.ap + v.b * v.bp + 2 * v.g * v.ap)
-            * v.x + (v.ap + v.bp) * (2 * v.ap + v.bp) * v.x ** 2,
-            deg0=_h(const_atoms=[lambda v: v.b + v.g], factors=[
-                _h(f=lambda v: v.ap + v.bp,
-                   actions=[("red", "0", [("betap", lambda v: -v.ap)],
-                             ("F1b", lambda v: [v.b + v.g, v.g, v.ap]))]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.b + v.g, mult=1,
-                   actions=[("child", "1a", [("gamma", lambda v: -v.b)])]),
-                _h(f=lambda v: v.b * v.ap - v.g * v.bp, mult=1,
-                   actions=[("child", "1b",
-                             [("betap", lambda v: v.b * v.ap / v.g)])]),
-            ],
-        ),
-        ("0", "0", "0", "1b"): _h(
-            atoms=lambda v: [v.ap, v.a + v.g],
-            own_c=lambda v: (2 * v.a + v.g) + (v.ap + v.bp) * v.x,
-            c_zero=("discard", [("gamma", lambda v: -2 * v.a),
-                                ("betap", lambda v: -v.ap)], "F3b"),
-            rfactor=lambda v: v.ap,
-            rem_doc=lambda v: v.bp * (2 * v.a + v.g)
-            * (v.a * v.ap - v.a * v.bp + v.g * v.ap) / (v.ap + v.bp),
-            deg0=_h(const_atoms=[lambda v: 2 * v.a + v.g], factors=[
-                _h(f=lambda v: v.ap + v.bp,
-                   actions=[("red", "0", [("betap", lambda v: -v.ap)],
-                             ("F3b",
-                              lambda v: [v.ap, v.a + v.g, 2 * v.a + v.g]))]),
-                _h(f=lambda v: v.ap, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.bp, mult=1,
-                   actions=[("discard", [("betap", lambda v: 0)], "F5")]),
-                _h(f=lambda v: 2 * v.a + v.g, mult=1,
-                   actions=[("child", "1a",
-                             [("gamma", lambda v: -2 * v.a)])]),
-                _h(f=lambda v: v.a * v.ap - v.a * v.bp + v.g * v.ap, mult=1,
-                   actions=[("child", "1b",
-                             [("gamma",
-                               lambda v: -v.a * (v.ap - v.bp) / v.ap)])]),
-            ],
-        ),
-        ("0", "0", "1a", "0"): _h(
-            atoms=lambda v: [v.gp, v.a + v.b],
-            own_c=lambda v: v.a + (v.ap + v.gp) * v.x,
-            c_zero=("discard", [("alpha", lambda v: 0),
-                                ("gammap", lambda v: -v.ap)], "F1a"),
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: -v.a * (v.a * v.ap + v.b * v.ap + v.b * v.gp)
-            / (v.ap + v.gp),
-            Q_doc=lambda v: v.a * (2 * v.a + v.b)
-            + (3 * v.a * v.ap + 2 * v.b * v.ap + 2 * v.a * v.gp
-               + 2 * v.b * v.gp) * v.x,
-            deg0=_h(const_atoms=[lambda v: v.a], factors=[
-                _h(f=lambda v: v.ap + v.gp,
-                   actions=[("child", "0", [("gammap", lambda v: -v.ap)])]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.a, mult=1,
-                   actions=[("red", "1a", [("alpha", lambda v: 0)],
-                             ("F1a", lambda v: [v.ap + v.gp, v.b, v.gp]))]),
-                _h(f=lambda v: v.a * v.ap + v.b * v.ap + v.b * v.gp, mult=1,
-                   actions=[("child", "1b",
-                             [("beta",
-                               lambda v: -v.a * v.ap / (v.ap + v.gp))])]),
-            ],
-        ),
-        ("0", "0", "1a", "1b"): _h(
-            atoms=lambda v: [v.ap, v.ap + v.bp, v.ap + v.bp + v.gp],
-            own_c=lambda v: v.a + (2 * v.ap + 2 * v.bp + v.gp) * v.x,
-            c_zero=("discard", [("alpha", lambda v: 0),
-                                ("gammap", lambda v: -2 * v.ap - 2 * v.bp)],
-                    "F2a"),
-            rfactor=lambda v: v.ap,
-            rem_doc=lambda v: -v.a ** 2 * v.bp * (v.ap + 2 * v.bp + v.gp)
-            / (2 * v.ap + 2 * v.bp + v.gp),
-            deg0=_h(const_atoms=[lambda v: v.a], factors=[
-                _h(f=lambda v: 2 * v.ap + 2 * v.bp + v.gp,
-                   actions=[("child", "0",
-                             [("gammap", lambda v: -2 * v.ap - 2 * v.bp)])]),
-                _h(f=lambda v: v.ap, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.a, mult=2,
-                   actions=[("discard", [("alpha", lambda v: 0)], "F2a")]),
-                _h(f=lambda v: v.bp, mult=1,
-                   actions=[("discard", [("betap", lambda v: 0)], "F5")]),
-                _h(f=lambda v: v.ap + 2 * v.bp + v.gp, mult=1,
-                   actions=[("child", "1a",
-                             [("gammap", lambda v: -v.ap - 2 * v.bp)])]),
-            ],
-        ),
-        ("0", "0", "1b", "0"): _h(
-            atoms=lambda v: [v.a, v.gp, v.a + v.g],
-            own_c=lambda v: (2 * v.a + v.g) + (v.ap + v.gp) * v.x,
-            c_zero=("discard", [("gamma", lambda v: -2 * v.a),
-                                ("gammap", lambda v: -v.ap)], "F4b"),
-            rfactor=lambda v: v.gp,
-            rem_doc=lambda v: v.ap * (2 * v.a + v.g)
-            * (v.a * v.ap + v.g * v.ap - v.a * v.gp) / (v.ap + v.gp),
-            deg0=_h(const_atoms=[lambda v: 2 * v.a + v.g], factors=[
-                _h(f=lambda v: v.ap + v.gp,
-                   actions=[("child", "0", [("gammap", lambda v: -v.ap)])]),
-                _h(f=lambda v: v.gp, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.ap, mult=1,
-                   actions=[("discard", [("alphap", lambda v: 0)], "F5")]),
-                _h(f=lambda v: 2 * v.a + v.g, mult=1,
-                   actions=[("child", "1a",
-                             [("gamma", lambda v: -2 * v.a)])]),
-                _h(f=lambda v: v.a * v.ap + v.g * v.ap - v.a * v.gp, mult=1,
-                   actions=[("red", "1b",
-                             [("alphap",
-                               lambda v: v.a * v.gp / (v.a + v.g))],
-                             ("F4b",
-                              lambda v: [v.a + v.g, 2 * v.a + v.g, v.a,
-                                         v.gp]))]),
-            ],
-        ),
-        ("0", "0", "1b", "1a"): _h(
-            atoms=lambda v: [v.ap + v.bp, v.ap + v.bp + v.gp, v.g],
-            own_c=lambda v: ratfunc(v.g * (v.ap + 2 * v.bp + v.gp),
-                                    v.ap + v.bp + v.gp)
-            + (2 * v.ap + 2 * v.bp + v.gp) * v.x,
-            c_zero=("discard", [("alphap", lambda v: 0),
-                                ("gammap", lambda v: -2 * v.bp)], "F4a"),
-            rfactor=lambda v: v.ap + v.bp + v.gp,
-            R_doc=lambda v: v.g * (v.ap + 2 * v.bp + v.gp)
-            + (v.ap + v.bp + v.gp) * (2 * v.ap + 2 * v.bp + v.gp) * v.x,
-            rem_doc=lambda v: -v.ap * v.bp * v.g ** 2
-            * (v.ap + 2 * v.bp + v.gp)
-            / ((v.ap + v.bp + v.gp) * (2 * v.ap + 2 * v.bp + v.gp)),
-            deg0=_h(const_atoms=[lambda v: v.ap, lambda v: v.g], factors=[
-                _h(f=lambda v: 2 * v.ap + 2 * v.bp + v.gp,
-                   actions=[("child", "0",
-                             [("gammap", lambda v: -2 * v.ap - 2 * v.bp)])]),
-                _h(f=lambda v: v.ap + v.bp + v.gp, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.g, mult=2, actions=[("atom",)]),
-                _h(f=lambda v: v.bp, mult=1,
-                   actions=[("discard", [("betap", lambda v: 0)], "F5")]),
-                _h(f=lambda v: v.ap, mult=1,
-                   actions=[("red", "1a", [("alphap", lambda v: 0)],
-                             ("F4a",
-                              lambda v: [v.bp + v.gp, 2 * v.bp + v.gp, v.g,
-                                         v.bp]))]),
-                _h(f=lambda v: v.ap + 2 * v.bp + v.gp, mult=1,
-                   actions=[("child", "1b",
-                             [("gammap", lambda v: -v.ap - 2 * v.bp)])]),
-            ],
-        ),
-        # -------------------------------------------------------------- c5
-        ("0", "0", "0", "1a", "1a"): _h(
-            atoms=lambda v: [v.ap + v.bp, v.b, v.ap],
-            own_c=lambda v: v.b + (2 * v.ap + v.bp) * v.x,
-            c_zero=None,
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: -2 * v.b ** 2 * v.ap / (2 * v.ap + v.bp),
-            Q_doc=lambda v: 2 * v.b * (2 * v.ap + v.bp) * v.x
-            + 2 * (v.ap + v.bp) * (2 * v.ap + v.bp) * v.x ** 2,
-            deg0=_h(const_atoms=[lambda v: v.b], factors=[
-                _h(f=lambda v: 2 * v.ap + v.bp,
-                   actions=[("terminating", "0",
-                             [("betap", lambda v: -2 * v.ap)], ("s4a",))]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.b, mult=2, actions=[("atom",)]),
-                _h(f=lambda v: v.ap, mult=1, actions=[("atom",)]),
-            ],
-        ),
-        ("0", "0", "0", "1a", "1b"): _h(
-            atoms=lambda v: [v.g, v.ap, v.b + v.g, v.b + 2 * v.g],
-            own_c=lambda v: ratfunc(v.ap * (v.b + 2 * v.g), v.g) * v.x,
-            c_zero=("terminating", "c=0", [("beta", lambda v: -2 * v.g)],
-                    ("s1a", lambda v: [])),
-            passthrough="0",
-        ),
-        ("0", "0", "0", "1b", "1a"): _h(
-            atoms=lambda v: [v.ap + v.bp, v.a, v.ap, 2 * v.ap + v.bp],
-            own_c=lambda v: ratfunc(2 * v.ap + v.bp, v.ap)
-            * (v.a + v.ap * v.x),
-            c_zero=("terminating", "c=0", [("betap", lambda v: -2 * v.ap)],
-                    ("s3a", lambda v: [])),
-            passthrough="0",
-        ),
-        ("0", "0", "0", "1b", "1b"): _h(
-            atoms=lambda v: [v.ap + v.bp, v.a, v.ap, v.bp],
-            own_c=lambda v: 2 * v.a + (2 * v.ap + v.bp) * v.x,
-            c_zero=None,
-            rfactor=lambda v: v.ap,
-            rem_doc=lambda v: -2 * v.a ** 2 * v.bp ** 2 / (2 * v.ap + v.bp),
-            deg0=_h(const_atoms=[lambda v: v.a], factors=[
-                _h(f=lambda v: 2 * v.ap + v.bp,
-                   actions=[("terminating", "0",
-                             [("betap", lambda v: -2 * v.ap)], ("s5a",))]),
-                _h(f=lambda v: v.ap, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.a, mult=2, actions=[("atom",)]),
-                _h(f=lambda v: v.bp, mult=2, actions=[("atom",)]),
-            ],
-        ),
-        ("0", "0", "1a", "0", "0"): _h(
-            atoms=lambda v: [v.a + v.b, v.a, v.ap],
-            own_c=lambda v: (2 * v.a + v.b) + v.ap * v.x,
-            c_zero=None,
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: -2 * (v.a + v.b) * (2 * v.a + v.b),
-            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
-            factors=[
-                _h(f=lambda v: v.a + v.b, mult=1, actions=[("atom",)]),
-                _h(f=lambda v: 2 * v.a + v.b, mult=1,
-                   actions=[("terminating", "1a",
-                             [("beta", lambda v: -2 * v.a)], ("s4b",))]),
-            ],
-        ),
-        ("0", "0", "1a", "0", "1b"): _h(
-            atoms=lambda v: [v.ap + v.gp, v.a, v.gp, v.ap + 2 * v.gp],
-            own_c=lambda v: ratfunc(v.a * (v.ap + 2 * v.gp), v.ap + v.gp),
-            c_zero=("terminating", "c=0", [("alphap", lambda v: -2 * v.gp)],
-                    ("s1b", lambda v: [])),
-            passthrough="0",
-        ),
-        ("0", "0", "1a", "1b", "0"): _h(
-            atoms=lambda v: [v.ap + v.bp, v.a, v.ap, 2 * v.ap + v.bp],
-            own_c=lambda v: ratfunc(2 * v.ap + v.bp, v.ap)
-            * (v.a + v.ap * v.x),
-            c_zero=("terminating", "c=0", [("betap", lambda v: -2 * v.ap)],
-                    ("s3b", lambda v: [])),
-            passthrough="0",
-        ),
-        ("0", "0", "1a", "1b", "1a"): _h(
-            atoms=lambda v: [v.ap + v.bp, v.ap, v.bp],
-            own_c=lambda v: ratfunc(v.a * (2 * v.ap + v.bp), v.ap)
-            + 2 * (v.ap + v.bp) * v.x,
-            c_zero=None,
-            rfactor=lambda v: v.ap,
-            rem_doc=lambda v: -v.a ** 2 * v.bp ** 2 * (2 * v.ap + v.bp)
-            / (2 * v.ap * (v.ap + v.bp)),
-            deg0=_h(factors=[
-                _h(f=lambda v: v.ap, actions=[("atom",)]),
-                _h(f=lambda v: v.ap + v.bp, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.a, mult=2,
-                   actions=[("discard", [("alpha", lambda v: 0)], "F2a")]),
-                _h(f=lambda v: v.bp, mult=2, actions=[("atom",)]),
-                _h(f=lambda v: 2 * v.ap + v.bp, mult=1,
-                   actions=[("terminating", "1a",
-                             [("betap", lambda v: -2 * v.ap)], ("s5b",))]),
-            ],
-        ),
-        ("0", "0", "1b", "0", "0"): _h(
-            atoms=lambda v: [v.a + v.g, 2 * v.a + v.g, v.a, v.ap],
-            own_c=lambda v: 2 * v.a + v.ap * v.x,
-            c_zero=None,
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: -2 * v.a * (3 * v.a + v.g),
-            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
-            factors=[
-                _h(f=lambda v: v.a, mult=1, actions=[("atom",)]),
-                _h(f=lambda v: 3 * v.a + v.g, mult=1,
-                   actions=[("terminating", "1a",
-                             [("gamma", lambda v: -3 * v.a)], ("s6a",))]),
-            ],
-        ),
-        ("0", "0", "1b", "0", "1a"): _h(
-            atoms=lambda v: [v.ap + v.gp, v.a, v.gp, v.ap + 2 * v.gp],
-            own_c=lambda v: ratfunc(v.a * (v.ap + 2 * v.gp), v.gp),
-            c_zero=("terminating", "c=0", [("alphap", lambda v: -2 * v.gp)],
-                    ("s2b", lambda v: [])),
-            passthrough="0",
-        ),
-        ("0", "0", "1b", "1a", "0"): _h(
-            atoms=lambda v: [v.g, v.ap, v.ap + v.bp, 2 * v.ap + v.bp],
-            own_c=lambda v: (2 * v.ap + v.bp) * v.x,
-            c_zero=("terminating", "c=0", [("betap", lambda v: -2 * v.ap)],
-                    ("s2a", lambda v: [])),
-            passthrough="0",
-        ),
-        ("0", "0", "1b", "1a", "1b"): _h(
-            atoms=lambda v: [v.ap + v.bp, v.g, v.ap, v.bp],
-            own_c=lambda v: -v.g + 2 * (v.ap + v.bp) * v.x,
-            c_zero=None,
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: -v.g ** 2 * (2 * v.ap + v.bp)
-            / (2 * (v.ap + v.bp)),
-            deg0=_h(factors=[
-                _h(f=lambda v: v.ap + v.bp, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.g, mult=2, actions=[("atom",)]),
-                _h(f=lambda v: 2 * v.ap + v.bp, mult=1,
-                   actions=[("terminating", "1a",
-                             [("betap", lambda v: -2 * v.ap)], ("s6b",))]),
-            ],
-        ),
-        # -------------------------------------------------------------- c6
-        ("0", "0", "0", "1a", "1b", "0"): _h(
-            atoms=lambda v: [v.g, v.ap, v.b + v.g, v.b + 2 * v.g],
-            own_c=lambda v: (2 * v.b + v.g)
-            + ratfunc(2 * (v.b + v.g) * v.ap, v.g) * v.x,
-            c_zero=None,
-            rfactor=lambda v: v.g ** 2,
-            rem_doc=lambda v: -v.b * v.g ** 3 * (2 * v.b + v.g)
-            / (2 * (v.b + v.g)),
-            deg0=_h(factors=[
-                _h(f=lambda v: v.g, actions=[("atom",)]),
-                _h(f=lambda v: v.ap, actions=[("atom",)]),
-                _h(f=lambda v: v.b + v.g, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.g, mult=3, actions=[("atom",)]),
-                _h(f=lambda v: v.b, mult=1,
-                   actions=[("discard", [("beta", lambda v: 0)], "F5")]),
-                _h(f=lambda v: 2 * v.b + v.g, mult=1,
-                   actions=[("child", "1a",
-                             [("gamma", lambda v: -2 * v.b)])]),
-            ],
-        ),
-        ("0", "0", "0", "1b", "1a", "0"): _h(
-            atoms=lambda v: [v.ap + v.bp, 2 * v.ap + v.bp, v.a, v.ap],
-            own_c=lambda v: v.a + 2 * (v.ap + v.bp) * v.x,
-            c_zero=None,
-            rfactor=lambda v: v.ap,
-            rem_doc=lambda v: -v.a ** 2 * v.bp * (v.ap + 2 * v.bp)
-            / (2 * (v.ap + v.bp)),
-            deg0=_h(factors=[
-                _h(f=lambda v: v.ap, actions=[("atom",)]),
-                _h(f=lambda v: v.ap + v.bp, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.a, mult=2, actions=[("atom",)]),
-                _h(f=lambda v: v.bp, mult=1,
-                   actions=[("discard", [("betap", lambda v: 0)], "F5")]),
-                _h(f=lambda v: v.ap + 2 * v.bp, mult=1,
-                   actions=[("child", "1a",
-                             [("alphap", lambda v: -2 * v.bp)])]),
-            ],
-        ),
-        ("0", "0", "1a", "0", "1b", "0"): _h(
-            atoms=lambda v: [v.a, v.gp, v.ap + v.gp, v.ap + 2 * v.gp],
-            own_c=lambda v: 2 * v.a + (2 * v.ap + v.gp) * v.x,
-            c_zero=None,
-            rfactor=lambda v: v.ap + v.gp,
-            rem_doc=lambda v: -2 * v.a ** 2 * v.ap * v.gp / (2 * v.ap + v.gp),
-            deg0=_h(const_atoms=[lambda v: v.a], factors=[
-                _h(f=lambda v: 2 * v.ap + v.gp,
-                   actions=[("child", "0",
-                             [("gammap", lambda v: -2 * v.ap)])]),
-                _h(f=lambda v: v.ap + v.gp, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.a, mult=2, actions=[("atom",)]),
-                _h(f=lambda v: v.ap, mult=1,
-                   actions=[("discard", [("alphap", lambda v: 0)], "F5")]),
-                _h(f=lambda v: v.gp, mult=1, actions=[("atom",)]),
-            ],
-        ),
-        ("0", "0", "1a", "1b", "0", "0"): _h(
-            atoms=lambda v: [v.ap + v.bp, 2 * v.ap + v.bp, v.a, v.ap],
-            own_c=lambda v: 2 * v.a + (v.ap + v.bp) * v.x,
-            c_zero=None,
-            rfactor=lambda v: v.ap,
-            rem_doc=lambda v: 2 * v.a ** 2 * v.bp * (v.ap - v.bp)
-            / (v.ap + v.bp),
-            deg0=_h(factors=[
-                _h(f=lambda v: v.ap, actions=[("atom",)]),
-                _h(f=lambda v: v.ap + v.bp, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.a, mult=2, actions=[("atom",)]),
-                _h(f=lambda v: v.bp, mult=1,
-                   actions=[("discard", [("betap", lambda v: 0)], "F5")]),
-                _h(f=lambda v: v.ap - v.bp, mult=1,
-                   actions=[("child", "1a", [("betap", lambda v: v.ap)])]),
-            ],
-        ),
-        ("0", "0", "1b", "0", "1a", "0"): _h(
-            atoms=lambda v: [v.a, v.gp, v.ap + v.gp, v.ap + 2 * v.gp],
-            own_c=lambda v: v.a + (2 * v.ap + v.gp) * v.x,
-            c_zero=None,
-            rfactor=lambda v: v.gp,
-            rem_doc=lambda v: -2 * v.a ** 2 * v.ap * (v.ap + v.gp)
-            / (2 * v.ap + v.gp),
-            deg0=_h(const_atoms=[lambda v: v.a], factors=[
-                _h(f=lambda v: 2 * v.ap + v.gp,
-                   actions=[("child", "0",
-                             [("gammap", lambda v: -2 * v.ap)])]),
-                _h(f=lambda v: v.gp, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.a, mult=2, actions=[("atom",)]),
-                _h(f=lambda v: v.ap, mult=1,
-                   actions=[("discard", [("alphap", lambda v: 0)], "F5")]),
-                _h(f=lambda v: v.ap + v.gp, mult=1, actions=[("atom",)]),
-            ],
-        ),
-        ("0", "0", "1b", "1a", "0", "0"): _h(
-            atoms=lambda v: [v.g, v.ap, v.ap + v.bp, 2 * v.ap + v.bp],
-            own_c=lambda v: ratfunc(v.g * (v.ap - v.bp), v.ap + v.bp)
-            + (v.ap + v.bp) * v.x,
-            c_zero=None,
-            rfactor=lambda v: v.ap + v.bp,
-            rem_doc=lambda v: 2 * v.g ** 2 * v.ap * v.bp * (v.ap - v.bp)
-            / (v.ap + v.bp) ** 2,
-            deg0=_h(factors=[
-                _h(f=lambda v: v.ap + v.bp, mult=2, actions=[("atom",)]),
-            ]),
-            factors=[
-                _h(f=lambda v: v.g, mult=2, actions=[("atom",)]),
-                _h(f=lambda v: v.ap, mult=1, actions=[("atom",)]),
-                _h(f=lambda v: v.bp, mult=1,
-                   actions=[("discard", [("betap", lambda v: 0)], "F5")]),
-                _h(f=lambda v: v.ap - v.bp, mult=1,
-                   actions=[("child", "1a", [("betap", lambda v: v.ap)])]),
-            ],
-        ),
-        # -------------------------------------------------------------- c7
-        ("0", "0", "0", "1a", "1b", "0", "1a"): _h(
-            atoms=lambda v: [v.b, v.ap],
-            own_c=lambda v: v.b + 2 * v.ap * v.x,
-            c_zero=None,
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: Fraction(-5, 4) * v.b ** 2,
-            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
-            factors=[_h(f=lambda v: v.b, mult=2, actions=[("atom",)])],
-        ),
-        ("0", "0", "0", "1b", "1a", "0", "1a"): _h(
-            atoms=lambda v: [v.a, v.bp],
-            own_c=lambda v: Fraction(5, 2) * v.a - 4 * v.bp * v.x,
-            c_zero=None,
-            rfactor=lambda v: -1,
-            rem_doc=lambda v: Fraction(5, 16) * v.a ** 2,
-            deg0=_h(factors=[_h(f=lambda v: v.bp, actions=[("atom",)])]),
-            factors=[_h(f=lambda v: v.a, mult=2, actions=[("atom",)])],
-        ),
-        ("0", "0", "1a", "0", "1b", "0", "0"): _h(
-            atoms=lambda v: [v.a, v.ap],
-            own_c=lambda v: 4 * v.a + v.ap * v.x,
-            c_zero=None,
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: -20 * v.a ** 2,
-            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
-            factors=[_h(f=lambda v: v.a, mult=2, actions=[("atom",)])],
-        ),
-        ("0", "0", "1a", "1b", "0", "0", "1a"): _h(
-            atoms=lambda v: [v.a, v.ap],
-            own_c=lambda v: 4 * v.a + 5 * v.ap * v.x,
-            c_zero=None,
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: Fraction(-4, 5) * v.a ** 2,
-            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
-            factors=[_h(f=lambda v: v.a, mult=2, actions=[("atom",)])],
-        ),
-        ("0", "0", "1b", "0", "1a", "0", "0"): _h(
-            atoms=lambda v: [v.a, v.ap],
-            own_c=lambda v: Fraction(5, 2) * v.a + v.ap * v.x,
-            c_zero=None,
-            rfactor=lambda v: -1,
-            rem_doc=lambda v: 5 * v.a ** 2,
-            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
-            factors=[_h(f=lambda v: v.a, mult=2, actions=[("atom",)])],
-        ),
-        ("0", "0", "1b", "1a", "0", "0", "1a"): _h(
-            atoms=lambda v: [v.g, v.ap],
-            own_c=lambda v: -v.g * half + 5 * v.ap * v.x,
-            c_zero=None,
-            rfactor=lambda v: 1,
-            rem_doc=lambda v: Fraction(-1, 5) * v.g ** 2,
-            deg0=_h(factors=[_h(f=lambda v: v.ap, actions=[("atom",)])]),
-            factors=[_h(f=lambda v: v.g, mult=2, actions=[("atom",)])],
-        ),
-    }
+HINT_BOOK = {
+    ("0",): dict(own_c=1, c_zero=None, passthrough="0"),
+    ("0", "0"): dict(
+        atoms=[],
+        own_c=(a + g) + (ap + bp + gp) * x,
+        c_zero=("terminating", "c=0", [("gamma", -a), ("gammap", -ap - bp)],
+                ("s0", [])),
+        rfactor=1,
+        rem_doc=(a + g) * (bp * (a + g) - b * (ap + bp + gp)) / (ap + bp + gp),
+        Q_doc=a * (a + g)
+        + (2 * a * ap + a * bp + a * gp + b * bp + b * gp + b * ap
+           + g * ap) * x
+        + (ap + bp) * (ap + bp + gp) * x ** 2,
+        deg0=dict(const_atoms=[a + g], factors=[
+            dict(f=ap + bp + gp,
+                 actions=[("child", "0", [("gammap", -ap - bp)])]),
+        ]),
+        factors=[
+            dict(f=a + g, mult=1, actions=[("child", "1a", [("gamma", -a)])]),
+            dict(f=bp * (a + g) - b * (ap + bp + gp), mult=1,
+                 actions=[("child", "1b",
+                           [("beta", (a + g) * bp / (ap + bp + gp))])]),
+        ],
+    ),
+    ("0", "0", "0"): dict(
+        atoms=[a + g],
+        own_c=a + ap * x,
+        c_zero=("discard", [("alpha", 0), ("alphap", 0)], "F2b"),
+        rfactor=1,
+        rem_doc=a * (a * bp - b * ap) / ap,
+        Q_doc=a * (2 * a + g) + ap * (3 * a + b + g) * x
+        + ap * (ap + bp) * x ** 2,
+        R_doc=a + ap * x,
+        deg0=dict(const_atoms=[a], factors=[
+            dict(f=ap, actions=[("red", "0", [("alphap", 0)],
+                                 ("F2b", [a + g, 2 * a + g, a]))]),
+        ]),
+        factors=[
+            dict(f=a, mult=1, actions=[("child", "1a", [("alpha", 0)])]),
+            dict(f=a * bp - b * ap, mult=1,
+                 actions=[("child", "1b", [("beta", a * bp / ap)])]),
+        ],
+    ),
+    ("0", "0", "1a"): dict(
+        atoms=[ap + bp + gp],
+        own_c=(a + b) + (ap + bp) * x,
+        c_zero=("discard", [("beta", -a), ("betap", -ap)], "F2a"),
+        rfactor=1,
+        rem_doc=(a + b) * (a * bp - b * ap) / (ap + bp),
+        Q_doc=a * (a + b) + (a + b) * (3 * ap + 2 * bp + gp) * x
+        + (ap + bp) * (2 * ap + 2 * bp + gp) * x ** 2,
+        R_doc=a + b + (ap + bp) * x,
+        deg0=dict(factors=[
+            dict(f=ap + bp, actions=[("child", "0", [("betap", -ap)])]),
+        ], const_atoms=[a + b, gp]),
+        factors=[
+            dict(f=a + b, mult=1,
+                 actions=[("red", "1a", [("beta", -a)],
+                           ("F2a", [ap + bp, ap + bp + gp,
+                                    2 * ap + 2 * bp + gp]))]),
+            dict(f=a * bp - b * ap, mult=1, actions=[
+                ("child", "1b", [("beta", a * bp / ap)]),
+                ("red", "1c", [("alpha", 0), ("alphap", 0)],
+                 ("F3a", [bp, bp + gp, 2 * bp + gp]))]),
+        ],
+    ),
+    ("0", "0", "1b"): dict(
+        atoms=[ap + bp + gp, a + g],
+        own_c=a + (ap + bp) * x,
+        c_zero=("discard", [("alpha", 0), ("betap", -ap)], "F6"),
+        rfactor=ap + bp + gp,
+        rem_doc=a * bp * (a * gp - g * ap - g * bp) / (ap + bp),
+        deg0=dict(const_atoms=[a, gp], factors=[
+            dict(f=ap + bp, actions=[("child", "0", [("betap", -ap)])]),
+            dict(f=ap + bp + gp, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=a, mult=1, actions=[("child", "1a", [("alpha", 0)])]),
+            dict(f=bp, mult=1, actions=[("red", "1b", [("betap", 0)],
+                                         ("F5", [ap + gp, a + g, ap]))]),
+            dict(f=a * gp - g * ap - g * bp, mult=1,
+                 actions=[("red", "1c", [("gamma", a * gp / (ap + bp))],
+                           ("F6", [ap + bp, ap + bp + gp,
+                                   2 * ap + 2 * bp + gp, a]))]),
+        ],
+    ),
+    # -------------------------------------------------------------- c4
+    ("0", "0", "0", "1a"): dict(
+        atoms=[g, ap],
+        own_c=(b + g) + (ap + bp) * x,
+        c_zero=("discard", [("gamma", -b), ("betap", -ap)], "F1b"),
+        rfactor=1,
+        rem_doc=-(b + g) * (b * ap - g * bp) / (ap + bp),
+        Q_doc=(3 * b * ap + b * bp + 2 * g * ap) * x
+        + (ap + bp) * (2 * ap + bp) * x ** 2,
+        deg0=dict(const_atoms=[b + g], factors=[
+            dict(f=ap + bp, actions=[("red", "0", [("betap", -ap)],
+                                      ("F1b", [b + g, g, ap]))]),
+        ]),
+        factors=[
+            dict(f=b + g, mult=1, actions=[("child", "1a", [("gamma", -b)])]),
+            dict(f=b * ap - g * bp, mult=1,
+                 actions=[("child", "1b", [("betap", b * ap / g)])]),
+        ],
+    ),
+    ("0", "0", "0", "1b"): dict(
+        atoms=[ap, a + g],
+        own_c=(2 * a + g) + (ap + bp) * x,
+        c_zero=("discard", [("gamma", -2 * a), ("betap", -ap)], "F3b"),
+        rfactor=ap,
+        rem_doc=bp * (2 * a + g) * (a * ap - a * bp + g * ap) / (ap + bp),
+        deg0=dict(const_atoms=[2 * a + g], factors=[
+            dict(f=ap + bp, actions=[("red", "0", [("betap", -ap)],
+                                      ("F3b", [ap, a + g, 2 * a + g]))]),
+            dict(f=ap, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=bp, mult=1, actions=[("discard", [("betap", 0)], "F5")]),
+            dict(f=2 * a + g, mult=1,
+                 actions=[("child", "1a", [("gamma", -2 * a)])]),
+            dict(f=a * ap - a * bp + g * ap, mult=1,
+                 actions=[("child", "1b",
+                           [("gamma", -a * (ap - bp) / ap)])]),
+        ],
+    ),
+    ("0", "0", "1a", "0"): dict(
+        atoms=[gp, a + b],
+        own_c=a + (ap + gp) * x,
+        c_zero=("discard", [("alpha", 0), ("gammap", -ap)], "F1a"),
+        rfactor=1,
+        rem_doc=-a * (a * ap + b * ap + b * gp) / (ap + gp),
+        Q_doc=a * (2 * a + b)
+        + (3 * a * ap + 2 * b * ap + 2 * a * gp + 2 * b * gp) * x,
+        deg0=dict(const_atoms=[a], factors=[
+            dict(f=ap + gp, actions=[("child", "0", [("gammap", -ap)])]),
+        ]),
+        factors=[
+            dict(f=a, mult=1, actions=[("red", "1a", [("alpha", 0)],
+                                        ("F1a", [ap + gp, b, gp]))]),
+            dict(f=a * ap + b * ap + b * gp, mult=1,
+                 actions=[("child", "1b",
+                           [("beta", -a * ap / (ap + gp))])]),
+        ],
+    ),
+    ("0", "0", "1a", "1b"): dict(
+        atoms=[ap, ap + bp, ap + bp + gp],
+        own_c=a + (2 * ap + 2 * bp + gp) * x,
+        c_zero=("discard", [("alpha", 0), ("gammap", -2 * ap - 2 * bp)],
+                "F2a"),
+        rfactor=ap,
+        rem_doc=-a ** 2 * bp * (ap + 2 * bp + gp) / (2 * ap + 2 * bp + gp),
+        deg0=dict(const_atoms=[a], factors=[
+            dict(f=2 * ap + 2 * bp + gp,
+                 actions=[("child", "0", [("gammap", -2 * ap - 2 * bp)])]),
+            dict(f=ap, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=a, mult=2, actions=[("discard", [("alpha", 0)], "F2a")]),
+            dict(f=bp, mult=1, actions=[("discard", [("betap", 0)], "F5")]),
+            dict(f=ap + 2 * bp + gp, mult=1,
+                 actions=[("child", "1a", [("gammap", -ap - 2 * bp)])]),
+        ],
+    ),
+    ("0", "0", "1b", "0"): dict(
+        atoms=[a, gp, a + g],
+        own_c=(2 * a + g) + (ap + gp) * x,
+        c_zero=("discard", [("gamma", -2 * a), ("gammap", -ap)], "F4b"),
+        rfactor=gp,
+        rem_doc=ap * (2 * a + g) * (a * ap + g * ap - a * gp) / (ap + gp),
+        deg0=dict(const_atoms=[2 * a + g], factors=[
+            dict(f=ap + gp, actions=[("child", "0", [("gammap", -ap)])]),
+            dict(f=gp, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=ap, mult=1, actions=[("discard", [("alphap", 0)], "F5")]),
+            dict(f=2 * a + g, mult=1,
+                 actions=[("child", "1a", [("gamma", -2 * a)])]),
+            dict(f=a * ap + g * ap - a * gp, mult=1,
+                 actions=[("red", "1b", [("alphap", a * gp / (a + g))],
+                           ("F4b", [a + g, 2 * a + g, a, gp]))]),
+        ],
+    ),
+    ("0", "0", "1b", "1a"): dict(
+        atoms=[ap + bp, ap + bp + gp, g],
+        own_c=ratfunc(g * (ap + 2 * bp + gp), ap + bp + gp)
+        + (2 * ap + 2 * bp + gp) * x,
+        c_zero=("discard", [("alphap", 0), ("gammap", -2 * bp)], "F4a"),
+        rfactor=ap + bp + gp,
+        R_doc=g * (ap + 2 * bp + gp)
+        + (ap + bp + gp) * (2 * ap + 2 * bp + gp) * x,
+        rem_doc=-ap * bp * g ** 2 * (ap + 2 * bp + gp)
+        / ((ap + bp + gp) * (2 * ap + 2 * bp + gp)),
+        deg0=dict(const_atoms=[ap, g], factors=[
+            dict(f=2 * ap + 2 * bp + gp,
+                 actions=[("child", "0", [("gammap", -2 * ap - 2 * bp)])]),
+            dict(f=ap + bp + gp, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=g, mult=2, actions=[("atom",)]),
+            dict(f=bp, mult=1, actions=[("discard", [("betap", 0)], "F5")]),
+            dict(f=ap, mult=1,
+                 actions=[("red", "1a", [("alphap", 0)],
+                           ("F4a", [bp + gp, 2 * bp + gp, g, bp]))]),
+            dict(f=ap + 2 * bp + gp, mult=1,
+                 actions=[("child", "1b", [("gammap", -ap - 2 * bp)])]),
+        ],
+    ),
+    # -------------------------------------------------------------- c5
+    ("0", "0", "0", "1a", "1a"): dict(
+        atoms=[ap + bp, b, ap],
+        own_c=b + (2 * ap + bp) * x,
+        c_zero=None,
+        rfactor=1,
+        rem_doc=-2 * b ** 2 * ap / (2 * ap + bp),
+        Q_doc=2 * b * (2 * ap + bp) * x
+        + 2 * (ap + bp) * (2 * ap + bp) * x ** 2,
+        deg0=dict(const_atoms=[b], factors=[
+            dict(f=2 * ap + bp, actions=[("terminating", "0",
+                                          [("betap", -2 * ap)], ("s4a",))]),
+        ]),
+        factors=[
+            dict(f=b, mult=2, actions=[("atom",)]),
+            dict(f=ap, mult=1, actions=[("atom",)]),
+        ],
+    ),
+    ("0", "0", "0", "1a", "1b"): dict(
+        atoms=[g, ap, b + g, b + 2 * g],
+        own_c=ratfunc(ap * (b + 2 * g), g) * x,
+        c_zero=("terminating", "c=0", [("beta", -2 * g)], ("s1a", [])),
+        passthrough="0",
+    ),
+    ("0", "0", "0", "1b", "1a"): dict(
+        atoms=[ap + bp, a, ap, 2 * ap + bp],
+        own_c=ratfunc(2 * ap + bp, ap) * (a + ap * x),
+        c_zero=("terminating", "c=0", [("betap", -2 * ap)], ("s3a", [])),
+        passthrough="0",
+    ),
+    ("0", "0", "0", "1b", "1b"): dict(
+        atoms=[ap + bp, a, ap, bp],
+        own_c=2 * a + (2 * ap + bp) * x,
+        c_zero=None,
+        rfactor=ap,
+        rem_doc=-2 * a ** 2 * bp ** 2 / (2 * ap + bp),
+        deg0=dict(const_atoms=[a], factors=[
+            dict(f=2 * ap + bp, actions=[("terminating", "0",
+                                          [("betap", -2 * ap)], ("s5a",))]),
+            dict(f=ap, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=a, mult=2, actions=[("atom",)]),
+            dict(f=bp, mult=2, actions=[("atom",)]),
+        ],
+    ),
+    ("0", "0", "1a", "0", "0"): dict(
+        atoms=[a + b, a, ap],
+        own_c=(2 * a + b) + ap * x,
+        c_zero=None,
+        rfactor=1,
+        rem_doc=-2 * (a + b) * (2 * a + b),
+        deg0=dict(factors=[dict(f=ap, actions=[("atom",)])]),
+        factors=[
+            dict(f=a + b, mult=1, actions=[("atom",)]),
+            dict(f=2 * a + b, mult=1,
+                 actions=[("terminating", "1a", [("beta", -2 * a)],
+                           ("s4b",))]),
+        ],
+    ),
+    ("0", "0", "1a", "0", "1b"): dict(
+        atoms=[ap + gp, a, gp, ap + 2 * gp],
+        own_c=ratfunc(a * (ap + 2 * gp), ap + gp),
+        c_zero=("terminating", "c=0", [("alphap", -2 * gp)], ("s1b", [])),
+        passthrough="0",
+    ),
+    ("0", "0", "1a", "1b", "0"): dict(
+        atoms=[ap + bp, a, ap, 2 * ap + bp],
+        own_c=ratfunc(2 * ap + bp, ap) * (a + ap * x),
+        c_zero=("terminating", "c=0", [("betap", -2 * ap)], ("s3b", [])),
+        passthrough="0",
+    ),
+    ("0", "0", "1a", "1b", "1a"): dict(
+        atoms=[ap + bp, ap, bp],
+        own_c=ratfunc(a * (2 * ap + bp), ap) + 2 * (ap + bp) * x,
+        c_zero=None,
+        rfactor=ap,
+        rem_doc=-a ** 2 * bp ** 2 * (2 * ap + bp) / (2 * ap * (ap + bp)),
+        deg0=dict(factors=[
+            dict(f=ap, actions=[("atom",)]),
+            dict(f=ap + bp, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=a, mult=2, actions=[("discard", [("alpha", 0)], "F2a")]),
+            dict(f=bp, mult=2, actions=[("atom",)]),
+            dict(f=2 * ap + bp, mult=1,
+                 actions=[("terminating", "1a", [("betap", -2 * ap)],
+                           ("s5b",))]),
+        ],
+    ),
+    ("0", "0", "1b", "0", "0"): dict(
+        atoms=[a + g, 2 * a + g, a, ap],
+        own_c=2 * a + ap * x,
+        c_zero=None,
+        rfactor=1,
+        rem_doc=-2 * a * (3 * a + g),
+        deg0=dict(factors=[dict(f=ap, actions=[("atom",)])]),
+        factors=[
+            dict(f=a, mult=1, actions=[("atom",)]),
+            dict(f=3 * a + g, mult=1,
+                 actions=[("terminating", "1a", [("gamma", -3 * a)],
+                           ("s6a",))]),
+        ],
+    ),
+    ("0", "0", "1b", "0", "1a"): dict(
+        atoms=[ap + gp, a, gp, ap + 2 * gp],
+        own_c=ratfunc(a * (ap + 2 * gp), gp),
+        c_zero=("terminating", "c=0", [("alphap", -2 * gp)], ("s2b", [])),
+        passthrough="0",
+    ),
+    ("0", "0", "1b", "1a", "0"): dict(
+        atoms=[g, ap, ap + bp, 2 * ap + bp],
+        own_c=(2 * ap + bp) * x,
+        c_zero=("terminating", "c=0", [("betap", -2 * ap)], ("s2a", [])),
+        passthrough="0",
+    ),
+    ("0", "0", "1b", "1a", "1b"): dict(
+        atoms=[ap + bp, g, ap, bp],
+        own_c=-g + 2 * (ap + bp) * x,
+        c_zero=None,
+        rfactor=1,
+        rem_doc=-g ** 2 * (2 * ap + bp) / (2 * (ap + bp)),
+        deg0=dict(factors=[dict(f=ap + bp, actions=[("atom",)])]),
+        factors=[
+            dict(f=g, mult=2, actions=[("atom",)]),
+            dict(f=2 * ap + bp, mult=1,
+                 actions=[("terminating", "1a", [("betap", -2 * ap)],
+                           ("s6b",))]),
+        ],
+    ),
+    # -------------------------------------------------------------- c6
+    ("0", "0", "0", "1a", "1b", "0"): dict(
+        atoms=[g, ap, b + g, b + 2 * g],
+        own_c=(2 * b + g) + ratfunc(2 * (b + g) * ap, g) * x,
+        c_zero=None,
+        rfactor=g ** 2,
+        rem_doc=-b * g ** 3 * (2 * b + g) / (2 * (b + g)),
+        deg0=dict(factors=[
+            dict(f=g, actions=[("atom",)]),
+            dict(f=ap, actions=[("atom",)]),
+            dict(f=b + g, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=g, mult=3, actions=[("atom",)]),
+            dict(f=b, mult=1, actions=[("discard", [("beta", 0)], "F5")]),
+            dict(f=2 * b + g, mult=1,
+                 actions=[("child", "1a", [("gamma", -2 * b)])]),
+        ],
+    ),
+    ("0", "0", "0", "1b", "1a", "0"): dict(
+        atoms=[ap + bp, 2 * ap + bp, a, ap],
+        own_c=a + 2 * (ap + bp) * x,
+        c_zero=None,
+        rfactor=ap,
+        rem_doc=-a ** 2 * bp * (ap + 2 * bp) / (2 * (ap + bp)),
+        deg0=dict(factors=[
+            dict(f=ap, actions=[("atom",)]),
+            dict(f=ap + bp, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=a, mult=2, actions=[("atom",)]),
+            dict(f=bp, mult=1, actions=[("discard", [("betap", 0)], "F5")]),
+            dict(f=ap + 2 * bp, mult=1,
+                 actions=[("child", "1a", [("alphap", -2 * bp)])]),
+        ],
+    ),
+    ("0", "0", "1a", "0", "1b", "0"): dict(
+        atoms=[a, gp, ap + gp, ap + 2 * gp],
+        own_c=2 * a + (2 * ap + gp) * x,
+        c_zero=None,
+        rfactor=ap + gp,
+        rem_doc=-2 * a ** 2 * ap * gp / (2 * ap + gp),
+        deg0=dict(const_atoms=[a], factors=[
+            dict(f=2 * ap + gp,
+                 actions=[("child", "0", [("gammap", -2 * ap)])]),
+            dict(f=ap + gp, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=a, mult=2, actions=[("atom",)]),
+            dict(f=ap, mult=1, actions=[("discard", [("alphap", 0)], "F5")]),
+            dict(f=gp, mult=1, actions=[("atom",)]),
+        ],
+    ),
+    ("0", "0", "1a", "1b", "0", "0"): dict(
+        atoms=[ap + bp, 2 * ap + bp, a, ap],
+        own_c=2 * a + (ap + bp) * x,
+        c_zero=None,
+        rfactor=ap,
+        rem_doc=2 * a ** 2 * bp * (ap - bp) / (ap + bp),
+        deg0=dict(factors=[
+            dict(f=ap, actions=[("atom",)]),
+            dict(f=ap + bp, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=a, mult=2, actions=[("atom",)]),
+            dict(f=bp, mult=1, actions=[("discard", [("betap", 0)], "F5")]),
+            dict(f=ap - bp, mult=1,
+                 actions=[("child", "1a", [("betap", ap)])]),
+        ],
+    ),
+    ("0", "0", "1b", "0", "1a", "0"): dict(
+        atoms=[a, gp, ap + gp, ap + 2 * gp],
+        own_c=a + (2 * ap + gp) * x,
+        c_zero=None,
+        rfactor=gp,
+        rem_doc=-2 * a ** 2 * ap * (ap + gp) / (2 * ap + gp),
+        deg0=dict(const_atoms=[a], factors=[
+            dict(f=2 * ap + gp,
+                 actions=[("child", "0", [("gammap", -2 * ap)])]),
+            dict(f=gp, actions=[("atom",)]),
+        ]),
+        factors=[
+            dict(f=a, mult=2, actions=[("atom",)]),
+            dict(f=ap, mult=1, actions=[("discard", [("alphap", 0)], "F5")]),
+            dict(f=ap + gp, mult=1, actions=[("atom",)]),
+        ],
+    ),
+    ("0", "0", "1b", "1a", "0", "0"): dict(
+        atoms=[g, ap, ap + bp, 2 * ap + bp],
+        own_c=ratfunc(g * (ap - bp), ap + bp) + (ap + bp) * x,
+        c_zero=None,
+        rfactor=ap + bp,
+        rem_doc=2 * g ** 2 * ap * bp * (ap - bp) / (ap + bp) ** 2,
+        deg0=dict(factors=[dict(f=ap + bp, mult=2, actions=[("atom",)])]),
+        factors=[
+            dict(f=g, mult=2, actions=[("atom",)]),
+            dict(f=ap, mult=1, actions=[("atom",)]),
+            dict(f=bp, mult=1, actions=[("discard", [("betap", 0)], "F5")]),
+            dict(f=ap - bp, mult=1,
+                 actions=[("child", "1a", [("betap", ap)])]),
+        ],
+    ),
+    # -------------------------------------------------------------- c7
+    ("0", "0", "0", "1a", "1b", "0", "1a"): dict(
+        atoms=[b, ap],
+        own_c=b + 2 * ap * x,
+        c_zero=None,
+        rfactor=1,
+        rem_doc=Fraction(-5, 4) * b ** 2,
+        deg0=dict(factors=[dict(f=ap, actions=[("atom",)])]),
+        factors=[dict(f=b, mult=2, actions=[("atom",)])],
+    ),
+    ("0", "0", "0", "1b", "1a", "0", "1a"): dict(
+        atoms=[a, bp],
+        own_c=Fraction(5, 2) * a - 4 * bp * x,
+        c_zero=None,
+        rfactor=-1,
+        rem_doc=Fraction(5, 16) * a ** 2,
+        deg0=dict(factors=[dict(f=bp, actions=[("atom",)])]),
+        factors=[dict(f=a, mult=2, actions=[("atom",)])],
+    ),
+    ("0", "0", "1a", "0", "1b", "0", "0"): dict(
+        atoms=[a, ap],
+        own_c=4 * a + ap * x,
+        c_zero=None,
+        rfactor=1,
+        rem_doc=-20 * a ** 2,
+        deg0=dict(factors=[dict(f=ap, actions=[("atom",)])]),
+        factors=[dict(f=a, mult=2, actions=[("atom",)])],
+    ),
+    ("0", "0", "1a", "1b", "0", "0", "1a"): dict(
+        atoms=[a, ap],
+        own_c=4 * a + 5 * ap * x,
+        c_zero=None,
+        rfactor=1,
+        rem_doc=Fraction(-4, 5) * a ** 2,
+        deg0=dict(factors=[dict(f=ap, actions=[("atom",)])]),
+        factors=[dict(f=a, mult=2, actions=[("atom",)])],
+    ),
+    ("0", "0", "1b", "0", "1a", "0", "0"): dict(
+        atoms=[a, ap],
+        own_c=Fraction(5, 2) * a + ap * x,
+        c_zero=None,
+        rfactor=-1,
+        rem_doc=5 * a ** 2,
+        deg0=dict(factors=[dict(f=ap, actions=[("atom",)])]),
+        factors=[dict(f=a, mult=2, actions=[("atom",)])],
+    ),
+    ("0", "0", "1b", "1a", "0", "0", "1a"): dict(
+        atoms=[g, ap],
+        own_c=-g * Fraction(1, 2) + 5 * ap * x,
+        c_zero=None,
+        rfactor=1,
+        rem_doc=Fraction(-1, 5) * g ** 2,
+        deg0=dict(factors=[dict(f=ap, actions=[("atom",)])]),
+        factors=[dict(f=g, mult=2, actions=[("atom",)])],
+    ),
+}

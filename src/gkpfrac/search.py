@@ -2,19 +2,21 @@
 whose generating function has an S-fraction with polynomial-in-x
 coefficients.
 
-The tree is driven by the hint book (one record per documented node): the
-engine recomputes all fraction coefficients from scratch, then verifies
-every documented assertion exactly -- the substitutions, the inequations,
-the remainder and its factorization, the degree collapse of the numerator
-and denominator polynomials, the family membership of every discarded
-branch and every leaf (``families.family_binding``) -- and raises instead
-of silently accepting a violation.  Every branch (a factor of the
-remainder numerator or of the deg-0 leading coefficient, or the node's own
-coefficient vanishing) goes through one action interpreter, ``_take``: the
-one step that applies a documented solve to the node's parameters and
-checks, there, that it kills its factor.  A node's parameters are its
-parent's with that solve composed in, so a factor killed at the node that
-solved it stays zero at every descendant and is not checked again.
+The tree is driven by the hint book (``hintbook.HINT_BOOK``, one record per
+documented node, its entries values over the generators of
+``GKPParams.symbolic()``): the engine recomputes all fraction coefficients
+from scratch, then verifies every documented assertion exactly -- the
+substitutions, the inequations, the remainder and its factorization, the
+degree collapse of the numerator and denominator polynomials, the family
+membership of every discarded branch and every leaf
+(``families.family_binding``) -- and raises instead of silently accepting a
+violation.  Every branch (a factor of the remainder numerator or of the
+deg-0 leading coefficient, or the node's own coefficient vanishing) goes
+through one action interpreter, ``_take``: the one step that applies a
+documented solve to the node's parameters and checks, there, that it kills
+its factor.  A node's parameters are its parent's with that solve composed
+in, so a factor killed at the node that solved it stays zero at every
+descendant and is not checked again.
 
 Each node's own split coefficient is extracted from its series.  A leaf's
 claimed S-fraction (the ten red families, the thirteen terminating ones) is
@@ -32,13 +34,13 @@ from typing import Optional
 
 from .exactalg import (
     MPoly, TruncSeries, as_field, as_mpoly, clear_denominators, divide_exact,
-    felem_div, felem_eq, felem_is_zero, num_den, variables, x_coeffs,
+    felem_div, felem_eq, felem_is_zero, num_den, x_coeffs,
 )
-from .gkpcore import GKPParams, _cleared, gkp_rows
+from .gkpcore import PARAM_NAMES, GKPParams, _cleared, gkp_rows
 from .cfrac import cfrac_refutation, extract_sfrac
 from . import families
 from .symmetry import transport
-from .hintbook import make_hint_book
+from .hintbook import HINT_BOOK, VARS
 
 
 class InconsistentNode(ValueError):
@@ -49,22 +51,7 @@ class BadFactorHint(ValueError):
     pass
 
 
-BASE = ("alpha", "beta", "gamma", "alphap", "betap", "gammap")
 RED_DEPTH = 10
-
-
-class _Ns:
-    """Generator namespace with short Greek-style attribute names."""
-
-    def __init__(self):
-        gens = variables(BASE, extra=("x",))
-        (self.a, self.b, self.g, self.ap, self.bp, self.gp) = gens
-        self.x = MPoly.variable("x", gens[0].vars)
-
-
-V = _Ns()
-HINT_BOOK = make_hint_book(V)
-
 RED_FAMILIES = families.SFRAC_FAMILY_IDS
 TERMINATING_FAMILIES = tuple(fid for fid in families.family_ids()
                              if families.get_family(fid).status == "terminating")
@@ -82,7 +69,7 @@ class SearchNode:
         return len(self.label) - 1
 
     def mu(self) -> GKPParams:
-        return GKPParams(*[self.subs[p] for p in BASE])
+        return GKPParams(*[self.subs[p] for p in PARAM_NAMES])
 
     def name(self) -> str:
         return ",".join(self.label)
@@ -114,14 +101,14 @@ def _subst_field(value, mapping):
 
 
 def root_node() -> SearchNode:
-    subs = {p: MPoly.variable(p, V.a.vars) for p in BASE}
-    return SearchNode(label=("0",), subs=subs, free=BASE, atoms=())
+    subs = {p: MPoly.variable(p, VARS) for p in PARAM_NAMES}
+    return SearchNode(label=("0",), subs=subs, free=PARAM_NAMES, atoms=())
 
 
 def _solve_mapping(solve):
     mapping = {}
-    for var, value_fn in solve:
-        mapping[var] = _subst_field(value_fn(V), mapping)
+    for var, value in solve:
+        mapping[var] = _subst_field(value, mapping)
     return mapping
 
 
@@ -134,8 +121,8 @@ def node_cs(node: SearchNode, depth: int):
     all six denominators, and divided by D: each c_i has degree one in mu.
     The rows of D mu come from ``gkp_rows``.  Per-triple clearing would
     need x mapped back, at 7-11 % more time."""
-    nums, D = clear_denominators([node.subs[p] for p in BASE], V.a.vars)
-    rows = gkp_rows([as_mpoly(v, V.a.vars) for v in nums], depth)
+    nums, D = clear_denominators([node.subs[p] for p in PARAM_NAMES], VARS)
+    rows = gkp_rows([as_mpoly(v, VARS) for v in nums], depth)
     cf = extract_sfrac(TruncSeries(depth, rows), depth)
     cs = list(cf.c) if D == 1 else [felem_div(ci, D) for ci in cf.c]
     return cs, cf.terminated_at
@@ -181,10 +168,10 @@ def _check_factors(node: SearchNode, record: str, value, factors):
     """``value`` is a nonzero constant times the product of its documented
     ``factors``, each to its multiplicity."""
     num, den = num_den(as_field(value))
-    prod = MPoly.one(V.a.vars)
+    prod = MPoly.one(VARS)
     for item in factors:
-        prod = prod * item["f"](V) ** item.get("mult", 1)
-    q = divide_exact(as_mpoly(num, V.a.vars), prod)
+        prod = prod * item["f"] ** item.get("mult", 1)
+    q = divide_exact(as_mpoly(num, VARS), prod)
     if q is None or q.is_zero() or not q.is_constant() \
             or not as_mpoly(den).is_constant():
         raise BadFactorHint("%s: %s factorization mismatch"
@@ -205,6 +192,8 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
                                % node.name())
     if k is None:
         k = node.depth + 1
+    if k < 1:
+        raise ValueError("level must be at least 1, got %d" % k)
     cs, terminated = node_cs(node, k)
     if len(cs) < k:
         raise InconsistentNode("%s: series terminated at level %s"
@@ -214,7 +203,7 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
 
     own = hint.get("own_c")
     if own is not None and k >= 2:
-        if not felem_eq(c_prev, own(V)):
+        if not felem_eq(c_prev, own):
             raise InconsistentNode("%s: documented c_%d mismatch"
                                    % (node.name(), k - 1))
     if k != node.depth + 1:
@@ -230,7 +219,7 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
                           [_branch(node, ("child", hint["passthrough"]),
                                    node.subs, node.free)])
 
-    g = hint["rfactor"](V)
+    g = hint["rfactor"]
     R = g * as_field(c_prev) if k >= 2 else as_field(g)
     Q = as_field(c_k) * R
     if not _x_free(num_den(Q)[1]) or not _x_free(num_den(R)[1]):
@@ -244,12 +233,12 @@ def node_coefficient(node: SearchNode, k: Optional[int] = None) -> NodeReport:
     rem = _x_remainder(Qc, Rc)
     rem_ok = None
     if hint.get("rem_doc") is not None:
-        rem_ok = felem_eq(rem, hint["rem_doc"](V))
+        rem_ok = felem_eq(rem, hint["rem_doc"])
     if hint.get("Q_doc") is not None:
-        if not felem_eq(Q, hint["Q_doc"](V)):
+        if not felem_eq(Q, hint["Q_doc"]):
             raise InconsistentNode("%s: documented Q mismatch" % node.name())
     if hint.get("R_doc") is not None:
-        if not felem_eq(R, hint["R_doc"](V)):
+        if not felem_eq(R, hint["R_doc"]):
             raise InconsistentNode("%s: documented R mismatch" % node.name())
 
     children = split_node(node, hint, rem, R)
@@ -295,11 +284,10 @@ def split_node(node: SearchNode, factor_hints=None, rem=None, R=None) -> list:
     children = []
     for record, rec in (("deg-0 leading-coefficient", deg0),
                         ("remainder", hint)):
-        const_atoms = [f(V) for f in rec.get("const_atoms", ())]
+        const_atoms = rec.get("const_atoms", ())
         for item in rec["factors"]:
-            f_expr = item["f"](V)
             for action in item["actions"]:
-                child = _take(node, record, action, f_expr, const_atoms)
+                child = _take(node, record, action, item["f"], const_atoms)
                 if child is not None:
                     children.append(child)
     return children
@@ -324,16 +312,16 @@ def _take(node: SearchNode, record: str, action, factor, const_atoms=()):
     if kind not in ("discard", "child", "red", "terminating"):
         raise BadFactorHint("unknown hint kind %r" % (kind,))
     mapping = _solve_mapping(action[1] if kind == "discard" else action[2])
-    subs = {p: _subst_field(node.subs[p], mapping) for p in BASE}
+    subs = {p: _subst_field(node.subs[p], mapping) for p in PARAM_NAMES}
     free = tuple(p for p in node.free if p not in mapping)
-    solved = {p: subs[p] for p in BASE if p not in free}
+    solved = {p: subs[p] for p in PARAM_NAMES if p not in free}
     if not felem_is_zero(_subst_field(factor, solved)):
         raise InconsistentNode("%s: documented vanishing submanifold "
                                "does not kill the %s factor"
                                % (node.name(), record))
     if kind == "discard":
         family = action[2]
-        mu = tuple(subs[p] for p in BASE)
+        mu = tuple(subs[p] for p in PARAM_NAMES)
         if families.family_binding(family, mu) is None:
             raise InconsistentNode("%s: discarded branch is not inside %s "
                                    "(%s)" % (node.name(), family, record))
@@ -356,13 +344,13 @@ def _branch(node, action, subs, free, const_atoms=()):
         child_hint = HINT_BOOK.get(node.label + (token,))
         if child_hint is None:
             raise BadFactorHint("no hint for child %s,%s" % (node.name(), token))
-        atoms_fn = child_hint.get("atoms")
+        atoms = child_hint.get("atoms")
     else:
         fid, *atoms = action[3]
-        atoms_fn = atoms[0] if atoms else None
+        atoms = atoms[0] if atoms else None
     child = SearchNode(label=node.label + (token,), subs=subs, free=free,
-                       atoms=tuple(atoms_fn(V)) if atoms_fn else node.atoms)
-    solved = {p: subs[p] for p in BASE if p not in free}
+                       atoms=node.atoms if atoms is None else tuple(atoms))
+    solved = {p: subs[p] for p in PARAM_NAMES if p not in free}
     for atom in child.atoms + tuple(const_atoms):
         if felem_is_zero(_subst_field(atom, solved)):
             raise InconsistentNode("%s: inequation violated by substitution"
@@ -392,7 +380,7 @@ def _check_leaf(node: SearchNode, fid: str, want):
     extraction departs."""
     level = want.terminated_at
     order = RED_DEPTH if level is None else level + 3
-    nums, d1, d2 = _cleared(tuple(node.mu()), V.a.vars)
+    nums, d1, d2 = _cleared(tuple(node.mu()), VARS)
     if d1 != 1 or d2 != 1:
         m = d2, 0, 0, d1, 1
         want = replace(want, c=tuple(transport(c, m) for c in want.c))
@@ -416,7 +404,7 @@ def _verify_c_zero(node: SearchNode, hint):
     two x-coefficients is a product of atoms), otherwise the action is
     taken on the coefficient as its factor: a ``discard`` into one of the
     red families, or a ``terminating`` leaf labelled ``c=0``."""
-    own = hint["own_c"](V)
+    own = hint["own_c"]
     action = hint["c_zero"]
     if action is not None:
         return _take(node, "c=0", action, own)
@@ -498,12 +486,14 @@ def run_tree() -> dict:
 
 
 def get_node(label) -> SearchNode:
-    """Rebuild a documented node by replaying the path from the root."""
+    """Rebuild a documented node, or a leaf that its parent's split opens,
+    by replaying the path from the root; any other label raises
+    ``InconsistentNode``."""
     if isinstance(label, str):
         label = tuple(tok for tok in label.split(",") if tok)
     node = root_node()
-    if tuple(label) == node.label:
-        return node
+    if tuple(label[:1]) != node.label:
+        raise InconsistentNode("no documented node %s" % (tuple(label),))
     for depth in range(1, len(label)):
         want = tuple(label[: depth + 1])
         nxt = None

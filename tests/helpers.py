@@ -1,11 +1,12 @@
 """Names that only the tests call, kept out of the package: the membership
 table of the group's conjugacy classes, the yes/no form of the series
 check of a predicted fraction, the substitution route of the transport
-law and the exponential of a series."""
+law, the exponential of a series and the GKP coefficient rule."""
 from fractions import Fraction
 
 from gkpfrac.cfrac import _departure
 from gkpfrac.exactalg import MPoly, RatFunc, TruncSeries, felem_div, felem_is_zero
+from gkpfrac.gkpcore import GKPParams
 from gkpfrac.symmetry import IDENT, S, X, Z
 
 
@@ -71,3 +72,14 @@ def series_exp(s):
             acc = term if acc is None else acc + term
         e.append(0 if acc is None else acc * Fraction(1, k + 1))
     return TruncSeries(s.order, e)
+
+
+def gkp_rule(mu):
+    """The GKP specialization of the binomial-like coefficient rule: the
+    weights (a n + b k + g, a' n + b' k + g') of entry (n, k)."""
+    a, b, g, ap, bp, gp = GKPParams.of(mu)
+
+    def rule(n, k):
+        return a * n + b * k + g, ap * n + bp * k + gp
+
+    return rule

@@ -16,6 +16,7 @@ from gkpfrac.cfrac import extract_sfrac
 from gkpfrac.cli import main
 from gkpfrac.exactalg import MPoly, felem_eq, num_den, variables
 from gkpfrac.gkpcore import cleared_triangle, gkp_triangle, ogf_trunc
+from gkpfrac.hintbook import VARS
 
 
 def assert_cleared(mu, N, vars=None):
@@ -98,7 +99,7 @@ def tree_nodes():
 def test_tree_points_are_cleared_per_triple(tree_nodes):
     one_triple = []
     for label, node in tree_nodes.items():
-        d1, d2 = assert_cleared(node.mu(), 5, S.V.a.vars)
+        d1, d2 = assert_cleared(node.mu(), 5, VARS)
         if (d1, d2) != (1, 1):
             one_triple.append(label)
             # the triple without denominators is left as it is

@@ -11,10 +11,12 @@ from gkpfrac.exactalg import (
 from gkpfrac.gkpcore import (
     CLOSED_FORMS, TWO_TERM, GKPParams, Triangle, UnknownFamily, _gkp_row_rule, _unroll_rows,
     binomial_like_triangle, closed_form_check,
-    egf_trunc, gkp_rule, gkp_triangle, gkpz_triangle, ogf_trunc,
+    egf_trunc, gkp_triangle, gkpz_triangle, ogf_trunc,
     rescale_weight, residual_checks, row_polys, tilde_params,
     triangle_mismatch,
 )
+
+from helpers import gkp_rule
 
 
 def test_stirling_subset_row():

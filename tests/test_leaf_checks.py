@@ -17,9 +17,11 @@ from gkpfrac import cfrac, families as F, search as S
 from gkpfrac.cfrac import extract_sfrac
 from gkpfrac.cli import main
 from gkpfrac.exactalg import (
-    TruncSeries, as_field, felem_div, felem_eq, first_mismatch,
+    TruncSeries, as_field, as_mpoly, divide_exact, felem_div, felem_eq,
+    felem_is_zero, first_mismatch, num_den, x_coeffs,
 )
-from gkpfrac.gkpcore import cleared_triangle, ogf_trunc, triangle
+from gkpfrac.gkpcore import PARAM_NAMES, cleared_triangle, ogf_trunc, triangle
+from gkpfrac.hintbook import VARS, x
 
 DEPTH = 10
 S_OR_TERMINATING = [fid for fid in F.family_ids()
@@ -124,7 +126,6 @@ def test_every_leaf_agrees_with_the_extraction_oracle(leaves):
 def test_a_c_1_of_any_form_is_refuted_alike_at_every_leaf(leaves):
     # a leaf whose triples have denominators decides on F(d2 x/d1, d1 t) and
     # maps each predicted c to d1 c(d2 x/d1); no form of c is special there
-    x = S.V.x
     forms = (x * x, felem_div(1, 1 + x), Fraction(-1, 3))
     # the forms in turn, separately over the leaves with and without clearing
     turn = {False: 0, True: 0}
@@ -132,7 +133,7 @@ def test_a_c_1_of_any_form_is_refuted_alike_at_every_leaf(leaves):
     for node, fid, want, order in leaves:
         if not want.c:
             continue
-        _, d1, d2 = cleared_triangle(node.mu(), 0, S.V.a.vars)
+        _, d1, d2 = cleared_triangle(node.mu(), 0, VARS)
         cleared = (d1, d2) != (1, 1)
         i, turn[cleared] = turn[cleared] % 3, turn[cleared] + 1
         seen.add((i, cleared))
@@ -171,6 +172,23 @@ def test_every_family_agrees_with_the_extraction_oracle(fid, monkeypatch):
     report = F.verify_family(fid, None, DEPTH)
     assert report["first_mismatch"] is not None
     assert report["first_mismatch"] == extraction_family_witness(fid, DEPTH)
+
+
+def test_every_leaf_inequation_is_used_by_its_fraction(leaves):
+    # under the leaf's solve, each of its atoms divides a nonzero
+    # x-coefficient of one of its predicted c_1..c_10, so a leaf states no
+    # inequation that its fraction does not use
+    checked = 0
+    for node, fid, want, _ in leaves:
+        solved = {p: node.subs[p] for p in PARAM_NAMES if p not in node.free}
+        parts = [as_mpoly(num_den(e)[0], VARS) for c in want.c
+                 for e in x_coeffs(c).values() if not felem_is_zero(e)]
+        for atom in node.atoms:
+            atom = as_mpoly(S._subst_field(atom, solved), VARS)
+            assert any(divide_exact(p, atom) is not None for p in parts), \
+                (node.name(), fid, str(atom))
+            checked += 1
+    assert checked == 54
 
 
 def test_red_prediction_of_a_terminating_leaf(leaves):

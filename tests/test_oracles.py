@@ -23,9 +23,9 @@ from gkpfrac.exactalg import (
     MPoly, RatFunc, TruncSeries, as_field, clear_denominators, felem_div,
     felem_is_zero, num_den, variables,
 )
-from gkpfrac.gkpcore import GKPParams, gkp_triangle
+from gkpfrac.gkpcore import PARAM_NAMES, GKPParams, gkp_triangle
 from gkpfrac.families import SFRAC_FAMILY_IDS, family_params, get_family
-from gkpfrac.search import BASE, HINT_BOOK, get_node, node_cs
+from gkpfrac.search import HINT_BOOK, get_node, node_cs
 
 
 def scalar_sfrac(seq, m):
@@ -144,7 +144,7 @@ def test_search_nodes_against_scalar_extraction():
             point["x"] = Fraction(rng.randint(1, 5), rng.randint(1, 2))
             if any(_eval_felem(a, point) == 0 for a in node.atoms):
                 continue
-            mu_vals = tuple(_eval_felem(node.subs[p], point) for p in BASE)
+            mu_vals = tuple(_eval_felem(node.subs[p], point) for p in PARAM_NAMES)
             seq = _scalar_rowpoly_seq(mu_vals, point["x"], depth)
             got, term2 = scalar_sfrac(seq, depth)
             if term2 or len(got) < len(cs):

@@ -10,8 +10,10 @@ from gkpfrac.exactalg import (
     MPoly, RatFunc, as_field, as_mpoly, felem_div, felem_eq, felem_is_zero,
     ratfunc, variables, x_coeffs,
 )
+from gkpfrac.gkpcore import PARAM_NAMES
+from gkpfrac.hintbook import VARS, a, ap, b, bp, g, gp, x
 from gkpfrac.search import (
-    BASE, InconsistentNode, RED_FAMILIES, TERMINATING_FAMILIES, V, get_node,
+    InconsistentNode, RED_FAMILIES, TERMINATING_FAMILIES, get_node,
     node_coefficient, node_cs, run_tree, tree_dot,
 )
 
@@ -19,8 +21,7 @@ from gkpfrac.search import (
 def test_root_first_coefficient():
     node = get_node("0,0")
     cs, term = node_cs(node, 1)
-    v = V
-    assert felem_eq(as_field(cs[0]), (v.a + v.g) + (v.ap + v.bp + v.gp) * v.x)
+    assert felem_eq(as_field(cs[0]), (a + g) + (ap + bp + gp) * x)
 
 
 def test_root_split_three_children():
@@ -35,14 +36,12 @@ def test_root_split_three_children():
 
 
 def test_documented_remainders_level3():
-    v = V
     rep = node_coefficient(get_node("0,0,0"))
     assert felem_eq(as_field(rep.remainder),
-                    ratfunc(v.a * (v.a * v.bp - v.b * v.ap), v.ap))
+                    ratfunc(a * (a * bp - b * ap), ap))
     rep = node_coefficient(get_node("0,0,1a"))
     assert felem_eq(as_field(rep.remainder),
-                    ratfunc((v.a + v.b) * (v.a * v.bp - v.b * v.ap),
-                            v.ap + v.bp))
+                    ratfunc((a + b) * (a * bp - b * ap), ap + bp))
 
 
 def _at_x(p, v):
@@ -117,7 +116,6 @@ def test_split_remainder_matches_evaluation_at_the_root(qs, rs):
 
 def test_split_remainder_on_the_documented_node_values():
     # the two documented polynomial remainders over the parameter field
-    a, b, g, ap, bp, gp, x = variables("alpha beta gamma alphap betap gammap x")
     P1 = (a + g) + (ap + bp + gp) * x
     Q = a * (a + g) \
         + (2 * a * ap + ap * b + a * bp + b * bp + ap * g + a * gp + b * gp) * x \
@@ -150,8 +148,18 @@ def test_family_membership_predicates():
 
 
 def test_get_node_unknown():
-    with pytest.raises(InconsistentNode):
-        get_node("0,0,zz")
+    # only "0" names the root; no other label is replayed to it
+    for label in ("0,0,zz", "", ",", "1", "5", "1,0", ("0", "zz")):
+        with pytest.raises(InconsistentNode, match="^no documented node "):
+            get_node(label)
+
+
+@pytest.mark.parametrize("level", [0, -1, -3])
+def test_a_level_below_one_is_refused(level):
+    with pytest.raises(ValueError) as exc:
+        node_coefficient(get_node("0,0"), level)
+    assert exc.type is ValueError
+    assert str(exc.value) == "level must be at least 1, got %d" % level
 
 
 def test_full_tree(monkeypatch):
@@ -190,12 +198,12 @@ def _solved_factors(label):
         hint = S.HINT_BOOK[parent]
         if hint.get("passthrough") == token:
             continue
-        found = [item["f"](V) for rec in (hint, hint["deg0"])
+        found = [item["f"] for rec in (hint, hint["deg0"])
                  for item in rec["factors"] for action in item["actions"]
                  if action[0] != "atom" and action[0] != "discard"
                  and action[1] == token]
         assert len(found) == 1, (label, depth)
-        out.append((parent, as_mpoly(found[0], V.a.vars)))
+        out.append((parent, as_mpoly(found[0], VARS)))
     return out
 
 
@@ -216,7 +224,8 @@ def test_every_solved_factor_vanishes_at_every_node_below_its_solve():
     for label, node in nodes.items():
         for parent, factor in _solved_factors(label):
             free = nodes[parent].free
-            assert all(factor.degree_in(p) == 0 for p in BASE if p not in free)
+            assert all(factor.degree_in(p) == 0
+                       for p in PARAM_NAMES if p not in free)
             assert not factor.is_zero()
             assert felem_is_zero(factor.subs(node.subs)), (label, parent)
             solves += 1
@@ -237,7 +246,7 @@ def test_replay_detects_corrupted_remainder():
     from gkpfrac import search as S
     node = get_node("0,0,0")
     hint = dict(S.HINT_BOOK[node.label])
-    hint["rem_doc"] = lambda v: ratfunc(v.a * (v.a * v.bp + v.b * v.ap), v.ap)
+    hint["rem_doc"] = ratfunc(a * (a * bp + b * ap), ap)
     rep_ok = node_coefficient(node)
     assert rep_ok.rem_matches_doc is True
     # a wrong documented remainder is reported, not silently accepted
@@ -256,7 +265,7 @@ def test_replay_detects_bad_factor_hint():
     hint = dict(S.HINT_BOOK[node.label])
     bad = [dict(f) for f in hint["factors"]]
     bad[0] = dict(bad[0])
-    bad[0]["f"] = lambda v: v.b           # not a factor of the remainder
+    bad[0]["f"] = b  # not a factor of the remainder
     hint["factors"] = bad
     saved = S.HINT_BOOK[node.label]
     S.HINT_BOOK[node.label] = hint
@@ -274,8 +283,7 @@ def test_replay_detects_wrong_child_substitution():
     bad = [dict(f) for f in hint["factors"]]
     bad[1] = dict(bad[1])
     # solve the factor with the wrong value: the child system then fails
-    bad[1]["actions"] = [("child", "1b",
-                          [("beta", lambda v: v.a * v.bp / v.ap + 1)])]
+    bad[1]["actions"] = [("child", "1b", [("beta", a * bp / ap + 1)])]
     hint["factors"] = bad
     saved = S.HINT_BOOK[node.label]
     S.HINT_BOOK[node.label] = hint
@@ -292,8 +300,8 @@ def test_terminating_branch_keeps_its_constant_atoms(monkeypatch):
     # is given with the solve already applied
     from gkpfrac import search as S
     label = ("0", "0", "0", "1a", "1a")
-    deg0 = _with_deg0_atom(monkeypatch, label, lambda v: (v.bp + 2 * v.ap)
-                           .subs({"betap": -2 * v.ap}))
+    atom = (bp + 2 * ap).subs({"betap": -2 * ap})
+    deg0 = _with_deg0_atom(monkeypatch, label, atom)
     assert _deg0_kind(deg0) == "terminating"
     with pytest.raises(InconsistentNode,
                        match="^0,0,0,1a,1a,0: inequation violated by substitution$"):
@@ -319,7 +327,7 @@ def test_atoms_are_checked_under_the_solved_parameters(monkeypatch):
     # written in the base parameters, the atom is nonzero; the branch's
     # solve (betap = -2 alphap) sets it to zero
     deg0 = _with_deg0_atom(monkeypatch, ("0", "0", "0", "1a", "1a"),
-                           lambda v: v.bp + 2 * v.ap)
+                           bp + 2 * ap)
     assert _deg0_kind(deg0) == "terminating"
     with pytest.raises(InconsistentNode,
                        match="^0,0,0,1a,1a,0: inequation violated by substitution$"):
@@ -328,9 +336,9 @@ def test_atoms_are_checked_under_the_solved_parameters(monkeypatch):
 
 @pytest.mark.parametrize("label, kind, atom", [
     # red record (F2b), solve alphap = 0
-    ("0,0,0", "red", lambda v: v.ap),
+    ("0,0,0", "red", ap),
     # child record, solve gammap = -alphap - betap
-    ("0,0", "child", lambda v: v.ap + v.bp + v.gp),
+    ("0,0", "child", ap + bp + gp),
 ])
 def test_constant_atoms_of_every_degree0_kind_are_checked(monkeypatch, label,
                                                           kind, atom):
@@ -347,7 +355,7 @@ def test_child_action_without_a_hint(monkeypatch):
     node = get_node("0,0,0")
     hint = dict(S.HINT_BOOK[node.label])
     bad = [dict(f) for f in hint["factors"]]
-    bad[0]["actions"] = [("child", "9z", [("alpha", lambda v: 0)])]
+    bad[0]["actions"] = [("child", "9z", [("alpha", 0)])]
     hint["factors"] = bad
     monkeypatch.setitem(S.HINT_BOOK, node.label, hint)
     with pytest.raises(S.BadFactorHint, match="no hint for child 0,0,0,9z"):
@@ -386,8 +394,7 @@ def _resolve(i, solve):
 def _split_the_root(hint):
     # the root's coefficient is a polynomial: its remainder is zero
     del hint["passthrough"]
-    hint.update(rfactor=lambda v: 1,
-                factors=[{"f": lambda v: v.a, "actions": [("atom",)]}])
+    hint.update(rfactor=1, factors=[{"f": a, "actions": [("atom",)]}])
 
 
 def _c_zero_edit(action):
@@ -407,39 +414,37 @@ def _deg0_factor(i, **kw):
 
 
 _ASSERTION_FAULTS = [
-    ("0,0,0", lambda h: h.update(Q_doc=lambda v: v.a), _coefficient("0,0,0"),
+    ("0,0,0", lambda h: h.update(Q_doc=a), _coefficient("0,0,0"),
      "0,0,0: documented Q mismatch"),
-    ("0,0,0", lambda h: h.update(R_doc=lambda v: v.ap * v.x),
+    ("0,0,0", lambda h: h.update(R_doc=ap * x),
      _coefficient("0,0,0"), "0,0,0: documented R mismatch"),
-    ("0,0,0", lambda h: h.update(rfactor=lambda v: v.x), _coefficient("0,0,0"),
+    ("0,0,0", lambda h: h.update(rfactor=x), _coefficient("0,0,0"),
      "0,0,0: degree collapse fails (degQ=3, degR=2)"),
-    ("0,0,0", lambda h: h.update(rfactor=lambda v: ratfunc(1, v.x)),
+    ("0,0,0", lambda h: h.update(rfactor=ratfunc(1, x)),
      _coefficient("0,0,0"), "0,0,0: R is not the declared multiple of c_2"),
-    ("0,0,0", lambda h: h.update(own_c=lambda v: v.a), _coefficient("0,0,0"),
+    ("0,0,0", lambda h: h.update(own_c=a), _coefficient("0,0,0"),
      "0,0,0: documented c_2 mismatch"),
     ("0,0,0", lambda h: h.update(passthrough="0"),
      _coefficient("0,0,0"), "0,0,0: expected a polynomial coefficient"),
-    ("0,0,0", _deg0_factor(0, f=lambda v: v.a), _coefficient("0,0,0"),
+    ("0,0,0", _deg0_factor(0, f=a), _coefficient("0,0,0"),
      "0,0,0: deg-0 leading-coefficient factorization mismatch"),
     # an atom factor replaced by a polynomial that does not divide the lead:
     # beside a branch, and where the degree-0 branch is impossible (alpha is
     # itself an atom of 0,0,1a,0,0, so only the factorization catches it)
-    ("0,0,1b", _deg0_factor(1, f=lambda v: v.b), _coefficient("0,0,1b"),
+    ("0,0,1b", _deg0_factor(1, f=b), _coefficient("0,0,1b"),
      "0,0,1b: deg-0 leading-coefficient factorization mismatch"),
-    ("0,0,1a,0,0", _deg0_factor(0, f=lambda v: v.a),
-     _coefficient("0,0,1a,0,0"),
+    ("0,0,1a,0,0", _deg0_factor(0, f=a), _coefficient("0,0,1a,0,0"),
      "0,0,1a,0,0: deg-0 leading-coefficient factorization mismatch"),
     # the lead is (alphap + betap)^2
     ("0,0,1b,1a,0,0", _deg0_factor(0, mult=1), _coefficient("0,0,1b,1a,0,0"),
      "0,0,1b,1a,0,0: deg-0 leading-coefficient factorization mismatch"),
     # the degree-0 branch declared impossible where it is not
-    ("0,0,0", _deg0_edit(factors=[{"f": lambda v: v.ap,
-                                   "actions": [("atom",)]}]),
+    ("0,0,0", _deg0_edit(factors=[{"f": ap, "actions": [("atom",)]}]),
      _coefficient("0,0,0"),
      "0,0,0: deg-0 leading-coefficient factor not excluded by the inequations"),
     ("0,0,0", _actions(0, ("atom",)), _coefficient("0,0,0"),
      "0,0,0: remainder factor not excluded by the inequations"),
-    ("0,0,0,1b", _actions(0, ("discard", [("betap", lambda v: 0)], "F1a")),
+    ("0,0,0,1b", _actions(0, ("discard", [("betap", 0)], "F1a")),
      _coefficient("0,0,0,1b"),
      "0,0,0,1b: discarded branch is not inside F1a (remainder)"),
     ("0,0,0", _actions(0, ("bogus",)), _coefficient("0,0,0"),
@@ -449,36 +454,33 @@ _ASSERTION_FAULTS = [
     # a solve that does not kill its factor, on each kind that solves: a
     # child, a red leaf (a + b), a remainder terminating leaf (2 a + b) and,
     # below, a c=0 discard and a c=0 terminating leaf
-    ("0,0", _resolve(0, [("gamma", lambda v: 1 - v.a)]), _coefficient("0,0"),
+    ("0,0", _resolve(0, [("gamma", 1 - a)]), _coefficient("0,0"),
      "0,0: documented vanishing submanifold does not kill the remainder factor"),
-    ("0,0,1a", _resolve(0, [("beta", lambda v: 0)]), _coefficient("0,0,1a"),
+    ("0,0,1a", _resolve(0, [("beta", 0)]), _coefficient("0,0,1a"),
      "0,0,1a: documented vanishing submanifold does not kill the remainder "
      "factor"),
-    ("0,0,1a,0,0", _resolve(1, [("beta", lambda v: -v.a)]),
+    ("0,0,1a,0,0", _resolve(1, [("beta", -a)]),
      _coefficient("0,0,1a,0,0"),
      "0,0,1a,0,0: documented vanishing submanifold does not kill the "
      "remainder factor"),
     # the parent's edits reach the child through get_node's replay
-    ("0,0", _deg0_factor(0, actions=[("child", "0", [
-        ("alpha", lambda v: 0), ("alphap", lambda v: 0),
-        ("gammap", lambda v: -v.bp)])]),
+    ("0,0", _deg0_factor(0, actions=[
+        ("child", "0", [("alpha", 0), ("alphap", 0), ("gammap", -bp)])]),
      _coefficient("0,0,0"), "0,0,0: series terminated at level 2"),
-    ("0,0,0", _c_zero_edit(("discard", [("alpha", lambda v: 0)], "F2b")),
+    ("0,0,0", _c_zero_edit(("discard", [("alpha", 0)], "F2b")),
      _c_zero("0,0,0"),
      "0,0,0: documented vanishing submanifold does not kill the c=0 factor"),
-    ("0,0,0", _c_zero_edit(("discard", [("alpha", lambda v: 0),
-                                        ("alphap", lambda v: 0)], "F2a")),
+    ("0,0,0", _c_zero_edit(("discard", [("alpha", 0), ("alphap", 0)], "F2a")),
      _c_zero("0,0,0"), "0,0,0: discarded branch is not inside F2a (c=0)"),
-    ("0,0,0,1a,1b", _c_zero_edit((
-        "terminating", "c=0", [("beta", lambda v: -v.g)],
-        ("s1a", lambda v: []))),
+    ("0,0,0,1a,1b",
+     _c_zero_edit(("terminating", "c=0", [("beta", -g)], ("s1a", []))),
      _c_zero("0,0,0,1a,1b"),
      "0,0,0,1a,1b: documented vanishing submanifold does not kill the c=0 "
      "factor"),
     ("0,0,0", lambda h: h.update(c_zero=None), _c_zero("0,0,0"),
      "0,0,0: coefficient could vanish but no action documented"),
     # run_tree raises at its second node, 0,0
-    ("0,0", lambda h: h.update(rem_doc=lambda v: v.a), run_tree,
+    ("0,0", lambda h: h.update(rem_doc=a), run_tree,
      "0,0: documented remainder mismatch"),
 ]
 
@@ -536,24 +538,49 @@ class _Tracked(dict):
         return super().get(key, default)
 
 
+class _TrackedItems:
+    """A hint list or tuple that notes each element the engine reads, by
+    index, slice or iteration (unpacking and ``tuple()`` included)."""
+
+    def __getitem__(self, i):
+        span = range(len(self))
+        for j in (span[i] if isinstance(i, slice) else [span[i]]):
+            self.read.add(self.path + (j,))
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for i, v in enumerate(super().__iter__()):
+            self.read.add(self.path + (i,))
+            yield v
+
+
+class _TrackedList(_TrackedItems, list):
+    def __init__(self, items, path, read):
+        super().__init__(items)
+        self.path, self.read = path, read
+
+
+class _TrackedTuple(_TrackedItems, tuple):
+    def __new__(cls, items, path, read):
+        self = super().__new__(cls, items)
+        self.path, self.read = path, read
+        return self
+
+
 def _track(value, path, entries, read):
-    """``value`` with every record key and every builder registered in
-    ``entries`` and noted in ``read`` when the engine looks it up or calls
+    """``value`` with every record key and every list or tuple element
+    (each solve, solve value, atom, const_atom, factor and action field)
+    registered in ``entries`` and noted in ``read`` when the engine reads
     it."""
     if isinstance(value, dict):
         entries.update(path + (key,) for key in value)
         return _Tracked({k: _track(v, path + (k,), entries, read)
                          for k, v in value.items()}, path, read)
     if isinstance(value, (list, tuple)):
-        return type(value)(_track(v, path + (i,), entries, read)
-                           for i, v in enumerate(value))
-    if callable(value):
-        entries.add(path)
-
-        def builder(v):
-            read.add(path)
-            return value(v)
-        return builder
+        entries.update(path + (i,) for i in range(len(value)))
+        tracked = _TrackedList if isinstance(value, list) else _TrackedTuple
+        return tracked([_track(v, path + (i,), entries, read)
+                        for i, v in enumerate(value)], path, read)
     return value
 
 
@@ -606,8 +633,8 @@ def test_zero_is_not_certified_nonzero():
 # -- the documented factors against sympy as an independent oracle ---------
 
 def test_every_documented_factor_is_irreducible_over_q():
-    gens = sympy.symbols(V.a.vars)
-    factors = [(label, record, item["f"](V))
+    gens = sympy.symbols(VARS)
+    factors = [(label, record, item["f"])
                for label, hint in S.HINT_BOOK.items()
                for record, rec in (("remainder", hint),
                                    ("deg-0", hint.get("deg0", {})))
