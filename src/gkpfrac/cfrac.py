@@ -15,6 +15,12 @@
 * even contraction (S or special T -> J),
 * the shifted binomial transform and its coefficient laws.
 
+A prediction for the triangle of parameters mu is decided by
+``families.prediction_refutation``: ``_departure`` runs on an evaluation
+image of the rows and of the predicted coefficients, where graded
+variables are set to 1 and one more to 2^W, and only a refuted prediction
+goes through ``cfrac_refutation`` on the original values.
+
 One J iteration does all extraction, and one J path sum all confirmation:
 the S-fraction c_1, c_2, ... of a(t) is the J-fraction of a(t^2) with every
 e_k = 0 and f_k = c_k, as Dyck paths are the Motzkin paths without level
@@ -192,13 +198,6 @@ def extract_jfrac(a: TruncSeries, m: int) -> CFrac:
 # evaluation by weighted lattice paths
 # ---------------------------------------------------------------------------
 
-def _add_product(acc, a, b):
-    """acc + a*b, skipping the product when a factor is zero."""
-    if felem_is_zero(a) or felem_is_zero(b):
-        return acc
-    return acc + a * b
-
-
 def _path_series(down: Sequence, level: Sequence, step: int, order: int) -> TruncSeries:
     """Flajolet's path sums ("Combinatorial aspects of continued fractions"),
     without division.
@@ -207,7 +206,9 @@ def _path_series(down: Sequence, level: Sequence, step: int, order: int) -> Trun
     steps: an up step weighs 1, a down step from h+1 to h weighs down[h],
     and a level step of length ``step`` at height h weighs level[h].
     [t^n] of the fraction is M[step*n][0].  Heights are capped at
-    min(s, S - s) with S = step*order: no higher path returns to 0 by S."""
+    min(s, S - s) with S = step*order: no higher path returns to 0 by S.
+    A product with a zero factor is skipped (every field element is false
+    exactly when it is zero)."""
     length = step * order
     rows = [[1]]
     for s in range(1, length + 1):
@@ -216,10 +217,10 @@ def _path_series(down: Sequence, level: Sequence, step: int, order: int) -> Trun
         row = []
         for h in range(min(s, length - s) + 1):
             acc = prev[h - 1] if h else 0
-            if h + 1 < len(prev):
-                acc = _add_product(acc, down[h], prev[h + 1])
-            if h < len(back):
-                acc = _add_product(acc, level[h], back[h])
+            if h + 1 < len(prev) and down[h] and prev[h + 1]:
+                acc = acc + down[h] * prev[h + 1]
+            if h < len(back) and level[h] and back[h]:
+                acc = acc + level[h] * back[h]
             row.append(acc)
         rows.append(row)
     return TruncSeries(order, [rows[step * n][0] for n in range(order + 1)])

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import or_
 from random import Random
 from typing import Iterable, Sequence, Union
@@ -1267,6 +1267,43 @@ def x_coeffs(p, x: str = "x") -> dict:
     if x not in p.vars:
         return {0: p} if p else {}
     return {k: v for k, v in p.coeffs_in(x).items() if v}
+
+
+def _pivot_columns(rows, width):
+    """Pivot columns of the integer rows ``rows`` (each of length
+    ``width``): every other column is a fixed rational combination of the
+    pivot columns to its left on every row.  Fraction-free Gauss-Jordan
+    elimination; a row is reduced only when it breaks one of the current
+    linear relations, which happens at most ``width`` times.
+
+    This is the one grading detector: with a row per term, an index column
+    and one column per exponent, a variable whose column is not a pivot has
+    an exponent that is an affine function of the index and of the pivot
+    exponents on every term, and so on every product of terms with a given
+    index sum (``hankel._kronecker_pack``, ``families.evaluation_image``)."""
+    basis = {}  # pivot column -> row that is zero in every other pivot column
+    relations = [[(j, 1)] for j in range(width)]
+    for r in rows:
+        if all(not sum(w * r[c] for c, w in rel) for rel in relations):
+            continue
+        for c, b in basis.items():
+            if r[c]:
+                r = _primitive([b[c] * x - r[c] * y for x, y in zip(r, b)])
+        p = next(j for j, x in enumerate(r) if x)
+        for c, b in basis.items():
+            if b[p]:
+                basis[c] = _primitive([r[p] * x - b[p] * y for x, y in zip(b, r)])
+        basis[p] = r
+        # column j of a row in the span equals sum_c row[c] * b[j] / b[c]
+        d = _int_lcm(*(b[c] for c, b in basis.items()))
+        relations = [[(j, d)] + [(c, -(d // b[c]) * b[j]) for c, b in basis.items() if b[j]]
+                     for j in range(width) if j not in basis]
+    return sorted(basis)
+
+
+def _primitive(row):
+    g = _int_gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 # ---------------------------------------------------------------------------

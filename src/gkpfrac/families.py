@@ -14,9 +14,13 @@ symbolic point with the level index k symbolic, and must give polynomials
 (``_derived``).  Closed-form egfs obey F_{g mu}(x, t) = F_mu(m(x), lambda t):
 F1a, F2a, F5, F1c and GKPZ state theirs, F7a's is a binomial shift of F3a's,
 and a derived family's is its representative's, transported (``_transported``).
-Verification regenerates the triangle and compares its ogf with the
-prediction, symbolically in all free parameters; an S or J prediction is
-read and refuted by ``cfrac.cfrac_refutation`` alone.
+Verification compares the ogf of the triangle with the prediction,
+symbolically in all free parameters (``prediction_refutation``, which the
+decision tree's leaves share): on an evaluation image of both, where every
+graded variable is set to 1 and one more to 2^W, which leaves the first
+departure where it is; only a refuted prediction is recomputed on the
+original values, where an S or J prediction is read and refuted by
+``cfrac.cfrac_refutation`` alone.
 """
 from __future__ import annotations
 
@@ -24,19 +28,22 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
+from math import lcm
 from typing import Callable, Optional
 
 from .exactalg import (
-    MPoly, RatFunc, TruncSeries, _common_factor, _lead_content, as_mpoly,
-    exp_series, felem_div, felem_eq, felem_is_zero, first_mismatch,
-    generalized_binomial_series, mismatch_report, variables, x_coeffs,
+    MPoly, RatFunc, TruncSeries, _common_factor, _lead_content, _pivot_columns,
+    as_mpoly, clear_denominators, exp_series, felem_div, felem_eq,
+    felem_is_zero, first_mismatch, generalized_binomial_series,
+    mismatch_report, num_den, variables, x_coeffs,
 )
 from .gkpcore import (
-    GKPParams, GKPZParams, UnknownFamily, egf_trunc, gkp_triangle, row_polys,
-    triangle, triangle_mismatch, triangle_rows,
+    GKPParams, GKPZParams, UnknownFamily, _cleared, egf_trunc, gkp_triangle,
+    row_polys, triangle, triangle_mismatch, triangle_rows,
 )
 from .cfrac import (
-    CFrac, binomial_transform_seq, cfrac_refutation, contract, eval_tr,
+    CFrac, _departure, _path_series, binomial_transform_seq, cfrac_refutation,
+    contract, eval_tr,
 )
 from .matprod import binomial_matrix, triangle_product
 from .symmetry import _orbit, substitute, transport, word_matrix
@@ -451,33 +458,211 @@ def _derived(spec: FamilySpec, rep: FamilySpec) -> Callable:
 def verify_family(id: str, params=None, N: int = 12, kind: Optional[str] = None) -> dict:
     """Generate, compare; symbolic in all free parameters.
 
-    S, terminating and J kinds are decided on the series by
-    ``cfrac.cfrac_refutation``, which reads the prediction through the
-    levels that extraction from the ogf through t^N reads: a prediction
-    ends at its first zero coefficient unless it states an end, and an end
-    beyond those levels is not claimed.  Only a refuted prediction is
-    extracted, up to the level where the series leaves it, and that
-    extraction gives the ``first_mismatch`` witness.  T kinds are verified
-    by evaluating the predicted fraction.
+    The prediction (through N levels for S, terminating and T kinds, N // 2
+    for J) is decided against the ogf through t^N by
+    ``prediction_refutation``, on an evaluation image of the template and
+    the prediction.  S, terminating and J kinds are read as
+    ``cfrac.cfrac_refutation`` reads them: a prediction ends at its first
+    zero coefficient unless it states an end, and an end beyond the levels
+    that extraction reads is not claimed.  Only a refuted prediction is
+    recomputed on the original values, and extracted up to the level where
+    the series leaves it, for the ``first_mismatch`` witness.  A T kind is
+    compared with the evaluated fraction coefficient by coefficient.
     """
     spec = get_family(id)
     vals = _resolve_params(spec, params)
     kind = kind or spec.kind
-    ogf = TruncSeries(N, triangle_rows(spec.template(vals), N))
-    report = {"id": id, "kind": kind, "status": spec.status,
-              "verified_to": N, "first_mismatch": None}
+    want = predicted_cfrac(id, params, N // 2 if kind == "J" else N, kind)
+    return {"id": id, "kind": kind, "status": spec.status, "verified_to": N,
+            "first_mismatch": prediction_refutation(spec.template(vals), want, N, id)}
 
-    if kind == "T":
-        want = predicted_cfrac(id, params, N, kind="T")
-        bad = first_mismatch(zip(count(), ogf.coeffs,
-                                 eval_tr(list(want.c), list(want.d), N).coeffs))
+
+# ---------------------------------------------------------------------------
+# deciding a prediction on an evaluation image
+# ---------------------------------------------------------------------------
+
+# the power of x that each parameter's weight multiplies into x^k: the
+# primed triple moves T(n-1,k-1) to k, sigma T(n-1,k-2) and tau T(n-1,k+1)
+_X_SHIFTS = (0, 0, 0, 1, 1, 1, 2, -1)
+
+
+def _mapped(want: CFrac, fn) -> CFrac:
+    """``want`` with each coefficient c replaced by fn(c, w): w = 2 for a
+    J-fraction's f, whose fall spans two steps of a path, and 1 for every
+    other coefficient."""
+    return replace(want, **{name: tuple(fn(c, 2 if name == "f" else 1)
+                                        for c in getattr(want, name))
+                            for name in ("c", "d", "e", "f")})
+
+
+def _coefficients(want: CFrac) -> list:
+    """(c, w) for every coefficient c of ``want``, in ``_mapped``'s order."""
+    out = []
+    _mapped(want, lambda c, w: out.append((c, w)))
+    return out
+
+
+def _t_mismatch(series: TruncSeries, want: CFrac):
+    """The ``first_mismatch`` of the series and the evaluated T-fraction."""
+    return first_mismatch(zip(count(), series.coeffs,
+                              eval_tr(list(want.c), list(want.d), series.order).coeffs))
+
+
+def prediction_refutation(mu, want: CFrac, N: int, name: str) -> Optional[dict]:
+    """None when the ogf of mu's triangle through t^N confirms the S, T or
+    J prediction ``want``, else the witness: ``cfrac.cfrac_refutation``'s
+    for S and J, and for T the first t^n whose coefficient differs,
+    {"level", "expected", "got"}.  ``name`` names the check in an
+    ``ArithmeticError``.
+
+    Parameters with a rational-function entry (the leaves of the decision
+    tree) are first cleared per triple (``gkpcore._cleared``): the series
+    becomes F(d2 x/d1, d1 t), whose coefficients are d1 c(d2 x/d1)
+    (``symmetry.transport``, times d1 again for a J-fraction's f).  The
+    prediction is then decided on ``evaluation_image``, where it is
+    confirmed or refuted at the same first t^n.  Only a refuted prediction
+    is recomputed on these values, for its witness; if they confirm
+    it, the image is at fault and ``ArithmeticError`` is raised."""
+    mu = tuple(mu)
+    if any(isinstance(v, RatFunc) for v in mu):
+        mu, d1, d2 = _cleared(mu, _vars(mu))
+        if d1 != 1 or d2 != 1:
+            m = d2, 0, 0, d1, 1
+            want = _mapped(want, lambda c, w: transport(c, m) * d1 ** (w - 1))
+    image = evaluation_image(mu, want, N)
+    if image is not None and _departs(*image[:2]) is None:
+        return None
+    series = TruncSeries(N, triangle_rows(mu, N))
+    if want.kind != "T":
+        bad = cfrac_refutation(series, want, name)
+    else:
+        bad = _t_mismatch(series, want)
         if bad is not None:
             level, g, w = bad
-            report["first_mismatch"] = {"level": level, "expected": repr(w), "got": repr(g)}
-        return report
-    want = predicted_cfrac(id, params, N // 2 if kind == "J" else N, kind)
-    report["first_mismatch"] = cfrac_refutation(ogf, want, id)
-    return report
+            bad = {"level": level, "expected": repr(w), "got": repr(g)}
+    if bad is None and image is not None:
+        raise ArithmeticError("%s: the evaluation image refutes the prediction "
+                              "but the series confirms it" % name)
+    return bad
+
+
+def _departs(series: TruncSeries, want: CFrac) -> Optional[int]:
+    """Where the series leaves the prediction: the level of
+    ``cfrac._departure`` for S and J, the first differing t^n for T; None
+    when it confirms it."""
+    if want.kind != "T":
+        return _departure(series, want)[1]
+    bad = _t_mismatch(series, want)
+    return None if bad is None else bad[0]
+
+
+def _vars(values) -> tuple:
+    """The variables of the field elements ``values``, with x last unless
+    one of them has it."""
+    vars = tuple(dict.fromkeys(v for p in values for part in num_den(p)
+                               if isinstance(part, MPoly) for v in part.vars))
+    return vars if "x" in vars else vars + ("x",)
+
+
+def evaluation_image(mu, want: CFrac, N: int):
+    """(series, prediction, W): the ogf through t^N of the triangle of mu
+    and the prediction ``want``, both under one map that preserves where
+    they first differ, and the slot width W of that map; None where no such
+    map is built here (an entry of mu holds x, or a denominator of the
+    prediction does).
+
+    The map is a ring homomorphism after a scaling.  Every entry is scaled
+    to integer coefficients: mu by the common denominator K of all
+    entries, and each coefficient c by K^w (w as in ``_mapped``), so that
+    P_n and [t^n] of the fraction both gain K^n.  Then every variable but
+    x whose exponent is, on every term, an affine function of the weight
+    and the exponents kept (``exactalg._pivot_columns``) is set to 1, and
+    one more variable y to 2^W (Kronecker substitution, as in
+    ``hankel._kronecker_pack``).  The rows ``gkpcore.triangle_rows`` and
+    the path sums of ``cfrac`` are built on the images, which are the
+    images of the rows and path sums: x is never set, as the row ODE
+    differentiates in x.
+
+    Why the comparison is exact: in the exponent rows of the terms, an
+    unprimed entry's terms have weight 1 and those of a primed entry,
+    sigma and tau are moved by x, x^2 and x^-1 (``_X_SHIFTS``), as the
+    recurrence multiplies them into T(n,k) x^k.  So every term of P_n is a
+    product of n such terms, and every term of [t^n] of the fraction a
+    product of coefficient terms of weights summing to n.  A dropped
+    exponent of either is therefore fixed by n and by the exponents kept,
+    and no two terms of P_n - [t^n] meet when the dropped variables are
+    set to 1.  y is a variable of the image of mu, else x, which is then
+    set after the rows are built from the integer triangle.  A coefficient
+    of P_n - [t^n] in y is at most B_P + B_F in absolute value: B_P from
+    the recurrence run on the l1 norms of the entries, and B_F the path
+    sum of the coefficients' norms.  With W = bitlen(2 (B_P + B_F)) + 1,
+    which also covers every predicted coefficient, a zero difference or
+    coefficient stays zero and a nonzero one stays nonzero."""
+    mu = tuple(mu)
+    coeffs = _coefficients(want)
+    values = list(mu) + [c for c, _ in coeffs]
+    vars = _vars(values)
+    nums, L = clear_denominators(values, vars)
+    nums = [as_mpoly(p, vars) for p in nums]
+    L = as_mpoly(L, vars)
+    if any(p.degree_in("x") for p in nums[:len(mu)] + [L]):
+        return None
+    s = lcm(*(c.denominator for p in nums + [L] for c in p.terms.values()
+              if isinstance(c, Fraction)))
+    Ls = L * s
+    nums = [p * s if i < len(mu) or coeffs[i - len(mu)][1] == 1 else p * s * Ls
+            for i, p in enumerate(nums)]
+    mu, cs = nums[:len(mu)], nums[len(mu):]
+
+    xi = vars.index("x")
+    others = [i for i in range(len(vars)) if i != xi]
+    weighted = [(p, 1, shift) for p, shift in zip(mu, _X_SHIFTS)]
+    weighted += [(p, w, 0) for p, (_, w) in zip(cs, coeffs)]
+    rows = {(w, e[xi] + shift) + tuple(e[i] for i in others)
+            for p, w, shift in weighted for e in p.terms}
+    pivots = _pivot_columns(rows, len(vars) + 1)
+    kept = [others[j - 2] for j in pivots if j >= 2]
+    in_mu = [i for i in kept if any(e[i] for p in mu for e in p.terms)]
+    if in_mu:
+        # the packed variable is the one whose removal leaves the fewest
+        # distinct exponents of the rest, hence the fewest terms
+        y = min(in_mu, key=lambda i: len({tuple(e[j] for j in kept if j != i)
+                                          for p in mu for e in p.terms}))
+    else:
+        y = xi
+    out = [i for i in range(len(vars)) if i != y and (i in kept or i == xi)]
+    out_vars = tuple(vars[i] for i in out)
+
+    norms = [sum(map(abs, p.terms.values())) for p in nums]
+    a, b, g, ap, bp, gp, sg, tu = norms[:len(mu)] + [0] * (8 - len(mu))
+    bound = [1]
+    for n in range(1, N + 1):
+        bound.append(bound[-1] * (n * (a + ap + bp) + (n - 1) * (b + sg + tu) + g + gp))
+    it = iter(norms[len(mu):])
+    at = _mapped(want, lambda c, w: next(it))
+    pad = lambda cs: list(cs) + [0] * (N + 1 - len(cs))
+    if want.kind == "J":
+        paths = _path_series(pad(at.f), pad(at.e), 1, N)
+    else:
+        paths = _path_series(pad(at.c), pad(at.d), 2, N)
+    top = max(list(map(sum, zip(bound, paths.coeffs))) + norms[len(mu):])
+    W = (2 * top).bit_length() + 1
+
+    def image(p):
+        terms = {}
+        for e, c in p.terms.items():
+            k = tuple(e[i] for i in out)
+            terms[k] = terms.get(k, 0) + (c << W * e[y])
+        return MPoly(out_vars, {k: c for k, c in terms.items() if c}) \
+            if out_vars else terms.get((), 0)
+
+    it = iter(cs)
+    want = _mapped(want, lambda c, w: image(next(it)))
+    if y != xi:
+        return TruncSeries(N, triangle_rows([image(p) for p in mu], N)), want, W
+    # mu's image is numeric: x is set in the rows of its integer triangle
+    rows = triangle([sum(p.terms.values()) for p in mu], N).rows
+    return TruncSeries(N, [sum(c << W * k for k, c in enumerate(r)) for r in rows]), want, W
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ hypothesis sets (``hypothesis_check``).
 
 Both checks run on one compressed copy of the sequence (``_kronecker_pack``):
 the entries are scaled to integer coefficients, exponents that are affine
-functions of the index and of the other exponents are dropped, and one more
-variable is packed into the integer coefficients by Kronecker substitution,
-so that each ``MPoly`` product of two entries multiplies whole columns of
+functions of the index and of the other exponents are dropped (found by
+``exactalg._pivot_columns``, the grading detector that
+``families.evaluation_image`` shares), and one more variable is packed
+into the integer coefficients by Kronecker substitution, so that each ``MPoly`` product of two entries multiplies whole columns of
 terms as single big integers; for numeric entries in x alone each entry is
 literally one ``int``, and the minors and differences are int arithmetic;
 both kinds of entry go through the same code.  The 2 x 2 minors and the
@@ -35,13 +36,13 @@ from fractions import Fraction
 from functools import partial, reduce
 from heapq import heappop, heappush
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from operator import or_
 from typing import Optional, Sequence
 
 from .exactalg import (
-    MPoly, RatFunc, as_field, as_mpoly, divide_exact, felem_is_zero,
-    least_negative,
+    MPoly, RatFunc, _pivot_columns, as_field, as_mpoly, divide_exact,
+    felem_is_zero, least_negative,
 )
 from .gkpcore import GKPParams, gkp_rows, tilde_params
 
@@ -236,11 +237,14 @@ def _laplace_groups(packed, below, pairs):
 def _difference_groups(packed, keys):
     """The positions of the differences ``keys`` (as for ``_differences``)
     grouped by index sum a + b, which two differences sharing a product
-    share, each group with its work: sum |P_i| |P_j| over its products."""
+    share, each group with its work: the term pairs that ``MPoly.__mul__``
+    visits for its products, |P_i| |P_j|, or |P_i| (|P_i| + 1) / 2 for a
+    square."""
     groups = {}
     for i, ((a, b), _) in enumerate(keys):
         groups.setdefault(a + b, []).append(i)
-    return [(sum(_size(packed[i]) * _size(packed[j])
+    return [(sum(_size(packed[i]) * _size(packed[j]) if i != j
+                 else _size(packed[i]) * (_size(packed[i]) + 1) // 2
                  for i, j in {tuple(sorted(q)) for k in ks for q in keys[k]}), ks)
             for ks in groups.values()]
 
@@ -288,37 +292,6 @@ def _as_mpoly_list(seq):
     scalar = lambda p: isinstance(p, (int, Fraction))
     vars = next((p.vars for p in reversed(seq) if not scalar(p)), ("x",))
     return [_polynomial(p, vars if scalar(p) else None) for p in seq]
-
-
-def _pivot_columns(rows, width):
-    """Pivot columns of the integer rows ``rows`` (each of length
-    ``width``): every other column is a fixed rational combination of the
-    pivot columns to its left on every row.  Fraction-free Gauss-Jordan
-    elimination; a row is reduced only when it breaks one of the current
-    linear relations, which happens at most ``width`` times."""
-    basis = {}  # pivot column -> row that is zero in every other pivot column
-    relations = [[(j, 1)] for j in range(width)]
-    for r in rows:
-        if all(not sum(w * r[c] for c, w in rel) for rel in relations):
-            continue
-        for c, b in basis.items():
-            if r[c]:
-                r = _primitive([b[c] * x - r[c] * y for x, y in zip(r, b)])
-        p = next(j for j, x in enumerate(r) if x)
-        for c, b in basis.items():
-            if b[p]:
-                basis[c] = _primitive([r[p] * x - b[p] * y for x, y in zip(b, r)])
-        basis[p] = r
-        # column j of a row in the span equals sum_c row[c] * b[j] / b[c]
-        d = lcm(*(b[c] for c, b in basis.items()))
-        relations = [[(j, d)] + [(c, -(d // b[c]) * b[j]) for c, b in basis.items() if b[j]]
-                     for j in range(width) if j not in basis]
-    return sorted(basis)
-
-
-def _primitive(row):
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
 
 
 def _kronecker_pack(polys, r=2):

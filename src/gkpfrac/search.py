@@ -18,17 +18,20 @@ its factor.  A node's parameters are its parent's with that solve composed
 in, so a factor killed at the node that solved it stays zero at every
 descendant and is not checked again.
 
-Each node's own split coefficient is extracted from its series.  A leaf's
-claimed S-fraction (the ten red families, the thirteen terminating ones) is
-decided on the series of the parameters cleared per triple instead, by
-``cfrac.cfrac_refutation``, which extracts a refuted leaf only up to its
-departure; the leaf's message is built from that witness.  Both series
-take their rows from ``gkpcore.gkp_rows``, which steps the row ODE on
-whole rows and builds no triangle.
+Each node's own split coefficient is extracted from its series, whose rows
+come from ``gkpcore.gkp_rows``, which steps the row ODE on whole rows and
+builds no triangle.  A leaf's claimed S-fraction (the ten red families, the
+thirteen terminating ones) is decided as ``families.verify_family`` decides
+a family's, by ``families.prediction_refutation``: on the parameters
+cleared per triple, and there on an evaluation image where graded
+variables are set to 1 and one more to 2^W.  Only a refuted leaf is
+recomputed on the cleared values and extracted up to its departure
+(``cfrac.cfrac_refutation``); the leaf's message is built from that
+witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -36,10 +39,9 @@ from .exactalg import (
     MPoly, TruncSeries, as_field, as_mpoly, clear_denominators, divide_exact,
     felem_div, felem_eq, felem_is_zero, num_den, x_coeffs,
 )
-from .gkpcore import PARAM_NAMES, GKPParams, _cleared, gkp_rows
-from .cfrac import cfrac_refutation, extract_sfrac
+from .gkpcore import PARAM_NAMES, GKPParams, gkp_rows
+from .cfrac import extract_sfrac
 from . import families
-from .symmetry import transport
 from .hintbook import HINT_BOOK, VARS
 
 
@@ -373,19 +375,14 @@ def _branch(node, action, subs, free, const_atoms=()):
 def _check_leaf(node: SearchNode, fid: str, want):
     """The node's series has family ``fid``'s S-fraction ``want``: a red
     prediction through c_10, a terminating one three levels past its end.
-    Decided on the series F(d2 x/d1, d1 t), whose rows ``gkp_rows`` builds
-    on the numerators of the triples cleared by d1 and d2 (``_cleared``),
-    and whose coefficients are d1 c(d2 x/d1) (``transport``); a refuted
-    prediction raises ``InconsistentNode`` naming the level at which
-    extraction departs."""
+    Decided by ``families.prediction_refutation`` on the parameters
+    cleared per triple and on an evaluation image; a refuted prediction
+    raises ``InconsistentNode`` naming the level at which extraction
+    departs."""
     level = want.terminated_at
     order = RED_DEPTH if level is None else level + 3
-    nums, d1, d2 = _cleared(tuple(node.mu()), VARS)
-    if d1 != 1 or d2 != 1:
-        m = d2, 0, 0, d1, 1
-        want = replace(want, c=tuple(transport(c, m) for c in want.c))
-    bad = cfrac_refutation(TruncSeries(order, gkp_rows(nums, order)), want,
-                           "%s (%s)" % (node.name(), fid))
+    bad = families.prediction_refutation(node.mu(), want, order,
+                                         "%s (%s)" % (node.name(), fid))
     if bad is None:
         return
     if "got" in bad:
@@ -486,9 +483,10 @@ def run_tree() -> dict:
 
 
 def get_node(label) -> SearchNode:
-    """Rebuild a documented node, or a leaf that its parent's split opens,
-    by replaying the path from the root; any other label raises
-    ``InconsistentNode``."""
+    """Rebuild a documented node, or a leaf that its parent's split opens
+    or that its parent's own coefficient vanishing opens (a ``c=0`` label,
+    ``_verify_c_zero``), by replaying the path from the root; any other
+    label raises ``InconsistentNode``."""
     if isinstance(label, str):
         label = tuple(tok for tok in label.split(",") if tok)
     node = root_node()
@@ -496,9 +494,14 @@ def get_node(label) -> SearchNode:
         raise InconsistentNode("no documented node %s" % (tuple(label),))
     for depth in range(1, len(label)):
         want = tuple(label[: depth + 1])
+        hint = HINT_BOOK.get(node.label)
+        if want[-1] == "c=0" and hint is not None:
+            children = [_verify_c_zero(node, hint)]
+        else:
+            children = node_coefficient(node).children
         nxt = None
-        for child in node_coefficient(node).children:
-            if child[0] in ("node", "red", "terminating") \
+        for child in children:
+            if child is not None and child[0] in ("node", "red", "terminating") \
                     and child[-1].label == want:
                 nxt = child[-1]
                 break

@@ -727,3 +727,15 @@ def test_guards_reject_what_they_cannot_take():
     one = MPoly.one(a.vars)
     assert hypothesis_check((one, 0, 0, 1, 0, 0), "LiuWang") is True
     assert hypothesis_check((-one, 0, 0, 1, 0, 0), "LiuWang") is False
+
+
+def test_a_square_counts_the_pairs_that_the_square_product_visits():
+    """``MPoly.__mul__`` forms each unordered pair of a square's terms once:
+    a group's work counts |P_i| (|P_i| + 1) / 2 for P_i P_i, and |P_i| |P_j|
+    for two entries."""
+    x, y = variables("x y")
+    packed = [x + 1, x * x + x * y + y + 3, x + y + 2]
+    keys = [((0, 2), (1, 1))]
+    ((work, positions),) = hankel._difference_groups(packed, keys)
+    assert positions == [0]
+    assert work == 2 * 3 + 4 * 5 // 2

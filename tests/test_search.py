@@ -647,3 +647,16 @@ def test_every_documented_factor_is_irreducible_over_q():
         _, parts = sympy.factor_list(expr)
         assert [(p.total_degree() > 0, m) for p, m in parts] == [(True, 1)], \
             (",".join(label), record, str(f))
+
+
+def test_every_reported_label_is_rebuilt():
+    # the c=0 terminating leaves come from their parent's own coefficient
+    # vanishing, not from its split
+    summary = S.run_tree()
+    labels = [*summary["red"], *summary["terminating"], *summary["white"],
+              *summary["gray"]]
+    assert sum(lab.endswith(",c=0") for lab in labels) == 7
+    for lab in labels:
+        assert get_node(lab).name() == lab
+    with pytest.raises(InconsistentNode):
+        get_node("0,0,0,c=0")
